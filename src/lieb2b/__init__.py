@@ -21,7 +21,7 @@ from .continuation import (ComplexPath, CutSegment, GridSpec, RiemannSheet,
                            build_sheet, circle_path,
                            conjugation_symmetry_check, continue_along,
                            continue_to, line_path, newton_correct,
-                           sheet_value)
+                           newton_correct_array, sheet_value)
 from .cycles import (EP_PROXIMITY_G, CycleResult, InconclusivePermutationError,
                      PathConstructionError, chained_loop_holonomy,
                      contour_permutation, ep_chain_path, hermitian_cycle,
@@ -52,7 +52,8 @@ __all__ = [
     "ConfigError", "RunConfig", "load_config", "parse_config",
     "ComplexPath", "CutSegment", "GridSpec", "RiemannSheet", "build_sheet",
     "circle_path", "conjugation_symmetry_check", "continue_along",
-    "continue_to", "line_path", "newton_correct", "sheet_value",
+    "continue_to", "line_path", "newton_correct", "newton_correct_array",
+    "sheet_value",
     "EP_PROXIMITY_G", "CycleResult", "InconclusivePermutationError",
     "PathConstructionError", "chained_loop_holonomy", "contour_permutation",
     "ep_chain_path", "hermitian_cycle", "n_ep_contour",

@@ -147,8 +147,16 @@ def predictor_coefficients(g, k) -> PredictorCoefficients:
 
 
 def dj_dk(g, k):
-    """dJ/dk = r / (g^2 + k^2); small magnitude marks branch-point proximity."""
-    return branch_point_function(g, k) / (g * g + k * k)
+    """dJ/dk = r / (g^2 + k^2); small magnitude marks branch-point proximity.
+
+    On the deep bound branch k ~ -i|g| the denominator cancels to exactly
+    0: that is the arctan pole, where dJ/dk is infinite and no branch
+    point is near.
+    """
+    denom = g * g + k * k
+    if denom == 0:
+        return complex(np.inf)
+    return branch_point_function(g, k) / denom
 
 
 def newton_correct(parity: Parity, g, k0, *, tol, max_iter: int = 5):
@@ -177,6 +185,59 @@ def newton_correct(parity: Parity, g, k0, *, tol, max_iter: int = 5):
     r = bethe_residual(parity, g, k)
     scaled = float(abs(r) / residual_scale(parity, g, k))
     return k, scaled, scaled < tol
+
+
+def newton_correct_array(parity: Parity, g, k0, *, tol, max_iter: int = 5):
+    """`newton_correct` applied to every element of an array of points.
+
+    g broadcasts against k0.  Each element follows the scalar rule: it
+    stops once its scaled residual is below tol or its derivative
+    vanishes, and otherwise takes a Newton step halved at most four
+    times while the residual grows.  Stopped elements are frozen, so
+    each iteration works only on the rest.  Returns (k, scaled_residual,
+    converged) arrays of the broadcast shape.
+
+    On a single point its per-call overhead makes it about four times
+    slower than `newton_correct`, so scalar callers keep that one.
+    """
+    g, k = np.broadcast_arrays(np.asarray(g, dtype=complex),
+                               np.asarray(k0, dtype=complex))
+    shape = k.shape
+    g = g.ravel()
+    k = k.ravel().copy()
+    scaled = np.empty(k.size)
+    converged = np.zeros(k.size, dtype=bool)
+    live = np.arange(k.size)
+    # max_iter Newton steps; the extra sweep only measures the last iterate
+    for sweep in range(max_iter + 1):
+        gl, kl = g[live], k[live]
+        r = bethe_residual(parity, gl, kl)
+        s = np.abs(r) / residual_scale(parity, gl, kl)
+        scaled[live] = s
+        done = s < tol
+        converged[live[done]] = True
+        if sweep == max_iter:
+            break
+        go = ~done
+        live, gl, kl, r = live[go], gl[go], kl[go], r[go]
+        if live.size == 0:
+            break
+        dr = residual_k_derivative(parity, gl, kl)
+        go = dr != 0
+        live, gl, kl, r, dr = live[go], gl[go], kl[go], r[go], dr[go]
+        with np.errstate(invalid="ignore"):
+            step = r / dr
+        size = np.abs(r)
+        damp = np.arange(live.size)  # positions still halving their step
+        for _ in range(4):
+            if damp.size == 0:
+                break
+            trial = kl[damp] - step[damp]
+            worse = ~(np.abs(bethe_residual(parity, gl[damp], trial)) <= size[damp])
+            damp = damp[worse]
+            step[damp] *= 0.5
+        k[live] = kl - step
+    return k.reshape(shape), scaled.reshape(shape), converged.reshape(shape)
 
 
 @dataclass
@@ -409,7 +470,10 @@ def _march_half(parity, xs, k_anchor, ordinates, *, tol, min_step, k_out, rows):
     """March all columns from the axis through the given ordinates.
 
     ordinates are monotone (ascending above the axis, descending below);
-    rows[i] is the row index of ordinates[i] in the output array.
+    rows[i] is the row index of ordinates[i] in the output array.  Each
+    row corrects all live columns in one `newton_correct_array` call;
+    columns left above a scaled residual of 1e-9 go to the bisecting
+    `_advance_column_scalar`, and those that fail there too abort.
     """
     n_cols = xs.size
     k_cur = k_anchor.astype(complex).copy()
@@ -427,16 +491,9 @@ def _march_half(parity, xs, k_anchor, ordinates, *, tol, min_step, k_out, rows):
             slope = 2.0 * k_old / (np.pi * r)
         slope = np.where(np.isfinite(slope), slope, 0.0)
         k_pred = k_old + (g_new - g_old) * slope
-        # vectorised Newton sweep, then scalar rescue for the stragglers
-        k_new = k_pred.copy()
-        for _ in range(6):
-            res = bethe_residual(parity, g_new, k_new)
-            dr = residual_k_derivative(parity, g_new, k_new)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = np.where(dr != 0, res / dr, 0.0)
-            k_new = k_new - step
-        res = np.abs(bethe_residual(parity, g_new, k_new))
-        ok = res / residual_scale(parity, g_new, k_new) < 1e-9
+        k_new, scaled, _ = newton_correct_array(parity, g_new, k_pred, tol=tol,
+                                                max_iter=6)
+        ok = scaled < 1e-9
         idx_alive = np.flatnonzero(alive)
         for pos, col in enumerate(idx_alive):
             if ok[pos]:

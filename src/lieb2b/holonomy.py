@@ -32,7 +32,10 @@ Transport integrates
     dV/dt = -i * A(g(t)) * g'(t) * V,    V(0) = 1
 
 along piecewise-linear paths with an embedded Dormand-Prince 5(4) pair,
-advancing the frame to every internal stage.  The returned matrix is V
+advancing the frame to every internal stage.  One call of the array
+corrector :func:`lieb2b.continuation.newton_correct_array` moves all
+slots of a frame at once; a hop is bisected when any slot would leave
+its Newton basin or its sqrt(r) branch.  The returned matrix is V
 at the path end, nothing folded in: columns expand the transported
 slots over the starting slots, and transports over concatenated paths
 compose by left multiplication.  For a small clockwise loop around the
@@ -60,7 +63,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bethe import Parity, solve_k_real
-from .continuation import ComplexPath, branch_point_function, circle_path, newton_correct
+from .continuation import (ComplexPath, branch_point_function, circle_path,
+                           newton_correct_array)
 from .exceptional import ExceptionalPoint, find_ep
 
 FOUR_OVER_PI = 4.0 / np.pi
@@ -277,25 +281,25 @@ def entry_frame(trunc: TruncationSpec, g0: complex) -> TransportFrame:
 
 
 def _advance_once(frame: TransportFrame, g_new: complex, tol: float):
-    """One Newton hop of every slot to g_new, or None if unsafe."""
-    guard = 0.35 * frame.spacing()
-    k_new = np.empty_like(frame.k)
-    s_new = np.empty_like(frame.sqrt_r)
-    for i, n in enumerate(frame.levels):
-        parity = Parity.of_level(n)
-        k, _, ok = newton_correct(parity, g_new, frame.k[i], tol=tol)
-        if not ok or abs(k - frame.k[i]) > guard:
-            return None
-        s = np.sqrt(branch_point_function(g_new, k))
-        if abs(s - frame.sqrt_r[i]) > abs(s + frame.sqrt_r[i]):
-            s = -s
-        # reject the hop when both signs are about equally far: the
-        # branch has rotated too much to track across one step
-        if abs(s - frame.sqrt_r[i]) > 0.6 * (abs(s) + abs(frame.sqrt_r[i])):
-            return None
-        k_new[i] = k
-        s_new[i] = s
-    return TransportFrame(frame.levels, g_new, k_new, s_new)
+    """One Newton hop of every slot to g_new, or None if any slot is unsafe.
+
+    A truncation is one parity family, so a single array corrector call
+    covers all slots.  A hop is unsafe when a slot fails to converge,
+    moves by more than 0.35 of the frame's level spacing (it may have
+    jumped basins), or when the continued sqrt(r), signed by continuity,
+    is about equally far from both signs of its previous value.
+    """
+    parity = Parity.of_level(frame.levels[0])
+    k, _, ok = newton_correct_array(parity, g_new, frame.k, tol=tol)
+    if not ok.all() or np.any(np.abs(k - frame.k) > 0.35 * frame.spacing()):
+        return None
+    s = np.sqrt(branch_point_function(g_new, k))
+    s = np.where(np.abs(s - frame.sqrt_r) > np.abs(s + frame.sqrt_r), -s, s)
+    # reject the hop when both signs are about equally far: the
+    # branch has rotated too much to track across one step
+    if np.any(np.abs(s - frame.sqrt_r) > 0.6 * (np.abs(s) + np.abs(frame.sqrt_r))):
+        return None
+    return TransportFrame(frame.levels, g_new, k, s)
 
 
 def advance_frame(frame: TransportFrame, g_target: complex, *,

@@ -1,14 +1,19 @@
 """Analytic continuation off the real axis and sheet construction."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from lieb2b.bethe import Parity, solve_k_real
+from lieb2b.bethe import (Parity, residual_k_derivative, scaled_bethe_residual,
+                          solve_k_real)
 from lieb2b.continuation import (ComplexPath, GridSpec, TraceStatus,
                                  circle_path, conjugation_symmetry_check,
                                  continue_along, continue_to, build_sheet,
-                                 line_path, newton_correct, sheet_value)
+                                 line_path, newton_correct,
+                                 newton_correct_array, sheet_value)
 from lieb2b.exceptional import find_ep
+from lieb2b.holonomy import TruncationSpec, entry_frame
 
 
 def ep_g(n):
@@ -89,6 +94,49 @@ class TestContinuation:
         trace = continue_to(solve_k_real(2, 1.0), 1.0 - 1.0j)
         assert len(trace.samples) > 2
         assert trace.samples[-1].scaled_residual < 1e-10
+
+    def test_deep_bound_continuation_reaches_a_root(self):
+        # on the bound branch g^2 + k^2 cancels to exactly 0, the arctan
+        # pole of dJ/dk; continuation must step on, not divide by zero
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cases = [(0, -400 - 0.5j, sheet_value(0, -400 - 0.5j)),
+                     (1, -45 - 0.7j, sheet_value(1, -45 - 0.7j)),
+                     (0, -300 - 2j,
+                      continue_to(solve_k_real(0, -300.0), -300 - 2j).final_k)]
+        assert caught == []
+        for n, g, k in cases:
+            assert scaled_bethe_residual(Parity.of_level(n), g, k) <= 1e-10
+
+
+class TestArrayCorrector:
+    def test_matches_scalar_corrector_elementwise(self):
+        # the 24 odd slots, hopped a short way round the n = 3 branch point
+        ep = find_ep(3, verify_unique=False).g_ep
+        frame = entry_frame(TruncationSpec(Parity.ODD, 24), ep + 1e-3)
+        g_hop = ep + 1e-3 * np.exp(-0.3j)
+        # odd-family derivative vanishes where (1 + pi g/2) cos(h) = h sin(h)
+        h = 0.5 * np.pi
+        g_flat = (h / np.cos(h) - 1.0) / h
+        assert residual_k_derivative(Parity.ODD, g_flat, 1.0 + 0j) == 0
+        # at g = 0.5 the first steps from these starts are halved 3 and 4 times
+        g = np.concatenate([np.full(24, g_hop), [g_flat, 0.5, 0.5]])
+        k0 = np.concatenate([frame.k, [1.0, 0.65, 2.3]])
+        k, scaled, ok = newton_correct_array(Parity.ODD, g, k0, tol=1e-12)
+        ref = [newton_correct(Parity.ODD, gi, ki, tol=1e-12) for gi, ki in zip(g, k0)]
+        assert ok.tolist() == [r[2] for r in ref]
+        assert ok[:24].all() and not ok[24]
+        for ki, (kr, _, _) in zip(k, ref):
+            assert abs(ki - kr) <= 1e-12 * max(1.0, abs(kr))
+
+    def test_zero_dimensional_input(self):
+        g = 0.8 - 0.4j
+        k0 = sheet_value(2, g) + 1e-5
+        k, scaled, ok = newton_correct_array(Parity.EVEN, g, k0, tol=1e-12)
+        kr, sr, okr = newton_correct(Parity.EVEN, g, k0, tol=1e-12)
+        assert np.shape(k) == np.shape(scaled) == np.shape(ok) == ()
+        assert bool(ok) == okr
+        assert abs(complex(k) - kr) <= 1e-12 * max(1.0, abs(kr))
 
 
 class TestMonodromy:
