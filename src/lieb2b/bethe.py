@@ -34,11 +34,11 @@ equal parity.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 TWO_OVER_PI = 2.0 / np.pi
 
@@ -46,6 +46,11 @@ TWO_OVER_PI = 2.0 / np.pi
 RESIDUAL_TARGET = 1e-12
 RESIDUAL_ACCEPT = 1e-10
 NEWTON_MAX_STEPS = 50
+
+#: Brent root-finder tolerances: 2*delta = xtol + rtol*|x| ends the search
+_BRENT_XTOL = 1e-14
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
+_BRENT_MAX_ITER = 100
 
 
 class BranchCutWarning(UserWarning):
@@ -241,11 +246,76 @@ def newton_polish(parity: Parity, g, k, *, tol=RESIDUAL_TARGET, max_steps=8):
     return best_k, float(best)
 
 
+def _brent_root(f, xa: float, xb: float) -> float:
+    """Root of f in the sign-changing bracket [xa, xb] by Brent's method.
+
+    A line-for-line port of the rule scipy.optimize.brentq runs (Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 4), so it
+    returns the same double: a secant or inverse-quadratic step while it
+    is short enough, a bisection otherwise.  f is called with floats and
+    its values are taken as floats.  Raises ValueError when f(xa) and
+    f(xb) share a sign or f returns NaN, SolverError after
+    _BRENT_MAX_ITER iterations without convergence.
+    """
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre != fpre or fcur != fcur:
+        raise ValueError(f"f is NaN at an end of [{xpre}, {xcur}]")
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError(f"f has no sign change in [{xpre}, {xcur}]")
+    xtol, rtol = _BRENT_XTOL, _BRENT_RTOL
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAX_ITER):
+        if (fpre != 0.0 and fcur != 0.0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                stry = math.inf  # IEEE gives inf or NaN: both bisect below
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+        if fcur != fcur:
+            raise ValueError(f"f({xcur!r}) is NaN; the search cannot go on")
+    raise SolverError(
+        f"Brent search did not converge in {_BRENT_MAX_ITER} iterations "
+        f"(last iterate {xcur!r})", k=xcur)
+
+
 def _bound_kappa_even(g: float) -> float:
     """kappa > 0 with kappa*tanh(pi kappa/2) = -g, for n = 0, g < 0."""
     f = lambda kappa: kappa * np.tanh(0.5 * np.pi * kappa) + g
     hi = max(1.0, -g) + 1.0
-    return brentq(f, 0.0, hi, xtol=1e-14)
+    return _brent_root(f, 0.0, hi)
 
 
 def _bound_kappa_odd(g: float) -> float:
@@ -257,7 +327,7 @@ def _bound_kappa_odd(g: float) -> float:
         return kappa / np.tanh(x) + g if kappa > 0 else TWO_OVER_PI + g
 
     hi = max(1.0, -g) + 1.0
-    return brentq(f, 1e-13, hi, xtol=1e-14)
+    return _brent_root(f, 1e-13, hi)
 
 
 def _real_bracket(n: int, g: float) -> tuple[float, float]:
@@ -277,9 +347,10 @@ def solve_k_real(n: int, g: float, *, tol: float = RESIDUAL_TARGET,
     Returns the branch with k_n(0) = n, continued smoothly along the
     real axis; bound regions (n = 0 with g < 0, n = 1 with g < -2/pi)
     return k on the negative imaginary axis per the lower-half-plane
-    continuation convention.  Real roots come from sign-bracketed
-    bisection on the pole-free residual followed by Newton polish;
-    bound roots from the equivalent real equations in kappa = i*k.
+    continuation convention.  Real roots come from Brent's method on a
+    sign-changing bracket of the pole-free residual followed by Newton
+    polish; bound roots from Brent's method on the equivalent real
+    equations in kappa = i*k.
     """
     if n < 0 or int(n) != n:
         raise ValueError("branch label n must be a non-negative integer")
@@ -301,9 +372,9 @@ def solve_k_real(n: int, g: float, *, tol: float = RESIDUAL_TARGET,
         return BetheState(n, g, 0.0 + 0.0j, parity)
 
     lo, hi = _real_bracket(n, g)
-    f = lambda k: np.real(bethe_residual(parity, g, k))
+    f = lambda k: bethe_residual(parity, g, k)  # real for real g, k
     try:
-        root = brentq(f, lo, hi, xtol=1e-14)
+        root = _brent_root(f, lo, hi)
     except ValueError as exc:
         if abs(g) <= 1e-12:
             # coupling below the trig evaluation noise: the root equals

@@ -113,6 +113,7 @@ def circle_path(center, radius, *, n_points: int = 96, clockwise: bool = True,
 class TraceStatus(enum.Enum):
     COMPLETED = "completed"
     ABORTED_NEAR_BRANCH_POINT = "aborted-near-branch-point"
+    ABORTED_RESIDUAL_OVERFLOW = "aborted-residual-overflow"
 
 
 class ContinuationSample(NamedTuple):
@@ -274,7 +275,10 @@ def continue_along(start: BetheState, path: ComplexPath, *,
     proximity (|dJ/dk| < dkj_threshold) shrinks, easy convergence grows.
     Hitting min_step ends the trace with ABORTED_NEAR_BRANCH_POINT and
     the last good sample; callers that intend to encircle a branch
-    point must route around it rather than through.
+    point must route around it rather than through.  When the residual
+    at the failed step is not finite (its sin/cos terms overflow once
+    |Im pi k/2| passes about 709) the status is ABORTED_RESIDUAL_OVERFLOW
+    instead, since no branch point need be near.
     """
     if abs(complex(path.waypoints[0]) - complex(start.g)) > 1e-12:
         raise ValueError("path must start at the state's coupling")
@@ -311,9 +315,14 @@ def continue_along(start: BetheState, path: ComplexPath, *,
             else:
                 h *= path.shrink
                 if h < path.min_step:
-                    trace.status = TraceStatus.ABORTED_NEAR_BRANCH_POINT
-                    trace.note = (f"step underflow at g={g_new:.6g} "
-                                  f"(|dJ/dk|={abs(dj_dk(g, k)):.3g})")
+                    if np.isfinite(scaled):
+                        trace.status = TraceStatus.ABORTED_NEAR_BRANCH_POINT
+                        trace.note = (f"step underflow near a branch point at "
+                                      f"g={g_new:.6g} (|dJ/dk|={abs(dj_dk(g, k)):.3g})")
+                    else:
+                        trace.status = TraceStatus.ABORTED_RESIDUAL_OVERFLOW
+                        trace.note = (f"residual overflow at g={g_new:.6g} "
+                                      f"(k={k:.6g}, |Im pi k/2| beyond the double range)")
                     if not record:
                         samples.append(ContinuationSample(g, k, float('nan')))
                     return trace
@@ -341,7 +350,7 @@ def sheet_value(n: int, g, **kw) -> complex:
     trace = continue_to(anchor, g, record=False, **kw)
     if trace.status is not TraceStatus.COMPLETED:
         raise SolverError(
-            f"vertical continuation hit a branch point: {trace.note}",
+            f"vertical continuation aborted: {trace.note}",
             g=trace.final_g, k=trace.final_k,
         )
     return trace.final_k

@@ -1,14 +1,18 @@
 """Real-axis quasi-momentum solver: anchors, asymptotics, bound branches."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieb2b.bethe import (BetheState, Parity, SolverError,
+from lieb2b import bethe
+from lieb2b.bethe import (TWO_OVER_PI, BetheState, Parity, SolverError,
                           asymptotic_quasimomentum, bethe_residual, energy,
                           j_function, newton_polish, residual_k_derivative,
                           solve_k_real)
+from lieb2b.continuation import GridSpec, build_sheet
 
 
 def test_free_limit_is_exact():
@@ -116,3 +120,94 @@ def test_state_validates_parity_consistency():
 def test_rejects_unknown_branch():
     with pytest.raises((SolverError, ValueError)):
         solve_k_real(-1, 1.0)
+
+
+class TestBrentRoot:
+    def test_exact_zero_at_an_endpoint_is_returned(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 1.0
+
+        assert bethe._brent_root(f, 1.0, 3.0) == 1.0
+        assert bethe._brent_root(f, -2.0, 1.0) == 1.0
+        assert len(calls) == 4  # both endpoints, no iteration
+
+    def test_no_sign_change_raises_value_error(self):
+        with pytest.raises(ValueError):
+            bethe._brent_root(lambda x: x * x + 1.0, -1.0, 1.0)
+        with pytest.raises(ValueError):
+            bethe._brent_root(lambda x: float("nan"), 0.0, 1.0)
+
+    def test_known_roots_converge(self):
+        # kappa tanh(pi kappa / 2) = 1, the n = 0 bound state at g = -1
+        kappa = bethe._brent_root(
+            lambda x: x * math.tanh(0.5 * math.pi * x) - 1.0, 0.0, 2.0)
+        assert abs(kappa * math.tanh(0.5 * math.pi * kappa) - 1.0) < 1e-14
+        assert bethe._brent_root(lambda x: x * x - 2.0, 0.0, 2.0) == pytest.approx(
+            math.sqrt(2.0), abs=1e-14)
+        assert bethe._brent_root(math.cos, 1.0, 2.0) == pytest.approx(
+            0.5 * math.pi, abs=1e-14)
+        # values near 1e-200 underflow the extrapolation's denominator to
+        # zero; that step falls back to bisection instead of dividing
+        tiny = bethe._brent_root(lambda x: (x ** 3 - 2.0 * x - 5.0) * 1e-200, 2.0, 3.0)
+        assert tiny == pytest.approx(2.0945514815423265, abs=1e-14)
+        # a step function has no short secant step: bisection alone ends it
+        step = bethe._brent_root(lambda x: 1.0 if x > 0.3 else -1.0, 0.0, 1.0)
+        assert abs(step - 0.3) < 1e-14
+
+    def test_tiny_coupling_takes_the_polish_fallback(self):
+        # at |g| = 1e-300 the residual's sign at k = n is trig round-off,
+        # and for these labels it matches the far end: no sign change
+        for n, g in ((13, 1e-300), (26, 1e-300), (4, -1e-300), (7, -1e-300)):
+            parity = Parity.of_level(n)
+            lo, hi = bethe._real_bracket(n, g)
+            with pytest.raises(ValueError):
+                bethe._brent_root(
+                    lambda k: np.real(bethe_residual(parity, g, k)), lo, hi)
+            assert solve_k_real(n, g).k == complex(n)
+
+    def test_iteration_limit_raises_solver_error(self, monkeypatch):
+        monkeypatch.setattr(bethe, "_BRENT_MAX_ITER", 2)
+        with pytest.raises(SolverError):
+            solve_k_real(3, 0.7)
+        # a stray non-convergence costs the sheet its anchors, not the build
+        sheet = build_sheet(3, GridSpec(-1.0, 1.5, -0.5, 0.5, 5, 5))
+        assert set(sheet.aborted_columns) == set(range(5))
+        assert np.isnan(sheet.k).all()
+
+
+def test_brent_root_matches_scipy_brentq_bit_for_bit():
+    """The port returns scipy's double on the `spectrum` distribution.
+
+    n uniform in 0..40, g = +-10^u with u uniform in [-3, 6]; each draw
+    gives the bracket solve_k_real would search: the real residual, or
+    the n = 0 / n = 1 bound equation in kappa.
+    """
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(20240607)
+    kinds = set()
+    for _ in range(3000):
+        n = int(rng.integers(0, 41))
+        g = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 6.0))
+        parity = Parity.of_level(n)
+        if n == 0 and g < 0:
+            f = lambda x, g=g: x * np.tanh(0.5 * np.pi * x) + g
+            lo, hi, kind = 0.0, max(1.0, -g) + 1.0, "bound-even"
+        elif n == 1 and g < -TWO_OVER_PI:
+            f = (lambda x, g=g: x / np.tanh(0.5 * np.pi * x) + g if x > 0
+                 else TWO_OVER_PI + g)
+            lo, hi, kind = 1e-13, max(1.0, -g) + 1.0, "bound-odd"
+        else:
+            f = lambda k, p=parity, g=g: np.real(bethe_residual(p, g, k))
+            (lo, hi), kind = bethe._real_bracket(n, g), "real"
+        kinds.add(kind)
+        try:
+            expected = optimize.brentq(f, lo, hi, xtol=1e-14)
+        except ValueError:
+            with pytest.raises(ValueError):
+                bethe._brent_root(f, lo, hi)
+            continue
+        assert bethe._brent_root(f, lo, hi) == expected, (n, g)
+    assert kinds == {"real", "bound-even", "bound-odd"}

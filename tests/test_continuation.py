@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from lieb2b.bethe import (Parity, residual_k_derivative, scaled_bethe_residual,
-                          solve_k_real)
+from lieb2b.bethe import (Parity, SolverError, residual_k_derivative,
+                          scaled_bethe_residual, solve_k_real)
 from lieb2b.continuation import (ComplexPath, GridSpec, TraceStatus,
                                  circle_path, conjugation_symmetry_check,
                                  continue_along, continue_to, build_sheet,
@@ -107,6 +107,26 @@ class TestContinuation:
         assert caught == []
         for n, g, k in cases:
             assert scaled_bethe_residual(Parity.of_level(n), g, k) <= 1e-10
+
+    def test_deep_strip_abort_names_residual_overflow(self):
+        # below Re g ~ -528 the n = 0 residual overflows (|Im pi k/2| > 709)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            trace = continue_to(solve_k_real(0, -553.6), -553.6 - 0.5j)
+            with pytest.raises(SolverError) as info:
+                sheet_value(0, -553.6 - 0.5j)
+        assert trace.status is TraceStatus.ABORTED_RESIDUAL_OVERFLOW
+        message = str(info.value)
+        assert "overflow" in message
+        assert "branch point" not in message
+
+    def test_branch_point_abort_names_the_branch_point(self):
+        g_ep = ep_g(2)
+        trace = continue_to(solve_k_real(2, g_ep.real), g_ep)
+        assert trace.status is TraceStatus.ABORTED_NEAR_BRANCH_POINT
+        assert "branch point" in trace.note
+        with pytest.raises(SolverError, match="branch point"):
+            sheet_value(2, g_ep)
 
 
 class TestArrayCorrector:
