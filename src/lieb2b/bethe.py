@@ -181,36 +181,82 @@ def residual_scale(parity: Parity, g, k):
     return np.maximum(s, 1.0)
 
 
+#: |Im(pi k/2)| beyond which `residual_terms` rescales sin and cos; the
+#: unscaled terms overflow the double range near 709
+DEEP_IM_H = 300.0
+
+
+def _terms_from_trig(parity, g, k, h, sin_h, cos_h, floor):
+    """Residual, k-derivative and error scale from sin(h) and cos(h)."""
+    sh, ch = np.abs(sin_h), np.abs(cos_h)
+    ak, ag, ah = np.abs(k), np.abs(g), np.abs(h)
+    if parity is Parity.EVEN:
+        r = k * sin_h - g * cos_h
+        dr = sin_h * (1.0 + 0.5 * np.pi * g) + h * cos_h
+        s = ak * sh + ag * ch + ah * (ak * ch + ag * sh)
+    else:
+        r = k * cos_h + g * sin_h
+        dr = cos_h * (1.0 + 0.5 * np.pi * g) - h * sin_h
+        s = ak * ch + ag * sh + ah * (ak * sh + ag * ch)
+    return r, dr, np.maximum(s, floor)
+
+
+def unscaled_residual_terms(parity: Parity, g, k):
+    """(r, dr, scale, 0.0): `residual_terms` without its depth test.
+
+    Bit-identical to `bethe_residual`, `residual_k_derivative` and
+    `residual_scale`.  For callers that know every |Im(pi k/2)| is
+    well inside DEEP_IM_H; past about 709 the terms overflow.
+    """
+    h = 0.5 * np.pi * k
+    return _terms_from_trig(parity, g, k, h, np.sin(h), np.cos(h), 1.0) + (0.0,)
+
+
+def residual_terms(parity: Parity, g, k):
+    """Residual, its k-derivative and its error scale from one sin/cos.
+
+    Returns (r, dr, scale, log_factor): the true residual, derivative
+    and scale are r, dr and scale times exp(log_factor).  Where
+    |Im h| <= DEEP_IM_H (h = pi k/2) the factor is 1 (log_factor 0) and
+    the three values are bit-identical to `bethe_residual`,
+    `residual_k_derivative` and `residual_scale`.  Beyond it sin and
+    cos are multiplied by exp(-|Im h|), which keeps every term finite
+    at deep bound momenta; log_factor is then |Im h| and the scale's
+    floor of 1 becomes exp(-|Im h|).  r/dr and r/scale are unchanged by
+    the factor.  A rescaled scale that still overflows (|k| beyond
+    about 1e154) is returned as NaN, so no residual passes against it.
+    Accepts scalars or arrays.
+    """
+    h = 0.5 * np.pi * k
+    y = np.imag(h)
+    deep = abs(y) > DEEP_IM_H  # a numpy bool for scalar k: np.any is slow
+    if not (deep.any() if isinstance(deep, np.ndarray) else deep):
+        return unscaled_residual_terms(parity, g, k)
+    # sin(x + iy) exp(-|y|) = sin(x) cosh_r + i cos(x) sinh_r and
+    # cos(x + iy) exp(-|y|) = cos(x) cosh_r - i sin(x) sinh_r, with
+    # cosh_r = cosh(y) exp(-|y|) and sinh_r = sinh(y) exp(-|y|)
+    lf = np.where(deep, np.abs(y), 0.0)
+    x = np.real(h)
+    damp = np.exp(-2.0 * lf)
+    cosh_r = 0.5 * (1.0 + damp)
+    sinh_r = 0.5 * np.copysign(1.0 - damp, y)
+    sin_x, cos_x = np.sin(x), np.cos(x)
+    shallow = np.where(deep, 0.0, h)  # deep entries would overflow
+    sin_h = np.where(deep, sin_x * cosh_r + 1j * (cos_x * sinh_r), np.sin(shallow))
+    cos_h = np.where(deep, cos_x * cosh_r - 1j * (sin_x * sinh_r), np.cos(shallow))
+    with np.errstate(over="ignore", invalid="ignore"):
+        r, dr, scale = _terms_from_trig(parity, g, k, h, sin_h, cos_h, np.exp(-lf))
+    scale = np.where(deep & np.isinf(scale), np.nan, scale)
+    return r, dr, scale, lf
+
+
 def scaled_bethe_residual(parity: Parity, g, k) -> float:
     """|bethe_residual| / residual_scale, stable for deep bound momenta.
 
-    Beyond |Im(pi k/2)| of about 300 the residual terms overflow the
-    double range even though their quotient is well defined; rescaling
-    sin and cos by exp(-|Im h|) keeps every intermediate finite without
-    changing the ratio (the scale is far above its floor of 1 there).
+    Evaluated by `residual_terms`, whose common factor cancels here.
     """
-    g = complex(g)
-    k = complex(k)
-    h = 0.5 * np.pi * k
-    y = h.imag
-    if abs(y) <= 300.0:
-        return float(abs(bethe_residual(parity, g, k))
-                     / residual_scale(parity, g, k))
-    x = h.real
-    damp = np.exp(-2.0 * abs(y))
-    cosh_r = 0.5 * (1.0 + damp)
-    sinh_r = 0.5 * np.copysign(1.0 - damp, y)
-    sin_r = complex(np.sin(x) * cosh_r, np.cos(x) * sinh_r)
-    cos_r = complex(np.cos(x) * cosh_r, -np.sin(x) * sinh_r)
-    sh, ch = abs(sin_r), abs(cos_r)
-    ak, ag, ah = abs(k), abs(g), abs(h)
-    if parity is Parity.EVEN:
-        num = abs(k * sin_r - g * cos_r)
-        scale = ak * sh + ag * ch + ah * (ak * ch + ag * sh)
-    else:
-        num = abs(k * cos_r + g * sin_r)
-        scale = ak * ch + ag * sh + ah * (ak * sh + ag * ch)
-    return float(num / scale)
+    r, _, scale, _ = residual_terms(parity, complex(g), complex(k))
+    return float(abs(r) / scale)
 
 
 def newton_polish(parity: Parity, g, k, *, tol=RESIDUAL_TARGET, max_steps=8):
@@ -376,12 +422,14 @@ def solve_k_real(n: int, g: float, *, tol: float = RESIDUAL_TARGET,
     try:
         root = _brent_root(f, lo, hi)
     except ValueError as exc:
-        if abs(g) <= 1e-12:
-            # coupling below the trig evaluation noise: the root equals
-            # the free value to double precision, so polish instead
-            k, scaled = newton_polish(parity, g, complex(n), tol=tol)
-            if scaled <= accept:
-                return BetheState(n, g, complex(k.real, 0.0), parity)
+        # no sign change: at small |g| the round-off in sin/cos(pi n/2),
+        # which grows like n*eps, can hide it, so polish from the free
+        # value and keep the result if it is a root in the bracket
+        k, scaled = newton_polish(parity, g, complex(n), tol=tol)
+        slack = _BRENT_XTOL + _BRENT_RTOL * abs(k.real)
+        if scaled <= accept and lo - slack <= k.real <= hi + slack:
+            k_real = min(max(k.real, lo), hi)
+            return BetheState(n, g, complex(k_real, 0.0), parity)
         raise SolverError(
             f"no sign change for n={n}, g={g} in [{lo}, {hi}]", g=g
         ) from exc

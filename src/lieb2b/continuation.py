@@ -36,14 +36,21 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .bethe import (
+    DEEP_IM_H,
     BetheState,
     Parity,
     SolverError,
     bethe_residual,
-    residual_k_derivative,
-    residual_scale,
+    residual_terms,
+    scaled_bethe_residual,
     solve_k_real,
+    unscaled_residual_terms,
 )
+
+#: a corrector call evaluates through the rescaling `residual_terms` when a
+#: start point has |Im k| above this, else unscaled: |Im pi k/2| 50 short
+#: of DEEP_IM_H, so the iterates of an unscaled call stay below DEEP_IM_H
+_DEEP_IM_K = (DEEP_IM_H - 50.0) / (0.5 * np.pi)
 
 
 @dataclass
@@ -165,27 +172,40 @@ def newton_correct(parity: Parity, g, k0, *, tol, max_iter: int = 5):
 
     Returns (k, scaled_residual, converged).  Brief and damped: the
     caller owns step-size control and treats non-convergence as the
-    signal to shrink.
+    signal to shrink.  A start point with |Im k| above _DEEP_IM_K is
+    corrected through the overflow-safe `residual_terms`; the Newton
+    step is the same, since r and dr carry the same factor.
     """
     k = complex(k0)
+    deep = abs(k.imag) > _DEEP_IM_K
+    terms = residual_terms if deep else unscaled_residual_terms
     for _ in range(max_iter):
-        r = bethe_residual(parity, g, k)
-        scale = residual_scale(parity, g, k)
+        r, dr, scale, lf = terms(parity, g, k)
         if abs(r) / scale < tol:
             return k, float(abs(r) / scale), True
-        dr = residual_k_derivative(parity, g, k)
         if dr == 0:
             break
         step = r / dr
         for _ in range(4):
             trial = k - step
-            if abs(bethe_residual(parity, g, trial)) <= abs(r):
+            if deep:
+                r_t, _, _, lf_t = residual_terms(parity, g, trial)
+                if _no_larger(r_t, lf_t, abs(r), lf):
+                    break
+            elif abs(bethe_residual(parity, g, trial)) <= abs(r):
                 break
             step *= 0.5
         k = k - step
-    r = bethe_residual(parity, g, k)
-    scaled = float(abs(r) / residual_scale(parity, g, k))
+    r, _, scale, _ = terms(parity, g, k)
+    scaled = float(abs(r) / scale)
     return k, scaled, scaled < tol
+
+
+def _no_larger(r_trial, lf_trial, size, lf):
+    """Whether the true |r_trial| is at most the true size, given kernel
+    values with log factors lf_trial and lf: both taken at one scale."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(r_trial) * np.exp(lf_trial - lf) <= size
 
 
 def newton_correct_array(parity: Parity, g, k0, *, tol, max_iter: int = 5):
@@ -198,6 +218,14 @@ def newton_correct_array(parity: Parity, g, k0, *, tol, max_iter: int = 5):
     each iteration works only on the rest.  Returns (k, scaled_residual,
     converged) arrays of the broadcast shape.
 
+    Whether to evaluate through the overflow-safe `residual_terms` is
+    decided once per call: only when some start point has |Im k| above
+    _DEEP_IM_K, so calls away from the deep bound branch run the
+    unscaled operations.  In either mode every element with
+    |Im pi k/2| <= DEEP_IM_H sees the unscaled values; deep elements
+    compare a trial residual with the current one at one scale,
+    |r_trial| exp(lf_trial - lf) <= |r|.
+
     On a single point its per-call overhead makes it about four times
     slower than `newton_correct`, so scalar callers keep that one.
     """
@@ -209,23 +237,24 @@ def newton_correct_array(parity: Parity, g, k0, *, tol, max_iter: int = 5):
     scaled = np.empty(k.size)
     converged = np.zeros(k.size, dtype=bool)
     live = np.arange(k.size)
+    deep = k.size > 0 and float(np.abs(k.imag).max()) > _DEEP_IM_K
+    terms = residual_terms if deep else unscaled_residual_terms
     # max_iter Newton steps; the extra sweep only measures the last iterate
     for sweep in range(max_iter + 1):
         gl, kl = g[live], k[live]
-        r = bethe_residual(parity, gl, kl)
-        s = np.abs(r) / residual_scale(parity, gl, kl)
+        r, dr, scale, lf = terms(parity, gl, kl)
+        s = np.abs(r) / scale
         scaled[live] = s
         done = s < tol
         converged[live[done]] = True
         if sweep == max_iter:
             break
-        go = ~done
-        live, gl, kl, r = live[go], gl[go], kl[go], r[go]
+        go = ~done & (dr != 0)
+        live, gl, kl, r, dr = live[go], gl[go], kl[go], r[go], dr[go]
+        if deep:
+            lf = lf[go]
         if live.size == 0:
             break
-        dr = residual_k_derivative(parity, gl, kl)
-        go = dr != 0
-        live, gl, kl, r, dr = live[go], gl[go], kl[go], r[go], dr[go]
         with np.errstate(invalid="ignore"):
             step = r / dr
         size = np.abs(r)
@@ -234,7 +263,11 @@ def newton_correct_array(parity: Parity, g, k0, *, tol, max_iter: int = 5):
             if damp.size == 0:
                 break
             trial = kl[damp] - step[damp]
-            worse = ~(np.abs(bethe_residual(parity, gl[damp], trial)) <= size[damp])
+            if deep:
+                r_t, _, _, lf_t = residual_terms(parity, gl[damp], trial)
+                worse = ~_no_larger(r_t, lf_t, size[damp], lf[damp])
+            else:
+                worse = ~(np.abs(bethe_residual(parity, gl[damp], trial)) <= size[damp])
             damp = damp[worse]
             step[damp] *= 0.5
         k[live] = kl - step
@@ -275,10 +308,10 @@ def continue_along(start: BetheState, path: ComplexPath, *,
     proximity (|dJ/dk| < dkj_threshold) shrinks, easy convergence grows.
     Hitting min_step ends the trace with ABORTED_NEAR_BRANCH_POINT and
     the last good sample; callers that intend to encircle a branch
-    point must route around it rather than through.  When the residual
-    at the failed step is not finite (its sin/cos terms overflow once
-    |Im pi k/2| passes about 709) the status is ABORTED_RESIDUAL_OVERFLOW
-    instead, since no branch point need be near.
+    point must route around it rather than through.  When the scaled
+    residual at the failed step is not finite (beyond |k| of about 1e154
+    even the rescaled error scale overflows) the status is
+    ABORTED_RESIDUAL_OVERFLOW instead, since no branch point need be near.
     """
     if abs(complex(path.waypoints[0]) - complex(start.g)) > 1e-12:
         raise ValueError("path must start at the state's coupling")
@@ -322,14 +355,13 @@ def continue_along(start: BetheState, path: ComplexPath, *,
                     else:
                         trace.status = TraceStatus.ABORTED_RESIDUAL_OVERFLOW
                         trace.note = (f"residual overflow at g={g_new:.6g} "
-                                      f"(k={k:.6g}, |Im pi k/2| beyond the double range)")
+                                      f"(k={k:.6g}, residual scale beyond the double range)")
                     if not record:
                         samples.append(ContinuationSample(g, k, float('nan')))
                     return trace
         if not record:
-            samples.append(ContinuationSample(g, k,
-                                              float(abs(bethe_residual(parity, g, k))
-                                                    / residual_scale(parity, g, k))))
+            samples.append(ContinuationSample(
+                g, k, scaled_bethe_residual(parity, g, k)))
     return trace
 
 

@@ -59,12 +59,20 @@ def parse_record(text: str) -> ExportRecord:
 
 
 def csv_table(columns, rows) -> str:
-    """Rows of floats/ints/strings; floats get round-trip formatting."""
+    """Rows of floats/ints/strings; floats get round-trip formatting.
+
+    A row of plain Python floats is joined straight from their reprs,
+    which is what `format_float` writes for them; numpy floats (whose
+    repr differs) and every other row go cell by cell.
+    """
     out = [",".join(columns)]
     width = len(tuple(columns))
     for row in rows:
         if len(row) != width:
             raise SerializationError(f"row width {len(row)} != header width {width}")
+        if all(type(cell) is float for cell in row):
+            out.append(",".join(map(repr, row)))
+            continue
         cells = []
         for cell in row:
             if isinstance(cell, str):

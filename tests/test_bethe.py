@@ -1,6 +1,7 @@
 """Real-axis quasi-momentum solver: anchors, asymptotics, bound branches."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieb2b import bethe
-from lieb2b.bethe import (TWO_OVER_PI, BetheState, Parity, SolverError,
-                          asymptotic_quasimomentum, bethe_residual, energy,
-                          j_function, newton_polish, residual_k_derivative,
-                          solve_k_real)
+from lieb2b.bethe import (DEEP_IM_H, TWO_OVER_PI, BetheState, Parity,
+                          SolverError, asymptotic_quasimomentum,
+                          bethe_residual, energy, j_function, newton_polish,
+                          residual_k_derivative, residual_scale,
+                          residual_terms, scaled_bethe_residual, solve_k_real)
 from lieb2b.continuation import GridSpec, build_sheet
 
 
@@ -168,6 +170,21 @@ class TestBrentRoot:
                     lambda k: np.real(bethe_residual(parity, g, k)), lo, hi)
             assert solve_k_real(n, g).k == complex(n)
 
+    @pytest.mark.parametrize("n, g", [(92, -1.03e-12), (1628, 1.78e-12),
+                                      (3554, -4.7e-10)])
+    def test_small_coupling_without_sign_change_is_polished(self, n, g):
+        # round-off in sin/cos(pi n/2) grows like n*eps and hides the
+        # sign change; the polished root must still lie in the bracket
+        parity = Parity.of_level(n)
+        lo, hi = bethe._real_bracket(n, g)
+        with pytest.raises(ValueError):
+            bethe._brent_root(
+                lambda k: np.real(bethe_residual(parity, g, k)), lo, hi)
+        k = solve_k_real(n, g).k
+        assert k.imag == 0.0 and lo <= k.real <= hi
+        assert abs(k.real - n) < 1e-12
+        assert scaled_bethe_residual(parity, g, k) <= 1e-10
+
     def test_iteration_limit_raises_solver_error(self, monkeypatch):
         monkeypatch.setattr(bethe, "_BRENT_MAX_ITER", 2)
         with pytest.raises(SolverError):
@@ -211,3 +228,115 @@ def test_brent_root_matches_scipy_brentq_bit_for_bit():
             continue
         assert bethe._brent_root(f, lo, hi) == expected, (n, g)
     assert kinds == {"real", "bound-even", "bound-odd"}
+
+
+def _old_scaled_residual(parity, g, k):
+    """The exp-damped quotient scaled_bethe_residual used before it moved
+    onto residual_terms, kept as an independent reference."""
+    h = 0.5 * np.pi * k
+    y = h.imag
+    x = h.real
+    damp = np.exp(-2.0 * abs(y))
+    cosh_r = 0.5 * (1.0 + damp)
+    sinh_r = 0.5 * np.copysign(1.0 - damp, y)
+    sin_r = complex(np.sin(x) * cosh_r, np.cos(x) * sinh_r)
+    cos_r = complex(np.cos(x) * cosh_r, -np.sin(x) * sinh_r)
+    sh, ch = abs(sin_r), abs(cos_r)
+    ak, ag, ah = abs(k), abs(g), abs(h)
+    if parity is Parity.EVEN:
+        num = abs(k * sin_r - g * cos_r)
+        scale = ak * sh + ag * ch + ah * (ak * ch + ag * sh)
+    else:
+        num = abs(k * cos_r + g * sin_r)
+        scale = ak * ch + ag * sh + ah * (ak * sh + ag * ch)
+    return num / scale
+
+
+def _random_points(rng, size, im_k_range):
+    im = rng.uniform(*im_k_range, size) * rng.choice([-1.0, 1.0], size)
+    k = rng.normal(0.0, 20.0, size) + 1j * im
+    g = rng.normal(0.0, 300.0, size) + 1j * rng.normal(0.0, 2.0, size)
+    return g, k
+
+
+class TestResidualTerms:
+    IM_K_EDGE = DEEP_IM_H / (0.5 * np.pi)
+
+    def test_shallow_points_are_bit_identical(self):
+        rng = np.random.default_rng(5)
+        g, k = _random_points(rng, 400, (0.0, self.IM_K_EDGE))
+        k[:2] = (3.0 - 1j * self.IM_K_EDGE, 0.5 + 1j * self.IM_K_EDGE)
+        for parity in Parity:
+            expected = (bethe_residual(parity, g, k),
+                        residual_k_derivative(parity, g, k),
+                        residual_scale(parity, g, k))
+            *got, lf = residual_terms(parity, g, k)
+            assert np.all(lf == 0)
+            for a, b in zip(got, expected):
+                assert np.array_equal(a, b)
+            for gi, ki in zip(g[:50], k[:50]):
+                gi, ki = complex(gi), complex(ki)
+                r, dr, scale, lf = residual_terms(parity, gi, ki)
+                assert lf == 0
+                assert r == bethe_residual(parity, gi, ki)
+                assert dr == residual_k_derivative(parity, gi, ki)
+                assert scale == residual_scale(parity, gi, ki)
+                assert scaled_bethe_residual(parity, gi, ki) == float(
+                    abs(bethe_residual(parity, gi, ki)) / residual_scale(parity, gi, ki))
+
+    def test_mixed_array_keeps_shallow_entries(self):
+        rng = np.random.default_rng(6)
+        g, k = _random_points(rng, 200, (0.0, 2.0 * self.IM_K_EDGE))
+        shallow = np.abs(0.5 * np.pi * k.imag) <= DEEP_IM_H
+        assert 0 < shallow.sum() < shallow.size
+        for parity in Parity:
+            *got, lf = residual_terms(parity, g, k)
+            assert np.all((lf == 0) == shallow)
+            with np.errstate(all="ignore"):
+                expected = (bethe_residual(parity, g, k),
+                            residual_k_derivative(parity, g, k),
+                            residual_scale(parity, g, k))
+            for a, b in zip(got, expected):
+                assert np.array_equal(a[shallow], b[shallow])
+                assert np.all(np.isfinite(a))
+
+    def test_deep_points_carry_the_log_factor(self):
+        # |Im h| in (300, 700): the unscaled terms are still finite
+        rng = np.random.default_rng(7)
+        g, k = _random_points(rng, 300, (1.01 * self.IM_K_EDGE, 440.0))
+        for parity in Parity:
+            r, dr, scale, lf = residual_terms(parity, g, k)
+            assert np.array_equal(lf, np.abs(0.5 * np.pi * k.imag))
+            factor = np.exp(lf)
+            np.testing.assert_allclose(r * factor, bethe_residual(parity, g, k),
+                                       rtol=1e-12, atol=0)
+            np.testing.assert_allclose(dr * factor,
+                                       residual_k_derivative(parity, g, k),
+                                       rtol=1e-12, atol=0)
+            np.testing.assert_allclose(scale * factor, residual_scale(parity, g, k),
+                                       rtol=1e-12, atol=0)
+
+    def test_deep_quotient_matches_the_damped_formula(self):
+        # the kernel's numpy complex arithmetic may round differently in
+        # the last bits from the Python arithmetic of the reference
+        rng = np.random.default_rng(8)
+        g, k = _random_points(rng, 2000, (1.01 * self.IM_K_EDGE, 1e6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for parity in Parity:
+                r, _, scale, _ = residual_terms(parity, g, k)
+                for gi, ki, q in zip(g, k, np.abs(r) / scale):
+                    gi, ki = complex(gi), complex(ki)
+                    ref = _old_scaled_residual(parity, gi, ki)
+                    assert q == pytest.approx(ref, rel=1e-13, abs=1e-17)
+                    assert scaled_bethe_residual(parity, gi, ki) == pytest.approx(
+                        ref, rel=1e-13, abs=1e-17)
+
+    def test_overflowing_scale_is_nan(self):
+        # beyond |k| ~ 1e154 even the rescaled scale overflows: no
+        # residual may pass against it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r, _, scale, _ = residual_terms(Parity.EVEN, -1e160, -1e160j)
+            assert np.isnan(scale)
+            assert not scaled_bethe_residual(Parity.EVEN, -1e160, -1e160j) <= 1.0

@@ -10,7 +10,7 @@ from lieb2b.cycles import InconclusivePermutationError
 from lieb2b.holonomy import TruncationSpec, m_n_analytic
 from lieb2b.bethe import Parity
 from lieb2b.serialize import (ExportRecord, SerializationError, csv_table,
-                              cycle_document, holonomy_document,
+                              cycle_document, format_float, holonomy_document,
                               parse_csv_table, parse_cycle_document,
                               parse_holonomy_document, parse_record,
                               parse_sheet_document)
@@ -264,6 +264,36 @@ class TestSerialize:
             csv_table(("a", "b"), [(1,)])
         with pytest.raises(SerializationError):
             csv_table(("a",), [("x,y",)])
+
+    def test_csv_float_rows_match_the_per_cell_rule(self):
+        def per_cell(columns, rows):
+            # the cell-by-cell formatting every row went through before
+            # plain-float rows were joined from their reprs
+            out = [",".join(columns)]
+            for row in rows:
+                cells = []
+                for cell in row:
+                    if isinstance(cell, str):
+                        cells.append(cell)
+                    elif isinstance(cell, (int, np.integer)):
+                        cells.append(str(int(cell)))
+                    else:
+                        cells.append(format_float(cell))
+                out.append(",".join(cells))
+            return "\n".join(out) + "\n"
+
+        columns = ("a", "b", "c", "d")
+        rows = [(0.1 + 0.2, float("nan"), float("inf"), -float("inf")),
+                (-0.0, 0.0, 5e-324, 1.7976931348623157e308),
+                (np.float64(0.1), np.float64(-0.0), np.float64("nan"), 2.5),
+                (np.float32(0.1), 1, np.int64(-7), True),
+                ("tag", 1.5, 2, np.float64(1e-300)),
+                (1.0, 2.0, 3.0, 4.0)]
+        assert csv_table(columns, rows) == per_cell(columns, rows)
+        for row in rows:
+            assert csv_table(columns, [row]) == per_cell(columns, [row])
+        with pytest.raises(SerializationError):
+            csv_table(columns, [(1.0, 2.0, 3.0)])
 
     def test_holonomy_document_is_bitwise_stable(self):
         rng = np.random.default_rng(7)

@@ -4,8 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lieb2b.bethe import (Parity, SolverError, residual_k_derivative,
+from lieb2b.bethe import (Parity, SolverError, bethe_residual,
+                          residual_k_derivative, residual_scale,
                           scaled_bethe_residual, solve_k_real)
 from lieb2b.continuation import (ComplexPath, GridSpec, TraceStatus,
                                  circle_path, conjugation_symmetry_check,
@@ -108,17 +111,38 @@ class TestContinuation:
         for n, g, k in cases:
             assert scaled_bethe_residual(Parity.of_level(n), g, k) <= 1e-10
 
-    def test_deep_strip_abort_names_residual_overflow(self):
-        # below Re g ~ -528 the n = 0 residual overflows (|Im pi k/2| > 709)
+    def test_deep_strip_reaches_roots(self):
+        # below Re g ~ -528 the unscaled n = 0 residual overflows
+        # (|Im pi k/2| > 709); the correctors rescale it instead
+        g = -553.6 - 0.5j
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            trace = continue_to(solve_k_real(0, g.real), g)
+            k = sheet_value(0, g)
+            sheet = build_sheet(0, GridSpec(-560, -550, -1, 0.5, 201, 201))
+        assert caught == []
+        assert trace.status is TraceStatus.COMPLETED
+        for k_end in (trace.final_k, k):
+            assert scaled_bethe_residual(Parity.EVEN, g, k_end) <= 1e-10
+        assert not np.isnan(sheet.k).any()
+        assert sheet.aborted_columns == {}
+
+    def test_overflowing_scale_aborts_typed(self):
+        # past |g| ~ 1e154 even the rescaled error scale overflows
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            trace = continue_to(solve_k_real(0, -553.6), -553.6 - 0.5j)
-            with pytest.raises(SolverError) as info:
-                sheet_value(0, -553.6 - 0.5j)
-        assert trace.status is TraceStatus.ABORTED_RESIDUAL_OVERFLOW
-        message = str(info.value)
-        assert "overflow" in message
-        assert "branch point" not in message
+            with pytest.raises(SolverError, match="residual overflow"):
+                sheet_value(0, -1e160 - 0.5j)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([0, 1]), re=st.floats(min_value=-1e6, max_value=-30.0),
+           im=st.floats(min_value=-1.0, max_value=1.0))
+    def test_deep_bound_sheet_value_is_a_root(self, n, re, im):
+        g = complex(re, im)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = sheet_value(n, g)
+        assert scaled_bethe_residual(Parity.of_level(n), g, k) <= 1e-10
 
     def test_branch_point_abort_names_the_branch_point(self):
         g_ep = ep_g(2)
@@ -148,6 +172,59 @@ class TestArrayCorrector:
         assert ok[:24].all() and not ok[24]
         for ki, (kr, _, _) in zip(k, ref):
             assert abs(ki - kr) <= 1e-12 * max(1.0, abs(kr))
+
+    def test_matches_scalar_corrector_on_deep_points(self):
+        # a 201-column row of the deep n = 0 strip, predicted off the
+        # axis the way _march_half does and then perturbed
+        xs = np.linspace(-560.0, -550.0, 201)
+        axis = np.array([solve_k_real(0, x).k for x in xs])
+        g = xs - 0.5j
+        rng = np.random.default_rng(3)
+        k0 = axis + 0.5 + 1e-3 * (rng.normal(size=xs.size) + 1j * rng.normal(size=xs.size))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k, scaled, ok = newton_correct_array(Parity.EVEN, g, k0, tol=1e-12)
+            ref = [newton_correct(Parity.EVEN, gi, ki, tol=1e-12)
+                   for gi, ki in zip(g, k0)]
+        assert ok.all() and all(r[2] for r in ref)
+        assert np.all(scaled < 1e-12)
+        for ki, gi, (kr, _, _) in zip(k, g, ref):
+            assert abs(ki - kr) <= 1e-12 * abs(kr)
+            assert scaled_bethe_residual(Parity.EVEN, gi, ki) < 1e-12
+
+    def test_deep_steps_follow_the_unscaled_rule(self):
+        # at Re g = -300 (|Im pi k/2| ~ 470) the correctors rescale, yet
+        # the unscaled residual is still finite: both correctors must take
+        # the unscaled rule's steps, step halvings included
+        def unscaled_rule(g, k, tol=1e-12):
+            halved = 0
+            for _ in range(5):
+                r = bethe_residual(Parity.EVEN, g, k)
+                if abs(r) / residual_scale(Parity.EVEN, g, k) < tol:
+                    return k, True, halved
+                step = r / residual_k_derivative(Parity.EVEN, g, k)
+                for _ in range(4):
+                    if abs(bethe_residual(Parity.EVEN, g, k - step)) <= abs(r):
+                        break
+                    step *= 0.5
+                    halved += 1
+                k = k - step
+            r = bethe_residual(Parity.EVEN, g, k)
+            return k, abs(r) / residual_scale(Parity.EVEN, g, k) < tol, halved
+
+        g = -300 - 0.5j
+        rng = np.random.default_rng(11)
+        k0 = sheet_value(0, g) + 0.5 * (rng.normal(size=200) + 1j * rng.normal(size=200))
+        ref = [unscaled_rule(g, ki) for ki in k0]
+        assert sum(r[2] > 0 for r in ref) >= 20
+        assert any(r[1] for r in ref) and not all(r[1] for r in ref)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k, _, ok = newton_correct_array(Parity.EVEN, g, k0, tol=1e-12)
+            scalar = [newton_correct(Parity.EVEN, g, ki, tol=1e-12) for ki in k0]
+        assert ok.tolist() == [r[1] for r in ref] == [c[2] for c in scalar]
+        for ki, (kc, _, _), (kr, _, _) in zip(k, scalar, ref):
+            assert abs(ki - kr) <= 1e-10 and abs(kc - kr) <= 1e-10
 
     def test_zero_dimensional_input(self):
         g = 0.8 - 0.4j
