@@ -225,13 +225,15 @@ def residual_terms(parity: Parity, g, k):
     floor of 1 becomes exp(-|Im h|).  r/dr and r/scale are unchanged by
     the factor.  A rescaled scale that still overflows (|k| beyond
     about 1e154) is returned as NaN, so no residual passes against it.
-    Accepts scalars or arrays.
+    Accepts scalars or arrays; for arrays log_factor has the shape of r
+    on every path.
     """
     h = 0.5 * np.pi * k
     y = np.imag(h)
     deep = abs(y) > DEEP_IM_H  # a numpy bool for scalar k: np.any is slow
     if not (deep.any() if isinstance(deep, np.ndarray) else deep):
-        return unscaled_residual_terms(parity, g, k)
+        r, dr, scale, lf = unscaled_residual_terms(parity, g, k)
+        return r, dr, scale, np.zeros(np.shape(r)) if np.ndim(r) else lf
     # sin(x + iy) exp(-|y|) = sin(x) cosh_r + i cos(x) sinh_r and
     # cos(x + iy) exp(-|y|) = cos(x) cosh_r - i sin(x) sinh_r, with
     # cosh_r = cosh(y) exp(-|y|) and sinh_r = sinh(y) exp(-|y|)

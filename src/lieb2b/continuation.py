@@ -47,12 +47,6 @@ from .bethe import (
     unscaled_residual_terms,
 )
 
-#: a corrector call evaluates through the rescaling `residual_terms` when a
-#: start point has |Im k| above this, else unscaled: |Im pi k/2| 50 short
-#: of DEEP_IM_H, so the iterates of an unscaled call stay below DEEP_IM_H
-_DEEP_IM_K = (DEEP_IM_H - 50.0) / (0.5 * np.pi)
-
-
 @dataclass
 class ComplexPath:
     """Piecewise-linear path in the complex coupling plane.
@@ -172,12 +166,14 @@ def newton_correct(parity: Parity, g, k0, *, tol, max_iter: int = 5):
 
     Returns (k, scaled_residual, converged).  Brief and damped: the
     caller owns step-size control and treats non-convergence as the
-    signal to shrink.  A start point with |Im k| above _DEEP_IM_K is
-    corrected through the overflow-safe `residual_terms`; the Newton
-    step is the same, since r and dr carry the same factor.
+    signal to shrink.  A start point with |Im pi k/2| above DEEP_IM_H
+    is corrected through the overflow-safe `residual_terms`; the Newton
+    step is the same, since r and dr carry the same factor.  An
+    unscaled call whose iterates drift past DEEP_IM_H stays finite:
+    the unscaled terms overflow only near |Im pi k/2| = 709.
     """
     k = complex(k0)
-    deep = abs(k.imag) > _DEEP_IM_K
+    deep = abs(0.5 * np.pi * k.imag) > DEEP_IM_H
     terms = residual_terms if deep else unscaled_residual_terms
     for _ in range(max_iter):
         r, dr, scale, lf = terms(parity, g, k)
@@ -219,9 +215,9 @@ def newton_correct_array(parity: Parity, g, k0, *, tol, max_iter: int = 5):
     converged) arrays of the broadcast shape.
 
     Whether to evaluate through the overflow-safe `residual_terms` is
-    decided once per call: only when some start point has |Im k| above
-    _DEEP_IM_K, so calls away from the deep bound branch run the
-    unscaled operations.  In either mode every element with
+    decided once per call: only when some start point has
+    |Im pi k/2| above DEEP_IM_H, so calls away from the deep bound
+    branch run the unscaled operations.  In either mode every element with
     |Im pi k/2| <= DEEP_IM_H sees the unscaled values; deep elements
     compare a trial residual with the current one at one scale,
     |r_trial| exp(lf_trial - lf) <= |r|.
@@ -237,7 +233,7 @@ def newton_correct_array(parity: Parity, g, k0, *, tol, max_iter: int = 5):
     scaled = np.empty(k.size)
     converged = np.zeros(k.size, dtype=bool)
     live = np.arange(k.size)
-    deep = k.size > 0 and float(np.abs(k.imag).max()) > _DEEP_IM_K
+    deep = k.size > 0 and 0.5 * np.pi * float(np.abs(k.imag).max()) > DEEP_IM_H
     terms = residual_terms if deep else unscaled_residual_terms
     # max_iter Newton steps; the extra sweep only measures the last iterate
     for sweep in range(max_iter + 1):

@@ -271,7 +271,7 @@ class TestResidualTerms:
                         residual_k_derivative(parity, g, k),
                         residual_scale(parity, g, k))
             *got, lf = residual_terms(parity, g, k)
-            assert np.all(lf == 0)
+            assert np.shape(lf) == np.shape(got[0]) and np.all(lf == 0)
             for a, b in zip(got, expected):
                 assert np.array_equal(a, b)
             for gi, ki in zip(g[:50], k[:50]):

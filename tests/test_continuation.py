@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieb2b.bethe import (Parity, SolverError, bethe_residual,
+from lieb2b.bethe import (DEEP_IM_H, Parity, SolverError, bethe_residual,
                           residual_k_derivative, residual_scale,
                           scaled_bethe_residual, solve_k_real)
 from lieb2b.continuation import (ComplexPath, GridSpec, TraceStatus,
@@ -127,6 +127,25 @@ class TestContinuation:
         assert not np.isnan(sheet.k).any()
         assert sheet.aborted_columns == {}
 
+    def test_strips_near_the_depth_threshold(self):
+        # bound strips whose momenta sit just short of the rescaling depth
+        # (|Im pi k/2| ~ 270) or straddle it
+        cases = [(0, GridSpec(-180, -170, -1, 0.5, 21, 21)),
+                 (1, GridSpec(-180, -170, -1, 0.5, 21, 21)),
+                 (0, GridSpec(-200, -150, -1, 0.5, 41, 11))]
+        for n, grid in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                sheet = build_sheet(n, grid)
+            assert not np.isnan(sheet.k).any() and sheet.aborted_columns == {}
+            parity = Parity.of_level(n)
+            for i, y in enumerate(sheet.im_axis):
+                for j, x in enumerate(sheet.re_axis):
+                    assert scaled_bethe_residual(parity, complex(x, y), sheet.k[i, j]) <= 1e-10
+            for i, j in [(0, 0), (0, -1), (-1, len(sheet.re_axis) // 2)]:
+                g = complex(sheet.re_axis[j], sheet.im_axis[i])
+                assert abs(sheet.k[i, j] - sheet_value(n, g)) <= 1e-9 * abs(sheet.k[i, j])
+
     def test_overflowing_scale_aborts_typed(self):
         # past |g| ~ 1e154 even the rescaled error scale overflows
         with warnings.catch_warnings():
@@ -225,6 +244,28 @@ class TestArrayCorrector:
         assert ok.tolist() == [r[1] for r in ref] == [c[2] for c in scalar]
         for ki, (kc, _, _), (kr, _, _) in zip(k, scalar, ref):
             assert abs(ki - kr) <= 1e-10 and abs(kc - kr) <= 1e-10
+
+    def test_calls_near_the_depth_threshold(self):
+        # label 0 near Re g = -175 has |Im pi k/2| ~ 275, just short of
+        # the rescaling depth: a call from such points alone, and a
+        # rescaling call whose deep point converges first and leaves only
+        # such points live, must both follow the scalar corrector
+        g_band = np.linspace(-180.0, -170.0, 9) - 0.5j
+        k_band = np.array([sheet_value(0, gi) for gi in g_band]) + 0.3 - 0.2j
+        g_deep = -560.8 - 0.5j
+        k_deep, _, ok = newton_correct(Parity.EVEN, g_deep, sheet_value(0, g_deep),
+                                       tol=1e-14)
+        assert ok and abs(0.5 * np.pi * k_deep.imag) > DEEP_IM_H
+        for g, k0 in [(g_band, k_band),
+                      (np.append(g_band, g_deep), np.append(k_band, k_deep))]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                k, scaled, ok = newton_correct_array(Parity.EVEN, g, k0, tol=1e-12)
+                ref = [newton_correct(Parity.EVEN, gi, ki, tol=1e-12)
+                       for gi, ki in zip(g, k0)]
+            assert ok.all() and all(r[2] for r in ref)
+            for ki, (kr, _, _) in zip(k, ref):
+                assert abs(ki - kr) <= 1e-12 * abs(kr)
 
     def test_zero_dimensional_input(self):
         g = 0.8 - 0.4j
