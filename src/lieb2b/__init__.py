@@ -30,7 +30,7 @@ from .eigensystem import (Eigenfunction, Side, biorthonormality_defect,
                           normalization_pt, overlap_connection_oracle,
                           pair_overlap, sinc_pi)
 from .exceptional import (ExceptionalPoint, ExceptionalPointError,
-                          branch_point_function, default_seed, enumerate_eps,
+                          branch_point_function, enumerate_eps,
                           ep_residual, find_ep, local_expansion,
                           sqrt_coefficient, sqrt_lower_cut)
 from .holonomy import (MIN_LOOP_RADIUS, ConnectionProximityError,
@@ -61,7 +61,7 @@ __all__ = [
     "Eigenfunction", "Side", "biorthonormality_defect", "normalization_pt",
     "overlap_connection_oracle", "pair_overlap", "sinc_pi",
     "ExceptionalPoint", "ExceptionalPointError", "branch_point_function",
-    "default_seed", "enumerate_eps", "ep_residual", "find_ep",
+    "enumerate_eps", "ep_residual", "find_ep",
     "local_expansion", "sqrt_coefficient", "sqrt_lower_cut",
     "MIN_LOOP_RADIUS", "ConnectionProximityError", "EpLoopHolonomy",
     "HolonomyMatrix", "TransportError", "TransportFrame", "TruncationSpec",

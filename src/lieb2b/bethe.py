@@ -264,17 +264,17 @@ def scaled_bethe_residual(parity: Parity, g, k) -> float:
 def newton_polish(parity: Parity, g, k, *, tol=RESIDUAL_TARGET, max_steps=8):
     """A few damped Newton steps on the residual in k at fixed g.
 
-    Returns (k, scaled_residual).  Used to tighten roots produced by
-    bracketing or by continuation predictors; does not raise on
-    stagnation, callers decide what residual level is acceptable.
+    Returns (k, scaled_residual).  Used to tighten real-axis roots
+    produced by bracketing; does not raise on stagnation, callers
+    decide what residual level is acceptable.  Each iterate takes r,
+    dr and the scale from one `unscaled_residual_terms` call, so k must
+    stay well inside |Im(pi k/2)| <= DEEP_IM_H.
     """
     k = complex(k)
     g = complex(g)
-    best_k = k
-    best = scaled_bethe_residual(parity, g, k)
+    r, dr, scale, _ = unscaled_residual_terms(parity, g, k)
+    best_k, best = k, abs(r) / scale
     for _ in range(max_steps):
-        r = bethe_residual(parity, g, k)
-        dr = residual_k_derivative(parity, g, k)
         if dr == 0:
             break
         step = r / dr
@@ -286,7 +286,8 @@ def newton_polish(parity: Parity, g, k, *, tol=RESIDUAL_TARGET, max_steps=8):
                 break
             step *= 0.5
         k = k - step
-        scaled = scaled_bethe_residual(parity, g, k)
+        r, dr, scale, _ = unscaled_residual_terms(parity, g, k)
+        scaled = abs(r) / scale
         if scaled < best:
             best, best_k = scaled, k
         if scaled < tol:

@@ -3,7 +3,7 @@ Analytic continuation of quasi-momentum branches over complex coupling.
 
 A branch k_n(g) continues off the real axis as the root of the
 pole-free Bethe residual that stays connected to its real-axis value.
-Stepping uses a first-order predictor
+Stepping uses a first-order predictor (`tangent_slope`)
 
     k -> k + dg * G(g, k),    G = -dJ/dg / dJ/dk = 2 k / (pi r),
     r(g, k) = k^2 + g^2 + 2 g / pi,
@@ -29,7 +29,9 @@ the bound-state convention Im k < 0 consistent.
 
 from __future__ import annotations
 
+import cmath
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -123,29 +125,39 @@ class ContinuationSample(NamedTuple):
     scaled_residual: float
 
 
-@dataclass(frozen=True)
-class PredictorCoefficients:
-    """Local continuation data: first-order slope G and square-root
-    coefficient G2 (the latter governs branch-point collisions)."""
-
-    G: complex
-    G2: complex
-
-
 def branch_point_function(g, k):
     """r(g, k) = k^2 + g^2 + 2 g/pi; zero exactly where dJ/dk = 0."""
     return k * k + g * g + 2.0 * g / np.pi
 
 
-def predictor_coefficients(g, k) -> PredictorCoefficients:
-    g = complex(g)
-    k = complex(k)
-    r = branch_point_function(g, k)
-    if r == 0:
-        raise ZeroDivisionError("first-order predictor undefined at a branch point")
-    if g == 0:
-        raise ZeroDivisionError("G2 undefined at g = 0")
-    return PredictorCoefficients(G=2.0 * k / (np.pi * r), G2=-(g * g + k * k) / g)
+def tangent_slope(g, k):
+    """First-order predictor slope dk/dg = 2 k / (pi r) along a branch.
+
+    Evaluated at g/m and k/m, with m the power of two just above
+    max(|g|, |k|): the scaling is exact, so the value is the unscaled
+    formula's to the bit (barring subnormals), but r no longer
+    overflows where k^2 + g^2 would (|g| beyond about 1e154).  0 where r vanishes (a branch
+    point) or the slope is not finite, so the predictor falls back to
+    the current k.  Scalars are computed in Python complex arithmetic,
+    arrays elementwise in numpy.
+    """
+    if isinstance(g, np.ndarray) or isinstance(k, np.ndarray):
+        s = np.ldexp(1.0, -np.frexp(np.maximum(np.abs(g), np.abs(k)))[1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = _scaled_slope(g * s, k * s, s)
+        return np.where(np.isfinite(slope), slope, 0.0)
+    g, k = complex(g), complex(k)
+    s = math.ldexp(1.0, -math.frexp(max(abs(g), abs(k)))[1])
+    try:
+        slope = _scaled_slope(g * s, k * s, s)
+    except ZeroDivisionError:
+        return 0j
+    return slope if cmath.isfinite(slope) else 0j
+
+
+def _scaled_slope(g, k, s):
+    """2 k / (pi r) from g s and k s, s = 1/m: the r here is r(g, k) s^2."""
+    return 2.0 * k / (np.pi * (k * k + g * g + 2.0 * g / np.pi * s)) * s
 
 
 def dj_dk(g, k):
@@ -325,11 +337,7 @@ def continue_along(start: BetheState, path: ComplexPath, *,
         while s < seg_len:
             h = min(h, seg_len - s)
             g_new = seg_a + (s + h) * direction
-            try:
-                coeff = predictor_coefficients(g, k)
-                k_pred = k + h * direction * coeff.G
-            except ZeroDivisionError:
-                k_pred = k
+            k_pred = k + h * direction * tangent_slope(g, k)
             k_new, scaled, ok = newton_correct(parity, g_new, k_pred,
                                                tol=tol, max_iter=newton_max)
             ok = ok or scaled < accept
@@ -482,13 +490,8 @@ class RiemannSheet:
 
 def _advance_column_scalar(parity, x, k0, y0, y1, *, tol, min_step, depth=0):
     """Continue one column value from x+iy0 to x+iy1, bisecting on failure."""
-    g1 = complex(x, y1)
-    coeff_g = complex(x, y0)
-    try:
-        coeff = predictor_coefficients(coeff_g, k0)
-        k_pred = k0 + (g1 - coeff_g) * coeff.G
-    except ZeroDivisionError:
-        k_pred = k0
+    g0, g1 = complex(x, y0), complex(x, y1)
+    k_pred = k0 + (g1 - g0) * tangent_slope(g0, k0)
     k_new, scaled, ok = newton_correct(parity, g1, k_pred, tol=tol, max_iter=6)
     if ok:
         return k_new
@@ -523,11 +526,7 @@ def _march_half(parity, xs, k_anchor, ordinates, *, tol, min_step, k_out, rows):
         g_new = xs[alive] + 1j * y
         g_old = xs[alive] + 1j * y_cur[alive]
         k_old = k_cur[alive]
-        r = branch_point_function(g_old, k_old)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = 2.0 * k_old / (np.pi * r)
-        slope = np.where(np.isfinite(slope), slope, 0.0)
-        k_pred = k_old + (g_new - g_old) * slope
+        k_pred = k_old + (g_new - g_old) * tangent_slope(g_old, k_old)
         k_new, scaled, _ = newton_correct_array(parity, g_new, k_pred, tol=tol,
                                                 max_iter=6)
         ok = scaled < 1e-9

@@ -47,6 +47,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bethe import Parity, solve_k_real
+from .holonomy import TruncationSpec, rotated_sqrt
 
 TWO_PI = 2.0 * np.pi
 
@@ -69,17 +70,15 @@ def normalization_pt(parity: Parity, k):
     The square root keeps the branch reached by continuing from the
     scattering region through the lower half of the coupling plane:
     when 1 -+ sinc(k) leaves the principal window (argument beyond
-    pi/2) the root flips sign.  On the odd bound branch this makes the
-    profile real and positive instead of real and negative.
+    pi/2) the root flips sign (`holonomy.rotated_sqrt`).  On the odd
+    bound branch this makes the profile real and positive instead of
+    real and negative.
     """
     s = sinc_pi(k)
     w = complex(1.0 + s) if parity is Parity.EVEN else complex(1.0 - s)
     if w == 0.0:
         raise ZeroDivisionError("normalization denominator vanishes (degeneracy)")
-    root = np.sqrt(w)
-    if np.angle(w) > 0.5 * np.pi:
-        root = -root
-    return np.sqrt(2.0) / root
+    return np.sqrt(2.0) / rotated_sqrt(w)
 
 
 class Side(enum.Enum):
@@ -209,11 +208,6 @@ def biorthonormality_defect(levels, g, k_values=None, nodes: int = 256) -> float
     return worst
 
 
-def _family_levels(n_levels: int, parity: Parity):
-    base = 0 if parity is Parity.EVEN else 1
-    return tuple(base + 2 * i for i in range(n_levels))
-
-
 def _difference_quotient(levels, g, dg, nodes, kbar, gauge):
     """Matrix of i * <psi_L_i(g), (psi_j(g+dg) - psi_j(g-dg)) / (2 dg)>."""
     x, w = _gauss_legendre(nodes)
@@ -242,7 +236,7 @@ def overlap_connection_oracle(n_levels: int, g: float, dg: float = 1e-5, *,
     step.  The center-of-mass wavenumber rides along as metadata only,
     so the result is bitwise independent of the kbar choice.
     """
-    levels = _family_levels(n_levels, parity)
+    levels = TruncationSpec(parity, n_levels).levels
     if kbar is None:
         kbar = levels[0] % 2
     coarse = _difference_quotient(levels, g, dg, nodes, kbar, gauge)

@@ -14,9 +14,25 @@ excited branch n > 1 collides with its family's bound-capable branch
 (n_b = 0 for even n, n_b = 1 for odd n) at a single point g_ep in the
 lower half plane (the upper half plane holds the mirror images, which
 belong to the reflected momentum branch).  Even-family points sit at
-Re g < 0, odd-family points at Re g < -2/pi.  A useful seed is
-g ~ -i (n - 1), with k near sqrt(-g_ep (g_ep + 2/pi)) taken in the
-right half k plane.
+Re g < 0, odd-family points at Re g < -2/pi.
+
+Search.  On the collision curve r = 0 the momentum obeys
+k^2 = -g (g + 2/pi).  The even residual is even in k, and so is the odd
+residual divided by k, so each family's branch-point condition is one
+function of g alone,
+
+    F(g) = bethe_residual(parity, g, k) / (1 or k),
+    k = sqrt(-g (g + 2/pi)),
+
+entire in g, with no square-root branch to choose (the principal root,
+Re k >= 0, is as good as any).  Its zeros are the family's exceptional
+points, their mirror images, and the real degeneracy.  `find_ep(n)`
+walks the family's rungs n_b + 2, n_b + 4, ..., n by Newton's method on
+F with its analytic derivative: the two lowest rungs m start from the
+strong-coupling estimate -i (m - 1), every later rung from the linear
+extrapolation of the two rungs below it (neighbouring points sit about
+2 apart).  The argument principle certifies a root: F winds exactly
+once around the circle of radius 1 about it.
 
 Local structure: with eps = g - g_ep, the two colliding branches obey
 
@@ -38,12 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bethe import (
-    Parity,
-    bethe_residual,
-    residual_k_derivative,
-    residual_scale,
-)
+from .bethe import NEWTON_MAX_STEPS, Parity, _terms_from_trig, bethe_residual
 from .continuation import branch_point_function
 
 #: reject "exceptional points" that are really the real-axis degeneracies
@@ -82,124 +93,112 @@ def ep_residual(parity: Parity, g, k) -> tuple[complex, complex]:
             complex(branch_point_function(g, k)))
 
 
-def _residual_g_derivative(parity: Parity, g, k):
+def _collision_function(parity: Parity, g):
+    """(F, dF/dg, scaled residual, k) on the collision curve at g.
+
+    k = sqrt(-g (g + 2/pi)) with Re k >= 0; F is the Bethe residual at
+    (g, k), divided by k for the odd family.  The scaled residual is
+    |residual| / residual_scale, as in `scaled_bethe_residual`.
+    Accepts scalars or arrays; where k = 0 (g = 0 or -2/pi) F or dF/dg
+    is not finite.
+    """
+    k = np.sqrt(-g * (g + 2.0 / np.pi))
     h = 0.5 * np.pi * k
-    if parity is Parity.EVEN:
-        return -np.cos(h)
-    return np.sin(h)
+    sin_h, cos_h = np.sin(h), np.cos(h)
+    r, dr_dk, scale = _terms_from_trig(parity, g, k, h, sin_h, cos_h, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # k = 0: not finite
+        dk_dg = -(g + 1.0 / np.pi) / k
+        if parity is Parity.EVEN:
+            f, df = r, dr_dk * dk_dg - cos_h
+        else:
+            f = r / k
+            df = (dr_dk - f) / k * dk_dg + sin_h / k
+    return f, df, np.abs(r) / scale, k
 
 
-def _newton_2d(parity: Parity, g, k, *, tol: float, max_iter: int = 80,
-               max_move: float = 0.7):
-    """Newton on (bethe_residual, r) in the two unknowns (g, k).
+def _newton_on_f(parity: Parity, g, tol: float):
+    """Root of F by Newton's method from g, or None without convergence.
 
-    Steps are capped in length (trust region) rather than forced to
-    decrease a merit function: the joint system is non-monotone on the
-    approach but converges quadratically once near a root.
+    One more step is taken after the scaled residual drops below tol.
     """
-    g = complex(g)
-    k = complex(k)
-    for _ in range(max_iter):
-        f1, f2 = ep_residual(parity, g, k)
-        norm = max(abs(f1) / float(residual_scale(parity, g, k)), abs(f2))
-        if norm < tol:
-            return g, k, True
-        j11 = _residual_g_derivative(parity, g, k)
-        j12 = residual_k_derivative(parity, g, k)
-        j21 = 2.0 * g + 2.0 / np.pi
-        j22 = 2.0 * k
-        det = j11 * j22 - j12 * j21
-        if det == 0:
-            return g, k, False
-        dg = (f1 * j22 - f2 * j12) / det
-        dk = (j11 * f2 - j21 * f1) / det
-        move = max(abs(dg), abs(dk))
-        if move > max_move:
-            dg *= max_move / move
-            dk *= max_move / move
-        g, k = g - dg, k - dk
-    f1, f2 = ep_residual(parity, g, k)
-    norm = max(abs(f1) / float(residual_scale(parity, g, k)), abs(f2))
-    return g, k, norm < tol
+    for _ in range(NEWTON_MAX_STEPS):
+        f, df, scaled, _ = _collision_function(parity, g)
+        if not (np.isfinite(f) and np.isfinite(df)) or df == 0:
+            return None
+        g = g - f / df
+        if scaled < tol:
+            return complex(g)
+    return None
 
 
-def default_seed(n: int) -> tuple[complex, complex]:
-    """Strong-coupling estimate g ~ -i(n-1) with the matching k root."""
-    g0 = -1j * (n - 1.0)
-    k0 = cmath.sqrt(-g0 * (g0 + 2.0 / np.pi))
-    if k0.real < 0:
-        k0 = -k0
-    return g0, k0
+def _winding_number(parity: Parity, contour) -> int:
+    """Zeros of F inside a closed contour, counted by the argument principle.
 
-
-def find_ep(n: int, *, seed=None, tol: float = 1e-12,
-            verify_unique: bool = True, sweep: int = 12,
-            sweep_radius: float = 1.0) -> ExceptionalPoint:
-    """Locate the exceptional point that couples branch n (n > 1) to its
-    family's bound-capable branch.
-
-    2D Newton from the strong-coupling seed, with step damping.  With
-    verify_unique a sweep x sweep grid of start points in a window of
-    sweep_radius around the seed re-runs the search and requires every
-    convergent start inside the window to land on the same root;
-    anything else raises.  Convergence onto the real axis (the ordinary
-    degeneracies at g = 0, -2/pi) is rejected.
+    contour maps t in [0, 1] (an array) to g along the closed curve.
+    From 64 points, the points are doubled until every phase step of F
+    between neighbours is below pi/3, so that no turn of the phase is
+    missed.
     """
-    if n <= 1:
-        raise ValueError("exceptional points exist for excited labels n > 1")
-    parity = Parity.of_level(n)
-    g0, k0 = default_seed(n) if seed is None else (complex(seed[0]), complex(seed[1]))
-    g, k, ok = _newton_2d(parity, g0, k0, tol=tol)
-    if not ok:
-        raise ExceptionalPointError(f"no convergence for n={n} from seed {g0}")
+    points = 64
+    while points <= 1 << 14:
+        f = _collision_function(parity, contour(np.linspace(0.0, 1.0, points + 1)))[0]
+        steps = np.angle(f[1:] / f[:-1])
+        if np.all(np.abs(steps) < np.pi / 3):
+            return int(round(steps.sum() / (2.0 * np.pi)))
+        points *= 2
+    raise ExceptionalPointError(
+        f"phase of F not resolved with {points // 2} contour points")
+
+
+def _accept_root(parity: Parity, n: int, g: complex) -> complex:
+    """The root g folded into the lower half plane, or raise if it is a
+    real-axis degeneracy or lies on the wrong side of its family's line."""
     if abs(g.imag) < REAL_AXIS_GUARD:
         raise ExceptionalPointError(
             f"search for n={n} converged to the real axis at g={g}; "
             "that is an ordinary degeneracy, not an exceptional point")
     if g.imag > 0:
         # mirror-image root: fold back to the curated lower half plane
-        g, k = g.conjugate(), k.conjugate()
-    if k.real < 0:
-        k = -k
-    limit = 0.0 if parity is Parity.EVEN else -2.0 / np.pi
-    if not g.real < limit:
-        raise ExceptionalPointError(
-            f"n={n}: converged point {g} violates Re g < {limit:.6f}")
-
-    if verify_unique:
-        _verify_unique_root(parity, n, g, tol=tol,
-                            sweep=sweep, radius=sweep_radius)
-    return ExceptionalPoint(n, parity.bound_level, g, k, parity)
+        g = g.conjugate()
+    if not g.real < parity.real_branch_point:
+        raise ExceptionalPointError(f"n={n}: converged point {g} violates "
+                                    f"Re g < {parity.real_branch_point:.6f}")
+    return g
 
 
-def _verify_unique_root(parity, n, g_root, *, tol, sweep, radius):
-    """Multi-start sweep confirming a single root near the found point.
+def find_ep(n: int, *, tol: float = 1e-12,
+            verify_unique: bool = True) -> ExceptionalPoint:
+    """Locate the exceptional point that couples branch n (n > 1) to its
+    family's bound-capable branch.
 
-    The audit window is centered on the root itself (the naive seed can
-    sit near the window edge for small n, which would make a
-    seed-centered audit vacuous).
+    Newton on the collision function F walks the family's rungs from
+    the bottom up to n, each rung started from the extrapolation of the
+    two below it (see the module docstring); tol bounds the scaled
+    Bethe residual.  Convergence onto the real axis (the ordinary
+    degeneracies at g = 0, -2/pi) is rejected.  With verify_unique, F
+    must wind exactly once around the circle of radius 1 about the
+    root; anything else raises.
     """
-    found = []
-    offsets = np.linspace(-radius, radius, sweep)
-    for dx in offsets:
-        for dy in offsets:
-            g0 = g_root + complex(dx, dy)
-            k0 = cmath.sqrt(-g0 * (g0 + 2.0 / np.pi))
-            if k0.real < 0:
-                k0 = -k0
-            g, k, ok = _newton_2d(parity, g0, k0, tol=max(tol, 1e-11), max_iter=60)
-            if not ok or abs(g.imag) < REAL_AXIS_GUARD:
-                continue
-            if g.imag > 0:
-                g = g.conjugate()
-            if abs(g - g_root) > radius:
-                continue  # converged outside the audited window
-            if not any(abs(g - f) < 1e-6 for f in found):
-                found.append(g)
-    if len(found) != 1 or abs(found[0] - g_root) > 1e-6:
-        raise ExceptionalPointError(
-            f"multi-start sweep for n={n} found roots {found}; "
-            f"expected exactly one at {g_root}")
+    if n <= 1:
+        raise ValueError("exceptional points exist for excited labels n > 1")
+    parity = Parity.of_level(n)
+    below = []
+    for m in range(parity.bound_level + 2, n + 1, 2):
+        start = -1j * (m - 1) if len(below) < 2 else 2.0 * below[-1] - below[-2]
+        g = _newton_on_f(parity, start, tol)
+        if g is None:
+            raise ExceptionalPointError(
+                f"no convergence for n={m} from {start} on the walk to n={n}")
+        below.append(_accept_root(parity, m, g))
+    g = below[-1]
+    if verify_unique:
+        winding = _winding_number(parity, lambda t: g + np.exp(2j * np.pi * t))
+        if winding != 1:
+            raise ExceptionalPointError(
+                f"F winds {winding} times around the unit circle about "
+                f"g={g} for n={n}; expected exactly one root")
+    k = complex(_collision_function(parity, g)[3])
+    return ExceptionalPoint(n, parity.bound_level, g, k, parity)
 
 
 def enumerate_eps(parity: Parity, n_max: int, **kw) -> list[ExceptionalPoint]:

@@ -146,19 +146,26 @@ def d_sign(n: int) -> int:
     return -1 if (n // 2) % 2 else 1
 
 
+def rotated_sqrt(w):
+    """sqrt(w) in the window rotated by -pi/2: arguments of w in
+    (pi/2, pi] count as negative, so the cut runs along the positive
+    imaginary axis and sqrt(-1) = -i."""
+    w = complex(w)
+    s = np.sqrt(w)
+    if np.angle(w) > 0.5 * np.pi:
+        s = -s
+    return s
+
+
 def standard_sqrt_r(n: int, r):
     """Standard-sheet branch of sqrt(r) for the level labeled n.
 
     Labels n >= 2 use the principal branch, cut along negative real r.
-    The bound-capable labels keep a window rotated by -pi/2: arguments
-    in (pi/2, pi] count as negative, so on the real-axis bound branch
-    (r < 0) the value is -i*sqrt(|r|).
+    The bound-capable labels keep the rotated window of `rotated_sqrt`,
+    so on the real-axis bound branch (r < 0) the value is
+    -i*sqrt(|r|).
     """
-    r = complex(r)
-    s = np.sqrt(r)
-    if n < 2 and np.angle(r) > 0.5 * np.pi:
-        s = -s
-    return s
+    return rotated_sqrt(r) if n < 2 else np.sqrt(complex(r))
 
 
 def d_function(n: int, g, k) -> complex:
@@ -179,9 +186,7 @@ def d_function_trig(n: int, g, k) -> complex:
     from .eigensystem import sinc_pi
 
     w = 1.0 + sinc_pi(k) if Parity.of_level(n) is Parity.EVEN else 1.0 - sinc_pi(k)
-    root = np.sqrt(complex(w))
-    if n < 2 and np.angle(complex(w)) > 0.5 * np.pi:
-        root = -root
+    root = standard_sqrt_r(n, w)
     h = 0.5 * np.pi * k
     trig = np.cos(h) if Parity.of_level(n) is Parity.EVEN else np.sin(h)
     return trig / root

@@ -14,7 +14,8 @@ from lieb2b.continuation import (ComplexPath, GridSpec, TraceStatus,
                                  circle_path, conjugation_symmetry_check,
                                  continue_along, continue_to, build_sheet,
                                  line_path, newton_correct,
-                                 newton_correct_array, sheet_value)
+                                 newton_correct_array, sheet_value,
+                                 tangent_slope)
 from lieb2b.exceptional import find_ep
 from lieb2b.holonomy import TruncationSpec, entry_frame
 
@@ -153,6 +154,14 @@ class TestContinuation:
             with pytest.raises(SolverError, match="residual overflow"):
                 sheet_value(0, -1e160 - 0.5j)
 
+    def test_overflowing_scale_aborts_without_warnings(self):
+        # the scaled predictor keeps k finite, so no numpy warning escapes
+        # on the way to the typed error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="residual overflow"):
+                sheet_value(0, -1e160 - 0.5j)
+
     @settings(max_examples=40, deadline=None)
     @given(n=st.sampled_from([0, 1]), re=st.floats(min_value=-1e6, max_value=-30.0),
            im=st.floats(min_value=-1.0, max_value=1.0))
@@ -170,6 +179,44 @@ class TestContinuation:
         assert "branch point" in trace.note
         with pytest.raises(SolverError, match="branch point"):
             sheet_value(2, g_ep)
+
+
+class TestTangentSlope:
+    def test_equals_unscaled_formula(self):
+        # the power-of-two scaling is exact: scalars match the formula in
+        # Python complex arithmetic, arrays in numpy, bit for bit
+        rng = np.random.default_rng(3)
+        g = rng.uniform(-50, 50, 200) + 1j * rng.uniform(-50, 50, 200)
+        k = rng.uniform(-20, 20, 200) + 1j * rng.uniform(-60, 5, 200)
+        # and magnitudes from 1e-100 to 1e100, where the squares neither
+        # overflow nor turn subnormal
+        g = np.concatenate([g, g * 10.0 ** rng.uniform(-100, 100, 200)])
+        k = np.concatenate([k, k * 10.0 ** rng.uniform(-100, 100, 200)])
+        def formula(g, k):
+            return 2.0 * k / (np.pi * (k * k + g * g + 2.0 * g / np.pi))
+
+        assert np.array_equal(tangent_slope(g, k), formula(g, k))
+        for gi, ki in zip(g.tolist(), k.tolist()):
+            assert tangent_slope(gi, ki) == formula(gi, ki)
+
+    def test_zero_at_a_branch_point(self):
+        assert tangent_slope(0.0, 0.0) == 0j
+        assert tangent_slope(-2.0 / np.pi, 0.0) == 0j
+        assert np.array_equal(tangent_slope(np.array([0.0, 1.0]), np.array([0.0, 1.0])),
+                              np.array([0.0, 2.0 / (np.pi * (2.0 + 2.0 / np.pi))]))
+
+    def test_finite_at_g_zero(self):
+        assert tangent_slope(0.0, 2.0) == pytest.approx(1.0 / np.pi)
+
+    def test_finite_beyond_the_square_overflow(self):
+        # k^2 + g^2 is inf - inf here; r = |g| (i - 2/pi) to leading order
+        g, k = -1e160 - 0.5j, -1e160j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = tangent_slope(g, k)
+            a = tangent_slope(np.array([g]), np.array([k]))
+        assert abs(s - (-2j / (np.pi * 1j - 2.0))) < 1e-12
+        assert a[0] == s
 
 
 class TestArrayCorrector:

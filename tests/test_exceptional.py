@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lieb2b.bethe import Parity
-from lieb2b.continuation import continue_to, solve_k_real
-from lieb2b.exceptional import (ExceptionalPointError, default_seed,
-                                enumerate_eps, ep_residual, find_ep,
-                                local_expansion, sqrt_coefficient,
-                                sqrt_lower_cut)
+from lieb2b.bethe import Parity, scaled_bethe_residual
+from lieb2b.continuation import branch_point_function, continue_to, solve_k_real
+from lieb2b.exceptional import (ExceptionalPointError, _accept_root,
+                                _newton_on_f, _winding_number, enumerate_eps,
+                                ep_residual, find_ep, local_expansion,
+                                sqrt_coefficient, sqrt_lower_cut)
 
 TWO_OVER_PI = 2.0 / np.pi
 
@@ -32,20 +34,21 @@ class TestSearch:
         ep = find_ep(2, verify_unique=True)
         assert ep.max_residual() < 1e-10
 
-    def test_repolish_from_golden_is_idempotent(self, golden_eps):
-        ref = golden_eps[2]
-        ep = find_ep(2, seed=(ref.g_ep, ref.k_ep), verify_unique=False)
-        assert abs(ep.g_ep - ref.g_ep) < 1e-12
-        assert abs(ep.k_ep - ref.k_ep) < 1e-12
-
     def test_rejects_bound_labels(self):
         with pytest.raises(ValueError):
             find_ep(1)
 
-    def test_rejects_real_axis_degeneracy(self):
-        # a seed on the real axis converges to the ordinary degeneracy
-        with pytest.raises(ExceptionalPointError):
-            find_ep(2, seed=(-TWO_OVER_PI + 1e-8, 1e-8), verify_unique=False)
+    def test_real_axis_guard_rejects_degeneracy(self):
+        # Newton on F started beside the odd family's real degeneracy
+        # converges to it, and the guard refuses it as an EP
+        g = _newton_on_f(Parity.ODD, -0.7 - 0.01j, 1e-12)
+        assert abs(g + TWO_OVER_PI) < 1e-12
+        with pytest.raises(ExceptionalPointError, match="real axis"):
+            _accept_root(Parity.ODD, 3, g)
+
+    def test_upper_half_plane_root_is_folded(self, golden_eps):
+        ref = golden_eps[3]
+        assert _accept_root(Parity.ODD, 3, ref.g_ep.conjugate()) == ref.g_ep
 
     def test_half_plane_conventions(self, golden_eps):
         for n, ep in golden_eps.items():
@@ -60,10 +63,58 @@ class TestSearch:
                for n in (4, 6, 8)]
         assert rel[0] > rel[1] > rel[2]
 
-    def test_default_seed_tracks_estimate(self):
-        g0, k0 = default_seed(6)
-        assert g0 == -5j
-        assert abs(k0 * k0 - (-g0 * (g0 + TWO_OVER_PI))) < 1e-12
+    def test_every_label_to_200(self):
+        # from n = 89 up the roots lie beyond the reach of a Newton
+        # search seeded at the estimate -i(n-1)
+        for n in range(2, 201):
+            ep = find_ep(n)
+            assert ep.n == n and ep.n_b == n % 2
+            assert scaled_bethe_residual(ep.parity, ep.g_ep, ep.k_ep) <= 1e-10
+            assert abs(branch_point_function(ep.g_ep, ep.k_ep)) <= 1e-10
+
+
+def _box(corners):
+    """Closed polygon through the corners, as a contour t -> g."""
+    c = np.array(list(corners) + [corners[0]], dtype=complex)
+    sides = len(corners)
+
+    def contour(t):
+        s = np.asarray(t) * sides
+        i = np.minimum(s.astype(int), sides - 1)
+        return c[i] + (c[i + 1] - c[i]) * (s - i)
+
+    return contour
+
+
+class TestCertificate:
+    def test_zero_count_on_search_box(self):
+        # Re g in [-6, -0.05], Im g in [-9.5, -0.3] holds the even
+        # points n = 2..10 and the odd points n = 3..9
+        box = _box([-6 - 9.5j, -0.05 - 9.5j, -0.05 - 0.3j, -6 - 0.3j])
+        assert _winding_number(Parity.EVEN, box) == 5
+        assert _winding_number(Parity.ODD, box) == 4
+
+    def test_winding_counts_neighbouring_rungs(self, golden_eps):
+        # radius 1 sees one root, radius 2.5 also sees the rungs n -/+ 2
+        g4 = golden_eps[4].g_ep
+        assert _winding_number(Parity.EVEN, lambda t: g4 + np.exp(2j * np.pi * t)) == 1
+        assert _winding_number(Parity.EVEN,
+                               lambda t: g4 + 2.5 * np.exp(2j * np.pi * t)) == 3
+        assert _winding_number(Parity.EVEN,
+                               lambda t: g4 + 1 + 0.5 * np.exp(2j * np.pi * t)) == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=2, max_value=1000))
+def test_ladder_property(n):
+    ep = find_ep(n)
+    above = find_ep(n + 2, verify_unique=False)
+    g, k = ep.g_ep, ep.k_ep
+    assert scaled_bethe_residual(ep.parity, g, k) <= 1e-10
+    assert abs(sqrt_coefficient(ep) - TWO_OVER_PI) <= 1e-6
+    assert g.imag < 0 and k.real >= 0 and g.real < ep.parity.real_branch_point
+    # one rung up, never skipped or repeated
+    assert 1.9 <= abs(above.g_ep - g) <= 2.2
 
 
 class TestCatalog:

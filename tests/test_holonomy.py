@@ -15,9 +15,25 @@ from lieb2b.holonomy import (MIN_LOOP_RADIUS, ConnectionProximityError,
                              d_sign, ep_loop_holonomy, frame_at,
                              frame_monodromy, gauge_connection,
                              m_chain_analytic, m_n_analytic, match_frames,
-                             transport)
+                             rotated_sqrt, standard_sqrt_r, transport)
 
 EVEN12 = TruncationSpec(Parity.EVEN, 12)
+
+
+class TestBranchWindow:
+    def test_rotated_window_cuts_along_positive_imaginary_axis(self):
+        assert rotated_sqrt(-1.0) == -1j
+        assert rotated_sqrt(4.0) == 2.0
+        # continuous across the negative real axis ...
+        assert abs(rotated_sqrt(-1 + 1e-12j) - rotated_sqrt(-1 - 1e-12j)) < 1e-11
+        # ... and cut along the positive imaginary one
+        assert abs(rotated_sqrt(-1e-12 + 1j) + rotated_sqrt(1e-12 + 1j)) < 1e-11
+
+    def test_standard_window_per_label(self):
+        for r in (-2.0, 3j - 1.0, 0.5 - 2j):
+            assert standard_sqrt_r(0, r) == rotated_sqrt(r)
+            assert standard_sqrt_r(1, r) == rotated_sqrt(r)
+            assert standard_sqrt_r(2, r) == np.sqrt(complex(r))
 
 
 class TestConnectionForms:
