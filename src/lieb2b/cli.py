@@ -21,13 +21,14 @@ import numpy as np
 
 from .bethe import Parity, SolverError, energy, solve_k_real
 from .config import ConfigError, RunConfig, load_config
-from .continuation import ComplexPath, GridSpec, build_sheet
+from .continuation import GridSpec, build_sheet, circle_path
 from .cycles import (InconclusivePermutationError, PathConstructionError,
                      chained_loop_holonomy, contour_permutation,
                      hermitian_cycle, n_ep_contour,
                      permutation_from_holonomy)
 from .eigensystem import overlap_connection_oracle
-from .exceptional import ExceptionalPointError, find_ep
+from .exceptional import (ExceptionalPointError, _ladder, _rung_point,
+                          _winding_number, find_ep)
 from .holonomy import (TransportError, TruncationSpec, ep_loop_holonomy,
                        gauge_connection, transport)
 from .serialize import (ExportRecord, csv_table, cycle_document, format_float,
@@ -65,17 +66,16 @@ def cmd_eps(cfg: RunConfig, args) -> tuple[int, str]:
                "residual_bethe", "residual_r", "status")
     rows = []
     failures = 0
-    for n in range(parity.bound_level + 2, n_max + 1, 2):
+    for n, g in _ladder(parity, n_max, cfg.solver_tol):
         try:
-            ep = find_ep(n, tol=cfg.solver_tol, verify_unique=False)
-            rb, rr = ep.residuals()
-            rows.append((n, ep.g_ep.real, ep.g_ep.imag, ep.k_ep.real,
-                         ep.k_ep.imag, abs(rb), abs(rr), "ok"))
-        except (ExceptionalPointError, SolverError) as exc:
+            ep = _rung_point(parity, n, g, False)
+        except ExceptionalPointError as exc:
             failures += 1
-            rows.append((n, float("nan"), float("nan"), float("nan"),
-                         float("nan"), float("nan"), float("nan"),
-                         f"failed: {type(exc).__name__}"))
+            rows.append((n,) + (float("nan"),) * 6 + (f"failed: {type(exc).__name__}",))
+            continue
+        rb, rr = ep.residuals()
+        rows.append((n, ep.g_ep.real, ep.g_ep.imag, ep.k_ep.real,
+                     ep.k_ep.imag, abs(rb), abs(rr), "ok"))
     record = ExportRecord("eps", cfg.config_hash(), csv_table(columns, rows))
     return (EXIT_SOLVER if failures else EXIT_OK), record.render()
 
@@ -124,7 +124,15 @@ def cmd_holonomy(cfg: RunConfig, args) -> tuple[int, str]:
         payload = _holonomy_payload(hol)
     else:
         trunc = TruncationSpec(_parity(args.parity), trunc_n)
-        hol = transport(ComplexPath([args.g0]), trunc, rtol=cfg.transport_rtol)
+        # F vanishes at the real branch point: test it before winding
+        if (abs(args.g0 - trunc.parity.real_branch_point) <= radius
+                or _winding_number(trunc.parity, lambda t: args.g0 + radius
+                                   * np.exp(2j * np.pi * t))):
+            raise ConfigError(
+                f"empty contour of radius {radius} about g0 = {args.g0} "
+                "reaches a branch point of the family")
+        hol = transport(circle_path(args.g0, radius), trunc,
+                        rtol=cfg.transport_rtol)
         payload = _holonomy_payload(hol, g0=args.g0)
     record = ExportRecord("holonomy", cfg.config_hash(), payload)
     return EXIT_OK, record.render()
@@ -207,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--radius", type=float, default=None)
     s.add_argument("--trunc", type=int, default=None)
     s.add_argument("--parity", default="even", choices=("even", "odd"))
-    s.add_argument("--g0", type=float, default=1.0, help="base point for empty contour")
+    s.add_argument("--g0", type=float, default=1.0, help="centre of the empty contour")
     s.set_defaults(run=cmd_holonomy)
 
     s = sub.add_parser("cycle", parents=[common],

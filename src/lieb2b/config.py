@@ -10,7 +10,7 @@ platforms and insensitive to comment or ordering changes in the file.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .holonomy import MIN_LOOP_RADIUS
 
@@ -67,10 +67,6 @@ class RunConfig:
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode("ascii")).hexdigest()
-
-    def with_overrides(self, **kwargs) -> "RunConfig":
-        provided = {k: v for k, v in kwargs.items() if v is not None}
-        return replace(self, **provided) if provided else self
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}

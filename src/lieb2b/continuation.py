@@ -3,7 +3,7 @@ Analytic continuation of quasi-momentum branches over complex coupling.
 
 A branch k_n(g) continues off the real axis as the root of the
 pole-free Bethe residual that stays connected to its real-axis value.
-Stepping uses a first-order predictor (`tangent_slope`)
+Each hop uses a first-order predictor (`tangent_slope`)
 
     k -> k + dg * G(g, k),    G = -dJ/dg / dJ/dk = 2 k / (pi r),
     r(g, k) = k^2 + g^2 + 2 g / pi,
@@ -14,8 +14,11 @@ the local behaviour turns into a square root with coefficient
 
     G2 = -2 (dJ/dg) / (d^2J/dk^2) = -(g^2 + k^2) / g,
 
-equal to 2/pi wherever r = 0.  The step control shrinks near a branch
-point and gives up at the path's min_step instead of stepping across.
+equal to 2/pi wherever r = 0.  One step rule, `walk_segment`, carries a
+root along each path segment, a sheet column the array corrector could
+not move, and (in `holonomy.advance_frame`) a transport frame.  A hop
+is refused near a branch point (|dJ/dk| < 1e-4), so the walk slows
+down there and stops instead of stepping across.
 
 Riemann sheets follow the vertical-transport convention: the value at
 g = x + i*y is continued from the real-axis value at x straight up or
@@ -44,24 +47,26 @@ from .bethe import (
     SolverError,
     bethe_residual,
     residual_terms,
-    scaled_bethe_residual,
     solve_k_real,
     unscaled_residual_terms,
 )
+
+#: a scalar hop converges at HOP_TOL and is accepted below HOP_ACCEPT,
+#: unless |dJ/dk| < DJ_DK_FLOOR; an accepted hop grows the step by STEP_GROWTH
+HOP_TOL, HOP_ACCEPT, DJ_DK_FLOOR, STEP_GROWTH = 1e-12, 1e-10, 1e-4, 1.7
+
 
 @dataclass
 class ComplexPath:
     """Piecewise-linear path in the complex coupling plane.
 
-    Step-control parameters ride along with the geometry so that a path
-    built once can be handed to continuation and transport unchanged.
+    The step bounds ride along with the geometry so that a path built
+    once can be handed to continuation and transport unchanged.
     """
 
     waypoints: Sequence[complex]
     max_step: float = 0.05
     min_step: float = 1e-9
-    shrink: float = 0.5
-    grow: float = 1.7
 
     def __post_init__(self):
         self.waypoints = [complex(w) for w in self.waypoints]
@@ -72,8 +77,6 @@ class ComplexPath:
                 raise ValueError("consecutive waypoints must be distinct")
         if not (0 < self.min_step <= self.max_step):
             raise ValueError("require 0 < min_step <= max_step")
-        if not (0 < self.shrink < 1 < self.grow):
-            raise ValueError("require 0 < shrink < 1 < grow")
 
     def segments(self):
         return list(zip(self.waypoints, self.waypoints[1:]))
@@ -83,15 +86,14 @@ class ComplexPath:
 
     def reversed(self) -> "ComplexPath":
         return ComplexPath(list(self.waypoints)[::-1], self.max_step,
-                           self.min_step, self.shrink, self.grow)
+                           self.min_step)
 
     def joined_with(self, other: "ComplexPath") -> "ComplexPath":
         if self.waypoints[-1] != other.waypoints[0]:
             raise ValueError("paths do not share an endpoint")
         return ComplexPath(list(self.waypoints) + list(other.waypoints)[1:],
                            min(self.max_step, other.max_step),
-                           min(self.min_step, other.min_step),
-                           self.shrink, self.grow)
+                           min(self.min_step, other.min_step))
 
 
 def line_path(a, b, **kw) -> ComplexPath:
@@ -305,74 +307,92 @@ class ContinuationTrace:
         return BetheState(self.start.n, self.final_g, self.final_k, self.start.parity)
 
 
+def walk_segment(g_a, g_b, state, hop, *, max_step: float, min_step: float):
+    """Carry state along the straight segment from g_a to g_b.
+
+    hop(state, g) returns the state moved to g, or None to refuse.  The
+    first hop spans min(max_step, length); a refused hop halves the step,
+    an accepted one grows it by STEP_GROWTH up to max_step, and the last
+    hop lands on g_b exactly.  Returns (state at g_b, True), or (last
+    accepted state, False) once the step falls below min_step.
+    """
+    length = abs(g_b - g_a)
+    direction = (g_b - g_a) / length if length else 0j
+    s, h = 0.0, min(max_step, length)  # s: arclength progressed
+    while s < length:
+        h = min(h, length - s)
+        g = g_b if h == length - s else g_a + (s + h) * direction
+        new = hop(state, g)
+        if new is not None:
+            state, s = new, length if g == g_b else s + h
+            h = min(h * STEP_GROWTH, max_step)
+        elif h * 0.5 < min_step:
+            return state, False
+        else:
+            h *= 0.5
+    return state, True
+
+
+def _scalar_hop(parity: Parity, sample: ContinuationSample, g,
+                accepted=None, refused=None):
+    """Predictor-corrector hop of one root to g, for `walk_segment`: the
+    sample at g, or None if refused.  The new sample is appended to the
+    list accepted or refused, where one is given."""
+    k_pred = sample.k + (g - sample.g) * tangent_slope(sample.g, sample.k)
+    k, scaled, ok = newton_correct(parity, g, k_pred, tol=HOP_TOL)
+    ok = (ok or scaled < HOP_ACCEPT) and not abs(dj_dk(g, k)) < DJ_DK_FLOOR
+    new = ContinuationSample(g, k, scaled)
+    log = accepted if ok else refused
+    if log is not None:
+        log.append(new)
+    return new if ok else None
+
+
 def continue_along(start: BetheState, path: ComplexPath, *,
-                   tol: float = 1e-12, accept: float = 1e-10,
-                   newton_max: int = 5, dkj_threshold: float = 1e-4,
                    record: bool = True) -> ContinuationTrace:
     """Continue a quasi-momentum branch along a piecewise-linear path.
 
-    The path must begin at the state's coupling.  Steps adapt between
-    the path's min_step and max_step: Newton failure or branch-point
-    proximity (|dJ/dk| < dkj_threshold) shrinks, easy convergence grows.
-    Hitting min_step ends the trace with ABORTED_NEAR_BRANCH_POINT and
-    the last good sample; callers that intend to encircle a branch
-    point must route around it rather than through.  When the scaled
-    residual at the failed step is not finite (beyond |k| of about 1e154
-    even the rescaled error scale overflows) the status is
-    ABORTED_RESIDUAL_OVERFLOW instead, since no branch point need be near.
+    The path must begin at the state's coupling; `walk_segment` walks
+    each segment with scalar hops and the path's step bounds.  A stalled
+    walk ends the trace with ABORTED_NEAR_BRANCH_POINT and the last good
+    sample, so a caller meaning to encircle a branch point must route
+    around it.  A stalled hop whose scaled residual is not finite (past
+    |k| of about 1e154 even the rescaled error scale overflows) gives
+    ABORTED_RESIDUAL_OVERFLOW instead, since no branch point need be
+    near.  Without record only the start and the last sample are kept.
     """
     if abs(complex(path.waypoints[0]) - complex(start.g)) > 1e-12:
         raise ValueError("path must start at the state's coupling")
     parity = start.parity
-    g = complex(start.g)
-    k = complex(start.k)
-    samples = [ContinuationSample(g, k, float(start.scaled_residual()))]
-    trace = ContinuationTrace(start, samples)
-
+    sample = ContinuationSample(complex(start.g), complex(start.k),
+                                float(start.scaled_residual()))
+    trace = ContinuationTrace(start, [sample])
+    accepted, refused = trace.samples if record else None, []
     for seg_a, seg_b in path.segments():
-        seg_len = abs(seg_b - seg_a)
-        direction = (seg_b - seg_a) / seg_len
-        s = 0.0  # arclength progressed on this segment
-        h = min(path.max_step, seg_len)
-        while s < seg_len:
-            h = min(h, seg_len - s)
-            g_new = seg_a + (s + h) * direction
-            k_pred = k + h * direction * tangent_slope(g, k)
-            k_new, scaled, ok = newton_correct(parity, g_new, k_pred,
-                                               tol=tol, max_iter=newton_max)
-            ok = ok or scaled < accept
-            if ok and abs(dj_dk(g_new, k_new)) < dkj_threshold:
-                ok = False  # too close to a branch point: refine first
-            if ok:
-                s += h
-                g, k = g_new, k_new
-                if record:
-                    samples.append(ContinuationSample(g, k, scaled))
-                h = min(h * path.grow, path.max_step)
-            else:
-                h *= path.shrink
-                if h < path.min_step:
-                    if np.isfinite(scaled):
-                        trace.status = TraceStatus.ABORTED_NEAR_BRANCH_POINT
-                        trace.note = (f"step underflow near a branch point at "
-                                      f"g={g_new:.6g} (|dJ/dk|={abs(dj_dk(g, k)):.3g})")
-                    else:
-                        trace.status = TraceStatus.ABORTED_RESIDUAL_OVERFLOW
-                        trace.note = (f"residual overflow at g={g_new:.6g} "
-                                      f"(k={k:.6g}, residual scale beyond the double range)")
-                    if not record:
-                        samples.append(ContinuationSample(g, k, float('nan')))
-                    return trace
-        if not record:
-            samples.append(ContinuationSample(
-                g, k, scaled_bethe_residual(parity, g, k)))
+        sample, reached = walk_segment(
+            seg_a, seg_b, sample,
+            lambda s, g: _scalar_hop(parity, s, g, accepted, refused),
+            max_step=path.max_step, min_step=path.min_step)
+        if reached:
+            continue
+        stalled = refused[-1]  # the hop the walk gave up on
+        if np.isfinite(stalled.scaled_residual):
+            trace.status = TraceStatus.ABORTED_NEAR_BRANCH_POINT
+            trace.note = (f"step underflow near a branch point at g={stalled.g:.6g} "
+                          f"(|dJ/dk|={abs(dj_dk(sample.g, sample.k)):.3g})")
+        else:
+            trace.status = TraceStatus.ABORTED_RESIDUAL_OVERFLOW
+            trace.note = (f"residual overflow at g={stalled.g:.6g} (k={sample.k:.6g}, "
+                          "residual scale beyond the double range)")
+        break
+    if not record and sample is not trace.samples[0]:
+        trace.samples.append(sample)
     return trace
 
 
 def continue_to(start: BetheState, g_target, **kw) -> ContinuationTrace:
     """Straight-line continuation from the state's coupling to g_target."""
-    path_kw = {k: kw.pop(k) for k in ("max_step", "min_step", "shrink", "grow")
-               if k in kw}
+    path_kw = {k: kw.pop(k) for k in ("max_step", "min_step") if k in kw}
     path = line_path(start.g, g_target, **path_kw)
     return continue_along(start, path, **kw)
 
@@ -484,41 +504,19 @@ class RiemannSheet:
     cut_segments: list
     aborted_columns: dict
 
-    def value(self, i: int, j: int) -> complex:
-        return complex(self.k[i, j])
 
-
-def _advance_column_scalar(parity, x, k0, y0, y1, *, tol, min_step, depth=0):
-    """Continue one column value from x+iy0 to x+iy1, bisecting on failure."""
-    g0, g1 = complex(x, y0), complex(x, y1)
-    k_pred = k0 + (g1 - g0) * tangent_slope(g0, k0)
-    k_new, scaled, ok = newton_correct(parity, g1, k_pred, tol=tol, max_iter=6)
-    if ok:
-        return k_new
-    if abs(y1 - y0) * 0.5 < min_step or depth > 60:
-        return None
-    mid = 0.5 * (y0 + y1)
-    k_mid = _advance_column_scalar(parity, x, k0, y0, mid, tol=tol,
-                                   min_step=min_step, depth=depth + 1)
-    if k_mid is None:
-        return None
-    return _advance_column_scalar(parity, x, k_mid, mid, y1, tol=tol,
-                                  min_step=min_step, depth=depth + 1)
-
-
-def _march_half(parity, xs, k_anchor, ordinates, *, tol, min_step, k_out, rows):
+def _march_half(parity, xs, k_anchor, ordinates, *, tol, k_out, rows):
     """March all columns from the axis through the given ordinates.
 
     ordinates are monotone (ascending above the axis, descending below);
     rows[i] is the row index of ordinates[i] in the output array.  Each
-    row corrects all live columns in one `newton_correct_array` call;
-    columns left above a scaled residual of 1e-9 go to the bisecting
-    `_advance_column_scalar`, and those that fail there too abort.
+    row corrects all live columns in one `newton_correct_array` call; a
+    column left above a scaled residual of 1e-9 is walked to the row by
+    `walk_segment` with scalar hops instead, and aborts if that stalls.
     """
-    n_cols = xs.size
     k_cur = k_anchor.astype(complex).copy()
-    y_cur = np.zeros(n_cols)
-    alive = np.array([not np.isnan(kv.real) for kv in k_cur])
+    y_cur = np.zeros(xs.size)
+    alive = ~np.isnan(k_cur.real)
     abort_at = {}
     for y, row in zip(ordinates, rows):
         if not alive.any():
@@ -531,25 +529,25 @@ def _march_half(parity, xs, k_anchor, ordinates, *, tol, min_step, k_out, rows):
                                                 max_iter=6)
         ok = scaled < 1e-9
         idx_alive = np.flatnonzero(alive)
-        for pos, col in enumerate(idx_alive):
-            if ok[pos]:
-                k_cur[col] = k_new[pos]
+        k_cur[idx_alive[ok]] = k_new[ok]
+        for col in idx_alive[~ok]:
+            g_from = complex(xs[col], y_cur[col])
+            end, reached = walk_segment(
+                g_from, complex(xs[col], y),
+                ContinuationSample(g_from, complex(k_cur[col]), float("nan")),
+                lambda s, g: _scalar_hop(parity, s, g),
+                max_step=abs(y - y_cur[col]), min_step=ComplexPath.min_step)
+            if reached:
+                k_cur[col] = end.k
             else:
-                rescued = _advance_column_scalar(parity, xs[col], k_cur[col],
-                                                 y_cur[col], y, tol=tol,
-                                                 min_step=min_step)
-                if rescued is None:
-                    alive[col] = False
-                    abort_at[int(col)] = float(y)
-                    continue
-                k_cur[col] = rescued
+                alive[col] = False
+                abort_at[int(col)] = float(y)
         y_cur[alive] = y
         k_out[row, alive] = k_cur[alive]
     return abort_at
 
 
-def build_sheet(n: int, grid: GridSpec, *, tol: float = 1e-12,
-                min_step: float = 1e-7, ep_finder=None,
+def build_sheet(n: int, grid: GridSpec, *, tol: float = 1e-12, ep_finder=None,
                 cut_depth_margin: float = 1.5) -> RiemannSheet:
     """Construct one branch's Riemann sheet over a rectangular grid.
 
@@ -572,13 +570,12 @@ def build_sheet(n: int, grid: GridSpec, *, tol: float = 1e-12,
     ims = grid.im_axis
     k_out = np.full((ims.size, xs.size), np.nan + 1j * np.nan, dtype=complex)
 
-    axis_k = np.empty(xs.size, dtype=complex)
+    axis_k = np.full(xs.size, np.nan + 1j * np.nan, dtype=complex)
     aborted = {}
     for j, x in enumerate(xs):
         try:
             axis_k[j] = solve_k_real(n, float(x)).k
         except (SolverError, ValueError):
-            axis_k[j] = np.nan + 1j * np.nan
             aborted[j] = 0.0
     # real branch point exactly on a column: the anchor is degenerate
     rbp = parity.real_branch_point
@@ -591,14 +588,10 @@ def build_sheet(n: int, grid: GridSpec, *, tol: float = 1e-12,
     if np.any(ims == 0.0):
         k_out[np.flatnonzero(ims == 0.0)[0], :] = axis_k
 
-    above = np.flatnonzero(ims > 0.0)
-    below = np.flatnonzero(ims < 0.0)[::-1]
-    aborted_up = _march_half(parity, xs, axis_k, ims[above], tol=tol,
-                             min_step=min_step, k_out=k_out, rows=above)
-    aborted_dn = _march_half(parity, xs, axis_k, ims[below], tol=tol,
-                             min_step=min_step, k_out=k_out, rows=below)
-    for col, y in list(aborted_up.items()) + list(aborted_dn.items()):
-        aborted.setdefault(col, y)
+    for rows in (np.flatnonzero(ims > 0.0), np.flatnonzero(ims < 0.0)[::-1]):
+        march = _march_half(parity, xs, axis_k, ims[rows], tol=tol, k_out=k_out, rows=rows)
+        for col, y in march.items():
+            aborted.setdefault(col, y)
 
     cuts = []
     if ep_finder is not None:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .bethe import Parity, asymptotic_quasimomentum, energy, solve_k_real
 from .continuation import ComplexPath, circle_path
-from .exceptional import find_ep
+from .exceptional import enumerate_eps, find_ep
 from .holonomy import (HolonomyMatrix, TruncationSpec, ep_loop_holonomy,
                        frame_monodromy)
 
@@ -159,10 +159,8 @@ def n_ep_contour(g0: float, n_ep: int, parity: Parity, *,
     if n_ep == 0:
         return ComplexPath([g0])
 
-    base = parity.bound_level
-    enclosed = [find_ep(base + 2 * i, verify_unique=False).g_ep
-                for i in range(1, n_ep + 1)]
-    sentinel = find_ep(base + 2 * (n_ep + 1), verify_unique=False).g_ep
+    *enclosed, sentinel = [ep.g_ep for ep in enumerate_eps(
+        parity, parity.bound_level + 2 * (n_ep + 1), verify_unique=False)]
 
     re_lo = min(e.real for e in enclosed)
     re_hi = max(e.real for e in enclosed)

@@ -166,32 +166,34 @@ def _accept_root(parity: Parity, n: int, g: complex) -> complex:
     return g
 
 
-def find_ep(n: int, *, tol: float = 1e-12,
-            verify_unique: bool = True) -> ExceptionalPoint:
-    """Locate the exceptional point that couples branch n (n > 1) to its
-    family's bound-capable branch.
+def _ladder(parity: Parity, n_max: int, tol: float):
+    """Walk the family's rungs up to n_max once, yielding (n, root of F).
 
-    Newton on the collision function F walks the family's rungs from
-    the bottom up to n, each rung started from the extrapolation of the
-    two below it (see the module docstring); tol bounds the scaled
-    Bethe residual.  Convergence onto the real axis (the ordinary
-    degeneracies at g = 0, -2/pi) is rejected.  With verify_unique, F
-    must wind exactly once around the circle of radius 1 about the
-    root; anything else raises.
+    Each rung starts from the two below it, so once Newton fails on a
+    rung, or `_accept_root` refuses its root, every rung from there up
+    is yielded with that ExceptionalPointError in place of its root.
     """
-    if n <= 1:
-        raise ValueError("exceptional points exist for excited labels n > 1")
-    parity = Parity.of_level(n)
     below = []
-    for m in range(parity.bound_level + 2, n + 1, 2):
+    for m in range(parity.bound_level + 2, n_max + 1, 2):
         start = -1j * (m - 1) if len(below) < 2 else 2.0 * below[-1] - below[-2]
         g = _newton_on_f(parity, start, tol)
-        if g is None:
-            raise ExceptionalPointError(
-                f"no convergence for n={m} from {start} on the walk to n={n}")
-        below.append(_accept_root(parity, m, g))
-    g = below[-1]
-    if verify_unique:
+        try:
+            if g is None:
+                raise ExceptionalPointError(f"no convergence for n={m} from {start}")
+            below.append(_accept_root(parity, m, g))
+        except ExceptionalPointError as exc:
+            yield from ((n, exc) for n in range(m, n_max + 1, 2))
+            return
+        yield m, below[-1]
+
+
+def _rung_point(parity: Parity, n: int, g, certify: bool) -> ExceptionalPoint:
+    """The point at rung n's root g; raises g if the walk failed there,
+    and with certify unless F winds exactly once around the unit circle
+    about g."""
+    if isinstance(g, ExceptionalPointError):
+        raise g
+    if certify:
         winding = _winding_number(parity, lambda t: g + np.exp(2j * np.pi * t))
         if winding != 1:
             raise ExceptionalPointError(
@@ -201,18 +203,36 @@ def find_ep(n: int, *, tol: float = 1e-12,
     return ExceptionalPoint(n, parity.bound_level, g, k, parity)
 
 
-def enumerate_eps(parity: Parity, n_max: int, **kw) -> list[ExceptionalPoint]:
+def find_ep(n: int, *, tol: float = 1e-12,
+            verify_unique: bool = True) -> ExceptionalPoint:
+    """Locate the exceptional point that couples branch n (n > 1) to its
+    family's bound-capable branch.
+
+    Newton on the collision function F walks the family's rungs from
+    the bottom up to n (see the module docstring); tol bounds the scaled
+    Bethe residual, and a root on the real axis (the degeneracies at
+    g = 0, -2/pi) is rejected.  With verify_unique, F must wind exactly
+    once around the circle of radius 1 about the root, or this raises.
+    """
+    if n <= 1:
+        raise ValueError("exceptional points exist for excited labels n > 1")
+    parity = Parity.of_level(n)
+    *_, (_, g) = _ladder(parity, n, tol)
+    return _rung_point(parity, n, g, verify_unique)
+
+
+def enumerate_eps(parity: Parity, n_max: int, *, tol: float = 1e-12,
+                  verify_unique: bool = True) -> list[ExceptionalPoint]:
     """All exceptional points of one family with n <= n_max, sorted by n.
 
-    Per-level failures are aggregated; a partial catalog raises with
+    One walk up the ladder gives every label the result `find_ep` gives
+    it.  Per-level failures are aggregated; a partial catalog raises with
     the failing labels attached rather than returning silently short.
     """
-    start = 2 if parity is Parity.EVEN else 3
-    results = []
-    failures = {}
-    for n in range(start, n_max + 1, 2):
+    results, failures = [], {}
+    for n, g in _ladder(parity, n_max, tol):
         try:
-            results.append(find_ep(n, **kw))
+            results.append(_rung_point(parity, n, g, verify_unique))
         except ExceptionalPointError as exc:
             failures[n] = str(exc)
     if failures:

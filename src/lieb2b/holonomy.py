@@ -32,10 +32,12 @@ Transport integrates
     dV/dt = -i * A(g(t)) * g'(t) * V,    V(0) = 1
 
 along piecewise-linear paths with an embedded Dormand-Prince 5(4) pair,
-advancing the frame to every internal stage.  One call of the array
+advancing the frame to every internal stage by the step rule of
+:func:`lieb2b.continuation.walk_segment`.  One call of the array
 corrector :func:`lieb2b.continuation.newton_correct_array` moves all
-slots of a frame at once; a hop is bisected when any slot would leave
-its Newton basin or its sqrt(r) branch.  The returned matrix is V
+slots of a frame from their tangent predictor at once; a hop is refused
+when any slot would leave its Newton basin or its sqrt(r) branch.  The
+returned matrix is V
 at the path end, nothing folded in: columns expand the transported
 slots over the starting slots, and transports over concatenated paths
 compose by left multiplication.  For a small clockwise loop around the
@@ -64,7 +66,7 @@ import numpy as np
 
 from .bethe import Parity, solve_k_real
 from .continuation import (ComplexPath, branch_point_function, circle_path,
-                           newton_correct_array)
+                           newton_correct_array, tangent_slope, walk_segment)
 from .exceptional import ExceptionalPoint, find_ep
 
 FOUR_OVER_PI = 4.0 / np.pi
@@ -279,23 +281,23 @@ def entry_frame(trunc: TruncationSpec, g0: complex) -> TransportFrame:
     continued frame instead.
     """
     g0 = complex(g0)
-    if abs(g0.imag) < 1e-14:
-        return frame_at(trunc, g0.real)
     axis = frame_at(trunc, g0.real)
-    return advance_frame(axis, g0)
+    return axis if abs(g0.imag) < 1e-14 else advance_frame(axis, g0)
 
 
 def _advance_once(frame: TransportFrame, g_new: complex, tol: float):
-    """One Newton hop of every slot to g_new, or None if any slot is unsafe.
+    """One hop of every slot to g_new, or None if any slot is unsafe.
 
-    A truncation is one parity family, so a single array corrector call
-    covers all slots.  A hop is unsafe when a slot fails to converge,
-    moves by more than 0.35 of the frame's level spacing (it may have
-    jumped basins), or when the continued sqrt(r), signed by continuity,
-    is about equally far from both signs of its previous value.
+    A truncation is one parity family, so a single array corrector call,
+    started from the tangent predictor, covers all slots.  A hop is
+    unsafe when a slot fails to converge, moves by more than 0.35 of the
+    frame's level spacing (it may have jumped basins), or when the
+    continued sqrt(r), signed by continuity, is about equally far from
+    both signs of its previous value.
     """
     parity = Parity.of_level(frame.levels[0])
-    k, _, ok = newton_correct_array(parity, g_new, frame.k, tol=tol)
+    k_pred = frame.k + (g_new - frame.g) * tangent_slope(frame.g, frame.k)
+    k, _, ok = newton_correct_array(parity, g_new, k_pred, tol=tol)
     if not ok.all() or np.any(np.abs(k - frame.k) > 0.35 * frame.spacing()):
         return None
     s = np.sqrt(branch_point_function(g_new, k))
@@ -308,31 +310,21 @@ def _advance_once(frame: TransportFrame, g_new: complex, tol: float):
 
 
 def advance_frame(frame: TransportFrame, g_target: complex, *,
-                  tol: float = 1e-12, max_bisections: int = 48) -> TransportFrame:
+                  tol: float = 1e-12) -> TransportFrame:
     """Continue a frame along the straight segment to ``g_target``.
 
-    Bisects the segment as needed; each accepted hop keeps every slot in
-    its own Newton basin and on its own sqrt(r) branch.
+    `walk_segment` tries the whole distance in one hop first and gives
+    up once the step falls below 2**-48 of it; each accepted hop keeps
+    every slot in its own Newton basin and on its own sqrt(r) branch.
     """
-    current = frame
     target = complex(g_target)
-    depth = 0
-    step = target - current.g
-    while current.g != target:
-        towards = current.g + step
-        if abs(towards - current.g) >= abs(target - current.g):
-            towards = target
-        advanced = _advance_once(current, towards, tol)
-        if advanced is None:
-            depth += 1
-            if depth > max_bisections:
-                raise TransportError(
-                    f"frame advance stalled between {current.g} and {target}")
-            step *= 0.5
-            continue
-        current = advanced
-        depth = 0
-    return current
+    distance = abs(target - frame.g)
+    end, reached = walk_segment(frame.g, target, frame,
+                                lambda f, g: _advance_once(f, g, tol),
+                                max_step=distance, min_step=distance * 2.0 ** -48)
+    if not reached:
+        raise TransportError(f"frame advance stalled between {end.g} and {target}")
+    return end
 
 
 # Dormand-Prince 5(4) tableau

@@ -157,7 +157,21 @@ class TestHolonomy:
         levels, matrix, perm, _ = parse_holonomy_document(
             parse_record(out).payload)
         assert perm == {n: n for n in levels}
-        assert np.array_equal(matrix, np.eye(6))
+        # a real loop of the configured radius about g0: identity to
+        # criterion 9's bound, not by construction
+        assert np.max(np.abs(matrix - np.eye(6))) < 1e-8
+
+    @pytest.mark.parametrize("argv", [
+        ("--g0", 5e-4),                      # around the even family's g = 0
+        ("--parity", "odd", "--g0", -0.637),  # around the odd family's -2/pi
+        ("--g0", -3.0, "--radius", 2.5),     # around the EP of n = 2
+    ])
+    def test_empty_contour_around_a_branch_point_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "holonomy", "--contour", "empty",
+                                 "--trunc", 4, *argv)
+        assert code == 2
+        assert out == ""
+        assert "branch point" in err
 
 
 class TestCycle:

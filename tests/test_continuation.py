@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from lieb2b.bethe import (DEEP_IM_H, Parity, SolverError, bethe_residual,
                           residual_k_derivative, residual_scale,
                           scaled_bethe_residual, solve_k_real)
+from lieb2b import continuation
 from lieb2b.continuation import (ComplexPath, GridSpec, TraceStatus,
                                  circle_path, conjugation_symmetry_check,
                                  continue_along, continue_to, build_sheet,
                                  line_path, newton_correct,
                                  newton_correct_array, sheet_value,
-                                 tangent_slope)
+                                 tangent_slope, walk_segment)
 from lieb2b.exceptional import find_ep
 from lieb2b.holonomy import TruncationSpec, entry_frame
 
@@ -179,6 +180,40 @@ class TestContinuation:
         assert "branch point" in trace.note
         with pytest.raises(SolverError, match="branch point"):
             sheet_value(2, g_ep)
+
+
+class TestWalkSegment:
+    def test_step_rule(self):
+        # hops longer than 0.3 are refused: 1 and 0.5 are, 0.25 is taken,
+        # then each step grows by 1.7 and halves when refused
+        steps = []
+
+        def hop(state, g):
+            steps.append(abs(g - state))
+            return None if steps[-1] > 0.3 else g
+
+        g_b = 0.1 - 0.7j
+        end, reached = walk_segment(1.0, g_b, 1.0 + 0j, hop, max_step=1.0,
+                                    min_step=1e-3)
+        assert reached and end == g_b  # the last hop lands on g_b exactly
+        assert steps[:5] == pytest.approx([1.0, 0.5, 0.25, 0.425, 0.2125])
+
+    def test_stall_returns_last_accepted_state(self):
+        hops = []
+
+        def hop(state, g):
+            hops.append(g)
+            return g if g.imag > -0.5 else None
+
+        end, reached = walk_segment(0.0, -1.0j, 0j, hop, max_step=0.2,
+                                    min_step=1e-6)
+        assert not reached and -0.5 < end.imag <= -0.5 + 2e-6
+        # from 0.2, halving 18 times falls below 1e-6
+        assert len(hops) < 100
+
+    def test_zero_length_segment(self):
+        assert walk_segment(1.0, 1.0, "state", None, max_step=0.1,
+                            min_step=1e-9) == ("state", True)
 
 
 class TestTangentSlope:
@@ -397,3 +432,23 @@ class TestSheets:
                     continue
                 _, scaled, ok = newton_correct(Parity.EVEN, g, k, tol=1e-12)
                 assert ok and scaled < 1e-8
+
+    def test_column_rescue_near_a_double_root(self, monkeypatch):
+        # the column Re g = -1.05 passes 8e-4 from g_ep(2); the array
+        # march leaves it behind once, and the scalar walk carries it on
+        walks = []
+        walk = continuation.walk_segment
+
+        def counted(*args, **kwargs):
+            walks.append(args[:2])
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(continuation, "walk_segment", counted)
+        sheet = build_sheet(2, GridSpec(-1.1, -1.0, -1.5, 0.5, 3, 41))
+        monkeypatch.undo()
+        assert walks and all(a.real == b.real == -1.05 for a, b in walks)
+        assert sheet.aborted_columns == {}
+        assert not np.isnan(sheet.k).any()
+        for i, y in enumerate(sheet.im_axis):
+            g = complex(sheet.re_axis[1], y)
+            assert abs(sheet.k[i, 1] - sheet_value(2, g)) <= 1e-9

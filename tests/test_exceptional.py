@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lieb2b import exceptional
 from lieb2b.bethe import Parity, scaled_bethe_residual
 from lieb2b.continuation import branch_point_function, continue_to, solve_k_real
 from lieb2b.exceptional import (ExceptionalPointError, _accept_root,
@@ -129,6 +130,47 @@ class TestCatalog:
     def test_minimal_catalog(self):
         eps = enumerate_eps(Parity.EVEN, 2, verify_unique=False)
         assert len(eps) == 1 and eps[0].n == 2
+
+    def test_one_walk_serves_every_label(self, monkeypatch):
+        newton = exceptional._newton_on_f
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return newton(*args)
+
+        monkeypatch.setattr(exceptional, "_newton_on_f", counted)
+        eps = enumerate_eps(Parity.EVEN, 200)
+        assert len(calls) == 100  # one Newton run per rung 2, 4, ..., 200
+        monkeypatch.undo()
+        assert eps == [find_ep(n) for n in range(2, 201, 2)]
+
+    def test_failures_match_per_label_search(self, monkeypatch, golden_eps):
+        # rung 10's root is refused, which fails every rung above it too;
+        # rung 4's certificate counts two roots, which fails rung 4 alone
+        accept, winding = exceptional._accept_root, exceptional._winding_number
+        g4 = golden_eps[4].g_ep
+
+        def refuse_10(parity, n, g):
+            if n == 10:
+                raise ExceptionalPointError("rung 10 refused")
+            return accept(parity, n, g)
+
+        def doubled_at_4(parity, contour):
+            return 2 if abs(contour(0.0) - 1.0 - g4) < 1e-8 else winding(parity, contour)
+
+        monkeypatch.setattr(exceptional, "_accept_root", refuse_10)
+        monkeypatch.setattr(exceptional, "_winding_number", doubled_at_4)
+        with pytest.raises(ExceptionalPointError) as caught:
+            enumerate_eps(Parity.EVEN, 14)
+        per_label = {}
+        for n in range(2, 15, 2):
+            try:
+                find_ep(n)
+            except ExceptionalPointError as exc:
+                per_label[n] = str(exc)
+        assert sorted(per_label) == [4, 10, 12, 14]
+        assert caught.value.failures == per_label
 
 
 class TestLocalStructure:

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lieb2b import holonomy
 from lieb2b.bethe import Parity, solve_k_real
-from lieb2b.continuation import circle_path, line_path
+from lieb2b.continuation import circle_path, continue_to, line_path
 from lieb2b.eigensystem import overlap_connection_oracle
 from lieb2b.exceptional import find_ep
 from lieb2b.holonomy import (MIN_LOOP_RADIUS, ConnectionProximityError,
-                             TruncationSpec, TruncationWarning,
-                             connection_matrix, d_function, d_function_trig,
+                             TransportError, TruncationSpec, TruncationWarning,
+                             advance_frame, connection_matrix, d_function, d_function_trig,
                              d_sign, ep_loop_holonomy, frame_at,
                              frame_monodromy, gauge_connection,
                              m_chain_analytic, m_n_analytic, match_frames,
@@ -84,6 +85,32 @@ class TestConnectionForms:
     def test_complex_coupling_needs_sheet_values(self):
         with pytest.raises(ValueError):
             gauge_connection(1.0 - 0.5j, EVEN12)
+
+
+class TestFrameAdvance:
+    def test_matches_scalar_continuation(self):
+        # the frame and each level's own continuation take the same
+        # step rule with different hops; they must land on the same roots
+        frame = advance_frame(frame_at(TruncationSpec(Parity.EVEN, 6), 1.0),
+                              1.0 - 1.0j)
+        assert frame.g == 1.0 - 1.0j
+        for n, k in zip(frame.levels, frame.k):
+            trace = continue_to(solve_k_real(n, 1.0), 1.0 - 1.0j)
+            assert abs(k - trace.final_k) <= 1e-10
+
+    def test_stall_raises_after_bounded_hops(self, monkeypatch):
+        hops = []
+
+        def refuse(frame, g, tol):
+            hops.append(g)
+            return None
+
+        monkeypatch.setattr(holonomy, "_advance_once", refuse)
+        frame = frame_at(TruncationSpec(Parity.EVEN, 4), 1.0)
+        with pytest.raises(TransportError, match="stalled"):
+            advance_frame(frame, 1.0 - 1.0j)
+        # the whole distance, then 48 halvings down to 2**-48 of it
+        assert len(hops) == 49
 
 
 class TestTransport:
