@@ -154,7 +154,10 @@ def bethe_residual(parity: Parity, g, k):
 
 def residual_k_derivative(parity: Parity, g, k):
     """d/dk of `bethe_residual` at fixed g."""
-    return unscaled_residual_terms(parity, g, k)[1]
+    h = 0.5 * np.pi * k
+    if parity is Parity.EVEN:
+        return np.sin(h) * (1.0 + 0.5 * np.pi * g) + h * np.cos(h)
+    return np.cos(h) * (1.0 + 0.5 * np.pi * g) - h * np.sin(h)
 
 
 def residual_scale(parity: Parity, g, k):
@@ -168,7 +171,14 @@ def residual_scale(parity: Parity, g, k):
     very large couplings (where cos or sin sits near a zero and the
     argument reduction error is amplified by g).
     """
-    return unscaled_residual_terms(parity, g, k)[2]
+    h = 0.5 * np.pi * k
+    sh, ch = np.abs(np.sin(h)), np.abs(np.cos(h))
+    ak, ag, ah = np.abs(k), np.abs(g), np.abs(h)
+    if parity is Parity.EVEN:
+        s = ak * sh + ag * ch + ah * (ak * ch + ag * sh)
+    else:
+        s = ak * ch + ag * sh + ah * (ak * sh + ag * ch)
+    return np.maximum(s, 1.0)
 
 
 #: |Im(pi k/2)| beyond which `residual_terms` rescales sin and cos; the
@@ -194,10 +204,9 @@ def _terms_from_trig(parity, g, k, h, sin_h, cos_h, floor):
 def unscaled_residual_terms(parity: Parity, g, k):
     """(r, dr, scale, 0.0): `residual_terms` without its depth test.
 
-    r is bit-identical to `bethe_residual`; `residual_k_derivative` and
-    `residual_scale` return dr and scale.  For callers that know every
-    |Im(pi k/2)| is well inside DEEP_IM_H; past about 709 the terms
-    overflow.
+    Bit-identical to `bethe_residual`, `residual_k_derivative` and
+    `residual_scale`.  For callers that know every |Im(pi k/2)| is
+    well inside DEEP_IM_H; past about 709 the terms overflow.
     """
     h = 0.5 * np.pi * k
     return _terms_from_trig(parity, g, k, h, np.sin(h), np.cos(h), 1.0) + (0.0,)

@@ -29,8 +29,8 @@ from .cycles import (InconclusivePermutationError, PathConstructionError,
 from .eigensystem import overlap_connection_oracle
 from .exceptional import (ExceptionalPointError, _ladder, _rung_point,
                           _winding_number, find_ep)
-from .holonomy import (TransportError, TruncationSpec, ep_loop_holonomy,
-                       gauge_connection, transport)
+from .holonomy import (MIN_LOOP_RADIUS, TransportError, TruncationSpec,
+                       ep_loop_holonomy, gauge_connection, transport)
 from .serialize import (ExportRecord, csv_table, cycle_document, format_float,
                         holonomy_document, sheet_document)
 
@@ -110,6 +110,8 @@ def _holonomy_payload(hol, g0=None) -> str:
 def cmd_holonomy(cfg: RunConfig, args) -> tuple[int, str]:
     trunc_n = cfg.truncation if args.trunc is None else args.trunc
     radius = cfg.loop_radius if args.radius is None else args.radius
+    if not radius >= MIN_LOOP_RADIUS:
+        raise ConfigError(f"loop radius {radius} is below the floor {MIN_LOOP_RADIUS}")
     if args.contour == "ep-loop":
         trunc = TruncationSpec(Parity.of_level(args.n), trunc_n)
         loop = ep_loop_holonomy(args.n, trunc, radius,

@@ -51,8 +51,8 @@ from .bethe import (
     unscaled_residual_terms,
 )
 
-#: a scalar hop converges at HOP_TOL and is accepted below HOP_ACCEPT,
-#: unless |dJ/dk| < DJ_DK_FLOOR; an accepted hop grows the step by STEP_GROWTH
+#: `continue_along`'s Newton tolerance and `_scalar_hop`'s acceptance rules;
+#: an accepted hop grows the step by STEP_GROWTH
 HOP_TOL, HOP_ACCEPT, DJ_DK_FLOOR, STEP_GROWTH = 1e-12, 1e-10, 1e-4, 1.7
 
 
@@ -310,42 +310,40 @@ class ContinuationTrace:
 def walk_segment(g_a, g_b, state, hop, *, max_step: float, min_step: float):
     """Carry state along the straight segment from g_a to g_b.
 
-    hop(state, g) returns the state moved to g, or None to refuse.  The
-    first hop spans min(max_step, length); a refused hop halves the step,
-    an accepted one grows it by STEP_GROWTH up to max_step, and the last
-    hop lands on g_b exactly.  Returns (state at g_b, True), or (last
-    accepted state, False) once the step falls below min_step.
+    hop(state, g) returns (the state tried at g, whether it is accepted).
+    The first hop spans min(max_step, length); a refused hop halves the
+    step, an accepted one grows it by STEP_GROWTH up to max_step, and the
+    hop that reaches the end, in floating point, lands on g_b exactly.
+    Returns (state at g_b, True, None), or (last accepted state, False,
+    the refused try) once the step falls below min_step.
     """
     length = abs(g_b - g_a)
     direction = (g_b - g_a) / length if length else 0j
     s, h = 0.0, min(max_step, length)  # s: arclength progressed
     while s < length:
         h = min(h, length - s)
-        g = g_b if h == length - s else g_a + (s + h) * direction
-        new = hop(state, g)
-        if new is not None:
-            state, s = new, length if g == g_b else s + h
+        last = h == length - s or s + h >= length
+        tried, ok = hop(state, g_b if last else g_a + (s + h) * direction)
+        if ok:
+            state, s = tried, length if last else s + h
             h = min(h * STEP_GROWTH, max_step)
         elif h * 0.5 < min_step:
-            return state, False
+            return state, False, tried
         else:
             h *= 0.5
-    return state, True
+    return state, True, None
 
 
-def _scalar_hop(parity: Parity, sample: ContinuationSample, g,
-                accepted=None, refused=None):
-    """Predictor-corrector hop of one root to g, for `walk_segment`: the
-    sample at g, or None if refused.  The new sample is appended to the
-    list accepted or refused, where one is given."""
+def _scalar_hop(parity: Parity, sample: ContinuationSample, g, tol: float):
+    """Predictor-corrector hop of one root to g, for `walk_segment`.
+
+    Newton runs to tol; the hop is accepted at tol or below a scaled
+    residual of HOP_ACCEPT, unless |dJ/dk| < DJ_DK_FLOOR there.
+    """
     k_pred = sample.k + (g - sample.g) * tangent_slope(sample.g, sample.k)
-    k, scaled, ok = newton_correct(parity, g, k_pred, tol=HOP_TOL)
+    k, scaled, ok = newton_correct(parity, g, k_pred, tol=tol)
     ok = (ok or scaled < HOP_ACCEPT) and not abs(dj_dk(g, k)) < DJ_DK_FLOOR
-    new = ContinuationSample(g, k, scaled)
-    log = accepted if ok else refused
-    if log is not None:
-        log.append(new)
-    return new if ok else None
+    return ContinuationSample(g, k, scaled), ok
 
 
 def continue_along(start: BetheState, path: ComplexPath, *,
@@ -367,15 +365,18 @@ def continue_along(start: BetheState, path: ComplexPath, *,
     sample = ContinuationSample(complex(start.g), complex(start.k),
                                 float(start.scaled_residual()))
     trace = ContinuationTrace(start, [sample])
-    accepted, refused = trace.samples if record else None, []
+
+    def hop(s, g):
+        new, ok = _scalar_hop(parity, s, g, HOP_TOL)
+        if ok and record:
+            trace.samples.append(new)
+        return new, ok
+
     for seg_a, seg_b in path.segments():
-        sample, reached = walk_segment(
-            seg_a, seg_b, sample,
-            lambda s, g: _scalar_hop(parity, s, g, accepted, refused),
-            max_step=path.max_step, min_step=path.min_step)
+        sample, reached, stalled = walk_segment(
+            seg_a, seg_b, sample, hop, max_step=path.max_step, min_step=path.min_step)
         if reached:
             continue
-        stalled = refused[-1]  # the hop the walk gave up on
         if np.isfinite(stalled.scaled_residual):
             trace.status = TraceStatus.ABORTED_NEAR_BRANCH_POINT
             trace.note = (f"step underflow near a branch point at g={stalled.g:.6g} "
@@ -390,11 +391,10 @@ def continue_along(start: BetheState, path: ComplexPath, *,
     return trace
 
 
-def continue_to(start: BetheState, g_target, **kw) -> ContinuationTrace:
+def continue_to(start: BetheState, g_target, *, record: bool = True,
+                **path_kw) -> ContinuationTrace:
     """Straight-line continuation from the state's coupling to g_target."""
-    path_kw = {k: kw.pop(k) for k in ("max_step", "min_step") if k in kw}
-    path = line_path(start.g, g_target, **path_kw)
-    return continue_along(start, path, **kw)
+    return continue_along(start, line_path(start.g, g_target, **path_kw), record=record)
 
 
 def sheet_value(n: int, g, **kw) -> complex:
@@ -513,6 +513,7 @@ def _march_half(parity, xs, k_anchor, ordinates, *, tol, k_out, rows):
     row corrects all live columns in one `newton_correct_array` call; a
     column left above a scaled residual of 1e-9 is walked to the row by
     `walk_segment` with scalar hops instead, and aborts if that stalls.
+    tol is the Newton tolerance of both.
     """
     k_cur = k_anchor.astype(complex).copy()
     y_cur = np.zeros(xs.size)
@@ -532,10 +533,10 @@ def _march_half(parity, xs, k_anchor, ordinates, *, tol, k_out, rows):
         k_cur[idx_alive[ok]] = k_new[ok]
         for col in idx_alive[~ok]:
             g_from = complex(xs[col], y_cur[col])
-            end, reached = walk_segment(
+            end, reached, _ = walk_segment(
                 g_from, complex(xs[col], y),
                 ContinuationSample(g_from, complex(k_cur[col]), float("nan")),
-                lambda s, g: _scalar_hop(parity, s, g),
+                lambda s, g: _scalar_hop(parity, s, g, tol),
                 max_step=abs(y - y_cur[col]), min_step=ComplexPath.min_step)
             if reached:
                 k_cur[col] = end.k

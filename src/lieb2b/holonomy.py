@@ -37,12 +37,12 @@ advancing the frame to every internal stage by the step rule of
 corrector :func:`lieb2b.continuation.newton_correct_array` moves all
 slots of a frame from their tangent predictor at once; a hop is refused
 when any slot would leave its Newton basin or its sqrt(r) branch.  The
-returned matrix is V
-at the path end, nothing folded in: columns expand the transported
-slots over the starting slots, and transports over concatenated paths
-compose by left multiplication.  For a small clockwise loop around the
-branch point joining level n to its bound-capable partner n_b this
-converges, as the radius shrinks, to the elementary monodromy
+returned matrix is V at the path end, nothing folded in: columns
+expand the transported slots over the starting slots, and transports
+over concatenated paths compose by left multiplication.  For a small
+clockwise loop around the branch point joining level n to its
+bound-capable partner n_b this converges, as the radius shrinks, to
+the elementary monodromy
 
     M[n_b, n] = d_n,   M[n, n_b] = -d_n,
 
@@ -286,7 +286,8 @@ def entry_frame(trunc: TruncationSpec, g0: complex) -> TransportFrame:
 
 
 def _advance_once(frame: TransportFrame, g_new: complex, tol: float):
-    """One hop of every slot to g_new, or None if any slot is unsafe.
+    """One hop of every slot to g_new, for `walk_segment`: (frame at
+    g_new, True), or (None, False) if any slot is unsafe.
 
     A truncation is one parity family, so a single array corrector call,
     started from the tangent predictor, covers all slots.  A hop is
@@ -299,14 +300,14 @@ def _advance_once(frame: TransportFrame, g_new: complex, tol: float):
     k_pred = frame.k + (g_new - frame.g) * tangent_slope(frame.g, frame.k)
     k, _, ok = newton_correct_array(parity, g_new, k_pred, tol=tol)
     if not ok.all() or np.any(np.abs(k - frame.k) > 0.35 * frame.spacing()):
-        return None
+        return None, False
     s = np.sqrt(branch_point_function(g_new, k))
     s = np.where(np.abs(s - frame.sqrt_r) > np.abs(s + frame.sqrt_r), -s, s)
     # reject the hop when both signs are about equally far: the
     # branch has rotated too much to track across one step
     if np.any(np.abs(s - frame.sqrt_r) > 0.6 * (np.abs(s) + np.abs(frame.sqrt_r))):
-        return None
-    return TransportFrame(frame.levels, g_new, k, s)
+        return None, False
+    return TransportFrame(frame.levels, g_new, k, s), True
 
 
 def advance_frame(frame: TransportFrame, g_target: complex, *,
@@ -319,9 +320,9 @@ def advance_frame(frame: TransportFrame, g_target: complex, *,
     """
     target = complex(g_target)
     distance = abs(target - frame.g)
-    end, reached = walk_segment(frame.g, target, frame,
-                                lambda f, g: _advance_once(f, g, tol),
-                                max_step=distance, min_step=distance * 2.0 ** -48)
+    end, reached, _ = walk_segment(frame.g, target, frame,
+                                   lambda f, g: _advance_once(f, g, tol),
+                                   max_step=distance, min_step=distance * 2.0 ** -48)
     if not reached:
         raise TransportError(f"frame advance stalled between {end.g} and {target}")
     return end

@@ -173,6 +173,15 @@ class TestHolonomy:
         assert out == ""
         assert "branch point" in err
 
+    @pytest.mark.parametrize("contour", ["empty", "ep-loop"])
+    @pytest.mark.parametrize("radius", [-0.5, 1e-6])
+    def test_radius_below_the_floor_exits_2(self, capsys, contour, radius):
+        code, out, err = run_cli(capsys, "holonomy", "--contour", contour,
+                                 "--radius", radius, "--trunc", 4)
+        assert code == 2
+        assert out == ""
+        assert "below the floor" in err
+
 
 class TestCycle:
     def test_hermitian_document_round_trips(self, capsys):

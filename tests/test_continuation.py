@@ -190,30 +190,50 @@ class TestWalkSegment:
 
         def hop(state, g):
             steps.append(abs(g - state))
-            return None if steps[-1] > 0.3 else g
+            return g, steps[-1] <= 0.3
 
         g_b = 0.1 - 0.7j
-        end, reached = walk_segment(1.0, g_b, 1.0 + 0j, hop, max_step=1.0,
-                                    min_step=1e-3)
-        assert reached and end == g_b  # the last hop lands on g_b exactly
+        end, reached, refused = walk_segment(1.0, g_b, 1.0 + 0j, hop, max_step=1.0,
+                                             min_step=1e-3)
+        assert reached and end == g_b and refused is None  # lands on g_b exactly
         assert steps[:5] == pytest.approx([1.0, 0.5, 0.25, 0.425, 0.2125])
+
+    def test_lands_exactly_when_the_last_hop_rounds_to_the_end(self):
+        # three hops of a third of the length: the third stops a few ulps
+        # short of the remaining length, but the arclength sum rounds to
+        # the length itself; the hop must still go to g_b, not to
+        # g_a + length * direction, which misses it by 1e-16
+        g_a, g_b = -0.15 + 0.7j, -1.57 - 0.89j
+        length = abs(g_b - g_a)
+        direction = (g_b - g_a) / length
+        assert g_a + length * direction != g_b
+        hops = []
+
+        def hop(state, g):
+            hops.append(g)
+            return g, True
+
+        end, reached, _ = walk_segment(g_a, g_b, g_a, hop, max_step=length / 3,
+                                       min_step=1e-9)
+        assert reached and end == g_b and hops[-1] == g_b and len(hops) == 3
 
     def test_stall_returns_last_accepted_state(self):
         hops = []
 
         def hop(state, g):
             hops.append(g)
-            return g if g.imag > -0.5 else None
+            return g, g.imag > -0.5
 
-        end, reached = walk_segment(0.0, -1.0j, 0j, hop, max_step=0.2,
-                                    min_step=1e-6)
+        end, reached, refused = walk_segment(0.0, -1.0j, 0j, hop, max_step=0.2,
+                                             min_step=1e-6)
         assert not reached and -0.5 < end.imag <= -0.5 + 2e-6
+        assert refused == hops[-1] and refused.imag <= -0.5  # the refused try
         # from 0.2, halving 18 times falls below 1e-6
         assert len(hops) < 100
 
     def test_zero_length_segment(self):
         assert walk_segment(1.0, 1.0, "state", None, max_step=0.1,
-                            min_step=1e-9) == ("state", True)
+                            min_step=1e-9) == ("state", True, None)
 
 
 class TestTangentSlope:
@@ -432,6 +452,20 @@ class TestSheets:
                     continue
                 _, scaled, ok = newton_correct(Parity.EVEN, g, k, tol=1e-12)
                 assert ok and scaled < 1e-8
+
+    def test_column_rescue_takes_the_sheet_tolerance(self, monkeypatch):
+        # the scalar walk that rescues a column corrects to build_sheet's
+        # tol, as the array march does
+        tols = []
+        correct = continuation.newton_correct
+
+        def recorded(*args, **kwargs):
+            tols.append(kwargs["tol"])
+            return correct(*args, **kwargs)
+
+        monkeypatch.setattr(continuation, "newton_correct", recorded)
+        build_sheet(2, GridSpec(-1.1, -1.0, -1.5, 0.5, 3, 41), tol=1e-13)
+        assert tols and set(tols) == {1e-13}
 
     def test_column_rescue_near_a_double_root(self, monkeypatch):
         # the column Re g = -1.05 passes 8e-4 from g_ep(2); the array

@@ -103,7 +103,7 @@ class TestFrameAdvance:
 
         def refuse(frame, g, tol):
             hops.append(g)
-            return None
+            return None, False
 
         monkeypatch.setattr(holonomy, "_advance_once", refuse)
         frame = frame_at(TruncationSpec(Parity.EVEN, 4), 1.0)
