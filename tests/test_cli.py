@@ -6,6 +6,7 @@ import pytest
 from lieb2b import cli
 from lieb2b.bethe import solve_k_real
 from lieb2b.config import ConfigError, RunConfig, parse_config
+from lieb2b.continuation import CutSegment
 from lieb2b.cycles import InconclusivePermutationError
 from lieb2b.holonomy import TruncationSpec, m_n_analytic
 from lieb2b.bethe import Parity
@@ -13,7 +14,7 @@ from lieb2b.serialize import (ExportRecord, SerializationError, csv_table,
                               cycle_document, format_float, holonomy_document,
                               parse_csv_table, parse_cycle_document,
                               parse_holonomy_document, parse_record,
-                              parse_sheet_document)
+                              parse_sheet_document, sheet_document)
 
 
 def run_cli(capsys, *argv):
@@ -330,6 +331,59 @@ class TestSerialize:
         assert np.array_equal(m, m2)
         assert p2 == perm
         assert ph2 == {a: complex(z) for a, z in phases.items()}
+
+    def test_writer_bytes_are_pinned(self):
+        # fixed inputs, exact text: any change to a writer's bytes fails here
+        nan, inf = float("nan"), float("inf")
+        i64, f64 = np.int64, np.float64
+        assert csv_table(("n", "a", "b", "tag"), [
+            (i64(2), nan, inf, "ok"), (3, -inf, -0.0, "x"),
+            (i64(-7), 5e-324, f64(0.1), "y"), (0, f64(-0.0), f64(nan), "z"),
+            (1, 0.1 + 0.2, 1.5, "w")]) == (
+            "n,a,b,tag\n2,nan,inf,ok\n3,-inf,-0.0,x\n-7,5e-324,0.1,y\n"
+            "0,-0.0,nan,z\n1,0.30000000000000004,1.5,w\n")
+
+        cuts = [CutSegment(-0.5, -1.0, -0.25, "exceptional", complex(-0.5, -0.25)),
+                CutSegment(f64(0.0), 0.0, 5e-324, "real-axis", complex(-0.0, 0.0))]
+        columns = ("g_re", "g_im", "k_re", "k_im")
+        assert sheet_document(cuts, columns, [
+            (-0.5, -0.0, nan, nan), (0.0, 5e-324, inf, -inf),
+            (1.0, 0.5, 2.0, -1e-300)]) == (
+            "cut,-0.5,-1.0,-0.25,exceptional,-0.5,-0.25\n"
+            "cut,0.0,0.0,5e-324,real-axis,-0.0,0.0\n"
+            "g_re,g_im,k_re,k_im\n-0.5,-0.0,nan,nan\n0.0,5e-324,inf,-inf\n"
+            "1.0,0.5,2.0,-1e-300\n")
+        assert sheet_document([], columns, [(1.0, 0.0, 2.0, -0.0)]) == (
+            "g_re,g_im,k_re,k_im\n1.0,0.0,2.0,-0.0\n")
+
+        m = np.array([[nan + 1j * inf, -0.0 - 0.0j, 5e-324 + 0j],
+                      [1.0, -inf + 1j * nan, 0.1j],
+                      [f64(2.5), complex(0.0, -0.0), 1e300 - 1e-300j]])
+        assert holonomy_document(
+            (i64(0), 2, i64(4)), m, {i64(4): i64(0), 0: 4, 2: 2},
+            {i64(4): complex(-1.0, -0.0), 0: complex(nan, inf),
+             2: complex(5e-324, -5e-324)}) == (
+            "levels,0,2,4\nrow 0,nan,inf,-0.0,0.0,5e-324,0.0\n"
+            "row 1,1.0,0.0,nan,nan,0.0,0.1\nrow 2,2.5,0.0,0.0,-0.0,1e+300,-1e-300\n"
+            "permutation,0->4,2->2,4->0\n"
+            "phases,0:nan+infj,2:5e-324-5e-324j,4:-1.0-0.0j\n")
+        assert holonomy_document((1, 3), np.eye(2)) == (
+            "levels,1,3\nrow 0,1.0,0.0,0.0,0.0\nrow 1,0.0,0.0,1.0,0.0\n")
+
+        assert cycle_document(
+            f64(-0.0), i64(1), (1, i64(3)), {i64(3): 1, 1: i64(3)},
+            {1: complex(1.0, -0.0), i64(3): complex(nan, -inf)},
+            {1: -inf, i64(3): 5e-324}, {i64(3): nan, 1: f64(0.1)}, ()) == (
+            "g0,-0.0\nkbar,1\nlevels,1,3\npermutation,1->3,3->1\n"
+            "phases,1:1.0-0.0j,3:nan-infj\nenergy_before,1,-inf\n"
+            "energy_before,3,5e-324\nenergy_after,1,0.1\nenergy_after,3,nan\n"
+            "exiting,\n")
+        assert cycle_document(1.0, 0, (0, 2), {0: 2, 2: 4}, {0: 1 + 0j, 2: 1 + 0j},
+                              {0: 0.5, 2: 2.0}, {0: 2.0, 2: 8.0}, (i64(2),)) == (
+            "g0,1.0\nkbar,0\nlevels,0,2\npermutation,0->2,2->4\n"
+            "phases,0:1.0+0.0j,2:1.0+0.0j\nenergy_before,0,0.5\n"
+            "energy_before,2,2.0\nenergy_after,0,2.0\nenergy_after,2,8.0\n"
+            "exiting,2\n")
 
     def test_record_round_trip(self):
         record = ExportRecord("eps", "deadbeef", "n,g\n2,1.0\n")
