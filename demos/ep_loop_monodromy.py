@@ -39,7 +39,7 @@ def main():
     for radius in (3e-2, 1e-2, 3e-3, 1e-3):
         loop = ep_loop_holonomy(2, TRUNC, radius)
         print(f"  radius {radius:>7.0e}: defect {loop.defect:.2e} "
-              f"({loop.steps} integrator steps)")
+              f"({loop.holonomy.steps} integrator steps)")
 
     loop = ep_loop_holonomy(2, TRUNC, 1e-3)
     print("\ntransport matrix (real parts, first six levels):")

@@ -22,7 +22,7 @@ from .continuation import (ComplexPath, CutSegment, GridSpec, RiemannSheet,
                            conjugation_symmetry_check, continue_along,
                            continue_to, line_path, newton_correct,
                            newton_correct_array, sheet_value)
-from .cycles import (EP_PROXIMITY_G, CycleResult, InconclusivePermutationError,
+from .cycles import (CycleResult, InconclusivePermutationError,
                      PathConstructionError, chained_loop_holonomy,
                      contour_permutation, ep_chain_path, hermitian_cycle,
                      n_ep_contour, permutation_from_holonomy)
@@ -54,7 +54,7 @@ __all__ = [
     "circle_path", "conjugation_symmetry_check", "continue_along",
     "continue_to", "line_path", "newton_correct", "newton_correct_array",
     "sheet_value",
-    "EP_PROXIMITY_G", "CycleResult", "InconclusivePermutationError",
+    "CycleResult", "InconclusivePermutationError",
     "PathConstructionError", "chained_loop_holonomy", "contour_permutation",
     "ep_chain_path", "hermitian_cycle", "n_ep_contour",
     "permutation_from_holonomy",

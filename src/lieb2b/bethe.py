@@ -261,8 +261,8 @@ def scaled_bethe_residual(parity: Parity, g, k) -> float:
     return float(abs(r) / scale)
 
 
-def newton_polish(parity: Parity, g, k, *, tol=RESIDUAL_TARGET, max_steps=8):
-    """A few damped Newton steps on the residual in k at fixed g.
+def newton_polish(parity: Parity, g, k, *, tol=RESIDUAL_TARGET):
+    """Up to eight damped Newton steps on the residual in k at fixed g.
 
     Returns (k, scaled_residual).  Used to tighten real-axis roots
     produced by bracketing; does not raise on stagnation, callers
@@ -274,7 +274,7 @@ def newton_polish(parity: Parity, g, k, *, tol=RESIDUAL_TARGET, max_steps=8):
     g = complex(g)
     r, dr, scale, _ = unscaled_residual_terms(parity, g, k)
     best_k, best = k, abs(r) / scale
-    for _ in range(max_steps):
+    for _ in range(8):
         if dr == 0:
             break
         step = r / dr
@@ -389,8 +389,7 @@ def _real_bracket(n: int, g: float) -> tuple[float, float]:
     return (float(n - 1), float(n))
 
 
-def solve_k_real(n: int, g: float, *, tol: float = RESIDUAL_TARGET,
-                 accept: float = RESIDUAL_ACCEPT) -> BetheState:
+def solve_k_real(n: int, g: float, *, tol: float = RESIDUAL_TARGET) -> BetheState:
     """Quasi-momentum k_n(g) for real coupling g.
 
     Returns the branch with k_n(0) = n, continued smoothly along the
@@ -430,14 +429,14 @@ def solve_k_real(n: int, g: float, *, tol: float = RESIDUAL_TARGET,
         # value and keep the result if it is a root in the bracket
         k, scaled = newton_polish(parity, g, complex(n), tol=tol)
         slack = _BRENT_XTOL + _BRENT_RTOL * abs(k.real)
-        if scaled <= accept and lo - slack <= k.real <= hi + slack:
+        if scaled <= RESIDUAL_ACCEPT and lo - slack <= k.real <= hi + slack:
             k_real = min(max(k.real, lo), hi)
             return BetheState(n, g, complex(k_real, 0.0), parity)
         raise SolverError(
             f"no sign change for n={n}, g={g} in [{lo}, {hi}]", g=g
         ) from exc
     k, scaled = newton_polish(parity, g, root, tol=tol)
-    if scaled > accept:
+    if scaled > RESIDUAL_ACCEPT:
         raise SolverError(
             f"residual {scaled:.3e} above acceptance for n={n}, g={g}",
             g=g, k=k, residual=scaled,

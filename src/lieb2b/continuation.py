@@ -101,14 +101,14 @@ def line_path(a, b, **kw) -> ComplexPath:
 
 
 def circle_path(center, radius, *, n_points: int = 96, clockwise: bool = True,
-                theta0: float = 0.0, turns: int = 1, **kw) -> ComplexPath:
+                turns: int = 1, **kw) -> ComplexPath:
     """Closed polygonal loop approximating a circle.
 
     Clockwise is the orientation that encircles an exceptional point the
     way the holonomy conventions of this package expect (winding -1).
     """
     sign = -1.0 if clockwise else 1.0
-    angles = theta0 + sign * 2.0 * np.pi * np.arange(n_points * turns + 1) / n_points
+    angles = sign * 2.0 * np.pi * np.arange(n_points * turns + 1) / n_points
     pts = center + radius * np.exp(1j * angles)
     pts[-1] = pts[0]  # integer turns close exactly; kill rounding drift
     kw.setdefault("max_step", max(radius / 4.0, 1e-12))
@@ -397,13 +397,13 @@ def continue_to(start: BetheState, g_target, *, record: bool = True,
     return continue_along(start, line_path(start.g, g_target, **path_kw), record=record)
 
 
-def sheet_value(n: int, g, **kw) -> complex:
+def sheet_value(n: int, g) -> complex:
     """k_n(g) on the standard sheet (vertical continuation from Re g)."""
     g = complex(g)
     anchor = solve_k_real(n, g.real)
     if g.imag == 0.0:
         return anchor.k
-    trace = continue_to(anchor, g, record=False, **kw)
+    trace = continue_to(anchor, g, record=False)
     if trace.status is not TraceStatus.COMPLETED:
         raise SolverError(
             f"vertical continuation aborted: {trace.note}",
@@ -412,19 +412,19 @@ def sheet_value(n: int, g, **kw) -> complex:
     return trace.final_k
 
 
-def conjugation_symmetry_check(n: int, g, *, tol: float = 1e-8, **kw) -> int:
+def conjugation_symmetry_check(n: int, g) -> int:
     """Sign s in conj(k_n(conj(g))) = s * k_n(g) on the standard sheet.
 
     Returns +1 or -1; raises SolverError if either value is unreachable
-    by vertical continuation or if neither sign matches within tol.
+    by vertical continuation or if neither sign matches to 1e-8.
     """
     g = complex(g)
-    k_here = sheet_value(n, g, **kw)
-    k_mirror = sheet_value(n, g.conjugate(), **kw)
-    scale = max(1.0, abs(k_here))
-    if abs(k_mirror.conjugate() - k_here) < tol * scale:
+    k_here = sheet_value(n, g)
+    k_mirror = sheet_value(n, g.conjugate())
+    tol = 1e-8 * max(1.0, abs(k_here))
+    if abs(k_mirror.conjugate() - k_here) < tol:
         return +1
-    if abs(k_mirror.conjugate() + k_here) < tol * scale:
+    if abs(k_mirror.conjugate() + k_here) < tol:
         return -1
     raise SolverError(
         f"conjugation symmetry violated for n={n}, g={g}: "
@@ -548,8 +548,8 @@ def _march_half(parity, xs, k_anchor, ordinates, *, tol, k_out, rows):
     return abort_at
 
 
-def build_sheet(n: int, grid: GridSpec, *, tol: float = 1e-12, ep_finder=None,
-                cut_depth_margin: float = 1.5) -> RiemannSheet:
+def build_sheet(n: int, grid: GridSpec, *, tol: float = 1e-12,
+                ep_finder=None) -> RiemannSheet:
     """Construct one branch's Riemann sheet over a rectangular grid.
 
     Each column is anchored at its real-axis value and continued
@@ -601,7 +601,9 @@ def build_sheet(n: int, grid: GridSpec, *, tol: float = 1e-12, ep_finder=None,
         else:
             partner_levels = []
             m = n + 2
-            while (m - 1) <= abs(grid.im_min) + cut_depth_margin:
+            # every partner whose branch point (depth about m - 1) lies
+            # above the window's floor, or at most 1.5 below it
+            while (m - 1) <= abs(grid.im_min) + 1.5:
                 partner_levels.append(m)
                 m += 2
         for m in partner_levels:

@@ -41,9 +41,12 @@ from .exceptional import enumerate_eps, find_ep
 from .holonomy import (HolonomyMatrix, TruncationSpec, ep_loop_holonomy,
                        frame_monodromy)
 
-#: Distance in the coupling plane below which transport around an
-#: exceptional point becomes expensive and fragile.
-EP_PROXIMITY_G = 1e-3
+#: distance every exceptional point keeps from an `n_ep_contour`
+CLEARANCE = 0.5
+#: depth of `ep_chain_path`'s approach channel below the real axis
+CHANNEL_DEPTH = 0.05
+#: modulus a column's dominant entry must exceed to count as a permutation
+DOMINANCE = 0.9
 
 
 class PathConstructionError(ValueError):
@@ -80,8 +83,8 @@ def _family_energies(levels, g0: float, kbar: int) -> dict:
     return {n: energy(kbar, solve_k_real(n, g0)).energy.real for n in levels}
 
 
-def hermitian_cycle(g0: float, trunc: TruncationSpec, *, proxy: float = 1e6,
-                    kbar: int | None = None) -> CycleResult:
+def hermitian_cycle(g0: float, trunc: TruncationSpec, *,
+                    proxy: float = 1e6) -> CycleResult:
     """Level bookkeeping of the real-axis cycle g0 -> +inf -> -inf -> g0.
 
     The flip at infinity is an index relabeling at the finite proxy
@@ -96,8 +99,7 @@ def hermitian_cycle(g0: float, trunc: TruncationSpec, *, proxy: float = 1e6,
         raise ValueError("proxy coupling must be at least 1e4 to stand in for infinity")
     if abs(g0 - trunc.parity.real_branch_point) < 1e-9:
         raise ValueError(f"g0 = {g0} sits at the family's real branch point")
-    if kbar is None:
-        kbar = trunc.base
+    kbar = trunc.base
     levels = trunc.levels
 
     permutation = {}
@@ -137,8 +139,7 @@ def _path_distance(p: complex, waypoints) -> float:
                for a, b in zip(waypoints, waypoints[1:]))
 
 
-def n_ep_contour(g0: float, n_ep: int, parity: Parity, *,
-                 clearance: float = 0.5) -> ComplexPath:
+def n_ep_contour(g0: float, n_ep: int, parity: Parity) -> ComplexPath:
     """Closed clockwise contour from real g0 around the first n_ep EPs.
 
     The hexagon drops from g0 into the lower half plane, passes beneath
@@ -149,15 +150,11 @@ def n_ep_contour(g0: float, n_ep: int, parity: Parity, *,
     clockwise, and none of their mirror images.  (It also winds the
     family's real branch point, whose monodromy is trivial: k and -k
     describe the same state.)  Construction fails if any relevant point
-    comes closer to the boundary than ``clearance``.
+    comes closer to the boundary than ``CLEARANCE``.
     """
     g0 = float(g0)
-    if n_ep < 0:
-        raise ValueError("the number of enclosed points cannot be negative")
-    if clearance < 10.0 * EP_PROXIMITY_G:
-        raise ValueError("clearance below ten times the proximity floor")
-    if n_ep == 0:
-        return ComplexPath([g0])
+    if n_ep < 1:
+        raise ValueError("the contour must enclose at least one exceptional point")
 
     *enclosed, sentinel = [ep.g_ep for ep in enumerate_eps(
         parity, parity.bound_level + 2 * (n_ep + 1), verify_unique=False)]
@@ -165,30 +162,29 @@ def n_ep_contour(g0: float, n_ep: int, parity: Parity, *,
     re_lo = min(e.real for e in enclosed)
     re_hi = max(e.real for e in enclosed)
     im_lo = min(e.imag for e in enclosed)
-    if g0 < re_hi + clearance:
+    if g0 < re_hi + CLEARANCE:
         raise PathConstructionError(
             f"base point {g0} is not clear of the enclosed points on the right")
-    x_left = re_lo - clearance
-    y_bottom = im_lo - clearance
-    y_top = min(clearance, 0.45 * min(-e.imag for e in enclosed))
+    x_left = re_lo - CLEARANCE
+    y_bottom = im_lo - CLEARANCE
+    y_top = min(CLEARANCE, 0.45 * min(-e.imag for e in enclosed))
     waypoints = [g0, g0 + 1j * y_bottom, x_left + 1j * y_bottom,
                  x_left + 1j * y_top, g0 + 1j * y_top, g0]
 
     outside = [sentinel, np.conjugate(sentinel)] + [np.conjugate(e) for e in enclosed]
     for p in list(enclosed) + outside:
         d = _path_distance(complex(p), waypoints)
-        if d < clearance * (1.0 - 1e-9):
+        if d < CLEARANCE * (1.0 - 1e-9):
             raise PathConstructionError(
                 f"exceptional point at {p} lies {d:.3g} from the contour, "
-                f"inside the clearance {clearance}")
+                f"inside the clearance {CLEARANCE}")
     if not (x_left < sentinel.real < g0 and sentinel.imag < y_bottom):
         raise PathConstructionError(
             f"the first excluded point {sentinel} is not safely below the contour")
     return ComplexPath(waypoints)
 
 
-def ep_chain_path(ns, g0: float = 1.0, radius: float = 0.05, *,
-                  arc_points: int = 48, channel_depth: float = 0.05) -> ComplexPath:
+def ep_chain_path(ns, g0: float = 1.0, radius: float = 0.05) -> ComplexPath:
     """Concatenated clockwise loops around the EPs of the given levels.
 
     Each loop is based at real g0 and reaches its target through the
@@ -207,7 +203,7 @@ def ep_chain_path(ns, g0: float = 1.0, radius: float = 0.05, *,
     if g0 <= 0.0:
         raise PathConstructionError("the chain must be based at positive real coupling")
     points = {n: find_ep(n, verify_unique=False).g_ep for n in ns}
-    if channel_depth <= 0 or 2.0 * channel_depth > min(-e.imag for e in points.values()):
+    if 2.0 * CHANNEL_DEPTH > min(-e.imag for e in points.values()):
         raise PathConstructionError("channel depth must sit well above every loop target")
     for n, e in points.items():
         a = e.real + radius
@@ -219,12 +215,12 @@ def ep_chain_path(ns, g0: float = 1.0, radius: float = 0.05, *,
                     f"drop to the level-{n} point at Re g = {a:.4f} does not "
                     f"clear the level-{m} point at {other}")
 
-    dip = -1j * channel_depth
+    dip = -1j * CHANNEL_DEPTH
     waypoints = [g0]
     for n in ns:
         e = points[n]
         a = e.real + radius
-        circle = circle_path(e, radius, n_points=arc_points, clockwise=True)
+        circle = circle_path(e, radius, n_points=48, clockwise=True)
         waypoints += [g0 + dip, a + dip]
         waypoints += list(circle.waypoints)
         waypoints += [a + dip, g0 + dip, g0]
@@ -246,24 +242,22 @@ def chained_loop_holonomy(ns, trunc: TruncationSpec, radius: float = 1e-3, *,
     for n in ns:
         piece = ep_loop_holonomy(n, trunc, radius, rtol=rtol)
         out = piece.holonomy.matrix @ out
-        steps += piece.steps
-    return HolonomyMatrix(trunc, out, None, steps=steps)
+        steps += piece.holonomy.steps
+    return HolonomyMatrix(trunc, out, steps=steps)
 
 
-def permutation_from_holonomy(hol: HolonomyMatrix, *, threshold: float = 0.9,
-                              kbar: int | None = None,
+def permutation_from_holonomy(hol: HolonomyMatrix, *,
                               g0: float | None = None) -> CycleResult:
     """Threshold a holonomy matrix into a permutation with phases.
 
     Each column must have a single dominant entry of modulus above
-    ``threshold`` and the dominant rows must all be distinct; otherwise
+    ``DOMINANCE`` and the dominant rows must all be distinct; otherwise
     the permutation is inconclusive (truncation too small, contour too
     close to an exceptional point, or a corridor-conjugated matrix).
     """
     trunc = hol.truncation
     levels = trunc.levels
-    if kbar is None:
-        kbar = trunc.base
+    kbar = trunc.base
     v = hol.matrix
 
     permutation = {}
@@ -272,10 +266,10 @@ def permutation_from_holonomy(hol: HolonomyMatrix, *, threshold: float = 0.9,
     for j, n in enumerate(levels):
         i = int(np.argmax(np.abs(v[:, j])))
         mag = abs(v[i, j])
-        if mag <= threshold:
+        if mag <= DOMINANCE:
             raise InconclusivePermutationError(
                 f"level {n}: dominant coefficient {mag:.3f} is below "
-                f"threshold {threshold}")
+                f"threshold {DOMINANCE}")
         if i in rows_taken:
             raise InconclusivePermutationError(
                 f"level {n}: slot {levels[i]} already claimed, holonomy "
@@ -295,9 +289,7 @@ def permutation_from_holonomy(hol: HolonomyMatrix, *, threshold: float = 0.9,
                        energies_before, energies_after, holonomy=hol)
 
 
-def contour_permutation(path: ComplexPath, trunc: TruncationSpec, *,
-                        threshold: float = 0.9,
-                        kbar: int | None = None) -> CycleResult:
+def contour_permutation(path: ComplexPath, trunc: TruncationSpec) -> CycleResult:
     """Continue the truncated family around a closed path and read the
     induced level permutation.
 
@@ -312,4 +304,4 @@ def contour_permutation(path: ComplexPath, trunc: TruncationSpec, *,
         raise ValueError("permutation readout needs a closed path")
     hol = frame_monodromy(path, trunc)
     g0 = float(g_start.real) if abs(g_start.imag) < 1e-12 else None
-    return permutation_from_holonomy(hol, threshold=threshold, kbar=kbar, g0=g0)
+    return permutation_from_holonomy(hol, g0=g0)

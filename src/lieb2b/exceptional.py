@@ -254,20 +254,19 @@ def sqrt_lower_cut(eps) -> complex:
     return cmath.sqrt(abs(eps)) * cmath.exp(0.5j * a)
 
 
-def local_expansion(ep: ExceptionalPoint, epsilon, *,
-                    max_abs: float = 1e-2) -> tuple[complex, complex]:
+def local_expansion(ep: ExceptionalPoint, epsilon) -> tuple[complex, complex]:
     """First-order square-root approximants of the two colliding branches
     at g = g_ep + epsilon.
 
     Returns (k_bound_branch, k_excited_branch) = k_ep -/+ sqrt((2/pi) eps)
     with the downward branch cut.  The expansion is local; requesting
-    |epsilon| beyond max_abs is allowed but flagged with a warning.
+    |epsilon| beyond 1e-2 is allowed but flagged with a warning.
     """
     epsilon = complex(epsilon)
-    if abs(epsilon) > max_abs:
+    if abs(epsilon) > 1e-2:
         warnings.warn(
             f"|epsilon| = {abs(epsilon):.3g} exceeds the trust radius "
-            f"{max_abs:.3g} of the square-root expansion", stacklevel=2)
+            "0.01 of the square-root expansion", stacklevel=2)
     s = cmath.sqrt(2.0 / np.pi) * sqrt_lower_cut(epsilon)
     return ep.k_ep - s, ep.k_ep + s
 

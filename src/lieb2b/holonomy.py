@@ -60,7 +60,7 @@ one another.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,13 +71,10 @@ from .exceptional import ExceptionalPoint, find_ep
 
 FOUR_OVER_PI = 4.0 / np.pi
 
-#: Index convention carried by every holonomy matrix: entry (i, j) is the
-#: coefficient of starting slot i in the transported slot j, composition
-#: is by left multiplication, and a clockwise loop around the first even
-#: branch point gives M[2's slot, 0's slot] = +1.
-ORDERING_CONVENTION = "columns = transported slots; later loops multiply from the left"
-
 MIN_LOOP_RADIUS = 1e-4
+
+#: a quasi-momentum gap below this puts the connection at an exceptional point
+GAP_TOL = 1e-6
 
 
 class TransportError(RuntimeError):
@@ -121,21 +118,18 @@ class TruncationSpec:
 
 @dataclass(frozen=True)
 class HolonomyMatrix:
-    """A transport or monodromy matrix together with its provenance.
+    """A transport or monodromy matrix over one truncated family.
 
-    ``contour`` is None for analytic (closed-form) matrices.  The extra
-    fields carry integration metadata when the matrix came from
-    transport.
+    Entry (i, j) is the coefficient of starting slot i in the
+    transported slot j; later loops multiply from the left.  ``steps``
+    and ``rejected`` count Dormand-Prince steps when the matrix came
+    from transport.
     """
 
     truncation: TruncationSpec
     matrix: np.ndarray
-    contour: ComplexPath | None = None
-    ordering_convention: str = ORDERING_CONVENTION
     steps: int = 0
     rejected: int = 0
-    frame_start: "TransportFrame | None" = field(default=None, repr=False)
-    frame_end: "TransportFrame | None" = field(default=None, repr=False)
 
     def entry(self, n_row: int, n_col: int) -> complex:
         """Matrix entry addressed by level labels instead of slots."""
@@ -194,11 +188,11 @@ def d_function_trig(n: int, g, k) -> complex:
     return trig / root
 
 
-def connection_matrix(levels, d_values, k_values, *, gap_tol: float = 1e-6):
+def connection_matrix(levels, d_values, k_values):
     """Connection from precomputed D and k slot vectors.
 
     All levels must share one parity.  A quasi-momentum gap below
-    ``gap_tol`` means the evaluation point sits essentially at an
+    ``GAP_TOL`` means the evaluation point sits essentially at an
     exceptional point of that pair, where the connection diverges.
     """
     levels = tuple(levels)
@@ -206,7 +200,7 @@ def connection_matrix(levels, d_values, k_values, *, gap_tol: float = 1e-6):
     k = np.asarray(k_values, dtype=complex)
     off = ~np.eye(len(k), dtype=bool)
     gaps = np.abs(k[:, None] - k[None, :])
-    if np.any(off) and np.min(gaps[off]) < gap_tol:
+    if np.any(off) and np.min(gaps[off]) < GAP_TOL:
         i, j = np.unravel_index(np.argmin(np.where(off, gaps, np.inf)), gaps.shape)
         raise ConnectionProximityError(
             f"levels {levels[i]} and {levels[j]} are quasi-degenerate "
@@ -218,8 +212,7 @@ def connection_matrix(levels, d_values, k_values, *, gap_tol: float = 1e-6):
     return a
 
 
-def gauge_connection(g, trunc: TruncationSpec, k_values=None, *,
-                     gap_tol: float = 1e-6):
+def gauge_connection(g, trunc: TruncationSpec, k_values=None):
     """Standard-sheet gauge connection of one truncated family at g.
 
     At real g the quasi-momenta are solved on the spot; at complex g the
@@ -232,7 +225,7 @@ def gauge_connection(g, trunc: TruncationSpec, k_values=None, *,
             raise ValueError("complex coupling needs explicit sheet quasi-momenta")
         k_values = [solve_k_real(n, float(np.real(g))).k for n in levels]
     d = [d_function(n, g, k) for n, k in zip(levels, k_values)]
-    return connection_matrix(levels, d, k_values, gap_tol=gap_tol)
+    return connection_matrix(levels, d, k_values)
 
 
 @dataclass(frozen=True)
@@ -344,12 +337,13 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                    187 / 2100, 1 / 40])
 
 TAIL_ROW_BOUND = 0.25
+#: Dormand-Prince absolute tolerance, step budget and smallest step
+DP_ATOL, DP_MAX_STEPS, DP_MIN_STEP = 1e-13, 200000, 1e-12
 
 
 def transport(path: ComplexPath, trunc: TruncationSpec, *,
-              frame0: TransportFrame | None = None, rtol: float = 1e-10,
-              atol: float = 1e-13, max_steps: int = 200000,
-              min_step: float = 1e-12) -> HolonomyMatrix:
+              frame0: TransportFrame | None = None,
+              rtol: float = 1e-10) -> HolonomyMatrix:
     """Integrate parallel transport of the truncated family along ``path``.
 
     The initial frame defaults to the standard sheet: solved on the spot
@@ -379,10 +373,10 @@ def transport(path: ComplexPath, trunc: TruncationSpec, *,
         length = abs(seg)
         direction = seg / length
         t = 0.0
-        h = min(length, max(length / 8.0, 10.0 * min_step))
+        h = min(length, max(length / 8.0, 10.0 * DP_MIN_STEP))
         while t < length:
             h = min(h, length - t)
-            if h < min_step:
+            if h < DP_MIN_STEP:
                 raise TransportError(f"step size underflow near g = {frame.g}")
             stage_frames = [frame]
             a0 = frame.connection()
@@ -406,7 +400,7 @@ def transport(path: ComplexPath, trunc: TruncationSpec, *,
                 continue
             v5 = v + h * sum(b * k for b, k in zip(_DP_B5, ks))
             v4 = v + h * sum(b * k for b, k in zip(_DP_B4, ks))
-            scale = atol + rtol * max(1.0, float(np.max(np.abs(v5))))
+            scale = DP_ATOL + rtol * max(1.0, float(np.max(np.abs(v5))))
             err = float(np.max(np.abs(v5 - v4))) / scale
             if err <= 1.0:
                 if not tail_warned and m > 1:
@@ -421,14 +415,13 @@ def transport(path: ComplexPath, trunc: TruncationSpec, *,
                 frame = stage_frames[6]
                 t += h
                 steps += 1
-                if steps + rejected > max_steps:
+                if steps + rejected > DP_MAX_STEPS:
                     raise TransportError("step budget exhausted")
                 h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
             else:
                 rejected += 1
                 h *= max(0.2, 0.9 * err ** -0.2)
-    return HolonomyMatrix(trunc, v, path, steps=steps, rejected=rejected,
-                          frame_start=frame0, frame_end=frame)
+    return HolonomyMatrix(trunc, v, steps=steps, rejected=rejected)
 
 
 def match_frames(frame: TransportFrame, reference: TransportFrame, *,
@@ -495,7 +488,7 @@ def frame_monodromy(path: ComplexPath, trunc: TruncationSpec, *,
     w = np.zeros((m, m), dtype=complex)
     for j in range(m):
         w[perm[j], j] = factors[j]
-    return HolonomyMatrix(trunc, w, path, frame_start=frame0, frame_end=frame)
+    return HolonomyMatrix(trunc, w)
 
 
 def m_n_analytic(n: int, trunc: TruncationSpec) -> HolonomyMatrix:
@@ -544,11 +537,9 @@ class EpLoopHolonomy:
     radius: float
     holonomy: HolonomyMatrix
     defect: float
-    steps: int
 
 
-def ep_loop_holonomy(n: int, trunc: TruncationSpec | None = None,
-                     radius: float = 1e-3, *, ep: ExceptionalPoint | None = None,
+def ep_loop_holonomy(n: int, trunc: TruncationSpec, radius: float = 1e-3, *,
                      rtol: float = 1e-10, arc_points: int = 48) -> EpLoopHolonomy:
     """Transport once clockwise around level n's branch point.
 
@@ -559,12 +550,9 @@ def ep_loop_holonomy(n: int, trunc: TruncationSpec | None = None,
     """
     if radius < MIN_LOOP_RADIUS:
         raise ValueError(f"loop radius below the safe floor {MIN_LOOP_RADIUS}")
-    if trunc is None:
-        trunc = TruncationSpec(Parity.of_level(n), 12)
-    if ep is None:
-        ep = find_ep(n, verify_unique=False)
+    ep = find_ep(n, verify_unique=False)
     loop = circle_path(ep.g_ep, radius, n_points=arc_points, clockwise=True)
     hol = transport(loop, trunc, rtol=rtol)
     ideal = m_n_analytic(n, trunc).matrix
     defect = float(np.max(np.abs(hol.matrix - ideal)))
-    return EpLoopHolonomy(ep, trunc, radius, hol, defect, hol.steps)
+    return EpLoopHolonomy(ep, trunc, radius, hol, defect)

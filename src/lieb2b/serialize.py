@@ -58,32 +58,28 @@ def parse_record(text: str) -> ExportRecord:
                         schema_version=int(meta["schema_version"]))
 
 
-def csv_table(columns, rows) -> str:
-    """Rows of floats/ints/strings; floats get round-trip formatting.
+def _cell_text(cell) -> str:
+    # a plain float's repr is what format_float writes; test it first,
+    # since sheet tables are all plain floats
+    if type(cell) is float:
+        return repr(cell)
+    if isinstance(cell, str):
+        if "," in cell or "\n" in cell:
+            raise SerializationError(f"cell {cell!r} needs quoting, not supported")
+        return cell
+    if isinstance(cell, (int, np.integer)):
+        return str(int(cell))
+    return format_float(cell)
 
-    A row of plain Python floats is joined straight from their reprs,
-    which is what `format_float` writes for them; numpy floats (whose
-    repr differs) and every other row go cell by cell.
-    """
+
+def csv_table(columns, rows) -> str:
+    """Rows of floats/ints/strings; floats get round-trip formatting."""
     out = [",".join(columns)]
     width = len(tuple(columns))
     for row in rows:
         if len(row) != width:
             raise SerializationError(f"row width {len(row)} != header width {width}")
-        if all(type(cell) is float for cell in row):
-            out.append(",".join(map(repr, row)))
-            continue
-        cells = []
-        for cell in row:
-            if isinstance(cell, str):
-                if "," in cell or "\n" in cell:
-                    raise SerializationError(f"cell {cell!r} needs quoting, not supported")
-                cells.append(cell)
-            elif isinstance(cell, (int, np.integer)):
-                cells.append(str(int(cell)))
-            else:
-                cells.append(format_float(cell))
-        out.append(",".join(cells))
+        out.append(",".join(map(_cell_text, row)))
     return "\n".join(out) + "\n"
 
 
@@ -163,19 +159,31 @@ def holonomy_document(levels, matrix, permutation=None, phases=None) -> str:
             cells.append(format_float(m[i, j].imag))
         out.append(f"row {i}," + ",".join(cells))
     if permutation is not None:
-        pairs = sorted((int(a), int(b)) for a, b in permutation.items())
-        out.append("permutation," + ",".join(f"{a}->{b}" for a, b in pairs))
+        out.append(_permutation_line(permutation))
     if phases is not None:
-        parts = []
-        for a in sorted(phases):
-            z = complex(phases[a])
-            parts.append(f"{int(a)}:{format_float(z.real)}{z.imag:+}j")
-        out.append("phases," + ",".join(parts))
+        out.append(_phases_line(phases))
     return "\n".join(out) + "\n"
 
 
-def _phase_text(z: complex) -> str:
-    return f"{format_float(z.real)}{z.imag:+}j"
+def _permutation_line(permutation) -> str:
+    return "permutation," + ",".join(
+        f"{int(a)}->{int(permutation[a])}" for a in sorted(permutation))
+
+
+def _parse_permutation(text: str) -> dict:
+    return {int(a): int(b) for a, _, b in (p.partition("->") for p in text.split(","))}
+
+
+def _phases_line(phases) -> str:
+    parts = []
+    for a in sorted(phases):
+        z = complex(phases[a])
+        parts.append(f"{int(a)}:{format_float(z.real)}{z.imag:+}j")
+    return "phases," + ",".join(parts)
+
+
+def _parse_phases(text: str) -> dict:
+    return {int(a): complex(z) for a, _, z in (p.partition(":") for p in text.split(","))}
 
 
 def cycle_document(g0, kbar, levels, permutation, phases,
@@ -183,10 +191,7 @@ def cycle_document(g0, kbar, levels, permutation, phases,
     out = [f"g0,{format_float(g0)}",
            f"kbar,{int(kbar)}",
            "levels," + ",".join(str(int(v)) for v in levels)]
-    out.append("permutation," + ",".join(
-        f"{a}->{permutation[a]}" for a in sorted(permutation)))
-    out.append("phases," + ",".join(
-        f"{a}:{_phase_text(complex(phases[a]))}" for a in sorted(phases)))
+    out += [_permutation_line(permutation), _phases_line(phases)]
     for tag, table in (("energy_before", energies_before),
                        ("energy_after", energies_after)):
         for a in sorted(table):
@@ -209,11 +214,9 @@ def parse_cycle_document(payload: str) -> dict:
         elif tag == "levels":
             doc["levels"] = tuple(int(v) for v in rest.split(","))
         elif tag == "permutation":
-            doc["permutation"] = {int(a): int(b) for a, _, b in
-                                  (p.partition("->") for p in rest.split(","))}
+            doc["permutation"] = _parse_permutation(rest)
         elif tag == "phases":
-            doc["phases"] = {int(a): complex(z) for a, _, z in
-                             (p.partition(":") for p in rest.split(","))}
+            doc["phases"] = _parse_phases(rest)
         elif tag in ("energy_before", "energy_after"):
             a, _, e = rest.partition(",")
             doc[tag][int(a)] = float(e)
@@ -247,15 +250,9 @@ def parse_holonomy_document(payload: str):
             matrix[row] = [complex(vals[2 * j], vals[2 * j + 1]) for j in range(n)]
             row += 1
         elif tag == "permutation":
-            permutation = {}
-            for pair in rest.split(","):
-                a, _, b = pair.partition("->")
-                permutation[int(a)] = int(b)
+            permutation = _parse_permutation(rest)
         elif tag == "phases":
-            phases = {}
-            for part in rest.split(","):
-                a, _, z = part.partition(":")
-                phases[int(a)] = complex(z)
+            phases = _parse_phases(rest)
         else:
             raise SerializationError(f"unexpected line tag {tag!r}")
     if row != n:

@@ -213,6 +213,13 @@ class TestCycle:
         assert all(doc["permutation"][n] == n for n in doc["levels"][2:])
         assert doc["exiting"] == ()
 
+    def test_eps_contour_around_no_point_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "cycle", "--contour", "eps",
+                                 "--g0", 4.0, "--n-ep", 0, "--trunc", 4)
+        assert code == 2
+        assert out == ""
+        assert "at least one exceptional point" in err
+
 
 class TestOracleCheck:
     def test_passes_at_default_tolerance(self, capsys):

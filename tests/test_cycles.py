@@ -78,9 +78,12 @@ class TestContours:
             assert res.permutation[back] == 0
             assert res.phases[back] == (-1.0) ** m
 
-    def test_trivial_contour(self):
-        res = contour_permutation(n_ep_contour(4.0, 0, Parity.EVEN), EVEN8)
-        assert res.permutation == {n: n for n in EVEN8.levels}
+    def test_contour_must_enclose_a_point(self):
+        # a contour around no point would report the identity by
+        # construction; the empty loop is `lieb2b holonomy --contour empty`
+        for n_ep in (0, -1):
+            with pytest.raises(ValueError, match="at least one exceptional point"):
+                n_ep_contour(4.0, n_ep, Parity.EVEN)
 
     def test_odd_family_contour(self):
         trunc = TruncationSpec(Parity.ODD, 10)
@@ -96,8 +99,6 @@ class TestContours:
     def test_clearance_violations_are_loud(self):
         with pytest.raises(PathConstructionError):
             n_ep_contour(-0.8, 1, Parity.EVEN)  # base point too close
-        with pytest.raises(ValueError):
-            n_ep_contour(4.0, 1, Parity.EVEN, clearance=1e-4)
 
 
 class TestChainedLoops:
