@@ -46,6 +46,15 @@ def _parity(text: str) -> Parity:
         raise ConfigError(f"parity must be 'even' or 'odd', got {text!r}")
 
 
+def _chain_levels(text: str) -> tuple:
+    if not text.strip():
+        raise ConfigError("chain contour needs at least one level")
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise ConfigError(f"--ns must be comma-separated integers, got {text!r}")
+
+
 def cmd_solve(cfg: RunConfig, args) -> tuple[int, str]:
     state = solve_k_real(args.n, args.g, tol=cfg.solver_tol)
     level = energy(state.parity.bound_level, state)
@@ -118,9 +127,7 @@ def cmd_holonomy(cfg: RunConfig, args) -> tuple[int, str]:
                                 rtol=cfg.transport_rtol)
         payload = _holonomy_payload(loop.holonomy)
     elif args.contour == "chain":
-        ns = tuple(int(v) for v in args.ns.split(","))
-        if not ns:
-            raise ConfigError("chain contour needs at least one level")
+        ns = _chain_levels(args.ns)
         trunc = TruncationSpec(Parity.of_level(ns[0]), trunc_n)
         hol = chained_loop_holonomy(ns, trunc, radius, rtol=cfg.transport_rtol)
         payload = _holonomy_payload(hol)

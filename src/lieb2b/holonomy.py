@@ -31,18 +31,22 @@ Transport integrates
 
     dV/dt = -i * A(g(t)) * g'(t) * V,    V(0) = 1
 
-along piecewise-linear paths with an embedded Dormand-Prince 5(4) pair,
-advancing the frame to every internal stage by the step rule of
-:func:`lieb2b.continuation.walk_segment`.  One call of the array
-corrector :func:`lieb2b.continuation.newton_correct_array` moves all
-slots of a frame from their tangent predictor at once; a hop is refused
-when any slot would leave its Newton basin or its sqrt(r) branch.  The
-returned matrix is V at the path end, nothing folded in: columns
-expand the transported slots over the starting slots, and transports
-over concatenated paths compose by left multiplication.  For a small
-clockwise loop around the branch point joining level n to its
-bound-capable partner n_b this converges, as the radius shrinks, to
-the elementary monodromy
+along piecewise-linear paths with an embedded Dormand-Prince 5(4) pair.
+Each attempted step moves every slot of the frame to the step's five
+distinct stage points in one call of the array corrector
+:func:`lieb2b.continuation.newton_correct_array`, each stage predicted
+from the tangent at the step's start, and evaluates the five stage
+connections in one :func:`connection_matrix` call; the step's last
+connection is the next step's first.  The step is refused, and halved,
+when any slot at any stage would leave its Newton basin or its sqrt(r)
+branch.  :func:`advance_frame` moves a frame by the same hop, one point
+at a time, with the step rule of
+:func:`lieb2b.continuation.walk_segment`.  The returned matrix is V at
+the path end, nothing folded in: columns expand the transported slots
+over the starting slots, and transports over concatenated paths compose
+by left multiplication.  For a small clockwise loop around the branch
+point joining level n to its bound-capable partner n_b this converges,
+as the radius shrinks, to the elementary monodromy
 
     M[n_b, n] = d_n,   M[n, n_b] = -d_n,
 
@@ -64,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bethe import Parity, solve_k_real
+from .bethe import Parity, residual_terms, solve_k_real
 from .continuation import (ComplexPath, branch_point_function, circle_path,
                            newton_correct_array, tangent_slope, walk_segment)
 from .exceptional import ExceptionalPoint, find_ep
@@ -191,24 +195,27 @@ def d_function_trig(n: int, g, k) -> complex:
 def connection_matrix(levels, d_values, k_values):
     """Connection from precomputed D and k slot vectors.
 
-    All levels must share one parity.  A quasi-momentum gap below
-    ``GAP_TOL`` means the evaluation point sits essentially at an
-    exceptional point of that pair, where the connection diverges.
+    All levels must share one parity.  D and k may carry leading axes,
+    one set of slots per point; the result then has those axes in front
+    of its two slot axes.  A quasi-momentum gap below ``GAP_TOL`` means
+    an evaluation point sits essentially at an exceptional point of
+    that pair, where the connection diverges.
     """
     levels = tuple(levels)
     d = np.asarray(d_values, dtype=complex)
     k = np.asarray(k_values, dtype=complex)
-    off = ~np.eye(len(k), dtype=bool)
-    gaps = np.abs(k[:, None] - k[None, :])
-    if np.any(off) and np.min(gaps[off]) < GAP_TOL:
-        i, j = np.unravel_index(np.argmin(np.where(off, gaps, np.inf)), gaps.shape)
+    diag = np.arange(k.shape[-1])
+    gaps = np.abs(k[..., :, None] - k[..., None, :])
+    gaps[..., diag, diag] = np.inf
+    if gaps.size and gaps.min() < GAP_TOL:
+        *_, i, j = idx = np.unravel_index(np.argmin(gaps), gaps.shape)
         raise ConnectionProximityError(
             f"levels {levels[i]} and {levels[j]} are quasi-degenerate "
-            f"(|k_{levels[i]} - k_{levels[j]}| = {gaps[i, j]:.3e})")
-    denom = k[:, None] ** 2 - k[None, :] ** 2
-    denom[~off] = 1.0
-    a = -1j * FOUR_OVER_PI * d[:, None] * d[None, :] / denom
-    a[~off] = 0.0
+            f"(|k_{levels[i]} - k_{levels[j]}| = {gaps[idx]:.3e})")
+    denom = k[..., :, None] ** 2 - k[..., None, :] ** 2
+    denom[..., diag, diag] = 1.0
+    a = -1j * FOUR_OVER_PI * d[..., :, None] * d[..., None, :] / denom
+    a[..., diag, diag] = 0.0
     return a
 
 
@@ -250,12 +257,6 @@ class TransportFrame:
     def connection(self):
         return connection_matrix(self.levels, self.d_values(), self.k)
 
-    def spacing(self) -> float:
-        if len(self.levels) < 2:
-            return np.inf
-        diff = np.abs(self.k[:, None] - self.k[None, :])
-        return float(np.min(diff[~np.eye(len(self.k), dtype=bool)]))
-
 
 def frame_at(trunc: TruncationSpec, g: float) -> TransportFrame:
     """Standard-sheet frame on the real coupling axis."""
@@ -278,29 +279,49 @@ def entry_frame(trunc: TruncationSpec, g0: complex) -> TransportFrame:
     return axis if abs(g0.imag) < 1e-14 else advance_frame(axis, g0)
 
 
-def _advance_once(frame: TransportFrame, g_new: complex, tol: float):
-    """One hop of every slot to g_new, for `walk_segment`: (frame at
-    g_new, True), or (None, False) if any slot is unsafe.
+def _advance_run(frame: TransportFrame, g_points, tol: float):
+    """Every slot of ``frame`` moved to each coupling of the run
+    g_1..g_S: (frames at g_1..g_S, True), or (None, False) if any point
+    is unsafe.
 
-    A truncation is one parity family, so a single array corrector call,
-    started from the tangent predictor, covers all slots.  A hop is
-    unsafe when a slot fails to converge, moves by more than 0.35 of the
-    frame's level spacing (it may have jumped basins), or when the
-    continued sqrt(r), signed by continuity, is about equally far from
-    both signs of its previous value.
+    A truncation is one parity family, so a single array corrector call
+    covers the run: g of shape (S, 1) against k of shape (S, m), each
+    point predicted from the tangent at ``frame``.  After convergence
+    one more Newton step is taken, as `find_ep` does, which tightens
+    the far points of the run without a tighter tol.  Each point is
+    then checked against the one before it (``frame`` for the first):
+    it is unsafe when a slot fails to converge, moves by more than 0.35
+    of the previous level spacing (it may have jumped basins), or when
+    the continued sqrt(r), signed by continuity, is about equally far
+    from both signs of its previous value.
     """
     parity = Parity.of_level(frame.levels[0])
-    k_pred = frame.k + (g_new - frame.g) * tangent_slope(frame.g, frame.k)
-    k, _, ok = newton_correct_array(parity, g_new, k_pred, tol=tol)
-    if not ok.all() or np.any(np.abs(k - frame.k) > 0.35 * frame.spacing()):
+    g = np.asarray(g_points, dtype=complex)[:, None]
+    k_pred = frame.k + (g - frame.g) * tangent_slope(frame.g, frame.k)
+    k, _, ok = newton_correct_array(parity, g, k_pred, tol=tol)
+    if not ok.all():
         return None, False
-    s = np.sqrt(branch_point_function(g_new, k))
-    s = np.where(np.abs(s - frame.sqrt_r) > np.abs(s + frame.sqrt_r), -s, s)
-    # reject the hop when both signs are about equally far: the
-    # branch has rotated too much to track across one step
-    if np.any(np.abs(s - frame.sqrt_r) > 0.6 * (np.abs(s) + np.abs(frame.sqrt_r))):
+    r, dr, _, _ = residual_terms(parity, g, k)
+    moves = dr != 0
+    k = k - np.where(moves, r / np.where(moves, dr, 1.0), 0.0)
+    k_before = np.concatenate([frame.k[None], k[:-1]])
+    gaps = np.abs(k_before[:, :, None] - k_before[:, None, :])
+    diag = np.arange(k.shape[1])
+    gaps[:, diag, diag] = np.inf
+    if np.any(np.abs(k - k_before) > 0.35 * gaps.min(axis=(1, 2))[:, None]):
         return None, False
-    return TransportFrame(frame.levels, g_new, k, s), True
+    s = np.sqrt(branch_point_function(g, k))
+    s_before = np.concatenate([frame.sqrt_r[None], s[:-1]])
+    flip = np.abs(s - s_before) > np.abs(s + s_before)
+    # reject the run when both signs are about equally far: the branch
+    # has rotated too much to track from one point to the next
+    if np.any(np.abs(np.where(flip, -s, s) - s_before)
+              > 0.6 * (np.abs(s) + np.abs(s_before))):
+        return None, False
+    # each point's sign is relative to the one before, so the signs chain
+    s = s * np.cumprod(np.where(flip, -1.0, 1.0), axis=0)
+    return [TransportFrame(frame.levels, complex(gi), ki, si)
+            for gi, ki, si in zip(g[:, 0], k, s)], True
 
 
 def advance_frame(frame: TransportFrame, g_target: complex, *,
@@ -313,8 +334,12 @@ def advance_frame(frame: TransportFrame, g_target: complex, *,
     """
     target = complex(g_target)
     distance = abs(target - frame.g)
-    end, reached, _ = walk_segment(frame.g, target, frame,
-                                   lambda f, g: _advance_once(f, g, tol),
+
+    def hop(f, g):
+        run, ok = _advance_run(f, (g,), tol)
+        return (run[0] if ok else None), ok
+
+    end, reached, _ = walk_segment(frame.g, target, frame, hop,
                                    max_step=distance, min_step=distance * 2.0 ** -48)
     if not reached:
         raise TransportError(f"frame advance stalled between {end.g} and {target}")
@@ -364,6 +389,7 @@ def transport(path: ComplexPath, trunc: TruncationSpec, *,
     m = len(levels)
     v = np.eye(m, dtype=complex)
     frame = frame0
+    a_start = frame.connection()  # carried over from each step's end
     steps = rejected = 0
     newton_tol = min(1e-12, rtol)
     tail_warned = False
@@ -378,33 +404,26 @@ def transport(path: ComplexPath, trunc: TruncationSpec, *,
             h = min(h, length - t)
             if h < DP_MIN_STEP:
                 raise TransportError(f"step size underflow near g = {frame.g}")
-            stage_frames = [frame]
-            a0 = frame.connection()
-            ks = [-1j * direction * a0 @ v]
-            failed = False
-            for s in range(1, 7):
-                g_stage = ga + direction * (t + _DP_C[s] * h)
-                base = stage_frames[-1]
-                try:
-                    f_stage = base if g_stage == base.g else advance_frame(
-                        base, g_stage, tol=newton_tol)
-                except TransportError:
-                    failed = True
-                    break
-                stage_frames.append(f_stage)
-                v_stage = v + h * sum(a * k for a, k in zip(_DP_A[s], ks))
-                ks.append(-1j * direction * f_stage.connection() @ v_stage)
-            if failed:
+            # stages 1..5; stage 6 sits at c = 1 like stage 5
+            run, ok = _advance_run(
+                frame, [ga + direction * (t + c * h) for c in _DP_C[1:6]], newton_tol)
+            if not ok:
                 rejected += 1
                 h *= 0.5
                 continue
+            a_run = connection_matrix(levels, [f.d_values() for f in run],
+                                      [f.k for f in run])
+            ks = [-1j * direction * a_start @ v]
+            for s, a in enumerate((*a_run, a_run[-1]), start=1):
+                v_stage = v + h * sum(c * k for c, k in zip(_DP_A[s], ks))
+                ks.append(-1j * direction * a @ v_stage)
             v5 = v + h * sum(b * k for b, k in zip(_DP_B5, ks))
             v4 = v + h * sum(b * k for b, k in zip(_DP_B4, ks))
             scale = DP_ATOL + rtol * max(1.0, float(np.max(np.abs(v5))))
             err = float(np.max(np.abs(v5 - v4))) / scale
             if err <= 1.0:
                 if not tail_warned and m > 1:
-                    tail = float(np.linalg.norm(a0[-1, :-1]))
+                    tail = float(np.linalg.norm(a_start[-1, :-1]))
                     if tail > TAIL_ROW_BOUND:
                         warnings.warn(
                             f"level {levels[-1]} coupling row norm {tail:.3g} "
@@ -412,7 +431,7 @@ def transport(path: ComplexPath, trunc: TruncationSpec, *,
                             TruncationWarning, stacklevel=2)
                         tail_warned = True
                 v = v5
-                frame = stage_frames[6]
+                frame, a_start = run[-1], a_run[-1]
                 t += h
                 steps += 1
                 if steps + rejected > DP_MAX_STEPS:

@@ -170,8 +170,21 @@ def _permutation_line(permutation) -> str:
         f"{int(a)}->{int(permutation[a])}" for a in sorted(permutation))
 
 
+def _parse_items(text: str, sep: str, value) -> dict:
+    """Level -> value items written as a<sep>b, comma separated; an
+    empty line is the empty mapping."""
+    out = {}
+    for item in text.split(",") if text else ():
+        a, _, b = item.partition(sep)
+        try:
+            out[int(a)] = value(b)
+        except ValueError:
+            raise SerializationError(f"malformed item {item!r}") from None
+    return out
+
+
 def _parse_permutation(text: str) -> dict:
-    return {int(a): int(b) for a, _, b in (p.partition("->") for p in text.split(","))}
+    return _parse_items(text, "->", int)
 
 
 def _phases_line(phases) -> str:
@@ -183,7 +196,7 @@ def _phases_line(phases) -> str:
 
 
 def _parse_phases(text: str) -> dict:
-    return {int(a): complex(z) for a, _, z in (p.partition(":") for p in text.split(","))}
+    return _parse_items(text, ":", complex)
 
 
 def cycle_document(g0, kbar, levels, permutation, phases,

@@ -174,6 +174,18 @@ class TestHolonomy:
         assert out == ""
         assert "branch point" in err
 
+    @pytest.mark.parametrize("ns, message", [
+        ("", "needs at least one level"),
+        ("2,,4", "comma-separated integers"),
+        ("2,four", "comma-separated integers"),
+    ])
+    def test_malformed_chain_levels_exit_2(self, capsys, ns, message):
+        code, out, err = run_cli(capsys, "holonomy", "--contour", "chain",
+                                 "--ns", ns, "--trunc", 4)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     @pytest.mark.parametrize("contour", ["empty", "ep-loop"])
     @pytest.mark.parametrize("radius", [-0.5, 1e-6])
     def test_radius_below_the_floor_exits_2(self, capsys, contour, radius):
@@ -338,6 +350,20 @@ class TestSerialize:
         assert np.array_equal(m, m2)
         assert p2 == perm
         assert ph2 == {a: complex(z) for a, z in phases.items()}
+
+    def test_empty_permutation_and_phases_round_trip(self):
+        text = holonomy_document((0, 2), np.eye(2), {}, {})
+        assert "permutation,\nphases,\n" in text
+        assert parse_holonomy_document(text)[2:] == ({}, {})
+        doc = parse_cycle_document(cycle_document(1.0, 0, (0, 2), {}, {}, {}, {}, ()))
+        assert doc["permutation"] == {} and doc["phases"] == {}
+
+    @pytest.mark.parametrize("line", ["permutation,0->2,2", "permutation,0->x",
+                                      "phases,0:1.0+0.0j,2", "phases,0:one"])
+    def test_malformed_permutation_or_phases_item_is_rejected(self, line):
+        with pytest.raises(SerializationError, match="malformed item"):
+            parse_holonomy_document(f"levels,0,2\nrow 0,1.0,0.0,0.0,0.0\n"
+                                    f"row 1,0.0,0.0,1.0,0.0\n{line}\n")
 
     def test_writer_bytes_are_pinned(self):
         # fixed inputs, exact text: any change to a writer's bytes fails here

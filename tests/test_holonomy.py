@@ -82,6 +82,23 @@ class TestConnectionForms:
             connection_matrix(levels, [1.0, 1.0], [1.0, 1.0 + 1e-9])
         assert "0" in str(err.value) and "2" in str(err.value)
 
+    def test_stacked_points_equal_per_point_matrices(self):
+        trunc = TruncationSpec(Parity.EVEN, 6)
+        frames = [advance_frame(frame_at(trunc, 1.0), g)
+                  for g in (1.0, 1.0 - 0.3j, 1.2 - 0.7j, 0.8 - 1.0j)]
+        stacked = connection_matrix(trunc.levels, [f.d_values() for f in frames],
+                                    [f.k for f in frames])
+        assert stacked.shape == (4, 6, 6)
+        for a, f in zip(stacked, frames):
+            assert np.array_equal(a, f.connection())
+
+    def test_stacked_proximity_error_names_the_pair(self):
+        levels = (0, 2, 4)
+        k = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 2.0 + 1e-9], [1.0, 2.0, 3.0]])
+        with pytest.raises(ConnectionProximityError,
+                           match=r"levels (2 and 4|4 and 2) are quasi-degenerate"):
+            connection_matrix(levels, np.ones_like(k), k)
+
     def test_complex_coupling_needs_sheet_values(self):
         with pytest.raises(ValueError):
             gauge_connection(1.0 - 0.5j, EVEN12)
@@ -105,7 +122,7 @@ class TestFrameAdvance:
             hops.append(g)
             return None, False
 
-        monkeypatch.setattr(holonomy, "_advance_once", refuse)
+        monkeypatch.setattr(holonomy, "_advance_run", refuse)
         frame = frame_at(TruncationSpec(Parity.EVEN, 4), 1.0)
         with pytest.raises(TransportError, match="stalled"):
             advance_frame(frame, 1.0 - 1.0j)
@@ -138,6 +155,42 @@ class TestTransport:
         loop = circle_path(e, 1e-3, n_points=48)
         with pytest.warns(TruncationWarning):
             transport(loop, TruncationSpec(Parity.EVEN, 2))
+
+    def test_one_corrector_call_per_attempted_step(self, monkeypatch):
+        calls = []
+        correct = holonomy.newton_correct_array
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return correct(*args, **kwargs)
+
+        trunc = TruncationSpec(Parity.EVEN, 6)
+        frame0 = frame_at(trunc, 1.0)
+        monkeypatch.setattr(holonomy, "newton_correct_array", counted)
+        res = transport(line_path(1.0, 1.0 - 0.8j), trunc, frame0=frame0)
+        assert res.steps > 0
+        assert len(calls) == res.steps + res.rejected
+        # the five distinct stages of a step go in as one run
+        assert all(np.shape(g) == (5, 1) for g in calls)
+
+    def test_refused_run_is_one_rejected_step_with_half_the_step(self, monkeypatch):
+        runs = []
+        advance = holonomy._advance_run
+
+        def refuse_first(frame, g_points, tol):
+            runs.append((frame.g, g_points[-1]))
+            return (None, False) if len(runs) == 1 else advance(frame, g_points, tol)
+
+        trunc = TruncationSpec(Parity.EVEN, 6)
+        monkeypatch.setattr(holonomy, "_advance_run", refuse_first)
+        res = transport(line_path(1.0, 1.0 - 0.8j), trunc, frame0=frame_at(trunc, 1.0))
+        assert res.rejected == 1
+        (g0, first), (g1, second) = runs[:2]
+        assert g0 == g1 == 1.0
+        assert abs(abs(second - g1) / abs(first - g0) - 0.5) < 1e-12
+        free = transport(line_path(1.0, 1.0 - 0.8j), trunc, frame0=frame_at(trunc, 1.0))
+        assert free.rejected == 0
+        assert np.max(np.abs(res.matrix - free.matrix)) < 1e-8
 
 
 class TestEpLoops:
@@ -188,6 +241,25 @@ class TestEpLoops:
         v = ep_loop_holonomy(3, odd12, 1e-3).holonomy
         assert abs(v.entry(3, 1) - 1.0) < 1e-2
         assert abs(v.entry(1, 3) + 1.0) < 1e-2
+
+
+class TestGaugeInvariantFigures:
+    @settings(max_examples=12, deadline=None)
+    @given(log_r=st.floats(min_value=np.log10(MIN_LOOP_RADIUS),
+                           max_value=np.log10(3e-2)),
+           n=st.integers(min_value=2, max_value=7))
+    def test_trace_and_fourth_power_fall_like_radius_squared(self, log_r, n):
+        # the raw matrix carries the gauge of the start frame; its trace
+        # and the fourth power of V do not, and both approach M(n)'s
+        r = 10.0 ** log_r
+        trunc = TruncationSpec(Parity.of_level(n), 8)
+        hol = ep_loop_holonomy(n, trunc, r).holonomy
+        v = hol.matrix
+        assert hol.rejected == 0
+        assert abs(np.trace(v) - np.trace(m_n_analytic(n, trunc).matrix)) \
+            <= 0.2 * r * r + 1e-8
+        assert np.linalg.norm(np.linalg.matrix_power(v, 4) - np.eye(8), 2) \
+            <= 0.4 * r * r + 2e-8
 
 
 class TestFrameMonodromy:
