@@ -99,11 +99,10 @@ def cmd_sheet(cfg: RunConfig, args) -> tuple[int, str]:
         n_im=cfg.grid_points if args.points is None else args.points)
     sheet = build_sheet(args.n, grid, tol=cfg.solver_tol,
                         ep_finder=lambda m: find_ep(m, verify_unique=False).g_ep)
-    rows = []
-    for i, y in enumerate(sheet.im_axis):
-        for j, x in enumerate(sheet.re_axis):
-            k = sheet.k[i, j]
-            rows.append((float(x), float(y), float(k.real), float(k.imag)))
+    # one row per cell in C order: Im g outer, Re g inner
+    cells = np.broadcast_arrays(sheet.re_axis[None, :], sheet.im_axis[:, None],
+                                sheet.k.real, sheet.k.imag)
+    rows = zip(*(a.ravel().tolist() for a in cells))
     payload = sheet_document(sheet.cut_segments,
                              ("g_re", "g_im", "k_re", "k_im"), rows)
     record = ExportRecord("sheet", cfg.config_hash(), payload)

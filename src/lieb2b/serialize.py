@@ -4,16 +4,19 @@ Every artifact starts with the same three header comments
 (schema_version, command, config hash) so goldens can be traced and
 compared across runs.  Floats are written with their shortest
 round-trip representation; parsing an exported document reproduces the
-in-memory values bit for bit.
+in-memory values bit for bit.  `csv_table` formats each distinct float
+bit pattern of a column once per block of rows and reuses the text.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 SCHEMA_VERSION = 1
+BLOCK_ROWS = 4096      # rows formatted together; bounds csv_table's memory
 
 
 class SerializationError(ValueError):
@@ -59,10 +62,6 @@ def parse_record(text: str) -> ExportRecord:
 
 
 def _cell_text(cell) -> str:
-    # a plain float's repr is what format_float writes; test it first,
-    # since sheet tables are all plain floats
-    if type(cell) is float:
-        return repr(cell)
     if isinstance(cell, str):
         if "," in cell or "\n" in cell:
             raise SerializationError(f"cell {cell!r} needs quoting, not supported")
@@ -72,14 +71,42 @@ def _cell_text(cell) -> str:
     return format_float(cell)
 
 
-def csv_table(columns, rows) -> str:
-    """Rows of floats/ints/strings; floats get round-trip formatting."""
-    out = [",".join(columns)]
-    width = len(tuple(columns))
-    for row in rows:
+def _column_texts(cells) -> list:
+    """Texts of one column's cells, by the _cell_text rule.
+
+    A column of plain floats is keyed on its bit patterns, so each
+    distinct double is formatted once; 0.0 and -0.0, and NaNs of any
+    sign or payload, are different keys and keep their own repr.
+    """
+    if set(map(type, cells)) != {float}:
+        return list(map(_cell_text, cells))
+    bits = np.fromiter(cells, dtype=np.float64, count=len(cells)).view(np.int64)
+    keys, index = np.unique(bits, return_inverse=True)
+    texts = list(map(repr, keys.view(np.float64).tolist()))
+    return [texts[i] for i in index.tolist()]
+
+
+def _block_lines(block, width) -> list:
+    """CSV lines of one block of rows; its column texts die on return."""
+    for row in block:
         if len(row) != width:
             raise SerializationError(f"row width {len(row)} != header width {width}")
-        out.append(",".join(map(_cell_text, row)))
+    if not width:
+        return [""] * len(block)
+    texts = [_column_texts(cells) for cells in zip(*block)]
+    return list(map(",".join, zip(*texts)))
+
+
+def csv_table(columns, rows) -> str:
+    """Rows of floats/ints/strings; floats get round-trip formatting.
+
+    Rows are formatted BLOCK_ROWS at a time, one column at a time.
+    """
+    columns = tuple(columns)
+    out = [",".join(columns)]
+    rows = iter(rows)
+    while block := list(islice(rows, BLOCK_ROWS)):
+        out += _block_lines(block, len(columns))
     return "\n".join(out) + "\n"
 
 

@@ -1,13 +1,16 @@
 """Command-line interface, configuration, and export-format checks."""
 
+import struct
+
 import numpy as np
 import pytest
 
-from lieb2b import cli
+from lieb2b import cli, serialize
 from lieb2b.bethe import solve_k_real
 from lieb2b.config import ConfigError, RunConfig, parse_config
-from lieb2b.continuation import CutSegment
+from lieb2b.continuation import CutSegment, GridSpec, build_sheet
 from lieb2b.cycles import InconclusivePermutationError
+from lieb2b.exceptional import find_ep
 from lieb2b.holonomy import TruncationSpec, m_n_analytic
 from lieb2b.bethe import Parity
 from lieb2b.serialize import (ExportRecord, SerializationError, csv_table,
@@ -127,6 +130,25 @@ class TestSheet:
         assert abs(bp - golden_eps[4].g_ep) < 1e-8
         assert im_hi == bp.imag and im_lo == -4.0
         assert len(rows) == 49
+
+    def test_export_larger_than_a_block_re_parses_bit_for_bit(self, capsys):
+        # 71 x 71 rows; the column at Re g = 0 holds the ground sheet's
+        # real branch point, so it is aborted and its cells are NaN
+        window = dict(re_min=-3.5, re_max=3.5, im_min=-4.0, im_max=0.5)
+        code, out, _ = run_cli(capsys, "sheet", "--n", 0, "--points", 71,
+                               *(f"--{k.replace('_', '-')}={v}" for k, v in window.items()))
+        assert code == 0
+        sheet = build_sheet(0, GridSpec(**window, n_re=71, n_im=71),
+                            tol=RunConfig().solver_tol,
+                            ep_finder=lambda m: find_ep(m, verify_unique=False).g_ep)
+        assert np.isnan(sheet.k).sum() == 71
+        _, columns, rows = parse_sheet_document(parse_record(out).payload)
+        assert len(rows) == 5041 > serialize.BLOCK_ROWS
+        table = np.array(rows).T.reshape(4, 71, 71)
+        expected = np.broadcast_arrays(sheet.re_axis[None, :], sheet.im_axis[:, None],
+                                       sheet.k.real, sheet.k.imag)
+        for got, want in zip(table, expected):
+            assert np.array_equal(got.view(np.int64), np.ascontiguousarray(want).view(np.int64))
 
 
 class TestHolonomy:
@@ -337,6 +359,26 @@ class TestSerialize:
             assert csv_table(columns, [row]) == per_cell(columns, [row])
         with pytest.raises(SerializationError):
             csv_table(columns, [(1.0, 2.0, 3.0)])
+
+        # more than two blocks: repeats in every float column, both zeros
+        # and NaNs of either sign and a set payload in one column, and one
+        # cell in each of two columns that leaves the float dedupe
+        nan_bits = (0x7FF8000000000000, 0xFFF8000000000000, 0x7FF800000000BEEF)
+        nans = [struct.unpack("<d", struct.pack("<Q", b))[0] for b in nan_bits]
+        n_rows = 10_000
+        assert n_rows > 2 * serialize.BLOCK_ROWS
+        rng = np.random.default_rng(3)
+        pool = rng.normal(size=50).tolist() + [0.0, -0.0, 5e-324, -5e-324]
+        rows = [[pool[i] for i in rng.integers(len(pool), size=4)]
+                for _ in range(n_rows)]
+        for r, value in enumerate([0.0, -0.0, *nans] * 3):
+            rows[r * 661][1] = value
+        rows[5000][2] = np.float64(-0.0)
+        rows[9999][3] = "tag"
+        assert csv_table(columns, rows) == per_cell(columns, rows)
+
+    def test_csv_header_from_a_generator(self):
+        assert csv_table((c for c in "ab"), [(1.0, 2.0)]) == "a,b\n1.0,2.0\n"
 
     def test_holonomy_document_is_bitwise_stable(self):
         rng = np.random.default_rng(7)
