@@ -11,11 +11,10 @@ through infinite coupling.  A quadrature-based overlap oracle provides
 an independent numerical check of the closed-form connection.
 """
 
-from .bethe import (BetheState, BranchCutWarning, EnergyLevel, Parity,
-                    SolverError, asymptotic_quasimomentum, bethe_residual,
-                    energy, j_function, newton_polish,
-                    residual_k_derivative, scaled_bethe_residual,
-                    solve_k_real)
+from .bethe import (BetheState, EnergyLevel, Parity, SolverError,
+                    asymptotic_quasimomentum, bethe_residual, energy,
+                    newton_polish, real_axis_k, residual_k_derivative,
+                    scaled_bethe_residual, solve_k_real)
 from .config import ConfigError, RunConfig, load_config, parse_config
 from .continuation import (ComplexPath, CutSegment, GridSpec, RiemannSheet,
                            build_sheet, circle_path,
@@ -30,9 +29,9 @@ from .eigensystem import (Eigenfunction, Side, biorthonormality_defect,
                           normalization_pt, overlap_connection_oracle,
                           pair_overlap, sinc_pi)
 from .exceptional import (ExceptionalPoint, ExceptionalPointError,
-                          branch_point_function, enumerate_eps,
-                          ep_residual, find_ep, local_expansion,
-                          sqrt_coefficient, sqrt_lower_cut)
+                          branch_point_function, circle_reaches_branch_point,
+                          enumerate_eps, ep_residual, find_ep, ladder_points,
+                          local_expansion, sqrt_coefficient, sqrt_lower_cut)
 from .holonomy import (MIN_LOOP_RADIUS, ConnectionProximityError,
                        EpLoopHolonomy, HolonomyMatrix, TransportError,
                        TransportFrame, TruncationSpec, TruncationWarning,
@@ -45,9 +44,9 @@ from .holonomy import (MIN_LOOP_RADIUS, ConnectionProximityError,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BetheState", "BranchCutWarning", "EnergyLevel", "Parity", "SolverError",
-    "asymptotic_quasimomentum", "bethe_residual", "energy", "j_function",
-    "newton_polish", "residual_k_derivative", "scaled_bethe_residual",
+    "BetheState", "EnergyLevel", "Parity", "SolverError",
+    "asymptotic_quasimomentum", "bethe_residual", "energy", "newton_polish",
+    "real_axis_k", "residual_k_derivative", "scaled_bethe_residual",
     "solve_k_real",
     "ConfigError", "RunConfig", "load_config", "parse_config",
     "ComplexPath", "CutSegment", "GridSpec", "RiemannSheet", "build_sheet",
@@ -61,8 +60,8 @@ __all__ = [
     "Eigenfunction", "Side", "biorthonormality_defect", "normalization_pt",
     "overlap_connection_oracle", "pair_overlap", "sinc_pi",
     "ExceptionalPoint", "ExceptionalPointError", "branch_point_function",
-    "enumerate_eps", "ep_residual", "find_ep",
-    "local_expansion", "sqrt_coefficient", "sqrt_lower_cut",
+    "circle_reaches_branch_point", "enumerate_eps", "ep_residual", "find_ep",
+    "ladder_points", "local_expansion", "sqrt_coefficient", "sqrt_lower_cut",
     "MIN_LOOP_RADIUS", "ConnectionProximityError", "EpLoopHolonomy",
     "HolonomyMatrix", "TransportError", "TransportFrame", "TruncationSpec",
     "TruncationWarning", "advance_frame", "connection_matrix", "d_function",

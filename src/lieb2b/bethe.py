@@ -29,13 +29,25 @@ represent infinite coupling by a large proxy value.
 
 Energies are E_{kbar,n}(g) = (kbar^2 + k_n(g)^2) / 2 with kbar and n of
 equal parity.
+
+Real-axis solve.  `real_axis_k` brackets each point: k in [n, n + 1]
+for g > 0 and [n - 1, n] for g < 0 ([1e-13, 1] for n = 1), kappa = i k
+in [0, max(1, |g|) + 1] for a bound branch (from 1e-13 for n = 1).  It
+runs the bracket-safe Newton iteration of Press et al., Numerical
+Recipes, sec. 9.4 (rtsafe) from the chord's zero: a Newton step while
+it stays in the half of the bracket next to the point, a bisection
+otherwise.  A point is done once its scaled residual is below tol and
+its Newton step, which it then takes, is below tol relative to it and
+inside the bracket; the step test matters near k = 0, where the scale's
+floor of 1 passes points far from a root.  Where round-off hides the
+sign change (at tiny |g| it grows like n * eps) the bracket end with
+the smaller scaled residual is the root.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
-import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,24 +59,14 @@ RESIDUAL_TARGET = 1e-12
 RESIDUAL_ACCEPT = 1e-10
 NEWTON_MAX_STEPS = 50
 
-#: Brent root-finder tolerances: 2*delta = xtol + rtol*|x| ends the search
-_BRENT_XTOL = 1e-14
-_BRENT_RTOL = 4.0 * np.finfo(float).eps
-_BRENT_MAX_ITER = 100
-
-
-class BranchCutWarning(UserWarning):
-    """The principal arctan was evaluated on its branch cut."""
-
 
 class SolverError(RuntimeError):
     """Root search failed; carries the last iterate for diagnostics."""
 
-    def __init__(self, message, g=None, k=None, residual=None):
+    def __init__(self, message, g=None, k=None):
         super().__init__(message)
         self.g = g
         self.k = k
-        self.residual = residual
 
 
 class Parity(enum.Enum):
@@ -101,9 +103,6 @@ class BetheState:
                 f"level {self.n} belongs to the "
                 f"{Parity.of_level(self.n).name.lower()} family")
 
-    def residual(self) -> complex:
-        return bethe_residual(self.parity, self.g, self.k)
-
     def scaled_residual(self) -> float:
         return scaled_bethe_residual(self.parity, self.g, self.k)
 
@@ -113,30 +112,6 @@ class EnergyLevel:
     kbar: int
     n: int
     energy: complex
-
-
-def j_function(g, k):
-    """J(g, k) = k + (2/pi) arctan(k/g), principal branch of arctan.
-
-    On a branch k_n at real g > 0 this evaluates to the integer n + 1.
-    Raises ValueError for g = 0, where k/g is undefined.  When k/g falls
-    on the branch cut of the principal inverse tangent (the imaginary
-    axis at |Im| >= 1, which happens for deeply bound states) the
-    principal value is returned and a BranchCutWarning is emitted.
-    """
-    g = complex(g)
-    k = complex(k)
-    if g == 0:
-        raise ValueError("J(g, k) is undefined at g = 0 (real branch point)")
-    z = k / g
-    if z.real == 0.0 and abs(z.imag) >= 1.0:
-        warnings.warn(
-            "arctan argument %r lies on the principal branch cut; "
-            "principal value returned" % (z,),
-            BranchCutWarning,
-            stacklevel=2,
-        )
-    return complex(k + TWO_OVER_PI * np.arctan(z))
 
 
 def bethe_residual(parity: Parity, g, k):
@@ -186,7 +161,7 @@ def residual_scale(parity: Parity, g, k):
 DEEP_IM_H = 300.0
 
 
-def _terms_from_trig(parity, g, k, h, sin_h, cos_h, floor):
+def terms_from_trig(parity, g, k, h, sin_h, cos_h, floor):
     """Residual, k-derivative and error scale from sin(h) and cos(h)."""
     sh, ch = np.abs(sin_h), np.abs(cos_h)
     ak, ag, ah = np.abs(k), np.abs(g), np.abs(h)
@@ -209,7 +184,7 @@ def unscaled_residual_terms(parity: Parity, g, k):
     well inside DEEP_IM_H; past about 709 the terms overflow.
     """
     h = 0.5 * np.pi * k
-    return _terms_from_trig(parity, g, k, h, np.sin(h), np.cos(h), 1.0) + (0.0,)
+    return terms_from_trig(parity, g, k, h, np.sin(h), np.cos(h), 1.0) + (0.0,)
 
 
 def residual_terms(parity: Parity, g, k):
@@ -247,7 +222,7 @@ def residual_terms(parity: Parity, g, k):
     sin_h = np.where(deep, sin_x * cosh_r + 1j * (cos_x * sinh_r), np.sin(shallow))
     cos_h = np.where(deep, cos_x * cosh_r - 1j * (sin_x * sinh_r), np.cos(shallow))
     with np.errstate(over="ignore", invalid="ignore"):
-        r, dr, scale = _terms_from_trig(parity, g, k, h, sin_h, cos_h, np.exp(-lf))
+        r, dr, scale = terms_from_trig(parity, g, k, h, sin_h, cos_h, np.exp(-lf))
     scale = np.where(deep & np.isinf(scale), np.nan, scale)
     return r, dr, scale, lf
 
@@ -264,8 +239,8 @@ def scaled_bethe_residual(parity: Parity, g, k) -> float:
 def newton_polish(parity: Parity, g, k, *, tol=RESIDUAL_TARGET):
     """Up to eight damped Newton steps on the residual in k at fixed g.
 
-    Returns (k, scaled_residual).  Used to tighten real-axis roots
-    produced by bracketing; does not raise on stagnation, callers
+    Returns (k, scaled_residual), e.g. to tighten a root found by
+    bracketing; does not raise on stagnation, callers
     decide what residual level is acceptable.  Each iterate takes r,
     dr and the scale from one `unscaled_residual_terms` call, so k must
     stay well inside |Im(pi k/2)| <= DEEP_IM_H.
@@ -295,154 +270,95 @@ def newton_polish(parity: Parity, g, k, *, tol=RESIDUAL_TARGET):
     return best_k, float(best)
 
 
-def _brent_root(f, xa: float, xb: float) -> float:
-    """Root of f in the sign-changing bracket [xa, xb] by Brent's method.
+def _bracket_terms(parity: Parity, bound, g, x):
+    """(f, df, scaled residual) at x of the equation solved in each bracket.
 
-    A line-for-line port of the rule scipy.optimize.brentq runs (Brent,
-    Algorithms for Minimization without Derivatives, 1973, ch. 4), so it
-    returns the same double: a secant or inverse-quadratic step while it
-    is short enough, a bisection otherwise.  f is called with floats and
-    its values are taken as floats.  Raises ValueError when f(xa) and
-    f(xb) share a sign or f returns NaN, SolverError after
-    _BRENT_MAX_ITER iterations without convergence.
+    Real branches solve the Bethe residual in k.  Where bound is set,
+    kappa q + g = 0 in kappa = i k, q = tanh(pi kappa/2) (n = 0) or its
+    inverse (n = 1): the residual at k = -i kappa over -cosh(pi kappa/2)
+    or -i sinh(pi kappa/2), finite where those overflow, as is the error
+    scale (floor included) over the same factor.
     """
-    xpre, xcur = float(xa), float(xb)
-    fpre, fcur = float(f(xpre)), float(f(xcur))
-    if fpre != fpre or fcur != fcur:
-        raise ValueError(f"f is NaN at an end of [{xpre}, {xcur}]")
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError(f"f has no sign change in [{xpre}, {xcur}]")
-    xtol, rtol = _BRENT_XTOL, _BRENT_RTOL
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAX_ITER):
-        if (fpre != 0.0 and fcur != 0.0
-                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = (-fcur * (fblk * dblk - fpre * dpre)
-                            / (dblk * dpre * (fblk - fpre)))
-            except ZeroDivisionError:
-                stry = math.inf  # IEEE gives inf or NaN: both bisect below
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = float(f(xcur))
-        if fcur != fcur:
-            raise ValueError(f"f({xcur!r}) is NaN; the search cannot go on")
-    raise SolverError(
-        f"Brent search did not converge in {_BRENT_MAX_ITER} iterations "
-        f"(last iterate {xcur!r})", k=xcur)
+    f, df, scale, _ = unscaled_residual_terms(parity, g, x)
+    s = np.abs(f) / scale
+    if bound.any():
+        h = 0.5 * np.pi * x
+        q, c = ((np.tanh(h), np.cosh(h)) if parity is Parity.EVEN
+                else (1.0 / np.tanh(h), np.sinh(h)))
+        fb, ag = x * q + g, np.abs(g)
+        f, df = np.where(bound, fb, f), np.where(bound, q + h * (1.0 - q * q), df)
+        scale = np.maximum(x * q + ag + h * (x + ag * q), 1.0 / c)
+        s = np.where(bound, np.abs(fb) / scale, s)
+    return f, df, s
 
 
-def _bound_kappa_even(g: float) -> float:
-    """kappa > 0 with kappa*tanh(pi kappa/2) = -g, for n = 0, g < 0."""
-    f = lambda kappa: kappa * np.tanh(0.5 * np.pi * kappa) + g
-    hi = max(1.0, -g) + 1.0
-    return _brent_root(f, 0.0, hi)
+def _rtsafe(parity: Parity, bound, g, lo, hi, tol: float):
+    """Root of each element's `_bracket_terms` equation in [lo, hi], NaN
+    where none passes RESIDUAL_ACCEPT (see the module docstring)."""
+    # the bound terms overflow at large kappa and |g|: f stays finite there
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        f_lo, _, s_lo = _bracket_terms(parity, bound, g, lo)
+        f_hi, _, s_hi = _bracket_terms(parity, bound, g, hi)
+        change = (f_lo < 0) != (f_hi < 0)
+        x = np.where(change, lo + (hi - lo) * (f_lo / (f_lo - f_hi)),
+                     np.where(s_lo <= s_hi, lo, hi))
+        xl = np.where(f_lo < 0, lo, hi)  # the end where f < 0
+        xh = np.where(f_lo < 0, hi, lo)
+        live = change
+        for _ in range(NEWTON_MAX_STEPS):
+            if not live.any():
+                break
+            f, df, s = _bracket_terms(parity, bound, g, x)
+            neg = f < 0
+            xl, xh = np.where(neg, x, xl), np.where(neg, xh, x)
+            step = f / df
+            t = x - step
+            inside = (t - xl) * (t - xh) <= 0.0
+            newton = inside & (np.abs(2.0 * step) <= np.abs(xh - xl))
+            done = (s < tol) & (np.abs(step) <= tol * np.abs(x)) & inside
+            x = np.where(live, np.where(done | newton, t, 0.5 * (xl + xh)), x)
+            live = live & ~done
+        passed = _bracket_terms(parity, bound, g, x)[2] <= RESIDUAL_ACCEPT
+    return np.where(passed, x, np.nan)
 
 
-def _bound_kappa_odd(g: float) -> float:
-    """kappa > 0 with kappa/tanh(pi kappa/2) = -g, for n = 1, g < -2/pi."""
-
-    def f(kappa):
-        x = 0.5 * np.pi * kappa
-        # kappa/tanh(x) -> 2/pi as kappa -> 0
-        return kappa / np.tanh(x) + g if kappa > 0 else TWO_OVER_PI + g
-
-    hi = max(1.0, -g) + 1.0
-    return _brent_root(f, 1e-13, hi)
-
-
-def _real_bracket(n: int, g: float) -> tuple[float, float]:
-    """Bracketing interval for the real root of branch n at coupling g."""
-    if g > 0:
-        return (float(n), float(n + 1)) if n > 0 else (0.0, 1.0)
-    # g < 0 here; bound regions are handled before this is called
-    if n == 1:
-        return (1e-13, 1.0)
-    return (float(n - 1), float(n))
+def real_axis_k(n, g, *, tol: float = RESIDUAL_TARGET) -> np.ndarray:
+    """k_n(g) on the real coupling axis for n (non-negative integers) and
+    g (real) that broadcast against each other, as a complex array.  Each
+    point is solved alone as the module docstring says, so its result does
+    not depend on the other points of the call; one that does not pass
+    RESIDUAL_ACCEPT within NEWTON_MAX_STEPS is NaN."""
+    n, g = np.broadcast_arrays(np.asarray(n), np.asarray(g, dtype=float))
+    if not np.all((n >= 0) & (n % 1 == 0)):
+        raise ValueError("branch label n must be a non-negative integer")
+    shape = n.shape
+    n, g = n.ravel().astype(int), g.ravel()
+    k = n.astype(complex)  # the free value at g = 0
+    # the odd family's real branch point: k_1 reaches zero exactly
+    k[(n == 1) & (g == -TWO_OVER_PI)] = 0.0
+    solve = (g != 0.0) & ((n != 1) | (g != -TWO_OVER_PI))
+    bound = ((n == 0) & (g < 0)) | ((n == 1) & (g < -TWO_OVER_PI))
+    lo = np.where(g > 0, n, np.maximum(n - 1.0, 0.0))
+    hi = lo + 1.0
+    lo[(n == 1) & (g < 0)] = 1e-13
+    hi[bound] = np.maximum(1.0, -g[bound]) + 1.0
+    for parity in Parity:
+        i = np.flatnonzero(solve & (n % 2 == parity.value))
+        if i.size:
+            x = _rtsafe(parity, bound[i], g[i], lo[i], hi[i], tol)
+            k[i] = np.where(np.isnan(x), np.nan + 1j * np.nan,
+                            np.where(bound[i], x * -1j, x))  # Re k = +0.0 when bound
+    return k.reshape(shape)
 
 
 def solve_k_real(n: int, g: float, *, tol: float = RESIDUAL_TARGET) -> BetheState:
-    """Quasi-momentum k_n(g) for real coupling g.
-
-    Returns the branch with k_n(0) = n, continued smoothly along the
-    real axis; bound regions (n = 0 with g < 0, n = 1 with g < -2/pi)
-    return k on the negative imaginary axis per the lower-half-plane
-    continuation convention.  Real roots come from Brent's method on a
-    sign-changing bracket of the pole-free residual followed by Newton
-    polish; bound roots from Brent's method on the equivalent real
-    equations in kappa = i*k.
-    """
-    if n < 0 or int(n) != n:
-        raise ValueError("branch label n must be a non-negative integer")
-    n = int(n)
-    g = float(g)
-    parity = Parity.of_level(n)
-
-    if g == 0.0:
-        return BetheState(n, 0.0, complex(n), parity)
-
-    if n == 0 and g < 0:
-        kappa = _bound_kappa_even(g)
-        return BetheState(n, g, complex(0.0, -kappa), parity)
-    if n == 1 and g < -TWO_OVER_PI:
-        kappa = _bound_kappa_odd(g)
-        return BetheState(n, g, complex(0.0, -kappa), parity)
-    if n == 1 and g == -TWO_OVER_PI:
-        # real branch point of the odd family: k_1 reaches zero exactly
-        return BetheState(n, g, 0.0 + 0.0j, parity)
-
-    lo, hi = _real_bracket(n, g)
-    f = lambda k: bethe_residual(parity, g, k)  # real for real g, k
-    try:
-        root = _brent_root(f, lo, hi)
-    except ValueError as exc:
-        # no sign change: at small |g| the round-off in sin/cos(pi n/2),
-        # which grows like n*eps, can hide it, so polish from the free
-        # value and keep the result if it is a root in the bracket
-        k, scaled = newton_polish(parity, g, complex(n), tol=tol)
-        slack = _BRENT_XTOL + _BRENT_RTOL * abs(k.real)
-        if scaled <= RESIDUAL_ACCEPT and lo - slack <= k.real <= hi + slack:
-            k_real = min(max(k.real, lo), hi)
-            return BetheState(n, g, complex(k_real, 0.0), parity)
-        raise SolverError(
-            f"no sign change for n={n}, g={g} in [{lo}, {hi}]", g=g
-        ) from exc
-    k, scaled = newton_polish(parity, g, root, tol=tol)
-    if scaled > RESIDUAL_ACCEPT:
-        raise SolverError(
-            f"residual {scaled:.3e} above acceptance for n={n}, g={g}",
-            g=g, k=k, residual=scaled,
-        )
-    # the branch is real here; discard polish round-off in Im
-    return BetheState(n, g, complex(k.real, 0.0), parity)
+    """Quasi-momentum k_n(g) for real coupling g: `real_axis_k` on one
+    point, raising SolverError where that is NaN."""
+    k = complex(real_axis_k(n, g, tol=tol))
+    n, g = int(n), float(g)
+    if cmath.isnan(k):
+        raise SolverError(f"no root of branch n={n} at g={g} passes the residual check", g=g)
+    return BetheState(n, g, k, Parity.of_level(n))
 
 
 def energy(kbar: int, state: BetheState) -> EnergyLevel:

@@ -27,8 +27,8 @@ from .cycles import (InconclusivePermutationError, PathConstructionError,
                      hermitian_cycle, n_ep_contour,
                      permutation_from_holonomy)
 from .eigensystem import overlap_connection_oracle
-from .exceptional import (ExceptionalPointError, _ladder, _rung_point,
-                          _winding_number, find_ep)
+from .exceptional import (ExceptionalPointError, circle_reaches_branch_point,
+                          find_ep, ladder_points)
 from .holonomy import (MIN_LOOP_RADIUS, TransportError, TruncationSpec,
                        ep_loop_holonomy, gauge_connection, transport)
 from .serialize import (ExportRecord, csv_table, cycle_document, format_float,
@@ -74,19 +74,16 @@ def cmd_eps(cfg: RunConfig, args) -> tuple[int, str]:
     columns = ("n", "g_re", "g_im", "k_re", "k_im",
                "residual_bethe", "residual_r", "status")
     rows = []
-    failures = 0
-    for n, g in _ladder(parity, n_max, cfg.solver_tol):
-        try:
-            ep = _rung_point(parity, n, g, False)
-        except ExceptionalPointError as exc:
-            failures += 1
-            rows.append((n,) + (float("nan"),) * 6 + (f"failed: {type(exc).__name__}",))
-            continue
-        rb, rr = ep.residuals()
-        rows.append((n, ep.g_ep.real, ep.g_ep.imag, ep.k_ep.real,
-                     ep.k_ep.imag, abs(rb), abs(rr), "ok"))
+    for n, ep in ladder_points(parity, n_max, tol=cfg.solver_tol, verify_unique=False):
+        if isinstance(ep, ExceptionalPointError):
+            rows.append((n,) + (float("nan"),) * 6 + (f"failed: {type(ep).__name__}",))
+        else:
+            rb, rr = ep.residuals()
+            rows.append((n, ep.g_ep.real, ep.g_ep.imag, ep.k_ep.real,
+                         ep.k_ep.imag, abs(rb), abs(rr), "ok"))
     record = ExportRecord("eps", cfg.config_hash(), csv_table(columns, rows))
-    return (EXIT_SOLVER if failures else EXIT_OK), record.render()
+    failed = any(row[-1] != "ok" for row in rows)
+    return (EXIT_SOLVER if failed else EXIT_OK), record.render()
 
 
 def cmd_sheet(cfg: RunConfig, args) -> tuple[int, str]:
@@ -132,10 +129,7 @@ def cmd_holonomy(cfg: RunConfig, args) -> tuple[int, str]:
         payload = _holonomy_payload(hol)
     else:
         trunc = TruncationSpec(_parity(args.parity), trunc_n)
-        # F vanishes at the real branch point: test it before winding
-        if (abs(args.g0 - trunc.parity.real_branch_point) <= radius
-                or _winding_number(trunc.parity, lambda t: args.g0 + radius
-                                   * np.exp(2j * np.pi * t))):
+        if circle_reaches_branch_point(trunc.parity, args.g0, radius):
             raise ConfigError(
                 f"empty contour of radius {radius} about g0 = {args.g0} "
                 "reaches a branch point of the family")

@@ -46,6 +46,7 @@ from .bethe import (
     Parity,
     SolverError,
     bethe_residual,
+    real_axis_k,
     residual_terms,
     solve_k_real,
     unscaled_residual_terms,
@@ -571,20 +572,13 @@ def build_sheet(n: int, grid: GridSpec, *, tol: float = 1e-12,
     ims = grid.im_axis
     k_out = np.full((ims.size, xs.size), np.nan + 1j * np.nan, dtype=complex)
 
-    axis_k = np.full(xs.size, np.nan + 1j * np.nan, dtype=complex)
-    aborted = {}
-    for j, x in enumerate(xs):
-        try:
-            axis_k[j] = solve_k_real(n, float(x)).k
-        except (SolverError, ValueError):
-            aborted[j] = 0.0
+    axis_k = real_axis_k(n, xs)
     # real branch point exactly on a column: the anchor is degenerate
     rbp = parity.real_branch_point
     if n == parity.bound_level:
         on_bp = np.isclose(xs, rbp, rtol=0.0, atol=1e-12) & (np.abs(axis_k) < 1e-9)
-        for j in np.flatnonzero(on_bp):
-            axis_k[j] = np.nan + 1j * np.nan
-            aborted[j] = 0.0
+        axis_k[on_bp] = np.nan + 1j * np.nan
+    aborted = {int(j): 0.0 for j in np.flatnonzero(np.isnan(axis_k))}
 
     if np.any(ims == 0.0):
         k_out[np.flatnonzero(ims == 0.0)[0], :] = axis_k

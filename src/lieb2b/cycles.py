@@ -35,11 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bethe import Parity, asymptotic_quasimomentum, energy, solve_k_real
+from .bethe import BetheState, Parity, asymptotic_quasimomentum, energy, solve_k_real
 from .continuation import ComplexPath, circle_path
 from .exceptional import enumerate_eps, find_ep
 from .holonomy import (HolonomyMatrix, TruncationSpec, ep_loop_holonomy,
-                       frame_monodromy)
+                       frame_at, frame_monodromy)
 
 #: distance every exceptional point keeps from an `n_ep_contour`
 CLEARANCE = 0.5
@@ -78,9 +78,10 @@ class CycleResult:
     holonomy: HolonomyMatrix | None = None
 
 
-def _family_energies(levels, g0: float, kbar: int) -> dict:
+def _family_energies(trunc: TruncationSpec, g0: float) -> dict:
     # real g0 keeps k either real or purely imaginary, so E is real
-    return {n: energy(kbar, solve_k_real(n, g0)).energy.real for n in levels}
+    return {n: energy(trunc.base, BetheState(n, g0, complex(k), trunc.parity)).energy.real
+            for n, k in zip(trunc.levels, frame_at(trunc, g0).k)}
 
 
 def hermitian_cycle(g0: float, trunc: TruncationSpec, *,
@@ -116,7 +117,7 @@ def hermitian_cycle(g0: float, trunc: TruncationSpec, *,
                 f"k = {k_out} vs {k_in}")
         permutation[n] = partner
 
-    energies_before = _family_energies(levels, g0, kbar)
+    energies_before = _family_energies(trunc, g0)
     energies_after = {n: energy(kbar, solve_k_real(permutation[n], g0)).energy.real
                       for n in levels}
     phases = {n: 1.0 + 0.0j for n in levels}
@@ -279,7 +280,7 @@ def permutation_from_holonomy(hol: HolonomyMatrix, *,
         phases[n] = complex(v[i, j])
 
     if g0 is not None:
-        energies_before = _family_energies(levels, g0, kbar)
+        energies_before = _family_energies(trunc, g0)
         energies_after = {n: energies_before[permutation[n]] for n in levels}
     else:
         g0 = float("nan")

@@ -46,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bethe import Parity, solve_k_real
+from .bethe import Parity, SolverError, real_axis_k, solve_k_real
 from .holonomy import TruncationSpec, rotated_sqrt
 
 TWO_PI = 2.0 * np.pi
@@ -196,7 +196,9 @@ def biorthonormality_defect(levels, g, k_values=None, nodes: int = 256) -> float
     """
     levels = tuple(levels)
     if k_values is None:
-        k_values = [solve_k_real(n, g).k for n in levels]
+        k_values = real_axis_k(levels, g)
+        if np.isnan(k_values).any():
+            raise SolverError(f"no real-axis root for levels {levels} at g={g}", g=g)
     kbar = levels[0] % 2
     worst = 0.0
     for i, (ni, ki) in enumerate(zip(levels, k_values)):

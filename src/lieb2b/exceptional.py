@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bethe import NEWTON_MAX_STEPS, Parity, _terms_from_trig, bethe_residual
+from .bethe import NEWTON_MAX_STEPS, Parity, bethe_residual, terms_from_trig
 from .continuation import branch_point_function
 
 #: reject "exceptional points" that are really the real-axis degeneracies
@@ -105,7 +105,7 @@ def _collision_function(parity: Parity, g):
     k = np.sqrt(-g * (g + 2.0 / np.pi))
     h = 0.5 * np.pi * k
     sin_h, cos_h = np.sin(h), np.cos(h)
-    r, dr_dk, scale = _terms_from_trig(parity, g, k, h, sin_h, cos_h, 1.0)
+    r, dr_dk, scale = terms_from_trig(parity, g, k, h, sin_h, cos_h, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):  # k = 0: not finite
         dk_dg = -(g + 1.0 / np.pi) / k
         if parity is Parity.EVEN:
@@ -150,6 +150,14 @@ def _winding_number(parity: Parity, contour) -> int:
         f"phase of F not resolved with {points // 2} contour points")
 
 
+def circle_reaches_branch_point(parity: Parity, g0: float, radius: float) -> bool:
+    """Whether the circle of the given radius about g0 encloses or touches
+    a branch point of the family: the real one lies within the radius
+    (tested first, as F vanishes there), or F winds around the circle."""
+    return bool(abs(g0 - parity.real_branch_point) <= radius or _winding_number(
+        parity, lambda t: g0 + radius * np.exp(2j * np.pi * t)))
+
+
 def _accept_root(parity: Parity, n: int, g: complex) -> complex:
     """The root g folded into the lower half plane, or raise if it is a
     real-axis degeneracy or lies on the wrong side of its family's line."""
@@ -187,16 +195,16 @@ def _ladder(parity: Parity, n_max: int, tol: float):
         yield m, below[-1]
 
 
-def _rung_point(parity: Parity, n: int, g, certify: bool) -> ExceptionalPoint:
-    """The point at rung n's root g; raises g if the walk failed there,
-    and with certify unless F winds exactly once around the unit circle
-    about g."""
+def _rung_point(parity: Parity, n: int, g, certify: bool):
+    """The point at rung n's root g, or an ExceptionalPointError: g itself
+    if the walk failed there, and with certify unless F winds exactly
+    once around the unit circle about g."""
     if isinstance(g, ExceptionalPointError):
-        raise g
+        return g
     if certify:
         winding = _winding_number(parity, lambda t: g + np.exp(2j * np.pi * t))
         if winding != 1:
-            raise ExceptionalPointError(
+            return ExceptionalPointError(
                 f"F winds {winding} times around the unit circle about "
                 f"g={g} for n={n}; expected exactly one root")
     k = complex(_collision_function(parity, g)[3])
@@ -218,28 +226,36 @@ def find_ep(n: int, *, tol: float = 1e-12,
         raise ValueError("exceptional points exist for excited labels n > 1")
     parity = Parity.of_level(n)
     *_, (_, g) = _ladder(parity, n, tol)
-    return _rung_point(parity, n, g, verify_unique)
+    point = _rung_point(parity, n, g, verify_unique)
+    if isinstance(point, ExceptionalPointError):
+        raise point
+    return point
+
+
+def ladder_points(parity: Parity, n_max: int, *, tol: float = 1e-12,
+                  verify_unique: bool = True):
+    """Walk the family's rungs up to n_max once, yielding (n, point) in
+    order of n: the ExceptionalPoint `find_ep` gives label n, or the
+    ExceptionalPointError it raises there."""
+    for n, g in _ladder(parity, n_max, tol):
+        yield n, _rung_point(parity, n, g, verify_unique)
 
 
 def enumerate_eps(parity: Parity, n_max: int, *, tol: float = 1e-12,
                   verify_unique: bool = True) -> list[ExceptionalPoint]:
     """All exceptional points of one family with n <= n_max, sorted by n.
 
-    One walk up the ladder gives every label the result `find_ep` gives
-    it.  Per-level failures are aggregated; a partial catalog raises with
-    the failing labels attached rather than returning silently short.
+    Per-level failures of `ladder_points` are aggregated; a partial
+    catalog raises with the failing labels attached rather than
+    returning silently short.
     """
-    results, failures = [], {}
-    for n, g in _ladder(parity, n_max, tol):
-        try:
-            results.append(_rung_point(parity, n, g, verify_unique))
-        except ExceptionalPointError as exc:
-            failures[n] = str(exc)
+    points = dict(ladder_points(parity, n_max, tol=tol, verify_unique=verify_unique))
+    failures = {n: str(p) for n, p in points.items() if isinstance(p, ExceptionalPointError)}
     if failures:
         raise ExceptionalPointError(
             f"exceptional-point search failed for labels {sorted(failures)}",
             failures=failures)
-    return results
+    return list(points.values())
 
 
 def sqrt_lower_cut(eps) -> complex:

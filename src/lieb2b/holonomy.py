@@ -68,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bethe import Parity, residual_terms, solve_k_real
+from .bethe import Parity, SolverError, real_axis_k, residual_terms
 from .continuation import (ComplexPath, branch_point_function, circle_path,
                            newton_correct_array, tangent_slope, walk_segment)
 from .exceptional import ExceptionalPoint, find_ep
@@ -219,20 +219,14 @@ def connection_matrix(levels, d_values, k_values):
     return a
 
 
-def gauge_connection(g, trunc: TruncationSpec, k_values=None):
-    """Standard-sheet gauge connection of one truncated family at g.
-
-    At real g the quasi-momenta are solved on the spot; at complex g the
-    caller supplies the sheet values.  For branch-tracked evaluation
-    along a path use :class:`TransportFrame` instead.
+def gauge_connection(g: float, trunc: TruncationSpec):
+    """Standard-sheet gauge connection of one truncated family at real g:
+    the connection of `frame_at`.  Off the real axis use the
+    :class:`TransportFrame` of a continued path instead.
     """
-    levels = trunc.levels
-    if k_values is None:
-        if np.iscomplexobj(g) and complex(g).imag != 0.0:
-            raise ValueError("complex coupling needs explicit sheet quasi-momenta")
-        k_values = [solve_k_real(n, float(np.real(g))).k for n in levels]
-    d = [d_function(n, g, k) for n, k in zip(levels, k_values)]
-    return connection_matrix(levels, d, k_values)
+    if np.iscomplexobj(g) and complex(g).imag != 0.0:
+        raise ValueError("gauge_connection needs a real coupling")
+    return frame_at(trunc, float(np.real(g))).connection()
 
 
 @dataclass(frozen=True)
@@ -261,7 +255,9 @@ class TransportFrame:
 def frame_at(trunc: TruncationSpec, g: float) -> TransportFrame:
     """Standard-sheet frame on the real coupling axis."""
     levels = trunc.levels
-    k = np.array([solve_k_real(n, g).k for n in levels], dtype=complex)
+    k = real_axis_k(levels, g)
+    if np.isnan(k).any():
+        raise SolverError(f"no real-axis root for levels {levels} at g={g}", g=g)
     s = np.array([standard_sqrt_r(n, branch_point_function(g, kk))
                   for n, kk in zip(levels, k)], dtype=complex)
     return TransportFrame(levels, complex(g), k, s)

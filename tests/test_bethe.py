@@ -1,6 +1,6 @@
 """Real-axis quasi-momentum solver: anchors, asymptotics, bound branches."""
 
-import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieb2b import bethe
-from lieb2b.bethe import (DEEP_IM_H, TWO_OVER_PI, BetheState, Parity,
-                          SolverError, asymptotic_quasimomentum,
-                          bethe_residual, energy, j_function, newton_polish,
+from lieb2b.bethe import (DEEP_IM_H, RESIDUAL_ACCEPT, TWO_OVER_PI, BetheState,
+                          Parity, SolverError, asymptotic_quasimomentum,
+                          bethe_residual, energy, newton_polish, real_axis_k,
                           residual_k_derivative, residual_scale,
                           residual_terms, scaled_bethe_residual, solve_k_real)
 from lieb2b.continuation import GridSpec, build_sheet
@@ -38,8 +38,9 @@ def test_quasi_momentum_increases_with_coupling():
 @given(n=st.integers(min_value=0, max_value=12),
        g=st.floats(min_value=1e-3, max_value=1e3))
 def test_j_function_counts_levels_at_positive_coupling(n, g):
-    state = solve_k_real(n, g)
-    assert abs(j_function(g, state.k) - (n + 1)) < 1e-8
+    # J(g, k) = k + (2/pi) arctan(k/g), principal branch
+    k = solve_k_real(n, g).k
+    assert abs(k + TWO_OVER_PI * np.arctan(k / g) - (n + 1)) < 1e-8
 
 
 @settings(max_examples=60, deadline=None)
@@ -124,69 +125,37 @@ def test_rejects_unknown_branch():
         solve_k_real(-1, 1.0)
 
 
+def real_bracket(n, g):
+    """Interval the real branch n is searched in at coupling g != 0."""
+    if g > 0:
+        return float(n), n + 1.0
+    return (1e-13, 1.0) if n == 1 else (n - 1.0, float(n))
+
+
 class TestBrentRoot:
-    def test_exact_zero_at_an_endpoint_is_returned(self):
-        calls = []
-
-        def f(x):
-            calls.append(x)
-            return x - 1.0
-
-        assert bethe._brent_root(f, 1.0, 3.0) == 1.0
-        assert bethe._brent_root(f, -2.0, 1.0) == 1.0
-        assert len(calls) == 4  # both endpoints, no iteration
-
-    def test_no_sign_change_raises_value_error(self):
-        with pytest.raises(ValueError):
-            bethe._brent_root(lambda x: x * x + 1.0, -1.0, 1.0)
-        with pytest.raises(ValueError):
-            bethe._brent_root(lambda x: float("nan"), 0.0, 1.0)
-
-    def test_known_roots_converge(self):
-        # kappa tanh(pi kappa / 2) = 1, the n = 0 bound state at g = -1
-        kappa = bethe._brent_root(
-            lambda x: x * math.tanh(0.5 * math.pi * x) - 1.0, 0.0, 2.0)
-        assert abs(kappa * math.tanh(0.5 * math.pi * kappa) - 1.0) < 1e-14
-        assert bethe._brent_root(lambda x: x * x - 2.0, 0.0, 2.0) == pytest.approx(
-            math.sqrt(2.0), abs=1e-14)
-        assert bethe._brent_root(math.cos, 1.0, 2.0) == pytest.approx(
-            0.5 * math.pi, abs=1e-14)
-        # values near 1e-200 underflow the extrapolation's denominator to
-        # zero; that step falls back to bisection instead of dividing
-        tiny = bethe._brent_root(lambda x: (x ** 3 - 2.0 * x - 5.0) * 1e-200, 2.0, 3.0)
-        assert tiny == pytest.approx(2.0945514815423265, abs=1e-14)
-        # a step function has no short secant step: bisection alone ends it
-        step = bethe._brent_root(lambda x: 1.0 if x > 0.3 else -1.0, 0.0, 1.0)
-        assert abs(step - 0.3) < 1e-14
+    """The bracketed real-axis search: round-off at small coupling and
+    the iteration cap."""
 
     def test_tiny_coupling_takes_the_polish_fallback(self):
         # at |g| = 1e-300 the residual's sign at k = n is trig round-off,
         # and for these labels it matches the far end: no sign change
         for n, g in ((13, 1e-300), (26, 1e-300), (4, -1e-300), (7, -1e-300)):
-            parity = Parity.of_level(n)
-            lo, hi = bethe._real_bracket(n, g)
-            with pytest.raises(ValueError):
-                bethe._brent_root(
-                    lambda k: np.real(bethe_residual(parity, g, k)), lo, hi)
             assert solve_k_real(n, g).k == complex(n)
 
     @pytest.mark.parametrize("n, g", [(92, -1.03e-12), (1628, 1.78e-12),
                                       (3554, -4.7e-10)])
     def test_small_coupling_without_sign_change_is_polished(self, n, g):
         # round-off in sin/cos(pi n/2) grows like n*eps and hides the
-        # sign change; the polished root must still lie in the bracket
+        # sign change; the root must still lie in the bracket
         parity = Parity.of_level(n)
-        lo, hi = bethe._real_bracket(n, g)
-        with pytest.raises(ValueError):
-            bethe._brent_root(
-                lambda k: np.real(bethe_residual(parity, g, k)), lo, hi)
+        lo, hi = real_bracket(n, g)
         k = solve_k_real(n, g).k
         assert k.imag == 0.0 and lo <= k.real <= hi
         assert abs(k.real - n) < 1e-12
         assert scaled_bethe_residual(parity, g, k) <= 1e-10
 
     def test_iteration_limit_raises_solver_error(self, monkeypatch):
-        monkeypatch.setattr(bethe, "_BRENT_MAX_ITER", 2)
+        monkeypatch.setattr(bethe, "NEWTON_MAX_STEPS", 1)
         with pytest.raises(SolverError):
             solve_k_real(3, 0.7)
         # a stray non-convergence costs the sheet its anchors, not the build
@@ -195,39 +164,45 @@ class TestBrentRoot:
         assert np.isnan(sheet.k).all()
 
 
-def test_brent_root_matches_scipy_brentq_bit_for_bit():
-    """The port returns scipy's double on the `spectrum` distribution.
+ROOTS = pathlib.Path(__file__).resolve().parent / "data" / "real_axis_roots.txt"
 
-    n uniform in 0..40, g = +-10^u with u uniform in [-3, 6]; each draw
-    gives the bracket solve_k_real would search: the real residual, or
-    the n = 0 / n = 1 bound equation in kappa.
-    """
-    optimize = pytest.importorskip("scipy.optimize")
-    rng = np.random.default_rng(20240607)
-    kinds = set()
-    for _ in range(3000):
-        n = int(rng.integers(0, 41))
-        g = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 6.0))
-        parity = Parity.of_level(n)
-        if n == 0 and g < 0:
-            f = lambda x, g=g: x * np.tanh(0.5 * np.pi * x) + g
-            lo, hi, kind = 0.0, max(1.0, -g) + 1.0, "bound-even"
-        elif n == 1 and g < -TWO_OVER_PI:
-            f = (lambda x, g=g: x / np.tanh(0.5 * np.pi * x) + g if x > 0
-                 else TWO_OVER_PI + g)
-            lo, hi, kind = 1e-13, max(1.0, -g) + 1.0, "bound-odd"
+
+def test_real_axis_k_matches_frozen_roots():
+    """Roots of the Brent search with Newton polish that the array solve
+    replaced, on its oracle test's draw: seed 20240607, n in 0..40,
+    g = +-10^u with u in [-3, 6], with real, bound-even and bound-odd
+    points.  The largest relative difference measured is 1.1e-15."""
+    rows = [line.split() for line in ROOTS.read_text().splitlines()
+            if not line.startswith("#")]
+    assert len(rows) == 3000
+    n = np.array([int(r[0]) for r in rows])
+    g = np.array([float.fromhex(r[1]) for r in rows])
+    frozen = np.array([complex(float.fromhex(r[2]), float.fromhex(r[3])) for r in rows])
+    bound = ((n == 0) & (g < 0)) | ((n == 1) & (g < -TWO_OVER_PI))
+    assert 0 < np.count_nonzero(bound & (n == 0)) and 0 < np.count_nonzero(bound & (n == 1))
+    assert np.count_nonzero(~bound) > 0
+    k = real_axis_k(n, g)
+    assert np.all(np.abs(k - frozen) <= 1e-14 * np.maximum(1.0, np.abs(frozen)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=0, max_value=4000),
+       points=st.lists(st.tuples(st.sampled_from((-1.0, 1.0)),
+                                 st.floats(min_value=-12.0, max_value=6.0)),
+                       min_size=1, max_size=8))
+def test_real_axis_k_roots_pass_and_match_the_point_solve(n, points):
+    g = np.array([sign * 10.0 ** u for sign, u in points])
+    k = real_axis_k(n, g)
+    parity = Parity.of_level(n)
+    for gj, kj in zip(g, k):
+        assert scaled_bethe_residual(parity, gj, kj) <= RESIDUAL_ACCEPT
+        if (n == 0 and gj < 0) or (n == 1 and gj < -TWO_OVER_PI):
+            assert kj.real == 0.0 and kj.imag < 0.0
         else:
-            f = lambda k, p=parity, g=g: np.real(bethe_residual(p, g, k))
-            (lo, hi), kind = bethe._real_bracket(n, g), "real"
-        kinds.add(kind)
-        try:
-            expected = optimize.brentq(f, lo, hi, xtol=1e-14)
-        except ValueError:
-            with pytest.raises(ValueError):
-                bethe._brent_root(f, lo, hi)
-            continue
-        assert bethe._brent_root(f, lo, hi) == expected, (n, g)
-    assert kinds == {"real", "bound-even", "bound-odd"}
+            lo, hi = real_bracket(n, gj)
+            assert kj.imag == 0.0 and lo <= kj.real <= hi
+        # bit for bit, signs of zero included
+        assert np.array(solve_k_real(n, gj).k).tobytes() == np.array(kj).tobytes()
 
 
 def _old_scaled_residual(parity, g, k):
