@@ -36,10 +36,13 @@ in [0, max(1, |g|) + 1] for a bound branch (from 1e-13 for n = 1).  It
 runs the bracket-safe Newton iteration of Press et al., Numerical
 Recipes, sec. 9.4 (rtsafe) from the chord's zero: a Newton step while
 it stays in the half of the bracket next to the point, a bisection
-otherwise.  A point is done once its scaled residual is below tol and
-its Newton step, which it then takes, is below tol relative to it and
-inside the bracket; the step test matters near k = 0, where the scale's
-floor of 1 passes points far from a root.  Where round-off hides the
+otherwise.  For n = 0 it starts from k_0's small-coupling root
+sqrt(2|g|/pi) where that lies in the bracket and above the chord's
+zero, which near g = 0 is about |g|, far below the root.  A point is
+done once its scaled residual is below tol and its Newton step, which
+it then takes, is below tol relative to it and inside the bracket; the
+step test matters near k = 0, where the scale's floor of 1 passes
+points far from a root.  Where round-off hides the
 sign change (at tiny |g| it grows like n * eps) the bracket end with
 the smaller scaled residual is the root.
 """
@@ -292,15 +295,16 @@ def _bracket_terms(parity: Parity, bound, g, x):
     return f, df, s
 
 
-def _rtsafe(parity: Parity, bound, g, lo, hi, tol: float):
+def _rtsafe(parity: Parity, bound, g, lo, hi, start, tol: float):
     """Root of each element's `_bracket_terms` equation in [lo, hi], NaN
-    where none passes RESIDUAL_ACCEPT (see the module docstring)."""
+    where none passes RESIDUAL_ACCEPT, from the larger of the chord's zero
+    and start (see the module docstring)."""
     # the bound terms overflow at large kappa and |g|: f stays finite there
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         f_lo, _, s_lo = _bracket_terms(parity, bound, g, lo)
         f_hi, _, s_hi = _bracket_terms(parity, bound, g, hi)
         change = (f_lo < 0) != (f_hi < 0)
-        x = np.where(change, lo + (hi - lo) * (f_lo / (f_lo - f_hi)),
+        x = np.where(change, np.maximum(lo + (hi - lo) * (f_lo / (f_lo - f_hi)), start),
                      np.where(s_lo <= s_hi, lo, hi))
         xl = np.where(f_lo < 0, lo, hi)  # the end where f < 0
         xh = np.where(f_lo < 0, hi, lo)
@@ -342,10 +346,12 @@ def real_axis_k(n, g, *, tol: float = RESIDUAL_TARGET) -> np.ndarray:
     hi = lo + 1.0
     lo[(n == 1) & (g < 0)] = 1e-13
     hi[bound] = np.maximum(1.0, -g[bound]) + 1.0
+    k0 = np.sqrt(TWO_OVER_PI * np.abs(g))
+    start = np.where((n == 0) & (k0 < hi), k0, lo)
     for parity in Parity:
         i = np.flatnonzero(solve & (n % 2 == parity.value))
         if i.size:
-            x = _rtsafe(parity, bound[i], g[i], lo[i], hi[i], tol)
+            x = _rtsafe(parity, bound[i], g[i], lo[i], hi[i], start[i], tol)
             k[i] = np.where(np.isnan(x), np.nan + 1j * np.nan,
                             np.where(bound[i], x * -1j, x))  # Re k = +0.0 when bound
     return k.reshape(shape)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -29,8 +30,8 @@ from .cycles import (InconclusivePermutationError, PathConstructionError,
 from .eigensystem import overlap_connection_oracle
 from .exceptional import (ExceptionalPointError, circle_reaches_branch_point,
                           find_ep, ladder_points)
-from .holonomy import (MIN_LOOP_RADIUS, TransportError, TruncationSpec,
-                       ep_loop_holonomy, gauge_connection, transport)
+from .holonomy import (TransportError, TruncationSpec, ep_loop_holonomy,
+                       gauge_connection, transport)
 from .serialize import (ExportRecord, csv_table, cycle_document, format_float,
                         holonomy_document, sheet_document)
 
@@ -70,11 +71,10 @@ def cmd_solve(cfg: RunConfig, args) -> tuple[int, str]:
 
 def cmd_eps(cfg: RunConfig, args) -> tuple[int, str]:
     parity = _parity(args.parity)
-    n_max = cfg.ep_n_max if args.n_max is None else args.n_max
     columns = ("n", "g_re", "g_im", "k_re", "k_im",
                "residual_bethe", "residual_r", "status")
     rows = []
-    for n, ep in ladder_points(parity, n_max, tol=cfg.solver_tol, verify_unique=False):
+    for n, ep in ladder_points(parity, cfg.ep_n_max, tol=cfg.solver_tol, verify_unique=False):
         if isinstance(ep, ExceptionalPointError):
             rows.append((n,) + (float("nan"),) * 6 + (f"failed: {type(ep).__name__}",))
         else:
@@ -87,13 +87,8 @@ def cmd_eps(cfg: RunConfig, args) -> tuple[int, str]:
 
 
 def cmd_sheet(cfg: RunConfig, args) -> tuple[int, str]:
-    grid = GridSpec(
-        re_min=cfg.grid_re_min if args.re_min is None else args.re_min,
-        re_max=cfg.grid_re_max if args.re_max is None else args.re_max,
-        im_min=cfg.grid_im_min if args.im_min is None else args.im_min,
-        im_max=cfg.grid_im_max if args.im_max is None else args.im_max,
-        n_re=cfg.grid_points if args.points is None else args.points,
-        n_im=cfg.grid_points if args.points is None else args.points)
+    grid = GridSpec(cfg.grid_re_min, cfg.grid_re_max, cfg.grid_im_min,
+                    cfg.grid_im_max, cfg.grid_points, cfg.grid_points)
     sheet = build_sheet(args.n, grid, tol=cfg.solver_tol,
                         ep_finder=lambda m: find_ep(m, verify_unique=False).g_ep)
     # one row per cell in C order: Im g outer, Re g inner
@@ -113,22 +108,18 @@ def _holonomy_payload(hol, g0=None) -> str:
 
 
 def cmd_holonomy(cfg: RunConfig, args) -> tuple[int, str]:
-    trunc_n = cfg.truncation if args.trunc is None else args.trunc
-    radius = cfg.loop_radius if args.radius is None else args.radius
-    if not radius >= MIN_LOOP_RADIUS:
-        raise ConfigError(f"loop radius {radius} is below the floor {MIN_LOOP_RADIUS}")
+    radius = cfg.loop_radius
     if args.contour == "ep-loop":
-        trunc = TruncationSpec(Parity.of_level(args.n), trunc_n)
-        loop = ep_loop_holonomy(args.n, trunc, radius,
-                                rtol=cfg.transport_rtol)
+        trunc = TruncationSpec(Parity.of_level(args.n), cfg.truncation)
+        loop = ep_loop_holonomy(args.n, trunc, radius, rtol=cfg.transport_rtol)
         payload = _holonomy_payload(loop.holonomy)
     elif args.contour == "chain":
         ns = _chain_levels(args.ns)
-        trunc = TruncationSpec(Parity.of_level(ns[0]), trunc_n)
+        trunc = TruncationSpec(Parity.of_level(ns[0]), cfg.truncation)
         hol = chained_loop_holonomy(ns, trunc, radius, rtol=cfg.transport_rtol)
         payload = _holonomy_payload(hol)
     else:
-        trunc = TruncationSpec(_parity(args.parity), trunc_n)
+        trunc = TruncationSpec(_parity(args.parity), cfg.truncation)
         if circle_reaches_branch_point(trunc.parity, args.g0, radius):
             raise ConfigError(
                 f"empty contour of radius {radius} about g0 = {args.g0} "
@@ -141,8 +132,7 @@ def cmd_holonomy(cfg: RunConfig, args) -> tuple[int, str]:
 
 
 def cmd_cycle(cfg: RunConfig, args) -> tuple[int, str]:
-    trunc_n = cfg.truncation if args.trunc is None else args.trunc
-    trunc = TruncationSpec(_parity(args.parity), trunc_n)
+    trunc = TruncationSpec(_parity(args.parity), cfg.truncation)
     if args.contour == "hermitian":
         res = hermitian_cycle(args.g0, trunc, proxy=cfg.proxy_infinity)
     else:
@@ -156,13 +146,12 @@ def cmd_cycle(cfg: RunConfig, args) -> tuple[int, str]:
 
 
 def cmd_oracle_check(cfg: RunConfig, args) -> tuple[int, str]:
-    trunc_n = cfg.truncation if args.trunc is None else args.trunc
     lines = []
     worst = 0.0
     for parity in (Parity.EVEN, Parity.ODD):
-        trunc = TruncationSpec(parity, trunc_n)
+        trunc = TruncationSpec(parity, cfg.truncation)
         closed = gauge_connection(args.g, trunc)
-        oracle = overlap_connection_oracle(trunc_n, args.g, cfg.oracle_dg,
+        oracle = overlap_connection_oracle(cfg.truncation, args.g, cfg.oracle_dg,
                                            parity=parity,
                                            nodes=cfg.quadrature_nodes)
         diff = float(np.max(np.abs(closed - oracle)))
@@ -195,17 +184,17 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("eps", parents=[common],
                        help="catalog of exceptional points as CSV")
     s.add_argument("--parity", default="even", choices=("even", "odd"))
-    s.add_argument("--n-max", type=int, default=None)
+    s.add_argument("--n-max", dest="ep_n_max", type=int)
     s.set_defaults(run=cmd_eps)
 
     s = sub.add_parser("sheet", parents=[common],
                        help="Riemann-sheet grid of one branch as CSV")
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--re-min", type=float, default=None)
-    s.add_argument("--re-max", type=float, default=None)
-    s.add_argument("--im-min", type=float, default=None)
-    s.add_argument("--im-max", type=float, default=None)
-    s.add_argument("--points", type=int, default=None)
+    s.add_argument("--re-min", dest="grid_re_min", type=float)
+    s.add_argument("--re-max", dest="grid_re_max", type=float)
+    s.add_argument("--im-min", dest="grid_im_min", type=float)
+    s.add_argument("--im-max", dest="grid_im_max", type=float)
+    s.add_argument("--points", dest="grid_points", type=int)
     s.set_defaults(run=cmd_sheet)
 
     s = sub.add_parser("holonomy", parents=[common],
@@ -214,8 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("ep-loop", "chain", "empty"))
     s.add_argument("--n", type=int, default=2, help="level for ep-loop")
     s.add_argument("--ns", default="2,4", help="levels for chain, comma separated")
-    s.add_argument("--radius", type=float, default=None)
-    s.add_argument("--trunc", type=int, default=None)
+    s.add_argument("--radius", dest="loop_radius", type=float)
+    s.add_argument("--trunc", dest="truncation", type=int)
     s.add_argument("--parity", default="even", choices=("even", "odd"))
     s.add_argument("--g0", type=float, default=1.0, help="centre of the empty contour")
     s.set_defaults(run=cmd_holonomy)
@@ -225,14 +214,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--contour", default="hermitian", choices=("hermitian", "eps"))
     s.add_argument("--g0", type=float, default=1.0)
     s.add_argument("--n-ep", type=int, default=1, help="enclosed points for eps contour")
-    s.add_argument("--trunc", type=int, default=None)
+    s.add_argument("--trunc", dest="truncation", type=int)
     s.add_argument("--parity", default="even", choices=("even", "odd"))
     s.set_defaults(run=cmd_cycle)
 
     s = sub.add_parser("oracle-check", parents=[common],
                        help="closed-form connection vs quadrature oracle")
     s.add_argument("--g", type=float, default=0.5)
-    s.add_argument("--trunc", type=int, default=8)
+    s.add_argument("--trunc", dest="truncation", type=int)
     s.add_argument("--tol", type=float, default=1e-6)
     s.set_defaults(run=cmd_oracle_check)
     return p
@@ -240,8 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # a setting flag's dest is the RunConfig field it overrides; unset, it is None
+    flags = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+             if getattr(args, f.name, None) is not None}
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
+        cfg = replace(cfg, **flags)
         code, text = args.run(cfg, args)
     except (ConfigError, PathConstructionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

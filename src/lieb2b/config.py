@@ -2,6 +2,11 @@
 
 Every exported artifact embeds the hash of the configuration that
 produced it, so a fixture can be traced back to its exact settings.
+A CLI setting flag overrides the key it names (``--n-max`` ep_n_max,
+``--re-min`` ... ``--im-max`` grid_*, ``--points`` grid_points,
+``--radius`` loop_radius, ``--trunc`` truncation), so it is validated
+here and enters the hash like a file line; request inputs such as
+``--n``, ``--g`` or ``--g0`` do not.
 The hash is taken over a canonical serialization (sorted keys, shortest
 round-trip float representation), which makes it stable across
 platforms and insensitive to comment or ordering changes in the file.
@@ -36,7 +41,7 @@ class RunConfig:
     grid_points: int = 41
 
     def __post_init__(self):
-        for name in ("solver_tol", "transport_rtol", "oracle_dg", "loop_radius"):
+        for name in ("solver_tol", "transport_rtol", "oracle_dg"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be strictly positive")
         if self.proxy_infinity < 1e4:
@@ -47,8 +52,9 @@ class RunConfig:
             raise ConfigError("quadrature_nodes must be at least 8")
         if self.ep_n_max < 2:
             raise ConfigError("ep_n_max must be at least 2")
-        if self.loop_radius < MIN_LOOP_RADIUS:
-            raise ConfigError(f"loop_radius must be at least {MIN_LOOP_RADIUS}")
+        if not self.loop_radius >= MIN_LOOP_RADIUS:
+            raise ConfigError(f"loop_radius {self.loop_radius} is below the floor "
+                              f"{MIN_LOOP_RADIUS}")
         if not self.grid_re_min < self.grid_re_max:
             raise ConfigError("grid window is empty along the real axis")
         if not self.grid_im_min < self.grid_im_max:

@@ -347,8 +347,7 @@ def _scalar_hop(parity: Parity, sample: ContinuationSample, g, tol: float):
     return ContinuationSample(g, k, scaled), ok
 
 
-def continue_along(start: BetheState, path: ComplexPath, *,
-                   record: bool = True) -> ContinuationTrace:
+def continue_along(start: BetheState, path: ComplexPath) -> ContinuationTrace:
     """Continue a quasi-momentum branch along a piecewise-linear path.
 
     The path must begin at the state's coupling; `walk_segment` walks
@@ -358,7 +357,7 @@ def continue_along(start: BetheState, path: ComplexPath, *,
     around it.  A stalled hop whose scaled residual is not finite (past
     |k| of about 1e154 even the rescaled error scale overflows) gives
     ABORTED_RESIDUAL_OVERFLOW instead, since no branch point need be
-    near.  Without record only the start and the last sample are kept.
+    near.
     """
     if abs(complex(path.waypoints[0]) - complex(start.g)) > 1e-12:
         raise ValueError("path must start at the state's coupling")
@@ -369,7 +368,7 @@ def continue_along(start: BetheState, path: ComplexPath, *,
 
     def hop(s, g):
         new, ok = _scalar_hop(parity, s, g, HOP_TOL)
-        if ok and record:
+        if ok:
             trace.samples.append(new)
         return new, ok
 
@@ -387,15 +386,12 @@ def continue_along(start: BetheState, path: ComplexPath, *,
             trace.note = (f"residual overflow at g={stalled.g:.6g} (k={sample.k:.6g}, "
                           "residual scale beyond the double range)")
         break
-    if not record and sample is not trace.samples[0]:
-        trace.samples.append(sample)
     return trace
 
 
-def continue_to(start: BetheState, g_target, *, record: bool = True,
-                **path_kw) -> ContinuationTrace:
+def continue_to(start: BetheState, g_target, **path_kw) -> ContinuationTrace:
     """Straight-line continuation from the state's coupling to g_target."""
-    return continue_along(start, line_path(start.g, g_target, **path_kw), record=record)
+    return continue_along(start, line_path(start.g, g_target, **path_kw))
 
 
 def sheet_value(n: int, g) -> complex:
@@ -404,7 +400,7 @@ def sheet_value(n: int, g) -> complex:
     anchor = solve_k_real(n, g.real)
     if g.imag == 0.0:
         return anchor.k
-    trace = continue_to(anchor, g, record=False)
+    trace = continue_to(anchor, g)
     if trace.status is not TraceStatus.COMPLETED:
         raise SolverError(
             f"vertical continuation aborted: {trace.note}",

@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bethe import BetheState, Parity, asymptotic_quasimomentum, energy, solve_k_real
+from .bethe import (BetheState, Parity, SolverError, asymptotic_quasimomentum,
+                    energy, real_axis_k)
 from .continuation import ComplexPath, circle_path
 from .exceptional import enumerate_eps, find_ep
 from .holonomy import (HolonomyMatrix, TruncationSpec, ep_loop_holonomy,
@@ -102,24 +103,28 @@ def hermitian_cycle(g0: float, trunc: TruncationSpec, *,
         raise ValueError(f"g0 = {g0} sits at the family's real branch point")
     kbar = trunc.base
     levels = trunc.levels
+    # k_n(+proxy), k_{n+2}(-proxy) and k_{n+2}(g0) in one solve
+    labels = np.array(levels)
+    k = real_axis_k(np.stack([labels, labels + 2, labels + 2]),
+                    np.array([[proxy], [-proxy], [g0]]))
+    if np.isnan(k).any():
+        raise SolverError(f"no real-axis root on the cycle through g0 = {g0}", g=g0)
+    k_out, k_in, k_after = k.tolist()
 
     permutation = {}
-    for n in levels:
+    for n, ko, ki in zip(levels, k_out, k_in):
+        # k_n(+inf) = k_{n+2}(-inf) = n + 1
         limit = asymptotic_quasimomentum(n, +1)
         partner = n + 2
-        if asymptotic_quasimomentum(partner, -1) != limit:
-            raise RuntimeError("asymptotic relabeling identity violated")
-        k_out = solve_k_real(n, proxy).k
-        k_in = solve_k_real(partner, -proxy).k
-        if abs(k_out - k_in) > 10.0 * limit / proxy:
+        if abs(ko - ki) > 10.0 * limit / proxy:
             raise RuntimeError(
                 f"levels {n} (+proxy) and {partner} (-proxy) do not meet: "
-                f"k = {k_out} vs {k_in}")
+                f"k = {ko} vs {ki}")
         permutation[n] = partner
 
     energies_before = _family_energies(trunc, g0)
-    energies_after = {n: energy(kbar, solve_k_real(permutation[n], g0)).energy.real
-                      for n in levels}
+    energies_after = {n: energy(kbar, BetheState(n + 2, g0, k, trunc.parity)).energy.real
+                      for n, k in zip(levels, k_after)}
     phases = {n: 1.0 + 0.0j for n in levels}
     return CycleResult(g0, trunc, kbar, permutation, phases,
                        energies_before, energies_after, exiting=(levels[-1],))

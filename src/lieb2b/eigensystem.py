@@ -91,11 +91,11 @@ class Eigenfunction:
     """One relative-coordinate eigenfunction at coupling g.
 
     ``k`` is always the right-branch quasi-momentum k_n(g); a LEFT
-    instance derives its own wavenumber from it.  ``s_sign`` is the
-    conjugation sign relating k_n(conj(g)) to k_n(g); at real coupling
-    it is inferred from k (real k: +1, bound imaginary k: -1), off the
-    real axis a LEFT profile needs it passed in explicitly (use
-    continuation.conjugation_symmetry_check).
+    instance derives its own wavenumber from it through the conjugation
+    sign relating k_n(conj(g)) to k_n(g).  That sign is inferred from k
+    at real coupling (real k: +1, bound imaginary k: -1); off the real
+    axis a LEFT function offers only `conjugated_profile`, which needs
+    no sign.
     """
 
     n: int
@@ -103,8 +103,6 @@ class Eigenfunction:
     k: complex
     kbar: int | None = None
     side: Side = Side.RIGHT
-    gauge: complex = 1.0
-    s_sign: int | None = None
 
     def __post_init__(self):
         if self.kbar is None:
@@ -117,11 +115,9 @@ class Eigenfunction:
         return Parity.of_level(self.n)
 
     def _s(self) -> int:
-        if self.s_sign is not None:
-            return self.s_sign
         if abs(complex(self.g).imag) > 1e-12:
             raise ValueError("conjugation sign is ambiguous off the real axis, "
-                             "pass s_sign explicitly")
+                             "use conjugated_profile")
         return 1 if abs(complex(self.k).imag) <= abs(complex(self.k).real) else -1
 
     @property
@@ -133,7 +129,7 @@ class Eigenfunction:
     @property
     def normalization(self):
         """a(k) for a RIGHT function, the biorthogonal a_L for a LEFT one."""
-        a = self.gauge * normalization_pt(self.parity, self.k)
+        a = normalization_pt(self.parity, self.k)
         if self.side is Side.RIGHT:
             return a
         s_par = 1 if self.parity is Parity.EVEN else self._s()
@@ -159,13 +155,13 @@ class Eigenfunction:
         cancel, leaving a closed form in the right-branch k that is
         valid on the whole sheet, bound branches included.
         """
-        a = self.gauge * normalization_pt(self.parity, self.k)
+        a = normalization_pt(self.parity, self.k)
         return 2.0 / (self.pair_weight * a) / np.sqrt(TWO_PI) * self._trig(self.k, x)
 
     @classmethod
     def at_real_coupling(cls, n: int, g: float, side: Side = Side.RIGHT,
-                         kbar: int | None = None, gauge: complex = 1.0):
-        return cls(n, g, solve_k_real(n, g).k, kbar, side, gauge)
+                         kbar: int | None = None):
+        return cls(n, g, solve_k_real(n, g).k, kbar, side)
 
 
 @lru_cache(maxsize=8)
@@ -210,15 +206,16 @@ def biorthonormality_defect(levels, g, k_values=None, nodes: int = 256) -> float
     return worst
 
 
-def _difference_quotient(levels, g, dg, nodes, kbar, gauge):
+def _difference_quotient(levels, g, dg, nodes):
     """Matrix of i * <psi_L_i(g), (psi_j(g+dg) - psi_j(g-dg)) / (2 dg)>."""
     x, w = _gauss_legendre(nodes)
-    left = [Eigenfunction.at_real_coupling(n, g, Side.LEFT, kbar, gauge)
-            .conjugated_profile(x) for n in levels]
-    plus = [Eigenfunction.at_real_coupling(n, g + dg, Side.RIGHT, kbar, gauge)
-            .profile(x) for n in levels]
-    minus = [Eigenfunction.at_real_coupling(n, g - dg, Side.RIGHT, kbar, gauge)
-             .profile(x) for n in levels]
+    k = real_axis_k(np.asarray(levels), np.array([[g], [g + dg], [g - dg]]))
+    if np.isnan(k).any():
+        raise SolverError(f"no real-axis root for levels {levels} near g={g}", g=g)
+    left = [Eigenfunction(n, g, kn, side=Side.LEFT).conjugated_profile(x)
+            for n, kn in zip(levels, k[0])]
+    plus = [Eigenfunction(n, g + dg, kn).profile(x) for n, kn in zip(levels, k[1])]
+    minus = [Eigenfunction(n, g - dg, kn).profile(x) for n, kn in zip(levels, k[2])]
     m = len(levels)
     out = np.zeros((m, m), dtype=complex)
     for i in range(m):
@@ -229,18 +226,14 @@ def _difference_quotient(levels, g, dg, nodes, kbar, gauge):
 
 
 def overlap_connection_oracle(n_levels: int, g: float, dg: float = 1e-5, *,
-                              parity: Parity = Parity.EVEN, kbar: int | None = None,
-                              nodes: int = 256, gauge: complex = 1.0):
+                              parity: Parity = Parity.EVEN, nodes: int = 256):
     """Finite-difference gauge connection over one parity family at real g.
 
     Entry (i, j) is i * <psi_L_i | d psi_j / d g> on the levels n_b,
     n_b + 2, ..., computed by a central difference with one Richardson
-    step.  The center-of-mass wavenumber rides along as metadata only,
-    so the result is bitwise independent of the kbar choice.
+    step.
     """
     levels = TruncationSpec(parity, n_levels).levels
-    if kbar is None:
-        kbar = levels[0] % 2
-    coarse = _difference_quotient(levels, g, dg, nodes, kbar, gauge)
-    fine = _difference_quotient(levels, g, 0.5 * dg, nodes, kbar, gauge)
+    coarse = _difference_quotient(levels, g, dg, nodes)
+    fine = _difference_quotient(levels, g, 0.5 * dg, nodes)
     return (4.0 * fine - coarse) / 3.0

@@ -163,6 +163,15 @@ class TestBrentRoot:
         assert set(sheet.aborted_columns) == set(range(5))
         assert np.isnan(sheet.k).all()
 
+    @pytest.mark.parametrize("g", [1e-300, -1e-300, 1e-40, -1e-40, 1e-20, -1e-20])
+    def test_ground_branch_near_zero_coupling_converges(self, monkeypatch, g):
+        # the root sqrt(2|g|/pi) lies far above the chord's zero ~|g|;
+        # halving down from there would not converge within eight steps
+        monkeypatch.setattr(bethe, "NEWTON_MAX_STEPS", 8)
+        k = complex(real_axis_k(0, g))
+        root = np.sqrt(2.0 * abs(g) / np.pi)
+        assert abs(abs(k) - root) <= 1e-12 * root
+
 
 ROOTS = pathlib.Path(__file__).resolve().parent / "data" / "real_axis_roots.txt"
 

@@ -1,5 +1,7 @@
 """Command-line interface, configuration, and export-format checks."""
 
+import pathlib
+import shlex
 import struct
 
 import numpy as np
@@ -18,6 +20,16 @@ from lieb2b.serialize import (ExportRecord, SerializationError, csv_table,
                               parse_csv_table, parse_cycle_document,
                               parse_holonomy_document, parse_record,
                               parse_sheet_document, sheet_document)
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands():
+    """The `lieb2b ...` lines of README's "Command line" code block."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [ln for ln in block.splitlines() if ln.startswith("lieb2b ")]
 
 
 def run_cli(capsys, *argv):
@@ -268,13 +280,13 @@ class TestConfig:
     def test_config_file_with_defaults_keeps_hash(self, capsys, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# comment line\nsolver_tol = 1e-12\n\ntruncation = 12\n")
-        _, out, _ = run_cli(capsys, "eps", "--n-max", 4, "--config", path)
+        _, out, _ = run_cli(capsys, "eps", "--config", path)
         assert parse_record(out).config_hash == RunConfig().config_hash()
 
     def test_changed_key_changes_hash(self, capsys, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("truncation = 10\n")
-        _, out, _ = run_cli(capsys, "eps", "--n-max", 4, "--config", path)
+        _, out, _ = run_cli(capsys, "eps", "--config", path)
         assert parse_record(out).config_hash != RunConfig().config_hash()
         assert parse_record(out).config_hash == \
             RunConfig(truncation=10).config_hash()
@@ -304,6 +316,60 @@ class TestConfig:
         b = parse_config("# swapped\nloop_radius = 2e-3\ntruncation = 10\n")
         assert a.config_hash() == b.config_hash()
 
+    @pytest.mark.parametrize("command, flag, key, value", [
+        (("eps",), "--n-max", "ep_n_max", 4),
+        (("sheet", "--n", 2), "--re-min", "grid_re_min", -2.0),
+        (("sheet", "--n", 2), "--re-max", "grid_re_max", 0.5),
+        (("sheet", "--n", 2), "--im-min", "grid_im_min", -2.0),
+        (("sheet", "--n", 2), "--im-max", "grid_im_max", 0.25),
+        (("sheet", "--n", 2), "--points", "grid_points", 7),
+        (("holonomy", "--contour", "empty"), "--radius", "loop_radius", 2e-3),
+        (("holonomy", "--contour", "ep-loop"), "--trunc", "truncation", 6),
+        (("cycle",), "--trunc", "truncation", 6),
+        (("oracle-check",), "--trunc", "truncation", 4),
+    ])
+    def test_flag_and_config_key_are_one_setting(self, capsys, tmp_path,
+                                                 command, flag, key, value):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {value}\n")
+        by_flag = run_cli(capsys, *command, flag, value)
+        by_file = run_cli(capsys, *command, "--config", path)
+        assert by_flag == by_file
+        assert by_flag[0] == 0
+        if command[0] != "oracle-check":  # a plain report, no record
+            assert parse_record(by_flag[1]).config_hash == \
+                RunConfig(**{key: value}).config_hash()
+
+    @pytest.mark.parametrize("command, defaults", [
+        (("eps",), ("--n-max", 8)),
+        (("sheet", "--n", 2), ("--re-min", -3.0, "--re-max", 1.0, "--im-min", -4.0,
+                               "--im-max", 0.5, "--points", 41)),
+        (("holonomy",), ("--trunc", 12, "--radius", 1e-3)),
+        (("cycle",), ("--trunc", 12)),
+        (("oracle-check",), ("--trunc", 12)),
+    ])
+    def test_flags_at_their_defaults_change_nothing(self, capsys, command, defaults):
+        assert run_cli(capsys, *command, *defaults) == run_cli(capsys, *command)
+
+    @pytest.mark.parametrize("command, flag, key, value", [
+        (("sheet", "--n", 2), "--points", "grid_points", 1),
+        (("holonomy",), "--trunc", "truncation", 1),
+        (("cycle",), "--trunc", "truncation", 1),
+        (("oracle-check",), "--trunc", "truncation", 1),
+        (("eps",), "--n-max", "ep_n_max", 1),
+        (("holonomy",), "--radius", "loop_radius", 1e-6),
+        (("holonomy",), "--radius", "loop_radius", -0.5),
+        (("holonomy",), "--radius", "loop_radius", float("nan")),
+    ])
+    def test_invalid_setting_exits_2_by_flag_or_file(self, capsys, tmp_path,
+                                                     command, flag, key, value):
+        with pytest.raises(ConfigError) as exc:
+            RunConfig(**{key: value})
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {value}\n")
+        for argv in ((flag, value), ("--config", path)):
+            assert run_cli(capsys, *command, *argv) == (2, "", f"error: {exc.value}\n")
+
     def test_inconclusive_permutation_exits_3(self, capsys, monkeypatch):
         def broken(cfg, args):
             raise InconclusivePermutationError("no dominant entry")
@@ -311,6 +377,15 @@ class TestConfig:
         code, _, err = run_cli(capsys, "cycle", "--g0", 1.0)
         assert code == 3
         assert "inconclusive" in err
+
+
+@pytest.mark.parametrize("line", readme_commands())
+def test_readme_command_exits_0(capsys, tmp_path, line):
+    # a later --out wins over one the line gives
+    argv = shlex.split(line)[1:]
+    code, out, err = run_cli(capsys, *argv, "--out", tmp_path / "out.txt")
+    assert (code, out, err) == (0, "", "")
+    assert (tmp_path / "out.txt").stat().st_size > 0
 
 
 class TestSerialize:

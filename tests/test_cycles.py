@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from lieb2b.bethe import Parity, energy, solve_k_real
+from lieb2b import bethe
+from lieb2b.bethe import Parity, SolverError, energy, solve_k_real
 from lieb2b.continuation import line_path
 from lieb2b.cycles import (InconclusivePermutationError,
                            PathConstructionError, chained_loop_holonomy,
@@ -44,6 +45,11 @@ class TestHermitianCycle:
     def test_rejects_small_proxy(self):
         with pytest.raises(ValueError):
             hermitian_cycle(1.0, EVEN8, proxy=100.0)
+
+    def test_unsolved_root_raises_solver_error(self, monkeypatch):
+        monkeypatch.setattr(bethe, "NEWTON_MAX_STEPS", 1)
+        with pytest.raises(SolverError):
+            hermitian_cycle(0.7, TruncationSpec(Parity.ODD, 4))
 
 
 class TestContours:

@@ -9,7 +9,8 @@ check, which is what makes the comparison in test_holonomy meaningful.
 import numpy as np
 import pytest
 
-from lieb2b.bethe import Parity
+from lieb2b import bethe
+from lieb2b.bethe import Parity, SolverError
 from lieb2b.continuation import sheet_value
 from lieb2b.eigensystem import (Eigenfunction, Side, biorthonormality_defect,
                                 normalization_pt, overlap_connection_oracle,
@@ -81,11 +82,6 @@ class TestEigenfunctions:
 
 
 class TestOracle:
-    def test_center_of_mass_momentum_is_spectator(self):
-        a = overlap_connection_oracle(6, 1.0, parity=Parity.EVEN, kbar=0)
-        b = overlap_connection_oracle(6, 1.0, parity=Parity.EVEN, kbar=2)
-        assert np.array_equal(a, b)
-
     def test_oracle_matrix_is_hermitian_at_real_coupling(self):
         for parity in (Parity.EVEN, Parity.ODD):
             a = overlap_connection_oracle(6, 0.8, parity=parity)
@@ -101,6 +97,11 @@ class TestOracle:
     def test_oracle_diagonal_vanishes(self):
         a = overlap_connection_oracle(6, 1.3, parity=Parity.EVEN)
         assert np.max(np.abs(np.diag(a))) < 1e-6
+
+    def test_unsolved_root_raises_solver_error(self, monkeypatch):
+        monkeypatch.setattr(bethe, "NEWTON_MAX_STEPS", 1)
+        with pytest.raises(SolverError):
+            overlap_connection_oracle(4, 0.7, parity=Parity.ODD)
 
     def test_richardson_step_tightens_quotient(self):
         # halving dg must not move the extrapolated result at tolerance
