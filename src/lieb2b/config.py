@@ -15,6 +15,7 @@ platforms and insensitive to comment or ordering changes in the file.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 
 from .holonomy import MIN_LOOP_RADIUS
@@ -41,6 +42,9 @@ class RunConfig:
     grid_points: int = 41
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite")
         for name in ("solver_tol", "transport_rtol", "oracle_dg"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be strictly positive")

@@ -27,20 +27,21 @@ kept strictly apart:
   loop around a branch point flips the sign of sqrt(r) and a fixed
   window would make the connection jump mid-path.
 
-Transport integrates
-
-    dV/dt = -i * A(g(t)) * g'(t) * V,    V(0) = 1
-
-along piecewise-linear paths with an embedded Dormand-Prince 5(4) pair.
-Each attempted step moves every slot of the frame to the step's five
-distinct stage points in one call of the array corrector
-:func:`lieb2b.continuation.newton_correct_array`, each stage predicted
-from the tangent at the step's start, and evaluates the five stage
-connections in one :func:`connection_matrix` call; the step's last
-connection is the next step's first.  The step is refused, and halved,
-when any slot at any stage would leave its Newton basin or its sqrt(r)
-branch.  :func:`advance_frame` moves a frame by the same hop, one point
-at a time, with the step rule of
+Transport solves dV/dt = B V, B = -i * A(g(t)) * g'(t), V(0) = 1 along
+piecewise-linear paths as an ordered exponential, one sixth-order
+Magnus step V <- exp(Omega) V at a time: Omega comes from B at three
+Gauss-Legendre nodes and their commutators, and the fourth-order Omega
+of the same nodes sets the step size (Blanes, Casas & Ros, BIT 40, 434
+(2000)).  A has a zero diagonal, so B and every Omega are traceless and
+det V = 1 to round-off on any path.  Each attempted step moves every
+slot of the frame to the three nodes and the step end in one call of
+the array corrector :func:`lieb2b.continuation.newton_correct_array`,
+each point predicted from the tangent at the step's start, and
+evaluates their connections in one :func:`connection_matrix` call.  The
+step is refused, and halved, when any slot at any point would leave its
+Newton basin or its sqrt(r) branch; the step size carries over path
+corners.  :func:`advance_frame` moves a frame by the same hop, one
+point at a time, with the step rule of
 :func:`lieb2b.continuation.walk_segment`.  The returned matrix is V at
 the path end, nothing folded in: columns expand the transported slots
 over the starting slots, and transports over concatenated paths compose
@@ -126,8 +127,8 @@ class HolonomyMatrix:
 
     Entry (i, j) is the coefficient of starting slot i in the
     transported slot j; later loops multiply from the left.  ``steps``
-    and ``rejected`` count Dormand-Prince steps when the matrix came
-    from transport.
+    and ``rejected`` count Magnus steps when the matrix came from
+    transport.
     """
 
     truncation: TruncationSpec
@@ -342,24 +343,28 @@ def advance_frame(frame: TransportFrame, g_target: complex, *,
     return end
 
 
-# Dormand-Prince 5(4) tableau
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-                   187 / 2100, 1 / 40])
-
+#: a Magnus step's Gauss-Legendre nodes, then its end
+_MAGNUS_POINTS = (0.5 - np.sqrt(15.0) / 10.0, 0.5, 0.5 + np.sqrt(15.0) / 10.0, 1.0)
 TAIL_ROW_BOUND = 0.25
-#: Dormand-Prince absolute tolerance, step budget and smallest step
-DP_ATOL, DP_MAX_STEPS, DP_MIN_STEP = 1e-13, 200000, 1e-12
+#: Magnus-step absolute tolerance, step budget and smallest step
+MAGNUS_ATOL, MAGNUS_MAX_STEPS, MAGNUS_MIN_STEP = 1e-13, 200000, 1e-12
+
+
+def _commutator(x, y):
+    return x @ y - y @ x
+
+
+def _expm(x):
+    """exp(x) by scaling and squaring (Higham 2005): a degree-12 Taylor
+    polynomial of x / 2**s, whose 1-norm is below 1/4 (tail < 3e-18)."""
+    s = max(0, int(np.frexp(4.0 * np.linalg.norm(x, 1))[1]))
+    y = x / 2.0 ** s
+    e = one = np.eye(len(x), dtype=complex)
+    for j in range(12, 0, -1):
+        e = one + (y @ e) / j
+    for _ in range(s):
+        e = e @ e
+    return e
 
 
 def transport(path: ComplexPath, trunc: TruncationSpec, *,
@@ -367,13 +372,14 @@ def transport(path: ComplexPath, trunc: TruncationSpec, *,
               rtol: float = 1e-10) -> HolonomyMatrix:
     """Integrate parallel transport of the truncated family along ``path``.
 
-    The initial frame defaults to the standard sheet: solved on the spot
-    for a real starting point, continued straight down from the real
-    axis for an off-axis one.  The result's matrix is V at the path end
-    with V(0) = 1; a warning is issued if the top retained level's
-    coupling row grows beyond a bound anywhere along the way, since then
-    the truncation is feeding back into the retained block.
+    The initial frame defaults to :func:`entry_frame` at the path start.
+    The result's matrix is V at the path end with V(0) = 1; a warning is
+    issued if the top retained level's coupling row grows beyond a bound
+    anywhere along the way, since then the truncation is feeding back
+    into the retained block.
     """
+    if not 0.0 < rtol < np.inf:
+        raise ValueError(f"transport needs 0 < rtol < inf, got {rtol}")
     levels = trunc.levels
     if frame0 is None:
         frame0 = entry_frame(trunc, complex(path.waypoints[0]))
@@ -382,55 +388,54 @@ def transport(path: ComplexPath, trunc: TruncationSpec, *,
     if abs(complex(path.waypoints[0]) - frame0.g) > 1e-12:
         raise ValueError("frame0 sits at a different point than the path start")
 
-    m = len(levels)
-    v = np.eye(m, dtype=complex)
+    v = np.eye(len(levels), dtype=complex)
     frame = frame0
     a_start = frame.connection()  # carried over from each step's end
     steps = rejected = 0
     newton_tol = min(1e-12, rtol)
     tail_warned = False
+    h = None
 
     for ga, gb in path.segments():
-        seg = gb - ga
-        length = abs(seg)
-        direction = seg / length
+        length = abs(gb - ga)
+        direction = (gb - ga) / length
         t = 0.0
-        h = min(length, max(length / 8.0, 10.0 * DP_MIN_STEP))
+        if h is None:  # later segments carry the step over the corner
+            h = max(length / 8.0, 10.0 * MAGNUS_MIN_STEP)
         while t < length:
             h = min(h, length - t)
-            if h < DP_MIN_STEP:
+            if h < MAGNUS_MIN_STEP:
                 raise TransportError(f"step size underflow near g = {frame.g}")
-            # stages 1..5; stage 6 sits at c = 1 like stage 5
             run, ok = _advance_run(
-                frame, [ga + direction * (t + c * h) for c in _DP_C[1:6]], newton_tol)
+                frame, [ga + direction * (t + c * h) for c in _MAGNUS_POINTS], newton_tol)
             if not ok:
                 rejected += 1
                 h *= 0.5
                 continue
             a_run = connection_matrix(levels, [f.d_values() for f in run],
                                       [f.k for f in run])
-            ks = [-1j * direction * a_start @ v]
-            for s, a in enumerate((*a_run, a_run[-1]), start=1):
-                v_stage = v + h * sum(c * k for c, k in zip(_DP_A[s], ks))
-                ks.append(-1j * direction * a @ v_stage)
-            v5 = v + h * sum(b * k for b, k in zip(_DP_B5, ks))
-            v4 = v + h * sum(b * k for b, k in zip(_DP_B4, ks))
-            scale = DP_ATOL + rtol * max(1.0, float(np.max(np.abs(v5))))
-            err = float(np.max(np.abs(v5 - v4))) / scale
+            b1, b2, b3 = -1j * h * direction * a_run[:3]
+            a1, a2 = b2, np.sqrt(15.0) / 3.0 * (b3 - b1)
+            a3 = 10.0 / 3.0 * (b3 - 2.0 * b2 + b1)
+            c1 = _commutator(a1, a2)
+            c2 = _commutator(a1, 2.0 * a3 + c1) / -60.0
+            omega6 = a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+            omega4 = a1 + a3 / 12.0 - c1 / 12.0
+            scale = MAGNUS_ATOL + rtol * max(1.0, float(np.max(np.abs(v))))
+            err = float(np.max(np.abs((omega6 - omega4) @ v))) / scale
             if err <= 1.0:
-                if not tail_warned and m > 1:
-                    tail = float(np.linalg.norm(a_start[-1, :-1]))
-                    if tail > TAIL_ROW_BOUND:
-                        warnings.warn(
-                            f"level {levels[-1]} coupling row norm {tail:.3g} "
-                            "exceeds the truncation bound, enlarge n_levels",
-                            TruncationWarning, stacklevel=2)
-                        tail_warned = True
-                v = v5
+                tail = float(np.linalg.norm(a_start[-1, :-1]))
+                if tail > TAIL_ROW_BOUND and not tail_warned:
+                    warnings.warn(f"level {levels[-1]} coupling row norm {tail:.3g} "
+                                  "exceeds the truncation bound, enlarge n_levels",
+                                  TruncationWarning, stacklevel=2)
+                    tail_warned = True
+                v = _expm(omega6) @ v
                 frame, a_start = run[-1], a_run[-1]
-                t += h
+                # a step clipped to the segment's end lands on it exactly
+                t = length if h == length - t else t + h
                 steps += 1
-                if steps + rejected > DP_MAX_STEPS:
+                if steps + rejected > MAGNUS_MAX_STEPS:
                     raise TransportError("step budget exhausted")
                 h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
             else:
@@ -499,10 +504,8 @@ def frame_monodromy(path: ComplexPath, trunc: TruncationSpec, *,
     for ga, gb in path.segments():
         frame = advance_frame(frame, gb)
     perm, factors = match_frames(frame, frame0)
-    m = len(trunc.levels)
-    w = np.zeros((m, m), dtype=complex)
-    for j in range(m):
-        w[perm[j], j] = factors[j]
+    w = np.zeros((trunc.n_levels, trunc.n_levels), dtype=complex)
+    w[perm, np.arange(trunc.n_levels)] = factors
     return HolonomyMatrix(trunc, w)
 
 
@@ -519,8 +522,7 @@ def m_n_analytic(n: int, trunc: TruncationSpec) -> HolonomyMatrix:
     m = np.eye(trunc.n_levels, dtype=complex)
     d = d_sign(n)
     m[i, i] = m[j, j] = 0.0
-    m[i, j] = d
-    m[j, i] = -d
+    m[i, j], m[j, i] = d, -d
     return HolonomyMatrix(trunc, m)
 
 
@@ -535,10 +537,7 @@ def m_chain_analytic(m: int, trunc: TruncationSpec) -> HolonomyMatrix:
     if not 1 <= m <= trunc.n_levels - 1:
         raise ValueError("chain length must fit inside the truncation")
     out = np.eye(trunc.n_levels, dtype=complex)
-    for i in range(m + 1):
-        out[i, i] = 0.0
-    for i in range(m):
-        out[i + 1, i] = 1.0
+    out[:m + 1, :m + 1] = np.eye(m + 1, k=-1)
     out[0, m] = (-1.0) ** m
     return HolonomyMatrix(trunc, out)
 
@@ -563,8 +562,9 @@ def ep_loop_holonomy(n: int, trunc: TruncationSpec, radius: float = 1e-3, *,
     the max-norm distance of the raw transport matrix from the
     elementary monodromy; it shrinks with the loop radius.
     """
-    if radius < MIN_LOOP_RADIUS:
-        raise ValueError(f"loop radius below the safe floor {MIN_LOOP_RADIUS}")
+    if not MIN_LOOP_RADIUS <= radius < np.inf:
+        raise ValueError(f"loop radius {radius} must be finite and at least the safe "
+                         f"floor {MIN_LOOP_RADIUS}")
     ep = find_ep(n, verify_unique=False)
     loop = circle_path(ep.g_ep, radius, n_points=arc_points, clockwise=True)
     hol = transport(loop, trunc, rtol=rtol)

@@ -303,6 +303,21 @@ class TestConfig:
         code, _, _ = run_cli(capsys, "eps", "--config", path)
         assert code == 2
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("key", [
+        "solver_tol", "transport_rtol", "oracle_dg", "proxy_infinity", "loop_radius",
+        "grid_re_min", "grid_re_max", "grid_im_min", "grid_im_max"])
+    def test_non_finite_float_key_is_a_config_error(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            RunConfig(**{key: value})
+
+    def test_infinite_transport_rtol_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("transport_rtol = inf\n")
+        code, out, err = run_cli(capsys, "holonomy", "--config", path, "--trunc", 4)
+        assert (code, out) == (2, "")
+        assert "transport_rtol must be finite" in err
+
     def test_parse_rejects_duplicates_and_garbage(self):
         with pytest.raises(ConfigError):
             parse_config("truncation = 8\ntruncation = 10\n")

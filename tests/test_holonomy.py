@@ -1,15 +1,17 @@
 """Gauge connection and parallel transport: closed forms vs oracle vs loops."""
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lieb2b import holonomy
 from lieb2b.bethe import Parity, solve_k_real
 from lieb2b.continuation import circle_path, continue_to, line_path
 from lieb2b.eigensystem import overlap_connection_oracle
-from lieb2b.exceptional import find_ep
+from lieb2b.exceptional import circle_reaches_branch_point, find_ep
 from lieb2b.holonomy import (MIN_LOOP_RADIUS, ConnectionProximityError,
                              TransportError, TruncationSpec, TruncationWarning,
                              advance_frame, connection_matrix, d_function, d_function_trig,
@@ -19,6 +21,12 @@ from lieb2b.holonomy import (MIN_LOOP_RADIUS, ConnectionProximityError,
                              rotated_sqrt, standard_sqrt_r, transport)
 
 EVEN12 = TruncationSpec(Parity.EVEN, 12)
+
+
+def distance_to_segment(p, a, b):
+    """Distance from the point p to the segment [a, b] of the plane."""
+    t = np.clip(((p - a) * np.conj(b - a)).real / abs(b - a) ** 2, 0.0, 1.0)
+    return abs(a + t * (b - a) - p)
 
 
 class TestBranchWindow:
@@ -170,8 +178,8 @@ class TestTransport:
         res = transport(line_path(1.0, 1.0 - 0.8j), trunc, frame0=frame0)
         assert res.steps > 0
         assert len(calls) == res.steps + res.rejected
-        # the five distinct stages of a step go in as one run
-        assert all(np.shape(g) == (5, 1) for g in calls)
+        # the three Gauss nodes of a step and its end go in as one run
+        assert all(np.shape(g) == (4, 1) for g in calls)
 
     def test_refused_run_is_one_rejected_step_with_half_the_step(self, monkeypatch):
         runs = []
@@ -191,6 +199,31 @@ class TestTransport:
         free = transport(line_path(1.0, 1.0 - 0.8j), trunc, frame0=frame_at(trunc, 1.0))
         assert free.rejected == 0
         assert np.max(np.abs(res.matrix - free.matrix)) < 1e-8
+
+    def test_step_size_carries_over_the_corners_of_a_loop(self):
+        # carried over the corners, the step covers about one edge;
+        # restarting it at an eighth of every edge costs 144 steps here
+        e = find_ep(2, verify_unique=False).g_ep
+        hol = transport(circle_path(e, 1e-3, n_points=48, clockwise=True), EVEN12)
+        assert hol.steps < 64
+        assert hol.rejected == 0
+        assert abs(np.linalg.det(hol.matrix) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("rtol", [0.0, -1e-10, np.inf, np.nan])
+    def test_rtol_outside_the_open_interval_is_rejected(self, rtol):
+        with pytest.raises(ValueError, match="0 < rtol < inf"):
+            transport(line_path(1.0, 1.0 - 0.8j), EVEN12, rtol=rtol)
+
+
+class TestMatrixExponential:
+    @pytest.mark.parametrize("norm", [0.0, 1e-3, 0.2, 0.25, 1.0, 40.0])
+    def test_matches_the_eigendecomposition(self, norm):
+        rng = np.random.default_rng(20261018)
+        x = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+        x *= norm / np.linalg.norm(x, 1)
+        w, q = np.linalg.eig(x)
+        ref = q @ np.diag(np.exp(w)) @ np.linalg.inv(q)
+        assert np.max(np.abs(holonomy._expm(x) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestEpLoops:
@@ -236,6 +269,13 @@ class TestEpLoops:
         with pytest.raises(ValueError):
             ep_loop_holonomy(2, EVEN12, MIN_LOOP_RADIUS / 2)
 
+    @pytest.mark.parametrize("radius", [np.nan, np.inf])
+    def test_non_finite_radius_is_rejected_without_a_warning(self, radius):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="safe floor"):
+                ep_loop_holonomy(2, EVEN12, radius)
+
     def test_odd_family_loop(self):
         odd12 = TruncationSpec(Parity.ODD, 12)
         v = ep_loop_holonomy(3, odd12, 1e-3).holonomy
@@ -260,6 +300,30 @@ class TestGaugeInvariantFigures:
             <= 0.2 * r * r + 1e-8
         assert np.linalg.norm(np.linalg.matrix_power(v, 4) - np.eye(8), 2) \
             <= 0.4 * r * r + 2e-8
+
+    @settings(max_examples=16, deadline=None)
+    @given(odd=st.booleans(), closed=st.booleans(),
+           x=st.floats(min_value=-0.5, max_value=3.0),
+           y=st.floats(min_value=-1.0, max_value=1.0),
+           u=st.floats(min_value=-0.5, max_value=3.0),
+           w=st.floats(min_value=-1.0, max_value=1.0),
+           radius=st.floats(min_value=0.05, max_value=0.5))
+    def test_determinant_is_one_to_round_off(self, odd, closed, x, y, u, w, radius):
+        # A has a zero diagonal, so every step's exponent is traceless
+        parity = Parity.ODD if odd else Parity.EVEN
+        a = complex(x, y)
+        if closed:  # a circle about a with no branch point within 0.1 of it
+            assume(not circle_reaches_branch_point(parity, a, radius + 0.1))
+            path, start = circle_path(a, radius, n_points=24), a + radius
+        else:
+            b = complex(u, w)
+            assume(abs(b - a) >= 0.05)
+            assume(distance_to_segment(parity.real_branch_point, a, b) >= 0.2)
+            path, start = line_path(a, b), a
+        # the entry frame comes straight down from the real axis
+        assume(abs(start.real - parity.real_branch_point) >= 0.2)
+        v = transport(path, TruncationSpec(parity, 6)).matrix
+        assert abs(np.linalg.det(v) - 1.0) <= 1e-12
 
 
 class TestFrameMonodromy:
