@@ -120,12 +120,12 @@ def cmd_holonomy(cfg: RunConfig, args) -> tuple[int, str]:
         payload = _holonomy_payload(hol)
     else:
         trunc = TruncationSpec(_parity(args.parity), cfg.truncation)
+        circle = circle_path(args.g0, radius)  # rejects a non-finite g0
         if circle_reaches_branch_point(trunc.parity, args.g0, radius):
             raise ConfigError(
                 f"empty contour of radius {radius} about g0 = {args.g0} "
                 "reaches a branch point of the family")
-        hol = transport(circle_path(args.g0, radius), trunc,
-                        rtol=cfg.transport_rtol)
+        hol = transport(circle, trunc, rtol=cfg.transport_rtol)
         payload = _holonomy_payload(hol, g0=args.g0)
     record = ExportRecord("holonomy", cfg.config_hash(), payload)
     return EXIT_OK, record.render()

@@ -14,11 +14,11 @@ the local behaviour turns into a square root with coefficient
 
     G2 = -2 (dJ/dg) / (d^2J/dk^2) = -(g^2 + k^2) / g,
 
-equal to 2/pi wherever r = 0.  One step rule, `walk_segment`, carries a
-root along each path segment, a sheet column the array corrector could
-not move, and (in `holonomy.advance_frame`) a transport frame.  A hop
-is refused near a branch point (|dJ/dk| < 1e-4), so the walk slows
-down there and stops instead of stepping across.
+equal to 2/pi wherever r = 0.  One walker, `walk_path`, carries a root
+along a path, a sheet column the array corrector could not move, and
+(in `holonomy`) a transport frame and transport's Magnus steps.  A
+scalar hop is refused near a branch point (|dJ/dk| < 1e-4), so the
+walk slows down there and stops instead of stepping across.
 
 Riemann sheets follow the vertical-transport convention: the value at
 g = x + i*y is continued from the real-axis value at x straight up or
@@ -55,29 +55,27 @@ from .bethe import (
 #: `continue_along`'s Newton tolerance and `_scalar_hop`'s acceptance rules;
 #: an accepted hop grows the step by STEP_GROWTH
 HOP_TOL, HOP_ACCEPT, DJ_DK_FLOOR, STEP_GROWTH = 1e-12, 1e-10, 1e-4, 1.7
+#: scalar walks' largest and smallest step
+MAX_STEP, MIN_STEP = 0.05, 1e-9
 
 
 @dataclass
 class ComplexPath:
-    """Piecewise-linear path in the complex coupling plane.
-
-    The step bounds ride along with the geometry so that a path built
-    once can be handed to continuation and transport unchanged.
-    """
+    """Piecewise-linear path through finite complex couplings: geometry
+    only; each walk along it sets its own step bounds."""
 
     waypoints: Sequence[complex]
-    max_step: float = 0.05
-    min_step: float = 1e-9
 
     def __post_init__(self):
         self.waypoints = [complex(w) for w in self.waypoints]
         if not self.waypoints:
             raise ValueError("path needs at least one waypoint")
+        for w in self.waypoints:
+            if not cmath.isfinite(w):
+                raise ValueError(f"path waypoint {w} is not a finite coupling")
         for a, b in zip(self.waypoints, self.waypoints[1:]):
             if a == b:
                 raise ValueError("consecutive waypoints must be distinct")
-        if not (0 < self.min_step <= self.max_step):
-            raise ValueError("require 0 < min_step <= max_step")
 
     def segments(self):
         return list(zip(self.waypoints, self.waypoints[1:]))
@@ -86,23 +84,20 @@ class ComplexPath:
         return float(sum(abs(b - a) for a, b in self.segments()))
 
     def reversed(self) -> "ComplexPath":
-        return ComplexPath(list(self.waypoints)[::-1], self.max_step,
-                           self.min_step)
+        return ComplexPath(list(self.waypoints)[::-1])
 
     def joined_with(self, other: "ComplexPath") -> "ComplexPath":
         if self.waypoints[-1] != other.waypoints[0]:
             raise ValueError("paths do not share an endpoint")
-        return ComplexPath(list(self.waypoints) + list(other.waypoints)[1:],
-                           min(self.max_step, other.max_step),
-                           min(self.min_step, other.min_step))
+        return ComplexPath(list(self.waypoints) + list(other.waypoints)[1:])
 
 
-def line_path(a, b, **kw) -> ComplexPath:
-    return ComplexPath([complex(a), complex(b)], **kw)
+def line_path(a, b) -> ComplexPath:
+    return ComplexPath([complex(a), complex(b)])
 
 
 def circle_path(center, radius, *, n_points: int = 96, clockwise: bool = True,
-                turns: int = 1, **kw) -> ComplexPath:
+                turns: int = 1) -> ComplexPath:
     """Closed polygonal loop approximating a circle.
 
     Clockwise is the orientation that encircles an exceptional point the
@@ -112,8 +107,7 @@ def circle_path(center, radius, *, n_points: int = 96, clockwise: bool = True,
     angles = sign * 2.0 * np.pi * np.arange(n_points * turns + 1) / n_points
     pts = center + radius * np.exp(1j * angles)
     pts[-1] = pts[0]  # integer turns close exactly; kill rounding drift
-    kw.setdefault("max_step", max(radius / 4.0, 1e-12))
-    return ComplexPath(list(pts), **kw)
+    return ComplexPath(list(pts))
 
 
 class TraceStatus(enum.Enum):
@@ -131,6 +125,17 @@ class ContinuationSample(NamedTuple):
 def branch_point_function(g, k):
     """r(g, k) = k^2 + g^2 + 2 g/pi; zero exactly where dJ/dk = 0."""
     return k * k + g * g + 2.0 * g / np.pi
+
+
+def rotated_sqrt(w):
+    """sqrt(w) in the window rotated by -pi/2: arguments of w in
+    (pi/2, pi] count as negative, so the cut runs along the positive
+    imaginary axis and sqrt(-1) = -i."""
+    w = complex(w)
+    s = np.sqrt(w)
+    if np.angle(w) > 0.5 * np.pi:
+        s = -s
+    return s
 
 
 def tangent_slope(g, k):
@@ -166,14 +171,18 @@ def _scaled_slope(g, k, s):
 def dj_dk(g, k):
     """dJ/dk = r / (g^2 + k^2); small magnitude marks branch-point proximity.
 
-    On the deep bound branch k ~ -i|g| the denominator cancels to exactly
-    0: that is the arctan pole, where dJ/dk is infinite and no branch
-    point is near.
+    Scaled as in `tangent_slope`: the unscaled formula's value to the
+    bit, finite where g^2 would overflow.  On the deep bound branch
+    k ~ -i|g| the denominator cancels to exactly 0: that is the arctan
+    pole, where dJ/dk is infinite and no branch point is near.
     """
+    g, k = complex(g), complex(k)
+    s = math.ldexp(1.0, -math.frexp(max(abs(g), abs(k)))[1])
+    g, k = g * s, k * s
     denom = g * g + k * k
     if denom == 0:
         return complex(np.inf)
-    return branch_point_function(g, k) / denom
+    return (k * k + g * g + 2.0 * g / np.pi * s) / denom
 
 
 def newton_correct(parity: Parity, g, k0, *, tol, max_iter: int = 5):
@@ -308,50 +317,51 @@ class ContinuationTrace:
         return BetheState(self.start.n, self.final_g, self.final_k, self.start.parity)
 
 
-def walk_segment(g_a, g_b, state, hop, *, max_step: float, min_step: float):
-    """Carry state along the straight segment from g_a to g_b.
+def walk_path(waypoints, state, hop, *, h: float, max_step: float, min_step: float):
+    """Carry state along the polyline through waypoints.
 
-    hop(state, g) returns (the state tried at g, whether it is accepted).
-    The first hop spans min(max_step, length); a refused hop halves the
-    step, an accepted one grows it by STEP_GROWTH up to max_step, and the
-    hop that reaches the end, in floating point, lands on g_b exactly.
-    Returns (state at g_b, True, None), or (last accepted state, False,
-    the refused try) once the step falls below min_step.
+    hop(state, g) returns (the state tried at g, whether it is accepted,
+    the factor that then scales the step h).  A hop spans min(h,
+    max_step, the rest of the segment); the one that reaches a waypoint
+    in floating point goes to the waypoint itself, and h carries over
+    corners.  Returns (end state, True, None), or (last accepted state,
+    False, the refused try) once a refused hop leaves h below min_step
+    or below a few spacings of doubles at the current point.
     """
-    length = abs(g_b - g_a)
-    direction = (g_b - g_a) / length if length else 0j
-    s, h = 0.0, min(max_step, length)  # s: arclength progressed
-    while s < length:
-        h = min(h, length - s)
-        last = h == length - s or s + h >= length
-        tried, ok = hop(state, g_b if last else g_a + (s + h) * direction)
-        if ok:
-            state, s = tried, length if last else s + h
-            h = min(h * STEP_GROWTH, max_step)
-        elif h * 0.5 < min_step:
-            return state, False, tried
-        else:
-            h *= 0.5
+    for g_a, g_b in zip(waypoints, waypoints[1:]):
+        length = abs(g_b - g_a)
+        direction = (g_b - g_a) / length if length else 0j
+        s = 0.0  # arclength progressed along the segment
+        while s < length:
+            h = min(h, max_step, length - s)
+            last = h == length - s or s + h >= length
+            tried, ok, factor = hop(state, g_b if last else g_a + (s + h) * direction)
+            if ok:
+                state, s = tried, length if last else s + h
+            h *= factor
+            if not ok and h < max(min_step, 4.0 * math.ulp(abs(g_a + s * direction))):
+                return state, False, tried
     return state, True, None
 
 
 def _scalar_hop(parity: Parity, sample: ContinuationSample, g, tol: float):
-    """Predictor-corrector hop of one root to g, for `walk_segment`.
+    """Predictor-corrector hop of one root to g, for `walk_path`.
 
     Newton runs to tol; the hop is accepted at tol or below a scaled
-    residual of HOP_ACCEPT, unless |dJ/dk| < DJ_DK_FLOOR there.
+    residual of HOP_ACCEPT, unless |dJ/dk| < DJ_DK_FLOOR there or is
+    not a number.  It grows the step by STEP_GROWTH or halves it.
     """
     k_pred = sample.k + (g - sample.g) * tangent_slope(sample.g, sample.k)
     k, scaled, ok = newton_correct(parity, g, k_pred, tol=tol)
-    ok = (ok or scaled < HOP_ACCEPT) and not abs(dj_dk(g, k)) < DJ_DK_FLOOR
-    return ContinuationSample(g, k, scaled), ok
+    ok = (ok or scaled < HOP_ACCEPT) and abs(dj_dk(g, k)) >= DJ_DK_FLOOR
+    return ContinuationSample(g, k, scaled), ok, STEP_GROWTH if ok else 0.5
 
 
 def continue_along(start: BetheState, path: ComplexPath) -> ContinuationTrace:
     """Continue a quasi-momentum branch along a piecewise-linear path.
 
-    The path must begin at the state's coupling; `walk_segment` walks
-    each segment with scalar hops and the path's step bounds.  A stalled
+    The path must begin at the state's coupling; `walk_path` walks it
+    with scalar hops, steps between MIN_STEP and MAX_STEP.  A stalled
     walk ends the trace with ABORTED_NEAR_BRANCH_POINT and the last good
     sample, so a caller meaning to encircle a branch point must route
     around it.  A stalled hop whose scaled residual is not finite (past
@@ -367,31 +377,29 @@ def continue_along(start: BetheState, path: ComplexPath) -> ContinuationTrace:
     trace = ContinuationTrace(start, [sample])
 
     def hop(s, g):
-        new, ok = _scalar_hop(parity, s, g, HOP_TOL)
+        new, ok, factor = _scalar_hop(parity, s, g, HOP_TOL)
         if ok:
             trace.samples.append(new)
-        return new, ok
+        return new, ok, factor
 
-    for seg_a, seg_b in path.segments():
-        sample, reached, stalled = walk_segment(
-            seg_a, seg_b, sample, hop, max_step=path.max_step, min_step=path.min_step)
-        if reached:
-            continue
-        if np.isfinite(stalled.scaled_residual):
-            trace.status = TraceStatus.ABORTED_NEAR_BRANCH_POINT
-            trace.note = (f"step underflow near a branch point at g={stalled.g:.6g} "
-                          f"(|dJ/dk|={abs(dj_dk(sample.g, sample.k)):.3g})")
-        else:
-            trace.status = TraceStatus.ABORTED_RESIDUAL_OVERFLOW
-            trace.note = (f"residual overflow at g={stalled.g:.6g} (k={sample.k:.6g}, "
-                          "residual scale beyond the double range)")
-        break
+    sample, reached, stalled = walk_path(path.waypoints, sample, hop, h=MAX_STEP,
+                                         max_step=MAX_STEP, min_step=MIN_STEP)
+    if reached:
+        return trace
+    if np.isfinite(stalled.scaled_residual):
+        trace.status = TraceStatus.ABORTED_NEAR_BRANCH_POINT
+        trace.note = (f"step underflow near a branch point at g={stalled.g:.6g} "
+                      f"(|dJ/dk|={abs(dj_dk(sample.g, sample.k)):.3g})")
+    else:
+        trace.status = TraceStatus.ABORTED_RESIDUAL_OVERFLOW
+        trace.note = (f"residual overflow at g={stalled.g:.6g} (k={sample.k:.6g}, "
+                      "residual scale beyond the double range)")
     return trace
 
 
-def continue_to(start: BetheState, g_target, **path_kw) -> ContinuationTrace:
+def continue_to(start: BetheState, g_target) -> ContinuationTrace:
     """Straight-line continuation from the state's coupling to g_target."""
-    return continue_along(start, line_path(start.g, g_target, **path_kw))
+    return continue_along(start, line_path(start.g, g_target))
 
 
 def sheet_value(n: int, g) -> complex:
@@ -509,7 +517,7 @@ def _march_half(parity, xs, k_anchor, ordinates, *, tol, k_out, rows):
     rows[i] is the row index of ordinates[i] in the output array.  Each
     row corrects all live columns in one `newton_correct_array` call; a
     column left above a scaled residual of 1e-9 is walked to the row by
-    `walk_segment` with scalar hops instead, and aborts if that stalls.
+    `walk_path` with scalar hops instead, and aborts if that stalls.
     tol is the Newton tolerance of both.
     """
     k_cur = k_anchor.astype(complex).copy()
@@ -530,11 +538,11 @@ def _march_half(parity, xs, k_anchor, ordinates, *, tol, k_out, rows):
         k_cur[idx_alive[ok]] = k_new[ok]
         for col in idx_alive[~ok]:
             g_from = complex(xs[col], y_cur[col])
-            end, reached, _ = walk_segment(
-                g_from, complex(xs[col], y),
+            end, reached, _ = walk_path(
+                (g_from, complex(xs[col], y)),
                 ContinuationSample(g_from, complex(k_cur[col]), float("nan")),
                 lambda s, g: _scalar_hop(parity, s, g, tol),
-                max_step=abs(y - y_cur[col]), min_step=ComplexPath.min_step)
+                h=abs(y - y_cur[col]), max_step=np.inf, min_step=MIN_STEP)
             if reached:
                 k_cur[col] = end.k
             else:
@@ -559,7 +567,7 @@ def build_sheet(n: int, grid: GridSpec, *, tol: float = 1e-12,
     bound label (cut running upward).
 
     ep_finder is injected to avoid a circular import: it maps a level
-    label to its complex branch point (see exceptional_points.find_ep);
+    label to its complex branch point (see exceptional.find_ep);
     None skips exceptional cut bookkeeping and records only the
     real-axis cut.
     """

@@ -159,6 +159,8 @@ def n_ep_contour(g0: float, n_ep: int, parity: Parity) -> ComplexPath:
     comes closer to the boundary than ``CLEARANCE``.
     """
     g0 = float(g0)
+    if not np.isfinite(g0):
+        raise PathConstructionError(f"base point g0 = {g0} is not a finite coupling")
     if n_ep < 1:
         raise ValueError("the contour must enclose at least one exceptional point")
 

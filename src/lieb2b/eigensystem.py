@@ -47,7 +47,8 @@ from functools import lru_cache
 import numpy as np
 
 from .bethe import Parity, SolverError, real_axis_k, solve_k_real
-from .holonomy import TruncationSpec, rotated_sqrt
+from .continuation import rotated_sqrt
+from .holonomy import TruncationSpec
 
 TWO_PI = 2.0 * np.pi
 
@@ -70,7 +71,7 @@ def normalization_pt(parity: Parity, k):
     The square root keeps the branch reached by continuing from the
     scattering region through the lower half of the coupling plane:
     when 1 -+ sinc(k) leaves the principal window (argument beyond
-    pi/2) the root flips sign (`holonomy.rotated_sqrt`).  On the odd
+    pi/2) the root flips sign (`continuation.rotated_sqrt`).  On the odd
     bound branch this makes the profile real and positive instead of
     real and negative.
     """

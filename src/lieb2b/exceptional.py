@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bethe import NEWTON_MAX_STEPS, Parity, bethe_residual, terms_from_trig
-from .continuation import branch_point_function
+from .continuation import branch_point_function, rotated_sqrt
 
 #: reject "exceptional points" that are really the real-axis degeneracies
 REAL_AXIS_GUARD = 0.05
@@ -260,14 +260,8 @@ def enumerate_eps(parity: Parity, n_max: int, *, tol: float = 1e-12,
 
 def sqrt_lower_cut(eps) -> complex:
     """Square root with branch cut running straight down: the argument
-    of eps is taken in (-pi/2, 3*pi/2]."""
-    eps = complex(eps)
-    if eps == 0:
-        return 0.0 + 0.0j
-    a = cmath.phase(eps)
-    if a <= -0.5 * np.pi:
-        a += 2.0 * np.pi
-    return cmath.sqrt(abs(eps)) * cmath.exp(0.5j * a)
+    of eps is taken in (-pi/2, 3*pi/2], i.e. i `rotated_sqrt`(-eps)."""
+    return 1j * rotated_sqrt(-complex(eps))
 
 
 def local_expansion(ep: ExceptionalPoint, epsilon) -> tuple[complex, complex]:

@@ -39,10 +39,10 @@ the array corrector :func:`lieb2b.continuation.newton_correct_array`,
 each point predicted from the tangent at the step's start, and
 evaluates their connections in one :func:`connection_matrix` call.  The
 step is refused, and halved, when any slot at any point would leave its
-Newton basin or its sqrt(r) branch; the step size carries over path
-corners.  :func:`advance_frame` moves a frame by the same hop, one
-point at a time, with the step rule of
-:func:`lieb2b.continuation.walk_segment`.  The returned matrix is V at
+Newton basin or its sqrt(r) branch.  Steps are hops of
+:func:`lieb2b.continuation.walk_path`, which lands them on each path
+corner exactly and carries the step size over it, as are the one-point
+hops of :func:`advance_frame`.  The returned matrix is V at
 the path end, nothing folded in: columns expand the transported slots
 over the starting slots, and transports over concatenated paths compose
 by left multiplication.  For a small clockwise loop around the branch
@@ -70,8 +70,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bethe import Parity, SolverError, real_axis_k, residual_terms
-from .continuation import (ComplexPath, branch_point_function, circle_path,
-                           newton_correct_array, tangent_slope, walk_segment)
+from .continuation import (STEP_GROWTH, ComplexPath, branch_point_function,
+                           circle_path, newton_correct_array, rotated_sqrt,
+                           tangent_slope, walk_path)
 from .exceptional import ExceptionalPoint, find_ep
 
 FOUR_OVER_PI = 4.0 / np.pi
@@ -145,17 +146,6 @@ class HolonomyMatrix:
 def d_sign(n: int) -> int:
     """Alternating sign d_n = (-1)**floor(n/2)."""
     return -1 if (n // 2) % 2 else 1
-
-
-def rotated_sqrt(w):
-    """sqrt(w) in the window rotated by -pi/2: arguments of w in
-    (pi/2, pi] count as negative, so the cut runs along the positive
-    imaginary axis and sqrt(-1) = -i."""
-    w = complex(w)
-    s = np.sqrt(w)
-    if np.angle(w) > 0.5 * np.pi:
-        s = -s
-    return s
 
 
 def standard_sqrt_r(n: int, r):
@@ -321,30 +311,30 @@ def _advance_run(frame: TransportFrame, g_points, tol: float):
             for gi, ki, si in zip(g[:, 0], k, s)], True
 
 
-def advance_frame(frame: TransportFrame, g_target: complex, *,
-                  tol: float = 1e-12) -> TransportFrame:
+def advance_frame(frame: TransportFrame, g_target: complex) -> TransportFrame:
     """Continue a frame along the straight segment to ``g_target``.
 
-    `walk_segment` tries the whole distance in one hop first and gives
-    up once the step falls below 2**-48 of it; each accepted hop keeps
-    every slot in its own Newton basin and on its own sqrt(r) branch.
+    `walk_path` tries the whole distance in one hop first, steps as
+    `continuation._scalar_hop` does, and gives up once the step falls
+    below 2**-48 of it; each accepted hop keeps every slot, corrected to
+    1e-12, in its own Newton basin and on its own sqrt(r) branch.
     """
     target = complex(g_target)
     distance = abs(target - frame.g)
 
     def hop(f, g):
-        run, ok = _advance_run(f, (g,), tol)
-        return (run[0] if ok else None), ok
+        run, ok = _advance_run(f, (g,), 1e-12)
+        return (run[0] if ok else None), ok, STEP_GROWTH if ok else 0.5
 
-    end, reached, _ = walk_segment(frame.g, target, frame, hop,
-                                   max_step=distance, min_step=distance * 2.0 ** -48)
+    end, reached, _ = walk_path((frame.g, target), frame, hop, h=distance,
+                                max_step=distance, min_step=distance * 2.0 ** -48)
     if not reached:
         raise TransportError(f"frame advance stalled between {end.g} and {target}")
     return end
 
 
-#: a Magnus step's Gauss-Legendre nodes, then its end
-_MAGNUS_POINTS = (0.5 - np.sqrt(15.0) / 10.0, 0.5, 0.5 + np.sqrt(15.0) / 10.0, 1.0)
+#: a Magnus step's Gauss-Legendre nodes
+_GAUSS_NODES = (0.5 - np.sqrt(15.0) / 10.0, 0.5, 0.5 + np.sqrt(15.0) / 10.0)
 TAIL_ROW_BOUND = 0.25
 #: Magnus-step absolute tolerance, step budget and smallest step
 MAGNUS_ATOL, MAGNUS_MAX_STEPS, MAGNUS_MIN_STEP = 1e-13, 200000, 1e-12
@@ -388,65 +378,57 @@ def transport(path: ComplexPath, trunc: TruncationSpec, *,
     if abs(complex(path.waypoints[0]) - frame0.g) > 1e-12:
         raise ValueError("frame0 sits at a different point than the path start")
 
-    v = np.eye(len(levels), dtype=complex)
-    frame = frame0
-    a_start = frame.connection()  # carried over from each step's end
     steps = rejected = 0
-    newton_tol = min(1e-12, rtol)
     tail_warned = False
-    h = None
 
-    for ga, gb in path.segments():
-        length = abs(gb - ga)
-        direction = (gb - ga) / length
-        t = 0.0
-        if h is None:  # later segments carry the step over the corner
-            h = max(length / 8.0, 10.0 * MAGNUS_MIN_STEP)
-        while t < length:
-            h = min(h, length - t)
-            if h < MAGNUS_MIN_STEP:
-                raise TransportError(f"step size underflow near g = {frame.g}")
-            run, ok = _advance_run(
-                frame, [ga + direction * (t + c * h) for c in _MAGNUS_POINTS], newton_tol)
-            if not ok:
-                rejected += 1
-                h *= 0.5
-                continue
-            a_run = connection_matrix(levels, [f.d_values() for f in run],
-                                      [f.k for f in run])
-            b1, b2, b3 = -1j * h * direction * a_run[:3]
-            a1, a2 = b2, np.sqrt(15.0) / 3.0 * (b3 - b1)
-            a3 = 10.0 / 3.0 * (b3 - 2.0 * b2 + b1)
-            c1 = _commutator(a1, a2)
-            c2 = _commutator(a1, 2.0 * a3 + c1) / -60.0
-            omega6 = a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
-            omega4 = a1 + a3 / 12.0 - c1 / 12.0
-            scale = MAGNUS_ATOL + rtol * max(1.0, float(np.max(np.abs(v))))
-            err = float(np.max(np.abs((omega6 - omega4) @ v))) / scale
-            if err <= 1.0:
-                tail = float(np.linalg.norm(a_start[-1, :-1]))
-                if tail > TAIL_ROW_BOUND and not tail_warned:
-                    warnings.warn(f"level {levels[-1]} coupling row norm {tail:.3g} "
-                                  "exceeds the truncation bound, enlarge n_levels",
-                                  TruncationWarning, stacklevel=2)
-                    tail_warned = True
-                v = _expm(omega6) @ v
-                frame, a_start = run[-1], a_run[-1]
-                # a step clipped to the segment's end lands on it exactly
-                t = length if h == length - t else t + h
-                steps += 1
-                if steps + rejected > MAGNUS_MAX_STEPS:
-                    raise TransportError("step budget exhausted")
-                h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
-            else:
-                rejected += 1
-                h *= max(0.2, 0.9 * err ** -0.2)
+    def hop(state, g):
+        """One Magnus step from state = (frame, its connection, V) to g."""
+        nonlocal steps, rejected, tail_warned
+        frame, a_start, v = state
+        dg = g - frame.g
+        run, ok = _advance_run(frame, [frame.g + c * dg for c in _GAUSS_NODES] + [g],
+                               min(1e-12, rtol))
+        if not ok:
+            rejected += 1
+            return None, False, 0.5
+        a_run = connection_matrix(levels, [f.d_values() for f in run],
+                                  [f.k for f in run])
+        b1, b2, b3 = -1j * dg * a_run[:3]
+        a1, a2 = b2, np.sqrt(15.0) / 3.0 * (b3 - b1)
+        a3 = 10.0 / 3.0 * (b3 - 2.0 * b2 + b1)
+        c1 = _commutator(a1, a2)
+        c2 = _commutator(a1, 2.0 * a3 + c1) / -60.0
+        omega6 = a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+        omega4 = a1 + a3 / 12.0 - c1 / 12.0
+        scale = MAGNUS_ATOL + rtol * max(1.0, float(np.max(np.abs(v))))
+        err = float(np.max(np.abs((omega6 - omega4) @ v))) / scale
+        if not err <= 1.0:
+            rejected += 1
+            return None, False, max(0.2, 0.9 * err ** -0.2)
+        tail = float(np.linalg.norm(a_start[-1, :-1]))
+        if tail > TAIL_ROW_BOUND and not tail_warned:
+            warnings.warn(f"level {levels[-1]} coupling row norm {tail:.3g} "
+                          "exceeds the truncation bound, enlarge n_levels",
+                          TruncationWarning, stacklevel=4)  # transport's caller
+            tail_warned = True
+        steps += 1
+        if steps + rejected > MAGNUS_MAX_STEPS:
+            raise TransportError("step budget exhausted")
+        growth = min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0 else 5.0
+        return (run[-1], a_run[-1], _expm(omega6) @ v), True, growth
+
+    w = path.waypoints  # the first step spans an eighth of the first segment
+    h = max(abs(w[1] - w[0]) / 8.0 if len(w) > 1 else 0.0, 10.0 * MAGNUS_MIN_STEP)
+    state = (frame0, frame0.connection(), np.eye(len(levels), dtype=complex))
+    (frame, _, v), reached, _ = walk_path(w, state, hop, h=h, max_step=np.inf,
+                                          min_step=MAGNUS_MIN_STEP)
+    if not reached:
+        raise TransportError(f"step size underflow near g = {frame.g}")
     return HolonomyMatrix(trunc, v, steps=steps, rejected=rejected)
 
 
-def match_frames(frame: TransportFrame, reference: TransportFrame, *,
-                 k_tol: float = 1e-8):
-    """Match frame slots to reference slots by quasi-momentum.
+def match_frames(frame: TransportFrame, reference: TransportFrame):
+    """Match frame slots to reference slots by quasi-momentum, to 1e-8.
 
     Returns (perm, factors): slot i of ``frame`` holds the level sitting
     in slot perm[i] of ``reference``, and its continued normalization
@@ -470,7 +452,7 @@ def match_frames(frame: TransportFrame, reference: TransportFrame, *,
             k_i, s_i = -k_i, -s_i
         else:
             j, d = jp, dist_p[jp]
-        if d > k_tol:
+        if d > 1e-8:
             raise TransportError(
                 f"slot {i} landed at k = {frame.k[i]}, no standard level nearby")
         if j in perm[:i]:

@@ -208,6 +208,16 @@ class TestHolonomy:
         assert out == ""
         assert "branch point" in err
 
+    @pytest.mark.parametrize("command, contour", [("holonomy", "empty"),
+                                                  ("cycle", "eps")])
+    @pytest.mark.parametrize("g0", ["inf", "nan"])
+    def test_non_finite_base_point_exits_2(self, capsys, command, contour, g0):
+        code, out, err = run_cli(capsys, command, "--contour", contour,
+                                 "--g0", g0, "--trunc", 4)
+        assert code == 2
+        assert out == ""
+        assert g0 in err and "not a finite coupling" in err
+
     @pytest.mark.parametrize("ns, message", [
         ("", "needs at least one level"),
         ("2,,4", "comma-separated integers"),

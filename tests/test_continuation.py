@@ -16,7 +16,7 @@ from lieb2b.continuation import (ComplexPath, GridSpec, TraceStatus,
                                  continue_along, continue_to, build_sheet,
                                  line_path, newton_correct,
                                  newton_correct_array, sheet_value,
-                                 tangent_slope, walk_segment)
+                                 tangent_slope, walk_path)
 from lieb2b.exceptional import find_ep
 from lieb2b.holonomy import TruncationSpec, entry_frame
 
@@ -83,7 +83,8 @@ class TestContinuation:
     def test_step_halving_does_not_move_endpoint(self):
         state = solve_k_real(0, 1.0)
         coarse = continue_to(state, 1.0 - 2.0j).final_k
-        fine = continue_to(state, 1.0 - 2.0j, max_step=0.005).final_k
+        # 401 waypoints: every hop spans at most one 0.005 piece
+        fine = continue_along(state, ComplexPath(np.linspace(1.0, 1.0 - 2.0j, 401))).final_k
         assert abs(coarse - fine) < 1e-9
 
     def test_descent_into_lower_half_plane_binds(self):
@@ -182,6 +183,11 @@ class TestContinuation:
             sheet_value(2, g_ep)
 
 
+def binary(ok):
+    """A hop result with the scalar hops' step factors."""
+    return ok, 1.7 if ok else 0.5
+
+
 class TestWalkSegment:
     def test_step_rule(self):
         # hops longer than 0.3 are refused: 1 and 0.5 are, 0.25 is taken,
@@ -190,11 +196,11 @@ class TestWalkSegment:
 
         def hop(state, g):
             steps.append(abs(g - state))
-            return g, steps[-1] <= 0.3
+            return (g, *binary(steps[-1] <= 0.3))
 
         g_b = 0.1 - 0.7j
-        end, reached, refused = walk_segment(1.0, g_b, 1.0 + 0j, hop, max_step=1.0,
-                                             min_step=1e-3)
+        end, reached, refused = walk_path([1.0, g_b], 1.0 + 0j, hop, h=1.0, max_step=1.0,
+                                          min_step=1e-3)
         assert reached and end == g_b and refused is None  # lands on g_b exactly
         assert steps[:5] == pytest.approx([1.0, 0.5, 0.25, 0.425, 0.2125])
 
@@ -211,10 +217,10 @@ class TestWalkSegment:
 
         def hop(state, g):
             hops.append(g)
-            return g, True
+            return (g, *binary(True))
 
-        end, reached, _ = walk_segment(g_a, g_b, g_a, hop, max_step=length / 3,
-                                       min_step=1e-9)
+        end, reached, _ = walk_path([g_a, g_b], g_a, hop, h=length / 3,
+                                    max_step=length / 3, min_step=1e-9)
         assert reached and end == g_b and hops[-1] == g_b and len(hops) == 3
 
     def test_stall_returns_last_accepted_state(self):
@@ -222,18 +228,48 @@ class TestWalkSegment:
 
         def hop(state, g):
             hops.append(g)
-            return g, g.imag > -0.5
+            return (g, *binary(g.imag > -0.5))
 
-        end, reached, refused = walk_segment(0.0, -1.0j, 0j, hop, max_step=0.2,
-                                             min_step=1e-6)
+        end, reached, refused = walk_path([0.0, -1.0j], 0j, hop, h=0.2, max_step=0.2,
+                                          min_step=1e-6)
         assert not reached and -0.5 < end.imag <= -0.5 + 2e-6
         assert refused == hops[-1] and refused.imag <= -0.5  # the refused try
         # from 0.2, halving 18 times falls below 1e-6
         assert len(hops) < 100
 
     def test_zero_length_segment(self):
-        assert walk_segment(1.0, 1.0, "state", None, max_step=0.1,
-                            min_step=1e-9) == ("state", True, None)
+        assert walk_path([1.0, 1.0], "state", None, h=0.1, max_step=0.1,
+                         min_step=1e-9) == ("state", True, None)
+
+    def test_step_carries_over_corners(self):
+        # doubling steps: the hop clipped at the first corner (0.3) goes
+        # on, doubled, into the second segment instead of restarting
+        steps = []
+
+        def hop(state, g):
+            steps.append(abs(g - state))
+            return g, True, 2.0
+
+        end, reached, _ = walk_path([0.0, 1.0, 1.0 + 4.0j], 0j, hop, h=0.1,
+                                    max_step=10.0, min_step=1e-9)
+        assert reached and end == 1.0 + 4.0j
+        assert steps == pytest.approx([0.1, 0.2, 0.4, 0.3, 0.6, 1.2, 2.2])
+
+    def test_stalls_where_a_step_cannot_move_g(self):
+        # at |g| = 1e10 doubles are 1.9e-6 apart, far above min_step; a
+        # hop accepting only tries that leave g where it is must stall
+        # once the step is a few spacings, not halve on towards min_step
+        g_a = 1e10 + 0j
+        hops = []
+
+        def hop(state, g):
+            hops.append(g)
+            return (g, *binary(g == state))
+
+        end, reached, refused = walk_path([g_a, g_a + 1.0], g_a, hop, h=0.5,
+                                          max_step=1.0, min_step=1e-12)
+        assert not reached and end == g_a and refused == hops[-1] != g_a
+        assert len(hops) < 25
 
 
 class TestTangentSlope:
@@ -467,17 +503,37 @@ class TestSheets:
         build_sheet(2, GridSpec(-1.1, -1.0, -1.5, 0.5, 3, 41), tol=1e-13)
         assert tols and set(tols) == {1e-13}
 
+    def test_deep_column_rescue_stalls_instead_of_livelocking(self, monkeypatch):
+        # near Im g = -5.8e154 a hop shorter than the spacing of doubles
+        # lands on the same g; the walk must stall there rather than
+        # accept such hops forever, and dJ/dk must not overflow to NaN
+        calls = []
+        correct = continuation.newton_correct
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            if len(calls) > 20000:
+                raise RuntimeError("column rescue does not terminate")
+            return correct(*args, **kwargs)
+
+        monkeypatch.setattr(continuation, "newton_correct", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sheet = build_sheet(2, GridSpec(-3.0, 1.0, -1e300, 0.5, 3, 3))
+        assert sheet.aborted_columns == {0: -5e299, 1: -5e299, 2: -5e299}
+        assert not np.isnan(sheet.k[2]).any()
+
     def test_column_rescue_near_a_double_root(self, monkeypatch):
         # the column Re g = -1.05 passes 8e-4 from g_ep(2); the array
         # march leaves it behind once, and the scalar walk carries it on
         walks = []
-        walk = continuation.walk_segment
+        walk = continuation.walk_path
 
         def counted(*args, **kwargs):
-            walks.append(args[:2])
+            walks.append(args[0])
             return walk(*args, **kwargs)
 
-        monkeypatch.setattr(continuation, "walk_segment", counted)
+        monkeypatch.setattr(continuation, "walk_path", counted)
         sheet = build_sheet(2, GridSpec(-1.1, -1.0, -1.5, 0.5, 3, 41))
         monkeypatch.undo()
         assert walks and all(a.real == b.real == -1.05 for a, b in walks)

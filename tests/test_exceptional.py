@@ -1,5 +1,7 @@
 """Branch-point search: golden coordinates, local structure, catalog."""
 
+import cmath
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -185,6 +187,25 @@ class TestLocalStructure:
         # just left of the downward cut
         below = sqrt_lower_cut(-1e-18 - 1.0j)
         assert below.real < 0
+
+    def test_sqrt_lower_cut_matches_its_own_formula(self):
+        # the earlier closed form, the argument of eps taken in
+        # (-pi/2, 3 pi/2], against 1j * rotated_sqrt(-eps)
+        def reference(eps):
+            if eps == 0:
+                return 0.0 + 0.0j
+            a = cmath.phase(eps)
+            if a <= -0.5 * np.pi:
+                a += 2.0 * np.pi
+            return cmath.sqrt(abs(eps)) * cmath.exp(0.5j * a)
+
+        axis = np.concatenate([-np.logspace(-8, 3, 50), [-0.0, 0.0],
+                               np.logspace(-8, 3, 50)])
+        points = [complex(x, y) for x in axis for y in axis]
+        points += [complex(x, 0.0) for x in axis] + [complex(0.0, y) for y in axis]
+        for eps in points:
+            ref = reference(eps)
+            assert abs(sqrt_lower_cut(eps) - ref) <= 1e-15 * abs(ref)
 
     def test_expansion_tracks_continuation(self):
         ep = find_ep(2, verify_unique=False)

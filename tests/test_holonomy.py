@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from lieb2b import holonomy
 from lieb2b.bethe import Parity, solve_k_real
-from lieb2b.continuation import circle_path, continue_to, line_path
+from lieb2b.continuation import ComplexPath, circle_path, continue_to, line_path
 from lieb2b.eigensystem import overlap_connection_oracle
 from lieb2b.exceptional import circle_reaches_branch_point, find_ep
 from lieb2b.holonomy import (MIN_LOOP_RADIUS, ConnectionProximityError,
@@ -161,8 +161,28 @@ class TestTransport:
     def test_small_truncation_warns_about_tail(self):
         e = find_ep(2, verify_unique=False).g_ep
         loop = circle_path(e, 1e-3, n_points=48)
-        with pytest.warns(TruncationWarning):
+        with pytest.warns(TruncationWarning) as caught:
             transport(loop, TruncationSpec(Parity.EVEN, 2))
+        assert caught[0].filename == __file__  # the caller's line, not the walker's
+
+    @pytest.mark.parametrize("path", [
+        ComplexPath([1.0, -0.15 + 0.7j, 0.43 - 0.89j, 1.3 - 0.4j]),
+        circle_path(1.5, 0.5, n_points=16),
+    ])
+    def test_steps_land_on_every_waypoint(self, monkeypatch, path):
+        # each run starts at the last accepted point, and the walk's
+        # last run is accepted: together those are every accepted end
+        runs = []
+        advance = holonomy._advance_run
+
+        def recorded(frame, g_points, tol):
+            runs.append((frame.g, g_points[-1]))
+            return advance(frame, g_points, tol)
+
+        monkeypatch.setattr(holonomy, "_advance_run", recorded)
+        transport(path, TruncationSpec(Parity.EVEN, 4))
+        accepted = {start for start, _ in runs[1:]} | {runs[-1][1]}
+        assert all(w in accepted for w in path.waypoints[1:])
 
     def test_one_corrector_call_per_attempted_step(self, monkeypatch):
         calls = []
