@@ -63,6 +63,9 @@ class RunConfig:
             raise ConfigError("grid window is empty along the real axis")
         if not self.grid_im_min < self.grid_im_max:
             raise ConfigError("grid window is empty along the imaginary axis")
+        for name in ("grid_re_min", "grid_re_max", "grid_im_min", "grid_im_max"):
+            if abs(getattr(self, name)) > 1e6:
+                raise ConfigError(f"{name} lies outside the coupling domain |g| <= 1e6")
         if self.grid_points < 2:
             raise ConfigError("grid_points must be at least 2 per axis")
 

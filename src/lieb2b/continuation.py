@@ -185,21 +185,21 @@ def dj_dk(g, k):
     return (k * k + g * g + 2.0 * g / np.pi * s) / denom
 
 
-def newton_correct(parity: Parity, g, k0, *, tol, max_iter: int = 5):
+def newton_correct(parity: Parity, g, k0, *, tol):
     """Newton iteration on the residual in k at fixed complex g.
 
-    Returns (k, scaled_residual, converged).  Brief and damped: the
-    caller owns step-size control and treats non-convergence as the
-    signal to shrink.  A start point with |Im pi k/2| above DEEP_IM_H
-    is corrected through the overflow-safe `residual_terms`; the Newton
-    step is the same, since r and dr carry the same factor.  An
-    unscaled call whose iterates drift past DEEP_IM_H stays finite:
+    Returns (k, scaled_residual, converged) after at most five damped
+    steps: the caller owns step-size control and treats non-convergence
+    as the signal to shrink.  A start point with |Im pi k/2| above
+    DEEP_IM_H is corrected through the overflow-safe `residual_terms`;
+    the Newton step is the same, since r and dr carry the same factor.
+    An unscaled call whose iterates drift past DEEP_IM_H stays finite:
     the unscaled terms overflow only near |Im pi k/2| = 709.
     """
     k = complex(k0)
     deep = abs(0.5 * np.pi * k.imag) > DEEP_IM_H
     terms = residual_terms if deep else unscaled_residual_terms
-    for _ in range(max_iter):
+    for _ in range(5):
         r, dr, scale, lf = terms(parity, g, k)
         if abs(r) / scale < tol:
             return k, float(abs(r) / scale), True
@@ -594,22 +594,20 @@ def build_sheet(n: int, grid: GridSpec, *, tol: float = 1e-12,
 
     cuts = []
     if ep_finder is not None:
-        if n > 1:
-            partner_levels = [n]
-        else:
-            partner_levels = []
-            m = n + 2
-            # every partner whose branch point (depth about m - 1) lies
-            # above the window's floor, or at most 1.5 below it
-            while (m - 1) <= abs(grid.im_min) + 1.5:
-                partner_levels.append(m)
-                m += 2
-        for m in partner_levels:
+        # n > 1: its own point; n in {0, 1}: every partner whose branch
+        # point (depth about m - 1) lies above the window's floor, or at
+        # most 1.5 below it, asked for one at a time
+        partners = [n] if n > 1 else range(n + 2, int(abs(grid.im_min) + 2.5) + 1, 2)
+        for m in partners:
             try:
                 bp = complex(ep_finder(m))
             except RuntimeError:
                 # a missing catalog entry costs one cut, not the sheet
                 continue
+            if bp.real < grid.re_min:
+                # Re g_ep falls monotonically up the ladder, so no later
+                # partner reaches the window either
+                break
             for point in (bp, bp.conjugate()):
                 inside = (grid.re_min <= point.real <= grid.re_max
                           and grid.im_min <= point.imag <= grid.im_max)

@@ -246,12 +246,13 @@ def chained_loop_holonomy(ns, trunc: TruncationSpec, radius: float = 1e-3, *,
     first act first, i.e. their matrices stand rightmost in the product.
     """
     out = np.eye(trunc.n_levels, dtype=complex)
-    steps = 0
+    steps = rejected = 0
     for n in ns:
-        piece = ep_loop_holonomy(n, trunc, radius, rtol=rtol)
-        out = piece.holonomy.matrix @ out
-        steps += piece.holonomy.steps
-    return HolonomyMatrix(trunc, out, steps=steps)
+        piece = ep_loop_holonomy(n, trunc, radius, rtol=rtol).holonomy
+        out = piece.matrix @ out
+        steps += piece.steps
+        rejected += piece.rejected
+    return HolonomyMatrix(trunc, out, steps=steps, rejected=rejected)
 
 
 def permutation_from_holonomy(hol: HolonomyMatrix, *,

@@ -172,20 +172,20 @@ def _gauss_legendre(nodes: int):
     return np.pi * (x + 1.0), np.pi * w
 
 
-def pair_overlap(left: Eigenfunction, right: Eigenfunction, nodes: int = 256):
+def pair_overlap(left: Eigenfunction, right: Eigenfunction):
     """Biorthogonal pairing of a left and a right eigenfunction.
 
     Different center-of-mass wavenumbers are orthogonal exactly; equal
     ones contribute a factor one, so only the relative integral is
-    quadratured.
+    quadratured, on 256 Gauss-Legendre nodes.
     """
     if left.kbar != right.kbar:
         return 0.0 + 0.0j
-    x, w = _gauss_legendre(nodes)
+    x, w = _gauss_legendre(256)
     return np.sum(w * left.conjugated_profile(x) * right.profile(x))
 
 
-def biorthonormality_defect(levels, g, k_values=None, nodes: int = 256) -> float:
+def biorthonormality_defect(levels, g, k_values=None) -> float:
     """Max deviation of the pairing matrix from the identity.
 
     At real g quasi-momenta are solved on the spot; for complex g pass
@@ -202,7 +202,7 @@ def biorthonormality_defect(levels, g, k_values=None, nodes: int = 256) -> float
         lf = Eigenfunction(ni, g, ki, kbar, Side.LEFT)
         for j, (nj, kj) in enumerate(zip(levels, k_values)):
             rf = Eigenfunction(nj, g, kj, kbar)
-            val = pair_overlap(lf, rf, nodes)
+            val = pair_overlap(lf, rf)
             worst = max(worst, abs(val - (1.0 if i == j else 0.0)))
     return worst
 

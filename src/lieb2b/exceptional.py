@@ -211,21 +211,20 @@ def _rung_point(parity: Parity, n: int, g, certify: bool):
     return ExceptionalPoint(n, parity.bound_level, g, k, parity)
 
 
-def find_ep(n: int, *, tol: float = 1e-12,
-            verify_unique: bool = True) -> ExceptionalPoint:
+def find_ep(n: int, *, verify_unique: bool = True) -> ExceptionalPoint:
     """Locate the exceptional point that couples branch n (n > 1) to its
     family's bound-capable branch.
 
     Newton on the collision function F walks the family's rungs from
-    the bottom up to n (see the module docstring); tol bounds the scaled
-    Bethe residual, and a root on the real axis (the degeneracies at
-    g = 0, -2/pi) is rejected.  With verify_unique, F must wind exactly
+    the bottom up to n (see the module docstring) to a scaled Bethe
+    residual below 1e-12, and a root on the real axis (the degeneracies
+    at g = 0, -2/pi) is rejected.  With verify_unique, F must wind exactly
     once around the circle of radius 1 about the root, or this raises.
     """
     if n <= 1:
         raise ValueError("exceptional points exist for excited labels n > 1")
     parity = Parity.of_level(n)
-    *_, (_, g) = _ladder(parity, n, tol)
+    *_, (_, g) = _ladder(parity, n, 1e-12)
     point = _rung_point(parity, n, g, verify_unique)
     if isinstance(point, ExceptionalPointError):
         raise point
@@ -241,7 +240,7 @@ def ladder_points(parity: Parity, n_max: int, *, tol: float = 1e-12,
         yield n, _rung_point(parity, n, g, verify_unique)
 
 
-def enumerate_eps(parity: Parity, n_max: int, *, tol: float = 1e-12,
+def enumerate_eps(parity: Parity, n_max: int, *,
                   verify_unique: bool = True) -> list[ExceptionalPoint]:
     """All exceptional points of one family with n <= n_max, sorted by n.
 
@@ -249,7 +248,7 @@ def enumerate_eps(parity: Parity, n_max: int, *, tol: float = 1e-12,
     catalog raises with the failing labels attached rather than
     returning silently short.
     """
-    points = dict(ladder_points(parity, n_max, tol=tol, verify_unique=verify_unique))
+    points = dict(ladder_points(parity, n_max, verify_unique=verify_unique))
     failures = {n: str(p) for n, p in points.items() if isinstance(p, ExceptionalPointError)}
     if failures:
         raise ExceptionalPointError(

@@ -6,12 +6,16 @@ compared across runs.  Floats are written with their shortest
 round-trip representation; parsing an exported document reproduces the
 in-memory values bit for bit.  `csv_table` formats each distinct float
 bit pattern of a column once per block of rows and reuses the text.
+The sheet's cut lines and the holonomy and cycle documents are
+`tag,cell,...` lines, all written by `_line`; `_read_lines` alone splits
+them and decodes their cells (by tag, through `_DECODERS`), so a
+malformed line is a SerializationError that names it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, takewhile
 
 import numpy as np
 
@@ -58,7 +62,7 @@ def parse_record(text: str) -> ExportRecord:
     return ExportRecord(command=meta["command"],
                         config_hash=meta["config_hash"],
                         payload="".join(lines[3:]),
-                        schema_version=int(meta["schema_version"]))
+                        schema_version=_decode(lines[0], int, meta["schema_version"]))
 
 
 def _cell_text(cell) -> str:
@@ -133,39 +137,88 @@ def parse_csv_table(payload: str):
     return columns, rows
 
 
+def _line(tag: str, cells) -> str:
+    """One document line, tag,cell,cell,... by the _cell_text rule; the
+    comma after the tag stays when there are no cells."""
+    return tag + "," + ",".join(map(_cell_text, cells)) + "\n"
+
+
+# level -> value items a<sep>b, by tag: separator, value text, value parser
+_ITEMS = {"permutation": ("->", int, int),
+          "phases": (":", lambda z: f"{complex(z).real!r}{complex(z).imag:+}j", complex)}
+
+
+def _items_line(tag: str, mapping) -> str:
+    sep, text, _ = _ITEMS[tag]
+    return _line(tag, (f"{int(a)}{sep}{text(mapping[a])}" for a in sorted(mapping)))
+
+
+def _items(tag: str):
+    sep, _, convert = _ITEMS[tag]
+    return lambda cells: {int(a): convert(b) for a, _, b in (c.partition(sep) for c in cells)}
+
+
+def _fields(*converters):
+    """Decoder of exactly one cell per converter; one cell decodes to its value."""
+    def decode(cells):
+        values = tuple(convert(c) for convert, c in zip(converters, cells, strict=True))
+        return values if len(values) > 1 else values[0]
+    return decode
+
+
+def _int_list(cells) -> tuple:
+    return tuple(map(int, cells))
+
+
+# cell decoders by line tag; "row i" lines use "row"
+_DECODERS = {"g0": _fields(float), "kbar": _fields(int), "levels": _int_list,
+             "exiting": _int_list, "permutation": _items("permutation"),
+             "phases": _items("phases"), "energy_before": _fields(int, float),
+             "energy_after": _fields(int, float),
+             "row": lambda cells: np.array(list(map(float, cells))).view(complex),
+             "cut": _fields(float, float, float, str, float, float)}
+
+
+def _decode(line: str, decode, cells):
+    try:
+        return decode(cells)
+    except (ValueError, IndexError) as exc:
+        raise SerializationError(f"malformed item in {line!r}: {exc}") from None
+
+
+def _read_lines(payload: str, tags) -> list:
+    """(tag, decoded cells) of each non-empty line, its tag one of tags:
+    the only place a document line is split or a cell converted."""
+    out = []
+    for line in payload.splitlines():
+        if not line:
+            continue
+        tag, _, rest = line.partition(",")
+        key = "row" if tag.startswith("row ") else tag
+        if key not in tags:
+            raise SerializationError(f"unexpected line tag {tag!r}")
+        out.append((tag, _decode(line, _DECODERS[key], rest.split(",") if rest else [])))
+    return out
+
+
 def sheet_document(cuts, columns, rows) -> str:
     """Sheet export: recorded cut segments followed by the grid table.
 
     Cuts are data, not value jumps, so they travel with the grid: one
     line per segment before the CSV header.
     """
-    out = []
-    for cut in cuts:
-        out.append("cut," + ",".join((format_float(cut.re),
-                                      format_float(cut.im_lo),
-                                      format_float(cut.im_hi),
-                                      cut.kind,
-                                      format_float(cut.branch_point.real),
-                                      format_float(cut.branch_point.imag))))
-    return "\n".join(out) + ("\n" if out else "") + csv_table(columns, rows)
+    return "".join(_line("cut", (float(c.re), float(c.im_lo), float(c.im_hi), c.kind,
+                                 c.branch_point.real, c.branch_point.imag))
+                   for c in cuts) + csv_table(columns, rows)
 
 
 def parse_sheet_document(payload: str):
     """Inverse of sheet_document: (cut tuples, columns, rows)."""
-    lines = payload.splitlines()
-    cuts = []
-    body_start = 0
-    for i, ln in enumerate(lines):
-        if not ln.startswith("cut,"):
-            body_start = i
-            break
-        cells = ln.split(",")
-        if len(cells) != 7:
-            raise SerializationError(f"malformed cut line: {ln!r}")
-        cuts.append((float(cells[1]), float(cells[2]), float(cells[3]), cells[4],
-                     complex(float(cells[5]), float(cells[6]))))
-    columns, rows = parse_csv_table("\n".join(lines[body_start:]))
-    return cuts, columns, rows
+    lines = payload.splitlines(keepends=True)
+    n_cuts = len(list(takewhile(lambda ln: ln.startswith("cut,"), lines)))
+    cuts = _read_lines("".join(lines[:n_cuts]), ("cut",))
+    columns, rows = parse_csv_table("".join(lines[n_cuts:]))
+    return [(*cut[:4], complex(*cut[4:])) for _, cut in cuts], columns, rows
 
 
 def holonomy_document(levels, matrix, permutation=None, phases=None) -> str:
@@ -174,127 +227,54 @@ def holonomy_document(levels, matrix, permutation=None, phases=None) -> str:
     One line per matrix row, real and imaginary parts interleaved, plus
     optional permutation and phase lines.  Re-parses exactly.
     """
-    m = np.asarray(matrix, dtype=complex)
-    n = len(tuple(levels))
-    if m.shape != (n, n):
-        raise SerializationError(f"matrix shape {m.shape} does not match {n} levels")
-    out = ["levels," + ",".join(str(int(v)) for v in levels)]
-    for i in range(n):
-        cells = []
-        for j in range(n):
-            cells.append(format_float(m[i, j].real))
-            cells.append(format_float(m[i, j].imag))
-        out.append(f"row {i}," + ",".join(cells))
+    m = np.ascontiguousarray(matrix, dtype=complex)
+    levels = tuple(map(int, levels))
+    if m.shape != (len(levels), len(levels)):
+        raise SerializationError(f"matrix shape {m.shape} for {len(levels)} levels")
+    out = [_line("levels", levels)]
+    out += [_line(f"row {i}", row) for i, row in enumerate(m.view(float).tolist())]
     if permutation is not None:
-        out.append(_permutation_line(permutation))
+        out.append(_items_line("permutation", permutation))
     if phases is not None:
-        out.append(_phases_line(phases))
-    return "\n".join(out) + "\n"
+        out.append(_items_line("phases", phases))
+    return "".join(out)
 
 
-def _permutation_line(permutation) -> str:
-    return "permutation," + ",".join(
-        f"{int(a)}->{int(permutation[a])}" for a in sorted(permutation))
-
-
-def _parse_items(text: str, sep: str, value) -> dict:
-    """Level -> value items written as a<sep>b, comma separated; an
-    empty line is the empty mapping."""
-    out = {}
-    for item in text.split(",") if text else ():
-        a, _, b = item.partition(sep)
-        try:
-            out[int(a)] = value(b)
-        except ValueError:
-            raise SerializationError(f"malformed item {item!r}") from None
-    return out
-
-
-def _parse_permutation(text: str) -> dict:
-    return _parse_items(text, "->", int)
-
-
-def _phases_line(phases) -> str:
-    parts = []
-    for a in sorted(phases):
-        z = complex(phases[a])
-        parts.append(f"{int(a)}:{format_float(z.real)}{z.imag:+}j")
-    return "phases," + ",".join(parts)
-
-
-def _parse_phases(text: str) -> dict:
-    return _parse_items(text, ":", complex)
+def parse_holonomy_document(payload: str):
+    """Inverse of holonomy_document: (levels, matrix, permutation, phases)."""
+    lines = _read_lines(payload, ("levels", "row", "permutation", "phases"))
+    if not lines or lines[0][0] != "levels":
+        raise SerializationError("document must start with a levels line")
+    levels = lines[0][1]
+    n = len(levels)
+    rows, tail = lines[1:n + 1], dict(lines[n + 1:])
+    if ([tag for tag, _ in rows] != [f"row {i}" for i in range(n)]
+            or any(len(row) != n for _, row in rows)
+            or not tail.keys() <= {"permutation", "phases"}):
+        raise SerializationError(f"expected rows 0 to {n - 1} of {2 * n} cells after the "
+                                 f"levels line, then only permutation and phases")
+    matrix = np.array([row for _, row in rows], dtype=complex).reshape(n, n)
+    return levels, matrix, tail.get("permutation"), tail.get("phases")
 
 
 def cycle_document(g0, kbar, levels, permutation, phases,
                    energies_before, energies_after, exiting) -> str:
-    out = [f"g0,{format_float(g0)}",
-           f"kbar,{int(kbar)}",
-           "levels," + ",".join(str(int(v)) for v in levels)]
-    out += [_permutation_line(permutation), _phases_line(phases)]
-    for tag, table in (("energy_before", energies_before),
-                       ("energy_after", energies_after)):
-        for a in sorted(table):
-            out.append(f"{tag},{a},{format_float(table[a])}")
-    out.append("exiting," + ",".join(str(int(v)) for v in exiting))
-    return "\n".join(out) + "\n"
+    out = [_line("g0", [float(g0)]), _line("kbar", [int(kbar)]),
+           _line("levels", map(int, levels)),
+           _items_line("permutation", permutation), _items_line("phases", phases)]
+    for tag, table in (("energy_before", energies_before), ("energy_after", energies_after)):
+        out += [_line(tag, (a, float(table[a]))) for a in sorted(table)]
+    out.append(_line("exiting", map(int, exiting)))
+    return "".join(out)
 
 
 def parse_cycle_document(payload: str) -> dict:
     """Inverse of cycle_document; returns a plain dict of the fields."""
     doc = {"energy_before": {}, "energy_after": {}}
-    for ln in payload.splitlines():
-        if not ln:
-            continue
-        tag, _, rest = ln.partition(",")
-        if tag == "g0":
-            doc["g0"] = float(rest)
-        elif tag == "kbar":
-            doc["kbar"] = int(rest)
-        elif tag == "levels":
-            doc["levels"] = tuple(int(v) for v in rest.split(","))
-        elif tag == "permutation":
-            doc["permutation"] = _parse_permutation(rest)
-        elif tag == "phases":
-            doc["phases"] = _parse_phases(rest)
-        elif tag in ("energy_before", "energy_after"):
-            a, _, e = rest.partition(",")
-            doc[tag][int(a)] = float(e)
-        elif tag == "exiting":
-            doc["exiting"] = tuple(int(v) for v in rest.split(",")) if rest else ()
+    for tag, value in _read_lines(payload, ("g0", "kbar", "levels", "permutation", "phases",
+                                            "energy_before", "energy_after", "exiting")):
+        if tag in ("energy_before", "energy_after"):
+            doc[tag].update([value])
         else:
-            raise SerializationError(f"unexpected line tag {tag!r}")
+            doc[tag] = value
     return doc
-
-
-def parse_holonomy_document(payload: str):
-    """Inverse of holonomy_document: (levels, matrix, permutation, phases)."""
-    lines = [ln for ln in payload.splitlines() if ln]
-    if not lines or not lines[0].startswith("levels,"):
-        raise SerializationError("document must start with a levels line")
-    levels = tuple(int(v) for v in lines[0].split(",")[1:])
-    n = len(levels)
-    matrix = np.zeros((n, n), dtype=complex)
-    permutation = None
-    phases = None
-    row = 0
-    for ln in lines[1:]:
-        tag, _, rest = ln.partition(",")
-        if tag.startswith("row "):
-            if row >= n:
-                raise SerializationError("too many matrix rows")
-            cells = rest.split(",")
-            if len(cells) != 2 * n:
-                raise SerializationError(f"row {row}: expected {2 * n} cells")
-            vals = [float(c) for c in cells]
-            matrix[row] = [complex(vals[2 * j], vals[2 * j + 1]) for j in range(n)]
-            row += 1
-        elif tag == "permutation":
-            permutation = _parse_permutation(rest)
-        elif tag == "phases":
-            phases = _parse_phases(rest)
-        else:
-            raise SerializationError(f"unexpected line tag {tag!r}")
-    if row != n:
-        raise SerializationError(f"expected {n} matrix rows, found {row}")
-    return levels, matrix, permutation, phases

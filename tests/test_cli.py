@@ -395,6 +395,20 @@ class TestConfig:
         for argv in ((flag, value), ("--config", path)):
             assert run_cli(capsys, *command, *argv) == (2, "", f"error: {exc.value}\n")
 
+    @pytest.mark.parametrize("key, value", [
+        ("grid_re_min", -2e6), ("grid_re_max", 2e6), ("grid_im_min", -1e300),
+        ("grid_im_max", 1e7)])
+    def test_grid_window_beyond_the_domain_is_a_config_error(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig(**{key: value})
+
+    def test_sheet_far_below_the_domain_exits_2(self, capsys):
+        # far outside |g| <= 1e6 the bound labels' kernel overflows and
+        # n = 2's deep columns abort to NaN cells
+        for n in (0, 2):
+            code, out, err = run_cli(capsys, "sheet", "--n", n, "--im-min=-1e300")
+            assert (code, out) == (2, "") and "grid_im_min" in err
+
     def test_inconclusive_permutation_exits_3(self, capsys, monkeypatch):
         def broken(cfg, args):
             raise InconclusivePermutationError("no dominant entry")
@@ -570,3 +584,28 @@ class TestSerialize:
             parse_record("# schema_version = 1\n# cmd = eps\n# config_hash = x\n")
         with pytest.raises(SerializationError):
             parse_record("no header at all\n")
+
+    @pytest.mark.parametrize("parse, text", [
+        (parse_cycle_document, "g0,x\n"),
+        (parse_cycle_document, "levels,0,x\n"),
+        (parse_cycle_document, "energy_before,0\n"),
+        (parse_cycle_document, "g1,1.0\n"),
+        (parse_holonomy_document, "levels,a\n"),
+        (parse_holonomy_document, "levels,0\nrow 0,1.0,x\n"),
+        (parse_holonomy_document, "row 0,1.0,0.0\n"),
+        (parse_holonomy_document, "levels,0\nrow 0,1.0,0.0\nrow 1,1.0,0.0\n"),
+        (parse_holonomy_document, "levels,0,2\nrow 0,1.0,0.0,0.0\nrow 1,0.0,0.0,1.0,0.0\n"),
+        (parse_holonomy_document, "levels,0,2\nrow 0,1.0,0.0,0.0,0.0\n"),
+        (parse_holonomy_document, "levels,0\nrow 0,1.0,0.0\nphase,0:1.0+0.0j\n"),
+        (parse_sheet_document, "cut,1,2,3\ng_re\n1.0\n"),
+        (parse_sheet_document, "cut,x,0,0,exceptional,0,0\ng_re\n1.0\n"),
+        (parse_sheet_document, "cut,1,2,3,k,4,5\n"),
+        (parse_csv_table, ""),
+        (parse_csv_table, "a,b\n1,2\n3\n"),
+        (parse_record, "# schema_version = 1\n# command = eps\n"),
+        (parse_record, "# schema_version = 1\n#command = eps\n# config_hash = x\n"),
+        (parse_record, "# schema_version = one\n# command = eps\n# config_hash = x\n"),
+    ])
+    def test_every_malformed_line_is_a_serialization_error(self, parse, text):
+        with pytest.raises(SerializationError):
+            parse(text)

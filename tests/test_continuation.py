@@ -17,7 +17,7 @@ from lieb2b.continuation import (ComplexPath, GridSpec, TraceStatus,
                                  line_path, newton_correct,
                                  newton_correct_array, sheet_value,
                                  tangent_slope, walk_path)
-from lieb2b.exceptional import find_ep
+from lieb2b.exceptional import find_ep, ladder_points
 from lieb2b.holonomy import TruncationSpec, entry_frame
 
 
@@ -95,6 +95,14 @@ class TestContinuation:
     def test_conjugation_symmetry_on_standard_sheet(self):
         for n, g in ((0, 1.0 - 1.5j), (2, -0.5 - 1.0j), (3, 1.0 - 2.0j)):
             assert conjugation_symmetry_check(n, g) in (+1, -1)
+
+    @pytest.mark.parametrize("n, g, sign", [
+        (0, -0.5 - 0.2j, -1), (0, -3.0 - 1.0j, -1), (1, -1.0 - 0.3j, -1),
+        (1, -2.5 - 0.4j, -1), (0, 0.8 - 0.6j, +1), (4, -0.5 - 1.0j, +1)])
+    def test_conjugation_sign_is_minus_one_where_the_bound_level_binds(self, n, g, sign):
+        # left of the family's real branch point the bound level's k is
+        # imaginary on the axis, so its mirror image is -k, not k
+        assert conjugation_symmetry_check(n, g) == sign
 
     def test_record_keeps_samples(self):
         trace = continue_to(solve_k_real(2, 1.0), 1.0 - 1.0j)
@@ -522,6 +530,37 @@ class TestSheets:
             sheet = build_sheet(2, GridSpec(-3.0, 1.0, -1e300, 0.5, 3, 3))
         assert sheet.aborted_columns == {0: -5e299, 1: -5e299, 2: -5e299}
         assert not np.isnan(sheet.k[2]).any()
+
+    def test_partner_catalog_stops_left_of_the_window(self):
+        # Re g_ep falls monotonically up the ladder, so the bound label's
+        # partners end at the first branch point left of re_min, however
+        # deep the window; the depth bound alone asks for 5001 labels
+        # here, and find_ep walks each one's ladder from the bottom
+        points = dict(ladder_points(Parity.EVEN, 800, verify_unique=False))
+        asked = []
+
+        def finder(m):
+            asked.append(m)
+            return points[m].g_ep
+
+        sheet = build_sheet(0, GridSpec(-3.0, 1.0, -1e4, 0.5, 3, 3), ep_finder=finder)
+        assert len(asked) <= 400
+        assert asked == list(range(2, asked[-1] + 1, 2))
+        assert points[asked[-1]].g_ep.real < -3.0 <= points[asked[-2]].g_ep.real
+        assert [c.branch_point for c in sheet.cut_segments if c.kind == "exceptional"] \
+            == [points[m].g_ep for m in asked[:-1]]
+
+    def test_partner_catalog_skips_a_label_the_finder_misses(self):
+        def finder(m):
+            if m == 4:
+                raise RuntimeError("no catalog entry")
+            return ep_g(m)
+
+        grid = GridSpec(-3.0, 1.0, -6.0, 0.5, 3, 3)
+        cuts = build_sheet(0, grid, ep_finder=finder).cut_segments
+        full = build_sheet(0, grid, ep_finder=ep_g).cut_segments
+        assert cuts == [c for c in full if c.branch_point != ep_g(4)]
+        assert len(cuts) == len(full) - 1
 
     def test_column_rescue_near_a_double_root(self, monkeypatch):
         # the column Re g = -1.05 passes 8e-4 from g_ep(2); the array

@@ -1,9 +1,11 @@
 """Closed spectral journeys: Hermitian sweeps and exceptional-point contours."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from lieb2b import bethe
+from lieb2b import bethe, cycles
 from lieb2b.bethe import Parity, SolverError, energy, solve_k_real
 from lieb2b.continuation import line_path
 from lieb2b.cycles import (InconclusivePermutationError,
@@ -112,6 +114,15 @@ class TestChainedLoops:
         v = chained_loop_holonomy((2, 4), EVEN12, 1e-3)
         target = m_chain_analytic(2, EVEN12).matrix
         assert np.max(np.abs(v.matrix - target)) < 2e-2
+
+    def test_steps_and_rejected_steps_are_summed(self, monkeypatch):
+        def piece(n, trunc, radius, *, rtol):
+            hol = HolonomyMatrix(trunc, np.eye(trunc.n_levels), steps=10 + n, rejected=n)
+            return SimpleNamespace(holonomy=hol)
+
+        monkeypatch.setattr(cycles, "ep_loop_holonomy", piece)
+        v = chained_loop_holonomy((2, 4), EVEN12, 1e-3)
+        assert (v.steps, v.rejected) == (26, 6)
 
     def test_order_matters(self):
         m2 = m_n_analytic(2, EVEN12).matrix
