@@ -13,14 +13,13 @@ an independent numerical check of the closed-form connection.
 
 from .bethe import (BetheState, EnergyLevel, Parity, SolverError,
                     asymptotic_quasimomentum, bethe_residual, energy,
-                    newton_polish, real_axis_k, residual_k_derivative,
+                    newton_correct, newton_correct_array, newton_polish,
+                    real_axis_k, residual_k_derivative,
                     scaled_bethe_residual, solve_k_real)
 from .config import ConfigError, RunConfig, load_config, parse_config
 from .continuation import (ComplexPath, CutSegment, GridSpec, RiemannSheet,
-                           build_sheet, circle_path,
-                           conjugation_symmetry_check, continue_along,
-                           continue_to, line_path, newton_correct,
-                           newton_correct_array, sheet_value)
+                           build_sheet, circle_path, conjugation_symmetry_check,
+                           continue_along, continue_to, line_path, sheet_value)
 from .cycles import (CycleResult, InconclusivePermutationError,
                      PathConstructionError, chained_loop_holonomy,
                      contour_permutation, ep_chain_path, hermitian_cycle,
@@ -45,14 +44,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BetheState", "EnergyLevel", "Parity", "SolverError",
-    "asymptotic_quasimomentum", "bethe_residual", "energy", "newton_polish",
-    "real_axis_k", "residual_k_derivative", "scaled_bethe_residual",
-    "solve_k_real",
+    "asymptotic_quasimomentum", "bethe_residual", "energy", "newton_correct",
+    "newton_correct_array", "newton_polish", "real_axis_k",
+    "residual_k_derivative", "scaled_bethe_residual", "solve_k_real",
     "ConfigError", "RunConfig", "load_config", "parse_config",
     "ComplexPath", "CutSegment", "GridSpec", "RiemannSheet", "build_sheet",
     "circle_path", "conjugation_symmetry_check", "continue_along",
-    "continue_to", "line_path", "newton_correct", "newton_correct_array",
-    "sheet_value",
+    "continue_to", "line_path", "sheet_value",
     "CycleResult", "InconclusivePermutationError",
     "PathConstructionError", "chained_loop_holonomy", "contour_permutation",
     "ep_chain_path", "hermitian_cycle", "n_ep_contour",

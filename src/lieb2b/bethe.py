@@ -45,6 +45,18 @@ step test matters near k = 0, where the scale's floor of 1 passes
 points far from a root.  Where round-off hides the
 sign change (at tiny |g| it grows like n * eps) the bracket end with
 the smaller scaled residual is the root.
+
+Correction at fixed complex g.  Every Newton step on the residual
+off the real axis is taken here, so no other module evaluates the
+kernel (`exceptional`'s F(g) is a different function).
+`newton_correct` (one point) and `newton_correct_array` (many) take
+at most five steps, each halved at most four times while the residual
+grows, and return (k, scaled residual, converged); the caller owns
+the step size and shrinks it on non-convergence.  Start points past
+|Im pi k/2| = DEEP_IM_H go through the overflow-safe `residual_terms`
+and compare residuals at one scale.  On one point the array form
+costs about four times the scalar one, so each caller's input size
+picks its corrector.  `newton_step` is one undamped step.
 """
 
 from __future__ import annotations
@@ -239,38 +251,127 @@ def scaled_bethe_residual(parity: Parity, g, k) -> float:
     return float(abs(r) / scale)
 
 
-def newton_polish(parity: Parity, g, k, *, tol=RESIDUAL_TARGET):
-    """Up to eight damped Newton steps on the residual in k at fixed g.
+def newton_correct(parity: Parity, g, k0, *, tol):
+    """Newton iteration on the residual in k at fixed complex g.
 
-    Returns (k, scaled_residual), e.g. to tighten a root found by
-    bracketing; does not raise on stagnation, callers
-    decide what residual level is acceptable.  Each iterate takes r,
-    dr and the scale from one `unscaled_residual_terms` call, so k must
-    stay well inside |Im(pi k/2)| <= DEEP_IM_H.
+    Returns (k, scaled_residual, converged) after at most five damped
+    steps: the caller owns step-size control and treats non-convergence
+    as the signal to shrink.  A start point with |Im pi k/2| above
+    DEEP_IM_H is corrected through the overflow-safe `residual_terms`;
+    the Newton step is the same, since r and dr carry the same factor.
+    An unscaled call whose iterates drift past DEEP_IM_H stays finite:
+    the unscaled terms overflow only near |Im pi k/2| = 709.
     """
-    k = complex(k)
-    g = complex(g)
-    r, dr, scale, _ = unscaled_residual_terms(parity, g, k)
-    best_k, best = k, abs(r) / scale
-    for _ in range(8):
+    k = complex(k0)
+    deep = abs(0.5 * np.pi * k.imag) > DEEP_IM_H
+    terms = residual_terms if deep else unscaled_residual_terms
+    for _ in range(5):
+        r, dr, scale, lf = terms(parity, g, k)
+        if abs(r) / scale < tol:
+            return k, float(abs(r) / scale), True
         if dr == 0:
             break
         step = r / dr
-        # plain damping: halve until the residual does not grow
-        for _ in range(5):
+        for _ in range(4):
             trial = k - step
-            r_new = bethe_residual(parity, g, trial)
-            if abs(r_new) <= abs(r) or abs(step) < 1e-16 * max(1.0, abs(k)):
+            if deep:
+                r_t, _, _, lf_t = residual_terms(parity, g, trial)
+                if _no_larger(r_t, lf_t, abs(r), lf):
+                    break
+            elif abs(bethe_residual(parity, g, trial)) <= abs(r):
                 break
             step *= 0.5
         k = k - step
-        r, dr, scale, _ = unscaled_residual_terms(parity, g, k)
-        scaled = abs(r) / scale
-        if scaled < best:
-            best, best_k = scaled, k
-        if scaled < tol:
-            return k, float(scaled)
-    return best_k, float(best)
+    r, _, scale, _ = terms(parity, g, k)
+    scaled = float(abs(r) / scale)
+    return k, scaled, scaled < tol
+
+
+def _no_larger(r_trial, lf_trial, size, lf):
+    """Whether the true |r_trial| is at most the true size, given kernel
+    values with log factors lf_trial and lf: both taken at one scale."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(r_trial) * np.exp(lf_trial - lf) <= size
+
+
+def newton_correct_array(parity: Parity, g, k0, *, tol, max_iter: int = 5):
+    """`newton_correct` applied to every element of an array of points.
+
+    g broadcasts against k0.  Each element follows the scalar rule: it
+    stops once its scaled residual is below tol or its derivative
+    vanishes, and otherwise takes a Newton step halved at most four
+    times while the residual grows.  Stopped elements are frozen, so
+    each iteration works only on the rest.  Returns (k, scaled_residual,
+    converged) arrays of the broadcast shape.
+
+    Whether to evaluate through the overflow-safe `residual_terms` is
+    decided once per call: only when some start point has
+    |Im pi k/2| above DEEP_IM_H, so calls away from the deep bound
+    branch run the unscaled operations.  In either mode every element with
+    |Im pi k/2| <= DEEP_IM_H sees the unscaled values; deep elements
+    compare a trial residual with the current one at one scale,
+    |r_trial| exp(lf_trial - lf) <= |r|.
+
+    On a single point its per-call overhead makes it about four times
+    slower than `newton_correct`, so scalar callers keep that one.
+    """
+    g, k = np.broadcast_arrays(np.asarray(g, dtype=complex),
+                               np.asarray(k0, dtype=complex))
+    shape = k.shape
+    g = g.ravel()
+    k = k.ravel().copy()
+    scaled = np.empty(k.size)
+    converged = np.zeros(k.size, dtype=bool)
+    live = np.arange(k.size)
+    deep = k.size > 0 and 0.5 * np.pi * float(np.abs(k.imag).max()) > DEEP_IM_H
+    terms = residual_terms if deep else unscaled_residual_terms
+    # max_iter Newton steps; the extra sweep only measures the last iterate
+    for sweep in range(max_iter + 1):
+        gl, kl = g[live], k[live]
+        r, dr, scale, lf = terms(parity, gl, kl)
+        s = np.abs(r) / scale
+        scaled[live] = s
+        done = s < tol
+        converged[live[done]] = True
+        if sweep == max_iter:
+            break
+        go = ~done & (dr != 0)
+        live, gl, kl, r, dr = live[go], gl[go], kl[go], r[go], dr[go]
+        if deep:
+            lf = lf[go]
+        if live.size == 0:
+            break
+        with np.errstate(invalid="ignore"):
+            step = r / dr
+        size = np.abs(r)
+        damp = np.arange(live.size)  # positions still halving their step
+        for _ in range(4):
+            if damp.size == 0:
+                break
+            trial = kl[damp] - step[damp]
+            if deep:
+                r_t, _, _, lf_t = residual_terms(parity, gl[damp], trial)
+                worse = ~_no_larger(r_t, lf_t, size[damp], lf[damp])
+            else:
+                worse = ~(np.abs(bethe_residual(parity, gl[damp], trial)) <= size[damp])
+            damp = damp[worse]
+            step[damp] *= 0.5
+        k[live] = kl - step
+    return k.reshape(shape), scaled.reshape(shape), converged.reshape(shape)
+
+
+def newton_step(parity: Parity, g, k):
+    """One undamped Newton step k - r/dr on the residual, elementwise
+    through `residual_terms`; an element where dr = 0 stays where it is."""
+    r, dr, _, _ = residual_terms(parity, g, k)
+    moves = dr != 0
+    return k - np.where(moves, r / np.where(moves, dr, 1.0), 0.0)
+
+
+def newton_polish(parity: Parity, g, k, *, tol=RESIDUAL_TARGET):
+    """(k, scaled_residual) of `newton_correct` at tol: at most five
+    damped Newton steps in k at fixed g, without raising."""
+    return newton_correct(parity, g, k, tol=tol)[:2]
 
 
 def _bracket_terms(parity: Parity, bound, g, x):

@@ -155,7 +155,7 @@ def cmd_oracle_check(cfg: RunConfig, args) -> tuple[int, str]:
                                            parity=parity,
                                            nodes=cfg.quadrature_nodes)
         diff = float(np.max(np.abs(closed - oracle)))
-        worst = max(worst, diff)
+        worst = np.maximum(worst, diff)  # a NaN difference stays NaN and fails
         lines.append(f"{parity.name.lower()}: max entrywise difference = "
                      f"{format_float(diff)}")
     ok = worst < args.tol

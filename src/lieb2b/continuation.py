@@ -8,7 +8,9 @@ Each hop uses a first-order predictor (`tangent_slope`)
     k -> k + dg * G(g, k),    G = -dJ/dg / dJ/dk = 2 k / (pi r),
     r(g, k) = k^2 + g^2 + 2 g / pi,
 
-followed by damped Newton correction at the new coupling.  r -> 0 is
+followed by damped Newton correction at the new coupling, by the
+correctors of `lieb2b.bethe` (the only module that evaluates the
+residual kernel).  r -> 0 is
 exactly dJ/dk = 0, i.e. a branch point where two branches collide and
 the local behaviour turns into a square root with coefficient
 
@@ -40,17 +42,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bethe import (
-    DEEP_IM_H,
-    BetheState,
-    Parity,
-    SolverError,
-    bethe_residual,
-    real_axis_k,
-    residual_terms,
-    solve_k_real,
-    unscaled_residual_terms,
-)
+from .bethe import (BetheState, Parity, SolverError, newton_correct,
+                    newton_correct_array, real_axis_k, solve_k_real)
 
 #: `continue_along`'s Newton tolerance and `_scalar_hop`'s acceptance rules;
 #: an accepted hop grows the step by STEP_GROWTH
@@ -183,115 +176,6 @@ def dj_dk(g, k):
     if denom == 0:
         return complex(np.inf)
     return (k * k + g * g + 2.0 * g / np.pi * s) / denom
-
-
-def newton_correct(parity: Parity, g, k0, *, tol):
-    """Newton iteration on the residual in k at fixed complex g.
-
-    Returns (k, scaled_residual, converged) after at most five damped
-    steps: the caller owns step-size control and treats non-convergence
-    as the signal to shrink.  A start point with |Im pi k/2| above
-    DEEP_IM_H is corrected through the overflow-safe `residual_terms`;
-    the Newton step is the same, since r and dr carry the same factor.
-    An unscaled call whose iterates drift past DEEP_IM_H stays finite:
-    the unscaled terms overflow only near |Im pi k/2| = 709.
-    """
-    k = complex(k0)
-    deep = abs(0.5 * np.pi * k.imag) > DEEP_IM_H
-    terms = residual_terms if deep else unscaled_residual_terms
-    for _ in range(5):
-        r, dr, scale, lf = terms(parity, g, k)
-        if abs(r) / scale < tol:
-            return k, float(abs(r) / scale), True
-        if dr == 0:
-            break
-        step = r / dr
-        for _ in range(4):
-            trial = k - step
-            if deep:
-                r_t, _, _, lf_t = residual_terms(parity, g, trial)
-                if _no_larger(r_t, lf_t, abs(r), lf):
-                    break
-            elif abs(bethe_residual(parity, g, trial)) <= abs(r):
-                break
-            step *= 0.5
-        k = k - step
-    r, _, scale, _ = terms(parity, g, k)
-    scaled = float(abs(r) / scale)
-    return k, scaled, scaled < tol
-
-
-def _no_larger(r_trial, lf_trial, size, lf):
-    """Whether the true |r_trial| is at most the true size, given kernel
-    values with log factors lf_trial and lf: both taken at one scale."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.abs(r_trial) * np.exp(lf_trial - lf) <= size
-
-
-def newton_correct_array(parity: Parity, g, k0, *, tol, max_iter: int = 5):
-    """`newton_correct` applied to every element of an array of points.
-
-    g broadcasts against k0.  Each element follows the scalar rule: it
-    stops once its scaled residual is below tol or its derivative
-    vanishes, and otherwise takes a Newton step halved at most four
-    times while the residual grows.  Stopped elements are frozen, so
-    each iteration works only on the rest.  Returns (k, scaled_residual,
-    converged) arrays of the broadcast shape.
-
-    Whether to evaluate through the overflow-safe `residual_terms` is
-    decided once per call: only when some start point has
-    |Im pi k/2| above DEEP_IM_H, so calls away from the deep bound
-    branch run the unscaled operations.  In either mode every element with
-    |Im pi k/2| <= DEEP_IM_H sees the unscaled values; deep elements
-    compare a trial residual with the current one at one scale,
-    |r_trial| exp(lf_trial - lf) <= |r|.
-
-    On a single point its per-call overhead makes it about four times
-    slower than `newton_correct`, so scalar callers keep that one.
-    """
-    g, k = np.broadcast_arrays(np.asarray(g, dtype=complex),
-                               np.asarray(k0, dtype=complex))
-    shape = k.shape
-    g = g.ravel()
-    k = k.ravel().copy()
-    scaled = np.empty(k.size)
-    converged = np.zeros(k.size, dtype=bool)
-    live = np.arange(k.size)
-    deep = k.size > 0 and 0.5 * np.pi * float(np.abs(k.imag).max()) > DEEP_IM_H
-    terms = residual_terms if deep else unscaled_residual_terms
-    # max_iter Newton steps; the extra sweep only measures the last iterate
-    for sweep in range(max_iter + 1):
-        gl, kl = g[live], k[live]
-        r, dr, scale, lf = terms(parity, gl, kl)
-        s = np.abs(r) / scale
-        scaled[live] = s
-        done = s < tol
-        converged[live[done]] = True
-        if sweep == max_iter:
-            break
-        go = ~done & (dr != 0)
-        live, gl, kl, r, dr = live[go], gl[go], kl[go], r[go], dr[go]
-        if deep:
-            lf = lf[go]
-        if live.size == 0:
-            break
-        with np.errstate(invalid="ignore"):
-            step = r / dr
-        size = np.abs(r)
-        damp = np.arange(live.size)  # positions still halving their step
-        for _ in range(4):
-            if damp.size == 0:
-                break
-            trial = kl[damp] - step[damp]
-            if deep:
-                r_t, _, _, lf_t = residual_terms(parity, gl[damp], trial)
-                worse = ~_no_larger(r_t, lf_t, size[damp], lf[damp])
-            else:
-                worse = ~(np.abs(bethe_residual(parity, gl[damp], trial)) <= size[damp])
-            damp = damp[worse]
-            step[damp] *= 0.5
-        k[live] = kl - step
-    return k.reshape(shape), scaled.reshape(shape), converged.reshape(shape)
 
 
 @dataclass

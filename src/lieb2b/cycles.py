@@ -99,8 +99,7 @@ def hermitian_cycle(g0: float, trunc: TruncationSpec, *,
     g0 = float(g0)
     if proxy < 1e4:
         raise ValueError("proxy coupling must be at least 1e4 to stand in for infinity")
-    if abs(g0 - trunc.parity.real_branch_point) < 1e-9:
-        raise ValueError(f"g0 = {g0} sits at the family's real branch point")
+    energies_before = _family_energies(trunc, g0)  # refuses the real branch point
     kbar = trunc.base
     levels = trunc.levels
     # k_n(+proxy), k_{n+2}(-proxy) and k_{n+2}(g0) in one solve
@@ -122,7 +121,6 @@ def hermitian_cycle(g0: float, trunc: TruncationSpec, *,
                 f"k = {ko} vs {ki}")
         permutation[n] = partner
 
-    energies_before = _family_energies(trunc, g0)
     energies_after = {n: energy(kbar, BetheState(n + 2, g0, k, trunc.parity)).energy.real
                       for n, k in zip(levels, k_after)}
     phases = {n: 1.0 + 0.0j for n in levels}

@@ -78,7 +78,8 @@ def normalization_pt(parity: Parity, k):
     s = sinc_pi(k)
     w = complex(1.0 + s) if parity is Parity.EVEN else complex(1.0 - s)
     if w == 0.0:
-        raise ZeroDivisionError("normalization denominator vanishes (degeneracy)")
+        raise ValueError(f"normalization denominator vanishes at k = {complex(k)}: "
+                         "two levels are degenerate there")
     return np.sqrt(2.0) / rotated_sqrt(w)
 
 

@@ -35,7 +35,7 @@ of the same nodes sets the step size (Blanes, Casas & Ros, BIT 40, 434
 (2000)).  A has a zero diagonal, so B and every Omega are traceless and
 det V = 1 to round-off on any path.  Each attempted step moves every
 slot of the frame to the three nodes and the step end in one call of
-the array corrector :func:`lieb2b.continuation.newton_correct_array`,
+the array corrector :func:`lieb2b.bethe.newton_correct_array`,
 each point predicted from the tangent at the step's start, and
 evaluates their connections in one :func:`connection_matrix` call.  The
 step is refused, and halved, when any slot at any point would leave its
@@ -69,10 +69,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bethe import Parity, SolverError, real_axis_k, residual_terms
+from .bethe import (Parity, SolverError, newton_correct_array, newton_step,
+                    real_axis_k)
 from .continuation import (STEP_GROWTH, ComplexPath, branch_point_function,
-                           circle_path, newton_correct_array, rotated_sqrt,
-                           tangent_slope, walk_path)
+                           circle_path, rotated_sqrt, tangent_slope, walk_path)
 from .exceptional import ExceptionalPoint, find_ep
 
 FOUR_OVER_PI = 4.0 / np.pi
@@ -244,7 +244,11 @@ class TransportFrame:
 
 
 def frame_at(trunc: TruncationSpec, g: float) -> TransportFrame:
-    """Standard-sheet frame on the real coupling axis."""
+    """Standard-sheet frame on the real coupling axis.  Within 1e-9 of
+    the family's real branch point, where k = 0 and r = 0 leave
+    D = k / sqrt(r) undefined, it raises ValueError."""
+    if abs(g - trunc.parity.real_branch_point) < 1e-9:
+        raise ValueError(f"g = {g} sits at the family's real branch point")
     levels = trunc.levels
     k = real_axis_k(levels, g)
     if np.isnan(k).any():
@@ -274,7 +278,7 @@ def _advance_run(frame: TransportFrame, g_points, tol: float):
     A truncation is one parity family, so a single array corrector call
     covers the run: g of shape (S, 1) against k of shape (S, m), each
     point predicted from the tangent at ``frame``.  After convergence
-    one more Newton step is taken, as `find_ep` does, which tightens
+    one more Newton step (`newton_step`) is taken, which tightens
     the far points of the run without a tighter tol.  Each point is
     then checked against the one before it (``frame`` for the first):
     it is unsafe when a slot fails to converge, moves by more than 0.35
@@ -288,9 +292,7 @@ def _advance_run(frame: TransportFrame, g_points, tol: float):
     k, _, ok = newton_correct_array(parity, g, k_pred, tol=tol)
     if not ok.all():
         return None, False
-    r, dr, _, _ = residual_terms(parity, g, k)
-    moves = dr != 0
-    k = k - np.where(moves, r / np.where(moves, dr, 1.0), 0.0)
+    k = newton_step(parity, g, k)
     k_before = np.concatenate([frame.k[None], k[:-1]])
     gaps = np.abs(k_before[:, :, None] - k_before[:, None, :])
     diag = np.arange(k.shape[1])

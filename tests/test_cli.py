@@ -7,12 +7,12 @@ import struct
 import numpy as np
 import pytest
 
-from lieb2b import cli, serialize
+from lieb2b import cli, exceptional, serialize
 from lieb2b.bethe import solve_k_real
 from lieb2b.config import ConfigError, RunConfig, parse_config
 from lieb2b.continuation import CutSegment, GridSpec, build_sheet
 from lieb2b.cycles import InconclusivePermutationError
-from lieb2b.exceptional import find_ep
+from lieb2b.exceptional import ExceptionalPointError, find_ep
 from lieb2b.holonomy import TruncationSpec, m_n_analytic
 from lieb2b.bethe import Parity
 from lieb2b.serialize import (ExportRecord, SerializationError, csv_table,
@@ -108,6 +108,23 @@ class TestEps:
         assert [r[0] for r in rows] == [3, 5, 7, 9]
         for row in rows:
             assert row[1] < -2.0 / np.pi
+
+    def test_failed_rungs_are_rows_with_status_and_exit_2(self, capsys, monkeypatch):
+        accept = exceptional._accept_root
+
+        def refuse_6(parity, n, g):
+            if n == 6:
+                raise ExceptionalPointError("rung 6 refused")
+            return accept(parity, n, g)
+
+        monkeypatch.setattr(exceptional, "_accept_root", refuse_6)
+        code, out, _ = run_cli(capsys, "eps", "--n-max", 8)
+        assert code == 2
+        _, rows = parse_csv_table(parse_record(out).payload)
+        assert [r[0] for r in rows] == [2, 4, 6, 8]
+        assert [r[7] for r in rows] == ["ok", "ok"] + ["failed: ExceptionalPointError"] * 2
+        assert all(np.isfinite(r[1:7]).all() for r in rows[:2])
+        assert all(np.isnan(r[1:7]).all() for r in rows[2:])
 
     def test_repeat_runs_are_byte_identical(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -284,6 +301,27 @@ class TestOracleCheck:
         assert code == 0
         assert out.rstrip().endswith("PASS")
         assert "even" in out and "odd" in out
+
+    @pytest.mark.parametrize("g", [0.0, -0.6366197723675814])
+    def test_real_branch_point_exits_2(self, capsys, g):
+        # RuntimeWarnings are errors in this suite, so none is raised
+        code, out, err = run_cli(capsys, "oracle-check", "--g", g)
+        assert code == 2
+        assert "real branch point" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("g", [1e-3, -0.6356])
+    def test_passes_next_to_the_real_branch_points(self, capsys, g):
+        code, out, _ = run_cli(capsys, "oracle-check", "--g", g)
+        assert code == 0
+        assert out.rstrip().endswith("PASS")
+
+    def test_nan_difference_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "overlap_connection_oracle",
+                            lambda n, *args, **kwargs: np.full((n, n), np.nan))
+        code, out, _ = run_cli(capsys, "oracle-check", "--trunc", 4)
+        assert code == 2
+        assert "difference = nan" in out
+        assert out.rstrip().endswith("FAIL")
 
 
 class TestConfig:

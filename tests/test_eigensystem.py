@@ -103,6 +103,11 @@ class TestOracle:
         with pytest.raises(SolverError):
             overlap_connection_oracle(4, 0.7, parity=Parity.ODD)
 
+    def test_odd_real_branch_point_raises_value_error(self):
+        # k_1 = 0 there, where 1 - sinc(k) vanishes
+        with pytest.raises(ValueError, match="degenerate"):
+            overlap_connection_oracle(4, -2 / np.pi, parity=Parity.ODD)
+
     def test_richardson_step_tightens_quotient(self):
         # halving dg must not move the extrapolated result at tolerance
         a = overlap_connection_oracle(4, 0.7, 1e-5, parity=Parity.ODD)

@@ -111,6 +111,12 @@ class TestConnectionForms:
         with pytest.raises(ValueError):
             gauge_connection(1.0 - 0.5j, EVEN12)
 
+    @pytest.mark.parametrize("parity, g", [(Parity.EVEN, 0.0), (Parity.ODD, -2 / np.pi)])
+    def test_real_branch_point_raises(self, parity, g):
+        # k = 0 and r = 0 there: D = k / sqrt(r) is 0/0
+        with pytest.raises(ValueError, match="real branch point"):
+            gauge_connection(g, TruncationSpec(parity, 4))
+
 
 class TestFrameAdvance:
     def test_matches_scalar_continuation(self):
@@ -219,6 +225,21 @@ class TestTransport:
         free = transport(line_path(1.0, 1.0 - 0.8j), trunc, frame0=frame_at(trunc, 1.0))
         assert free.rejected == 0
         assert np.max(np.abs(res.matrix - free.matrix)) < 1e-8
+
+    def test_refusing_every_run_underflows_the_step(self, monkeypatch):
+        trunc = TruncationSpec(Parity.EVEN, 4)
+        frame0 = frame_at(trunc, 1.0)
+        monkeypatch.setattr(holonomy, "_advance_run", lambda frame, g_points, tol: (None, False))
+        with pytest.raises(TransportError, match="step size underflow"):
+            transport(line_path(1.0, 1.0 - 0.8j), trunc, frame0=frame0)
+
+    def test_step_budget_is_enforced(self, monkeypatch):
+        trunc = TruncationSpec(Parity.EVEN, 4)
+        free = transport(line_path(1.0, 1.0 - 0.8j), trunc)
+        assert free.steps + free.rejected > 2
+        monkeypatch.setattr(holonomy, "MAGNUS_MAX_STEPS", 2)
+        with pytest.raises(TransportError, match="step budget exhausted"):
+            transport(line_path(1.0, 1.0 - 0.8j), trunc)
 
     def test_step_size_carries_over_the_corners_of_a_loop(self):
         # carried over the corners, the step covers about one edge;
