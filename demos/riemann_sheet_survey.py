@@ -16,12 +16,11 @@ Run:  python3 demos/riemann_sheet_survey.py
 import numpy as np
 
 from lieb2b import (GridSpec, build_sheet, conjugation_symmetry_check,
-                    find_ep, solve_k_real)
+                    solve_k_real)
 
 
 def survey(n: int, grid: GridSpec):
-    sheet = build_sheet(n, grid, tol=1e-12,
-                        ep_finder=lambda m: find_ep(m, verify_unique=False).g_ep)
+    sheet = build_sheet(n, grid)
     total = sheet.k.size
     reached = int(np.count_nonzero(~np.isnan(sheet.k.real)))
     print(f"\nsheet n = {n}: {reached}/{total} grid cells reached")

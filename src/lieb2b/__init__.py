@@ -12,10 +12,11 @@ an independent numerical check of the closed-form connection.
 """
 
 from .bethe import (BetheState, EnergyLevel, Parity, SolverError,
-                    asymptotic_quasimomentum, bethe_residual, energy,
-                    newton_correct, newton_correct_array, newton_polish,
-                    real_axis_k, residual_k_derivative,
-                    scaled_bethe_residual, solve_k_real)
+                    asymptotic_quasimomentum, bethe_residual,
+                    branch_point_function, energy, newton_correct,
+                    newton_correct_array, newton_polish, real_axis_k,
+                    residual_k_derivative, scaled_bethe_residual,
+                    solve_k_real)
 from .config import ConfigError, RunConfig, load_config, parse_config
 from .continuation import (ComplexPath, CutSegment, GridSpec, RiemannSheet,
                            build_sheet, circle_path, conjugation_symmetry_check,
@@ -28,7 +29,7 @@ from .eigensystem import (Eigenfunction, Side, biorthonormality_defect,
                           normalization_pt, overlap_connection_oracle,
                           pair_overlap, sinc_pi)
 from .exceptional import (ExceptionalPoint, ExceptionalPointError,
-                          branch_point_function, circle_reaches_branch_point,
+                          circle_reaches_branch_point,
                           enumerate_eps, ep_residual, find_ep, ladder_points,
                           local_expansion, sqrt_coefficient, sqrt_lower_cut)
 from .holonomy import (MIN_LOOP_RADIUS, ConnectionProximityError,
@@ -44,9 +45,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BetheState", "EnergyLevel", "Parity", "SolverError",
-    "asymptotic_quasimomentum", "bethe_residual", "energy", "newton_correct",
-    "newton_correct_array", "newton_polish", "real_axis_k",
-    "residual_k_derivative", "scaled_bethe_residual", "solve_k_real",
+    "asymptotic_quasimomentum", "bethe_residual", "branch_point_function",
+    "energy", "newton_correct", "newton_correct_array", "newton_polish",
+    "real_axis_k", "residual_k_derivative", "scaled_bethe_residual",
+    "solve_k_real",
     "ConfigError", "RunConfig", "load_config", "parse_config",
     "ComplexPath", "CutSegment", "GridSpec", "RiemannSheet", "build_sheet",
     "circle_path", "conjugation_symmetry_check", "continue_along",
@@ -57,7 +59,7 @@ __all__ = [
     "permutation_from_holonomy",
     "Eigenfunction", "Side", "biorthonormality_defect", "normalization_pt",
     "overlap_connection_oracle", "pair_overlap", "sinc_pi",
-    "ExceptionalPoint", "ExceptionalPointError", "branch_point_function",
+    "ExceptionalPoint", "ExceptionalPointError",
     "circle_reaches_branch_point", "enumerate_eps", "ep_residual", "find_ep",
     "ladder_points", "local_expansion", "sqrt_coefficient", "sqrt_lower_cut",
     "MIN_LOOP_RADIUS", "ConnectionProximityError", "EpLoopHolonomy",

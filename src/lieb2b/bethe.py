@@ -57,6 +57,9 @@ the step size and shrinks it on non-convergence.  Start points past
 and compare residuals at one scale.  On one point the array form
 costs about four times the scalar one, so each caller's input size
 picks its corrector.  `newton_step` is one undamped step.
+
+`branch_point_function` r(g, k) vanishes where two branches collide;
+`rotated_sqrt` is the one window every standard-sheet sqrt(r) takes.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ import numpy as np
 
 TWO_OVER_PI = 2.0 / np.pi
 
-#: default solver tolerances (scaled residual); see RunConfig for overrides
+#: scaled-residual target of every solve and corrector; a real-axis root's acceptance
 RESIDUAL_TARGET = 1e-12
 RESIDUAL_ACCEPT = 1e-10
 NEWTON_MAX_STEPS = 50
@@ -140,6 +143,22 @@ def bethe_residual(parity: Parity, g, k):
     if parity is Parity.EVEN:
         return k * np.sin(h) - g * np.cos(h)
     return k * np.cos(h) + g * np.sin(h)
+
+
+def branch_point_function(g, k):
+    """r(g, k) = k^2 + g^2 + 2 g/pi; zero exactly where dJ/dk = 0."""
+    return k * k + g * g + 2.0 * g / np.pi
+
+
+def rotated_sqrt(w):
+    """sqrt(w) in the window rotated by -pi/2: arguments of w in
+    (pi/2, pi] count as negative, so the cut runs along the positive
+    imaginary axis and sqrt(-1) = -i."""
+    w = complex(w)
+    s = np.sqrt(w)
+    if np.angle(w) > 0.5 * np.pi:
+        s = -s
+    return s
 
 
 def residual_k_derivative(parity: Parity, g, k):
@@ -251,6 +270,7 @@ def scaled_bethe_residual(parity: Parity, g, k) -> float:
     return float(abs(r) / scale)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def newton_correct(parity: Parity, g, k0, *, tol):
     """Newton iteration on the residual in k at fixed complex g.
 
@@ -260,7 +280,9 @@ def newton_correct(parity: Parity, g, k0, *, tol):
     DEEP_IM_H is corrected through the overflow-safe `residual_terms`;
     the Newton step is the same, since r and dr carry the same factor.
     An unscaled call whose iterates drift past DEEP_IM_H stays finite:
-    the unscaled terms overflow only near |Im pi k/2| = 709.
+    the unscaled terms overflow only near |Im pi k/2| = 709.  Terms
+    that leave the double range (|g| or |k| near 1e300) come back as
+    inf or NaN without a numpy warning.
     """
     k = complex(k0)
     deep = abs(0.5 * np.pi * k.imag) > DEEP_IM_H

@@ -29,7 +29,7 @@ from .cycles import (InconclusivePermutationError, PathConstructionError,
                      permutation_from_holonomy)
 from .eigensystem import overlap_connection_oracle
 from .exceptional import (ExceptionalPointError, circle_reaches_branch_point,
-                          find_ep, ladder_points)
+                          ladder_points)
 from .holonomy import (TransportError, TruncationSpec, ep_loop_holonomy,
                        gauge_connection, transport)
 from .serialize import (ExportRecord, csv_table, cycle_document, format_float,
@@ -57,7 +57,7 @@ def _chain_levels(text: str) -> tuple:
 
 
 def cmd_solve(cfg: RunConfig, args) -> tuple[int, str]:
-    state = solve_k_real(args.n, args.g, tol=cfg.solver_tol)
+    state = solve_k_real(args.n, args.g)
     level = energy(state.parity.bound_level, state)
     lines = [f"n = {state.n}",
              f"parity = {state.parity.name.lower()}",
@@ -74,7 +74,7 @@ def cmd_eps(cfg: RunConfig, args) -> tuple[int, str]:
     columns = ("n", "g_re", "g_im", "k_re", "k_im",
                "residual_bethe", "residual_r", "status")
     rows = []
-    for n, ep in ladder_points(parity, cfg.ep_n_max, tol=cfg.solver_tol, verify_unique=False):
+    for n, ep in ladder_points(parity, cfg.ep_n_max, verify_unique=False):
         if isinstance(ep, ExceptionalPointError):
             rows.append((n,) + (float("nan"),) * 6 + (f"failed: {type(ep).__name__}",))
         else:
@@ -89,8 +89,7 @@ def cmd_eps(cfg: RunConfig, args) -> tuple[int, str]:
 def cmd_sheet(cfg: RunConfig, args) -> tuple[int, str]:
     grid = GridSpec(cfg.grid_re_min, cfg.grid_re_max, cfg.grid_im_min,
                     cfg.grid_im_max, cfg.grid_points, cfg.grid_points)
-    sheet = build_sheet(args.n, grid, tol=cfg.solver_tol,
-                        ep_finder=lambda m: find_ep(m, verify_unique=False).g_ep)
+    sheet = build_sheet(args.n, grid)
     # one row per cell in C order: Im g outer, Re g inner
     cells = np.broadcast_arrays(sheet.re_axis[None, :], sheet.im_axis[:, None],
                                 sheet.k.real, sheet.k.imag)
@@ -111,12 +110,12 @@ def cmd_holonomy(cfg: RunConfig, args) -> tuple[int, str]:
     radius = cfg.loop_radius
     if args.contour == "ep-loop":
         trunc = TruncationSpec(Parity.of_level(args.n), cfg.truncation)
-        loop = ep_loop_holonomy(args.n, trunc, radius, rtol=cfg.transport_rtol)
+        loop = ep_loop_holonomy(args.n, trunc, radius)
         payload = _holonomy_payload(loop.holonomy)
     elif args.contour == "chain":
         ns = _chain_levels(args.ns)
         trunc = TruncationSpec(Parity.of_level(ns[0]), cfg.truncation)
-        hol = chained_loop_holonomy(ns, trunc, radius, rtol=cfg.transport_rtol)
+        hol = chained_loop_holonomy(ns, trunc, radius)
         payload = _holonomy_payload(hol)
     else:
         trunc = TruncationSpec(_parity(args.parity), cfg.truncation)
@@ -125,7 +124,7 @@ def cmd_holonomy(cfg: RunConfig, args) -> tuple[int, str]:
             raise ConfigError(
                 f"empty contour of radius {radius} about g0 = {args.g0} "
                 "reaches a branch point of the family")
-        hol = transport(circle, trunc, rtol=cfg.transport_rtol)
+        hol = transport(circle, trunc)
         payload = _holonomy_payload(hol, g0=args.g0)
     record = ExportRecord("holonomy", cfg.config_hash(), payload)
     return EXIT_OK, record.render()
@@ -134,7 +133,7 @@ def cmd_holonomy(cfg: RunConfig, args) -> tuple[int, str]:
 def cmd_cycle(cfg: RunConfig, args) -> tuple[int, str]:
     trunc = TruncationSpec(_parity(args.parity), cfg.truncation)
     if args.contour == "hermitian":
-        res = hermitian_cycle(args.g0, trunc, proxy=cfg.proxy_infinity)
+        res = hermitian_cycle(args.g0, trunc)
     else:
         path = n_ep_contour(args.g0, args.n_ep, trunc.parity)
         res = contour_permutation(path, trunc)
@@ -151,9 +150,7 @@ def cmd_oracle_check(cfg: RunConfig, args) -> tuple[int, str]:
     for parity in (Parity.EVEN, Parity.ODD):
         trunc = TruncationSpec(parity, cfg.truncation)
         closed = gauge_connection(args.g, trunc)
-        oracle = overlap_connection_oracle(cfg.truncation, args.g, cfg.oracle_dg,
-                                           parity=parity,
-                                           nodes=cfg.quadrature_nodes)
+        oracle = overlap_connection_oracle(cfg.truncation, args.g, parity=parity)
         diff = float(np.max(np.abs(closed - oracle)))
         worst = np.maximum(worst, diff)  # a NaN difference stays NaN and fails
         lines.append(f"{parity.name.lower()}: max entrywise difference = "

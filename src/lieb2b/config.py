@@ -2,11 +2,12 @@
 
 Every exported artifact embeds the hash of the configuration that
 produced it, so a fixture can be traced back to its exact settings.
-A CLI setting flag overrides the key it names (``--n-max`` ep_n_max,
-``--re-min`` ... ``--im-max`` grid_*, ``--points`` grid_points,
-``--radius`` loop_radius, ``--trunc`` truncation), so it is validated
-here and enters the hash like a file line; request inputs such as
-``--n``, ``--g`` or ``--g0`` do not.
+The keys are exactly the settings a CLI flag sets (``--n-max``
+ep_n_max, ``--re-min`` ... ``--im-max`` grid_*, ``--points``
+grid_points, ``--radius`` loop_radius, ``--trunc`` truncation): a flag
+overrides the key it names, is validated here and enters the hash like
+a file line; request inputs such as ``--n``, ``--g`` or ``--g0`` do
+not.  Numerical tolerances are library constants, not settings.
 The hash is taken over a canonical serialization (sorted keys, shortest
 round-trip float representation), which makes it stable across
 platforms and insensitive to comment or ordering changes in the file.
@@ -18,7 +19,8 @@ import hashlib
 import math
 from dataclasses import dataclass, fields
 
-from .holonomy import MIN_LOOP_RADIUS
+from .bethe import RESIDUAL_TARGET
+from .holonomy import MIN_LOOP_RADIUS, TRANSPORT_RTOL
 
 
 class ConfigError(ValueError):
@@ -27,12 +29,10 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    solver_tol: float = 1e-12
-    transport_rtol: float = 1e-10
-    oracle_dg: float = 1e-5
-    quadrature_nodes: int = 256
+    # read-only class constants, not keys: the library defaults
+    solver_tol = RESIDUAL_TARGET
+    transport_rtol = TRANSPORT_RTOL
     truncation: int = 12
-    proxy_infinity: float = 1e6
     ep_n_max: int = 8
     loop_radius: float = 1e-3
     grid_re_min: float = -3.0
@@ -45,15 +45,8 @@ class RunConfig:
         for f in fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise ConfigError(f"{f.name} must be finite")
-        for name in ("solver_tol", "transport_rtol", "oracle_dg"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"{name} must be strictly positive")
-        if self.proxy_infinity < 1e4:
-            raise ConfigError("proxy_infinity must be at least 1e4")
         if self.truncation < 2:
             raise ConfigError("truncation must retain at least two levels")
-        if self.quadrature_nodes < 8:
-            raise ConfigError("quadrature_nodes must be at least 8")
         if self.ep_n_max < 2:
             raise ConfigError("ep_n_max must be at least 2")
         if not self.loop_radius >= MIN_LOOP_RADIUS:

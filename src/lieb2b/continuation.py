@@ -42,8 +42,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bethe import (BetheState, Parity, SolverError, newton_correct,
-                    newton_correct_array, real_axis_k, solve_k_real)
+from .bethe import (RESIDUAL_TARGET, BetheState, Parity, SolverError,
+                    newton_correct, newton_correct_array, real_axis_k,
+                    solve_k_real)
+from .exceptional import find_ep
 
 #: `continue_along`'s Newton tolerance and `_scalar_hop`'s acceptance rules;
 #: an accepted hop grows the step by STEP_GROWTH
@@ -113,22 +115,6 @@ class ContinuationSample(NamedTuple):
     g: complex
     k: complex
     scaled_residual: float
-
-
-def branch_point_function(g, k):
-    """r(g, k) = k^2 + g^2 + 2 g/pi; zero exactly where dJ/dk = 0."""
-    return k * k + g * g + 2.0 * g / np.pi
-
-
-def rotated_sqrt(w):
-    """sqrt(w) in the window rotated by -pi/2: arguments of w in
-    (pi/2, pi] count as negative, so the cut runs along the positive
-    imaginary axis and sqrt(-1) = -i."""
-    w = complex(w)
-    s = np.sqrt(w)
-    if np.angle(w) > 0.5 * np.pi:
-        s = -s
-    return s
 
 
 def tangent_slope(g, k):
@@ -437,8 +423,13 @@ def _march_half(parity, xs, k_anchor, ordinates, *, tol, k_out, rows):
     return abort_at
 
 
-def build_sheet(n: int, grid: GridSpec, *, tol: float = 1e-12,
-                ep_finder=None) -> RiemannSheet:
+def _catalog_branch_point(m: int) -> complex:
+    """Level m's branch point by `find_ep`, without its uniqueness check."""
+    return find_ep(m, verify_unique=False).g_ep
+
+
+def build_sheet(n: int, grid: GridSpec, *, tol: float = RESIDUAL_TARGET,
+                ep_finder=_catalog_branch_point) -> RiemannSheet:
     """Construct one branch's Riemann sheet over a rectangular grid.
 
     Each column is anchored at its real-axis value and continued
@@ -450,10 +441,9 @@ def build_sheet(n: int, grid: GridSpec, *, tol: float = 1e-12,
     upper-half mirror images, and the real-axis degeneracy of the
     bound label (cut running upward).
 
-    ep_finder is injected to avoid a circular import: it maps a level
-    label to its complex branch point (see exceptional.find_ep);
-    None skips exceptional cut bookkeeping and records only the
-    real-axis cut.
+    ep_finder maps a level label to its complex branch point; the
+    default asks `find_ep`, and a caller may inject a precomputed
+    catalog instead.
     """
     parity = Parity.of_level(n)
     xs = grid.re_axis
@@ -477,31 +467,30 @@ def build_sheet(n: int, grid: GridSpec, *, tol: float = 1e-12,
             aborted.setdefault(col, y)
 
     cuts = []
-    if ep_finder is not None:
-        # n > 1: its own point; n in {0, 1}: every partner whose branch
-        # point (depth about m - 1) lies above the window's floor, or at
-        # most 1.5 below it, asked for one at a time
-        partners = [n] if n > 1 else range(n + 2, int(abs(grid.im_min) + 2.5) + 1, 2)
-        for m in partners:
-            try:
-                bp = complex(ep_finder(m))
-            except RuntimeError:
-                # a missing catalog entry costs one cut, not the sheet
+    # n > 1: its own point; n in {0, 1}: every partner whose branch
+    # point (depth about m - 1) lies above the window's floor, or at
+    # most 1.5 below it, asked for one at a time
+    partners = [n] if n > 1 else range(n + 2, int(abs(grid.im_min) + 2.5) + 1, 2)
+    for m in partners:
+        try:
+            bp = complex(ep_finder(m))
+        except RuntimeError:
+            # a missing catalog entry costs one cut, not the sheet
+            continue
+        if bp.real < grid.re_min:
+            # Re g_ep falls monotonically up the ladder, so no later
+            # partner reaches the window either
+            break
+        for point in (bp, bp.conjugate()):
+            inside = (grid.re_min <= point.real <= grid.re_max
+                      and grid.im_min <= point.imag <= grid.im_max)
+            if not inside:
                 continue
-            if bp.real < grid.re_min:
-                # Re g_ep falls monotonically up the ladder, so no later
-                # partner reaches the window either
-                break
-            for point in (bp, bp.conjugate()):
-                inside = (grid.re_min <= point.real <= grid.re_max
-                          and grid.im_min <= point.imag <= grid.im_max)
-                if not inside:
-                    continue
-                if point.imag < 0:
-                    lo, hi = grid.im_min, point.imag
-                else:
-                    lo, hi = point.imag, grid.im_max
-                cuts.append(CutSegment(point.real, lo, hi, "exceptional", point))
+            if point.imag < 0:
+                lo, hi = grid.im_min, point.imag
+            else:
+                lo, hi = point.imag, grid.im_max
+            cuts.append(CutSegment(point.real, lo, hi, "exceptional", point))
     if n == parity.bound_level and grid.re_min <= rbp <= grid.re_max:
         cuts.append(CutSegment(rbp, 0.0, grid.im_max, "real-axis", complex(rbp)))
 

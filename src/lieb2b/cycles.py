@@ -48,6 +48,8 @@ CLEARANCE = 0.5
 CHANNEL_DEPTH = 0.05
 #: modulus a column's dominant entry must exceed to count as a permutation
 DOMINANCE = 0.9
+#: coupling that stands in for infinity in `hermitian_cycle`'s check
+PROXY_INFINITY = 1e6
 
 
 class PathConstructionError(ValueError):
@@ -85,27 +87,24 @@ def _family_energies(trunc: TruncationSpec, g0: float) -> dict:
             for n, k in zip(trunc.levels, frame_at(trunc, g0).k)}
 
 
-def hermitian_cycle(g0: float, trunc: TruncationSpec, *,
-                    proxy: float = 1e6) -> CycleResult:
+def hermitian_cycle(g0: float, trunc: TruncationSpec) -> CycleResult:
     """Level bookkeeping of the real-axis cycle g0 -> +inf -> -inf -> g0.
 
     The flip at infinity is an index relabeling at the finite proxy
     coupling, justified by the shared integer limit of k_n(+inf) and
     k_{n+2}(-inf); the identification is verified numerically at
-    +-proxy.  Adiabatic phases in the parallel-transport gauge are all
-    +1.  The top retained level hands its state to a label outside the
-    truncation and is reported in ``exiting``.
+    +-PROXY_INFINITY.  Adiabatic phases in the parallel-transport gauge
+    are all +1.  The top retained level hands its state to a label
+    outside the truncation and is reported in ``exiting``.
     """
     g0 = float(g0)
-    if proxy < 1e4:
-        raise ValueError("proxy coupling must be at least 1e4 to stand in for infinity")
     energies_before = _family_energies(trunc, g0)  # refuses the real branch point
     kbar = trunc.base
     levels = trunc.levels
     # k_n(+proxy), k_{n+2}(-proxy) and k_{n+2}(g0) in one solve
     labels = np.array(levels)
     k = real_axis_k(np.stack([labels, labels + 2, labels + 2]),
-                    np.array([[proxy], [-proxy], [g0]]))
+                    np.array([[PROXY_INFINITY], [-PROXY_INFINITY], [g0]]))
     if np.isnan(k).any():
         raise SolverError(f"no real-axis root on the cycle through g0 = {g0}", g=g0)
     k_out, k_in, k_after = k.tolist()
@@ -115,7 +114,7 @@ def hermitian_cycle(g0: float, trunc: TruncationSpec, *,
         # k_n(+inf) = k_{n+2}(-inf) = n + 1
         limit = asymptotic_quasimomentum(n, +1)
         partner = n + 2
-        if abs(ko - ki) > 10.0 * limit / proxy:
+        if abs(ko - ki) > 10.0 * limit / PROXY_INFINITY:
             raise RuntimeError(
                 f"levels {n} (+proxy) and {partner} (-proxy) do not meet: "
                 f"k = {ko} vs {ki}")
@@ -233,8 +232,8 @@ def ep_chain_path(ns, g0: float = 1.0, radius: float = 0.05) -> ComplexPath:
     return ComplexPath(waypoints)
 
 
-def chained_loop_holonomy(ns, trunc: TruncationSpec, radius: float = 1e-3, *,
-                          rtol: float = 1e-10) -> HolonomyMatrix:
+def chained_loop_holonomy(ns, trunc: TruncationSpec,
+                          radius: float = 1e-3) -> HolonomyMatrix:
     """Ordered product of small-circle transports around the given EPs.
 
     Each circle starts at its point's three o'clock position with the
@@ -242,11 +241,14 @@ def chained_loop_holonomy(ns, trunc: TruncationSpec, radius: float = 1e-3, *,
     factor converges to its elementary monodromy as the radius shrinks,
     and the product converges to the closed-form chain.  Loops listed
     first act first, i.e. their matrices stand rightmost in the product.
+    A level outside the truncation is refused before any transport.
     """
+    for n in ns:
+        trunc.slot(n)
     out = np.eye(trunc.n_levels, dtype=complex)
     steps = rejected = 0
     for n in ns:
-        piece = ep_loop_holonomy(n, trunc, radius, rtol=rtol).holonomy
+        piece = ep_loop_holonomy(n, trunc, radius).holonomy
         out = piece.matrix @ out
         steps += piece.steps
         rejected += piece.rejected

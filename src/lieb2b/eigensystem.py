@@ -46,17 +46,22 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bethe import Parity, SolverError, real_axis_k, solve_k_real
-from .continuation import rotated_sqrt
+from .bethe import Parity, SolverError, real_axis_k, rotated_sqrt, solve_k_real
 from .holonomy import TruncationSpec
 
 TWO_PI = 2.0 * np.pi
+#: pi |Im k| beyond which sin(pi k) leaves the double range
+SINC_IM_LIMIT = float(np.log(np.finfo(float).max))
 
 
 def sinc_pi(k):
-    """sin(pi k)/(pi k) for complex k, removable singularity filled in."""
+    """sin(pi k)/(pi k) for complex k, removable singularity filled in;
+    ValueError past pi |Im k| = SINC_IM_LIMIT (about 709.8, a bound level
+    at g below about -226), where sin(pi k) overflows."""
     k = np.asarray(k, dtype=complex)
     w = np.pi * k
+    if np.any(np.abs(w.imag) > SINC_IM_LIMIT):
+        raise ValueError(f"sinc(k) overflows past pi |Im k| = {SINC_IM_LIMIT:.6g}")
     small = np.abs(w) < 1e-4
     safe = np.where(small, 1.0, w)
     out = np.where(small, 1.0 - w * w / 6.0, np.sin(safe) / safe)
@@ -71,7 +76,7 @@ def normalization_pt(parity: Parity, k):
     The square root keeps the branch reached by continuing from the
     scattering region through the lower half of the coupling plane:
     when 1 -+ sinc(k) leaves the principal window (argument beyond
-    pi/2) the root flips sign (`continuation.rotated_sqrt`).  On the odd
+    pi/2) the root flips sign (`bethe.rotated_sqrt`).  On the odd
     bound branch this makes the profile real and positive instead of
     real and negative.
     """

@@ -54,8 +54,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bethe import NEWTON_MAX_STEPS, Parity, bethe_residual, terms_from_trig
-from .continuation import branch_point_function, rotated_sqrt
+from .bethe import (NEWTON_MAX_STEPS, RESIDUAL_TARGET, Parity, bethe_residual,
+                    branch_point_function, rotated_sqrt, terms_from_trig)
 
 #: reject "exceptional points" that are really the real-axis degeneracies
 REAL_AXIS_GUARD = 0.05
@@ -174,7 +174,7 @@ def _accept_root(parity: Parity, n: int, g: complex) -> complex:
     return g
 
 
-def _ladder(parity: Parity, n_max: int, tol: float):
+def _ladder(parity: Parity, n_max: int):
     """Walk the family's rungs up to n_max once, yielding (n, root of F).
 
     Each rung starts from the two below it, so once Newton fails on a
@@ -184,7 +184,7 @@ def _ladder(parity: Parity, n_max: int, tol: float):
     below = []
     for m in range(parity.bound_level + 2, n_max + 1, 2):
         start = -1j * (m - 1) if len(below) < 2 else 2.0 * below[-1] - below[-2]
-        g = _newton_on_f(parity, start, tol)
+        g = _newton_on_f(parity, start, RESIDUAL_TARGET)
         try:
             if g is None:
                 raise ExceptionalPointError(f"no convergence for n={m} from {start}")
@@ -224,19 +224,18 @@ def find_ep(n: int, *, verify_unique: bool = True) -> ExceptionalPoint:
     if n <= 1:
         raise ValueError("exceptional points exist for excited labels n > 1")
     parity = Parity.of_level(n)
-    *_, (_, g) = _ladder(parity, n, 1e-12)
+    *_, (_, g) = _ladder(parity, n)
     point = _rung_point(parity, n, g, verify_unique)
     if isinstance(point, ExceptionalPointError):
         raise point
     return point
 
 
-def ladder_points(parity: Parity, n_max: int, *, tol: float = 1e-12,
-                  verify_unique: bool = True):
+def ladder_points(parity: Parity, n_max: int, *, verify_unique: bool = True):
     """Walk the family's rungs up to n_max once, yielding (n, point) in
     order of n: the ExceptionalPoint `find_ep` gives label n, or the
     ExceptionalPointError it raises there."""
-    for n, g in _ladder(parity, n_max, tol):
+    for n, g in _ladder(parity, n_max):
         yield n, _rung_point(parity, n, g, verify_unique)
 
 

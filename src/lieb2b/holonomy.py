@@ -18,10 +18,10 @@ keeps one parity family: levels n_b, n_b + 2, ... for base n_b in {0, 1}.
 so the branch of sqrt(r) is bookkeeping that matters.  Two regimes are
 kept strictly apart:
 
-* point evaluation on the standard sheet uses a fixed branch window per
-  level (:func:`standard_sqrt_r`): the principal square root for labels
-  n >= 2, and for the two bound-capable labels a window rotated so the
-  real-axis bound branch carries sqrt(r) = -i sqrt(|r|);
+* point evaluation on the real axis takes every level's sqrt(r) in the
+  one window of :func:`lieb2b.bethe.rotated_sqrt`: there r > 0 for the
+  labels n >= 2, where it is the principal root, and the real-axis
+  bound branch (r < 0) carries sqrt(r) = -i sqrt(|r|);
 * transport tracks sqrt(r) by continuity along the path, slot by slot,
   together with the quasi-momenta (:class:`TransportFrame`), because a
   loop around a branch point flips the sign of sqrt(r) and a fixed
@@ -69,10 +69,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bethe import (Parity, SolverError, newton_correct_array, newton_step,
-                    real_axis_k)
-from .continuation import (STEP_GROWTH, ComplexPath, branch_point_function,
-                           circle_path, rotated_sqrt, tangent_slope, walk_path)
+from .bethe import (Parity, SolverError, branch_point_function,
+                    newton_correct_array, newton_step, real_axis_k,
+                    rotated_sqrt)
+from .continuation import (STEP_GROWTH, ComplexPath, circle_path,
+                           tangent_slope, walk_path)
 from .exceptional import ExceptionalPoint, find_ep
 
 FOUR_OVER_PI = 4.0 / np.pi
@@ -81,6 +82,8 @@ MIN_LOOP_RADIUS = 1e-4
 
 #: a quasi-momentum gap below this puts the connection at an exceptional point
 GAP_TOL = 1e-6
+#: relative tolerance of a Magnus step, the default of `transport`
+TRANSPORT_RTOL = 1e-10
 
 
 class TransportError(RuntimeError):
@@ -148,21 +151,9 @@ def d_sign(n: int) -> int:
     return -1 if (n // 2) % 2 else 1
 
 
-def standard_sqrt_r(n: int, r):
-    """Standard-sheet branch of sqrt(r) for the level labeled n.
-
-    Labels n >= 2 use the principal branch, cut along negative real r.
-    The bound-capable labels keep the rotated window of `rotated_sqrt`,
-    so on the real-axis bound branch (r < 0) the value is
-    -i*sqrt(|r|).
-    """
-    return rotated_sqrt(r) if n < 2 else np.sqrt(complex(r))
-
-
 def d_function(n: int, g, k) -> complex:
     """Standard-sheet D_n at the point (g, k) of level n's surface."""
-    r = branch_point_function(g, k)
-    return d_sign(n) * k / standard_sqrt_r(n, r)
+    return d_sign(n) * k / rotated_sqrt(branch_point_function(g, k))
 
 
 def d_function_trig(n: int, g, k) -> complex:
@@ -170,14 +161,12 @@ def d_function_trig(n: int, g, k) -> complex:
 
     Uses (1 +- sinc(k))**(-1/2) * {cos, sin}(pi k / 2); the sign rides
     on the trig factor.  On shell 1 +- sinc(k) equals trig**2 * r / k**2,
-    so the square root here inherits the branch windows of
-    :func:`standard_sqrt_r`, including the rotated window of the
-    bound-capable labels.
+    so the square root here takes the same window, `rotated_sqrt`.
     """
     from .eigensystem import sinc_pi
 
     w = 1.0 + sinc_pi(k) if Parity.of_level(n) is Parity.EVEN else 1.0 - sinc_pi(k)
-    root = standard_sqrt_r(n, w)
+    root = rotated_sqrt(w)
     h = 0.5 * np.pi * k
     trig = np.cos(h) if Parity.of_level(n) is Parity.EVEN else np.sin(h)
     return trig / root
@@ -253,8 +242,8 @@ def frame_at(trunc: TruncationSpec, g: float) -> TransportFrame:
     k = real_axis_k(levels, g)
     if np.isnan(k).any():
         raise SolverError(f"no real-axis root for levels {levels} at g={g}", g=g)
-    s = np.array([standard_sqrt_r(n, branch_point_function(g, kk))
-                  for n, kk in zip(levels, k)], dtype=complex)
+    s = np.array([rotated_sqrt(branch_point_function(g, kk)) for kk in k],
+                 dtype=complex)
     return TransportFrame(levels, complex(g), k, s)
 
 
@@ -361,7 +350,7 @@ def _expm(x):
 
 def transport(path: ComplexPath, trunc: TruncationSpec, *,
               frame0: TransportFrame | None = None,
-              rtol: float = 1e-10) -> HolonomyMatrix:
+              rtol: float = TRANSPORT_RTOL) -> HolonomyMatrix:
     """Integrate parallel transport of the truncated family along ``path``.
 
     The initial frame defaults to :func:`entry_frame` at the path start.
@@ -538,17 +527,19 @@ class EpLoopHolonomy:
 
 
 def ep_loop_holonomy(n: int, trunc: TruncationSpec, radius: float = 1e-3, *,
-                     rtol: float = 1e-10, arc_points: int = 48) -> EpLoopHolonomy:
+                     rtol: float = TRANSPORT_RTOL, arc_points: int = 48) -> EpLoopHolonomy:
     """Transport once clockwise around level n's branch point.
 
     The start point g_ep + radius carries standard-sheet values,
     continued straight down from the real axis.  The returned defect is
     the max-norm distance of the raw transport matrix from the
-    elementary monodromy; it shrinks with the loop radius.
+    elementary monodromy; it shrinks with the loop radius.  A level
+    outside the truncation is refused before the search and transport.
     """
     if not MIN_LOOP_RADIUS <= radius < np.inf:
         raise ValueError(f"loop radius {radius} must be finite and at least the safe "
                          f"floor {MIN_LOOP_RADIUS}")
+    trunc.slot(n)
     ep = find_ep(n, verify_unique=False)
     loop = circle_path(ep.g_ep, radius, n_points=arc_points, clockwise=True)
     hol = transport(loop, trunc, rtol=rtol)

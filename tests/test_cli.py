@@ -1,5 +1,8 @@
 """Command-line interface, configuration, and export-format checks."""
 
+import argparse
+import dataclasses
+import inspect
 import pathlib
 import shlex
 import struct
@@ -7,13 +10,13 @@ import struct
 import numpy as np
 import pytest
 
-from lieb2b import cli, exceptional, serialize
+from lieb2b import bethe, cli, exceptional, holonomy, serialize
 from lieb2b.bethe import solve_k_real
 from lieb2b.config import ConfigError, RunConfig, parse_config
 from lieb2b.continuation import CutSegment, GridSpec, build_sheet
 from lieb2b.cycles import InconclusivePermutationError
-from lieb2b.exceptional import ExceptionalPointError, find_ep
-from lieb2b.holonomy import TruncationSpec, m_n_analytic
+from lieb2b.exceptional import ExceptionalPointError
+from lieb2b.holonomy import TruncationSpec, ep_loop_holonomy, m_n_analytic
 from lieb2b.bethe import Parity
 from lieb2b.serialize import (ExportRecord, SerializationError, csv_table,
                               cycle_document, format_float, holonomy_document,
@@ -167,9 +170,7 @@ class TestSheet:
         code, out, _ = run_cli(capsys, "sheet", "--n", 0, "--points", 71,
                                *(f"--{k.replace('_', '-')}={v}" for k, v in window.items()))
         assert code == 0
-        sheet = build_sheet(0, GridSpec(**window, n_re=71, n_im=71),
-                            tol=RunConfig().solver_tol,
-                            ep_finder=lambda m: find_ep(m, verify_unique=False).g_ep)
+        sheet = build_sheet(0, GridSpec(**window, n_re=71, n_im=71))
         assert np.isnan(sheet.k).sum() == 71
         _, columns, rows = parse_sheet_document(parse_record(out).payload)
         assert len(rows) == 5041 > serialize.BLOCK_ROWS
@@ -256,6 +257,20 @@ class TestHolonomy:
         assert out == ""
         assert "below the floor" in err
 
+    @pytest.mark.parametrize("argv, level", [
+        (("--n", 30, "--trunc", 12), 30),
+        (("--contour", "chain", "--ns", "2,3", "--trunc", 6), 3),
+    ])
+    def test_level_outside_the_truncation_exits_2_before_transport(
+            self, capsys, monkeypatch, argv, level):
+        def refused(*args, **kwargs):
+            raise AssertionError("transport ran for a level outside the truncation")
+
+        monkeypatch.setattr(holonomy, "transport", refused)
+        code, out, err = run_cli(capsys, "holonomy", *argv)
+        assert (code, out) == (2, "")
+        assert f"level {level} is not in this truncation" in err
+
 
 class TestCycle:
     def test_hermitian_document_round_trips(self, capsys):
@@ -315,6 +330,19 @@ class TestOracleCheck:
         assert code == 0
         assert out.rstrip().endswith("PASS")
 
+    @pytest.mark.parametrize("g", [-300.0, -1e4])
+    def test_deep_bound_coupling_exits_2(self, capsys, g):
+        # sin(pi k) of the bound level overflows there; RuntimeWarnings
+        # are errors in this suite, so none is raised
+        code, out, err = run_cli(capsys, "oracle-check", "--g", g, "--trunc", 4)
+        assert (code, out) == (2, "")
+        assert "overflows past pi |Im k| = 709.783" in err
+
+    def test_passes_just_inside_the_overflow_limit(self, capsys):
+        code, out, _ = run_cli(capsys, "oracle-check", "--g", -220.0, "--trunc", 4)
+        assert code == 0
+        assert out.rstrip().endswith("PASS")
+
     def test_nan_difference_fails(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "overlap_connection_oracle",
                             lambda n, *args, **kwargs: np.full((n, n), np.nan))
@@ -327,7 +355,7 @@ class TestOracleCheck:
 class TestConfig:
     def test_config_file_with_defaults_keeps_hash(self, capsys, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("# comment line\nsolver_tol = 1e-12\n\ntruncation = 12\n")
+        path.write_text("# comment line\nloop_radius = 1e-3\n\ntruncation = 12\n")
         _, out, _ = run_cli(capsys, "eps", "--config", path)
         assert parse_record(out).config_hash == RunConfig().config_hash()
 
@@ -347,24 +375,53 @@ class TestConfig:
 
     def test_invalid_value_exits_2(self, capsys, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("solver_tol = -1.0\n")
+        path.write_text("loop_radius = -1.0\n")
         code, _, _ = run_cli(capsys, "eps", "--config", path)
         assert code == 2
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("key", [
-        "solver_tol", "transport_rtol", "oracle_dg", "proxy_infinity", "loop_radius",
-        "grid_re_min", "grid_re_max", "grid_im_min", "grid_im_max"])
+        "loop_radius", "grid_re_min", "grid_re_max", "grid_im_min", "grid_im_max"])
     def test_non_finite_float_key_is_a_config_error(self, key, value):
         with pytest.raises(ConfigError, match=f"{key} must be finite"):
             RunConfig(**{key: value})
 
-    def test_infinite_transport_rtol_file_exits_2(self, capsys, tmp_path):
+    def test_infinite_loop_radius_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("transport_rtol = inf\n")
+        path.write_text("loop_radius = inf\n")
         code, out, err = run_cli(capsys, "holonomy", "--config", path, "--trunc", 4)
         assert (code, out) == (2, "")
-        assert "transport_rtol must be finite" in err
+        assert "loop_radius must be finite" in err
+
+    def test_every_key_is_a_setting_flag(self):
+        # a key no flag sets would be a setting no command ever varies
+        subcommands = next(a for a in cli.build_parser()._actions
+                           if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for p in subcommands.choices.values() for a in p._actions}
+        keys = [f.name for f in dataclasses.fields(RunConfig)]
+        assert len(keys) == 8 and set(keys) <= dests
+
+    @pytest.mark.parametrize("key", [
+        "solver_tol", "transport_rtol", "oracle_dg", "quadrature_nodes", "proxy_infinity"])
+    def test_retired_key_is_unknown(self, capsys, tmp_path, key):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = 1\n")
+        code, out, err = run_cli(capsys, "eps", "--config", path)
+        assert (code, out) == (2, "")
+        assert "unknown key" in err and key in err
+
+    def test_tolerance_constants_are_the_library_defaults(self):
+        def default(fn, name):
+            return inspect.signature(fn).parameters[name].default
+
+        assert RunConfig.solver_tol == bethe.RESIDUAL_TARGET == default(solve_k_real, "tol") \
+            == default(build_sheet, "tol")
+        assert RunConfig.transport_rtol == holonomy.TRANSPORT_RTOL \
+            == default(holonomy.transport, "rtol") == default(ep_loop_holonomy, "rtol")
+        with pytest.raises(TypeError):
+            RunConfig(solver_tol=1e-8)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            RunConfig().transport_rtol = 1e-8
 
     def test_parse_rejects_duplicates_and_garbage(self):
         with pytest.raises(ConfigError):

@@ -476,7 +476,7 @@ class TestSheets:
     def test_axis_row_matches_real_solver(self):
         grid = GridSpec(re_min=-1.0, re_max=1.0, im_min=-0.5, im_max=0.5,
                         n_re=5, n_im=5)
-        sheet = build_sheet(2, grid, ep_finder=None)
+        sheet = build_sheet(2, grid)
         for j, x in enumerate(sheet.re_axis):
             assert sheet.axis_k[j] == solve_k_real(2, float(x)).k
 
@@ -530,6 +530,19 @@ class TestSheets:
             sheet = build_sheet(2, GridSpec(-3.0, 1.0, -1e300, 0.5, 3, 3))
         assert sheet.aborted_columns == {0: -5e299, 1: -5e299, 2: -5e299}
         assert not np.isnan(sheet.k[2]).any()
+
+    @pytest.mark.parametrize("n, aborted", [(0, {2: -5e299, 0: -1e300}),
+                                            (1, {2: -5e299})])
+    def test_deep_bound_window_raises_no_warning(self, n, aborted):
+        # the column rescue's scalar corrector meets terms beyond the
+        # double range here; the injected lookup's first partner lies left
+        # of the window, which ends the catalog at once (find_ep would
+        # walk the ladders of 364 partners)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sheet = build_sheet(n, GridSpec(-3.0, 1.0, -1e300, 0.5, 3, 3),
+                                ep_finder=lambda m: complex(-4.0, -1.0))
+        assert sheet.aborted_columns == aborted
 
     def test_partner_catalog_stops_left_of_the_window(self):
         # Re g_ep falls monotonically up the ladder, so the bound label's

@@ -44,10 +44,6 @@ class TestHermitianCycle:
         with pytest.raises(ValueError):
             hermitian_cycle(-2.0 / np.pi, TruncationSpec(Parity.ODD, 4))
 
-    def test_rejects_small_proxy(self):
-        with pytest.raises(ValueError):
-            hermitian_cycle(1.0, EVEN8, proxy=100.0)
-
     def test_unsolved_root_raises_solver_error(self, monkeypatch):
         monkeypatch.setattr(bethe, "NEWTON_MAX_STEPS", 1)
         with pytest.raises(SolverError):
@@ -116,7 +112,7 @@ class TestChainedLoops:
         assert np.max(np.abs(v.matrix - target)) < 2e-2
 
     def test_steps_and_rejected_steps_are_summed(self, monkeypatch):
-        def piece(n, trunc, radius, *, rtol):
+        def piece(n, trunc, radius):
             hol = HolonomyMatrix(trunc, np.eye(trunc.n_levels), steps=10 + n, rejected=n)
             return SimpleNamespace(holonomy=hol)
 

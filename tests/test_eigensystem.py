@@ -6,6 +6,8 @@ shares no code path with the closed-form connection it is used to
 check, which is what makes the comparison in test_holonomy meaningful.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,17 @@ class TestOracle:
         # k_1 = 0 there, where 1 - sinc(k) vanishes
         with pytest.raises(ValueError, match="degenerate"):
             overlap_connection_oracle(4, -2 / np.pi, parity=Parity.ODD)
+
+    @pytest.mark.parametrize("parity", list(Parity))
+    def test_deep_bound_coupling_raises_value_error(self, parity):
+        # pi |Im k| of the bound level passes log(max double) below
+        # g of about -226; warnings as errors, so sin must not overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows past pi"):
+                overlap_connection_oracle(4, -300.0, parity=parity)
+            near = overlap_connection_oracle(4, -220.0, parity=parity)
+        assert np.isfinite(near).all()
 
     def test_richardson_step_tightens_quotient(self):
         # halving dg must not move the extrapolated result at tolerance

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieb2b import exceptional
-from lieb2b.bethe import Parity, scaled_bethe_residual
-from lieb2b.continuation import branch_point_function, continue_to, solve_k_real
+from lieb2b.bethe import Parity, branch_point_function, scaled_bethe_residual
+from lieb2b.continuation import continue_to, solve_k_real
 from lieb2b.exceptional import (ExceptionalPointError, _accept_root,
                                 _newton_on_f, _winding_number, enumerate_eps,
                                 ep_residual, find_ep, local_expansion,

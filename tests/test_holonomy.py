@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lieb2b import holonomy
-from lieb2b.bethe import Parity, solve_k_real
+from lieb2b.bethe import Parity, branch_point_function, rotated_sqrt, solve_k_real
 from lieb2b.continuation import ComplexPath, circle_path, continue_to, line_path
 from lieb2b.eigensystem import overlap_connection_oracle
 from lieb2b.exceptional import circle_reaches_branch_point, find_ep
@@ -18,7 +18,7 @@ from lieb2b.holonomy import (MIN_LOOP_RADIUS, ConnectionProximityError,
                              d_sign, ep_loop_holonomy, frame_at,
                              frame_monodromy, gauge_connection,
                              m_chain_analytic, m_n_analytic, match_frames,
-                             rotated_sqrt, standard_sqrt_r, transport)
+                             transport)
 
 EVEN12 = TruncationSpec(Parity.EVEN, 12)
 
@@ -38,11 +38,20 @@ class TestBranchWindow:
         # ... and cut along the positive imaginary one
         assert abs(rotated_sqrt(-1e-12 + 1j) + rotated_sqrt(1e-12 + 1j)) < 1e-11
 
-    def test_standard_window_per_label(self):
-        for r in (-2.0, 3j - 1.0, 0.5 - 2j):
-            assert standard_sqrt_r(0, r) == rotated_sqrt(r)
-            assert standard_sqrt_r(1, r) == rotated_sqrt(r)
-            assert standard_sqrt_r(2, r) == np.sqrt(complex(r))
+    @pytest.mark.parametrize("parity", list(Parity))
+    @pytest.mark.parametrize("g", [-1e6, -3.0, -0.5, 1e-6, 0.7, 1e6])
+    def test_frame_takes_the_rotated_window_on_every_level(self, parity, g):
+        # on the real axis r > 0 for every level n >= 2, where the rotated
+        # and principal windows agree; a bound level carries -i sqrt(|r|)
+        trunc = TruncationSpec(parity, 10)
+        frame = frame_at(trunc, g)
+        r = branch_point_function(g, frame.k)
+        for n, r_n, s in zip(trunc.levels, r, frame.sqrt_r):
+            assert s == rotated_sqrt(r_n)
+            if n >= 2:
+                assert r_n.real > 0 and r_n.imag == 0 and s == np.sqrt(r_n)
+            elif r_n.real < 0:
+                assert s == -1j * np.sqrt(-r_n.real)
 
 
 class TestConnectionForms:
@@ -316,6 +325,14 @@ class TestEpLoops:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="safe floor"):
                 ep_loop_holonomy(2, EVEN12, radius)
+
+    def test_level_outside_the_truncation_fails_before_transport(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("transport ran for a level outside the truncation")
+
+        monkeypatch.setattr(holonomy, "transport", refused)
+        with pytest.raises(ValueError, match="level 30 is not in this truncation"):
+            ep_loop_holonomy(30, EVEN12)
 
     def test_odd_family_loop(self):
         odd12 = TruncationSpec(Parity.ODD, 12)
