@@ -24,8 +24,10 @@ g < -2/pi describe two-particle bound states with k on the imaginary
 axis.  Both are defined by continuation from g > 0 through the lower
 half of the complex g plane, which places them on the negative
 imaginary axis: k_0(g) ~ i*g -> -i*inf as g -> -inf.  Strong-coupling
-limits are k_n(+inf) = n + 1 and, for n > 1, k_n(-inf) = n - 1; callers
-represent infinite coupling by a large proxy value.
+limits are k_n(+inf) = n + 1 and, for n > 1, k_n(-inf) = n - 1.  The
+entry points take couplings in the domain |Re g|, |Im g| <= 1e6
+(`COUPLING_LIMIT`), whose edge stands in for infinite coupling, and
+refuse others with ValueError (`check_coupling`).
 
 Energies are E_{kbar,n}(g) = (kbar^2 + k_n(g)^2) / 2 with kbar and n of
 equal parity.
@@ -76,6 +78,8 @@ TWO_OVER_PI = 2.0 / np.pi
 RESIDUAL_TARGET = 1e-12
 RESIDUAL_ACCEPT = 1e-10
 NEWTON_MAX_STEPS = 50
+#: bound on |Re g| and |Im g| of every coupling the library accepts
+COUPLING_LIMIT = 1e6
 
 
 class SolverError(RuntimeError):
@@ -130,6 +134,17 @@ class EnergyLevel:
     kbar: int
     n: int
     energy: complex
+
+
+def check_coupling(g):
+    """Raise ValueError unless every coupling in g lies in the domain."""
+    g = np.asarray(g)
+    bad = g[~(np.maximum(np.abs(g.real), np.abs(g.imag)) <= COUPLING_LIMIT)]
+    if bad.size and not np.isfinite(bad[0]):
+        raise ValueError(f"{bad[0]} is not a finite coupling")
+    if bad.size:
+        raise ValueError(f"coupling {bad[0]} lies outside the coupling domain "
+                         f"|Re g|, |Im g| <= {COUPLING_LIMIT:g}")
 
 
 def bethe_residual(parity: Parity, g, k):
@@ -232,8 +247,8 @@ def residual_terms(parity: Parity, g, k):
     cos are multiplied by exp(-|Im h|), which keeps every term finite
     at deep bound momenta; log_factor is then |Im h| and the scale's
     floor of 1 becomes exp(-|Im h|).  r/dr and r/scale are unchanged by
-    the factor.  A rescaled scale that still overflows (|k| beyond
-    about 1e154) is returned as NaN, so no residual passes against it.
+    the factor.  A rescaled scale that still overflows (far outside the
+    domain) is returned as NaN, so no residual passes against it.
     Accepts scalars or arrays; for arrays log_factor has the shape of r
     on every path.
     """
@@ -281,15 +296,16 @@ def newton_correct(parity: Parity, g, k0, *, tol):
     the Newton step is the same, since r and dr carry the same factor.
     An unscaled call whose iterates drift past DEEP_IM_H stays finite:
     the unscaled terms overflow only near |Im pi k/2| = 709.  Terms
-    that leave the double range (|g| or |k| near 1e300) come back as
-    inf or NaN without a numpy warning.
+    that leave the double range come back as inf or NaN without a
+    numpy warning, and a point whose error scale overflowed is not
+    converged: its scaled residual is NaN.
     """
     k = complex(k0)
     deep = abs(0.5 * np.pi * k.imag) > DEEP_IM_H
     terms = residual_terms if deep else unscaled_residual_terms
     for _ in range(5):
         r, dr, scale, lf = terms(parity, g, k)
-        if abs(r) / scale < tol:
+        if abs(r) / scale < tol and scale < np.inf:
             return k, float(abs(r) / scale), True
         if dr == 0:
             break
@@ -305,17 +321,17 @@ def newton_correct(parity: Parity, g, k0, *, tol):
             step *= 0.5
         k = k - step
     r, _, scale, _ = terms(parity, g, k)
-    scaled = float(abs(r) / scale)
+    scaled = float(abs(r) / scale) if scale < np.inf else np.nan
     return k, scaled, scaled < tol
 
 
 def _no_larger(r_trial, lf_trial, size, lf):
     """Whether the true |r_trial| is at most the true size, given kernel
     values with log factors lf_trial and lf: both taken at one scale."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.abs(r_trial) * np.exp(lf_trial - lf) <= size
+    return np.abs(r_trial) * np.exp(lf_trial - lf) <= size
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def newton_correct_array(parity: Parity, g, k0, *, tol, max_iter: int = 5):
     """`newton_correct` applied to every element of an array of points.
 
@@ -324,7 +340,8 @@ def newton_correct_array(parity: Parity, g, k0, *, tol, max_iter: int = 5):
     vanishes, and otherwise takes a Newton step halved at most four
     times while the residual grows.  Stopped elements are frozen, so
     each iteration works only on the rest.  Returns (k, scaled_residual,
-    converged) arrays of the broadcast shape.
+    converged) arrays of the broadcast shape.  Overflow is handled as
+    there, without a numpy warning.
 
     Whether to evaluate through the overflow-safe `residual_terms` is
     decided once per call: only when some start point has
@@ -351,7 +368,7 @@ def newton_correct_array(parity: Parity, g, k0, *, tol, max_iter: int = 5):
     for sweep in range(max_iter + 1):
         gl, kl = g[live], k[live]
         r, dr, scale, lf = terms(parity, gl, kl)
-        s = np.abs(r) / scale
+        s = np.where(scale < np.inf, np.abs(r) / scale, np.nan)
         scaled[live] = s
         done = s < tol
         converged[live[done]] = True
@@ -363,8 +380,7 @@ def newton_correct_array(parity: Parity, g, k0, *, tol, max_iter: int = 5):
             lf = lf[go]
         if live.size == 0:
             break
-        with np.errstate(invalid="ignore"):
-            step = r / dr
+        step = r / dr
         size = np.abs(r)
         damp = np.arange(live.size)  # positions still halving their step
         for _ in range(4):
@@ -458,6 +474,7 @@ def real_axis_k(n, g, *, tol: float = RESIDUAL_TARGET) -> np.ndarray:
     n, g = np.broadcast_arrays(np.asarray(n), np.asarray(g, dtype=float))
     if not np.all((n >= 0) & (n % 1 == 0)):
         raise ValueError("branch label n must be a non-negative integer")
+    check_coupling(g)
     shape = n.shape
     n, g = n.ravel().astype(int), g.ravel()
     k = n.astype(complex)  # the free value at g = 0

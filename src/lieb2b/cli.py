@@ -119,7 +119,7 @@ def cmd_holonomy(cfg: RunConfig, args) -> tuple[int, str]:
         payload = _holonomy_payload(hol)
     else:
         trunc = TruncationSpec(_parity(args.parity), cfg.truncation)
-        circle = circle_path(args.g0, radius)  # rejects a non-finite g0
+        circle = circle_path(args.g0, radius)  # refuses a g0 outside the domain
         if circle_reaches_branch_point(trunc.parity, args.g0, radius):
             raise ConfigError(
                 f"empty contour of radius {radius} about g0 = {args.g0} "

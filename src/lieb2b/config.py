@@ -19,7 +19,7 @@ import hashlib
 import math
 from dataclasses import dataclass, fields
 
-from .bethe import RESIDUAL_TARGET
+from .bethe import COUPLING_LIMIT, RESIDUAL_TARGET
 from .holonomy import MIN_LOOP_RADIUS, TRANSPORT_RTOL
 
 
@@ -57,8 +57,9 @@ class RunConfig:
         if not self.grid_im_min < self.grid_im_max:
             raise ConfigError("grid window is empty along the imaginary axis")
         for name in ("grid_re_min", "grid_re_max", "grid_im_min", "grid_im_max"):
-            if abs(getattr(self, name)) > 1e6:
-                raise ConfigError(f"{name} lies outside the coupling domain |g| <= 1e6")
+            if abs(getattr(self, name)) > COUPLING_LIMIT:
+                raise ConfigError(f"{name} lies outside the coupling domain "
+                                  f"|Re g|, |Im g| <= {COUPLING_LIMIT:g}")
         if self.grid_points < 2:
             raise ConfigError("grid_points must be at least 2 per axis")
 

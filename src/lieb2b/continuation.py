@@ -43,8 +43,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .bethe import (RESIDUAL_TARGET, BetheState, Parity, SolverError,
-                    newton_correct, newton_correct_array, real_axis_k,
-                    solve_k_real)
+                    branch_point_function, check_coupling, newton_correct,
+                    newton_correct_array, real_axis_k, solve_k_real)
 from .exceptional import find_ep
 
 #: `continue_along`'s Newton tolerance and `_scalar_hop`'s acceptance rules;
@@ -56,7 +56,7 @@ MAX_STEP, MIN_STEP = 0.05, 1e-9
 
 @dataclass
 class ComplexPath:
-    """Piecewise-linear path through finite complex couplings: geometry
+    """Piecewise-linear path through couplings of the domain: geometry
     only; each walk along it sets its own step bounds."""
 
     waypoints: Sequence[complex]
@@ -65,9 +65,7 @@ class ComplexPath:
         self.waypoints = [complex(w) for w in self.waypoints]
         if not self.waypoints:
             raise ValueError("path needs at least one waypoint")
-        for w in self.waypoints:
-            if not cmath.isfinite(w):
-                raise ValueError(f"path waypoint {w} is not a finite coupling")
+        check_coupling(self.waypoints)
         for a, b in zip(self.waypoints, self.waypoints[1:]):
             if a == b:
                 raise ValueError("consecutive waypoints must be distinct")
@@ -108,7 +106,6 @@ def circle_path(center, radius, *, n_points: int = 96, clockwise: bool = True,
 class TraceStatus(enum.Enum):
     COMPLETED = "completed"
     ABORTED_NEAR_BRANCH_POINT = "aborted-near-branch-point"
-    ABORTED_RESIDUAL_OVERFLOW = "aborted-residual-overflow"
 
 
 class ContinuationSample(NamedTuple):
@@ -120,48 +117,36 @@ class ContinuationSample(NamedTuple):
 def tangent_slope(g, k):
     """First-order predictor slope dk/dg = 2 k / (pi r) along a branch.
 
-    Evaluated at g/m and k/m, with m the power of two just above
-    max(|g|, |k|): the scaling is exact, so the value is the unscaled
-    formula's to the bit (barring subnormals), but r no longer
-    overflows where k^2 + g^2 would (|g| beyond about 1e154).  0 where r vanishes (a branch
-    point) or the slope is not finite, so the predictor falls back to
-    the current k.  Scalars are computed in Python complex arithmetic,
-    arrays elementwise in numpy.
+    0 where r vanishes (a branch point) or the slope is not finite, so
+    the predictor falls back to the current k.  Scalars are computed in
+    Python complex arithmetic; if either argument is an array, both are
+    evaluated elementwise in numpy.
     """
     if isinstance(g, np.ndarray) or isinstance(k, np.ndarray):
-        s = np.ldexp(1.0, -np.frexp(np.maximum(np.abs(g), np.abs(k)))[1])
+        g, k = np.asarray(g), np.asarray(k)
         with np.errstate(divide="ignore", invalid="ignore"):
-            slope = _scaled_slope(g * s, k * s, s)
+            slope = 2.0 * k / (np.pi * branch_point_function(g, k))
         return np.where(np.isfinite(slope), slope, 0.0)
     g, k = complex(g), complex(k)
-    s = math.ldexp(1.0, -math.frexp(max(abs(g), abs(k)))[1])
     try:
-        slope = _scaled_slope(g * s, k * s, s)
+        slope = 2.0 * k / (np.pi * branch_point_function(g, k))
     except ZeroDivisionError:
         return 0j
     return slope if cmath.isfinite(slope) else 0j
 
 
-def _scaled_slope(g, k, s):
-    """2 k / (pi r) from g s and k s, s = 1/m: the r here is r(g, k) s^2."""
-    return 2.0 * k / (np.pi * (k * k + g * g + 2.0 * g / np.pi * s)) * s
-
-
 def dj_dk(g, k):
     """dJ/dk = r / (g^2 + k^2); small magnitude marks branch-point proximity.
 
-    Scaled as in `tangent_slope`: the unscaled formula's value to the
-    bit, finite where g^2 would overflow.  On the deep bound branch
-    k ~ -i|g| the denominator cancels to exactly 0: that is the arctan
-    pole, where dJ/dk is infinite and no branch point is near.
+    On the deep bound branch k ~ -i|g| the denominator cancels to
+    exactly 0: that is the arctan pole, where dJ/dk is infinite and no
+    branch point is near.
     """
     g, k = complex(g), complex(k)
-    s = math.ldexp(1.0, -math.frexp(max(abs(g), abs(k)))[1])
-    g, k = g * s, k * s
     denom = g * g + k * k
     if denom == 0:
         return complex(np.inf)
-    return (k * k + g * g + 2.0 * g / np.pi * s) / denom
+    return branch_point_function(g, k) / denom
 
 
 @dataclass
@@ -234,10 +219,7 @@ def continue_along(start: BetheState, path: ComplexPath) -> ContinuationTrace:
     with scalar hops, steps between MIN_STEP and MAX_STEP.  A stalled
     walk ends the trace with ABORTED_NEAR_BRANCH_POINT and the last good
     sample, so a caller meaning to encircle a branch point must route
-    around it.  A stalled hop whose scaled residual is not finite (past
-    |k| of about 1e154 even the rescaled error scale overflows) gives
-    ABORTED_RESIDUAL_OVERFLOW instead, since no branch point need be
-    near.
+    around it.
     """
     if abs(complex(path.waypoints[0]) - complex(start.g)) > 1e-12:
         raise ValueError("path must start at the state's coupling")
@@ -254,16 +236,10 @@ def continue_along(start: BetheState, path: ComplexPath) -> ContinuationTrace:
 
     sample, reached, stalled = walk_path(path.waypoints, sample, hop, h=MAX_STEP,
                                          max_step=MAX_STEP, min_step=MIN_STEP)
-    if reached:
-        return trace
-    if np.isfinite(stalled.scaled_residual):
+    if not reached:
         trace.status = TraceStatus.ABORTED_NEAR_BRANCH_POINT
         trace.note = (f"step underflow near a branch point at g={stalled.g:.6g} "
                       f"(|dJ/dk|={abs(dj_dk(sample.g, sample.k)):.3g})")
-    else:
-        trace.status = TraceStatus.ABORTED_RESIDUAL_OVERFLOW
-        trace.note = (f"residual overflow at g={stalled.g:.6g} (k={sample.k:.6g}, "
-                      "residual scale beyond the double range)")
     return trace
 
 
@@ -317,8 +293,8 @@ class GridSpec:
     """Rectangular grid in the complex coupling plane.
 
     The window must straddle the real axis, which anchors the vertical
-    continuation; 201 x 201 on [-8, 2] x [-5, 5] reproduces the default
-    survey window.
+    continuation, and lie in the coupling domain; 201 x 201 on
+    [-8, 2] x [-5, 5] reproduces the default survey window.
     """
 
     re_min: float = -8.0
@@ -333,6 +309,8 @@ class GridSpec:
             raise ValueError("degenerate grid window")
         if not (self.im_min <= 0.0 <= self.im_max):
             raise ValueError("grid must straddle the real axis")
+        check_coupling([complex(self.re_min, self.im_min),
+                        complex(self.re_max, self.im_max)])
         if self.n_re < 2 or self.n_im < 2:
             raise ValueError("need at least 2 points per direction")
 

@@ -11,7 +11,7 @@ k -> n + 1 at +infinity, and the branch holding that same limit at
 -infinity is labeled n + 2.  The net permutation is the upward shift
 n -> n + 2, with the top of a truncated family exiting.  No
 differential equation is integrated; the identity is checked
-numerically at a large finite proxy coupling.
+numerically at the edge of the coupling domain, +-COUPLING_LIMIT.
 
 The same shift is produced, two levels at a time, by closed contours in
 the complex plane that enclose exceptional points.  Permutations of
@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bethe import (BetheState, Parity, SolverError, asymptotic_quasimomentum,
-                    energy, real_axis_k)
+from .bethe import (COUPLING_LIMIT, BetheState, Parity, SolverError,
+                    asymptotic_quasimomentum, energy, real_axis_k)
 from .continuation import ComplexPath, circle_path
 from .exceptional import enumerate_eps, find_ep
 from .holonomy import (HolonomyMatrix, TruncationSpec, ep_loop_holonomy,
@@ -48,8 +48,6 @@ CLEARANCE = 0.5
 CHANNEL_DEPTH = 0.05
 #: modulus a column's dominant entry must exceed to count as a permutation
 DOMINANCE = 0.9
-#: coupling that stands in for infinity in `hermitian_cycle`'s check
-PROXY_INFINITY = 1e6
 
 
 class PathConstructionError(ValueError):
@@ -90,12 +88,11 @@ def _family_energies(trunc: TruncationSpec, g0: float) -> dict:
 def hermitian_cycle(g0: float, trunc: TruncationSpec) -> CycleResult:
     """Level bookkeeping of the real-axis cycle g0 -> +inf -> -inf -> g0.
 
-    The flip at infinity is an index relabeling at the finite proxy
-    coupling, justified by the shared integer limit of k_n(+inf) and
-    k_{n+2}(-inf); the identification is verified numerically at
-    +-PROXY_INFINITY.  Adiabatic phases in the parallel-transport gauge
-    are all +1.  The top retained level hands its state to a label
-    outside the truncation and is reported in ``exiting``.
+    The flip at infinity is an index relabeling, justified by the shared
+    integer limit of k_n(+inf) and k_{n+2}(-inf) and verified at the
+    domain's edge +-COUPLING_LIMIT, which stands in for infinity.  The
+    parallel-transport phases are all +1.  The top retained level hands
+    its state to a label outside the truncation, reported in ``exiting``.
     """
     g0 = float(g0)
     energies_before = _family_energies(trunc, g0)  # refuses the real branch point
@@ -104,7 +101,7 @@ def hermitian_cycle(g0: float, trunc: TruncationSpec) -> CycleResult:
     # k_n(+proxy), k_{n+2}(-proxy) and k_{n+2}(g0) in one solve
     labels = np.array(levels)
     k = real_axis_k(np.stack([labels, labels + 2, labels + 2]),
-                    np.array([[PROXY_INFINITY], [-PROXY_INFINITY], [g0]]))
+                    np.array([[COUPLING_LIMIT], [-COUPLING_LIMIT], [g0]]))
     if np.isnan(k).any():
         raise SolverError(f"no real-axis root on the cycle through g0 = {g0}", g=g0)
     k_out, k_in, k_after = k.tolist()
@@ -114,7 +111,7 @@ def hermitian_cycle(g0: float, trunc: TruncationSpec) -> CycleResult:
         # k_n(+inf) = k_{n+2}(-inf) = n + 1
         limit = asymptotic_quasimomentum(n, +1)
         partner = n + 2
-        if abs(ko - ki) > 10.0 * limit / PROXY_INFINITY:
+        if abs(ko - ki) > 10.0 * limit / COUPLING_LIMIT:
             raise RuntimeError(
                 f"levels {n} (+proxy) and {partner} (-proxy) do not meet: "
                 f"k = {ko} vs {ki}")

@@ -237,8 +237,8 @@ def overlap_connection_oracle(n_levels: int, g: float, dg: float = 1e-5, *,
     """Finite-difference gauge connection over one parity family at real g.
 
     Entry (i, j) is i * <psi_L_i | d psi_j / d g> on the levels n_b,
-    n_b + 2, ..., computed by a central difference with one Richardson
-    step.
+    n_b + 2, ..., by a central difference with one Richardson step; its
+    points g +- dg must lie in the coupling domain.
     """
     levels = TruncationSpec(parity, n_levels).levels
     coarse = _difference_quotient(levels, g, dg, nodes)

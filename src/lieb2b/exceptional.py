@@ -55,7 +55,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bethe import (NEWTON_MAX_STEPS, RESIDUAL_TARGET, Parity, bethe_residual,
-                    branch_point_function, rotated_sqrt, terms_from_trig)
+                    branch_point_function, residual_terms, rotated_sqrt,
+                    terms_from_trig)
 
 #: reject "exceptional points" that are really the real-axis degeneracies
 REAL_AXIS_GUARD = 0.05
@@ -137,11 +138,15 @@ def _winding_number(parity: Parity, contour) -> int:
     contour maps t in [0, 1] (an array) to g along the closed curve.
     From 64 points, the points are doubled until every phase step of F
     between neighbours is below pi/3, so that no turn of the phase is
-    missed.
+    missed.  F comes from `residual_terms`, whose positive factor leaves
+    its phase unchanged and keeps it finite on deep contours.
     """
     points = 64
     while points <= 1 << 14:
-        f = _collision_function(parity, contour(np.linspace(0.0, 1.0, points + 1)))[0]
+        g = contour(np.linspace(0.0, 1.0, points + 1))
+        k = np.sqrt(-g * (g + 2.0 / np.pi))  # as in `_collision_function`
+        with np.errstate(divide="ignore", invalid="ignore"):  # k = 0: not finite
+            f = residual_terms(parity, g, k)[0] / (1.0 if parity is Parity.EVEN else k)
         steps = np.angle(f[1:] / f[:-1])
         if np.all(np.abs(steps) < np.pi / 3):
             return int(round(steps.sum() / (2.0 * np.pi)))

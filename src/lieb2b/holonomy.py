@@ -69,7 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bethe import (Parity, SolverError, branch_point_function,
+from .bethe import (Parity, SolverError, branch_point_function, check_coupling,
                     newton_correct_array, newton_step, real_axis_k,
                     rotated_sqrt)
 from .continuation import (STEP_GROWTH, ComplexPath, circle_path,
@@ -311,6 +311,7 @@ def advance_frame(frame: TransportFrame, g_target: complex) -> TransportFrame:
     1e-12, in its own Newton basin and on its own sqrt(r) branch.
     """
     target = complex(g_target)
+    check_coupling(target)
     distance = abs(target - frame.g)
 
     def hop(f, g):

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from lieb2b import bethe
 from lieb2b.bethe import (DEEP_IM_H, RESIDUAL_ACCEPT, TWO_OVER_PI, BetheState,
                           Parity, SolverError, asymptotic_quasimomentum,
-                          bethe_residual, energy, newton_polish, real_axis_k,
+                          bethe_residual, energy, newton_correct,
+                          newton_correct_array, newton_polish, real_axis_k,
                           residual_k_derivative, residual_scale,
                           residual_terms, scaled_bethe_residual, solve_k_real)
 from lieb2b.continuation import GridSpec, build_sheet
@@ -324,3 +325,14 @@ class TestResidualTerms:
             r, _, scale, _ = residual_terms(Parity.EVEN, -1e160, -1e160j)
             assert np.isnan(scale)
             assert not scaled_bethe_residual(Parity.EVEN, -1e160, -1e160j) <= 1.0
+
+    def test_correctors_do_not_converge_against_an_overflowed_scale(self):
+        # |Im pi k/2| is shallow, so both forms take the unscaled terms,
+        # whose error scale overflows to inf at these magnitudes
+        g, k0 = -3 - 5.16e299j, 5.007e299 - 10.3j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, scaled, ok = newton_correct(Parity.ODD, g, k0, tol=1e-12)
+            _, scaled_a, ok_a = newton_correct_array(Parity.ODD, [g], [k0], tol=1e-12)
+        assert not ok and np.isnan(scaled)
+        assert not ok_a[0] and np.isnan(scaled_a[0])

@@ -6,6 +6,7 @@ import inspect
 import pathlib
 import shlex
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -511,6 +512,52 @@ class TestConfig:
         code, _, err = run_cli(capsys, "cycle", "--g0", 1.0)
         assert code == 3
         assert "inconclusive" in err
+
+
+class TestCouplingDomain:
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--n", 0, "--g=-1e155"),
+        ("solve", "--n", 2, "--g", 1e7),
+        ("oracle-check", "--g", 1e7, "--trunc", 4),
+        ("cycle", "--g0", 1e7, "--trunc", 4),
+        ("holonomy", "--contour", "empty", "--g0", 1e7, "--trunc", 4),
+        # the default circle about the edge reaches 1e-3 past it
+        ("holonomy", "--contour", "empty", "--g0", 1e6, "--trunc", 4),
+    ])
+    def test_coupling_outside_the_domain_exits_2(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "outside the coupling domain |Re g|, |Im g| <= 1e+06" in err
+
+    def test_bound_level_answers_at_the_edge(self, capsys):
+        code, out, _ = run_cli(capsys, "solve", "--n", 0, "--g=-1e6")
+        assert code == 0
+        doc = kv_lines(out)
+        assert float(doc["k_re"]) == 0.0 and abs(float(doc["k_im"]) + 1e6) < 1.0
+        assert float(doc["scaled_residual"]) <= 1e-10
+
+    def test_hermitian_cycle_answers_at_the_edge(self, capsys):
+        code, out, _ = run_cli(capsys, "cycle", "--contour", "hermitian",
+                               "--g0=-1e6", "--trunc", 4)
+        assert code == 0
+        doc = parse_cycle_document(parse_record(out).payload)
+        assert doc["permutation"] == {n: n + 2 for n in doc["levels"]}
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("g0", [450.0, 1000.0, -1000.0, 999999.0, -999999.0])
+    def test_empty_contour_far_out_is_identity(self, capsys, parity, g0):
+        # the collision momentum is deep on these circles: F's phase must
+        # not overflow on the way to the branch-point probe
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "holonomy", "--contour", "empty",
+                                     f"--g0={g0}", "--parity", parity, "--trunc", 6)
+        assert (code, err) == (0, "")
+        levels, matrix, perm, _ = parse_holonomy_document(parse_record(out).payload)
+        assert perm == {n: n for n in levels}
+        assert np.max(np.abs(matrix - np.eye(6))) < 1e-8
 
 
 @pytest.mark.parametrize("line", readme_commands())
