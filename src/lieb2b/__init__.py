@@ -25,9 +25,9 @@ from .cycles import (CycleResult, InconclusivePermutationError,
                      PathConstructionError, chained_loop_holonomy,
                      contour_permutation, ep_chain_path, hermitian_cycle,
                      n_ep_contour, permutation_from_holonomy)
-from .eigensystem import (Eigenfunction, Side, biorthonormality_defect,
+from .eigensystem import (biorthonormality_defect, conjugated_left_profiles,
                           normalization_pt, overlap_connection_oracle,
-                          pair_overlap, sinc_pi)
+                          right_profiles, sinc_pi)
 from .exceptional import (ExceptionalPoint, ExceptionalPointError,
                           circle_reaches_branch_point,
                           enumerate_eps, ep_residual, find_ep, ladder_points,
@@ -57,8 +57,8 @@ __all__ = [
     "PathConstructionError", "chained_loop_holonomy", "contour_permutation",
     "ep_chain_path", "hermitian_cycle", "n_ep_contour",
     "permutation_from_holonomy",
-    "Eigenfunction", "Side", "biorthonormality_defect", "normalization_pt",
-    "overlap_connection_oracle", "pair_overlap", "sinc_pi",
+    "biorthonormality_defect", "conjugated_left_profiles", "normalization_pt",
+    "overlap_connection_oracle", "right_profiles", "sinc_pi",
     "ExceptionalPoint", "ExceptionalPointError",
     "circle_reaches_branch_point", "enumerate_eps", "ep_residual", "find_ep",
     "ladder_points", "local_expansion", "sqrt_coefficient", "sqrt_lower_cut",

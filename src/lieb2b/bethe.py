@@ -168,12 +168,11 @@ def branch_point_function(g, k):
 def rotated_sqrt(w):
     """sqrt(w) in the window rotated by -pi/2: arguments of w in
     (pi/2, pi] count as negative, so the cut runs along the positive
-    imaginary axis and sqrt(-1) = -i."""
-    w = complex(w)
+    imaginary axis and sqrt(-1) = -i.  Elementwise on arrays; a scalar
+    gives a numpy scalar."""
+    w = np.asarray(w, dtype=complex)
     s = np.sqrt(w)
-    if np.angle(w) > 0.5 * np.pi:
-        s = -s
-    return s
+    return np.where(np.angle(w) > 0.5 * np.pi, -s, s)[()]
 
 
 def residual_k_derivative(parity: Parity, g, k):

@@ -37,19 +37,19 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bethe import (RESIDUAL_TARGET, BetheState, Parity, SolverError,
-                    branch_point_function, check_coupling, newton_correct,
-                    newton_correct_array, real_axis_k, solve_k_real)
+from .bethe import (RESIDUAL_ACCEPT, RESIDUAL_TARGET, BetheState, Parity,
+                    SolverError, branch_point_function, check_coupling,
+                    newton_correct, newton_correct_array, real_axis_k,
+                    solve_k_real)
 from .exceptional import find_ep
 
-#: `continue_along`'s Newton tolerance and `_scalar_hop`'s acceptance rules;
-#: an accepted hop grows the step by STEP_GROWTH
-HOP_TOL, HOP_ACCEPT, DJ_DK_FLOOR, STEP_GROWTH = 1e-12, 1e-10, 1e-4, 1.7
+#: `_scalar_hop`'s branch-point guard; an accepted hop grows the step by STEP_GROWTH
+DJ_DK_FLOOR, STEP_GROWTH = 1e-4, 1.7
 #: scalar walks' largest and smallest step
 MAX_STEP, MIN_STEP = 0.05, 1e-9
 
@@ -151,20 +151,21 @@ def dj_dk(g, k):
 
 @dataclass
 class ContinuationTrace:
-    """Result of continuing one branch along a path."""
+    """Result of continuing one branch along a path: the start state and
+    the last accepted sample, the path end unless the walk stalled."""
 
     start: BetheState
-    samples: list = field(default_factory=list)
+    end: ContinuationSample
     status: TraceStatus = TraceStatus.COMPLETED
     note: str = ""
 
     @property
     def final_g(self) -> complex:
-        return self.samples[-1].g
+        return self.end.g
 
     @property
     def final_k(self) -> complex:
-        return self.samples[-1].k
+        return self.end.k
 
     def final_state(self) -> BetheState:
         """Endpoint as a BetheState; the label n names the starting
@@ -203,12 +204,12 @@ def _scalar_hop(parity: Parity, sample: ContinuationSample, g, tol: float):
     """Predictor-corrector hop of one root to g, for `walk_path`.
 
     Newton runs to tol; the hop is accepted at tol or below a scaled
-    residual of HOP_ACCEPT, unless |dJ/dk| < DJ_DK_FLOOR there or is
+    residual of RESIDUAL_ACCEPT, unless |dJ/dk| < DJ_DK_FLOOR there or is
     not a number.  It grows the step by STEP_GROWTH or halves it.
     """
     k_pred = sample.k + (g - sample.g) * tangent_slope(sample.g, sample.k)
     k, scaled, ok = newton_correct(parity, g, k_pred, tol=tol)
-    ok = (ok or scaled < HOP_ACCEPT) and abs(dj_dk(g, k)) >= DJ_DK_FLOOR
+    ok = (ok or scaled < RESIDUAL_ACCEPT) and abs(dj_dk(g, k)) >= DJ_DK_FLOOR
     return ContinuationSample(g, k, scaled), ok, STEP_GROWTH if ok else 0.5
 
 
@@ -216,26 +217,20 @@ def continue_along(start: BetheState, path: ComplexPath) -> ContinuationTrace:
     """Continue a quasi-momentum branch along a piecewise-linear path.
 
     The path must begin at the state's coupling; `walk_path` walks it
-    with scalar hops, steps between MIN_STEP and MAX_STEP.  A stalled
-    walk ends the trace with ABORTED_NEAR_BRANCH_POINT and the last good
-    sample, so a caller meaning to encircle a branch point must route
-    around it.
+    with scalar hops corrected to RESIDUAL_TARGET, steps between
+    MIN_STEP and MAX_STEP.  A stalled walk ends the trace with
+    ABORTED_NEAR_BRANCH_POINT and the last good sample, so a caller
+    meaning to encircle a branch point must route around it.
     """
     if abs(complex(path.waypoints[0]) - complex(start.g)) > 1e-12:
         raise ValueError("path must start at the state's coupling")
     parity = start.parity
     sample = ContinuationSample(complex(start.g), complex(start.k),
                                 float(start.scaled_residual()))
-    trace = ContinuationTrace(start, [sample])
-
-    def hop(s, g):
-        new, ok, factor = _scalar_hop(parity, s, g, HOP_TOL)
-        if ok:
-            trace.samples.append(new)
-        return new, ok, factor
-
-    sample, reached, stalled = walk_path(path.waypoints, sample, hop, h=MAX_STEP,
-                                         max_step=MAX_STEP, min_step=MIN_STEP)
+    sample, reached, stalled = walk_path(
+        path.waypoints, sample, lambda s, g: _scalar_hop(parity, s, g, RESIDUAL_TARGET),
+        h=MAX_STEP, max_step=MAX_STEP, min_step=MIN_STEP)
+    trace = ContinuationTrace(start, sample)
     if not reached:
         trace.status = TraceStatus.ABORTED_NEAR_BRANCH_POINT
         trace.note = (f"step underflow near a branch point at g={stalled.g:.6g} "

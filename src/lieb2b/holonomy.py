@@ -69,11 +69,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bethe import (Parity, SolverError, branch_point_function, check_coupling,
-                    newton_correct_array, newton_step, real_axis_k,
-                    rotated_sqrt)
+from .bethe import (RESIDUAL_TARGET, Parity, SolverError, branch_point_function,
+                    check_coupling, newton_correct_array, newton_step,
+                    real_axis_k, rotated_sqrt)
 from .continuation import (STEP_GROWTH, ComplexPath, circle_path,
                            tangent_slope, walk_path)
+from .eigensystem import normalization_pt
 from .exceptional import ExceptionalPoint, find_ep
 
 FOUR_OVER_PI = 4.0 / np.pi
@@ -159,17 +160,16 @@ def d_function(n: int, g, k) -> complex:
 def d_function_trig(n: int, g, k) -> complex:
     """D_n in its trigonometric form, an independent route to the value.
 
-    Uses (1 +- sinc(k))**(-1/2) * {cos, sin}(pi k / 2); the sign rides
-    on the trig factor.  On shell 1 +- sinc(k) equals trig**2 * r / k**2,
-    so the square root here takes the same window, `rotated_sqrt`.
+    trig(pi k / 2) * a(k) / sqrt(2) with the parallel-transport
+    normalization a(k) = sqrt(2) (1 +- sinc(k))**(-1/2) and trig = cos,
+    sin for even, odd n; the sign rides on the trig factor.  On shell
+    1 +- sinc(k) equals trig**2 * r / k**2, so the square root in a(k)
+    takes the same window, `rotated_sqrt`.
     """
-    from .eigensystem import sinc_pi
-
-    w = 1.0 + sinc_pi(k) if Parity.of_level(n) is Parity.EVEN else 1.0 - sinc_pi(k)
-    root = rotated_sqrt(w)
+    parity = Parity.of_level(n)
     h = 0.5 * np.pi * k
-    trig = np.cos(h) if Parity.of_level(n) is Parity.EVEN else np.sin(h)
-    return trig / root
+    trig = np.cos(h) if parity is Parity.EVEN else np.sin(h)
+    return trig * normalization_pt(parity, k) / np.sqrt(2.0)
 
 
 def connection_matrix(levels, d_values, k_values):
@@ -242,9 +242,8 @@ def frame_at(trunc: TruncationSpec, g: float) -> TransportFrame:
     k = real_axis_k(levels, g)
     if np.isnan(k).any():
         raise SolverError(f"no real-axis root for levels {levels} at g={g}", g=g)
-    s = np.array([rotated_sqrt(branch_point_function(g, kk)) for kk in k],
-                 dtype=complex)
-    return TransportFrame(levels, complex(g), k, s)
+    return TransportFrame(levels, complex(g), k,
+                          rotated_sqrt(branch_point_function(g, k)))
 
 
 def entry_frame(trunc: TruncationSpec, g0: complex) -> TransportFrame:
@@ -308,14 +307,14 @@ def advance_frame(frame: TransportFrame, g_target: complex) -> TransportFrame:
     `walk_path` tries the whole distance in one hop first, steps as
     `continuation._scalar_hop` does, and gives up once the step falls
     below 2**-48 of it; each accepted hop keeps every slot, corrected to
-    1e-12, in its own Newton basin and on its own sqrt(r) branch.
+    RESIDUAL_TARGET, in its own Newton basin and on its own sqrt(r) branch.
     """
     target = complex(g_target)
     check_coupling(target)
     distance = abs(target - frame.g)
 
     def hop(f, g):
-        run, ok = _advance_run(f, (g,), 1e-12)
+        run, ok = _advance_run(f, (g,), RESIDUAL_TARGET)
         return (run[0] if ok else None), ok, STEP_GROWTH if ok else 0.5
 
     end, reached, _ = walk_path((frame.g, target), frame, hop, h=distance,
@@ -379,7 +378,7 @@ def transport(path: ComplexPath, trunc: TruncationSpec, *,
         frame, a_start, v = state
         dg = g - frame.g
         run, ok = _advance_run(frame, [frame.g + c * dg for c in _GAUSS_NODES] + [g],
-                               min(1e-12, rtol))
+                               min(RESIDUAL_TARGET, rtol))
         if not ok:
             rejected += 1
             return None, False, 0.5

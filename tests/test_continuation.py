@@ -105,9 +105,11 @@ class TestContinuation:
         assert conjugation_symmetry_check(n, g) == sign
 
     def test_record_keeps_samples(self):
+        # the trace keeps its end sample, the path end on a completed walk
         trace = continue_to(solve_k_real(2, 1.0), 1.0 - 1.0j)
-        assert len(trace.samples) > 2
-        assert trace.samples[-1].scaled_residual < 1e-10
+        assert trace.end.g == 1.0 - 1.0j
+        assert trace.end.scaled_residual < 1e-10
+        assert (trace.final_g, trace.final_k) == (trace.end.g, trace.end.k)
 
     def test_deep_bound_continuation_reaches_a_root(self):
         # on the bound branch g^2 + k^2 cancels to exactly 0, the arctan
@@ -483,6 +485,19 @@ class TestSheets:
                     continue
                 _, scaled, ok = newton_correct(Parity.EVEN, g, k, tol=1e-12)
                 assert ok and scaled < 1e-8
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP Known defects: coarse sheet rows "
+                       "land on a partner branch")
+    def test_coarse_rows_keep_the_branch(self):
+        # rows 0.51 apart, farther than MAX_STEP: in column Re g = -1.5,
+        # from just below g_ep(7) = -1.503 - 6.435i down to Im g = -20,
+        # the array march lands on roots near 6.01 - 0.20i where the
+        # scalar walk finds 8.01 - 0.27i; both are roots, so no residual
+        # check sees it
+        sheet = build_sheet(7, GridSpec(-3.0, 1.0, -20.0, 0.5, 41, 41))
+        column = sheet.re_axis[15] + 1j * sheet.im_axis
+        walked = [sheet_value(7, g) for g in column]
+        np.testing.assert_allclose(sheet.k[:, 15], walked, rtol=1e-8, atol=0)
 
     def test_column_rescue_takes_the_sheet_tolerance(self, monkeypatch):
         # the scalar walk that rescues a column corrects to build_sheet's

@@ -1,4 +1,4 @@
-"""Eigenfunction pairings and the quadrature connection oracle.
+"""Profile pairings and the quadrature connection oracle.
 
 The oracle integrates explicit wavefunctions with Gauss-Legendre
 quadrature and differentiates overlaps by central differences; it
@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from lieb2b import bethe
-from lieb2b.bethe import Parity, SolverError
+from lieb2b.bethe import Parity, SolverError, solve_k_real
 from lieb2b.continuation import sheet_value
-from lieb2b.eigensystem import (Eigenfunction, Side, biorthonormality_defect,
+from lieb2b.eigensystem import (biorthonormality_defect, conjugated_left_profiles,
                                 normalization_pt, overlap_connection_oracle,
-                                pair_overlap, sinc_pi)
+                                right_profiles, sinc_pi)
 
 
 class TestScalarPieces:
@@ -37,26 +37,36 @@ class TestScalarPieces:
             assert a.real > 0
 
 
-class TestEigenfunctions:
-    def test_kbar_must_share_parity(self):
-        with pytest.raises(ValueError):
-            Eigenfunction(2, 1.0, sheet_value(2, 1.0), kbar=1)
+def real_axis_left_profile(n, g, x):
+    """The left eigenfunction at real g by its own route: wavenumber
+    k_n(conj(g)) = s conj(k_n(g)) and the biorthogonal normalization
+    a_L = conj(s_par 2 / ((1 +- sinc(k)) a(k))), with s read off k
+    (real: +1, bound imaginary: -1) and s_par = s for odd n, 1 for even."""
+    k = solve_k_real(n, g).k
+    parity = Parity.of_level(n)
+    s = 1 if abs(k.imag) <= abs(k.real) else -1
+    s_par = 1 if parity is Parity.EVEN else s
+    weight = 1.0 + sinc_pi(k) if parity is Parity.EVEN else 1.0 - sinc_pi(k)
+    a_left = np.conj(s_par * 2.0 / (weight * normalization_pt(parity, k)))
+    arg = 0.5 * np.conj(s * k) * (x - np.pi)
+    trig = np.cos(arg) if parity is Parity.EVEN else np.sin(arg)
+    return a_left / np.sqrt(2.0 * np.pi) * trig
 
+
+class TestEigenfunctions:
     def test_left_profile_is_conjugate_at_real_coupling(self):
         x = np.linspace(0.0, 2.0 * np.pi, 7)
         for n, g in ((2, 1.3), (0, -0.5), (3, 0.8), (1, -3.0)):
-            right = Eigenfunction.at_real_coupling(n, g)
-            left = Eigenfunction.at_real_coupling(n, g, side=Side.LEFT)
-            np.testing.assert_allclose(left.profile(x),
-                                       np.conj(right.profile(x)),
+            right = right_profiles(Parity.of_level(n), [solve_k_real(n, g).k], x)[0]
+            np.testing.assert_allclose(real_axis_left_profile(n, g, x), np.conj(right),
                                        rtol=0, atol=1e-12)
 
     def test_conjugated_profile_closed_form(self):
         x = np.linspace(0.0, 2.0 * np.pi, 9)
         for n, g in ((2, 1.1), (4, -0.6), (3, 2.0)):
-            left = Eigenfunction.at_real_coupling(n, g, side=Side.LEFT)
-            np.testing.assert_allclose(left.conjugated_profile(x),
-                                       np.conj(left.profile(x)),
+            closed = conjugated_left_profiles(Parity.of_level(n),
+                                              [solve_k_real(n, g).k], x)[0]
+            np.testing.assert_allclose(closed, np.conj(real_axis_left_profile(n, g, x)),
                                        rtol=0, atol=1e-12)
 
     def test_pairing_is_biorthonormal_at_real_coupling(self):
@@ -73,14 +83,11 @@ class TestEigenfunctions:
 
     def test_bound_branch_normalization(self):
         for n, g in ((0, -0.5), (1, -3.0)):
-            right = Eigenfunction.at_real_coupling(n, g)
-            left = Eigenfunction.at_real_coupling(n, g, side=Side.LEFT)
-            assert abs(pair_overlap(left, right) - 1.0) < 1e-10
+            assert biorthonormality_defect([n], g) < 1e-10
 
-    def test_different_total_momentum_never_mixes(self):
-        right = Eigenfunction.at_real_coupling(2, 1.0, kbar=2)
-        left = Eigenfunction.at_real_coupling(2, 1.0, side=Side.LEFT, kbar=0)
-        assert pair_overlap(left, right) == 0.0
+    def test_levels_of_both_families_are_refused(self):
+        with pytest.raises(ValueError, match="mix the even and odd"):
+            biorthonormality_defect([0, 1, 2], 1.0)
 
 
 class TestOracle:
