@@ -25,9 +25,8 @@ from .cycles import (CycleResult, InconclusivePermutationError,
                      PathConstructionError, chained_loop_holonomy,
                      contour_permutation, ep_chain_path, hermitian_cycle,
                      n_ep_contour, permutation_from_holonomy)
-from .eigensystem import (biorthonormality_defect, conjugated_left_profiles,
-                          normalization_pt, overlap_connection_oracle,
-                          right_profiles, sinc_pi)
+from .eigensystem import (biorthonormality_defect, normalization_pt,
+                          overlap_connection_oracle, right_profiles, sinc_pi)
 from .exceptional import (ExceptionalPoint, ExceptionalPointError,
                           circle_reaches_branch_point,
                           enumerate_eps, ep_residual, find_ep, ladder_points,
@@ -57,7 +56,7 @@ __all__ = [
     "PathConstructionError", "chained_loop_holonomy", "contour_permutation",
     "ep_chain_path", "hermitian_cycle", "n_ep_contour",
     "permutation_from_holonomy",
-    "biorthonormality_defect", "conjugated_left_profiles", "normalization_pt",
+    "biorthonormality_defect", "normalization_pt",
     "overlap_connection_oracle", "right_profiles", "sinc_pi",
     "ExceptionalPoint", "ExceptionalPointError",
     "circle_reaches_branch_point", "enumerate_eps", "ep_residual", "find_ep",

@@ -19,9 +19,11 @@ relates to k_n(g) by conjugation up to a sign s.  In every pairing
 integral the s factors from the profile and from the left normalization
 cancel, so the conjugated left profile has a closed form in k_n(g)
 alone, 2 / ((1 +- sinc(k)) a(k)) / sqrt(2*pi) times the same trig
-factor, valid on the whole sheet.  `right_profiles` and
-`conjugated_left_profiles` return one such profile per quasi-momentum,
-a row per level sampled at the nodes x.
+factor, valid on the whole sheet.  With the normalization below,
+a(k)**2 (1 +- sinc(k)) = 2, so that prefactor is a(k) itself: the
+conjugated left profile is the right profile, and every pairing is the
+bilinear integral of two right profiles.  `right_profiles` returns one
+profile per quasi-momentum, a row per level sampled at the nodes x.
 
 The default normalization is the parallel-transport choice
 
@@ -31,8 +33,9 @@ The default normalization is the parallel-transport choice
 where sinc(k) = sin(pi k)/(pi k), real positive at real coupling, with
 a(0) = 1 on the even branch.  It makes the diagonal of the gauge
 connection vanish at real g, so transport in this gauge is parallel
-transport.  Any extra gauge factor multiplies the right profile and
-divides the conjugated left profile, leaving all pairings invariant.
+transport.  Any other gauge would multiply the right profile by a factor
+and the conjugated left profile by its inverse; the bilinear pairing
+holds in this gauge only.
 
 The oracle at the bottom validates the closed-form connection through
 an independent route: Gauss-Legendre overlap quadrature and a central
@@ -69,19 +72,9 @@ def sinc_pi(k):
     return out
 
 
-def _pair_weight(parity: Parity, k):
-    """1 +- sinc(k), the parity-resolved self-pairing 2 / a(k)**2;
-    ValueError where it vanishes."""
-    s = sinc_pi(k)
-    w = 1.0 + s if parity is Parity.EVEN else 1.0 - s
-    if np.any(w == 0.0):
-        raise ValueError(f"normalization denominator vanishes at k = "
-                         f"{np.asarray(k)[w == 0.0]}: two levels are degenerate there")
-    return w
-
-
 def normalization_pt(parity: Parity, k):
-    """Parallel-transport normalization constant a(k), elementwise.
+    """Parallel-transport normalization constant a(k), elementwise;
+    ValueError where 1 +- sinc(k), the self-pairing 2 / a(k)**2, vanishes.
 
     The square root keeps the branch reached by continuing from the
     scattering region through the lower half of the coupling plane:
@@ -90,7 +83,12 @@ def normalization_pt(parity: Parity, k):
     bound branch this makes the profile real and positive instead of
     real and negative.
     """
-    return np.sqrt(2.0) / rotated_sqrt(_pair_weight(parity, k))
+    s = sinc_pi(k)
+    w = 1.0 + s if parity is Parity.EVEN else 1.0 - s
+    if np.any(w == 0.0):
+        raise ValueError(f"normalization denominator vanishes at k = "
+                         f"{np.asarray(k)[w == 0.0]}: two levels are degenerate there")
+    return np.sqrt(2.0) / rotated_sqrt(w)
 
 
 def _trig(parity: Parity, k, x):
@@ -102,16 +100,6 @@ def right_profiles(parity: Parity, k, x):
     """Right profiles psi(x), one row per quasi-momentum of ``k``."""
     k = np.asarray(k, dtype=complex)
     return (normalization_pt(parity, k) / np.sqrt(TWO_PI))[:, None] * _trig(parity, k, x)
-
-
-def conjugated_left_profiles(parity: Parity, k, x):
-    """Complex conjugates of the left profiles, as used in pairings, one
-    row per right-branch quasi-momentum of ``k``: the closed form in k
-    that is valid on the whole sheet, bound branches included."""
-    k = np.asarray(k, dtype=complex)
-    w = _pair_weight(parity, k)
-    a = normalization_pt(parity, k)
-    return (2.0 / (w * a) / np.sqrt(TWO_PI))[:, None] * _trig(parity, k, x)
 
 
 @lru_cache(maxsize=8)
@@ -137,8 +125,8 @@ def biorthonormality_defect(levels, g, k_values=None) -> float:
         if np.isnan(k_values).any():
             raise SolverError(f"no real-axis root for levels {levels} at g={g}", g=g)
     x, w = _gauss_legendre(256)
-    pairing = (conjugated_left_profiles(parity, k_values, x) * w) \
-        @ right_profiles(parity, k_values, x).T
+    psi = right_profiles(parity, k_values, x)
+    pairing = (psi * w) @ psi.T
     return float(np.max(np.abs(pairing - np.eye(len(levels)))))
 
 
@@ -148,7 +136,7 @@ def _difference_quotient(parity, levels, g, dg, nodes):
     k = real_axis_k(np.asarray(levels), np.array([[g], [g + dg], [g - dg]]))
     if np.isnan(k).any():
         raise SolverError(f"no real-axis root for levels {levels} near g={g}", g=g)
-    left = conjugated_left_profiles(parity, k[0], x)
+    left = right_profiles(parity, k[0], x)  # the conjugated left profiles
     dpsi = (right_profiles(parity, k[1], x) - right_profiles(parity, k[2], x)) / (2.0 * dg)
     return 1j * ((left * w) @ dpsi.T)
 

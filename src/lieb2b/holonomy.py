@@ -41,8 +41,10 @@ evaluates their connections in one :func:`connection_matrix` call.  The
 step is refused, and halved, when any slot at any point would leave its
 Newton basin or its sqrt(r) branch.  Steps are hops of
 :func:`lieb2b.continuation.walk_path`, which lands them on each path
-corner exactly and carries the step size over it, as are the one-point
-hops of :func:`advance_frame`.  The returned matrix is V at
+corner exactly and carries the step size over it.  The frame walks of
+:func:`advance_frame` and :func:`frame_monodromy` are `walk_path` hops
+along the arclength, each one run through the corners it passes and
+three points inside it.  The returned matrix is V at
 the path end, nothing folded in: columns expand the transported slots
 over the starting slots, and transports over concatenated paths compose
 by left multiplication.  For a small clockwise loop around the branch
@@ -301,27 +303,49 @@ def _advance_run(frame: TransportFrame, g_points, tol: float):
             for gi, ki, si in zip(g[:, 0], k, s)], True
 
 
-def advance_frame(frame: TransportFrame, g_target: complex) -> TransportFrame:
-    """Continue a frame along the straight segment to ``g_target``.
+#: where a frame walker's run puts its evenly spaced interior points
+_RUN_FRACTIONS = np.array([0.25, 0.5, 0.75])
 
-    `walk_path` tries the whole distance in one hop first, steps as
-    `continuation._scalar_hop` does, and gives up once the step falls
-    below 2**-48 of it; each accepted hop keeps every slot, corrected to
-    RESIDUAL_TARGET, in its own Newton basin and on its own sqrt(r) branch.
+
+def _walk_frame(frame: TransportFrame, waypoints) -> TransportFrame:
+    """Continue a frame along the polyline from ``frame.g`` through
+    ``waypoints``, whose first point is the frame's own.
+
+    `walk_path` walks the arclength [0, L] with state (frame, s): the
+    hop to s' is one `_advance_run` over every corner strictly between
+    s and s', three evenly spaced points inside the hop and the point
+    at s', which is the last waypoint itself at s' = L.  It tries the
+    whole length first, grows the step by STEP_GROWTH, halves it on
+    refusal and gives up below 2**-48 of L; each accepted run keeps
+    every slot, corrected to RESIDUAL_TARGET, in its own Newton basin
+    and on its own sqrt(r) branch from point to point.
     """
+    w = np.asarray(waypoints, dtype=complex)
+    corners = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(w)))])
+    length = corners[-1]
+
+    def hop(state, s_end):
+        f, s = state
+        sub = np.sort(np.concatenate([corners[(corners > s) & (corners < s_end)],
+                                      s + (s_end - s) * _RUN_FRACTIONS]))
+        sub = np.append(sub, s_end)  # at L, np.interp gives the last waypoint exactly
+        run, ok = _advance_run(f, np.interp(sub, corners, w.real)
+                               + 1j * np.interp(sub, corners, w.imag), RESIDUAL_TARGET)
+        return ((run[-1], s_end) if ok else None), ok, STEP_GROWTH if ok else 0.5
+
+    (end, _), reached, _ = walk_path((0.0, length), (frame, 0.0), hop, h=length,
+                                     max_step=length, min_step=length * 2.0 ** -48)
+    if not reached:
+        raise TransportError(f"frame walk stalled between {end.g} and {w[-1]}")
+    return end
+
+
+def advance_frame(frame: TransportFrame, g_target: complex) -> TransportFrame:
+    """Continue a frame along the straight segment to ``g_target``: the
+    frame walker on (frame.g, g_target)."""
     target = complex(g_target)
     check_coupling(target)
-    distance = abs(target - frame.g)
-
-    def hop(f, g):
-        run, ok = _advance_run(f, (g,), RESIDUAL_TARGET)
-        return (run[0] if ok else None), ok, STEP_GROWTH if ok else 0.5
-
-    end, reached, _ = walk_path((frame.g, target), frame, hop, h=distance,
-                                max_step=distance, min_step=distance * 2.0 ** -48)
-    if not reached:
-        raise TransportError(f"frame advance stalled between {end.g} and {target}")
-    return end
+    return _walk_frame(frame, (frame.g, target))
 
 
 #: a Magnus step's Gauss-Legendre nodes
@@ -461,22 +485,24 @@ def frame_monodromy(path: ComplexPath, trunc: TruncationSpec, *,
                     frame0: TransportFrame | None = None) -> HolonomyMatrix:
     """Discrete monodromy of a closed loop, no differential equation.
 
-    The frame itself is continued around the loop; each slot is then
-    matched back to the standard levels at the base point and the
-    residual normalization signs are read off.  For a loop around a
-    single branch point this produces the elementary monodromy exactly,
-    up to root-finding precision, and provides an independent check on
-    :func:`transport`.
+    The frame itself is continued around the loop in one frame walk;
+    each slot is then matched back to the standard levels at the base
+    point and the residual normalization signs are read off.  For a
+    loop around a single branch point this produces the elementary
+    monodromy exactly, up to root-finding precision, and provides an
+    independent check on :func:`transport`.  A ``frame0`` must be built
+    for ``trunc`` and sit at the path start, as in `transport`.
     """
     g0 = complex(path.waypoints[0])
     if abs(complex(path.waypoints[-1]) - g0) > 1e-12:
         raise ValueError("frame monodromy needs a closed loop")
     if frame0 is None:
         frame0 = entry_frame(trunc, g0)
-    frame = frame0
-    for ga, gb in path.segments():
-        frame = advance_frame(frame, gb)
-    perm, factors = match_frames(frame, frame0)
+    elif frame0.levels != trunc.levels:
+        raise ValueError("frame0 was built for a different truncation")
+    if abs(g0 - frame0.g) > 1e-12:
+        raise ValueError("frame0 sits at a different point than the path start")
+    perm, factors = match_frames(_walk_frame(frame0, path.waypoints), frame0)
     w = np.zeros((trunc.n_levels, trunc.n_levels), dtype=complex)
     w[perm, np.arange(trunc.n_levels)] = factors
     return HolonomyMatrix(trunc, w)

@@ -14,9 +14,8 @@ import pytest
 from lieb2b import bethe
 from lieb2b.bethe import Parity, SolverError, solve_k_real
 from lieb2b.continuation import sheet_value
-from lieb2b.eigensystem import (biorthonormality_defect, conjugated_left_profiles,
-                                normalization_pt, overlap_connection_oracle,
-                                right_profiles, sinc_pi)
+from lieb2b.eigensystem import (biorthonormality_defect, normalization_pt,
+                                overlap_connection_oracle, right_profiles, sinc_pi)
 
 
 class TestScalarPieces:
@@ -62,10 +61,10 @@ class TestEigenfunctions:
                                        rtol=0, atol=1e-12)
 
     def test_conjugated_profile_closed_form(self):
+        # the closed-form conjugated left profile is the right profile
         x = np.linspace(0.0, 2.0 * np.pi, 9)
         for n, g in ((2, 1.1), (4, -0.6), (3, 2.0)):
-            closed = conjugated_left_profiles(Parity.of_level(n),
-                                              [solve_k_real(n, g).k], x)[0]
+            closed = right_profiles(Parity.of_level(n), [solve_k_real(n, g).k], x)[0]
             np.testing.assert_allclose(closed, np.conj(real_axis_left_profile(n, g, x)),
                                        rtol=0, atol=1e-12)
 

@@ -8,19 +8,56 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lieb2b import holonomy
-from lieb2b.bethe import Parity, branch_point_function, rotated_sqrt, solve_k_real
-from lieb2b.continuation import ComplexPath, circle_path, continue_to, line_path
+from lieb2b.bethe import (RESIDUAL_TARGET, Parity, branch_point_function, rotated_sqrt,
+                          solve_k_real)
+from lieb2b.continuation import (STEP_GROWTH, ComplexPath, circle_path, continue_to,
+                                 line_path, sheet_value, walk_path)
+from lieb2b.cycles import ep_chain_path, n_ep_contour
 from lieb2b.eigensystem import overlap_connection_oracle
 from lieb2b.exceptional import circle_reaches_branch_point, find_ep
 from lieb2b.holonomy import (MIN_LOOP_RADIUS, ConnectionProximityError,
                              TransportError, TruncationSpec, TruncationWarning,
                              advance_frame, connection_matrix, d_function, d_function_trig,
-                             d_sign, ep_loop_holonomy, frame_at,
+                             d_sign, entry_frame, ep_loop_holonomy, frame_at,
                              frame_monodromy, gauge_connection,
                              m_chain_analytic, m_n_analytic, match_frames,
                              transport)
 
 EVEN12 = TruncationSpec(Parity.EVEN, 12)
+
+
+def bench_loop(n):
+    """The benchmark's loop: radius 1e-3, 48 arcs, clockwise about g_ep(n)."""
+    return circle_path(find_ep(n, verify_unique=False).g_ep, 1e-3, n_points=48)
+
+
+def counted_runs(monkeypatch):
+    """Record every `_advance_run` call as (its points, accepted)."""
+    runs = []
+    advance = holonomy._advance_run
+
+    def recorded(frame, g_points, tol):
+        out = advance(frame, g_points, tol)
+        runs.append((list(g_points), out[1]))
+        return out
+
+    monkeypatch.setattr(holonomy, "_advance_run", recorded)
+    return runs
+
+
+def segment_chain(frame, waypoints):
+    """The frame carried corner to corner in one-point hops, the walk
+    `frame_monodromy` made before its runs spanned several points."""
+    def hop(f, g):
+        run, ok = holonomy._advance_run(f, (g,), RESIDUAL_TARGET)
+        return (run[0] if ok else None), ok, STEP_GROWTH if ok else 0.5
+
+    for g in waypoints[1:]:
+        d = abs(g - frame.g)
+        frame, reached, _ = walk_path((frame.g, g), frame, hop, h=d, max_step=d,
+                                      min_step=d * 2.0 ** -48)
+        assert reached
+    return frame
 
 
 def distance_to_segment(p, a, b):
@@ -151,6 +188,24 @@ class TestFrameAdvance:
             advance_frame(frame, 1.0 - 1.0j)
         # the whole distance, then 48 halvings down to 2**-48 of it
         assert len(hops) == 49
+
+    def test_entry_frames_stay_on_the_standard_sheet(self):
+        # a run predicted from its start must not land on a partner
+        # branch; the colliding pair sits about 0.05 apart here
+        for n in range(2, 10):
+            trunc = TruncationSpec(Parity.of_level(n), 12 if n % 2 == 0 else 24)
+            g = find_ep(n, verify_unique=False).g_ep + 1e-3
+            frame = entry_frame(trunc, g)
+            want = np.array([sheet_value(m, g) for m in trunc.levels])
+            assert np.all(np.abs(frame.k - want) <= 1e-6 * np.abs(want)), n
+
+    def test_entry_walk_takes_few_runs(self, monkeypatch):
+        # the deepest benchmark entry; one-point hops took 65 runs
+        trunc = TruncationSpec(Parity.ODD, 24)
+        g = find_ep(9, verify_unique=False).g_ep + 1e-3
+        runs = counted_runs(monkeypatch)
+        entry_frame(trunc, g)
+        assert len(runs) <= 40
 
 
 class TestTransport:
@@ -403,6 +458,54 @@ class TestFrameMonodromy:
     def test_open_path_is_rejected(self):
         with pytest.raises(ValueError):
             frame_monodromy(line_path(1.0, 2.0), EVEN12)
+
+    @pytest.mark.parametrize("path", [
+        ComplexPath([1.0, -0.15 + 0.7j, 0.43 - 0.89j, 1.3 - 0.4j, 1.0]), bench_loop(2),
+    ], ids=["quadrilateral", "bench-48-gon"])
+    def test_runs_reach_every_waypoint(self, monkeypatch, path):
+        runs = counted_runs(monkeypatch)
+        frame_monodromy(path, EVEN12)
+        reached = {g for points, ok in runs if ok for g in points}
+        assert all(w in reached for w in path.waypoints[1:])
+
+    @pytest.mark.parametrize("path", [
+        bench_loop(2), n_ep_contour(4.0, 3, Parity.EVEN), ep_chain_path((2, 4), 4.0),
+    ], ids=["bench-48-gon", "three-point-contour", "ep-chain"])
+    def test_walk_equals_the_segment_chain(self, path):
+        frame0 = entry_frame(EVEN12, path.waypoints[0])
+        walked = holonomy._walk_frame(frame0, path.waypoints)
+        chained = segment_chain(frame0, path.waypoints)
+        assert np.max(np.abs(walked.k - chained.k)) <= 1e-12
+        s, t = walked.sqrt_r, chained.sqrt_r
+        assert np.all(np.abs(s - t) < np.abs(s + t))
+        (p, f), (q, h) = match_frames(walked, frame0), match_frames(chained, frame0)
+        assert np.array_equal(p, q) and np.array_equal(f, h)
+
+    def test_loop_takes_few_runs(self, monkeypatch):
+        # one-point hops took one run per edge of the 48-gon
+        loop = bench_loop(2)
+        frame0 = entry_frame(EVEN12, loop.waypoints[0])
+        runs = counted_runs(monkeypatch)
+        frame_monodromy(loop, EVEN12, frame0=frame0)
+        assert len(runs) <= 12
+
+    def test_frame_of_another_size_is_refused(self):
+        loop = bench_loop(2)
+        frame0 = entry_frame(TruncationSpec(Parity.EVEN, 4), loop.waypoints[0])
+        with pytest.raises(ValueError, match="built for a different truncation"):
+            frame_monodromy(loop, TruncationSpec(Parity.EVEN, 6), frame0=frame0)
+
+    def test_frame_of_the_other_family_is_refused(self):
+        loop = bench_loop(2)
+        frame0 = entry_frame(TruncationSpec(Parity.ODD, 4), loop.waypoints[0])
+        with pytest.raises(ValueError, match="built for a different truncation"):
+            frame_monodromy(loop, TruncationSpec(Parity.EVEN, 4), frame0=frame0)
+
+    def test_frame_off_the_path_start_is_refused(self):
+        loop = bench_loop(2)
+        frame0 = entry_frame(EVEN12, loop.waypoints[0] + 1e-11)
+        with pytest.raises(ValueError, match="different point than the path start"):
+            frame_monodromy(loop, EVEN12, frame0=frame0)
 
     def test_frame_matching_identity(self):
         frame = frame_at(EVEN12, 1.2)
