@@ -8,8 +8,9 @@ closed-form-versus-quadrature comparison of the gauge connection.
 Tables and documents are emitted through the export-record layer, so
 every artifact carries the hash of the configuration that produced it.
 
-Exit codes: 0 on success, 2 when a solve or transport fails, 3 when a
-holonomy matrix cannot be thresholded into a permutation.
+Exit codes: 0 on success, 2 when a setting or file is refused or a
+solve or transport fails, 3 when a holonomy matrix cannot be
+thresholded into a permutation.
 """
 
 from __future__ import annotations
@@ -40,13 +41,6 @@ EXIT_SOLVER = 2
 EXIT_INCONCLUSIVE = 3
 
 
-def _parity(text: str) -> Parity:
-    try:
-        return Parity[text.upper()]
-    except KeyError:
-        raise ConfigError(f"parity must be 'even' or 'odd', got {text!r}")
-
-
 def _chain_levels(text: str) -> tuple:
     if not text.strip():
         raise ConfigError("chain contour needs at least one level")
@@ -70,7 +64,7 @@ def cmd_solve(cfg: RunConfig, args) -> tuple[int, str]:
 
 
 def cmd_eps(cfg: RunConfig, args) -> tuple[int, str]:
-    parity = _parity(args.parity)
+    parity = Parity[args.parity.upper()]
     columns = ("n", "g_re", "g_im", "k_re", "k_im",
                "residual_bethe", "residual_r", "status")
     rows = []
@@ -118,7 +112,7 @@ def cmd_holonomy(cfg: RunConfig, args) -> tuple[int, str]:
         hol = chained_loop_holonomy(ns, trunc, radius)
         payload = _holonomy_payload(hol)
     else:
-        trunc = TruncationSpec(_parity(args.parity), cfg.truncation)
+        trunc = TruncationSpec(Parity[args.parity.upper()], cfg.truncation)
         circle = circle_path(args.g0, radius)  # refuses a g0 outside the domain
         if circle_reaches_branch_point(trunc.parity, args.g0, radius):
             raise ConfigError(
@@ -131,7 +125,7 @@ def cmd_holonomy(cfg: RunConfig, args) -> tuple[int, str]:
 
 
 def cmd_cycle(cfg: RunConfig, args) -> tuple[int, str]:
-    trunc = TruncationSpec(_parity(args.parity), cfg.truncation)
+    trunc = TruncationSpec(Parity[args.parity.upper()], cfg.truncation)
     if args.contour == "hermitian":
         res = hermitian_cycle(args.g0, trunc)
     else:
@@ -233,7 +227,12 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if args.config else RunConfig()
         cfg = replace(cfg, **flags)
         code, text = args.run(cfg, args)
-    except (ConfigError, PathConstructionError, ValueError) as exc:
+        if args.out:
+            with open(args.out, "w", encoding="ascii") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (ConfigError, PathConstructionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (SolverError, ExceptionalPointError, TransportError) as exc:
@@ -242,11 +241,6 @@ def main(argv=None) -> int:
     except InconclusivePermutationError as exc:
         print(f"inconclusive permutation: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

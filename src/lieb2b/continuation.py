@@ -17,10 +17,11 @@ the local behaviour turns into a square root with coefficient
     G2 = -2 (dJ/dg) / (d^2J/dk^2) = -(g^2 + k^2) / g,
 
 equal to 2/pi wherever r = 0.  One walker, `walk_path`, carries a root
-along a path, a sheet column the array corrector could not move, and
-(in `holonomy`) a transport frame and transport's Magnus steps.  A
-scalar hop is refused near a branch point (|dJ/dk| < 1e-4), so the
-walk slows down there and stops instead of stepping across.
+along a path, a sheet row from the one before it, and (in `holonomy`) a
+transport frame and transport's Magnus steps.  One-root and sheet-row
+hops accept by one test, `_accepted`, which refuses a root near a
+branch point (|dJ/dk| < 1e-4), so the walk slows down there and stops
+instead of stepping across.
 
 Riemann sheets follow the vertical-transport convention: the value at
 g = x + i*y is continued from the real-axis value at x straight up or
@@ -48,9 +49,9 @@ from .bethe import (RESIDUAL_ACCEPT, RESIDUAL_TARGET, BetheState, Parity,
                     solve_k_real)
 from .exceptional import find_ep
 
-#: `_scalar_hop`'s branch-point guard; an accepted hop grows the step by STEP_GROWTH
+#: `_accepted`'s branch-point guard; an accepted hop grows the step by STEP_GROWTH
 DJ_DK_FLOOR, STEP_GROWTH = 1e-4, 1.7
-#: scalar walks' largest and smallest step
+#: one-root walks' largest step; their smallest, and that of sheet rows
 MAX_STEP, MIN_STEP = 0.05, 1e-9
 
 
@@ -135,18 +136,15 @@ def tangent_slope(g, k):
     return slope if cmath.isfinite(slope) else 0j
 
 
-def dj_dk(g, k):
-    """dJ/dk = r / (g^2 + k^2); small magnitude marks branch-point proximity.
-
-    On the deep bound branch k ~ -i|g| the denominator cancels to
-    exactly 0: that is the arctan pole, where dJ/dk is infinite and no
-    branch point is near.
+def _accepted(g, k, scaled, converged):
+    """Whether a corrected root is kept, elementwise: converged or below
+    a scaled residual of RESIDUAL_ACCEPT, and |dJ/dk| = |r / (g^2 + k^2)|
+    at least DJ_DK_FLOOR, away from a branch point.  Taken without
+    division, the bound passes the deep bound branch k ~ -i|g|, where
+    g^2 + k^2 cancels to 0 (the arctan pole, dJ/dk infinite); NaN fails.
     """
-    g, k = complex(g), complex(k)
-    denom = g * g + k * k
-    if denom == 0:
-        return complex(np.inf)
-    return branch_point_function(g, k) / denom
+    return ((converged | (scaled < RESIDUAL_ACCEPT))
+            & (abs(branch_point_function(g, k)) >= DJ_DK_FLOOR * abs(g * g + k * k)))
 
 
 @dataclass
@@ -203,13 +201,13 @@ def walk_path(waypoints, state, hop, *, h: float, max_step: float, min_step: flo
 def _scalar_hop(parity: Parity, sample: ContinuationSample, g, tol: float):
     """Predictor-corrector hop of one root to g, for `walk_path`.
 
-    Newton runs to tol; the hop is accepted at tol or below a scaled
-    residual of RESIDUAL_ACCEPT, unless |dJ/dk| < DJ_DK_FLOOR there or is
-    not a number.  It grows the step by STEP_GROWTH or halves it.
+    `newton_correct` runs to tol and `_accepted` decides; the hop grows
+    the step by STEP_GROWTH or halves it.  On one point the scalar
+    corrector is about four times faster than the sheet rows' array one.
     """
     k_pred = sample.k + (g - sample.g) * tangent_slope(sample.g, sample.k)
-    k, scaled, ok = newton_correct(parity, g, k_pred, tol=tol)
-    ok = (ok or scaled < RESIDUAL_ACCEPT) and abs(dj_dk(g, k)) >= DJ_DK_FLOOR
+    k, scaled, converged = newton_correct(parity, g, k_pred, tol=tol)
+    ok = _accepted(g, k, scaled, converged)
     return ContinuationSample(g, k, scaled), ok, STEP_GROWTH if ok else 0.5
 
 
@@ -234,7 +232,7 @@ def continue_along(start: BetheState, path: ComplexPath) -> ContinuationTrace:
     if not reached:
         trace.status = TraceStatus.ABORTED_NEAR_BRANCH_POINT
         trace.note = (f"step underflow near a branch point at g={stalled.g:.6g} "
-                      f"(|dJ/dk|={abs(dj_dk(sample.g, sample.k)):.3g})")
+                      f"(|r|={abs(branch_point_function(sample.g, sample.k)):.3g})")
     return trace
 
 
@@ -358,41 +356,37 @@ def _march_half(parity, xs, k_anchor, ordinates, *, tol, k_out, rows):
 
     ordinates are monotone (ascending above the axis, descending below);
     rows[i] is the row index of ordinates[i] in the output array.  Each
-    row corrects all live columns in one `newton_correct_array` call; a
-    column left above a scaled residual of 1e-9 is walked to the row by
-    `walk_path` with scalar hops instead, and aborts if that stalls.
-    tol is the Newton tolerance of both.
+    row is one `walk_path` along Im g from the row before, in steps of
+    at most the row spacing.  A hop predicts every live column from its
+    tangent and corrects them all to tol in one `newton_correct_array`
+    call; it is accepted if every column passes `_accepted`, and else
+    halves the step for all.  Once the step falls below MIN_STEP, the
+    columns that failed abort at that row and the others walk on.
     """
-    k_cur = k_anchor.astype(complex).copy()
-    y_cur = np.zeros(xs.size)
-    alive = ~np.isnan(k_cur.real)
-    abort_at = {}
+    def hop(state, y):
+        # state: (y0, live columns, their k); a refused try is the mask
+        # of the columns that passed
+        y0, cols, k0 = state
+        g0, g = xs[cols] + 1j * y0, xs[cols] + 1j * y
+        k, scaled, converged = newton_correct_array(
+            parity, g, k0 + (g - g0) * tangent_slope(g0, k0), tol=tol, max_iter=6)
+        with np.errstate(over="ignore", invalid="ignore"):  # a diverged try fails
+            ok = _accepted(g, k, scaled, converged)
+        return ((y, cols, k), True, STEP_GROWTH) if ok.all() else (ok, False, 0.5)
+
+    cols = np.flatnonzero(~np.isnan(k_anchor.real))
+    state, abort_at = (0.0, cols, k_anchor[cols]), {}
     for y, row in zip(ordinates, rows):
-        if not alive.any():
-            break
-        g_new = xs[alive] + 1j * y
-        g_old = xs[alive] + 1j * y_cur[alive]
-        k_old = k_cur[alive]
-        k_pred = k_old + (g_new - g_old) * tangent_slope(g_old, k_old)
-        k_new, scaled, _ = newton_correct_array(parity, g_new, k_pred, tol=tol,
-                                                max_iter=6)
-        ok = scaled < 1e-9
-        idx_alive = np.flatnonzero(alive)
-        k_cur[idx_alive[ok]] = k_new[ok]
-        for col in idx_alive[~ok]:
-            g_from = complex(xs[col], y_cur[col])
-            end, reached, _ = walk_path(
-                (g_from, complex(xs[col], y)),
-                ContinuationSample(g_from, complex(k_cur[col]), float("nan")),
-                lambda s, g: _scalar_hop(parity, s, g, tol),
-                h=abs(y - y_cur[col]), max_step=np.inf, min_step=MIN_STEP)
+        while state[1].size:
+            gap = abs(y - state[0])
+            state, reached, passed = walk_path((state[0], y), state, hop, h=gap,
+                                               max_step=gap, min_step=MIN_STEP)
             if reached:
-                k_cur[col] = end.k
-            else:
-                alive[col] = False
-                abort_at[int(col)] = float(y)
-        y_cur[alive] = y
-        k_out[row, alive] = k_cur[alive]
+                break
+            y0, cols, k = state
+            abort_at.update(dict.fromkeys(cols[~passed].tolist(), float(y)))
+            state = (y0, cols[passed], k[passed])
+        k_out[row, state[1]] = state[2]
     return abort_at
 
 

@@ -342,7 +342,12 @@ def _walk_frame(frame: TransportFrame, waypoints) -> TransportFrame:
 
 def advance_frame(frame: TransportFrame, g_target: complex) -> TransportFrame:
     """Continue a frame along the straight segment to ``g_target``: the
-    frame walker on (frame.g, g_target)."""
+    frame walker on (frame.g, g_target).  Its basin rule needs the base
+    level beside any slot that passes its branch point, so a frame that
+    is not a truncation's (levels n_b, n_b + 2, ...) is a ValueError."""
+    family = TruncationSpec(Parity.of_level(frame.levels[0]), len(frame.levels))
+    if frame.levels != family.levels:
+        raise ValueError(f"frame levels {frame.levels} are not the lowest of their family")
     target = complex(g_target)
     check_coupling(target)
     return _walk_frame(frame, (frame.g, target))

@@ -87,6 +87,15 @@ class TestSolve:
         assert kv_lines(target.read_text())["k_re"] == "2.0"
 
 
+    def test_out_file_in_a_missing_directory_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "solve.txt"
+        code, out, err = run_cli(capsys, "solve", "--n", 2, "--g", 0.0,
+                                 "--out", target)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not target.parent.exists()
+
+
 class TestEps:
     def test_even_catalog(self, capsys):
         code, out, _ = run_cli(capsys, "eps", "--parity", "even",
@@ -379,6 +388,21 @@ class TestConfig:
         path.write_text("loop_radius = -1.0\n")
         code, _, _ = run_cli(capsys, "eps", "--config", path)
         assert code == 2
+
+    @pytest.mark.parametrize("name", ["missing.cfg", "."])
+    def test_unreadable_config_file_exits_2(self, capsys, tmp_path, name):
+        # a missing file, and a directory in place of a file
+        code, out, err = run_cli(capsys, "solve", "--n", 2, "--g", 1.0,
+                                 "--config", tmp_path / name)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["eps", "holonomy", "cycle"])
+    def test_unknown_parity_exits_2(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--parity", "bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("key", [

@@ -486,6 +486,31 @@ class TestSheets:
                 _, scaled, ok = newton_correct(Parity.EVEN, g, k, tol=1e-12)
                 assert ok and scaled < 1e-8
 
+    def test_column_through_a_branch_point_aborts(self):
+        # column 1 runs straight down through g_ep(2): it aborts at the
+        # first row below the branch point, is NaN from there down, and
+        # every cell above it, and every other cell, is the walked value
+        e = ep_g(2)
+        sheet = build_sheet(2, GridSpec(e.real - 0.1, e.real + 0.1,
+                                        e.imag - 0.5, 0.5, 3, 201))
+        below = sheet.im_axis < e.imag
+        assert sheet.aborted_columns == {1: sheet.im_axis[below].max()}
+        assert np.array_equal(np.isnan(sheet.k.real),
+                              below[:, None] & (np.arange(3) == 1))
+        assert below.sum() == 44
+        for (i, j), k in np.ndenumerate(sheet.k):
+            if not np.isnan(k.real):
+                want = sheet_value(2, complex(sheet.re_axis[j], sheet.im_axis[i]))
+                assert abs(k - want) <= 1e-10 * abs(want)
+
+    def test_upper_half_mirror_cut(self):
+        # conj(g_ep(2)) lies inside the window, so its cut runs from it
+        # up to the window's top
+        e = ep_g(2)
+        cuts = build_sheet(2, GridSpec(-3.0, 1.0, -2.0, 2.0, 5, 5)).cut_segments
+        assert [(c.branch_point, c.im_lo, c.im_hi) for c in cuts] \
+            == [(e, -2.0, e.imag), (e.conjugate(), -e.imag, 2.0)]
+
     @pytest.mark.xfail(strict=True, reason="ROADMAP Known defects: coarse sheet rows "
                        "land on a partner branch")
     def test_coarse_rows_keep_the_branch(self):
@@ -499,19 +524,19 @@ class TestSheets:
         walked = [sheet_value(7, g) for g in column]
         np.testing.assert_allclose(sheet.k[:, 15], walked, rtol=1e-8, atol=0)
 
-    def test_column_rescue_takes_the_sheet_tolerance(self, monkeypatch):
-        # the scalar walk that rescues a column corrects to build_sheet's
-        # tol, as the array march does
+    def test_row_walk_takes_the_sheet_tolerance(self, monkeypatch):
+        # every hop of the row walk, split rows included, corrects to
+        # build_sheet's tol
         tols = []
-        correct = continuation.newton_correct
+        correct = continuation.newton_correct_array
 
         def recorded(*args, **kwargs):
             tols.append(kwargs["tol"])
             return correct(*args, **kwargs)
 
-        monkeypatch.setattr(continuation, "newton_correct", recorded)
+        monkeypatch.setattr(continuation, "newton_correct_array", recorded)
         build_sheet(2, GridSpec(-1.1, -1.0, -1.5, 0.5, 3, 41), tol=1e-13)
-        assert tols and set(tols) == {1e-13}
+        assert len(tols) > 40 and set(tols) == {1e-13}
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_window_below_the_domain_is_refused(self, n):
@@ -553,20 +578,21 @@ class TestSheets:
         assert cuts == [c for c in full if c.branch_point != ep_g(4)]
         assert len(cuts) == len(full) - 1
 
-    def test_column_rescue_near_a_double_root(self, monkeypatch):
-        # the column Re g = -1.05 passes 8e-4 from g_ep(2); the array
-        # march leaves it behind once, and the scalar walk carries it on
-        walks = []
-        walk = continuation.walk_path
+    def test_row_walk_near_a_double_root(self, monkeypatch):
+        # the column Re g = -1.05 passes 8e-4 from g_ep(2); the row walk
+        # refuses the whole row step there once and carries every column
+        # through the split row
+        hops = []
+        correct = continuation.newton_correct_array
 
-        def counted(*args, **kwargs):
-            walks.append(args[0])
-            return walk(*args, **kwargs)
+        def counted(parity, g, k0, **kwargs):
+            hops.append(np.shape(g))
+            return correct(parity, g, k0, **kwargs)
 
-        monkeypatch.setattr(continuation, "walk_path", counted)
+        monkeypatch.setattr(continuation, "newton_correct_array", counted)
         sheet = build_sheet(2, GridSpec(-1.1, -1.0, -1.5, 0.5, 3, 41))
         monkeypatch.undo()
-        assert walks and all(a.real == b.real == -1.05 for a, b in walks)
+        assert len(hops) > 40 and set(hops) == {(3,)}
         assert sheet.aborted_columns == {}
         assert not np.isnan(sheet.k).any()
         for i, y in enumerate(sheet.im_axis):

@@ -8,17 +8,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lieb2b import holonomy
-from lieb2b.bethe import (RESIDUAL_TARGET, Parity, branch_point_function, rotated_sqrt,
-                          solve_k_real)
+from lieb2b.bethe import (RESIDUAL_TARGET, Parity, branch_point_function, real_axis_k,
+                          rotated_sqrt, solve_k_real)
 from lieb2b.continuation import (STEP_GROWTH, ComplexPath, circle_path, continue_to,
                                  line_path, sheet_value, walk_path)
 from lieb2b.cycles import ep_chain_path, n_ep_contour
 from lieb2b.eigensystem import overlap_connection_oracle
 from lieb2b.exceptional import circle_reaches_branch_point, find_ep
 from lieb2b.holonomy import (MIN_LOOP_RADIUS, ConnectionProximityError,
-                             TransportError, TruncationSpec, TruncationWarning,
-                             advance_frame, connection_matrix, d_function, d_function_trig,
-                             d_sign, entry_frame, ep_loop_holonomy, frame_at,
+                             TransportError, TransportFrame, TruncationSpec,
+                             TruncationWarning, advance_frame, connection_matrix,
+                             d_function, d_function_trig, d_sign, entry_frame, ep_loop_holonomy, frame_at,
                              frame_monodromy, gauge_connection,
                              m_chain_analytic, m_n_analytic, match_frames,
                              transport)
@@ -188,6 +188,16 @@ class TestFrameAdvance:
             advance_frame(frame, 1.0 - 1.0j)
         # the whole distance, then 48 halvings down to 2**-48 of it
         assert len(hops) == 49
+
+    def test_frame_without_its_base_level_is_refused(self):
+        # slots 7 and 9 alone: walked to -1.5 - 20i, slot 7 would land on
+        # level 1's value, 6.009 - 0.197i, instead of k_7 = 8.012 - 0.269i
+        levels = (7, 9)
+        k = real_axis_k(levels, -1.5)
+        frame = TransportFrame(levels, -1.5 + 0j, k,
+                               rotated_sqrt(branch_point_function(-1.5, k)))
+        with pytest.raises(ValueError, match="lowest of their family"):
+            advance_frame(frame, -1.5 - 20.0j)
 
     def test_entry_frames_stay_on_the_standard_sheet(self):
         # a run predicted from its start must not land on a partner
