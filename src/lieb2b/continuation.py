@@ -18,7 +18,8 @@ the local behaviour turns into a square root with coefficient
 
 equal to 2/pi wherever r = 0.  One walker, `walk_path`, carries a root
 along a path, a sheet row from the one before it, and (in `holonomy`) a
-transport frame and transport's Magnus steps.  One-root and sheet-row
+transport frame and transport's Magnus steps, which take several of its
+step ends in one hop.  One-root and sheet-row
 hops accept by one test, `_accepted`, which refuses a root near a
 branch point (|dJ/dk| < 1e-4), so the walk slows down there and stops
 instead of stepping across.
@@ -38,6 +39,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -96,7 +98,15 @@ def circle_path(center, radius, *, n_points: int = 96, clockwise: bool = True,
 
     Clockwise is the orientation that encircles an exceptional point the
     way the holonomy conventions of this package expect (winding -1).
+    A loop needs an integer n_points >= 3, an integer turns >= 1 and a
+    finite radius > 0; anything else is a ValueError.
     """
+    if not (isinstance(n_points, numbers.Integral) and n_points >= 3):
+        raise ValueError(f"a loop needs an integer n_points >= 3, got {n_points!r}")
+    if not (isinstance(turns, numbers.Integral) and turns >= 1):
+        raise ValueError(f"a loop needs an integer turns >= 1, got {turns!r}")
+    if not 0.0 < radius < np.inf:
+        raise ValueError(f"a loop needs a finite radius > 0, got {radius!r}")
     sign = -1.0 if clockwise else 1.0
     angles = sign * 2.0 * np.pi * np.arange(n_points * turns + 1) / n_points
     pts = center + radius * np.exp(1j * angles)
@@ -171,29 +181,57 @@ class ContinuationTrace:
         return BetheState(self.start.n, self.final_g, self.final_k, self.start.parity)
 
 
-def walk_path(waypoints, state, hop, *, h: float, max_step: float, min_step: float):
+def walk_path(waypoints, state, hop, *, h: float, max_step: float, min_step: float,
+              lookahead: int = 1, growth: float = 1.0):
     """Carry state along the polyline through waypoints.
 
-    hop(state, g) returns (the state tried at g, whether it is accepted,
-    the factor that then scales the step h).  A hop spans min(h,
-    max_step, the rest of the segment); the one that reaches a waypoint
-    in floating point goes to the waypoint itself, and h carries over
-    corners.  Returns (end state, True, None), or (last accepted state,
-    False, the refused try) once a refused hop leaves h below min_step
-    or below a few spacings of doubles at the current point.
+    A step spans min(h, max_step, the rest of the segment); the one that
+    reaches a waypoint in floating point goes to the waypoint itself,
+    and h carries over corners.  hop(state, ends) gets the end of the
+    step the walk takes now, followed, up to ``lookahead`` ends in all,
+    by the ends of the steps after it that a corner or max_step clips
+    when every step scales h by ``growth``: a smaller factor that still
+    reaches the clip leaves them in place.  It returns a list of (state
+    tried at an end, whether it is accepted, the factor that then scales
+    h), one per leading end it tried: accepted tries, or a refused try
+    of the first end.  The walk keeps the tries in order while each end
+    is the one its rule gives with the factors reported before it.
+    Returns (end state, True, None), or (last accepted state, False,
+    the refused try) once a refused try leaves h below min_step or below
+    a few spacings of doubles at the current point.
     """
-    for g_a, g_b in zip(waypoints, waypoints[1:]):
-        length = abs(g_b - g_a)
-        direction = (g_b - g_a) / length if length else 0j
-        s = 0.0  # arclength progressed along the segment
-        while s < length:
-            h = min(h, max_step, length - s)
-            last = h == length - s or s + h >= length
-            tried, ok, factor = hop(state, g_b if last else g_a + (s + h) * direction)
+    segments = [(g_a, g_b, abs(g_b - g_a), (g_b - g_a) / abs(g_b - g_a))
+                for g_a, g_b in zip(waypoints, waypoints[1:]) if g_a != g_b]
+
+    def step(i, s, h):
+        """The step from arclength s along segment i: (its end, h
+        clipped to it, the segment and arclength it reaches)."""
+        g_a, g_b, length, direction = segments[i]
+        h = min(h, max_step, length - s)
+        if h == length - s or s + h >= length:
+            return g_b, h, i + 1, 0.0
+        return g_a + (s + h) * direction, h, i, s + h
+
+    i, s = 0, 0.0
+    while i < len(segments):
+        laid = [step(i, s, h)]
+        ends = [laid[0][0]]
+        while len(laid) < lookahead and laid[-1][2] < len(segments):
+            _, clipped, j, t = laid[-1]
+            after = step(j, t, clipped * growth)
+            if after[1] == clipped * growth:
+                break  # an unclipped end moves with any factor below growth
+            laid.append(after)
+            ends.append(after[0])
+        for (_, clipped, i_next, s_next), (tried, ok, factor) in zip(laid, hop(state, ends)):
+            if h < clipped:
+                break  # the factor before did not carry h to this clipped end
+            h = clipped * factor
             if ok:
-                state, s = tried, length if last else s + h
-            h *= factor
-            if not ok and h < max(min_step, 4.0 * math.ulp(abs(g_a + s * direction))):
+                state, i, s = tried, i_next, s_next
+                continue
+            g_a, _, _, direction = segments[i]
+            if h < max(min_step, 4.0 * math.ulp(abs(g_a + s * direction))):
                 return state, False, tried
     return state, True, None
 
@@ -226,7 +264,8 @@ def continue_along(start: BetheState, path: ComplexPath) -> ContinuationTrace:
     sample = ContinuationSample(complex(start.g), complex(start.k),
                                 float(start.scaled_residual()))
     sample, reached, stalled = walk_path(
-        path.waypoints, sample, lambda s, g: _scalar_hop(parity, s, g, RESIDUAL_TARGET),
+        path.waypoints, sample,
+        lambda s, ends: [_scalar_hop(parity, s, ends[0], RESIDUAL_TARGET)],
         h=MAX_STEP, max_step=MAX_STEP, min_step=MIN_STEP)
     trace = ContinuationTrace(start, sample)
     if not reached:
@@ -363,16 +402,16 @@ def _march_half(parity, xs, k_anchor, ordinates, *, tol, k_out, rows):
     halves the step for all.  Once the step falls below MIN_STEP, the
     columns that failed abort at that row and the others walk on.
     """
-    def hop(state, y):
+    def hop(state, ends):
         # state: (y0, live columns, their k); a refused try is the mask
         # of the columns that passed
-        y0, cols, k0 = state
+        (y0, cols, k0), y = state, ends[0]
         g0, g = xs[cols] + 1j * y0, xs[cols] + 1j * y
         k, scaled, converged = newton_correct_array(
             parity, g, k0 + (g - g0) * tangent_slope(g0, k0), tol=tol, max_iter=6)
         with np.errstate(over="ignore", invalid="ignore"):  # a diverged try fails
             ok = _accepted(g, k, scaled, converged)
-        return ((y, cols, k), True, STEP_GROWTH) if ok.all() else (ok, False, 0.5)
+        return [((y, cols, k), True, STEP_GROWTH) if ok.all() else (ok, False, 0.5)]
 
     cols = np.flatnonzero(~np.isnan(k_anchor.real))
     state, abort_at = (0.0, cols, k_anchor[cols]), {}

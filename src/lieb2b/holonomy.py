@@ -33,15 +33,21 @@ Magnus step V <- exp(Omega) V at a time: Omega comes from B at three
 Gauss-Legendre nodes and their commutators, and the fourth-order Omega
 of the same nodes sets the step size (Blanes, Casas & Ros, BIT 40, 434
 (2000)).  A has a zero diagonal, so B and every Omega are traceless and
-det V = 1 to round-off on any path.  Each attempted step moves every
-slot of the frame to the three nodes and the step end in one call of
-the array corrector :func:`lieb2b.bethe.newton_correct_array`,
-each point predicted from the tangent at the step's start, and
-evaluates their connections in one :func:`connection_matrix` call.  The
-step is refused, and halved, when any slot at any point would leave its
-Newton basin or its sqrt(r) branch.  Steps are hops of
+det V = 1 to round-off on any path.  Steps are hops of
 :func:`lieb2b.continuation.walk_path`, which lands them on each path
-corner exactly and carries the step size over it.  The frame walks of
+corner exactly, carries the step size over it, and hands a hop
+several step ends at once where corners clip the steps.  A hop moves
+every slot of the frame to the three nodes and the end of each of its
+steps in one call of the array corrector
+:func:`lieb2b.bethe.newton_correct_array`, each point predicted from
+the tangent at the hop's start, evaluates the connection at every node
+in one :func:`connection_matrix` call, and forms the Omegas of all its
+steps at once.  It then takes the steps in order while each passes its
+error test and all its points are safe: no slot leaves its Newton
+basin or its sqrt(r) branch.  A step that fails at the hop's start is
+rejected, halved after an unsafe point or shortened by the error rule;
+one that fails later ends the hop, and the next hop tries it again
+from its own start.  The frame walks of
 :func:`advance_frame` and :func:`frame_monodromy` are `walk_path` hops
 along the arclength, each one run through the corners it passes and
 three points inside it.  The returned matrix is V at
@@ -133,9 +139,11 @@ class HolonomyMatrix:
     """A transport or monodromy matrix over one truncated family.
 
     Entry (i, j) is the coefficient of starting slot i in the
-    transported slot j; later loops multiply from the left.  ``steps``
-    and ``rejected`` count Magnus steps when the matrix came from
-    transport.
+    transported slot j; later loops multiply from the left.  When the
+    matrix came from transport, ``steps`` counts the Magnus steps taken
+    and ``rejected`` the steps refused at the start of a hop, by an
+    unsafe point or by the error test.  A step cut from the end of a
+    hop is tried again by the next one and is not counted as rejected.
     """
 
     truncation: TruncationSpec
@@ -149,9 +157,10 @@ class HolonomyMatrix:
         return complex(self.matrix[t.slot(n_row), t.slot(n_col)])
 
 
-def d_sign(n: int) -> int:
-    """Alternating sign d_n = (-1)**floor(n/2)."""
-    return -1 if (n // 2) % 2 else 1
+def d_sign(n):
+    """Alternating sign d_n = (-1)**floor(n/2), elementwise on an
+    integer array of levels."""
+    return 1 - 2 * (n // 2 % 2)
 
 
 def d_function(n: int, g, k) -> complex:
@@ -227,8 +236,7 @@ class TransportFrame:
     sqrt_r: np.ndarray
 
     def d_values(self):
-        d = np.array([d_sign(n) for n in self.levels], dtype=complex)
-        return d * self.k / self.sqrt_r
+        return d_sign(np.array(self.levels)) * self.k / self.sqrt_r
 
     def connection(self):
         return connection_matrix(self.levels, self.d_values(), self.k)
@@ -262,8 +270,8 @@ def entry_frame(trunc: TruncationSpec, g0: complex) -> TransportFrame:
 
 def _advance_run(frame: TransportFrame, g_points, tol: float):
     """Every slot of ``frame`` moved to each coupling of the run
-    g_1..g_S: (frames at g_1..g_S, True), or (None, False) if any point
-    is unsafe.
+    g_1..g_S: (k, sqrt_r) of shape (P, m) at the run's safe prefix, the
+    points g_1..g_P before the first unsafe one.
 
     A truncation is one parity family, so a single array corrector call
     covers the run: g of shape (S, 1) against k of shape (S, m), each
@@ -280,27 +288,28 @@ def _advance_run(frame: TransportFrame, g_points, tol: float):
     g = np.asarray(g_points, dtype=complex)[:, None]
     k_pred = frame.k + (g - frame.g) * tangent_slope(frame.g, frame.k)
     k, _, ok = newton_correct_array(parity, g, k_pred, tol=tol)
-    if not ok.all():
-        return None, False
-    k = newton_step(parity, g, k)
-    k_before = np.concatenate([frame.k[None], k[:-1]])
+    p = _leading(ok.all(axis=1))
+    g, k = g[:p], newton_step(parity, g[:p], k[:p])
+    k_before = np.concatenate([frame.k[None], k])[:-1]
     gaps = np.abs(k_before[:, :, None] - k_before[:, None, :])
     diag = np.arange(k.shape[1])
     gaps[:, diag, diag] = np.inf
-    if np.any(np.abs(k - k_before) > 0.35 * gaps.min(axis=(1, 2))[:, None]):
-        return None, False
+    jumped = np.abs(k - k_before) > 0.35 * gaps.min(axis=(1, 2))[:, None]
     s = np.sqrt(branch_point_function(g, k))
-    s_before = np.concatenate([frame.sqrt_r[None], s[:-1]])
+    s_before = np.concatenate([frame.sqrt_r[None], s])[:-1]
     flip = np.abs(s - s_before) > np.abs(s + s_before)
-    # reject the run when both signs are about equally far: the branch
-    # has rotated too much to track from one point to the next
-    if np.any(np.abs(np.where(flip, -s, s) - s_before)
-              > 0.6 * (np.abs(s) + np.abs(s_before))):
-        return None, False
+    # unsafe when both signs are about equally far: the branch has
+    # rotated too much to track from one point to the next
+    lost = np.abs(np.where(flip, -s, s) - s_before) > 0.6 * (np.abs(s) + np.abs(s_before))
     # each point's sign is relative to the one before, so the signs chain
     s = s * np.cumprod(np.where(flip, -1.0, 1.0), axis=0)
-    return [TransportFrame(frame.levels, complex(gi), ki, si)
-            for gi, ki, si in zip(g[:, 0], k, s)], True
+    p = _leading(~(jumped | lost).any(axis=1))
+    return k[:p], s[:p]
+
+
+def _leading(mask) -> int:
+    """How many leading entries of a boolean vector are True."""
+    return mask.size if mask.all() else int(mask.argmin())
 
 
 #: where a frame walker's run puts its evenly spaced interior points
@@ -324,14 +333,17 @@ def _walk_frame(frame: TransportFrame, waypoints) -> TransportFrame:
     corners = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(w)))])
     length = corners[-1]
 
-    def hop(state, s_end):
-        f, s = state
+    def hop(state, ends):
+        (f, s), s_end = state, ends[0]
         sub = np.sort(np.concatenate([corners[(corners > s) & (corners < s_end)],
                                       s + (s_end - s) * _RUN_FRACTIONS]))
         sub = np.append(sub, s_end)  # at L, np.interp gives the last waypoint exactly
-        run, ok = _advance_run(f, np.interp(sub, corners, w.real)
-                               + 1j * np.interp(sub, corners, w.imag), RESIDUAL_TARGET)
-        return ((run[-1], s_end) if ok else None), ok, STEP_GROWTH if ok else 0.5
+        g = np.interp(sub, corners, w.real) + 1j * np.interp(sub, corners, w.imag)
+        k, sqrt_r = _advance_run(f, g, RESIDUAL_TARGET)
+        if len(k) < len(g):
+            return [(None, False, 0.5)]
+        return [((TransportFrame(f.levels, complex(g[-1]), k[-1], sqrt_r[-1]), s_end),
+                 True, STEP_GROWTH)]
 
     (end, _), reached, _ = walk_path((0.0, length), (frame, 0.0), hop, h=length,
                                      max_step=length, min_step=length * 2.0 ** -48)
@@ -358,6 +370,8 @@ _GAUSS_NODES = (0.5 - np.sqrt(15.0) / 10.0, 0.5, 0.5 + np.sqrt(15.0) / 10.0)
 TAIL_ROW_BOUND = 0.25
 #: Magnus-step absolute tolerance, step budget and smallest step
 MAGNUS_ATOL, MAGNUS_MAX_STEPS, MAGNUS_MIN_STEP = 1e-13, 200000, 1e-12
+#: Magnus steps laid out in one corrector run, and the most a step grows by
+_MAGNUS_BATCH, _MAGNUS_GROWTH = 8, 5.0
 
 
 def _commutator(x, y):
@@ -366,15 +380,23 @@ def _commutator(x, y):
 
 def _expm(x):
     """exp(x) by scaling and squaring (Higham 2005): a degree-12 Taylor
-    polynomial of x / 2**s, whose 1-norm is below 1/4 (tail < 3e-18)."""
-    s = max(0, int(np.frexp(4.0 * np.linalg.norm(x, 1))[1]))
-    y = x / 2.0 ** s
-    e = one = np.eye(len(x), dtype=complex)
+    polynomial of x / 2**s, whose 1-norm is below 1/4 (tail < 3e-18).
+    On a stack of matrices each takes its own s."""
+    s = np.maximum(0, np.frexp(4.0 * np.linalg.norm(x, 1, axis=(-2, -1)))[1])
+    y = x / (2.0 ** s)[..., None, None]
+    e = one = np.eye(x.shape[-1], dtype=complex)
     for j in range(12, 0, -1):
         e = one + (y @ e) / j
-    for _ in range(s):
-        e = e @ e
+    for i in range(s.max()):
+        e = np.where((i < s)[..., None, None], e @ e, e)
     return e
+
+
+def _tail_row_norms(d, k):
+    """Norm of the top level's coupling row of the connection at each
+    point, from D and k slot vectors stacked along the last axis."""
+    return FOUR_OVER_PI * np.linalg.norm(
+        d[..., -1:] * d[..., :-1] / (k[..., -1:] ** 2 - k[..., :-1] ** 2), axis=-1)
 
 
 def transport(path: ComplexPath, trunc: TruncationSpec, *,
@@ -385,7 +407,7 @@ def transport(path: ComplexPath, trunc: TruncationSpec, *,
     The initial frame defaults to :func:`entry_frame` at the path start.
     The result's matrix is V at the path end with V(0) = 1; a warning is
     issued if the top retained level's coupling row grows beyond a bound
-    anywhere along the way, since then the truncation is feeding back
+    at the start of any step, since then the truncation is feeding back
     into the retained block.
     """
     if not 0.0 < rtol < np.inf:
@@ -398,50 +420,64 @@ def transport(path: ComplexPath, trunc: TruncationSpec, *,
     if abs(complex(path.waypoints[0]) - frame0.g) > 1e-12:
         raise ValueError("frame0 sits at a different point than the path start")
 
-    steps = rejected = 0
-    tail_warned = False
+    signs, m, tol = d_sign(np.array(levels)), len(levels), min(RESIDUAL_TARGET, rtol)
+    rejected = 0
 
-    def hop(state, g):
-        """One Magnus step from state = (frame, its connection, V) to g."""
-        nonlocal steps, rejected, tail_warned
-        frame, a_start, v = state
-        dg = g - frame.g
-        run, ok = _advance_run(frame, [frame.g + c * dg for c in _GAUSS_NODES] + [g],
-                               min(RESIDUAL_TARGET, rtol))
-        if not ok:
+    def hop(state, ends):
+        """Magnus steps to the leading ``ends`` from state = (frame, V,
+        steps taken, largest tail-row norm at a step start)."""
+        nonlocal rejected
+        frame, v, steps, tail = state
+        g = np.array(ends)
+        starts = np.append(frame.g, g[:-1])
+        dg = g - starts
+        nodes = starts[:, None] + np.multiply.outer(dg, _GAUSS_NODES)
+        k, sqrt_r = _advance_run(frame, np.column_stack([nodes, g]).ravel(), tol)
+        n = len(k) // 4  # the steps whose nodes and end are all safe
+        if n == 0:
             rejected += 1
-            return None, False, 0.5
-        a_run = connection_matrix(levels, [f.d_values() for f in run],
-                                  [f.k for f in run])
-        b1, b2, b3 = -1j * dg * a_run[:3]
+            return [(None, False, 0.5)]
+        k, sqrt_r = k[:4 * n].reshape(n, 4, m), sqrt_r[:4 * n].reshape(n, 4, m)
+        d = signs * k / sqrt_r
+        b = (-1j * dg[:n])[:, None, None, None] * connection_matrix(levels, d[:, :3], k[:, :3])
+        b1, b2, b3 = b[:, 0], b[:, 1], b[:, 2]
         a1, a2 = b2, np.sqrt(15.0) / 3.0 * (b3 - b1)
         a3 = 10.0 / 3.0 * (b3 - 2.0 * b2 + b1)
         c1 = _commutator(a1, a2)
         c2 = _commutator(a1, 2.0 * a3 + c1) / -60.0
         omega6 = a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
         omega4 = a1 + a3 / 12.0 - c1 / 12.0
-        scale = MAGNUS_ATOL + rtol * max(1.0, float(np.max(np.abs(v))))
-        err = float(np.max(np.abs((omega6 - omega4) @ v))) / scale
-        if not err <= 1.0:
-            rejected += 1
-            return None, False, max(0.2, 0.9 * err ** -0.2)
-        tail = float(np.linalg.norm(a_start[-1, :-1]))
-        if tail > TAIL_ROW_BOUND and not tail_warned:
-            warnings.warn(f"level {levels[-1]} coupling row norm {tail:.3g} "
-                          "exceeds the truncation bound, enlarge n_levels",
-                          TruncationWarning, stacklevel=4)  # transport's caller
-            tail_warned = True
-        steps += 1
-        if steps + rejected > MAGNUS_MAX_STEPS:
-            raise TransportError("step budget exhausted")
-        growth = min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0 else 5.0
-        return (run[-1], a_run[-1], _expm(omega6) @ v), True, growth
+        exp6 = _expm(omega6)
+        tails = _tail_row_norms(np.concatenate([frame.d_values()[None], d[:-1, 3]]),
+                                np.concatenate([frame.k[None], k[:-1, 3]]))
+        tried = []
+        for i in range(n):
+            scale = MAGNUS_ATOL + rtol * max(1.0, float(np.max(np.abs(v))))
+            err = float(np.max(np.abs((omega6[i] - omega4[i]) @ v))) / scale
+            if not err <= 1.0:
+                if i == 0:
+                    rejected += 1
+                    return [(None, False, max(0.2, 0.9 * err ** -0.2))]
+                break  # the next hop tries this step again from its own start
+            if steps + i + 1 + rejected > MAGNUS_MAX_STEPS:
+                raise TransportError("step budget exhausted")
+            v = exp6[i] @ v
+            tail = max(tail, float(tails[i]))
+            growth = min(_MAGNUS_GROWTH, max(0.2, 0.9 * err ** -0.2)) if err > 0 \
+                else _MAGNUS_GROWTH
+            end = TransportFrame(levels, complex(g[i]), k[i, 3], sqrt_r[i, 3])
+            tried.append(((end, v, steps + i + 1, tail), True, growth))
+        return tried
 
     w = path.waypoints  # the first step spans an eighth of the first segment
     h = max(abs(w[1] - w[0]) / 8.0 if len(w) > 1 else 0.0, 10.0 * MAGNUS_MIN_STEP)
-    state = (frame0, frame0.connection(), np.eye(len(levels), dtype=complex))
-    (frame, _, v), reached, _ = walk_path(w, state, hop, h=h, max_step=np.inf,
-                                          min_step=MAGNUS_MIN_STEP)
+    (frame, v, steps, tail), reached, _ = walk_path(
+        w, (frame0, np.eye(m, dtype=complex), 0, 0.0), hop, h=h, max_step=np.inf,
+        min_step=MAGNUS_MIN_STEP, lookahead=_MAGNUS_BATCH, growth=_MAGNUS_GROWTH)
+    if tail > TAIL_ROW_BOUND:
+        warnings.warn(f"level {levels[-1]} coupling row norm {tail:.3g} "
+                      "exceeds the truncation bound, enlarge n_levels",
+                      TruncationWarning, stacklevel=2)
     if not reached:
         raise TransportError(f"step size underflow near g = {frame.g}")
     return HolonomyMatrix(trunc, v, steps=steps, rejected=rejected)

@@ -52,6 +52,30 @@ class TestPaths:
                             - np.real(pts[1:]) * np.imag(pts[:-1]))
         assert area < 0
 
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(n_points=0), "n_points >= 3"),  # was a numpy divide warning
+        (dict(n_points=-3), "n_points >= 3"),  # was an IndexError
+        (dict(n_points=2), "n_points >= 3"),  # a diameter, not a loop
+        (dict(n_points=2.5), "integer n_points"),  # was a silent 4-point path
+        (dict(turns=-1), "turns >= 1"),  # was an IndexError
+        (dict(turns=0), "turns >= 1"),  # was a one-point path
+        (dict(turns=1.5), "integer turns"),
+        (dict(radius=-0.25), "radius > 0"),
+        (dict(radius=0.0), "radius > 0"),
+        (dict(radius=np.nan), "radius > 0"),
+        (dict(radius=np.inf), "radius > 0"),
+    ])
+    def test_circle_path_refuses_a_shape_that_is_not_a_loop(self, kwargs, match):
+        args = dict(center=1.0 + 0.5j, radius=0.25) | kwargs
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                circle_path(**args)
+
+    def test_circle_path_takes_numpy_integers(self):
+        loop = circle_path(1.0, 0.25, n_points=np.int64(3), turns=np.int64(2))
+        assert len(loop.waypoints) == 7
+
 
 class TestContinuation:
     def test_newton_correct_polishes_on_sheet(self):
@@ -201,9 +225,10 @@ class TestWalkSegment:
         # then each step grows by 1.7 and halves when refused
         steps = []
 
-        def hop(state, g):
+        def hop(state, ends):
+            g = ends[0]
             steps.append(abs(g - state))
-            return (g, *binary(steps[-1] <= 0.3))
+            return [(g, *binary(steps[-1] <= 0.3))]
 
         g_b = 0.1 - 0.7j
         end, reached, refused = walk_path([1.0, g_b], 1.0 + 0j, hop, h=1.0, max_step=1.0,
@@ -222,9 +247,9 @@ class TestWalkSegment:
         assert g_a + length * direction != g_b
         hops = []
 
-        def hop(state, g):
-            hops.append(g)
-            return (g, *binary(True))
+        def hop(state, ends):
+            hops.append(ends[0])
+            return [(ends[0], *binary(True))]
 
         end, reached, _ = walk_path([g_a, g_b], g_a, hop, h=length / 3,
                                     max_step=length / 3, min_step=1e-9)
@@ -233,9 +258,10 @@ class TestWalkSegment:
     def test_stall_returns_last_accepted_state(self):
         hops = []
 
-        def hop(state, g):
+        def hop(state, ends):
+            g = ends[0]
             hops.append(g)
-            return (g, *binary(g.imag > -0.5))
+            return [(g, *binary(g.imag > -0.5))]
 
         end, reached, refused = walk_path([0.0, -1.0j], 0j, hop, h=0.2, max_step=0.2,
                                           min_step=1e-6)
@@ -253,9 +279,10 @@ class TestWalkSegment:
         # on, doubled, into the second segment instead of restarting
         steps = []
 
-        def hop(state, g):
+        def hop(state, ends):
+            g = ends[0]
             steps.append(abs(g - state))
-            return g, True, 2.0
+            return [(g, True, 2.0)]
 
         end, reached, _ = walk_path([0.0, 1.0, 1.0 + 4.0j], 0j, hop, h=0.1,
                                     max_step=10.0, min_step=1e-9)
@@ -269,14 +296,63 @@ class TestWalkSegment:
         g_a = 1e10 + 0j
         hops = []
 
-        def hop(state, g):
+        def hop(state, ends):
+            g = ends[0]
             hops.append(g)
-            return (g, *binary(g == state))
+            return [(g, *binary(g == state))]
 
         end, reached, refused = walk_path([g_a, g_a + 1.0], g_a, hop, h=0.5,
                                           max_step=1.0, min_step=1e-12)
         assert not reached and end == g_a and refused == hops[-1] != g_a
         assert len(hops) < 25
+
+    @pytest.mark.parametrize("lookahead", [2, 5])
+    def test_lookahead_takes_the_steps_of_one_end_at_a_time(self, lookahead):
+        # state: the ends accepted so far; steps longer than 0.15 are
+        # refused, and the factor depends on where a step ends.  A hop
+        # given several ends tries them in order and stops before the
+        # first it refuses, unless that is the first
+        def factor(g):
+            return 1.2 + 0.8 * abs(np.sin(7.0 * g.real))
+
+        calls = []
+
+        def hop(state, ends):
+            calls.append(ends)
+            tries = []
+            for g in ends:
+                here = tries[-1][0] if tries else state
+                if abs(g - here[-1]) > 0.15:
+                    break
+                tries.append((here + (g,), True, factor(g)))
+            return tries or [(None, False, 0.5)]
+
+        def walk(n):
+            calls.clear()
+            loop = circle_path(0.5 - 0.5j, 0.4, n_points=12).waypoints
+            end, reached, _ = walk_path(loop, (loop[0],), hop, h=0.05, max_step=1.0,
+                                        min_step=1e-9, lookahead=n, growth=2.0)
+            assert reached
+            return end, len(calls)
+
+        (one, one_calls), (many, many_calls) = walk(1), walk(lookahead)
+        assert many == one  # the same ends, bit for bit
+        assert many_calls < one_calls
+
+    def test_a_factor_that_moves_the_next_end_drops_the_tries_after_it(self):
+        calls = []
+
+        def hop(state, ends):
+            calls.append(list(ends))
+            return [(g, True, 0.05 if len(calls) == 1 else 4.0) for g in ends]
+
+        walk_path([0.0, 1.0, 2.0, 3.0], 0.0, hop, h=0.9, max_step=10.0, min_step=1e-9,
+                  lookahead=3, growth=4.0)
+        # 0.9 and the corner its grown step reaches; the next end, 0.4
+        # into the second segment, is clipped by nothing and not offered
+        assert calls[0] == [0.9, 1.0]
+        # a factor of 0.05 takes the walk to 0.945, not to the corner
+        assert calls[1][0] == pytest.approx(0.945, abs=1e-15)
 
 
 class TestTangentSlope:

@@ -38,19 +38,26 @@ def counted_runs(monkeypatch):
 
     def recorded(frame, g_points, tol):
         out = advance(frame, g_points, tol)
-        runs.append((list(g_points), out[1]))
+        runs.append((list(g_points), len(out[0]) == len(g_points)))
         return out
 
     monkeypatch.setattr(holonomy, "_advance_run", recorded)
     return runs
 
 
+def refuse_run(frame, g_points, tol):
+    """An `_advance_run` that finds no point of the run safe."""
+    return frame.k[None, :0], frame.sqrt_r[None, :0]
+
+
 def segment_chain(frame, waypoints):
     """The frame carried corner to corner in one-point hops, the walk
     `frame_monodromy` made before its runs spanned several points."""
-    def hop(f, g):
-        run, ok = holonomy._advance_run(f, (g,), RESIDUAL_TARGET)
-        return (run[0] if ok else None), ok, STEP_GROWTH if ok else 0.5
+    def hop(f, ends):
+        k, sqrt_r = holonomy._advance_run(f, ends[:1], RESIDUAL_TARGET)
+        if not len(k):
+            return [(None, False, 0.5)]
+        return [(TransportFrame(f.levels, ends[0], k[0], sqrt_r[0]), True, STEP_GROWTH)]
 
     for g in waypoints[1:]:
         d = abs(g - frame.g)
@@ -58,6 +65,72 @@ def segment_chain(frame, waypoints):
                                       min_step=d * 2.0 ** -48)
         assert reached
     return frame
+
+
+def stepwise_transport(path, trunc, frame0, rtol=holonomy.TRANSPORT_RTOL):
+    """Transport in one corrector run per Magnus step, as before runs
+    spanned several steps: (V, steps, rejected, the accepted step ends)."""
+    levels, ends, rejected = trunc.levels, [], []
+
+    def hop(state, g_ends):
+        frame, v = state
+        g = g_ends[0]
+        dg = g - frame.g
+        points = [frame.g + c * dg for c in holonomy._GAUSS_NODES] + [g]
+        k, sqrt_r = holonomy._advance_run(frame, points, min(RESIDUAL_TARGET, rtol))
+        if len(k) < 4:
+            rejected.append(g)
+            return [(None, False, 0.5)]
+        run = [TransportFrame(levels, complex(p), ki, si)
+               for p, ki, si in zip(points, k, sqrt_r)]
+        a_run = connection_matrix(levels, [f.d_values() for f in run], [f.k for f in run])
+        b1, b2, b3 = -1j * dg * a_run[:3]
+        a1, a2 = b2, np.sqrt(15.0) / 3.0 * (b3 - b1)
+        a3 = 10.0 / 3.0 * (b3 - 2.0 * b2 + b1)
+        c1 = holonomy._commutator(a1, a2)
+        c2 = holonomy._commutator(a1, 2.0 * a3 + c1) / -60.0
+        omega6 = a1 + a3 / 12.0 + holonomy._commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+        omega4 = a1 + a3 / 12.0 - c1 / 12.0
+        scale = holonomy.MAGNUS_ATOL + rtol * max(1.0, float(np.max(np.abs(v))))
+        err = float(np.max(np.abs((omega6 - omega4) @ v))) / scale
+        if not err <= 1.0:
+            rejected.append(g)
+            return [(None, False, max(0.2, 0.9 * err ** -0.2))]
+        ends.append(g)
+        growth = min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0 else 5.0
+        return [((run[-1], holonomy._expm(omega6) @ v), True, growth)]
+
+    w = path.waypoints
+    (_, v), reached, _ = walk_path(w, (frame0, np.eye(len(levels), dtype=complex)), hop,
+                                   h=abs(w[1] - w[0]) / 8.0, max_step=np.inf,
+                                   min_step=holonomy.MAGNUS_MIN_STEP)
+    assert reached
+    return v, len(ends), len(rejected), ends
+
+
+def transport_with_step_ends(monkeypatch, path, trunc, **kwargs):
+    """`transport`'s result and the end of every step it accepted, in
+    order.  The walk keeps the leading tries of each hop; a hop's state
+    counts the steps taken, so the next hop's count says how many."""
+    hops = []
+    walk = holonomy.walk_path
+
+    def watched_walk(waypoints, state, hop, **walk_kwargs):
+        def watched(state, ends):
+            tries = hop(state, ends)
+            hops.append((state[2], tries))
+            return tries
+
+        out = walk(waypoints, state, watched, **walk_kwargs)
+        hops.append((out[0][2], []))
+        return out
+
+    monkeypatch.setattr(holonomy, "walk_path", watched_walk)
+    res = transport(path, trunc, **kwargs)
+    ends = [t[0][0].g for (n, tries), (n_next, _) in zip(hops, hops[1:])
+            for t in tries[:n_next - n]]
+    assert len(ends) == res.steps
+    return res, ends
 
 
 def distance_to_segment(p, a, b):
@@ -108,6 +181,7 @@ class TestConnectionForms:
 
     def test_sign_convention(self):
         assert [d_sign(n) for n in range(6)] == [1, 1, -1, -1, 1, 1]
+        assert d_sign(np.arange(6)).tolist() == [1, 1, -1, -1, 1, 1]
 
     def test_matches_quadrature_oracle(self):
         for parity in (Parity.EVEN, Parity.ODD):
@@ -180,7 +254,7 @@ class TestFrameAdvance:
 
         def refuse(frame, g, tol):
             hops.append(g)
-            return None, False
+            return refuse_run(frame, g, tol)
 
         monkeypatch.setattr(holonomy, "_advance_run", refuse)
         frame = frame_at(TruncationSpec(Parity.EVEN, 4), 1.0)
@@ -245,49 +319,65 @@ class TestTransport:
             transport(loop, TruncationSpec(Parity.EVEN, 2))
         assert caught[0].filename == __file__  # the caller's line, not the walker's
 
+    def test_tail_warning_covers_every_step_start(self):
+        # the top of four levels couples strongly only near g_ep(6): a
+        # path that dips there and comes back warns, its ends alone not
+        e = find_ep(6, verify_unique=False).g_ep
+        trunc = TruncationSpec(Parity.EVEN, 4)
+        there = line_path(e + 3.0, e + 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            transport(line_path(e + 3.0, e + 2.0), trunc)
+        with pytest.warns(TruncationWarning):
+            transport(there.joined_with(there.reversed()), trunc)
+
     @pytest.mark.parametrize("path", [
         ComplexPath([1.0, -0.15 + 0.7j, 0.43 - 0.89j, 1.3 - 0.4j]),
         circle_path(1.5, 0.5, n_points=16),
     ])
     def test_steps_land_on_every_waypoint(self, monkeypatch, path):
-        # each run starts at the last accepted point, and the walk's
-        # last run is accepted: together those are every accepted end
-        runs = []
-        advance = holonomy._advance_run
+        _, ends = transport_with_step_ends(monkeypatch, path, TruncationSpec(Parity.EVEN, 4))
+        assert all(w in ends for w in path.waypoints[1:])
 
-        def recorded(frame, g_points, tol):
-            runs.append((frame.g, g_points[-1]))
-            return advance(frame, g_points, tol)
-
-        monkeypatch.setattr(holonomy, "_advance_run", recorded)
-        transport(path, TruncationSpec(Parity.EVEN, 4))
-        accepted = {start for start, _ in runs[1:]} | {runs[-1][1]}
-        assert all(w in accepted for w in path.waypoints[1:])
-
-    def test_one_corrector_call_per_attempted_step(self, monkeypatch):
-        calls = []
-        correct = holonomy.newton_correct_array
+    def test_a_run_is_whole_steps_in_one_corrector_call(self, monkeypatch):
+        # each step's three Gauss nodes and its end go into one run, in
+        # path order, and a run is one call of the array corrector
+        calls, runs = [], []
+        correct, advance = holonomy.newton_correct_array, holonomy._advance_run
 
         def counted(*args, **kwargs):
             calls.append(args[1])
             return correct(*args, **kwargs)
 
-        trunc = TruncationSpec(Parity.EVEN, 6)
-        frame0 = frame_at(trunc, 1.0)
-        monkeypatch.setattr(holonomy, "newton_correct_array", counted)
-        res = transport(line_path(1.0, 1.0 - 0.8j), trunc, frame0=frame0)
-        assert res.steps > 0
-        assert len(calls) == res.steps + res.rejected
-        # the three Gauss nodes of a step and its end go in as one run
-        assert all(np.shape(g) == (4, 1) for g in calls)
+        def recorded(frame, g_points, tol):
+            runs.append((frame.g, np.asarray(g_points)))
+            return advance(frame, g_points, tol)
 
-    def test_refused_run_is_one_rejected_step_with_half_the_step(self, monkeypatch):
+        loop = bench_loop(2)
+        frame0 = entry_frame(EVEN12, loop.waypoints[0])
+        monkeypatch.setattr(holonomy, "newton_correct_array", counted)
+        monkeypatch.setattr(holonomy, "_advance_run", recorded)
+        res = transport(loop, EVEN12, frame0=frame0)
+        assert res.steps > 0 and len(calls) == len(runs)
+        assert all(np.shape(g) == (len(p), 1) for g, (_, p) in zip(calls, runs))
+        for start, points in runs:
+            assert len(points) % 4 == 0
+            steps = points.reshape(-1, 4)
+            starts = np.append(start, steps[:-1, 3])
+            nodes = starts[:, None] + np.multiply.outer(steps[:, 3] - starts,
+                                                       holonomy._GAUSS_NODES)
+            assert np.allclose(steps[:, :3], nodes, rtol=1e-15, atol=0.0)
+        assert max(len(p) for _, p in runs) > 4  # some run holds several steps
+
+    def test_refusal_at_a_batch_start_is_one_rejected_step_with_half_the_step(
+            self, monkeypatch):
         runs = []
         advance = holonomy._advance_run
 
         def refuse_first(frame, g_points, tol):
-            runs.append((frame.g, g_points[-1]))
-            return (None, False) if len(runs) == 1 else advance(frame, g_points, tol)
+            runs.append((frame.g, g_points[3]))  # the first step's end
+            return refuse_run(frame, g_points, tol) if len(runs) == 1 \
+                else advance(frame, g_points, tol)
 
         trunc = TruncationSpec(Parity.EVEN, 6)
         monkeypatch.setattr(holonomy, "_advance_run", refuse_first)
@@ -300,10 +390,34 @@ class TestTransport:
         assert free.rejected == 0
         assert np.max(np.abs(res.matrix - free.matrix)) < 1e-8
 
+    def test_point_refused_mid_batch_ends_the_batch_without_a_rejection(
+            self, monkeypatch):
+        # an unsafe node of a batch's second step: the first step is
+        # kept, and the next run tries the second again from its own
+        # start with the same step
+        loop = bench_loop(2)
+        frame0 = entry_frame(EVEN12, loop.waypoints[0])
+        free = transport(loop, EVEN12, frame0=frame0)
+        runs = []
+        advance = holonomy._advance_run
+
+        def refuse_mid_batch(frame, g_points, tol):
+            runs.append(list(g_points))
+            k, sqrt_r = advance(frame, g_points, tol)
+            first_long = len(g_points) >= 8 and all(len(p) < 8 for p in runs[:-1])
+            return (k[:6], sqrt_r[:6]) if first_long else (k, sqrt_r)
+
+        monkeypatch.setattr(holonomy, "_advance_run", refuse_mid_batch)
+        res = transport(loop, EVEN12, frame0=frame0)
+        i = next(i for i, p in enumerate(runs) if len(p) >= 8)
+        assert runs[i + 1][3] == runs[i][7]
+        assert (res.steps, res.rejected) == (free.steps, 0)
+        assert np.max(np.abs(res.matrix - free.matrix)) < 1e-8
+
     def test_refusing_every_run_underflows_the_step(self, monkeypatch):
         trunc = TruncationSpec(Parity.EVEN, 4)
         frame0 = frame_at(trunc, 1.0)
-        monkeypatch.setattr(holonomy, "_advance_run", lambda frame, g_points, tol: (None, False))
+        monkeypatch.setattr(holonomy, "_advance_run", refuse_run)
         with pytest.raises(TransportError, match="step size underflow"):
             transport(line_path(1.0, 1.0 - 0.8j), trunc, frame0=frame0)
 
@@ -324,6 +438,46 @@ class TestTransport:
         assert hol.rejected == 0
         assert abs(np.linalg.det(hol.matrix) - 1.0) <= 1e-12
 
+    # The Magnus error estimate is the difference of two sums that agree
+    # to about 1e-10, so it carries relative rounding near 1e-6.  Where
+    # the estimate sets the step and a batch predicts a step's roots
+    # from an earlier start (the contour's corners), last-bit changes in
+    # those roots move the step factor and the later ends by about 1e-8.
+    # Where corners clip every step (the 48-gon) or no batch spans two
+    # steps (the line), the ends are the same doubles.
+    @pytest.mark.parametrize("path, trunc, ends_tol", [
+        (bench_loop(2), EVEN12, 0.0),
+        (line_path(1.0, 1.0 - 0.8j), TruncationSpec(Parity.EVEN, 6), 0.0),
+        (n_ep_contour(4.0, 3, Parity.EVEN), EVEN12, 1e-7),
+    ], ids=["bench-48-gon", "line", "three-point-contour"])
+    def test_batched_steps_equal_the_stepwise_transport(self, monkeypatch, path, trunc,
+                                                        ends_tol):
+        frame0 = entry_frame(trunc, path.waypoints[0])
+        res, ends = transport_with_step_ends(monkeypatch, path, trunc, frame0=frame0)
+        v, steps, rejected, stepwise_ends = stepwise_transport(path, trunc, frame0)
+        assert (res.steps, res.rejected) == (steps, rejected)
+        assert np.max(np.abs(np.subtract(ends, stepwise_ends))) <= ends_tol
+        assert np.max(np.abs(res.matrix - v)) <= 1e-12
+
+    def test_bench_loop_takes_few_runs(self, monkeypatch):
+        # one run per Magnus step took 50
+        loop = bench_loop(2)
+        frame0 = entry_frame(EVEN12, loop.waypoints[0])
+        runs = counted_runs(monkeypatch)
+        res = transport(loop, EVEN12, frame0=frame0)
+        assert (res.steps, res.rejected) == (50, 0)
+        assert len(runs) <= -(-50 // holonomy._MAGNUS_BATCH) + 2
+
+    def test_long_path_takes_no_more_runs_than_attempted_steps(self, monkeypatch):
+        # steps that no corner clips go one per run; one run per step
+        # took 261 here
+        path = n_ep_contour(4.0, 3, Parity.EVEN)
+        frame0 = entry_frame(EVEN12, path.waypoints[0])
+        runs = counted_runs(monkeypatch)
+        res = transport(path, EVEN12, frame0=frame0)
+        assert (res.steps, res.rejected) == (260, 1)
+        assert len(runs) <= 261
+
     @pytest.mark.parametrize("rtol", [0.0, -1e-10, np.inf, np.nan])
     def test_rtol_outside_the_open_interval_is_rejected(self, rtol):
         with pytest.raises(ValueError, match="0 < rtol < inf"):
@@ -339,6 +493,15 @@ class TestMatrixExponential:
         w, q = np.linalg.eig(x)
         ref = q @ np.diag(np.exp(w)) @ np.linalg.inv(q)
         assert np.max(np.abs(holonomy._expm(x) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_stack_equals_each_matrix(self):
+        # each matrix of a stack takes its own scaling, so the stack's
+        # exponentials are the single matrices' bit for bit
+        rng = np.random.default_rng(20261019)
+        x = rng.normal(size=(6, 8, 8)) + 1j * rng.normal(size=(6, 8, 8))
+        x *= np.array([0.0, 1e-3, 0.2, 1.0, 7.0, 40.0])[:, None, None] \
+            / np.linalg.norm(x, 1, axis=(1, 2))[:, None, None]
+        assert np.array_equal(holonomy._expm(x), [holonomy._expm(m) for m in x])
 
 
 class TestEpLoops:
@@ -398,6 +561,15 @@ class TestEpLoops:
         monkeypatch.setattr(holonomy, "transport", refused)
         with pytest.raises(ValueError, match="level 30 is not in this truncation"):
             ep_loop_holonomy(30, EVEN12)
+
+    def test_two_arc_points_are_refused_before_transport(self, monkeypatch):
+        # two points make a diameter through the exceptional point itself
+        def refused(*args, **kwargs):
+            raise AssertionError("transport ran on a path that is not a loop")
+
+        monkeypatch.setattr(holonomy, "transport", refused)
+        with pytest.raises(ValueError, match="n_points >= 3"):
+            ep_loop_holonomy(2, TruncationSpec(Parity.EVEN, 6), arc_points=2)
 
     def test_odd_family_loop(self):
         odd12 = TruncationSpec(Parity.ODD, 12)
