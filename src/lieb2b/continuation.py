@@ -343,8 +343,8 @@ class GridSpec:
             raise ValueError("grid must straddle the real axis")
         check_coupling([complex(self.re_min, self.im_min),
                         complex(self.re_max, self.im_max)])
-        if self.n_re < 2 or self.n_im < 2:
-            raise ValueError("need at least 2 points per direction")
+        if not all(isinstance(n, numbers.Integral) and n >= 2 for n in (self.n_re, self.n_im)):
+            raise ValueError("need an integer of at least 2 points per direction")
 
     @property
     def re_axis(self) -> np.ndarray:

@@ -31,6 +31,7 @@ chain monodromy.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,8 +156,8 @@ def n_ep_contour(g0: float, n_ep: int, parity: Parity) -> ComplexPath:
     g0 = float(g0)
     if not np.isfinite(g0):
         raise PathConstructionError(f"base point g0 = {g0} is not a finite coupling")
-    if n_ep < 1:
-        raise ValueError("the contour must enclose at least one exceptional point")
+    if not (isinstance(n_ep, numbers.Integral) and n_ep >= 1):
+        raise ValueError(f"the contour must enclose at least one exceptional point ({n_ep!r})")
 
     *enclosed, sentinel = [ep.g_ep for ep in enumerate_eps(
         parity, parity.bound_level + 2 * (n_ep + 1), verify_unique=False)]
@@ -201,6 +202,8 @@ def ep_chain_path(ns, g0: float = 1.0, radius: float = 0.05) -> ComplexPath:
     wrong side of a shallower point would conjugate its factor by that
     point's monodromy instead.
     """
+    if not len(ns):
+        raise ValueError("a chain needs at least one level")
     g0 = float(g0)
     if g0 <= 0.0:
         raise PathConstructionError("the chain must be based at positive real coupling")
@@ -306,8 +309,6 @@ def contour_permutation(path: ComplexPath, trunc: TruncationSpec) -> CycleResult
     applied to the resulting matrix.
     """
     g_start = complex(path.waypoints[0])
-    if abs(complex(path.waypoints[-1]) - g_start) > 1e-12:
-        raise ValueError("permutation readout needs a closed path")
-    hol = frame_monodromy(path, trunc)
+    hol = frame_monodromy(path, trunc)  # refuses an open path
     g0 = float(g_start.real) if abs(g_start.imag) < 1e-12 else None
     return permutation_from_holonomy(hol, g0=g0)

@@ -146,11 +146,13 @@ def overlap_connection_oracle(n_levels: int, g: float, dg: float = 1e-5, *,
     """Finite-difference gauge connection over one parity family at real g.
 
     Entry (i, j) is i * <psi_L_i | d psi_j / d g> on the levels n_b,
-    n_b + 2, ..., by a central difference with one Richardson step; its
-    points g +- dg must lie in the coupling domain.
+    n_b + 2, ..., by a central difference of finite step dg > 0 with one
+    Richardson step; its points g +- dg must lie in the coupling domain.
     """
     if n_levels < 2:
         raise ValueError("the oracle needs at least two levels")
+    if not 0.0 < dg < np.inf:
+        raise ValueError(f"the oracle needs a finite step dg > 0, got {dg!r}")
     levels = tuple(parity.bound_level + 2 * i for i in range(n_levels))
     coarse = _difference_quotient(parity, levels, g, dg, nodes)
     fine = _difference_quotient(parity, levels, g, 0.5 * dg, nodes)

@@ -49,6 +49,7 @@ the solution set of r = 0.
 from __future__ import annotations
 
 import cmath
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -186,6 +187,8 @@ def _ladder(parity: Parity, n_max: int):
     rung, or `_accept_root` refuses its root, every rung from there up
     is yielded with that ExceptionalPointError in place of its root.
     """
+    if not isinstance(n_max, numbers.Integral):
+        raise ValueError(f"the rungs run up to an integer label, got {n_max!r}")
     below = []
     for m in range(parity.bound_level + 2, n_max + 1, 2):
         start = -1j * (m - 1) if len(below) < 2 else 2.0 * below[-1] - below[-2]

@@ -47,15 +47,14 @@ error test and all its points are safe: no slot leaves its Newton
 basin or its sqrt(r) branch.  A step that fails at the hop's start is
 rejected, halved after an unsafe point or shortened by the error rule;
 one that fails later ends the hop, and the next hop tries it again
-from its own start.  The frame walks of
-:func:`advance_frame` and :func:`frame_monodromy` are `walk_path` hops
-along the arclength, each one run through the corners it passes and
-three points inside it.  The returned matrix is V at
-the path end, nothing folded in: columns expand the transported slots
-over the starting slots, and transports over concatenated paths compose
-by left multiplication.  For a small clockwise loop around the branch
-point joining level n to its bound-capable partner n_b this converges,
-as the radius shrinks, to the elementary monodromy
+from its own start.  The frame walks of :func:`advance_frame` and
+:func:`frame_monodromy` are these hops without the Magnus algebra.
+The returned matrix is V at the path end, nothing folded in: columns
+expand the transported slots over the starting slots, and transports
+over concatenated paths compose by left multiplication.  For a small
+clockwise loop around the branch point joining level n to its
+bound-capable partner n_b this converges, as the radius shrinks, to
+the elementary monodromy
 
     M[n_b, n] = d_n,   M[n, n_b] = -d_n,
 
@@ -72,6 +71,7 @@ one another.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -115,8 +115,8 @@ class TruncationSpec:
     n_levels: int
 
     def __post_init__(self):
-        if self.n_levels < 2:
-            raise ValueError("a truncation needs at least two levels")
+        if not (isinstance(self.n_levels, numbers.Integral) and self.n_levels >= 2):
+            raise ValueError(f"n_levels must be an integer >= 2, got {self.n_levels!r}")
 
     @property
     def base(self) -> int:
@@ -127,11 +127,12 @@ class TruncationSpec:
         return tuple(self.base + 2 * i for i in range(self.n_levels))
 
     def slot(self, n: int) -> int:
-        """Index of level n inside the truncation."""
-        i, rem = divmod(n - self.base, 2)
-        if rem or not 0 <= i < self.n_levels:
-            raise ValueError(f"level {n} is not in this truncation")
-        return i
+        """Index of level n inside the truncation; n must be an integer."""
+        if isinstance(n, numbers.Integral):
+            i, rem = divmod(n - self.base, 2)
+            if not rem and 0 <= i < self.n_levels:
+                return i
+        raise ValueError(f"level {n!r} is not in this truncation")
 
 
 @dataclass(frozen=True)
@@ -312,43 +313,50 @@ def _leading(mask) -> int:
     return mask.size if mask.all() else int(mask.argmin())
 
 
-#: where a frame walker's run puts its evenly spaced interior points
-_RUN_FRACTIONS = np.array([0.25, 0.5, 0.75])
+#: a step's Gauss-Legendre nodes, as fractions of the step
+_GAUSS_NODES = (0.5 - np.sqrt(15.0) / 10.0, 0.5, 0.5 + np.sqrt(15.0) / 10.0)
+
+
+def _run_steps(frame: TransportFrame, ends, tol: float):
+    """The steps from ``frame.g`` through ``ends`` in one `_advance_run` of
+    each step's three Gauss nodes and its end: (dg, k, sqrt_r) of the leading
+    steps whose four points are all safe, k and sqrt_r of shape (n, 4, m)."""
+    g = np.array(ends, dtype=complex)
+    starts = np.append(frame.g, g[:-1])
+    dg = g - starts
+    nodes = starts[:, None] + np.multiply.outer(dg, _GAUSS_NODES)
+    k, sqrt_r = _advance_run(frame, np.column_stack([nodes, g]).ravel(), tol)
+    n, m = len(k) // 4, len(frame.levels)
+    return dg[:n], k[:4 * n].reshape(n, 4, m), sqrt_r[:4 * n].reshape(n, 4, m)
 
 
 def _walk_frame(frame: TransportFrame, waypoints) -> TransportFrame:
     """Continue a frame along the polyline from ``frame.g`` through
     ``waypoints``, whose first point is the frame's own.
 
-    `walk_path` walks the arclength [0, L] with state (frame, s): the
-    hop to s' is one `_advance_run` over every corner strictly between
-    s and s', three evenly spaced points inside the hop and the point
-    at s', which is the last waypoint itself at s' = L.  It tries the
-    whole length first, grows the step by STEP_GROWTH, halves it on
-    refusal and gives up below 2**-48 of L; each accepted run keeps
-    every slot, corrected to RESIDUAL_TARGET, in its own Newton basin
-    and on its own sqrt(r) branch from point to point.
+    A hop is transport's without the Magnus algebra: it keeps every
+    step of `_run_steps` and grows the step by STEP_GROWTH, or halves a
+    first step that fails.  The first step spans the whole path and a
+    hop takes at most as many steps as the path has segments, so the
+    first hop holds every segment; the walk gives up below 2**-48 of the
+    path length.  Each kept step leaves every slot, corrected to
+    RESIDUAL_TARGET, in its own Newton basin and on its own sqrt(r)
+    branch from point to point.
     """
-    w = np.asarray(waypoints, dtype=complex)
-    corners = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(w)))])
-    length = corners[-1]
+    length = sum(abs(b - a) for a, b in zip(waypoints, waypoints[1:]))
 
-    def hop(state, ends):
-        (f, s), s_end = state, ends[0]
-        sub = np.sort(np.concatenate([corners[(corners > s) & (corners < s_end)],
-                                      s + (s_end - s) * _RUN_FRACTIONS]))
-        sub = np.append(sub, s_end)  # at L, np.interp gives the last waypoint exactly
-        g = np.interp(sub, corners, w.real) + 1j * np.interp(sub, corners, w.imag)
-        k, sqrt_r = _advance_run(f, g, RESIDUAL_TARGET)
-        if len(k) < len(g):
+    def hop(f, ends):
+        _, k, sqrt_r = _run_steps(f, ends, RESIDUAL_TARGET)
+        if not len(k):
             return [(None, False, 0.5)]
-        return [((TransportFrame(f.levels, complex(g[-1]), k[-1], sqrt_r[-1]), s_end),
-                 True, STEP_GROWTH)]
+        return [(TransportFrame(f.levels, g, k_end, s_end), True, STEP_GROWTH)
+                for g, k_end, s_end in zip(ends, k[:, 3], sqrt_r[:, 3])]
 
-    (end, _), reached, _ = walk_path((0.0, length), (frame, 0.0), hop, h=length,
-                                     max_step=length, min_step=length * 2.0 ** -48)
+    end, reached, _ = walk_path(waypoints, frame, hop, h=length, max_step=np.inf,
+                                min_step=length * 2.0 ** -48,
+                                lookahead=len(waypoints) - 1, growth=STEP_GROWTH)
     if not reached:
-        raise TransportError(f"frame walk stalled between {end.g} and {w[-1]}")
+        raise TransportError(f"frame walk stalled between {end.g} and {waypoints[-1]}")
     return end
 
 
@@ -365,8 +373,6 @@ def advance_frame(frame: TransportFrame, g_target: complex) -> TransportFrame:
     return _walk_frame(frame, (frame.g, target))
 
 
-#: a Magnus step's Gauss-Legendre nodes
-_GAUSS_NODES = (0.5 - np.sqrt(15.0) / 10.0, 0.5, 0.5 + np.sqrt(15.0) / 10.0)
 TAIL_ROW_BOUND = 0.25
 #: Magnus-step absolute tolerance, step budget and smallest step
 MAGNUS_ATOL, MAGNUS_MAX_STEPS, MAGNUS_MIN_STEP = 1e-13, 200000, 1e-12
@@ -399,6 +405,18 @@ def _tail_row_norms(d, k):
         d[..., -1:] * d[..., :-1] / (k[..., -1:] ** 2 - k[..., :-1] ** 2), axis=-1)
 
 
+def _start_frame(path, trunc, frame0):
+    """``frame0``, built for ``trunc`` at the path start, or the `entry_frame` there."""
+    g0 = complex(path.waypoints[0])
+    if frame0 is None:
+        return entry_frame(trunc, g0)
+    if frame0.levels != trunc.levels:
+        raise ValueError("frame0 was built for a different truncation")
+    if abs(g0 - frame0.g) > 1e-12:
+        raise ValueError("frame0 sits at a different point than the path start")
+    return frame0
+
+
 def transport(path: ComplexPath, trunc: TruncationSpec, *,
               frame0: TransportFrame | None = None,
               rtol: float = TRANSPORT_RTOL) -> HolonomyMatrix:
@@ -413,13 +431,7 @@ def transport(path: ComplexPath, trunc: TruncationSpec, *,
     if not 0.0 < rtol < np.inf:
         raise ValueError(f"transport needs 0 < rtol < inf, got {rtol}")
     levels = trunc.levels
-    if frame0 is None:
-        frame0 = entry_frame(trunc, complex(path.waypoints[0]))
-    elif frame0.levels != levels:
-        raise ValueError("frame0 was built for a different truncation")
-    if abs(complex(path.waypoints[0]) - frame0.g) > 1e-12:
-        raise ValueError("frame0 sits at a different point than the path start")
-
+    frame0 = _start_frame(path, trunc, frame0)
     signs, m, tol = d_sign(np.array(levels)), len(levels), min(RESIDUAL_TARGET, rtol)
     rejected = 0
 
@@ -428,18 +440,13 @@ def transport(path: ComplexPath, trunc: TruncationSpec, *,
         steps taken, largest tail-row norm at a step start)."""
         nonlocal rejected
         frame, v, steps, tail = state
-        g = np.array(ends)
-        starts = np.append(frame.g, g[:-1])
-        dg = g - starts
-        nodes = starts[:, None] + np.multiply.outer(dg, _GAUSS_NODES)
-        k, sqrt_r = _advance_run(frame, np.column_stack([nodes, g]).ravel(), tol)
-        n = len(k) // 4  # the steps whose nodes and end are all safe
+        dg, k, sqrt_r = _run_steps(frame, ends, tol)
+        n = len(dg)
         if n == 0:
             rejected += 1
             return [(None, False, 0.5)]
-        k, sqrt_r = k[:4 * n].reshape(n, 4, m), sqrt_r[:4 * n].reshape(n, 4, m)
         d = signs * k / sqrt_r
-        b = (-1j * dg[:n])[:, None, None, None] * connection_matrix(levels, d[:, :3], k[:, :3])
+        b = (-1j * dg)[:, None, None, None] * connection_matrix(levels, d[:, :3], k[:, :3])
         b1, b2, b3 = b[:, 0], b[:, 1], b[:, 2]
         a1, a2 = b2, np.sqrt(15.0) / 3.0 * (b3 - b1)
         a3 = 10.0 / 3.0 * (b3 - 2.0 * b2 + b1)
@@ -465,7 +472,7 @@ def transport(path: ComplexPath, trunc: TruncationSpec, *,
             tail = max(tail, float(tails[i]))
             growth = min(_MAGNUS_GROWTH, max(0.2, 0.9 * err ** -0.2)) if err > 0 \
                 else _MAGNUS_GROWTH
-            end = TransportFrame(levels, complex(g[i]), k[i, 3], sqrt_r[i, 3])
+            end = TransportFrame(levels, ends[i], k[i, 3], sqrt_r[i, 3])
             tried.append(((end, v, steps + i + 1, tail), True, growth))
         return tried
 
@@ -537,12 +544,7 @@ def frame_monodromy(path: ComplexPath, trunc: TruncationSpec, *,
     g0 = complex(path.waypoints[0])
     if abs(complex(path.waypoints[-1]) - g0) > 1e-12:
         raise ValueError("frame monodromy needs a closed loop")
-    if frame0 is None:
-        frame0 = entry_frame(trunc, g0)
-    elif frame0.levels != trunc.levels:
-        raise ValueError("frame0 was built for a different truncation")
-    if abs(g0 - frame0.g) > 1e-12:
-        raise ValueError("frame0 sits at a different point than the path start")
+    frame0 = _start_frame(path, trunc, frame0)
     perm, factors = match_frames(_walk_frame(frame0, path.waypoints), frame0)
     w = np.zeros((trunc.n_levels, trunc.n_levels), dtype=complex)
     w[perm, np.arange(trunc.n_levels)] = factors

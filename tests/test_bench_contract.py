@@ -1,0 +1,33 @@
+"""The gated benchmark workloads pass their own checks on the library.
+
+A benchmark run counts a request whose ``check`` returns a reason as
+``outputs_incorrect``.  This serves the first request of seed 1 of each
+gated workload in-process, through the functions of bench/workloads.py
+that the benchmark worker calls, so a library change that would fail
+such a check fails here first.
+"""
+
+import importlib.util
+import pathlib
+import sys
+
+import pytest
+
+WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    module.load_golden()
+    return module
+
+
+@pytest.mark.parametrize("name", ["ladder", "sheets", "loops"])
+def test_first_request_passes_its_check(workloads, name):
+    workload = workloads.WORKLOADS[name]
+    request = workload.request_set(1)[0]
+    assert workload.check(request, workload.serve(request)) is None

@@ -521,6 +521,13 @@ class TestSheets:
         with pytest.raises(ValueError):
             GridSpec(im_min=0.5, im_max=2.0)
 
+    @pytest.mark.parametrize("size", [dict(n_re=2.5), dict(n_im=3.0), dict(n_re=1)])
+    def test_grid_needs_integer_sizes_of_at_least_two(self, size):
+        # n_re = 2.5 was a TypeError from np.linspace
+        with pytest.raises(ValueError, match="integer of at least 2 points"):
+            GridSpec(**size)
+        assert GridSpec(n_re=np.int64(3), n_im=np.int64(2)).re_axis.size == 3
+
     def test_excited_sheet_has_single_cut(self):
         grid = GridSpec(re_min=-3.0, re_max=1.0, im_min=-4.0, im_max=0.5,
                         n_re=9, n_im=9)

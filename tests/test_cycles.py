@@ -84,8 +84,9 @@ class TestContours:
 
     def test_contour_must_enclose_a_point(self):
         # a contour around no point would report the identity by
-        # construction; the empty loop is `lieb2b holonomy --contour empty`
-        for n_ep in (0, -1):
+        # construction; the empty loop is `lieb2b holonomy --contour empty`.
+        # A count that is not an integer (1.5 was a TypeError) is refused too
+        for n_ep in (0, -1, 1.5, 1.0):
             with pytest.raises(ValueError, match="at least one exceptional point"):
                 n_ep_contour(4.0, n_ep, Parity.EVEN)
 
@@ -142,6 +143,11 @@ class TestChainedLoops:
     def test_drop_must_clear_shallower_points(self):
         with pytest.raises(PathConstructionError):
             ep_chain_path((2, 4), 4.0, radius=0.3)
+
+    def test_chain_needs_a_level(self):
+        # was min() of an empty sequence
+        with pytest.raises(ValueError, match="a chain needs at least one level"):
+            ep_chain_path([])
 
 
 class TestThresholding:

@@ -127,6 +127,17 @@ class TestOracle:
             near = overlap_connection_oracle(4, -220.0, parity=parity)
         assert np.isfinite(near).all()
 
+    @pytest.mark.parametrize("dg", [0.0, -1e-5, np.nan, np.inf])
+    def test_step_must_be_finite_and_positive(self, dg, monkeypatch):
+        # dg = 0 was an all-NaN matrix and a RuntimeWarning; refused
+        # before any root is solved
+        def unsolved(*args, **kwargs):
+            raise AssertionError("a root was solved for a refused step")
+
+        monkeypatch.setattr("lieb2b.eigensystem.real_axis_k", unsolved)
+        with pytest.raises(ValueError, match="finite step dg > 0"):
+            overlap_connection_oracle(4, 0.5, dg=dg)
+
     def test_richardson_step_tightens_quotient(self):
         # halving dg must not move the extrapolated result at tolerance
         a = overlap_connection_oracle(4, 0.7, 1e-5, parity=Parity.ODD)

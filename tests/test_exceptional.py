@@ -41,6 +41,15 @@ class TestSearch:
         with pytest.raises(ValueError):
             find_ep(1)
 
+    @pytest.mark.parametrize("n", [4.0, 4.5])
+    def test_rejects_a_label_that_is_not_an_integer(self, n):
+        # 4.0 was a TypeError from the rung walk
+        with pytest.raises(ValueError, match="integer label"):
+            find_ep(n)
+
+    def test_takes_numpy_integer_labels(self):
+        assert find_ep(np.int64(2), verify_unique=False).n == 2
+
     def test_real_axis_guard_rejects_degeneracy(self):
         # Newton on F started beside the odd family's real degeneracy
         # converges to it, and the guard refuses it as an EP
@@ -132,6 +141,13 @@ class TestCatalog:
     def test_minimal_catalog(self):
         eps = enumerate_eps(Parity.EVEN, 2, verify_unique=False)
         assert len(eps) == 1 and eps[0].n == 2
+
+    def test_top_label_must_be_an_integer(self):
+        # 4.5 was a TypeError from range
+        with pytest.raises(ValueError, match="integer label"):
+            enumerate_eps(Parity.EVEN, 4.5)
+        eps = enumerate_eps(Parity.EVEN, np.int64(4), verify_unique=False)
+        assert [ep.n for ep in eps] == [2, 4]
 
     def test_one_walk_serves_every_label(self, monkeypatch):
         newton = exceptional._newton_on_f

@@ -32,13 +32,14 @@ def bench_loop(n):
 
 
 def counted_runs(monkeypatch):
-    """Record every `_advance_run` call as (its points, accepted)."""
+    """Record every `_advance_run` call as (its points, how many of
+    them lead the run safe)."""
     runs = []
     advance = holonomy._advance_run
 
     def recorded(frame, g_points, tol):
         out = advance(frame, g_points, tol)
-        runs.append((list(g_points), len(out[0]) == len(g_points)))
+        runs.append((list(g_points), len(out[0])))
         return out
 
     monkeypatch.setattr(holonomy, "_advance_run", recorded)
@@ -645,10 +646,36 @@ class TestFrameMonodromy:
         ComplexPath([1.0, -0.15 + 0.7j, 0.43 - 0.89j, 1.3 - 0.4j, 1.0]), bench_loop(2),
     ], ids=["quadrilateral", "bench-48-gon"])
     def test_runs_reach_every_waypoint(self, monkeypatch, path):
+        # a run reaches the points of its safe prefix; a walk keeps them
         runs = counted_runs(monkeypatch)
         frame_monodromy(path, EVEN12)
-        reached = {g for points, ok in runs if ok for g in points}
+        reached = {g for points, safe in runs for g in points[:safe]}
         assert all(w in reached for w in path.waypoints[1:])
+
+    def test_a_run_cut_after_its_second_step_keeps_both_steps(self, monkeypatch):
+        # the first run with three or more safe steps loses every point
+        # after its second step's end: the walk keeps two steps, the next
+        # run starts at the second end, and the walk ends where a free
+        # one does
+        path = ComplexPath([1.0, -0.15 + 0.7j, 0.43 - 0.89j, 1.3 - 0.4j, 1.0])
+        frame0 = entry_frame(EVEN12, path.waypoints[0])
+        free = holonomy._walk_frame(frame0, path.waypoints)
+        runs = []
+        advance = holonomy._advance_run
+
+        def cut_after_two_steps(frame, g_points, tol):
+            k, sqrt_r = advance(frame, g_points, tol)
+            first_long = len(k) > 8 and all(safe <= 8 for _, _, safe in runs)
+            runs.append((frame.g, list(g_points), len(k)))
+            return (k[:8], sqrt_r[:8]) if first_long else (k, sqrt_r)
+
+        monkeypatch.setattr(holonomy, "_advance_run", cut_after_two_steps)
+        cut = holonomy._walk_frame(frame0, path.waypoints)
+        i = next(i for i, (_, _, safe) in enumerate(runs) if safe > 8)
+        assert runs[i + 1][0] == runs[i][1][7]
+        assert cut.g == free.g
+        assert np.max(np.abs(cut.k - free.k)) <= 1e-12
+        assert np.all(np.abs(cut.sqrt_r - free.sqrt_r) < np.abs(cut.sqrt_r + free.sqrt_r))
 
     @pytest.mark.parametrize("path", [
         bench_loop(2), n_ep_contour(4.0, 3, Parity.EVEN), ep_chain_path((2, 4), 4.0),
@@ -712,3 +739,24 @@ class TestChainClosedForm:
         for m in (1, 2, 3, 4, 5):
             w = m_chain_analytic(m, EVEN12)
             assert w.entry(0, 2 * m) == (-1.0) ** m
+
+
+class TestTruncationSpec:
+    @pytest.mark.parametrize("n_levels", [3.5, 4.0, 1])
+    def test_size_must_be_an_integer_of_at_least_two(self, n_levels):
+        # 3.5 was a TypeError at .levels
+        with pytest.raises(ValueError, match="n_levels must be an integer >= 2"):
+            TruncationSpec(Parity.EVEN, n_levels)
+
+    def test_numpy_integers_pass(self):
+        trunc = TruncationSpec(Parity.EVEN, np.int64(4))
+        assert trunc.levels == (0, 2, 4, 6)
+        assert trunc.slot(np.int64(4)) == 2
+
+    @pytest.mark.parametrize("n", [2.0, 2.5, "2"])
+    def test_slot_of_a_non_integer_label_is_refused(self, n):
+        # 2.0 was slot 1.0, and then an IndexError in m_n_analytic
+        with pytest.raises(ValueError, match="is not in this truncation"):
+            EVEN12.slot(n)
+        with pytest.raises(ValueError, match="is not in this truncation"):
+            m_n_analytic(n, EVEN12)

@@ -1,11 +1,15 @@
-"""Sheet rows and one-point walks keep a root by one rule.
+"""Sheet rows and one-point walks keep a root by one rule, and frames
+move by one step layout.
 
 `continuation._march_half` walks each sheet row with `walk_path` and
 the array corrector; it calls neither the scalar corrector nor the
 scalar hop, so no column of a sheet is moved by a second path.  The
 row hop and `_scalar_hop` both accept through `_accepted`, and the
 dJ/dk quotient that the scalar hop used to test is gone from the
-package.  The check reads the sources, which are not imported.
+package.  In `holonomy`, `_run_steps` is the only caller of the frame
+corrector `_advance_run`, and both frame movers, `transport` and
+`_walk_frame`, go through it.  The check reads the sources, which are
+not imported.
 """
 
 import ast
@@ -13,14 +17,17 @@ import ast
 from test_private_imports import PACKAGE
 
 
-def called_names(function: str) -> set:
-    """Names called inside `continuation.<function>`, nested functions
-    included."""
-    tree = ast.parse((PACKAGE / "continuation.py").read_text())
-    node = next(n for n in ast.walk(tree)
-                if isinstance(n, ast.FunctionDef) and n.name == function)
+def names_called(node) -> set:
+    """Names called inside an AST node, nested functions included."""
     return {n.func.id for n in ast.walk(node)
             if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+
+
+def called_names(function: str, module: str = "continuation") -> set:
+    """Names called inside `<module>.<function>`."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    return names_called(next(n for n in ast.walk(tree)
+                             if isinstance(n, ast.FunctionDef) and n.name == function))
 
 
 def test_rows_take_the_array_corrector_only():
@@ -36,3 +43,17 @@ def test_row_and_scalar_hops_share_the_acceptance_test():
 
 def test_no_dj_dk_quotient_in_the_package():
     assert [p.name for p in sorted(PACKAGE.glob("*.py")) if "dj_dk" in p.read_text()] == []
+
+
+def test_only_the_step_layout_calls_the_frame_corrector():
+    # every function, method or nested hop of the package that calls it
+    callers = {f"{path.stem}.{node.name}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef) and "_advance_run" in names_called(node)}
+    assert callers == {"holonomy._run_steps"}
+
+
+def test_transport_and_frame_walks_share_the_step_layout():
+    for function in ("transport", "_walk_frame"):
+        assert "_run_steps" in called_names(function, "holonomy")
