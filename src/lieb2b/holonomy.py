@@ -48,7 +48,10 @@ basin or its sqrt(r) branch.  A step that fails at the hop's start is
 rejected, halved after an unsafe point or shortened by the error rule;
 one that fails later ends the hop, and the next hop tries it again
 from its own start.  The frame walks of :func:`advance_frame` and
-:func:`frame_monodromy` are these hops without the Magnus algebra.
+:func:`frame_monodromy` are these hops without the Magnus algebra, and
+none of their steps reaches farther than a local estimate of the
+distance to the nearest branch point, which the frame reads off r and
+its slope: k_n(g) is analytic in the disc that reaches that point.
 The returned matrix is V at the path end, nothing folded in: columns
 expand the transported slots over the starting slots, and transports
 over concatenated paths compose by left multiplication.  For a small
@@ -165,8 +168,13 @@ def d_sign(n):
 
 
 def d_function(n: int, g, k) -> complex:
-    """Standard-sheet D_n at the point (g, k) of level n's surface."""
-    return d_sign(n) * k / rotated_sqrt(branch_point_function(g, k))
+    """Standard-sheet D_n at the point (g, k) of level n's surface.  At a
+    branch point, where r = 0 leaves D = k / sqrt(r) undefined, it raises
+    ValueError."""
+    r = branch_point_function(g, k)
+    if r == 0:
+        raise ValueError(f"(g, k) = ({g}, {k}) sits at a branch point of level {n}, r = 0")
+    return d_sign(n) * k / rotated_sqrt(r)
 
 
 def d_function_trig(n: int, g, k) -> complex:
@@ -330,29 +338,54 @@ def _run_steps(frame: TransportFrame, ends, tol: float):
     return dg[:n], k[:4 * n].reshape(n, 4, m), sqrt_r[:4 * n].reshape(n, 4, m)
 
 
+def _branch_distance(frame: TransportFrame) -> float:
+    """Local estimate of the distance from ``frame.g`` to the nearest
+    branch point of its slots.  Near a square-root branch point r behaves
+    like (g - g_ep)**(1/2), so |r / (2 dr/dg)| tends to |g - g_ep|; with
+    dr/dg = 2 k k' + 2 g + 2/pi and k' = 2 k / (pi r), `tangent_slope`'s,
+    that is |r|**2 / |8 k**2 / pi + 4 (g + 1/pi) r|.  Returns the least
+    such ratio over the slots whose ratio is finite, or inf where that is
+    not positive: a slot at r = 0 has ratio 0."""
+    r = branch_point_function(frame.g, frame.k)
+    if not r.all():
+        return np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.abs(r) ** 2 / np.abs(8.0 / np.pi * frame.k ** 2
+                                        + 4.0 * (frame.g + 1.0 / np.pi) * r)
+    d = float(np.fmin.reduce(ratio, initial=np.inf))  # fmin skips NaN
+    return d if d > 0.0 else np.inf
+
+
 def _walk_frame(frame: TransportFrame, waypoints) -> TransportFrame:
     """Continue a frame along the polyline from ``frame.g`` through
     ``waypoints``, whose first point is the frame's own.
 
     A hop is transport's without the Magnus algebra: it keeps every
-    step of `_run_steps` and grows the step by STEP_GROWTH, or halves a
-    first step that fails.  The first step spans the whole path and a
-    hop takes at most as many steps as the path has segments, so the
-    first hop holds every segment; the walk gives up below 2**-48 of the
-    path length.  Each kept step leaves every slot, corrected to
-    RESIDUAL_TARGET, in its own Newton basin and on its own sqrt(r)
-    branch from point to point.
+    step of `_run_steps`, or halves a first step that fails.  No step
+    reaches farther than `_branch_distance` of its start: the first step
+    spans min(path length, that distance), and after a kept step the
+    next grows by min(STEP_GROWTH, the distance at its end / the step).
+    A hop takes at most as many steps as the path has segments; the walk
+    gives up below 2**-48 of the path length.  Each kept step leaves
+    every slot, corrected to RESIDUAL_TARGET, in its own Newton basin
+    and on its own sqrt(r) branch from point to point.
     """
     length = sum(abs(b - a) for a, b in zip(waypoints, waypoints[1:]))
 
     def hop(f, ends):
-        _, k, sqrt_r = _run_steps(f, ends, RESIDUAL_TARGET)
+        dg, k, sqrt_r = _run_steps(f, ends, RESIDUAL_TARGET)
         if not len(k):
             return [(None, False, 0.5)]
-        return [(TransportFrame(f.levels, g, k_end, s_end), True, STEP_GROWTH)
-                for g, k_end, s_end in zip(ends, k[:, 3], sqrt_r[:, 3])]
+        tried = []
+        for g, step, k_end, s_end in zip(ends, np.abs(dg), k[:, 3], sqrt_r[:, 3]):
+            end = TransportFrame(f.levels, g, k_end, s_end)
+            d = _branch_distance(end)
+            # min(STEP_GROWTH, d / step), and a step that rounds to no move grows
+            tried.append((end, True, STEP_GROWTH if d >= STEP_GROWTH * step else d / step))
+        return tried
 
-    end, reached, _ = walk_path(waypoints, frame, hop, h=length, max_step=np.inf,
+    end, reached, _ = walk_path(waypoints, frame, hop,
+                                h=min(length, _branch_distance(frame)), max_step=np.inf,
                                 min_step=length * 2.0 ** -48,
                                 lookahead=len(waypoints) - 1, growth=STEP_GROWTH)
     if not reached:
@@ -496,7 +529,10 @@ def match_frames(frame: TransportFrame, reference: TransportFrame):
     Returns (perm, factors): slot i of ``frame`` holds the level sitting
     in slot perm[i] of ``reference``, and its continued normalization
     differs from the standard-sheet one by factors[i] (always +-1).
+    Both frames must carry the same levels.
     """
+    if frame.levels != reference.levels:
+        raise ValueError("frames were built for different truncations")
     if abs(frame.g - reference.g) > 1e-10:
         raise ValueError("frames sit at different couplings")
     m = len(frame.levels)
@@ -576,8 +612,9 @@ def m_chain_analytic(m: int, trunc: TruncationSpec) -> HolonomyMatrix:
     +1 and the top of the chain returns to the base slot with the
     accumulated sign (-1)**m.
     """
-    if not 1 <= m <= trunc.n_levels - 1:
-        raise ValueError("chain length must fit inside the truncation")
+    if not (isinstance(m, numbers.Integral) and 1 <= m <= trunc.n_levels - 1):
+        raise ValueError(f"chain length must be an integer that fits inside the "
+                         f"truncation, got {m!r}")
     out = np.eye(trunc.n_levels, dtype=complex)
     out[:m + 1, :m + 1] = np.eye(m + 1, k=-1)
     out[0, m] = (-1.0) ** m

@@ -2,9 +2,10 @@
 
 A benchmark run counts a request whose ``check`` returns a reason as
 ``outputs_incorrect``.  This serves the first request of seed 1 of each
-gated workload in-process, through the functions of bench/workloads.py
-that the benchmark worker calls, so a library change that would fail
-such a check fails here first.
+gated workload in-process, and every seed-1 request of ``loops``, one
+label each, through the functions of bench/workloads.py that the
+benchmark worker calls, so a library change that would fail such a
+check fails here first.
 """
 
 import importlib.util
@@ -31,3 +32,10 @@ def test_first_request_passes_its_check(workloads, name):
     workload = workloads.WORKLOADS[name]
     request = workload.request_set(1)[0]
     assert workload.check(request, workload.serve(request)) is None
+
+
+def test_every_seed_one_loops_request_passes_its_check(workloads):
+    # a frame-walk change can break one label's loop and leave another's
+    workload = workloads.WORKLOADS["loops"]
+    for request in workload.request_set(1):
+        assert workload.check(request, workload.serve(request)) is None, request

@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lieb2b import holonomy
-from lieb2b.bethe import (RESIDUAL_TARGET, Parity, branch_point_function, real_axis_k,
-                          rotated_sqrt, solve_k_real)
+from lieb2b.bethe import (RESIDUAL_TARGET, Parity, branch_point_function, newton_step,
+                          real_axis_k, rotated_sqrt, solve_k_real)
 from lieb2b.continuation import (STEP_GROWTH, ComplexPath, circle_path, continue_to,
                                  line_path, sheet_value, walk_path)
 from lieb2b.cycles import ep_chain_path, n_ep_contour
@@ -180,6 +180,13 @@ class TestConnectionForms:
                     b = d_function_trig(n, g, k)
                     assert abs(a - b) < 1e-10
 
+    def test_d_function_at_a_branch_point_is_refused(self):
+        # r = 0 at g = 0, k = 0: D was 0/0, a NaN and a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="sits at a branch point"):
+                d_function(2, 0.0, 0.0)
+
     def test_sign_convention(self):
         assert [d_sign(n) for n in range(6)] == [1, 1, -1, -1, 1, 1]
         assert d_sign(np.arange(6)).tolist() == [1, 1, -1, -1, 1, 1]
@@ -261,8 +268,11 @@ class TestFrameAdvance:
         frame = frame_at(TruncationSpec(Parity.EVEN, 4), 1.0)
         with pytest.raises(TransportError, match="stalled"):
             advance_frame(frame, 1.0 - 1.0j)
-        # the whole distance, then 48 halvings down to 2**-48 of it
-        assert len(hops) == 49
+        # the first step spans the start's branch distance, 0.354 or
+        # about 2**-1.5 of the unit path, not the whole of it; 46
+        # halvings then take it below 2**-48 of the path
+        assert abs(hops[0][-1] - 1.0) == pytest.approx(holonomy._branch_distance(frame))
+        assert len(hops) == 47
 
     def test_frame_without_its_base_level_is_refused(self):
         # slots 7 and 9 alone: walked to -1.5 - 20i, slot 7 would land on
@@ -283,6 +293,75 @@ class TestFrameAdvance:
             frame = entry_frame(trunc, g)
             want = np.array([sheet_value(m, g) for m in trunc.levels])
             assert np.all(np.abs(frame.k - want) <= 1e-6 * np.abs(want)), n
+
+    def test_entry_walks_refuse_few_runs(self, monkeypatch):
+        # steps no longer than the branch distance of their start; steps
+        # that spanned the whole rest of the walk refused 87 runs here
+        runs = counted_runs(monkeypatch)
+        for n in range(2, 10):
+            trunc = TruncationSpec(Parity.of_level(n), 12 if n % 2 == 0 else 24)
+            entry_frame(trunc, find_ep(n, verify_unique=False).g_ep + 1e-3)
+        # a straight walk lays one step per run: its three nodes and its end
+        assert all(len(points) == 4 for points, _ in runs)
+        assert sum(safe < 4 for _, safe in runs) <= 4
+
+    def test_entry_frames_match_scalar_continuation(self):
+        # continue_to ends within RESIDUAL_ACCEPT, up to 1e-7 from the
+        # root beside these branch points; the frame ends one Newton step
+        # past RESIDUAL_TARGET, so its roots meet the scalar ones after
+        # that same step
+        for n in range(2, 10):
+            trunc = TruncationSpec(Parity.of_level(n), 12 if n % 2 == 0 else 24)
+            g = find_ep(n, verify_unique=False).g_ep + 1e-3
+            frame = entry_frame(trunc, g)
+            for m, k in zip(frame.levels, frame.k):
+                scalar = continue_to(solve_k_real(m, g.real), g).final_k
+                assert abs(k - newton_step(trunc.parity, g, scalar)) <= 1e-10, (n, m)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-9, -1e-9])
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_walk_aimed_at_a_branch_point_ends(self, monkeypatch, n, offset):
+        # from the benchmark loop's start, straight at g_ep(n), 1e-9 short
+        # of it, or 1e-9 past it: each distance halving takes at most two
+        # runs down to 2**-48 of the path, so the walk ends with a frame
+        # or stalls
+        trunc = TruncationSpec(Parity.of_level(n), 12)
+        g_ep = find_ep(n, verify_unique=False).g_ep
+        frame = entry_frame(trunc, g_ep + 1e-3)
+        runs = counted_runs(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                assert advance_frame(frame, g_ep + offset).g == g_ep + offset
+            except TransportError as exc:
+                assert "stalled" in str(exc)
+        assert len(runs) <= 100
+
+    def test_a_step_that_rounds_to_no_move_grows(self, monkeypatch):
+        # a walk that lands within a rounding of a branch point may be
+        # told to step less than a spacing of doubles; the step's end is
+        # then its start, and the step grows by STEP_GROWTH
+        estimate, seen = holonomy._branch_distance, []
+
+        def tiny_at_the_first_end(frame):
+            seen.append(frame.g)
+            return 1e-17 if len(seen) == 2 else estimate(frame)
+
+        monkeypatch.setattr(holonomy, "_branch_distance", tiny_at_the_first_end)
+        frame = frame_at(TruncationSpec(Parity.EVEN, 4), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert advance_frame(frame, 1.0 - 1.0j).g == 1.0 - 1.0j
+        assert seen[2] == seen[1]
+        assert len(seen) <= 100
+
+    def test_branch_distance_at_a_branch_point_keeps_the_whole_step(self):
+        # slot 0 sits where r = 0: its estimate is 0, so the frame gives
+        # none, without a warning
+        frame = TransportFrame((0, 2), 0j, np.array([0j, 2.0 + 0j]), np.array([0j, 2.0 + 0j]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert holonomy._branch_distance(frame) == np.inf
 
     def test_entry_walk_takes_few_runs(self, monkeypatch):
         # the deepest benchmark entry; one-point hops took 65 runs
@@ -656,8 +735,9 @@ class TestFrameMonodromy:
         # the first run with three or more safe steps loses every point
         # after its second step's end: the walk keeps two steps, the next
         # run starts at the second end, and the walk ends where a free
-        # one does
-        path = ComplexPath([1.0, -0.15 + 0.7j, 0.43 - 0.89j, 1.3 - 0.4j, 1.0])
+        # one does.  On this square, far from any branch point, corners
+        # clip every step, so the first run holds all four
+        path = ComplexPath([1.0, 1.1, 1.1 - 0.1j, 1.0 - 0.1j, 1.0])
         frame0 = entry_frame(EVEN12, path.waypoints[0])
         free = holonomy._walk_frame(frame0, path.waypoints)
         runs = []
@@ -722,6 +802,12 @@ class TestFrameMonodromy:
         assert list(perm) == list(range(12))
         assert all(f == 1.0 for f in factors)
 
+    def test_frames_of_different_truncations_are_not_matched(self):
+        # a 4-slot frame against a 5-slot reference matched as [0, 1, 2, 3]
+        frame = frame_at(TruncationSpec(Parity.EVEN, 4), 1.0)
+        with pytest.raises(ValueError, match="built for different truncations"):
+            match_frames(frame, frame_at(TruncationSpec(Parity.EVEN, 5), 1.0))
+
 
 class TestChainClosedForm:
     @pytest.mark.parametrize("parity", [Parity.EVEN, Parity.ODD])
@@ -739,6 +825,16 @@ class TestChainClosedForm:
         for m in (1, 2, 3, 4, 5):
             w = m_chain_analytic(m, EVEN12)
             assert w.entry(0, 2 * m) == (-1.0) ** m
+
+    @pytest.mark.parametrize("m", [1.5, 2.0, "2", 0, 12])
+    def test_chain_length_must_be_an_integer_that_fits(self, m):
+        # 1.5 was a bare TypeError
+        with pytest.raises(ValueError, match="chain length must be an integer"):
+            m_chain_analytic(m, EVEN12)
+
+    def test_numpy_chain_length_passes(self):
+        assert np.array_equal(m_chain_analytic(np.int64(2), EVEN12).matrix,
+                              m_chain_analytic(2, EVEN12).matrix)
 
 
 class TestTruncationSpec:
