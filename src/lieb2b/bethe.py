@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -526,8 +527,11 @@ def asymptotic_quasimomentum(n: int, sign: int) -> int:
 
     k_n(+inf) = n + 1 for every n; k_n(-inf) = n - 1 for n > 1.  The
     bound branches (n = 0, 1) diverge along the negative imaginary axis
-    at -inf, which has no integer label; requesting them raises.
+    at -inf, which has no integer label; requesting them raises, as does
+    a label n that is not an integer >= 0.
     """
+    if not (isinstance(n, numbers.Integral) and n >= 0):
+        raise ValueError(f"branch label n must be an integer >= 0, got {n!r}")
     if sign not in (1, -1):
         raise ValueError("sign selects the coupling infinity: +1 or -1")
     if sign > 0:

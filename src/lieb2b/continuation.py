@@ -196,9 +196,10 @@ def walk_path(waypoints, state, hop, *, h: float, max_step: float, min_step: flo
     h), one per leading end it tried: accepted tries, or a refused try
     of the first end.  The walk keeps the tries in order while each end
     is the one its rule gives with the factors reported before it.
-    Returns (end state, True, None), or (last accepted state, False,
-    the refused try) once a refused try leaves h below min_step or below
-    a few spacings of doubles at the current point.
+    After an accepted try h is at least a few spacings of doubles at the
+    current point, so the next step cannot end where it starts.  Returns
+    (end state, True, None), or (last accepted state, False, the refused
+    try) once a refused try leaves h below min_step or those spacings.
     """
     segments = [(g_a, g_b, abs(g_b - g_a), (g_b - g_a) / abs(g_b - g_a))
                 for g_a, g_b in zip(waypoints, waypoints[1:]) if g_a != g_b]
@@ -211,6 +212,11 @@ def walk_path(waypoints, state, hop, *, h: float, max_step: float, min_step: flo
         if h == length - s or s + h >= length:
             return g_b, h, i + 1, 0.0
         return g_a + (s + h) * direction, h, i, s + h
+
+    def spacing(i, s):
+        """A few spacings of doubles at arclength s along segment i."""
+        g_a, _, _, direction = segments[i]
+        return 4.0 * math.ulp(abs(g_a + s * direction))
 
     i, s = 0, 0.0
     while i < len(segments):
@@ -229,9 +235,10 @@ def walk_path(waypoints, state, hop, *, h: float, max_step: float, min_step: flo
             h = clipped * factor
             if ok:
                 state, i, s = tried, i_next, s_next
+                if i < len(segments):  # the next step's end must not round to its start
+                    h = max(h, spacing(i, s))
                 continue
-            g_a, _, _, direction = segments[i]
-            if h < max(min_step, 4.0 * math.ulp(abs(g_a + s * direction))):
+            if h < max(min_step, spacing(i, s)):
                 return state, False, tried
     return state, True, None
 

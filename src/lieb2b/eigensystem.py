@@ -45,6 +45,7 @@ the D-function or connection formulas of :mod:`lieb2b.holonomy`.
 
 from __future__ import annotations
 
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -113,10 +114,12 @@ def biorthonormality_defect(levels, g, k_values=None) -> float:
     """Max deviation of the pairing matrix from the identity.
 
     At real g quasi-momenta are solved on the spot; for complex g pass
-    the sheet values.  Levels must share one parity; the relative
-    integrals are quadratured on 256 Gauss-Legendre nodes.
+    the sheet values.  Levels, at least one, must share one parity; the
+    relative integrals are quadratured on 256 Gauss-Legendre nodes.
     """
     levels = tuple(levels)
+    if not levels:
+        raise ValueError("the pairing needs at least one level, got none")
     parity = Parity.of_level(levels[0])
     if any(Parity.of_level(n) is not parity for n in levels):
         raise ValueError(f"levels {levels} mix the even and odd families")
@@ -148,9 +151,12 @@ def overlap_connection_oracle(n_levels: int, g: float, dg: float = 1e-5, *,
     Entry (i, j) is i * <psi_L_i | d psi_j / d g> on the levels n_b,
     n_b + 2, ..., by a central difference of finite step dg > 0 with one
     Richardson step; its points g +- dg must lie in the coupling domain.
+    n_levels must be an integer >= 2 and nodes an integer >= 1.
     """
-    if n_levels < 2:
-        raise ValueError("the oracle needs at least two levels")
+    if not (isinstance(n_levels, numbers.Integral) and n_levels >= 2):
+        raise ValueError(f"the oracle needs an integer n_levels >= 2, got {n_levels!r}")
+    if not (isinstance(nodes, numbers.Integral) and nodes >= 1):
+        raise ValueError(f"the oracle needs an integer number of nodes >= 1, got {nodes!r}")
     if not 0.0 < dg < np.inf:
         raise ValueError(f"the oracle needs a finite step dg > 0, got {dg!r}")
     levels = tuple(parity.bound_level + 2 * i for i in range(n_levels))

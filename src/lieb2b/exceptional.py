@@ -56,8 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bethe import (NEWTON_MAX_STEPS, RESIDUAL_TARGET, Parity, bethe_residual,
-                    branch_point_function, residual_terms, rotated_sqrt,
-                    terms_from_trig)
+                    branch_point_function, check_coupling, residual_terms,
+                    rotated_sqrt, terms_from_trig)
 
 #: reject "exceptional points" that are really the real-axis degeneracies
 REAL_AXIS_GUARD = 0.05
@@ -159,7 +159,12 @@ def _winding_number(parity: Parity, contour) -> int:
 def circle_reaches_branch_point(parity: Parity, g0: float, radius: float) -> bool:
     """Whether the circle of the given radius about g0 encloses or touches
     a branch point of the family: the real one lies within the radius
-    (tested first, as F vanishes there), or F winds around the circle."""
+    (tested first, as F vanishes there), or F winds around the circle.
+    g0 must lie in the coupling domain and the radius be finite and > 0,
+    as for `circle_path`; anything else is a ValueError."""
+    check_coupling(g0)
+    if not 0.0 < radius < np.inf:
+        raise ValueError(f"a circle needs a finite radius > 0, got {radius!r}")
     return bool(abs(g0 - parity.real_branch_point) <= radius or _winding_number(
         parity, lambda t: g0 + radius * np.exp(2j * np.pi * t)))
 
@@ -276,9 +281,12 @@ def local_expansion(ep: ExceptionalPoint, epsilon) -> tuple[complex, complex]:
 
     Returns (k_bound_branch, k_excited_branch) = k_ep -/+ sqrt((2/pi) eps)
     with the downward branch cut.  The expansion is local; requesting
-    |epsilon| beyond 1e-2 is allowed but flagged with a warning.
+    |epsilon| beyond 1e-2 is allowed but flagged with a warning; a
+    non-finite epsilon is a ValueError.
     """
     epsilon = complex(epsilon)
+    if not cmath.isfinite(epsilon):
+        raise ValueError(f"epsilon must be a finite offset from the point, got {epsilon!r}")
     if abs(epsilon) > 1e-2:
         warnings.warn(
             f"|epsilon| = {abs(epsilon):.3g} exceeds the trust radius "

@@ -49,9 +49,9 @@ rejected, halved after an unsafe point or shortened by the error rule;
 one that fails later ends the hop, and the next hop tries it again
 from its own start.  The frame walks of :func:`advance_frame` and
 :func:`frame_monodromy` are these hops without the Magnus algebra, and
-none of their steps reaches farther than a local estimate of the
-distance to the nearest branch point, which the frame reads off r and
-its slope: k_n(g) is analytic in the disc that reaches that point.
+every walk, transport's too, steps no farther than a local estimate of
+the distance to the nearest branch point, which the frame reads off r
+and its slope: k_n(g) is analytic in the disc that reaches that point.
 The returned matrix is V at the path end, nothing folded in: columns
 expand the transported slots over the starting slots, and transports
 over concatenated paths compose by left multiplication.  For a small
@@ -356,22 +356,35 @@ def _branch_distance(frame: TransportFrame) -> float:
     return d if d > 0.0 else np.inf
 
 
+def _kept_factor(end: TransportFrame, step: float) -> float:
+    """The factor after a kept step that ends at ``end``: min(STEP_GROWTH,
+    `_branch_distance` there / the step); a step of length 0 grows."""
+    d = _branch_distance(end)
+    return STEP_GROWTH if d >= STEP_GROWTH * step else d / step
+
+
+def _walk_branches(waypoints, frame: TransportFrame, state, hop, lookahead: int):
+    """`walk_path` of ``state`` from ``frame`` by every frame walk's step
+    rule: the first step spans min(path length, `_branch_distance`), the
+    hops grow a kept step by `_kept_factor`, and the walk gives up below
+    2**-48 of the path length."""
+    length = sum(abs(b - a) for a, b in zip(waypoints, waypoints[1:]))
+    return walk_path(waypoints, state, hop, h=min(length, _branch_distance(frame)),
+                     max_step=np.inf, min_step=length * 2.0 ** -48,
+                     lookahead=lookahead, growth=STEP_GROWTH)
+
+
 def _walk_frame(frame: TransportFrame, waypoints) -> TransportFrame:
     """Continue a frame along the polyline from ``frame.g`` through
     ``waypoints``, whose first point is the frame's own.
 
     A hop is transport's without the Magnus algebra: it keeps every
-    step of `_run_steps`, or halves a first step that fails.  No step
-    reaches farther than `_branch_distance` of its start: the first step
-    spans min(path length, that distance), and after a kept step the
-    next grows by min(STEP_GROWTH, the distance at its end / the step).
-    A hop takes at most as many steps as the path has segments; the walk
-    gives up below 2**-48 of the path length.  Each kept step leaves
-    every slot, corrected to RESIDUAL_TARGET, in its own Newton basin
-    and on its own sqrt(r) branch from point to point.
+    step of `_run_steps`, or halves a first step that fails, and steps
+    by `_walk_branches`' rule.  A hop takes at most as many steps as the
+    path has segments.  Each kept step leaves every slot, corrected to
+    RESIDUAL_TARGET, in its own Newton basin and on its own sqrt(r)
+    branch from point to point.
     """
-    length = sum(abs(b - a) for a, b in zip(waypoints, waypoints[1:]))
-
     def hop(f, ends):
         dg, k, sqrt_r = _run_steps(f, ends, RESIDUAL_TARGET)
         if not len(k):
@@ -379,15 +392,10 @@ def _walk_frame(frame: TransportFrame, waypoints) -> TransportFrame:
         tried = []
         for g, step, k_end, s_end in zip(ends, np.abs(dg), k[:, 3], sqrt_r[:, 3]):
             end = TransportFrame(f.levels, g, k_end, s_end)
-            d = _branch_distance(end)
-            # min(STEP_GROWTH, d / step), and a step that rounds to no move grows
-            tried.append((end, True, STEP_GROWTH if d >= STEP_GROWTH * step else d / step))
+            tried.append((end, True, _kept_factor(end, step)))
         return tried
 
-    end, reached, _ = walk_path(waypoints, frame, hop,
-                                h=min(length, _branch_distance(frame)), max_step=np.inf,
-                                min_step=length * 2.0 ** -48,
-                                lookahead=len(waypoints) - 1, growth=STEP_GROWTH)
+    end, reached, _ = _walk_branches(waypoints, frame, frame, hop, len(waypoints) - 1)
     if not reached:
         raise TransportError(f"frame walk stalled between {end.g} and {waypoints[-1]}")
     return end
@@ -407,10 +415,8 @@ def advance_frame(frame: TransportFrame, g_target: complex) -> TransportFrame:
 
 
 TAIL_ROW_BOUND = 0.25
-#: Magnus-step absolute tolerance, step budget and smallest step
-MAGNUS_ATOL, MAGNUS_MAX_STEPS, MAGNUS_MIN_STEP = 1e-13, 200000, 1e-12
-#: Magnus steps laid out in one corrector run, and the most a step grows by
-_MAGNUS_BATCH, _MAGNUS_GROWTH = 8, 5.0
+#: Magnus-step absolute tolerance, step budget, and steps laid out in one corrector run
+MAGNUS_ATOL, MAGNUS_MAX_STEPS, _MAGNUS_BATCH = 1e-13, 200000, 8
 
 
 def _commutator(x, y):
@@ -438,24 +444,12 @@ def _tail_row_norms(d, k):
         d[..., -1:] * d[..., :-1] / (k[..., -1:] ** 2 - k[..., :-1] ** 2), axis=-1)
 
 
-def _start_frame(path, trunc, frame0):
-    """``frame0``, built for ``trunc`` at the path start, or the `entry_frame` there."""
-    g0 = complex(path.waypoints[0])
-    if frame0 is None:
-        return entry_frame(trunc, g0)
-    if frame0.levels != trunc.levels:
-        raise ValueError("frame0 was built for a different truncation")
-    if abs(g0 - frame0.g) > 1e-12:
-        raise ValueError("frame0 sits at a different point than the path start")
-    return frame0
-
-
 def transport(path: ComplexPath, trunc: TruncationSpec, *,
-              frame0: TransportFrame | None = None,
               rtol: float = TRANSPORT_RTOL) -> HolonomyMatrix:
     """Integrate parallel transport of the truncated family along ``path``.
 
-    The initial frame defaults to :func:`entry_frame` at the path start.
+    The walk starts from :func:`entry_frame` at the path start and steps
+    by `_walk_branches`' rule, its growth capped by the error estimate.
     The result's matrix is V at the path end with V(0) = 1; a warning is
     issued if the top retained level's coupling row grows beyond a bound
     at the start of any step, since then the truncation is feeding back
@@ -464,7 +458,7 @@ def transport(path: ComplexPath, trunc: TruncationSpec, *,
     if not 0.0 < rtol < np.inf:
         raise ValueError(f"transport needs 0 < rtol < inf, got {rtol}")
     levels = trunc.levels
-    frame0 = _start_frame(path, trunc, frame0)
+    start = entry_frame(trunc, path.waypoints[0])
     signs, m, tol = d_sign(np.array(levels)), len(levels), min(RESIDUAL_TARGET, rtol)
     rejected = 0
 
@@ -503,17 +497,16 @@ def transport(path: ComplexPath, trunc: TruncationSpec, *,
                 raise TransportError("step budget exhausted")
             v = exp6[i] @ v
             tail = max(tail, float(tails[i]))
-            growth = min(_MAGNUS_GROWTH, max(0.2, 0.9 * err ** -0.2)) if err > 0 \
-                else _MAGNUS_GROWTH
             end = TransportFrame(levels, ends[i], k[i, 3], sqrt_r[i, 3])
-            tried.append(((end, v, steps + i + 1, tail), True, growth))
+            factor = _kept_factor(end, abs(dg[i]))
+            if err > 0:
+                factor = min(factor, max(0.2, 0.9 * err ** -0.2))
+            tried.append(((end, v, steps + i + 1, tail), True, factor))
         return tried
 
-    w = path.waypoints  # the first step spans an eighth of the first segment
-    h = max(abs(w[1] - w[0]) / 8.0 if len(w) > 1 else 0.0, 10.0 * MAGNUS_MIN_STEP)
-    (frame, v, steps, tail), reached, _ = walk_path(
-        w, (frame0, np.eye(m, dtype=complex), 0, 0.0), hop, h=h, max_step=np.inf,
-        min_step=MAGNUS_MIN_STEP, lookahead=_MAGNUS_BATCH, growth=_MAGNUS_GROWTH)
+    (frame, v, steps, tail), reached, _ = _walk_branches(
+        path.waypoints, start, (start, np.eye(m, dtype=complex), 0, 0.0), hop,
+        _MAGNUS_BATCH)
     if tail > TAIL_ROW_BOUND:
         warnings.warn(f"level {levels[-1]} coupling row norm {tail:.3g} "
                       "exceeds the truncation bound, enlarge n_levels",
@@ -565,23 +558,21 @@ def match_frames(frame: TransportFrame, reference: TransportFrame):
     return perm, factors
 
 
-def frame_monodromy(path: ComplexPath, trunc: TruncationSpec, *,
-                    frame0: TransportFrame | None = None) -> HolonomyMatrix:
+def frame_monodromy(path: ComplexPath, trunc: TruncationSpec) -> HolonomyMatrix:
     """Discrete monodromy of a closed loop, no differential equation.
 
-    The frame itself is continued around the loop in one frame walk;
-    each slot is then matched back to the standard levels at the base
-    point and the residual normalization signs are read off.  For a
-    loop around a single branch point this produces the elementary
-    monodromy exactly, up to root-finding precision, and provides an
-    independent check on :func:`transport`.  A ``frame0`` must be built
-    for ``trunc`` and sit at the path start, as in `transport`.
+    The :func:`entry_frame` at the base point is continued around the
+    loop in one frame walk; each slot is then matched back to the
+    standard levels there and the residual normalization signs are read
+    off.  For a loop around a single branch point this produces the
+    elementary monodromy exactly, up to root-finding precision, and
+    provides an independent check on :func:`transport`.
     """
     g0 = complex(path.waypoints[0])
     if abs(complex(path.waypoints[-1]) - g0) > 1e-12:
         raise ValueError("frame monodromy needs a closed loop")
-    frame0 = _start_frame(path, trunc, frame0)
-    perm, factors = match_frames(_walk_frame(frame0, path.waypoints), frame0)
+    start = entry_frame(trunc, g0)
+    perm, factors = match_frames(_walk_frame(start, path.waypoints), start)
     w = np.zeros((trunc.n_levels, trunc.n_levels), dtype=complex)
     w[perm, np.arange(trunc.n_levels)] = factors
     return HolonomyMatrix(trunc, w)

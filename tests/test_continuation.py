@@ -306,6 +306,24 @@ class TestWalkSegment:
         assert not reached and end == g_a and refused == hops[-1] != g_a
         assert len(hops) < 25
 
+    def test_a_tiny_kept_factor_offers_no_step_of_length_zero(self):
+        # the first try is kept with factor 1e-300 and every later one
+        # grows by 1.7: a step of 5e-301 at g = 1.5 would end where it
+        # starts.  The hop raises after 200 calls so the walk cannot hang
+        offered = []
+
+        def hop(state, ends):
+            if len(offered) == 200:
+                raise RuntimeError("the walk did not end")
+            offered.append((state, ends[0]))
+            return [(ends[0], True, 1e-300 if len(offered) == 1 else 1.7)]
+
+        end, reached, _ = walk_path([1.0, 2.0], 1.0, hop, h=0.5, max_step=1.0,
+                                    min_step=1e-12)
+        assert reached and end == 2.0
+        assert all(g != state for state, g in offered)
+        assert len(offered) < 100
+
     @pytest.mark.parametrize("lookahead", [2, 5])
     def test_lookahead_takes_the_steps_of_one_end_at_a_time(self, lookahead):
         # state: the ends accepted so far; steps longer than 0.15 are

@@ -22,6 +22,7 @@ from lieb2b.continuation import (ComplexPath, GridSpec, build_sheet, circle_path
                                  continue_to, line_path, sheet_value)
 from lieb2b.cycles import hermitian_cycle
 from lieb2b.eigensystem import overlap_connection_oracle
+from lieb2b.exceptional import circle_reaches_branch_point
 from lieb2b.holonomy import (TruncationSpec, advance_frame, entry_frame, frame_at,
                              frame_monodromy, transport)
 
@@ -57,6 +58,8 @@ OUTSIDE = {
     "frame_monodromy": lambda: frame_monodromy(circle_path(2e6, 1.0), EVEN4),
     "GridSpec": lambda: GridSpec(-3.0, 1.0, -2e6, 0.5, 3, 3),
     "build_sheet": lambda: build_sheet(0, GridSpec(-1e300, 1.0, -1.0, 0.5, 3, 3)),
+    "circle_reaches_branch_point": lambda: circle_reaches_branch_point(Parity.EVEN, 1e300,
+                                                                       0.1),
 }
 
 

@@ -46,6 +46,17 @@ def counted_runs(monkeypatch):
     return runs
 
 
+def runs_after_entry(monkeypatch, walker, path, trunc):
+    """``walker(path, trunc)``'s result and the `_advance_run` calls it
+    made after its entry frame, whose walk takes the same runs alone."""
+    runs = counted_runs(monkeypatch)
+    entry_frame(trunc, path.waypoints[0])
+    entry = len(runs)
+    runs.clear()
+    res = walker(path, trunc)
+    return res, runs[entry:]
+
+
 def refuse_run(frame, g_points, tol):
     """An `_advance_run` that finds no point of the run safe."""
     return frame.k[None, :0], frame.sqrt_r[None, :0]
@@ -68,9 +79,10 @@ def segment_chain(frame, waypoints):
     return frame
 
 
-def stepwise_transport(path, trunc, frame0, rtol=holonomy.TRANSPORT_RTOL):
+def stepwise_transport(path, trunc, rtol=holonomy.TRANSPORT_RTOL):
     """Transport in one corrector run per Magnus step, as before runs
-    spanned several steps: (V, steps, rejected, the accepted step ends)."""
+    spanned several steps, by the frame walks' step rule: (V, steps,
+    rejected, the accepted step ends)."""
     levels, ends, rejected = trunc.levels, [], []
 
     def hop(state, g_ends):
@@ -98,38 +110,54 @@ def stepwise_transport(path, trunc, frame0, rtol=holonomy.TRANSPORT_RTOL):
             rejected.append(g)
             return [(None, False, max(0.2, 0.9 * err ** -0.2))]
         ends.append(g)
-        growth = min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0 else 5.0
-        return [((run[-1], holonomy._expm(omega6) @ v), True, growth)]
+        factor = holonomy._kept_factor(run[-1], abs(dg))
+        if err > 0:
+            factor = min(factor, max(0.2, 0.9 * err ** -0.2))
+        return [((run[-1], holonomy._expm(omega6) @ v), True, factor)]
 
     w = path.waypoints
+    frame0 = entry_frame(trunc, w[0])
+    length = sum(abs(b - a) for a, b in zip(w, w[1:]))
     (_, v), reached, _ = walk_path(w, (frame0, np.eye(len(levels), dtype=complex)), hop,
-                                   h=abs(w[1] - w[0]) / 8.0, max_step=np.inf,
-                                   min_step=holonomy.MAGNUS_MIN_STEP)
+                                   h=min(length, holonomy._branch_distance(frame0)),
+                                   max_step=np.inf, min_step=length * 2.0 ** -48)
     assert reached
     return v, len(ends), len(rejected), ends
 
 
-def transport_with_step_ends(monkeypatch, path, trunc, **kwargs):
-    """`transport`'s result and the end of every step it accepted, in
-    order.  The walk keeps the leading tries of each hop; a hop's state
-    counts the steps taken, so the next hop's count says how many."""
-    hops = []
+def with_step_ends(monkeypatch, walker, path, trunc):
+    """``walker(path, trunc)``'s result and the end of every step kept by
+    its last walk, the one after its entry walk, in order.  A walk keeps
+    the leading tries of each hop, up to the one whose state the next hop
+    starts from or the walk returns."""
+    walks = []
     walk = holonomy.walk_path
 
     def watched_walk(waypoints, state, hop, **walk_kwargs):
+        hops = []
+        walks.append(hops)
+
         def watched(state, ends):
             tries = hop(state, ends)
-            hops.append((state[2], tries))
+            hops.append((state, tries))
             return tries
 
         out = walk(waypoints, state, watched, **walk_kwargs)
-        hops.append((out[0][2], []))
+        hops.append((out[0], []))
         return out
 
     monkeypatch.setattr(holonomy, "walk_path", watched_walk)
-    res = transport(path, trunc, **kwargs)
-    ends = [t[0][0].g for (n, tries), (n_next, _) in zip(hops, hops[1:])
-            for t in tries[:n_next - n]]
+    res = walker(path, trunc)
+    ends, hops = [], walks[-1]
+    for (_, tries), (kept, _) in zip(hops, hops[1:]):
+        n = next((i + 1 for i, t in enumerate(tries) if t[0] is kept), 0)
+        ends += [t[0] if isinstance(t[0], TransportFrame) else t[0][0] for t in tries[:n]]
+    return res, [f.g for f in ends]
+
+
+def transport_with_step_ends(monkeypatch, path, trunc):
+    """`transport`'s result and the end of every step it accepted, in order."""
+    res, ends = with_step_ends(monkeypatch, transport, path, trunc)
     assert len(ends) == res.steps
     return res, ends
 
@@ -339,8 +367,8 @@ class TestFrameAdvance:
 
     def test_a_step_that_rounds_to_no_move_grows(self, monkeypatch):
         # a walk that lands within a rounding of a branch point may be
-        # told to step less than a spacing of doubles; the step's end is
-        # then its start, and the step grows by STEP_GROWTH
+        # told to step less than a spacing of doubles; the walk raises
+        # that step to a few spacings, so its end is not its start
         estimate, seen = holonomy._branch_distance, []
 
         def tiny_at_the_first_end(frame):
@@ -352,7 +380,7 @@ class TestFrameAdvance:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert advance_frame(frame, 1.0 - 1.0j).g == 1.0 - 1.0j
-        assert seen[2] == seen[1]
+        assert 0.0 < abs(seen[2] - seen[1]) <= 8.0 * np.spacing(abs(seen[1]))
         assert len(seen) <= 100
 
     def test_branch_distance_at_a_branch_point_keeps_the_whole_step(self):
@@ -434,10 +462,9 @@ class TestTransport:
             return advance(frame, g_points, tol)
 
         loop = bench_loop(2)
-        frame0 = entry_frame(EVEN12, loop.waypoints[0])
         monkeypatch.setattr(holonomy, "newton_correct_array", counted)
         monkeypatch.setattr(holonomy, "_advance_run", recorded)
-        res = transport(loop, EVEN12, frame0=frame0)
+        res = transport(loop, EVEN12)
         assert res.steps > 0 and len(calls) == len(runs)
         assert all(np.shape(g) == (len(p), 1) for g, (_, p) in zip(calls, runs))
         for start, points in runs:
@@ -461,13 +488,12 @@ class TestTransport:
 
         trunc = TruncationSpec(Parity.EVEN, 6)
         monkeypatch.setattr(holonomy, "_advance_run", refuse_first)
-        res = transport(line_path(1.0, 1.0 - 0.8j), trunc, frame0=frame_at(trunc, 1.0))
-        assert res.rejected == 1
+        res = transport(line_path(1.0, 1.0 - 0.8j), trunc)
         (g0, first), (g1, second) = runs[:2]
         assert g0 == g1 == 1.0
         assert abs(abs(second - g1) / abs(first - g0) - 0.5) < 1e-12
-        free = transport(line_path(1.0, 1.0 - 0.8j), trunc, frame0=frame_at(trunc, 1.0))
-        assert free.rejected == 0
+        free = transport(line_path(1.0, 1.0 - 0.8j), trunc)
+        assert res.rejected == free.rejected + 1
         assert np.max(np.abs(res.matrix - free.matrix)) < 1e-8
 
     def test_point_refused_mid_batch_ends_the_batch_without_a_rejection(
@@ -476,8 +502,7 @@ class TestTransport:
         # kept, and the next run tries the second again from its own
         # start with the same step
         loop = bench_loop(2)
-        frame0 = entry_frame(EVEN12, loop.waypoints[0])
-        free = transport(loop, EVEN12, frame0=frame0)
+        free = transport(loop, EVEN12)
         runs = []
         advance = holonomy._advance_run
 
@@ -488,7 +513,7 @@ class TestTransport:
             return (k[:6], sqrt_r[:6]) if first_long else (k, sqrt_r)
 
         monkeypatch.setattr(holonomy, "_advance_run", refuse_mid_batch)
-        res = transport(loop, EVEN12, frame0=frame0)
+        res = transport(loop, EVEN12)
         i = next(i for i, p in enumerate(runs) if len(p) >= 8)
         assert runs[i + 1][3] == runs[i][7]
         assert (res.steps, res.rejected) == (free.steps, 0)
@@ -496,10 +521,9 @@ class TestTransport:
 
     def test_refusing_every_run_underflows_the_step(self, monkeypatch):
         trunc = TruncationSpec(Parity.EVEN, 4)
-        frame0 = frame_at(trunc, 1.0)
         monkeypatch.setattr(holonomy, "_advance_run", refuse_run)
         with pytest.raises(TransportError, match="step size underflow"):
-            transport(line_path(1.0, 1.0 - 0.8j), trunc, frame0=frame0)
+            transport(line_path(1.0, 1.0 - 0.8j), trunc)
 
     def test_step_budget_is_enforced(self, monkeypatch):
         trunc = TruncationSpec(Parity.EVEN, 4)
@@ -532,30 +556,33 @@ class TestTransport:
     ], ids=["bench-48-gon", "line", "three-point-contour"])
     def test_batched_steps_equal_the_stepwise_transport(self, monkeypatch, path, trunc,
                                                         ends_tol):
-        frame0 = entry_frame(trunc, path.waypoints[0])
-        res, ends = transport_with_step_ends(monkeypatch, path, trunc, frame0=frame0)
-        v, steps, rejected, stepwise_ends = stepwise_transport(path, trunc, frame0)
+        res, ends = transport_with_step_ends(monkeypatch, path, trunc)
+        v, steps, rejected, stepwise_ends = stepwise_transport(path, trunc)
         assert (res.steps, res.rejected) == (steps, rejected)
         assert np.max(np.abs(np.subtract(ends, stepwise_ends))) <= ends_tol
         assert np.max(np.abs(res.matrix - v)) <= 1e-12
 
     def test_bench_loop_takes_few_runs(self, monkeypatch):
-        # one run per Magnus step took 50
-        loop = bench_loop(2)
-        frame0 = entry_frame(EVEN12, loop.waypoints[0])
-        runs = counted_runs(monkeypatch)
-        res = transport(loop, EVEN12, frame0=frame0)
-        assert (res.steps, res.rejected) == (50, 0)
-        assert len(runs) <= -(-50 // holonomy._MAGNUS_BATCH) + 2
+        # one run per Magnus step took 48, one step an edge
+        res, runs = runs_after_entry(monkeypatch, transport, bench_loop(2), EVEN12)
+        assert (res.steps, res.rejected) == (48, 0)
+        assert len(runs) <= -(-48 // holonomy._MAGNUS_BATCH) + 2
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_transport_steps_where_the_frame_walk_steps(self, monkeypatch, n):
+        # one step rule: on the benchmark's loops, at its truncations,
+        # transport keeps the steps of the frame walk around the loop
+        trunc = TruncationSpec(Parity.of_level(n), 12 if n % 2 == 0 else 24)
+        _, transported = transport_with_step_ends(monkeypatch, bench_loop(n), trunc)
+        _, walked = with_step_ends(monkeypatch, frame_monodromy, bench_loop(n), trunc)
+        assert transported == walked == bench_loop(n).waypoints[1:]  # an edge a step
 
     def test_long_path_takes_no_more_runs_than_attempted_steps(self, monkeypatch):
         # steps that no corner clips go one per run; one run per step
         # took 261 here
-        path = n_ep_contour(4.0, 3, Parity.EVEN)
-        frame0 = entry_frame(EVEN12, path.waypoints[0])
-        runs = counted_runs(monkeypatch)
-        res = transport(path, EVEN12, frame0=frame0)
-        assert (res.steps, res.rejected) == (260, 1)
+        res, runs = runs_after_entry(monkeypatch, transport,
+                                     n_ep_contour(4.0, 3, Parity.EVEN), EVEN12)
+        assert (res.steps, res.rejected) == (263, 1)
         assert len(runs) <= 261
 
     @pytest.mark.parametrize("rtol", [0.0, -1e-10, np.inf, np.nan])
@@ -772,29 +799,8 @@ class TestFrameMonodromy:
 
     def test_loop_takes_few_runs(self, monkeypatch):
         # one-point hops took one run per edge of the 48-gon
-        loop = bench_loop(2)
-        frame0 = entry_frame(EVEN12, loop.waypoints[0])
-        runs = counted_runs(monkeypatch)
-        frame_monodromy(loop, EVEN12, frame0=frame0)
+        _, runs = runs_after_entry(monkeypatch, frame_monodromy, bench_loop(2), EVEN12)
         assert len(runs) <= 12
-
-    def test_frame_of_another_size_is_refused(self):
-        loop = bench_loop(2)
-        frame0 = entry_frame(TruncationSpec(Parity.EVEN, 4), loop.waypoints[0])
-        with pytest.raises(ValueError, match="built for a different truncation"):
-            frame_monodromy(loop, TruncationSpec(Parity.EVEN, 6), frame0=frame0)
-
-    def test_frame_of_the_other_family_is_refused(self):
-        loop = bench_loop(2)
-        frame0 = entry_frame(TruncationSpec(Parity.ODD, 4), loop.waypoints[0])
-        with pytest.raises(ValueError, match="built for a different truncation"):
-            frame_monodromy(loop, TruncationSpec(Parity.EVEN, 4), frame0=frame0)
-
-    def test_frame_off_the_path_start_is_refused(self):
-        loop = bench_loop(2)
-        frame0 = entry_frame(EVEN12, loop.waypoints[0] + 1e-11)
-        with pytest.raises(ValueError, match="different point than the path start"):
-            frame_monodromy(loop, EVEN12, frame0=frame0)
 
     def test_frame_matching_identity(self):
         frame = frame_at(EVEN12, 1.2)

@@ -8,8 +8,10 @@ row hop and `_scalar_hop` both accept through `_accepted`, and the
 dJ/dk quotient that the scalar hop used to test is gone from the
 package.  In `holonomy`, `_run_steps` is the only caller of the frame
 corrector `_advance_run`, and both frame movers, `transport` and
-`_walk_frame`, go through it.  The check reads the sources, which are
-not imported.
+`_walk_frame`, go through it.  Both also step by one rule: they reach
+`walk_path` only through `_walk_branches`, and their hops take the
+factor after a kept step from `_kept_factor`.  The check reads the
+sources, which are not imported.
 """
 
 import ast
@@ -57,3 +59,13 @@ def test_only_the_step_layout_calls_the_frame_corrector():
 def test_transport_and_frame_walks_share_the_step_layout():
     for function in ("transport", "_walk_frame"):
         assert "_run_steps" in called_names(function, "holonomy")
+
+
+def test_transport_and_frame_walks_share_the_step_rule():
+    for function in ("transport", "_walk_frame"):
+        calls = called_names(function, "holonomy")
+        assert {"_walk_branches", "_kept_factor"} <= calls
+        assert "walk_path" not in calls
+    tree = ast.parse((PACKAGE / "holonomy.py").read_text())
+    assert {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+            and "walk_path" in names_called(node)} == {"_walk_branches"}

@@ -1,0 +1,46 @@
+"""Bad arguments to the library's small entry points are refused with a
+ValueError that names the input, before any numerical work, so neither
+a bare TypeError nor a numpy warning nor a silent wrong answer escapes.
+Integer arguments follow `numbers.Integral`, so numpy integers pass.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from lieb2b.bethe import Parity, asymptotic_quasimomentum
+from lieb2b.eigensystem import biorthonormality_defect, overlap_connection_oracle
+from lieb2b.exceptional import circle_reaches_branch_point, find_ep, local_expansion
+
+REFUSED = {
+    "oracle, fractional n_levels": (lambda: overlap_connection_oracle(2.5, 0.5), "n_levels"),
+    "oracle, fractional nodes": (lambda: overlap_connection_oracle(4, 0.5, nodes=10.5),
+                                 "nodes"),
+    "oracle, no nodes": (lambda: overlap_connection_oracle(4, 0.5, nodes=0), "nodes"),
+    "pairing, no levels": (lambda: biorthonormality_defect((), 0.5), "level"),
+    "limit, fractional label": (lambda: asymptotic_quasimomentum(2.5, +1), "label n"),
+    "limit, negative label": (lambda: asymptotic_quasimomentum(-1, +1), "label n"),
+    "expansion, infinite offset": (lambda: local_expansion(find_ep(2), np.inf), "epsilon"),
+    "expansion, NaN offset": (lambda: local_expansion(find_ep(2), np.nan), "epsilon"),
+    "circle, NaN centre": (lambda: circle_reaches_branch_point(Parity.EVEN, np.nan, 0.1),
+                           "finite coupling"),
+    "circle, negative radius": (lambda: circle_reaches_branch_point(Parity.EVEN, 1.0, -1.0),
+                                "radius"),
+    "circle, infinite radius": (
+        lambda: circle_reaches_branch_point(Parity.EVEN, 1.0, np.inf), "radius"),
+}
+
+
+@pytest.mark.parametrize("call, names", REFUSED.values(), ids=REFUSED.keys())
+def test_bad_input_is_a_value_error_naming_it(call, names):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=names):
+            call()
+
+
+def test_numpy_integers_pass():
+    assert asymptotic_quasimomentum(np.int64(4), +1) == 5
+    a = overlap_connection_oracle(np.int64(2), 0.5, nodes=np.int64(64))
+    assert a.shape == (2, 2)
