@@ -54,11 +54,13 @@ kernel (`exceptional`'s F(g) is a different function).
 `newton_correct` (one point) and `newton_correct_array` (many) take
 at most five steps, each halved at most four times while the residual
 grows, and return (k, scaled residual, converged); the caller owns
-the step size and shrinks it on non-convergence.  Start points past
-|Im pi k/2| = DEEP_IM_H go through the overflow-safe `residual_terms`
-and compare residuals at one scale.  On one point the array form
-costs about four times the scalar one, so each caller's input size
-picks its corrector.  `newton_step` is one undamped step.
+the step size and shrinks it on non-convergence.  A damping test
+evaluates all the terms at its trial point, which the next step uses.
+Start points past |Im pi k/2| = DEEP_IM_H go through the overflow-safe
+`residual_terms` and compare residuals at one scale.  On one point the
+array form costs about four times the scalar one (35 against 9 us at a
+root), so each caller's input size picks its corrector.
+`newton_correct_with_step` also returns the next Newton step r/dr.
 
 `branch_point_function` r(g, k) vanishes where two branches collide;
 `rotated_sqrt` is the one window every standard-sheet sqrt(r) takes.
@@ -303,24 +305,19 @@ def newton_correct(parity: Parity, g, k0, *, tol):
     k = complex(k0)
     deep = abs(0.5 * np.pi * k.imag) > DEEP_IM_H
     terms = residual_terms if deep else unscaled_residual_terms
+    r, dr, scale, lf = terms(parity, g, k)
     for _ in range(5):
-        r, dr, scale, lf = terms(parity, g, k)
         if abs(r) / scale < tol and scale < np.inf:
             return k, float(abs(r) / scale), True
         if dr == 0:
             break
         step = r / dr
-        for _ in range(4):
-            trial = k - step
-            if deep:
-                r_t, _, _, lf_t = residual_terms(parity, g, trial)
-                if _no_larger(r_t, lf_t, abs(r), lf):
-                    break
-            elif abs(bethe_residual(parity, g, trial)) <= abs(r):
+        for test in range(5):  # the fourth halving is taken untested
+            r_t, dr_t, scale_t, lf_t = terms(parity, g, k - step)
+            if test == 4 or _no_larger(r_t, lf_t, abs(r), lf):
                 break
             step *= 0.5
-        k = k - step
-    r, _, scale, _ = terms(parity, g, k)
+        k, r, dr, scale, lf = k - step, r_t, dr_t, scale_t, lf_t
     scaled = float(abs(r) / scale) if scale < np.inf else np.nan
     return k, scaled, scaled < tol
 
@@ -331,8 +328,13 @@ def _no_larger(r_trial, lf_trial, size, lf):
     return np.abs(r_trial) * np.exp(lf_trial - lf) <= size
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def newton_correct_array(parity: Parity, g, k0, *, tol, max_iter: int = 5):
+    """(k, scaled_residual, converged) of `newton_correct_with_step`."""
+    return newton_correct_with_step(parity, g, k0, tol=tol, max_iter=max_iter)[:3]
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def newton_correct_with_step(parity: Parity, g, k0, *, tol, max_iter: int = 5):
     """`newton_correct` applied to every element of an array of points.
 
     g broadcasts against k0.  Each element follows the scalar rule: it
@@ -340,7 +342,8 @@ def newton_correct_array(parity: Parity, g, k0, *, tol, max_iter: int = 5):
     vanishes, and otherwise takes a Newton step halved at most four
     times while the residual grows.  Stopped elements are frozen, so
     each iteration works only on the rest.  Returns (k, scaled_residual,
-    converged) arrays of the broadcast shape.  Overflow is handled as
+    converged, step) arrays of the broadcast shape, where step is the
+    next Newton step r/dr at k (0 where dr = 0).  Overflow is handled as
     there, without a numpy warning.
 
     Whether to evaluate through the overflow-safe `residual_terms` is
@@ -350,9 +353,6 @@ def newton_correct_array(parity: Parity, g, k0, *, tol, max_iter: int = 5):
     |Im pi k/2| <= DEEP_IM_H sees the unscaled values; deep elements
     compare a trial residual with the current one at one scale,
     |r_trial| exp(lf_trial - lf) <= |r|.
-
-    On a single point its per-call overhead makes it about four times
-    slower than `newton_correct`, so scalar callers keep that one.
     """
     g, k = np.broadcast_arrays(np.asarray(g, dtype=complex),
                                np.asarray(k0, dtype=complex))
@@ -360,50 +360,51 @@ def newton_correct_array(parity: Parity, g, k0, *, tol, max_iter: int = 5):
     g = g.ravel()
     k = k.ravel().copy()
     scaled = np.empty(k.size)
-    converged = np.zeros(k.size, dtype=bool)
+    final_step = np.empty(k.size, dtype=complex)
     live = np.arange(k.size)
     deep = k.size > 0 and 0.5 * np.pi * float(np.abs(k.imag).max()) > DEEP_IM_H
     terms = residual_terms if deep else unscaled_residual_terms
+    r, dr, scale, lf = terms(parity, g, k)  # always the terms at k[live]
     # max_iter Newton steps; the extra sweep only measures the last iterate
     for sweep in range(max_iter + 1):
-        gl, kl = g[live], k[live]
-        r, dr, scale, lf = terms(parity, gl, kl)
-        s = np.where(scale < np.inf, np.abs(r) / scale, np.nan)
+        size = np.abs(r)
+        s = np.where(scale < np.inf, size / scale, np.nan)
         scaled[live] = s
-        done = s < tol
-        converged[live[done]] = True
+        moves = dr != 0
+        step = r / dr
+        if not moves.all():
+            step[~moves] = 0.0
+        final_step[live] = step
         if sweep == max_iter:
             break
-        go = ~done & (dr != 0)
-        live, gl, kl, r, dr = live[go], gl[go], kl[go], r[go], dr[go]
+        go = ~(s < tol) & moves
+        live, step, size = live[go], step[go], size[go]
         if deep:
             lf = lf[go]
         if live.size == 0:
             break
-        step = r / dr
-        size = np.abs(r)
-        damp = np.arange(live.size)  # positions still halving their step
-        for _ in range(4):
+        gl, kl = g[live], k[live]
+        # a trial's terms are the next sweep's once its test accepts it
+        r, dr, scale, lf_next = terms(parity, gl, kl - step)
+        damp = np.flatnonzero(~_no_larger(r, lf_next, size, lf) if deep
+                              else ~(np.abs(r) <= size))
+        for test in range(4):  # the fourth halving is taken untested
             if damp.size == 0:
                 break
-            trial = kl[damp] - step[damp]
-            if deep:
-                r_t, _, _, lf_t = residual_terms(parity, gl[damp], trial)
-                worse = ~_no_larger(r_t, lf_t, size[damp], lf[damp])
-            else:
-                worse = ~(np.abs(bethe_residual(parity, gl[damp], trial)) <= size[damp])
-            damp = damp[worse]
             step[damp] *= 0.5
+            r_t, dr_t, scale_t, lf_t = terms(parity, gl[damp], kl[damp] - step[damp])
+            if deep:
+                kept = _no_larger(r_t, lf_t, size[damp], lf[damp]) | (test == 3)
+                lf_next[damp[kept]] = lf_t[kept]
+            else:
+                kept = (np.abs(r_t) <= size[damp]) | (test == 3)
+            at = damp[kept]
+            r[at], dr[at], scale[at] = r_t[kept], dr_t[kept], scale_t[kept]
+            damp = damp[~kept]
         k[live] = kl - step
-    return k.reshape(shape), scaled.reshape(shape), converged.reshape(shape)
-
-
-def newton_step(parity: Parity, g, k):
-    """One undamped Newton step k - r/dr on the residual, elementwise
-    through `residual_terms`; an element where dr = 0 stays where it is."""
-    r, dr, _, _ = residual_terms(parity, g, k)
-    moves = dr != 0
-    return k - np.where(moves, r / np.where(moves, dr, 1.0), 0.0)
+        lf = lf_next
+    return (k.reshape(shape), scaled.reshape(shape), (scaled < tol).reshape(shape),
+            final_step.reshape(shape))
 
 
 def newton_polish(parity: Parity, g, k, *, tol=RESIDUAL_TARGET):
@@ -472,8 +473,8 @@ def real_axis_k(n, g, *, tol: float = RESIDUAL_TARGET) -> np.ndarray:
     not depend on the other points of the call; one that does not pass
     RESIDUAL_ACCEPT within NEWTON_MAX_STEPS is NaN."""
     n, g = np.broadcast_arrays(np.asarray(n), np.asarray(g, dtype=float))
-    if not np.all((n >= 0) & (n % 1 == 0)):
-        raise ValueError("branch label n must be a non-negative integer")
+    if not np.all((n >= 0) & (n % 1 == 0) & (n <= 2 ** 53)):
+        raise ValueError("branch label n must be an integer in 0..2**53")
     check_coupling(g)
     shape = n.shape
     n, g = n.ravel().astype(int), g.ravel()

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bethe import (COUPLING_LIMIT, BetheState, Parity, SolverError,
-                    asymptotic_quasimomentum, energy, real_axis_k)
+                    asymptotic_quasimomentum, check_coupling, energy, real_axis_k)
 from .continuation import ComplexPath, circle_path
 from .exceptional import enumerate_eps, find_ep
 from .holonomy import (HolonomyMatrix, TruncationSpec, ep_loop_holonomy,
@@ -154,8 +154,7 @@ def n_ep_contour(g0: float, n_ep: int, parity: Parity) -> ComplexPath:
     comes closer to the boundary than ``CLEARANCE``.
     """
     g0 = float(g0)
-    if not np.isfinite(g0):
-        raise PathConstructionError(f"base point g0 = {g0} is not a finite coupling")
+    check_coupling(g0)
     if not (isinstance(n_ep, numbers.Integral) and n_ep >= 1):
         raise ValueError(f"the contour must enclose at least one exceptional point ({n_ep!r})")
 

@@ -38,26 +38,26 @@ det V = 1 to round-off on any path.  Steps are hops of
 corner exactly, carries the step size over it, and hands a hop
 several step ends at once where corners clip the steps.  A hop moves
 every slot of the frame to the three nodes and the end of each of its
-steps in one call of the array corrector
-:func:`lieb2b.bethe.newton_correct_array`, each point predicted from
-the tangent at the hop's start, evaluates the connection at every node
-in one :func:`connection_matrix` call, and forms the Omegas of all its
-steps at once.  It then takes the steps in order while each passes its
-error test and all its points are safe: no slot leaves its Newton
-basin or its sqrt(r) branch.  A step that fails at the hop's start is
-rejected, halved after an unsafe point or shortened by the error rule;
-one that fails later ends the hop, and the next hop tries it again
-from its own start.  The frame walks of :func:`advance_frame` and
-:func:`frame_monodromy` are these hops without the Magnus algebra, and
-every walk, transport's too, steps no farther than a local estimate of
-the distance to the nearest branch point, which the frame reads off r
-and its slope: k_n(g) is analytic in the disc that reaches that point.
-The returned matrix is V at the path end, nothing folded in: columns
-expand the transported slots over the starting slots, and transports
-over concatenated paths compose by left multiplication.  For a small
-clockwise loop around the branch point joining level n to its
-bound-capable partner n_b this converges, as the radius shrinks, to
-the elementary monodromy
+steps in one call of :func:`lieb2b.bethe.newton_correct_with_step`,
+each point predicted from the tangent at the hop's start.  It estimates
+the branch distance at all its step ends at once, evaluates the
+connection at every node in one :func:`connection_matrix` call, and
+forms all its Omegas.  It then takes the steps in order while each
+passes its error test and all its points are safe: no slot leaves its
+Newton basin or its sqrt(r) branch.  A step that fails at the hop's
+start is rejected, halved after an unsafe point or shortened by the
+error rule; one that fails later ends the hop, and the next hop tries
+it again from its own start.  The frame walks of :func:`advance_frame`
+and :func:`frame_monodromy` are these hops without the Magnus algebra,
+and every walk, transport's too, steps no farther than a local estimate
+of the distance to the nearest branch point, which the frame reads off
+r and its slope: k_n(g) is analytic in the disc that reaches that
+point.  The returned matrix is V at the path end, nothing folded in:
+columns expand the transported slots over the starting slots, and
+transports over concatenated paths compose by left multiplication.  For
+a small clockwise loop around the branch point joining level n to its
+bound-capable partner n_b this converges, as the radius shrinks, to the
+elementary monodromy
 
     M[n_b, n] = d_n,   M[n, n_b] = -d_n,
 
@@ -81,8 +81,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bethe import (RESIDUAL_TARGET, Parity, SolverError, branch_point_function,
-                    check_coupling, newton_correct_array, newton_step,
-                    real_axis_k, rotated_sqrt)
+                    check_coupling, newton_correct_with_step, real_axis_k,
+                    rotated_sqrt)
 from .continuation import (STEP_GROWTH, ComplexPath, circle_path,
                            tangent_slope, walk_path)
 from .eigensystem import normalization_pt
@@ -118,6 +118,8 @@ class TruncationSpec:
     n_levels: int
 
     def __post_init__(self):
+        if not isinstance(self.parity, Parity):
+            raise ValueError(f"parity must be a Parity, got {self.parity!r}")
         if not (isinstance(self.n_levels, numbers.Integral) and self.n_levels >= 2):
             raise ValueError(f"n_levels must be an integer >= 2, got {self.n_levels!r}")
 
@@ -284,21 +286,21 @@ def _advance_run(frame: TransportFrame, g_points, tol: float):
 
     A truncation is one parity family, so a single array corrector call
     covers the run: g of shape (S, 1) against k of shape (S, m), each
-    point predicted from the tangent at ``frame``.  After convergence
-    one more Newton step (`newton_step`) is taken, which tightens
-    the far points of the run without a tighter tol.  Each point is
-    then checked against the one before it (``frame`` for the first):
-    it is unsafe when a slot fails to converge, moves by more than 0.35
-    of the previous level spacing (it may have jumped basins), or when
-    the continued sqrt(r), signed by continuity, is about equally far
-    from both signs of its previous value.
+    point predicted from the tangent at ``frame``.  Each point then takes
+    the Newton step r/dr the corrector returns, which tightens the far
+    points without a tighter tol, and is checked against the one before
+    it (``frame`` for the first): it is unsafe when a slot fails to
+    converge, moves by more than 0.35 of the previous level spacing (it
+    may have jumped basins), or when the continued sqrt(r), signed by
+    continuity, is about equally far from both signs of its previous
+    value.
     """
     parity = Parity.of_level(frame.levels[0])
     g = np.asarray(g_points, dtype=complex)[:, None]
     k_pred = frame.k + (g - frame.g) * tangent_slope(frame.g, frame.k)
-    k, _, ok = newton_correct_array(parity, g, k_pred, tol=tol)
+    k, _, ok, step = newton_correct_with_step(parity, g, k_pred, tol=tol)
     p = _leading(ok.all(axis=1))
-    g, k = g[:p], newton_step(parity, g[:p], k[:p])
+    g, k = g[:p], k[:p] - step[:p]
     k_before = np.concatenate([frame.k[None], k])[:-1]
     gaps = np.abs(k_before[:, :, None] - k_before[:, None, :])
     diag = np.arange(k.shape[1])
@@ -338,29 +340,29 @@ def _run_steps(frame: TransportFrame, ends, tol: float):
     return dg[:n], k[:4 * n].reshape(n, 4, m), sqrt_r[:4 * n].reshape(n, 4, m)
 
 
-def _branch_distance(frame: TransportFrame) -> float:
-    """Local estimate of the distance from ``frame.g`` to the nearest
-    branch point of its slots.  Near a square-root branch point r behaves
-    like (g - g_ep)**(1/2), so |r / (2 dr/dg)| tends to |g - g_ep|; with
-    dr/dg = 2 k k' + 2 g + 2/pi and k' = 2 k / (pi r), `tangent_slope`'s,
-    that is |r|**2 / |8 k**2 / pi + 4 (g + 1/pi) r|.  Returns the least
-    such ratio over the slots whose ratio is finite, or inf where that is
-    not positive: a slot at r = 0 has ratio 0."""
-    r = branch_point_function(frame.g, frame.k)
-    if not r.all():
-        return np.inf
+def _branch_distance(g, k):
+    """Local estimate of the distance from each coupling g to the nearest
+    branch point of the slots in its row of k.  Near a square-root branch
+    point r behaves like (g - g_ep)**(1/2), so |r / (2 dr/dg)| tends to
+    |g - g_ep|; with dr/dg = 2 k k' + 2 g + 2/pi and k' = 2 k / (pi r),
+    `tangent_slope`'s, that is |r|**2 / |8 k**2 / pi + 4 (g + 1/pi) r|.
+    Returns each row's least ratio over the slots whose ratio is finite,
+    or inf where that is not positive: a slot at r = 0 has ratio 0."""
+    # a coupling's own terms in scalar arithmetic, as `branch_point_function`
+    # takes them at one coupling: numpy's vectorised arithmetic rounds otherwise
+    g_terms = np.array([(x * x, 2.0 * x / np.pi, 4.0 * (x + 1.0 / np.pi)) for x in g])
+    r = k * k + g_terms[:, :1] + g_terms[:, 1:2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.abs(r) ** 2 / np.abs(8.0 / np.pi * frame.k ** 2
-                                        + 4.0 * (frame.g + 1.0 / np.pi) * r)
-    d = float(np.fmin.reduce(ratio, initial=np.inf))  # fmin skips NaN
-    return d if d > 0.0 else np.inf
+        ratio = np.abs(r) ** 2 / np.abs(8.0 / np.pi * k ** 2 + g_terms[:, 2:] * r)
+    d = np.fmin.reduce(ratio, axis=1, initial=np.inf)  # fmin skips NaN
+    return np.where(r.all(axis=1) & (d > 0.0), d, np.inf)
 
 
-def _kept_factor(end: TransportFrame, step: float) -> float:
-    """The factor after a kept step that ends at ``end``: min(STEP_GROWTH,
-    `_branch_distance` there / the step); a step of length 0 grows."""
-    d = _branch_distance(end)
-    return STEP_GROWTH if d >= STEP_GROWTH * step else d / step
+def _kept_factor(g, k, steps) -> list:
+    """The factor min(STEP_GROWTH, `_branch_distance` at the end / the step)
+    after each kept step, ending at g with a row of k; a step of 0 grows."""
+    return [STEP_GROWTH if d >= STEP_GROWTH * step else d / step
+            for d, step in zip(_branch_distance(g, k).tolist(), steps)]
 
 
 def _walk_branches(waypoints, frame: TransportFrame, state, hop, lookahead: int):
@@ -369,8 +371,8 @@ def _walk_branches(waypoints, frame: TransportFrame, state, hop, lookahead: int)
     hops grow a kept step by `_kept_factor`, and the walk gives up below
     2**-48 of the path length."""
     length = sum(abs(b - a) for a, b in zip(waypoints, waypoints[1:]))
-    return walk_path(waypoints, state, hop, h=min(length, _branch_distance(frame)),
-                     max_step=np.inf, min_step=length * 2.0 ** -48,
+    h = min(length, _branch_distance([frame.g], frame.k[None]).item())
+    return walk_path(waypoints, state, hop, h=h, max_step=np.inf, min_step=length * 2.0 ** -48,
                      lookahead=lookahead, growth=STEP_GROWTH)
 
 
@@ -389,11 +391,9 @@ def _walk_frame(frame: TransportFrame, waypoints) -> TransportFrame:
         dg, k, sqrt_r = _run_steps(f, ends, RESIDUAL_TARGET)
         if not len(k):
             return [(None, False, 0.5)]
-        tried = []
-        for g, step, k_end, s_end in zip(ends, np.abs(dg), k[:, 3], sqrt_r[:, 3]):
-            end = TransportFrame(f.levels, g, k_end, s_end)
-            tried.append((end, True, _kept_factor(end, step)))
-        return tried
+        factors = _kept_factor(ends[:len(k)], k[:, 3], np.abs(dg))
+        return [(TransportFrame(f.levels, g, k_end, s_end), True, factor)
+                for g, k_end, s_end, factor in zip(ends, k[:, 3], sqrt_r[:, 3], factors)]
 
     end, reached, _ = _walk_branches(waypoints, frame, frame, hop, len(waypoints) - 1)
     if not reached:
@@ -482,6 +482,7 @@ def transport(path: ComplexPath, trunc: TruncationSpec, *,
         omega6 = a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
         omega4 = a1 + a3 / 12.0 - c1 / 12.0
         exp6 = _expm(omega6)
+        factors = _kept_factor(ends[:n], k[:, 3], np.abs(dg))
         tails = _tail_row_norms(np.concatenate([frame.d_values()[None], d[:-1, 3]]),
                                 np.concatenate([frame.k[None], k[:-1, 3]]))
         tried = []
@@ -498,10 +499,9 @@ def transport(path: ComplexPath, trunc: TruncationSpec, *,
             v = exp6[i] @ v
             tail = max(tail, float(tails[i]))
             end = TransportFrame(levels, ends[i], k[i, 3], sqrt_r[i, 3])
-            factor = _kept_factor(end, abs(dg[i]))
             if err > 0:
-                factor = min(factor, max(0.2, 0.9 * err ** -0.2))
-            tried.append(((end, v, steps + i + 1, tail), True, factor))
+                factors[i] = min(factors[i], max(0.2, 0.9 * err ** -0.2))
+            tried.append(((end, v, steps + i + 1, tail), True, factors[i]))
         return tried
 
     (frame, v, steps, tail), reached, _ = _walk_branches(

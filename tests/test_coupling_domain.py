@@ -20,7 +20,7 @@ from lieb2b.bethe import (COUPLING_LIMIT, Parity, real_axis_k,
 from lieb2b.config import ConfigError, RunConfig
 from lieb2b.continuation import (ComplexPath, GridSpec, build_sheet, circle_path,
                                  continue_to, line_path, sheet_value)
-from lieb2b.cycles import hermitian_cycle
+from lieb2b.cycles import hermitian_cycle, n_ep_contour
 from lieb2b.eigensystem import overlap_connection_oracle
 from lieb2b.exceptional import circle_reaches_branch_point
 from lieb2b.holonomy import (TruncationSpec, advance_frame, entry_frame, frame_at,
@@ -60,6 +60,8 @@ OUTSIDE = {
     "build_sheet": lambda: build_sheet(0, GridSpec(-1e300, 1.0, -1.0, 0.5, 3, 3)),
     "circle_reaches_branch_point": lambda: circle_reaches_branch_point(Parity.EVEN, 1e300,
                                                                        0.1),
+    # a bare OverflowError before the base point was checked
+    "n_ep_contour": lambda: n_ep_contour(1e300, 3, Parity.EVEN),
 }
 
 

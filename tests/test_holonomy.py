@@ -7,9 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lieb2b import holonomy
-from lieb2b.bethe import (RESIDUAL_TARGET, Parity, branch_point_function, newton_step,
-                          real_axis_k, rotated_sqrt, solve_k_real)
+from lieb2b import bethe, holonomy
+from lieb2b.bethe import (RESIDUAL_TARGET, Parity, bethe_residual, branch_point_function,
+                          real_axis_k, residual_terms, rotated_sqrt, solve_k_real,
+                          unscaled_residual_terms)
 from lieb2b.continuation import (STEP_GROWTH, ComplexPath, circle_path, continue_to,
                                  line_path, sheet_value, walk_path)
 from lieb2b.cycles import ep_chain_path, n_ep_contour
@@ -29,6 +30,51 @@ EVEN12 = TruncationSpec(Parity.EVEN, 12)
 def bench_loop(n):
     """The benchmark's loop: radius 1e-3, 48 arcs, clockwise about g_ep(n)."""
     return circle_path(find_ep(n, verify_unique=False).g_ep, 1e-3, n_points=48)
+
+
+def newton_step(parity, g, k):
+    """One undamped Newton step k - r/dr on the residual, elementwise; an
+    element where dr = 0 stays where it is."""
+    r, dr, _, _ = residual_terms(parity, g, k)
+    moves = dr != 0
+    return k - np.where(moves, r / np.where(moves, dr, 1.0), 0.0)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_correct(parity, g, k0, tol, max_iter=5):
+    """The array corrector whose damping tests evaluate only the residual,
+    so each sweep evaluates the terms at every point again, for points
+    with |Im pi k/2| <= DEEP_IM_H: (k, scaled residual, converged, sweeps,
+    retries), where retries counts the halved steps tested again."""
+    g, k = np.broadcast_arrays(np.asarray(g, dtype=complex), np.asarray(k0, dtype=complex))
+    shape, g, k = k.shape, g.ravel(), k.ravel().copy()
+    scaled, live, sweeps, retries = np.empty(k.size), np.arange(k.size), 0, 0
+    for sweep in range(max_iter + 1):
+        r, dr, scale, _ = unscaled_residual_terms(parity, g[live], k[live])
+        sweeps += 1
+        s = np.where(scale < np.inf, np.abs(r) / scale, np.nan)
+        scaled[live] = s
+        go = ~(s < tol) & (dr != 0)
+        if sweep == max_iter or not go.any():
+            break
+        live, r, dr = live[go], r[go], dr[go]
+        step, damp = r / dr, np.arange(live.size)
+        for _ in range(4):
+            trial = k[live[damp]] - step[damp]
+            damp = damp[~(np.abs(bethe_residual(parity, g[live[damp]], trial))
+                          <= np.abs(r[damp]))]
+            step[damp] *= 0.5
+            if damp.size == 0:
+                break
+            retries += 1
+        k[live] = k[live] - step
+    return k.reshape(shape), scaled.reshape(shape), (scaled < tol).reshape(shape), \
+        sweeps, retries
+
+
+def branch_distance(frame):
+    """`holonomy._branch_distance` at one frame, as a float."""
+    return holonomy._branch_distance([frame.g], frame.k[None]).item()
 
 
 def counted_runs(monkeypatch):
@@ -110,7 +156,7 @@ def stepwise_transport(path, trunc, rtol=holonomy.TRANSPORT_RTOL):
             rejected.append(g)
             return [(None, False, max(0.2, 0.9 * err ** -0.2))]
         ends.append(g)
-        factor = holonomy._kept_factor(run[-1], abs(dg))
+        factor, = holonomy._kept_factor([g], run[-1].k[None], [abs(dg)])
         if err > 0:
             factor = min(factor, max(0.2, 0.9 * err ** -0.2))
         return [((run[-1], holonomy._expm(omega6) @ v), True, factor)]
@@ -119,7 +165,7 @@ def stepwise_transport(path, trunc, rtol=holonomy.TRANSPORT_RTOL):
     frame0 = entry_frame(trunc, w[0])
     length = sum(abs(b - a) for a, b in zip(w, w[1:]))
     (_, v), reached, _ = walk_path(w, (frame0, np.eye(len(levels), dtype=complex)), hop,
-                                   h=min(length, holonomy._branch_distance(frame0)),
+                                   h=min(length, branch_distance(frame0)),
                                    max_step=np.inf, min_step=length * 2.0 ** -48)
     assert reached
     return v, len(ends), len(rejected), ends
@@ -299,7 +345,7 @@ class TestFrameAdvance:
         # the first step spans the start's branch distance, 0.354 or
         # about 2**-1.5 of the unit path, not the whole of it; 46
         # halvings then take it below 2**-48 of the path
-        assert abs(hops[0][-1] - 1.0) == pytest.approx(holonomy._branch_distance(frame))
+        assert abs(hops[0][-1] - 1.0) == pytest.approx(branch_distance(frame))
         assert len(hops) == 47
 
     def test_frame_without_its_base_level_is_refused(self):
@@ -371,9 +417,9 @@ class TestFrameAdvance:
         # that step to a few spacings, so its end is not its start
         estimate, seen = holonomy._branch_distance, []
 
-        def tiny_at_the_first_end(frame):
-            seen.append(frame.g)
-            return 1e-17 if len(seen) == 2 else estimate(frame)
+        def tiny_at_the_first_end(g, k):
+            seen.extend(g)  # one coupling a call: the start, then each end
+            return np.array([1e-17]) if len(seen) == 2 else estimate(g, k)
 
         monkeypatch.setattr(holonomy, "_branch_distance", tiny_at_the_first_end)
         frame = frame_at(TruncationSpec(Parity.EVEN, 4), 1.0)
@@ -389,7 +435,7 @@ class TestFrameAdvance:
         frame = TransportFrame((0, 2), 0j, np.array([0j, 2.0 + 0j]), np.array([0j, 2.0 + 0j]))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert holonomy._branch_distance(frame) == np.inf
+            assert branch_distance(frame) == np.inf
 
     def test_entry_walk_takes_few_runs(self, monkeypatch):
         # the deepest benchmark entry; one-point hops took 65 runs
@@ -451,7 +497,7 @@ class TestTransport:
         # each step's three Gauss nodes and its end go into one run, in
         # path order, and a run is one call of the array corrector
         calls, runs = [], []
-        correct, advance = holonomy.newton_correct_array, holonomy._advance_run
+        correct, advance = holonomy.newton_correct_with_step, holonomy._advance_run
 
         def counted(*args, **kwargs):
             calls.append(args[1])
@@ -462,7 +508,7 @@ class TestTransport:
             return advance(frame, g_points, tol)
 
         loop = bench_loop(2)
-        monkeypatch.setattr(holonomy, "newton_correct_array", counted)
+        monkeypatch.setattr(holonomy, "newton_correct_with_step", counted)
         monkeypatch.setattr(holonomy, "_advance_run", recorded)
         res = transport(loop, EVEN12)
         assert res.steps > 0 and len(calls) == len(runs)
@@ -589,6 +635,63 @@ class TestTransport:
     def test_rtol_outside_the_open_interval_is_rejected(self, rtol):
         with pytest.raises(ValueError, match="0 < rtol < inf"):
             transport(line_path(1.0, 1.0 - 0.8j), EVEN12, rtol=rtol)
+
+
+class TestRunWork:
+    def test_a_run_evaluates_the_kernel_once_a_sweep(self, monkeypatch):
+        # a damping test evaluates every term at its trial, so the point
+        # it accepts is not evaluated again, and a run's last Newton step
+        # is the corrector's own r/dr; each hop estimates the branch
+        # distance at all its step ends in one call
+        calls, estimates, hops = [], [], []
+        correct, estimate, walk = (holonomy.newton_correct_with_step,
+                                   holonomy._branch_distance, holonomy.walk_path)
+
+        def counted(kernel):
+            def counted_kernel(*args):
+                if calls and calls[-1][4] is None:  # inside a corrector call
+                    calls[-1][5] += 1
+                return kernel(*args)
+            return counted_kernel
+
+        def recorded(parity, g, k0, *, tol):
+            calls.append([parity, g, k0, tol, None, 0])
+            calls[-1][4] = correct(parity, g, k0, tol=tol)
+            return calls[-1][4]
+
+        def counted_estimate(g, k):
+            estimates.append(len(g))
+            return estimate(g, k)
+
+        def watched_walk(waypoints, state, hop, **walk_kwargs):
+            def watched(state, ends):
+                before = len(estimates)
+                tries = hop(state, ends)
+                hops.append((len(estimates) - before, tries[0][1]))
+                return tries
+            return walk(waypoints, state, watched, **walk_kwargs)
+
+        for name in ("bethe_residual", "residual_terms", "unscaled_residual_terms"):
+            monkeypatch.setattr(bethe, name, counted(getattr(bethe, name)))
+        monkeypatch.setattr(holonomy, "newton_correct_with_step", recorded)
+        monkeypatch.setattr(holonomy, "_branch_distance", counted_estimate)
+        monkeypatch.setattr(holonomy, "walk_path", watched_walk)
+        loop = bench_loop(2)
+        transport(loop, EVEN12)
+        frame_monodromy(loop, EVEN12)
+        monkeypatch.undo()
+        # two entry walks, a transport walk and a frame walk, each with
+        # one estimate at its start and at most one in each hop
+        assert all(n <= 1 for n, _ in hops) and all(n == 1 for n, kept in hops if kept)
+        assert len(estimates) == 4 + sum(n for n, _ in hops)
+        assert max(estimates) > 1  # some hop keeps several steps
+        for parity, g, k0, tol, (k, scaled, ok, step), evaluations in calls:
+            ref_k, ref_scaled, ref_ok, sweeps, retries = reference_correct(parity, g, k0, tol)
+            assert np.array_equal(k, ref_k) and np.array_equal(ok, ref_ok)
+            assert np.array_equal(scaled, ref_scaled, equal_nan=True)
+            assert evaluations <= sweeps + retries
+            r, dr, _, _ = unscaled_residual_terms(parity, g, k)
+            assert np.array_equal(k - step, k - r / dr)
 
 
 class TestMatrixExponential:
@@ -849,6 +952,12 @@ class TestTruncationSpec:
         # 3.5 was a TypeError at .levels
         with pytest.raises(ValueError, match="n_levels must be an integer >= 2"):
             TruncationSpec(Parity.EVEN, n_levels)
+
+    @pytest.mark.parametrize("parity", [float("nan"), 0, 1, "EVEN", None])
+    def test_parity_must_be_a_parity(self, parity):
+        # NaN was taken for the odd family, levels 1, 3, ..., 11
+        with pytest.raises(ValueError, match="parity must be a Parity"):
+            TruncationSpec(parity, 6)
 
     def test_numpy_integers_pass(self):
         trunc = TruncationSpec(Parity.EVEN, np.int64(4))

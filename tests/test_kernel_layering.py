@@ -1,12 +1,13 @@
 """Only `bethe` evaluates the Bethe residual kernel, apart from `exceptional`.
 
 Newton's method on the residual at fixed coupling (`newton_correct`,
-`newton_correct_array`, `newton_step`) lives beside the kernel in
-`bethe`; every other module takes those correctors instead of the
-kernel and its depth switch.  `exceptional` is the exception: its
-collision function F(g) is a different function built on the same
-terms.  The package's `__init__` only re-exports public names.  The
-check reads the sources, which are not imported.
+`newton_correct_array`, `newton_correct_with_step`, which also returns
+the next Newton step) lives beside the kernel in `bethe`; every other
+module takes those correctors instead of the kernel and its depth
+switch.  `exceptional` is the exception: its collision function F(g)
+is a different function built on the same terms.  The package's
+`__init__` only re-exports public names.  The check reads the sources,
+which are not imported.
 """
 
 import ast

@@ -9,7 +9,8 @@ import warnings
 import numpy as np
 import pytest
 
-from lieb2b.bethe import Parity, asymptotic_quasimomentum
+from lieb2b.bethe import Parity, asymptotic_quasimomentum, real_axis_k, solve_k_real
+from lieb2b.continuation import conjugation_symmetry_check, sheet_value
 from lieb2b.eigensystem import biorthonormality_defect, overlap_connection_oracle
 from lieb2b.exceptional import circle_reaches_branch_point, find_ep, local_expansion
 
@@ -29,6 +30,15 @@ REFUSED = {
                                 "radius"),
     "circle, infinite radius": (
         lambda: circle_reaches_branch_point(Parity.EVEN, 1.0, np.inf), "radius"),
+    # 1e300 passed the integer test, then numpy warned in the cast; past
+    # 2**53 doubles no longer hold every integer
+    "real axis, huge label": (lambda: real_axis_k(1e300, 1.0), "label n"),
+    "real axis, label past 2**53": (lambda: real_axis_k(2.0 ** 53 + 2, 1.0), "label n"),
+    "real axis, label past int64": (lambda: real_axis_k(10 ** 20, 1.0), "label n"),
+    "real solve, huge label": (lambda: solve_k_real(1e300, 1.0), "label n"),
+    "sheet value, huge label": (lambda: sheet_value(1e300, 1.0 - 1.0j), "label n"),
+    "mirror check, huge label": (lambda: conjugation_symmetry_check(1e300, 1.0 - 1.0j),
+                                 "label n"),
 }
 
 
