@@ -24,6 +24,19 @@ hops accept by one test, `_accepted`, which refuses a root near a
 branch point (|dJ/dk| < 1e-4), so the walk slows down there and stops
 instead of stepping across.
 
+A one-root hop spans at most RHO times the distance d to the walk's
+branch points, the radius of the root's Taylor disc.  For an excited
+label n > 1 on the standard sheet those are g_ep(n) and its mirror
+only, since each exceptional point joins one excited label to its
+family's base label; so a vertical walk to any depth takes O(log depth)
+hops.  The base labels n <= 1 may meet every exceptional point of their
+family and the real branch point, and a walk along an arbitrary path,
+which may change sheets at a cut, may meet any of them; both step by
+that whole family catalog, counting a point only while the root is
+close enough to the value where roots meet there (MEETING_WIDTH).  Such
+a walk is logarithmic in depth too unless it runs close beside a
+column of points it meets, about one per unit of depth.
+
 Riemann sheets follow the vertical-transport convention: the value at
 g = x + i*y is continued from the real-axis value at x straight up or
 down.  Branch cuts then run parallel to the imaginary axis: away from
@@ -47,14 +60,23 @@ import numpy as np
 
 from .bethe import (RESIDUAL_ACCEPT, RESIDUAL_TARGET, BetheState, Parity,
                     SolverError, branch_point_function, check_coupling,
-                    newton_correct, newton_correct_array, real_axis_k,
-                    solve_k_real)
-from .exceptional import find_ep
+                    newton_correct, newton_correct_array, newton_correct_with_step,
+                    real_axis_k, solve_k_real)
+from .exceptional import ExceptionalPointError, find_ep, ladder_points
 
 #: `_accepted`'s branch-point guard; an accepted hop grows the step by STEP_GROWTH
 DJ_DK_FLOOR, STEP_GROWTH = 1e-4, 1.7
-#: one-root walks' largest step; their smallest, and that of sheet rows
-MAX_STEP, MIN_STEP = 0.05, 1e-9
+#: the smallest step of one-root walks and of sheet rows
+MIN_STEP = 1e-9
+#: a one-root hop spans at most RHO times the distance to the walk's branch points
+RHO = 0.5
+#: every rung m of either family's ladder has |Im g_ep(m)| >= m - 1 + RUNG_DEPTH_MARGIN
+RUNG_DEPTH_MARGIN = 0.3
+#: a root k at g meets a listed branch point p, where roots meet at +-k_p,
+#: only if |k -+ k_p|^2 <= MEETING_WIDTH d (1 + d), d = |g - p|: the two
+#: roots that meet there keep |k - k_p|^2 below d (d + 0.7) out to d = 8
+#: (rungs 2 to 100, sixteen directions), (2/pi) d to first order
+MEETING_WIDTH = 2.0
 
 
 @dataclass
@@ -209,9 +231,10 @@ def walk_path(waypoints, state, hop, *, h: float, max_step: float, min_step: flo
         clipped to it, the segment and arclength it reaches)."""
         g_a, g_b, length, direction = segments[i]
         h = min(h, max_step, length - s)
-        if h == length - s or s + h >= length:
+        end = g_a + (s + h) * direction
+        if h == length - s or s + h >= length or end == g_b:
             return g_b, h, i + 1, 0.0
-        return g_a + (s + h) * direction, h, i, s + h
+        return end, h, i, s + h
 
     def spacing(i, s):
         """A few spacings of doubles at arclength s along segment i."""
@@ -243,43 +266,133 @@ def walk_path(waypoints, state, hop, *, h: float, max_step: float, min_step: flo
     return state, True, None
 
 
-def _scalar_hop(parity: Parity, sample: ContinuationSample, g, tol: float):
+class _BranchPoints(NamedTuple):
+    """Branch points a one-root walk steps by: ``points`` lists some of
+    them and ``roots`` the value where two roots meet at each, and every
+    other one lies at |Im g| >= ``floor``."""
+
+    points: np.ndarray
+    roots: np.ndarray
+    floor: float
+
+    def distance(self, g: complex, k: complex) -> float:
+        """A lower bound on the distance from g to the nearest branch
+        point of the root k: the floor's, or a listed point's where k
+        meets it (MEETING_WIDTH).  A point where k is regular, which k
+        may pass as close as it likes, does not count."""
+        d = self.floor - abs(g.imag)
+        if not self.points.size:
+            return d
+        near = np.abs(self.points - g)
+        off = np.minimum(np.abs(k - self.roots), np.abs(k + self.roots))
+        meets = off * off <= MEETING_WIDTH * near * (1.0 + near)
+        return min(d, float(near[meets].min())) if meets.any() else d
+
+
+def _branch_points(n: int, depth: float, *, family: bool = False) -> _BranchPoints:
+    """The branch points of label n's standard sheet down to |Im g| = depth.
+
+    For n > 1 they are g_ep(n) and its mirror, looked up only for a walk
+    at least n - 2 deep: a shallower one lists none and is bounded by
+    the floor n - 1 + RUNG_DEPTH_MARGIN, so it makes no ladder walk to
+    n.  For the base labels, and for any label with ``family``, they are
+    the family's exceptional points from one ladder walk, through the
+    first one deeper than depth, their mirrors and the real branch
+    point; the floor is that of the first rung not listed.  A rung the
+    ladder walk fails on raises its ExceptionalPointError, since no
+    floor then bounds the points below it.
+    """
+    parity = Parity.of_level(n)
+    if n > 1 and not family:
+        if depth < n - 2:
+            return _BranchPoints(np.empty(0, dtype=complex), np.empty(0, dtype=complex),
+                                 n - 1 + RUNG_DEPTH_MARGIN)
+        ep = find_ep(n, verify_unique=False)
+        return _BranchPoints(np.array([ep.g_ep, ep.g_ep.conjugate()]),
+                             np.array([ep.k_ep, ep.k_ep.conjugate()]), np.inf)
+    eps = []
+    for _, point in ladder_points(parity, parity.bound_level + 2 * (int(depth) // 2 + 3),
+                                  verify_unique=False):
+        if isinstance(point, ExceptionalPointError):
+            raise point
+        eps.append(point)
+        if -point.g_ep.imag > depth:
+            break
+    g_eps = np.array([p.g_ep for p in eps], dtype=complex)
+    k_eps = np.array([p.k_ep for p in eps], dtype=complex)
+    return _BranchPoints(np.concatenate([g_eps, g_eps.conj(), [parity.real_branch_point]]),
+                         np.concatenate([k_eps, k_eps.conj(), [0.0]]),
+                         eps[-1].n + 1 + RUNG_DEPTH_MARGIN)
+
+
+def _scalar_hop(parity: Parity, sample: ContinuationSample, g, branch_points: _BranchPoints):
     """Predictor-corrector hop of one root to g, for `walk_path`.
 
-    `newton_correct` runs to tol and `_accepted` decides; the hop grows
-    the step by STEP_GROWTH or halves it.  On one point the scalar
-    corrector is about four times faster than the sheet rows' array one.
+    `newton_correct` runs to RESIDUAL_TARGET and `_accepted` decides.  A
+    kept hop grows the step by min(STEP_GROWTH, RHO d / step), with d
+    the distance from g to the kept root's points in ``branch_points``,
+    and a refused hop halves it.  On one point the scalar corrector is
+    about four times faster than the sheet rows' array one.
     """
     k_pred = sample.k + (g - sample.g) * tangent_slope(sample.g, sample.k)
-    k, scaled, converged = newton_correct(parity, g, k_pred, tol=tol)
-    ok = _accepted(g, k, scaled, converged)
-    return ContinuationSample(g, k, scaled), ok, STEP_GROWTH if ok else 0.5
+    k, scaled, converged = newton_correct(parity, g, k_pred, tol=RESIDUAL_TARGET)
+    tried = ContinuationSample(g, k, scaled)
+    if not _accepted(g, k, scaled, converged):
+        return tried, False, 0.5
+    return tried, True, min(STEP_GROWTH, RHO * branch_points.distance(g, k) / abs(g - sample.g))
+
+
+def _walk_root(start: BetheState, waypoints, branch_points: _BranchPoints) -> ContinuationTrace:
+    """The one-root walker: `walk_path` of the start's root through
+    waypoints by `_scalar_hop`, the first hop spanning RHO d, with d the
+    distance from the start to ``branch_points``.
+
+    A walk whose root starts on one of its branch points (d = 0) takes
+    no step and stalls.  A hop keeps a root below RESIDUAL_ACCEPT, so a
+    completed walk ends as a frame walk does: `newton_correct_with_step`
+    corrects its end to RESIDUAL_TARGET, and the end takes the Newton
+    step it returns; the end sample keeps the scaled residual from
+    before that step.
+    """
+    parity = start.parity
+    sample = ContinuationSample(complex(start.g), complex(start.k),
+                                float(start.scaled_residual()))
+    trace = ContinuationTrace(start, sample, TraceStatus.ABORTED_NEAR_BRANCH_POINT,
+                              f"starts on a branch point at g={sample.g:.6g}")
+    d = branch_points.distance(sample.g, sample.k)
+    if not d > 0.0:
+        return trace
+    sample, reached, stalled = walk_path(
+        waypoints, sample, lambda s, ends: [_scalar_hop(parity, s, ends[0], branch_points)],
+        h=RHO * d, max_step=np.inf, min_step=MIN_STEP)
+    trace.end = sample
+    if not reached:
+        trace.note = (f"step underflow near a branch point at g={stalled.g:.6g} "
+                      f"(|r|={abs(branch_point_function(sample.g, sample.k)):.3g})")
+        return trace
+    trace.status, trace.note = TraceStatus.COMPLETED, ""
+    k, scaled, converged, step = newton_correct_with_step(parity, sample.g, sample.k,
+                                                          tol=RESIDUAL_TARGET)
+    if converged:
+        trace.end = ContinuationSample(sample.g, complex(k - step), float(scaled))
+    return trace
 
 
 def continue_along(start: BetheState, path: ComplexPath) -> ContinuationTrace:
     """Continue a quasi-momentum branch along a piecewise-linear path.
 
-    The path must begin at the state's coupling; `walk_path` walks it
-    with scalar hops corrected to RESIDUAL_TARGET, steps between
-    MIN_STEP and MAX_STEP.  A stalled walk ends the trace with
-    ABORTED_NEAR_BRANCH_POINT and the last good sample, so a caller
-    meaning to encircle a branch point must route around it.
+    The path must begin at the state's coupling.  It may cross a cut
+    and change sheets, so the one-root walker steps by the start
+    family's whole catalog, down to the path's depth, counting each
+    point only where the root meets it (`_BranchPoints.distance`).  A
+    stalled walk ends the trace with ABORTED_NEAR_BRANCH_POINT and the
+    last good sample, so a caller meaning to encircle a branch point
+    must route around it.
     """
     if abs(complex(path.waypoints[0]) - complex(start.g)) > 1e-12:
         raise ValueError("path must start at the state's coupling")
-    parity = start.parity
-    sample = ContinuationSample(complex(start.g), complex(start.k),
-                                float(start.scaled_residual()))
-    sample, reached, stalled = walk_path(
-        path.waypoints, sample,
-        lambda s, ends: [_scalar_hop(parity, s, ends[0], RESIDUAL_TARGET)],
-        h=MAX_STEP, max_step=MAX_STEP, min_step=MIN_STEP)
-    trace = ContinuationTrace(start, sample)
-    if not reached:
-        trace.status = TraceStatus.ABORTED_NEAR_BRANCH_POINT
-        trace.note = (f"step underflow near a branch point at g={stalled.g:.6g} "
-                      f"(|r|={abs(branch_point_function(sample.g, sample.k)):.3g})")
-    return trace
+    depth = max(abs(w.imag) for w in path.waypoints)
+    return _walk_root(start, path.waypoints, _branch_points(start.n, depth, family=True))
 
 
 def continue_to(start: BetheState, g_target) -> ContinuationTrace:
@@ -287,30 +400,42 @@ def continue_to(start: BetheState, g_target) -> ContinuationTrace:
     return continue_along(start, line_path(start.g, g_target))
 
 
-def sheet_value(n: int, g) -> complex:
-    """k_n(g) on the standard sheet (vertical continuation from Re g)."""
-    g = complex(g)
-    anchor = solve_k_real(n, g.real)
+def _vertical(anchor: BetheState, g: complex, branch_points: _BranchPoints) -> complex:
+    """k at g, walked by `_walk_root` straight up or down from the
+    real-axis anchor at Re g; SolverError if the walk stalls."""
     if g.imag == 0.0:
         return anchor.k
-    trace = continue_to(anchor, g)
+    trace = _walk_root(anchor, (complex(anchor.g), g), branch_points)
     if trace.status is not TraceStatus.COMPLETED:
-        raise SolverError(
-            f"vertical continuation aborted: {trace.note}",
-            g=trace.final_g, k=trace.final_k,
-        )
+        raise SolverError(f"vertical continuation aborted: {trace.note}",
+                          g=trace.final_g, k=trace.final_k)
     return trace.final_k
+
+
+def sheet_value(n: int, g) -> complex:
+    """k_n(g) on the standard sheet: the real-axis root at Re g, walked
+    vertically by the label's own branch points (`_branch_points`)."""
+    g = complex(g)
+    anchor = solve_k_real(n, g.real)
+    check_coupling(g)
+    if g.imag == 0.0:
+        return anchor.k
+    return _vertical(anchor, g, _branch_points(n, abs(g.imag)))
 
 
 def conjugation_symmetry_check(n: int, g) -> int:
     """Sign s in conj(k_n(conj(g))) = s * k_n(g) on the standard sheet.
 
-    Returns +1 or -1; raises SolverError if either value is unreachable
-    by vertical continuation or if neither sign matches to 1e-8.
+    Both values are walked from one real-axis anchor by one set of
+    branch points, as in `sheet_value`.  Returns +1 or -1; raises
+    SolverError if either value is unreachable by vertical continuation
+    or if neither sign matches to 1e-8.
     """
     g = complex(g)
-    k_here = sheet_value(n, g)
-    k_mirror = sheet_value(n, g.conjugate())
+    anchor = solve_k_real(n, g.real)
+    check_coupling(g)
+    points = _branch_points(n, abs(g.imag))
+    k_here, k_mirror = (_vertical(anchor, target, points) for target in (g, g.conjugate()))
     tol = 1e-8 * max(1.0, abs(k_here))
     if abs(k_mirror.conjugate() - k_here) < tol:
         return +1
@@ -436,27 +561,47 @@ def _march_half(parity, xs, k_anchor, ordinates, *, tol, k_out, rows):
     return abort_at
 
 
-def _catalog_branch_point(m: int) -> complex:
-    """Level m's branch point by `find_ep`, without its uniqueness check."""
-    return find_ep(m, verify_unique=False).g_ep
+def _partner_points(n: int, depth: float, ep_finder):
+    """The branch points whose cuts a sheet of label n reaching |Im g| =
+    depth may carry, in order up the ladder: n's own for n > 1; for the
+    bound labels n in {0, 1}, each partner's whose point (at depth about
+    m - 1) lies within depth, or at most 1.5 below it.
+
+    ep_finder, if given, is asked one label at a time; by default n > 1
+    asks `find_ep` and the bound labels read one ladder walk, which a
+    caller that stops early leaves untaken.  A label whose lookup fails
+    gives the RuntimeError it raised in place of its point.
+    """
+    last = n if n > 1 else int(depth + 2.5)
+    if ep_finder is None and n <= 1:
+        for _, point in ladder_points(Parity.of_level(n), last, verify_unique=False):
+            yield point if isinstance(point, ExceptionalPointError) else point.g_ep
+        return
+    finder = ep_finder or (lambda m: find_ep(m, verify_unique=False).g_ep)
+    for m in range(n + 2, last + 1, 2) if n <= 1 else [n]:
+        try:
+            yield complex(finder(m))
+        except RuntimeError as error:
+            yield error
 
 
 def build_sheet(n: int, grid: GridSpec, *, tol: float = RESIDUAL_TARGET,
-                ep_finder=_catalog_branch_point) -> RiemannSheet:
+                ep_finder=None) -> RiemannSheet:
     """Construct one branch's Riemann sheet over a rectangular grid.
 
     Each column is anchored at its real-axis value and continued
     vertically both ways.  Columns whose continuation runs into a
     branch point are marked incomplete from that ordinate outward and
-    recorded in aborted_columns.  Cut segments are attached from the
-    branch-point catalog: the sheet's own collision points for n > 1,
-    every partner collision for the bound labels n in {0, 1}, their
-    upper-half mirror images, and the real-axis degeneracy of the
-    bound label (cut running upward).
+    recorded in aborted_columns.  Cut segments are attached at the
+    label's own branch points in the window (`_partner_points`): its
+    collision point for n > 1, every partner collision for the bound
+    labels n in {0, 1}, their upper-half mirror images, and the
+    real-axis degeneracy of the bound label (cut running upward).
 
-    ep_finder maps a level label to its complex branch point; the
-    default asks `find_ep`, and a caller may inject a precomputed
-    catalog instead.
+    By default the bound labels read their partners from one ladder
+    walk.  A caller may inject ep_finder, which maps a level label to
+    its complex branch point, as a precomputed catalog instead; it is
+    then asked for one label at a time.
     """
     parity = Parity.of_level(n)
     xs = grid.re_axis
@@ -480,14 +625,8 @@ def build_sheet(n: int, grid: GridSpec, *, tol: float = RESIDUAL_TARGET,
             aborted.setdefault(col, y)
 
     cuts = []
-    # n > 1: its own point; n in {0, 1}: every partner whose branch
-    # point (depth about m - 1) lies above the window's floor, or at
-    # most 1.5 below it, asked for one at a time
-    partners = [n] if n > 1 else range(n + 2, int(abs(grid.im_min) + 2.5) + 1, 2)
-    for m in partners:
-        try:
-            bp = complex(ep_finder(m))
-        except RuntimeError:
+    for bp in _partner_points(n, max(-grid.im_min, grid.im_max), ep_finder):
+        if isinstance(bp, RuntimeError):
             # a missing catalog entry costs one cut, not the sheet
             continue
         if bp.real < grid.re_min:

@@ -7,17 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieb2b.bethe import (DEEP_IM_H, Parity, SolverError, bethe_residual,
-                          residual_k_derivative, residual_scale,
+from lieb2b.bethe import (DEEP_IM_H, RESIDUAL_TARGET, Parity, SolverError,
+                          bethe_residual, residual_k_derivative, residual_scale,
                           scaled_bethe_residual, solve_k_real)
 from lieb2b import continuation
-from lieb2b.continuation import (ComplexPath, GridSpec, TraceStatus,
-                                 circle_path, conjugation_symmetry_check,
-                                 continue_along, continue_to, build_sheet,
-                                 line_path, newton_correct,
-                                 newton_correct_array, sheet_value,
-                                 tangent_slope, walk_path)
-from lieb2b.exceptional import find_ep, ladder_points
+from lieb2b.continuation import (RUNG_DEPTH_MARGIN, STEP_GROWTH, ComplexPath,
+                                 GridSpec, TraceStatus, circle_path,
+                                 conjugation_symmetry_check, continue_along,
+                                 continue_to, build_sheet, line_path,
+                                 newton_correct, newton_correct_array,
+                                 sheet_value, tangent_slope, walk_path)
+from lieb2b.exceptional import ExceptionalPointError, find_ep, ladder_points
 from lieb2b.holonomy import TruncationSpec, entry_frame
 
 
@@ -212,6 +212,153 @@ class TestContinuation:
         assert "branch point" in trace.note
         with pytest.raises(SolverError, match="branch point"):
             sheet_value(2, g_ep)
+
+
+def capped_sheet_value(n, g):
+    """k_n(g) by a reference vertical walk that knows no branch points:
+    hops of at most 0.05, grown by STEP_GROWTH after a kept hop and
+    halved after a refused one, each predicted by the tangent, corrected
+    by `newton_correct` and kept by `_accepted`."""
+    parity = Parity.of_level(n)
+
+    def hop(state, ends):
+        (g0, k0), g1 = state, ends[0]
+        k, scaled, converged = newton_correct(
+            parity, g1, k0 + (g1 - g0) * tangent_slope(g0, k0), tol=RESIDUAL_TARGET)
+        ok = continuation._accepted(g1, k, scaled, converged)
+        return [((g1, k), ok, STEP_GROWTH if ok else 0.5)]
+
+    start = complex(g.real)
+    (_, k), reached, _ = walk_path((start, g), (start, solve_k_real(n, g.real).k), hop,
+                                   h=0.05, max_step=0.05, min_step=1e-9)
+    assert reached, (n, g)
+    return k
+
+
+def counted(monkeypatch, name):
+    """Record the arguments of every call of continuation.<name>."""
+    calls, function = [], getattr(continuation, name)
+
+    def record(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(continuation, name, record)
+    return calls
+
+
+class TestOneRootStepRule:
+    def test_matches_the_capped_walk_over_a_window(self):
+        # labels 0-11 over [-8, 3] x [-40, -0.1]
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            n = int(rng.integers(0, 12))
+            g = complex(rng.uniform(-8.0, 3.0), rng.uniform(-40.0, -0.1))
+            want = capped_sheet_value(n, g)
+            assert abs(sheet_value(n, g) - want) <= 1e-8 * abs(want), (n, g)
+
+    def test_matches_the_capped_walk_beside_another_labels_point(self):
+        # a column 1e-4 to 1e-2 beside g_ep(m), m = n +- 2, ending 2 below
+        # it: k_n has no branch point there, so its steps stay long, while
+        # the roots of m and the base label meet nearby
+        rng = np.random.default_rng(7)
+        for _ in range(8):
+            n = int(rng.integers(2, 12))
+            m = n + 2 if n < 4 or rng.uniform() < 0.5 else n - 2
+            e = ep_g(m)
+            offset = 10.0 ** rng.uniform(-4.0, -2.0) * rng.choice([-1.0, 1.0])
+            g = complex(e.real + offset, e.imag - 2.0)
+            want = capped_sheet_value(n, g)
+            assert abs(sheet_value(n, g) - want) <= 1e-8 * abs(want), (n, m, offset)
+
+    @pytest.mark.parametrize("depth", [1e5, 1e6])
+    def test_excited_label_reaches_the_domain_edge_in_few_hops(self, monkeypatch, depth):
+        hops = counted(monkeypatch, "newton_correct")
+        g = complex(-1.0, -depth)
+        k = sheet_value(2, g)
+        assert len(hops) < 100
+        assert scaled_bethe_residual(Parity.EVEN, g, k) <= 1e-10
+
+    def test_mirror_check_solves_one_anchor_and_one_point_set(self, monkeypatch):
+        anchors = counted(monkeypatch, "solve_k_real")
+        ladders = counted(monkeypatch, "ladder_points")
+        finds = counted(monkeypatch, "find_ep")
+        assert conjugation_symmetry_check(0, -1.0 - 2.0j) == -1
+        assert (len(anchors), len(ladders), len(finds)) == (1, 1, 0)
+        assert conjugation_symmetry_check(2, -1.0 - 2.0j) in (+1, -1)
+        assert (len(anchors), len(ladders), len(finds)) == (2, 1, 1)
+
+    def test_shallow_walk_at_a_large_label_walks_no_ladder(self, monkeypatch):
+        # shallower than n - 2 the walk steps by the floor n - 1 +
+        # RUNG_DEPTH_MARGIN; from n - 2 down it looks g_ep(n) up
+        finds = counted(monkeypatch, "find_ep")
+        for n in (10 ** 3, 10 ** 4):
+            k = sheet_value(n, -1.0 - 1.0j)
+            assert scaled_bethe_residual(Parity.of_level(n), -1.0 - 1.0j, k) <= 1e-10
+        sheet_value(5, -1.0 - 2.9j)
+        assert finds == []
+        sheet_value(5, -1.0 - 3.0j)
+        assert finds == [(5,)]
+
+    @pytest.mark.parametrize("parity", list(Parity))
+    def test_every_rung_lies_below_the_depth_floor(self, parity):
+        # the floor of the unlisted branch points: |Im g_ep(m)| - (m - 1)
+        # is 0.311 at m = 2 and 0.368 at m = 3, and rises towards 0.5 up
+        # the ladder (0.49997 at m = 40000)
+        gaps = [-p.g_ep.imag - (m - 1)
+                for m, p in ladder_points(parity, 2401, verify_unique=False)]
+        assert len(gaps) == 1200
+        assert min(gaps) >= RUNG_DEPTH_MARGIN
+        assert max(gaps) < 0.5
+
+    def test_walks_end_on_the_residual_target(self):
+        # beside the deep branch points a hop keeps a root below
+        # RESIDUAL_ACCEPT; the end is corrected on past RESIDUAL_TARGET
+        for n in (8, 9):
+            g = ep_g(n) + 1e-3
+            for m in (Parity.of_level(n).bound_level, n):
+                trace = continue_to(solve_k_real(m, g.real), g)
+                assert trace.status is TraceStatus.COMPLETED
+                assert trace.end.scaled_residual < RESIDUAL_TARGET
+                assert scaled_bethe_residual(Parity.of_level(n), g, trace.final_k) \
+                    < RESIDUAL_TARGET
+
+    def test_continuation_leaves_a_real_branch_point_it_is_not_at(self):
+        # label 2 is regular at g = 0, the even family's real branch
+        # point; label 0 sits on it (k = 0) and cannot leave
+        trace = continue_to(solve_k_real(2, 0.0), -1.0j)
+        assert trace.status is TraceStatus.COMPLETED
+        assert abs(trace.final_k - sheet_value(2, -1.0j)) <= 1e-12
+        stuck = continue_to(solve_k_real(0, 0.0), -1.0j)
+        assert stuck.status is TraceStatus.ABORTED_NEAR_BRANCH_POINT
+        assert "starts on a branch point" in stuck.note
+
+    def test_path_through_a_listed_point_where_the_root_is_regular(self, monkeypatch):
+        # the even catalog lists g = 0, where only the roots +-0 of the
+        # base label meet; label 2 (k = 2 there) crosses it in hops that
+        # do not shrink towards it (40 hops of at most 0.05 at a fixed cap)
+        hops = counted(monkeypatch, "newton_correct")
+        trace = continue_to(solve_k_real(2, 1.0), -1.0)
+        assert trace.status is TraceStatus.COMPLETED
+        assert len(hops) <= 10
+        assert abs(trace.final_k - solve_k_real(2, -1.0).k) <= 1e-12
+
+    def test_a_rung_the_catalog_needs_but_misses_is_an_error(self, monkeypatch):
+        # no floor bounds the branch points below a failed rung, so a walk
+        # that needs it raises instead of stepping by a bound it passed
+        shallow = sheet_value(0, -1.0 - 2.0j)
+        walk = continuation.ladder_points
+
+        def failing(parity, n_max, **kwargs):
+            for m, point in walk(parity, n_max, **kwargs):
+                yield m, ExceptionalPointError(f"no rung {m}") if m >= 6 else point
+
+        monkeypatch.setattr(continuation, "ladder_points", failing)
+        assert sheet_value(0, -1.0 - 2.0j) == shallow
+        with pytest.raises(ExceptionalPointError, match="no rung 6"):
+            sheet_value(0, -1.0 - 10.0j)
+        with pytest.raises(ExceptionalPointError, match="no rung 6"):
+            continue_to(solve_k_real(2, -1.0), -1.0 - 10.0j)
 
 
 def binary(ok):
@@ -615,7 +762,7 @@ class TestSheets:
     @pytest.mark.xfail(strict=True, reason="ROADMAP Known defects: coarse sheet rows "
                        "land on a partner branch")
     def test_coarse_rows_keep_the_branch(self):
-        # rows 0.51 apart, farther than MAX_STEP: in column Re g = -1.5,
+        # rows 0.51 apart, farther than the root's basin: in column Re g = -1.5,
         # from just below g_ep(7) = -1.503 - 6.435i down to Im g = -20,
         # the array march lands on roots near 6.01 - 0.20i where the
         # scalar walk finds 8.01 - 0.27i; both are roots, so no residual
@@ -667,6 +814,24 @@ class TestSheets:
         assert [c.branch_point for c in sheet.cut_segments if c.kind == "exceptional"] \
             == [points[m].g_ep for m in asked[:-1]]
 
+    def test_default_catalog_stops_left_of_the_window(self, monkeypatch):
+        # the default reads one ladder walk and leaves it at the first
+        # branch point left of re_min (label 728), not at the depth bound
+        # 1e6, which lies some 5e5 rungs up
+        walk, taken = continuation.ladder_points, []
+
+        def counted_rungs(*args, **kwargs):
+            for m, point in walk(*args, **kwargs):
+                taken.append(point)
+                yield m, point
+
+        monkeypatch.setattr(continuation, "ladder_points", counted_rungs)
+        sheet = build_sheet(0, GridSpec(-3.0, 1.0, -1e6, 0.5, 3, 3))
+        assert len(taken) == 364
+        assert taken[-1].g_ep.real < -3.0 <= taken[-2].g_ep.real
+        assert [c.branch_point for c in sheet.cut_segments if c.kind == "exceptional"] \
+            == [p.g_ep for p in taken[:-1]]
+
     def test_partner_catalog_skips_a_label_the_finder_misses(self):
         def finder(m):
             if m == 4:
@@ -678,6 +843,23 @@ class TestSheets:
         full = build_sheet(0, grid, ep_finder=ep_g).cut_segments
         assert cuts == [c for c in full if c.branch_point != ep_g(4)]
         assert len(cuts) == len(full) - 1
+
+    @pytest.mark.parametrize("n, grid, exceptional", [
+        (n, GridSpec(n_re=5, n_im=5), 4 if n < 2 else 2 if n < 6 else 0) for n in range(8)]
+        + [(0, GridSpec(-5.0, 1.0, -1000.0, 0.5, 3, 3), 500),
+           # reaching higher above the axis than below: the mirrors of
+           # g_ep(2), ..., g_ep(10) up to Im g = 10
+           (0, GridSpec(-3.0, 1.0, -1.0, 10.0, 3, 3), 5)])
+    def test_default_cuts_match_the_per_label_finder(self, monkeypatch, n, grid, exceptional):
+        # the default takes its cuts from one ladder walk, and a finder
+        # asked label by label gives the same cuts; find_ep(m) walks the
+        # same ladder to m, so the finder reads m's rung from one walk
+        rungs = dict(ladder_points(Parity.of_level(n), 1003, verify_unique=False))
+        ladders = counted(monkeypatch, "ladder_points")
+        cuts = build_sheet(n, grid).cut_segments
+        assert len(ladders) == (n < 2)
+        assert cuts == build_sheet(n, grid, ep_finder=lambda m: rungs[m].g_ep).cut_segments
+        assert sum(c.kind == "exceptional" for c in cuts) == exceptional
 
     def test_row_walk_near_a_double_root(self, monkeypatch):
         # the column Re g = -1.05 passes 8e-4 from g_ep(2); the row walk

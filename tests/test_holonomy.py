@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from lieb2b import bethe, holonomy
 from lieb2b.bethe import (RESIDUAL_TARGET, Parity, bethe_residual, branch_point_function,
-                          real_axis_k, residual_terms, rotated_sqrt, solve_k_real,
+                          real_axis_k, rotated_sqrt, solve_k_real,
                           unscaled_residual_terms)
 from lieb2b.continuation import (STEP_GROWTH, ComplexPath, circle_path, continue_to,
                                  line_path, sheet_value, walk_path)
@@ -30,14 +30,6 @@ EVEN12 = TruncationSpec(Parity.EVEN, 12)
 def bench_loop(n):
     """The benchmark's loop: radius 1e-3, 48 arcs, clockwise about g_ep(n)."""
     return circle_path(find_ep(n, verify_unique=False).g_ep, 1e-3, n_points=48)
-
-
-def newton_step(parity, g, k):
-    """One undamped Newton step k - r/dr on the residual, elementwise; an
-    element where dr = 0 stays where it is."""
-    r, dr, _, _ = residual_terms(parity, g, k)
-    moves = dr != 0
-    return k - np.where(moves, r / np.where(moves, dr, 1.0), 0.0)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -380,17 +372,16 @@ class TestFrameAdvance:
         assert sum(safe < 4 for _, safe in runs) <= 4
 
     def test_entry_frames_match_scalar_continuation(self):
-        # continue_to ends within RESIDUAL_ACCEPT, up to 1e-7 from the
-        # root beside these branch points; the frame ends one Newton step
-        # past RESIDUAL_TARGET, so its roots meet the scalar ones after
-        # that same step
+        # beside these branch points a root at RESIDUAL_TARGET can still be
+        # 5e-10 off; continue_to and the frame both end one Newton step
+        # past it, so they meet directly
         for n in range(2, 10):
             trunc = TruncationSpec(Parity.of_level(n), 12 if n % 2 == 0 else 24)
             g = find_ep(n, verify_unique=False).g_ep + 1e-3
             frame = entry_frame(trunc, g)
             for m, k in zip(frame.levels, frame.k):
                 scalar = continue_to(solve_k_real(m, g.real), g).final_k
-                assert abs(k - newton_step(trunc.parity, g, scalar)) <= 1e-10, (n, m)
+                assert abs(k - scalar) <= 1e-12, (n, m)
 
     @pytest.mark.parametrize("offset", [0.0, 1e-9, -1e-9])
     @pytest.mark.parametrize("n", [2, 5])

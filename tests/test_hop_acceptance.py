@@ -10,8 +10,12 @@ package.  In `holonomy`, `_run_steps` is the only caller of the frame
 corrector `_advance_run`, and both frame movers, `transport` and
 `_walk_frame`, go through it.  Both also step by one rule: they reach
 `walk_path` only through `_walk_branches`, and their hops take the
-factor after a kept step from `_kept_factor`.  The check reads the
-sources, which are not imported.
+factor after a kept step from `_kept_factor`.  One-root continuation
+has one walker too: `sheet_value`, `continue_along` and
+`conjugation_symmetry_check` reach `walk_path` only through
+`_walk_root`, whose hop is `_scalar_hop`, and no module keeps a fixed
+step cap `MAX_STEP`.  The check reads the sources, which are not
+imported.
 """
 
 import ast
@@ -25,11 +29,27 @@ def names_called(node) -> set:
             if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
 
 
+def functions(module: str) -> dict:
+    """The functions, methods and nested functions of a module by name."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    return {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+
+
 def called_names(function: str, module: str = "continuation") -> set:
     """Names called inside `<module>.<function>`."""
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
-    return names_called(next(n for n in ast.walk(tree)
-                             if isinstance(n, ast.FunctionDef) and n.name == function))
+    return names_called(functions(module)[function])
+
+
+def reached_names(function: str, module: str = "continuation") -> set:
+    """Names called from `<module>.<function>`, through the module's own
+    functions that it calls, to any depth."""
+    defined, reached, todo = functions(module), set(), [function]
+    while todo:
+        for name in names_called(defined[todo.pop()]) - reached:
+            reached.add(name)
+            if name in defined:
+                todo.append(name)
+    return reached
 
 
 def test_rows_take_the_array_corrector_only():
@@ -69,3 +89,24 @@ def test_transport_and_frame_walks_share_the_step_rule():
     tree = ast.parse((PACKAGE / "holonomy.py").read_text())
     assert {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
             and "walk_path" in names_called(node)} == {"_walk_branches"}
+
+
+def test_one_root_walks_share_one_walker():
+    for function in ("sheet_value", "continue_along", "conjugation_symmetry_check"):
+        assert "walk_path" not in called_names(function)
+        assert "_walk_root" in reached_names(function)
+    walkers = {name for name, node in functions("continuation").items()
+               if "walk_path" in names_called(node)}
+    assert walkers == {"_walk_root", "_march_half"}
+    assert "_scalar_hop" in called_names("_walk_root")
+    assert not called_names("_walk_root") & {"newton_correct_array", "_march_half"}
+
+
+def test_no_module_keeps_a_fixed_step_cap():
+    uses = [f"{path.name}:{node.lineno}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if (isinstance(node, ast.Name) and node.id == "MAX_STEP")
+            or (isinstance(node, ast.Attribute) and node.attr == "MAX_STEP")
+            or (isinstance(node, ast.alias) and node.name == "MAX_STEP")]
+    assert uses == []

@@ -2,6 +2,7 @@
 ValueError that names the input, before any numerical work, so neither
 a bare TypeError nor a numpy warning nor a silent wrong answer escapes.
 Integer arguments follow `numbers.Integral`, so numpy integers pass.
+A walk that would start on its own branch point is a SolverError.
 """
 
 import warnings
@@ -9,7 +10,8 @@ import warnings
 import numpy as np
 import pytest
 
-from lieb2b.bethe import Parity, asymptotic_quasimomentum, real_axis_k, solve_k_real
+from lieb2b.bethe import (Parity, SolverError, asymptotic_quasimomentum, real_axis_k,
+                          solve_k_real)
 from lieb2b.continuation import conjugation_symmetry_check, sheet_value
 from lieb2b.eigensystem import biorthonormality_defect, overlap_connection_oracle
 from lieb2b.exceptional import circle_reaches_branch_point, find_ep, local_expansion
@@ -54,3 +56,19 @@ def test_numpy_integers_pass():
     assert asymptotic_quasimomentum(np.int64(4), +1) == 5
     a = overlap_connection_oracle(np.int64(2), 0.5, nodes=np.int64(64))
     assert a.shape == (2, 2)
+
+
+# the bound label's real-axis anchor at its family's real branch point is
+# k = 0, the point where its two roots meet; k = 0 also solves the odd
+# residual at every g, so a walk that left it would carry 0 along
+ON_OWN_BRANCH_POINT = {
+    "even, below": (0, -1.0j), "even, above": (0, 1.0j),
+    "odd, below": (1, -2.0 / np.pi - 1.0j), "odd, above": (1, -2.0 / np.pi + 1.0j),
+}
+
+
+@pytest.mark.parametrize("n, g", ON_OWN_BRANCH_POINT.values(), ids=ON_OWN_BRANCH_POINT.keys())
+def test_walk_from_its_own_branch_point_is_a_solver_error(n, g):
+    for call in (sheet_value, conjugation_symmetry_check):
+        with pytest.raises(SolverError, match="starts on a branch point"):
+            call(n, g)
