@@ -21,10 +21,10 @@ from .config import ConfigError, RunConfig, load_config, parse_config
 from .continuation import (ComplexPath, CutSegment, GridSpec, RiemannSheet,
                            build_sheet, circle_path, conjugation_symmetry_check,
                            continue_along, continue_to, line_path, sheet_value)
-from .cycles import (CycleResult, InconclusivePermutationError,
-                     PathConstructionError, chained_loop_holonomy,
-                     contour_permutation, ep_chain_path, hermitian_cycle,
-                     n_ep_contour, permutation_from_holonomy)
+from .cycles import (CycleResult, PathConstructionError,
+                     chained_loop_holonomy, contour_permutation,
+                     ep_chain_path, hermitian_cycle, n_ep_contour,
+                     permutation_from_holonomy)
 from .eigensystem import (biorthonormality_defect, normalization_pt,
                           overlap_connection_oracle, right_profiles, sinc_pi)
 from .exceptional import (ExceptionalPoint, ExceptionalPointError,
@@ -52,8 +52,8 @@ __all__ = [
     "ComplexPath", "CutSegment", "GridSpec", "RiemannSheet", "build_sheet",
     "circle_path", "conjugation_symmetry_check", "continue_along",
     "continue_to", "line_path", "sheet_value",
-    "CycleResult", "InconclusivePermutationError",
-    "PathConstructionError", "chained_loop_holonomy", "contour_permutation",
+    "CycleResult", "PathConstructionError", "chained_loop_holonomy",
+    "contour_permutation",
     "ep_chain_path", "hermitian_cycle", "n_ep_contour",
     "permutation_from_holonomy",
     "biorthonormality_defect", "normalization_pt",

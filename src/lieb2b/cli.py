@@ -9,8 +9,7 @@ Tables and documents are emitted through the export-record layer, so
 every artifact carries the hash of the configuration that produced it.
 
 Exit codes: 0 on success, 2 when a setting or file is refused or a
-solve or transport fails, 3 when a holonomy matrix cannot be
-thresholded into a permutation.
+solve or transport fails.
 """
 
 from __future__ import annotations
@@ -24,9 +23,8 @@ import numpy as np
 from .bethe import Parity, SolverError, energy, solve_k_real
 from .config import ConfigError, RunConfig, load_config
 from .continuation import GridSpec, build_sheet, circle_path
-from .cycles import (InconclusivePermutationError, PathConstructionError,
-                     chained_loop_holonomy, contour_permutation,
-                     hermitian_cycle, n_ep_contour,
+from .cycles import (PathConstructionError, chained_loop_holonomy,
+                     contour_permutation, hermitian_cycle, n_ep_contour,
                      permutation_from_holonomy)
 from .eigensystem import overlap_connection_oracle
 from .exceptional import (ExceptionalPointError, circle_reaches_branch_point,
@@ -38,7 +36,6 @@ from .serialize import (ExportRecord, csv_table, cycle_document, format_float,
 
 EXIT_OK = 0
 EXIT_SOLVER = 2
-EXIT_INCONCLUSIVE = 3
 
 
 def _chain_levels(text: str) -> tuple:
@@ -238,9 +235,6 @@ def main(argv=None) -> int:
     except (SolverError, ExceptionalPointError, TransportError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except InconclusivePermutationError as exc:
-        print(f"inconclusive permutation: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
     return code
 
 

@@ -14,19 +14,17 @@ differential equation is integrated; the identity is checked
 numerically at the edge of the coupling domain, +-COUPLING_LIMIT.
 
 The same shift is produced, two levels at a time, by closed contours in
-the complex plane that enclose exceptional points.  Permutations of
-closed contours are read from the frame monodromy: the adiabatic
-continuation of each level around the loop, which is a signed
-permutation read off exactly from the returned quasi-momenta.  The
-parallel-transport matrix of the same loop carries the identical
-permutation conjugated by the transport of the approach corridor (a
-consequence of flatness: it depends only on the loop's homotopy class),
-so its columns are not directly dominated by single entries unless the
-loop is a small circle entered through a continued frame.  The two
-pictures are reconciled by :func:`chained_loop_holonomy`, which
-composes the small-circle transports of the individual exceptional
-points in path order; its product converges to the same closed-form
-chain monodromy.
+the complex plane that enclose exceptional points.  A closed contour's
+permutation is read one way only: from the signed permutation that the
+holonomy carries as ``monodromy``, matched exactly from the returned
+quasi-momenta of the loop's end frame.  The parallel-transport matrix
+of the same loop carries the identical permutation conjugated by the
+transport of the approach corridor (a consequence of flatness: it
+depends only on the loop's homotopy class) and a gauge factor, so its
+entries are never thresholded.  The two pictures are reconciled by
+:func:`chained_loop_holonomy`, which composes the small-circle
+transports of the individual exceptional points in path order; its
+product converges to the same closed-form chain monodromy.
 """
 
 from __future__ import annotations
@@ -47,16 +45,10 @@ from .holonomy import (HolonomyMatrix, TruncationSpec, ep_loop_holonomy,
 CLEARANCE = 0.5
 #: depth of `ep_chain_path`'s approach channel below the real axis
 CHANNEL_DEPTH = 0.05
-#: modulus a column's dominant entry must exceed to count as a permutation
-DOMINANCE = 0.9
 
 
 class PathConstructionError(ValueError):
     """The requested contour cannot keep its clearance from every EP."""
-
-
-class InconclusivePermutationError(RuntimeError):
-    """No dominant entry: the holonomy is not close to a signed permutation."""
 
 
 @dataclass(frozen=True)
@@ -239,52 +231,38 @@ def chained_loop_holonomy(ns, trunc: TruncationSpec,
     standard frame continued straight down from the real axis, so every
     factor converges to its elementary monodromy as the radius shrinks,
     and the product converges to the closed-form chain.  Loops listed
-    first act first, i.e. their matrices stand rightmost in the product.
-    A level outside the truncation is refused before any transport.
+    first act first, i.e. their matrices stand rightmost in the product,
+    and the ``monodromy`` is the same product of the loops' own.  A level
+    outside the truncation is refused before any transport.
     """
     for n in ns:
         trunc.slot(n)
     out = np.eye(trunc.n_levels, dtype=complex)
+    monodromy = out.copy()
     steps = rejected = 0
     for n in ns:
         piece = ep_loop_holonomy(n, trunc, radius).holonomy
         out = piece.matrix @ out
+        monodromy = piece.monodromy @ monodromy
         steps += piece.steps
         rejected += piece.rejected
-    return HolonomyMatrix(trunc, out, steps=steps, rejected=rejected)
+    return HolonomyMatrix(trunc, out, steps=steps, rejected=rejected, monodromy=monodromy)
 
 
 def permutation_from_holonomy(hol: HolonomyMatrix, *,
                               g0: float | None = None) -> CycleResult:
-    """Threshold a holonomy matrix into a permutation with phases.
-
-    Each column must have a single dominant entry of modulus above
-    ``DOMINANCE`` and the dominant rows must all be distinct; otherwise
-    the permutation is inconclusive (truncation too small, contour too
-    close to an exceptional point, or a corridor-conjugated matrix).
-    """
+    """The permutation and phases of a closed path's holonomy, read from
+    its signed permutation ``hol.monodromy``.  An open path carries none,
+    which is a ValueError."""
+    if hol.monodromy is None:
+        raise ValueError("the holonomy of an open path carries no permutation")
     trunc = hol.truncation
     levels = trunc.levels
     kbar = trunc.base
-    v = hol.matrix
-
-    permutation = {}
-    phases = {}
-    rows_taken = set()
-    for j, n in enumerate(levels):
-        i = int(np.argmax(np.abs(v[:, j])))
-        mag = abs(v[i, j])
-        if mag <= DOMINANCE:
-            raise InconclusivePermutationError(
-                f"level {n}: dominant coefficient {mag:.3f} is below "
-                f"threshold {DOMINANCE}")
-        if i in rows_taken:
-            raise InconclusivePermutationError(
-                f"level {n}: slot {levels[i]} already claimed, holonomy "
-                "is not close to a signed permutation")
-        rows_taken.add(i)
-        permutation[n] = levels[i]
-        phases[n] = complex(v[i, j])
+    w = hol.monodromy
+    rows = np.abs(w).argmax(axis=0)  # one entry in each column
+    permutation = {n: levels[i] for n, i in zip(levels, rows.tolist())}
+    phases = dict(zip(levels, w[rows, np.arange(len(levels))].tolist()))
 
     if g0 is not None:
         energies_before = _family_energies(trunc, g0)
@@ -304,8 +282,7 @@ def contour_permutation(path: ComplexPath, trunc: TruncationSpec) -> CycleResult
     The holonomy is the frame monodromy: each level's quasi-momentum is
     continued around the loop by Newton tracking and matched back to
     the standard levels at the base point, giving the adiabatic
-    permutation and its signs exactly.  The dominance threshold is
-    applied to the resulting matrix.
+    permutation and its signs exactly.
     """
     g_start = complex(path.waypoints[0])
     hol = frame_monodromy(path, trunc)  # refuses an open path

@@ -65,11 +65,11 @@ identity elsewhere (:func:`m_n_analytic`).  The orientation and index
 convention are anchored by the first even case: around that branch
 point, e_0 -> +e_2 and e_2 -> -e_0, i.e. M[2, 0] = +1, M[0, 2] = -1.
 
-A second, discrete route to the same limit object never touches the
-ODE: continue the frame itself around the loop and read off which level
-each slot returns to and with which residual sign
-(:func:`frame_monodromy`).  The two routes are independent checks of
-one another.
+A loop's signed permutation is read one way only: its end frame is
+matched to its start frame (:func:`match_frames`), giving the level each
+slot returns to and its sign exactly.  Transport reads it from its own
+frames; :func:`frame_monodromy` walks the frame alone, without the ODE.
+The two routes are independent checks of one another.
 """
 
 from __future__ import annotations
@@ -146,16 +146,19 @@ class HolonomyMatrix:
 
     Entry (i, j) is the coefficient of starting slot i in the
     transported slot j; later loops multiply from the left.  When the
-    matrix came from transport, ``steps`` counts the Magnus steps taken
-    and ``rejected`` the steps refused at the start of a hop, by an
-    unsafe point or by the error test.  A step cut from the end of a
-    hop is tried again by the next one and is not counted as rejected.
+    matrix came from transport it is V, nothing folded in; ``steps``
+    counts the Magnus steps taken and ``rejected`` the steps refused at
+    the start of a hop, by an unsafe point or by the error test.  A step
+    cut from the end of a hop is tried again by the next one and is not
+    counted as rejected.  ``monodromy`` is a closed path's signed
+    permutation in the same layout, None for an open path.
     """
 
     truncation: TruncationSpec
     matrix: np.ndarray
     steps: int = 0
     rejected: int = 0
+    monodromy: np.ndarray | None = None
 
     def entry(self, n_row: int, n_col: int) -> complex:
         """Matrix entry addressed by level labels instead of slots."""
@@ -450,7 +453,9 @@ def transport(path: ComplexPath, trunc: TruncationSpec, *,
 
     The walk starts from :func:`entry_frame` at the path start and steps
     by `_walk_branches`' rule, its growth capped by the error estimate.
-    The result's matrix is V at the path end with V(0) = 1; a warning is
+    The result's matrix is V at the path end with V(0) = 1; a closed
+    path's ``monodromy`` matches the end frame to the start frame, where
+    a slot that left the truncation is a TransportError.  A warning is
     issued if the top retained level's coupling row grows beyond a bound
     at the start of any step, since then the truncation is feeding back
     into the retained block.
@@ -513,7 +518,8 @@ def transport(path: ComplexPath, trunc: TruncationSpec, *,
                       TruncationWarning, stacklevel=2)
     if not reached:
         raise TransportError(f"step size underflow near g = {frame.g}")
-    return HolonomyMatrix(trunc, v, steps=steps, rejected=rejected)
+    monodromy = _signed_permutation(frame, start) if _is_loop(path) else None
+    return HolonomyMatrix(trunc, v, steps=steps, rejected=rejected, monodromy=monodromy)
 
 
 def match_frames(frame: TransportFrame, reference: TransportFrame):
@@ -558,6 +564,21 @@ def match_frames(frame: TransportFrame, reference: TransportFrame):
     return perm, factors
 
 
+def _signed_permutation(end: TransportFrame, start: TransportFrame) -> np.ndarray:
+    """The signed permutation matrix of a loop from its end and start
+    frames: column j holds slot j's sign (`match_frames`) in the row of
+    the level it landed on."""
+    perm, factors = match_frames(end, start)
+    m = len(start.levels)
+    w = np.zeros((m, m), dtype=complex)
+    w[perm, np.arange(m)] = factors
+    return w
+
+
+def _is_loop(path: ComplexPath) -> bool:
+    return abs(path.waypoints[-1] - path.waypoints[0]) <= 1e-12
+
+
 def frame_monodromy(path: ComplexPath, trunc: TruncationSpec) -> HolonomyMatrix:
     """Discrete monodromy of a closed loop, no differential equation.
 
@@ -566,16 +587,13 @@ def frame_monodromy(path: ComplexPath, trunc: TruncationSpec) -> HolonomyMatrix:
     standard levels there and the residual normalization signs are read
     off.  For a loop around a single branch point this produces the
     elementary monodromy exactly, up to root-finding precision, and
-    provides an independent check on :func:`transport`.
+    provides an independent check on :func:`transport`'s ``monodromy``.
     """
-    g0 = complex(path.waypoints[0])
-    if abs(complex(path.waypoints[-1]) - g0) > 1e-12:
+    if not _is_loop(path):
         raise ValueError("frame monodromy needs a closed loop")
-    start = entry_frame(trunc, g0)
-    perm, factors = match_frames(_walk_frame(start, path.waypoints), start)
-    w = np.zeros((trunc.n_levels, trunc.n_levels), dtype=complex)
-    w[perm, np.arange(trunc.n_levels)] = factors
-    return HolonomyMatrix(trunc, w)
+    start = entry_frame(trunc, path.waypoints[0])
+    w = _signed_permutation(_walk_frame(start, path.waypoints), start)
+    return HolonomyMatrix(trunc, w, monodromy=w)
 
 
 def m_n_analytic(n: int, trunc: TruncationSpec) -> HolonomyMatrix:
@@ -614,7 +632,9 @@ def m_chain_analytic(m: int, trunc: TruncationSpec) -> HolonomyMatrix:
 
 @dataclass
 class EpLoopHolonomy:
-    """Transport around one exceptional point, with its analytic target."""
+    """Transport around one exceptional point, with its analytic target.
+    ``defect`` measures transport against M(n) only for radius <
+    Re g_ep(n - 2) - Re g_ep(n) (:func:`ep_loop_holonomy`); beyond, about 1."""
 
     ep: ExceptionalPoint
     truncation: TruncationSpec
@@ -630,8 +650,12 @@ def ep_loop_holonomy(n: int, trunc: TruncationSpec, radius: float = 1e-3, *,
     The start point g_ep + radius carries standard-sheet values,
     continued straight down from the real axis.  The returned defect is
     the max-norm distance of the raw transport matrix from the
-    elementary monodromy; it shrinks with the loop radius.  A level
-    outside the truncation is refused before the search and transport.
+    elementary monodromy; it shrinks with the loop radius.  That target
+    holds for n >= n_b + 4 only while radius < Re g_ep(n - 2) - Re g_ep(n)
+    (0.259 at n = 4, 0.181 at 5, 0.140 at 6, 0.115 at 7): a wider loop
+    starts right of g_ep(n - 2)'s downward cut and exchanges n - 2 with n,
+    as its ``monodromy`` reports.  A level outside the truncation is
+    refused before the search and transport.
     """
     if not MIN_LOOP_RADIUS <= radius < np.inf:
         raise ValueError(f"loop radius {radius} must be finite and at least the safe "

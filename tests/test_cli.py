@@ -15,7 +15,6 @@ from lieb2b import bethe, cli, exceptional, holonomy, serialize
 from lieb2b.bethe import solve_k_real
 from lieb2b.config import ConfigError, RunConfig, parse_config
 from lieb2b.continuation import CutSegment, GridSpec, build_sheet
-from lieb2b.cycles import InconclusivePermutationError
 from lieb2b.exceptional import ExceptionalPointError
 from lieb2b.holonomy import TruncationSpec, ep_loop_holonomy, m_n_analytic
 from lieb2b.bethe import Parity
@@ -199,19 +198,29 @@ class TestHolonomy:
         record = parse_record(out)
         levels, matrix, perm, phases = parse_holonomy_document(record.payload)
         assert levels == (0, 2, 4, 6, 8, 10, 12, 14)
-        assert perm[0] == 2 and perm[2] == 0
-        assert abs(phases[0] - 1.0) < 1e-2
-        assert abs(phases[2] + 1.0) < 1e-2
+        assert perm == {n: {0: 2, 2: 0}.get(n, n) for n in levels}
+        # the exact signs of M(2), not the transport matrix's entries
+        assert phases == {n: -1.0 if n == 2 else 1.0 for n in levels}
         target = m_n_analytic(2, TruncationSpec(Parity.EVEN, 8)).matrix
         assert np.max(np.abs(matrix - target)) < 2e-2
+
+    def test_wide_ep_loop_reads_its_pair(self, capsys):
+        # level 2's column of the transport matrix peaks at modulus 0.896
+        # here, but the circle encloses g_ep(2) alone
+        code, out, err = run_cli(capsys, "holonomy", "--n", 2, "--radius", 1.0)
+        assert (code, err) == (0, "")
+        levels, _, perm, phases = parse_holonomy_document(parse_record(out).payload)
+        assert perm == {n: {0: 2, 2: 0}.get(n, n) for n in levels}
+        assert phases == {n: -1.0 if n == 2 else 1.0 for n in levels}
 
     def test_chain_document(self, capsys):
         code, out, _ = run_cli(capsys, "holonomy", "--contour", "chain",
                                "--ns", "2,4", "--trunc", 10)
         assert code == 0
-        _, _, perm, _ = parse_holonomy_document(parse_record(out).payload)
+        levels, _, perm, phases = parse_holonomy_document(parse_record(out).payload)
         assert perm[0] == 2 and perm[2] == 4 and perm[4] == 0
         assert all(perm[n] == n for n in (6, 8, 10, 12, 14, 16, 18))
+        assert phases == {n: 1.0 for n in levels}
 
     def test_empty_contour_is_identity(self, capsys):
         code, out, _ = run_cli(capsys, "holonomy", "--contour", "empty",
@@ -528,14 +537,6 @@ class TestConfig:
         for n in (0, 2):
             code, out, err = run_cli(capsys, "sheet", "--n", n, "--im-min=-1e300")
             assert (code, out) == (2, "") and "grid_im_min" in err
-
-    def test_inconclusive_permutation_exits_3(self, capsys, monkeypatch):
-        def broken(cfg, args):
-            raise InconclusivePermutationError("no dominant entry")
-        monkeypatch.setattr(cli, "cmd_cycle", broken)
-        code, _, err = run_cli(capsys, "cycle", "--g0", 1.0)
-        assert code == 3
-        assert "inconclusive" in err
 
 
 class TestCouplingDomain:

@@ -8,13 +8,12 @@ import pytest
 from lieb2b import bethe, cycles
 from lieb2b.bethe import Parity, SolverError, energy, solve_k_real
 from lieb2b.continuation import line_path
-from lieb2b.cycles import (InconclusivePermutationError,
-                           PathConstructionError, chained_loop_holonomy,
+from lieb2b.cycles import (PathConstructionError, chained_loop_holonomy,
                            contour_permutation, ep_chain_path,
                            hermitian_cycle, n_ep_contour,
                            permutation_from_holonomy)
 from lieb2b.holonomy import (HolonomyMatrix, TruncationSpec, frame_monodromy,
-                             m_chain_analytic, m_n_analytic)
+                             m_chain_analytic, m_n_analytic, transport)
 
 EVEN8 = TruncationSpec(Parity.EVEN, 8)
 EVEN12 = TruncationSpec(Parity.EVEN, 12)
@@ -111,10 +110,12 @@ class TestChainedLoops:
         v = chained_loop_holonomy((2, 4), EVEN12, 1e-3)
         target = m_chain_analytic(2, EVEN12).matrix
         assert np.max(np.abs(v.matrix - target)) < 2e-2
+        assert np.array_equal(v.monodromy, target)
 
     def test_steps_and_rejected_steps_are_summed(self, monkeypatch):
         def piece(n, trunc, radius):
-            hol = HolonomyMatrix(trunc, np.eye(trunc.n_levels), steps=10 + n, rejected=n)
+            hol = HolonomyMatrix(trunc, np.eye(trunc.n_levels), steps=10 + n, rejected=n,
+                                 monodromy=np.eye(trunc.n_levels))
             return SimpleNamespace(holonomy=hol)
 
         monkeypatch.setattr(cycles, "ep_loop_holonomy", piece)
@@ -150,24 +151,22 @@ class TestChainedLoops:
             ep_chain_path([])
 
 
-class TestThresholding:
-    def test_weak_dominance_is_inconclusive(self):
-        trunc = TruncationSpec(Parity.EVEN, 2)
-        mat = np.full((2, 2), 0.5 + 0.0j)
-        with pytest.raises(InconclusivePermutationError):
-            permutation_from_holonomy(HolonomyMatrix(trunc, mat))
-
-    def test_duplicate_rows_are_inconclusive(self):
-        trunc = TruncationSpec(Parity.EVEN, 2)
-        mat = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
-        with pytest.raises(InconclusivePermutationError):
-            permutation_from_holonomy(HolonomyMatrix(trunc, mat))
-
+class TestPermutationReader:
     def test_clean_matrix_reads_back(self):
+        # the permutation and phases come from the signed permutation,
+        # not from the transport matrix beside it
         trunc = TruncationSpec(Parity.EVEN, 3)
-        mat = np.array([[0.0, -0.99, 0.0],
-                        [0.98, 0.0, 0.0],
-                        [0.0, 0.0, 1.0]], dtype=complex)
-        res = permutation_from_holonomy(HolonomyMatrix(trunc, mat), g0=1.0)
+        w = np.array([[0.0, -1.0, 0.0],
+                      [1.0, 0.0, 0.0],
+                      [0.0, 0.0, 1.0]], dtype=complex)
+        res = permutation_from_holonomy(
+            HolonomyMatrix(trunc, np.full((3, 3), 0.5 + 0.0j), monodromy=w), g0=1.0)
         assert res.permutation == {0: 2, 2: 0, 4: 4}
+        assert res.phases == {0: 1.0, 2: -1.0, 4: 1.0}
         assert res.energies_before[0] == res.energies_after[2]
+
+    def test_open_path_holonomy_is_refused(self):
+        hol = transport(line_path(1.0, 1.0 - 0.05j), TruncationSpec(Parity.EVEN, 4))
+        assert hol.monodromy is None
+        with pytest.raises(ValueError, match="open path carries no permutation"):
+            permutation_from_holonomy(hol)

@@ -772,6 +772,18 @@ class TestEpLoops:
         with pytest.raises(ValueError, match="n_points >= 3"):
             ep_loop_holonomy(2, TruncationSpec(Parity.EVEN, 6), arc_points=2)
 
+    def test_wide_loop_exchanges_the_lower_pair(self):
+        # radius 0.3 > Re g_ep(2) - Re g_ep(4) = 0.259: the loop starts
+        # right of g_ep(2)'s downward cut and exchanges 2 with 4, not 0 with 4
+        trunc = TruncationSpec(Parity.EVEN, 8)
+        res = ep_loop_holonomy(4, trunc, 0.3)
+        want = np.eye(8, dtype=complex)
+        want[1:3, 1:3] = [[0.0, -1.0], [1.0, 0.0]]
+        assert np.array_equal(res.holonomy.monodromy, want)
+        loop = circle_path(res.ep.g_ep, 0.3, n_points=48)
+        assert np.array_equal(frame_monodromy(loop, trunc).matrix, want)
+        assert res.defect > 1.0
+
     def test_odd_family_loop(self):
         odd12 = TruncationSpec(Parity.ODD, 12)
         v = ep_loop_holonomy(3, odd12, 1e-3).holonomy
@@ -830,6 +842,23 @@ class TestFrameMonodromy:
             loop = circle_path(e, 1e-3, n_points=48)
             w = frame_monodromy(loop, trunc).matrix
             assert np.array_equal(w, m_n_analytic(n, trunc).matrix)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_transport_reads_the_same_monodromy(self, n):
+        trunc = TruncationSpec(Parity.of_level(n), 8)
+        loop = circle_path(find_ep(n, verify_unique=False).g_ep, 1e-3, n_points=48)
+        assert np.array_equal(transport(loop, trunc).monodromy,
+                              frame_monodromy(loop, trunc).matrix)
+
+    def test_loop_that_carries_a_slot_out_of_the_truncation_fails(self):
+        # around g_ep(6) slot 0 returns as level 6, which 0, 2, 4 do not hold
+        trunc = TruncationSpec(Parity.EVEN, 3)
+        loop = circle_path(find_ep(6, verify_unique=False).g_ep, 1e-3, n_points=48)
+        for route in (transport, frame_monodromy):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", TruncationWarning)
+                with pytest.raises(TransportError, match="no standard level nearby"):
+                    route(loop, trunc)
 
     def test_real_branch_point_loop_is_trivial(self):
         for parity in (Parity.EVEN, Parity.ODD):

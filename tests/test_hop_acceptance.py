@@ -14,7 +14,10 @@ factor after a kept step from `_kept_factor`.  One-root continuation
 has one walker too: `sheet_value`, `continue_along` and
 `conjugation_symmetry_check` reach `walk_path` only through
 `_walk_root`, whose hop is `_scalar_hop`, and no module keeps a fixed
-step cap `MAX_STEP`.  The check reads the sources, which are not
+step cap `MAX_STEP`.  A loop's permutation is read one way: `transport`
+and `frame_monodromy` build it through `_signed_permutation`, the only
+caller of `match_frames`, and no dominance threshold, its error or its
+exit code is defined.  The check reads the sources, which are not
 imported.
 """
 
@@ -110,3 +113,24 @@ def test_no_module_keeps_a_fixed_step_cap():
             or (isinstance(node, ast.Attribute) and node.attr == "MAX_STEP")
             or (isinstance(node, ast.alias) and node.name == "MAX_STEP")]
     assert uses == []
+
+
+def test_loops_read_their_permutation_one_way():
+    for function in ("transport", "frame_monodromy"):
+        assert "_signed_permutation" in called_names(function, "holonomy")
+    callers = {f"{path.stem}.{node.name}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef) and "match_frames" in names_called(node)}
+    assert callers == {"holonomy._signed_permutation"}
+
+
+def test_no_module_defines_a_dominance_threshold():
+    defined = [f"{path.name}:{node.lineno}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if (isinstance(node, ast.ClassDef)
+                   and node.name == "InconclusivePermutationError")
+               or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                   and node.id in {"DOMINANCE", "EXIT_INCONCLUSIVE"})]
+    assert defined == []
