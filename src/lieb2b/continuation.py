@@ -18,8 +18,8 @@ the local behaviour turns into a square root with coefficient
 
 equal to 2/pi wherever r = 0.  One walker, `walk_path`, carries a root
 along a path, a sheet row from the one before it, and (in `holonomy`) a
-transport frame and transport's Magnus steps, which take several of its
-step ends in one hop.  One-root and sheet-row
+transport frame and transport's Magnus steps, both of which take
+several of its step ends in one hop.  One-root and sheet-row
 hops accept by one test, `_accepted`, which refuses a root near a
 branch point (|dJ/dk| < 1e-4), so the walk slows down there and stops
 instead of stepping across.
@@ -203,17 +203,16 @@ class ContinuationTrace:
         return BetheState(self.start.n, self.final_g, self.final_k, self.start.parity)
 
 
-def walk_path(waypoints, state, hop, *, h: float, max_step: float, min_step: float,
-              lookahead: int = 1, growth: float = 1.0):
+def walk_path(waypoints, state, hop, *, h: float, min_step: float, lookahead: int = 1):
     """Carry state along the polyline through waypoints.
 
-    A step spans min(h, max_step, the rest of the segment); the one that
-    reaches a waypoint in floating point goes to the waypoint itself,
-    and h carries over corners.  hop(state, ends) gets the end of the
-    step the walk takes now, followed, up to ``lookahead`` ends in all,
-    by the ends of the steps after it that a corner or max_step clips
-    when every step scales h by ``growth``: a smaller factor that still
-    reaches the clip leaves them in place.  It returns a list of (state
+    A step spans min(h, the rest of the segment); the one that reaches a
+    waypoint in floating point goes to the waypoint itself, and h
+    carries over corners.  hop(state, ends) gets the end of the step the
+    walk takes now, followed, up to ``lookahead`` ends in all, by the
+    ends of the steps after it that a corner clips when every step
+    scales h by STEP_GROWTH: a smaller factor that still reaches the
+    corner leaves them in place.  It returns a list of (state
     tried at an end, whether it is accepted, the factor that then scales
     h), one per leading end it tried: accepted tries, or a refused try
     of the first end.  The walk keeps the tries in order while each end
@@ -230,7 +229,7 @@ def walk_path(waypoints, state, hop, *, h: float, max_step: float, min_step: flo
         """The step from arclength s along segment i: (its end, h
         clipped to it, the segment and arclength it reaches)."""
         g_a, g_b, length, direction = segments[i]
-        h = min(h, max_step, length - s)
+        h = min(h, length - s)
         end = g_a + (s + h) * direction
         if h == length - s or s + h >= length or end == g_b:
             return g_b, h, i + 1, 0.0
@@ -247,9 +246,9 @@ def walk_path(waypoints, state, hop, *, h: float, max_step: float, min_step: flo
         ends = [laid[0][0]]
         while len(laid) < lookahead and laid[-1][2] < len(segments):
             _, clipped, j, t = laid[-1]
-            after = step(j, t, clipped * growth)
-            if after[1] == clipped * growth:
-                break  # an unclipped end moves with any factor below growth
+            after = step(j, t, clipped * STEP_GROWTH)
+            if after[1] == clipped * STEP_GROWTH:
+                break  # an unclipped end moves with any factor below STEP_GROWTH
             laid.append(after)
             ends.append(after[0])
         for (_, clipped, i_next, s_next), (tried, ok, factor) in zip(laid, hop(state, ends)):
@@ -364,7 +363,7 @@ def _walk_root(start: BetheState, waypoints, branch_points: _BranchPoints) -> Co
         return trace
     sample, reached, stalled = walk_path(
         waypoints, sample, lambda s, ends: [_scalar_hop(parity, s, ends[0], branch_points)],
-        h=RHO * d, max_step=np.inf, min_step=MIN_STEP)
+        h=RHO * d, min_step=MIN_STEP)
     trace.end = sample
     if not reached:
         trace.note = (f"step underflow near a branch point at g={stalled.g:.6g} "
@@ -550,8 +549,7 @@ def _march_half(parity, xs, k_anchor, ordinates, *, tol, k_out, rows):
     for y, row in zip(ordinates, rows):
         while state[1].size:
             gap = abs(y - state[0])
-            state, reached, passed = walk_path((state[0], y), state, hop, h=gap,
-                                               max_step=gap, min_step=MIN_STEP)
+            state, reached, passed = walk_path((state[0], y), state, hop, h=gap, min_step=MIN_STEP)
             if reached:
                 break
             y0, cols, k = state

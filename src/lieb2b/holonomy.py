@@ -96,6 +96,8 @@ MIN_LOOP_RADIUS = 1e-4
 GAP_TOL = 1e-6
 #: relative tolerance of a Magnus step, the default of `transport`
 TRANSPORT_RTOL = 1e-10
+#: steps a frame walk's hop takes at most: its corrector run holds four points a step
+_RUN_STEPS = 8
 
 
 class TransportError(RuntimeError):
@@ -368,15 +370,14 @@ def _kept_factor(g, k, steps) -> list:
             for d, step in zip(_branch_distance(g, k).tolist(), steps)]
 
 
-def _walk_branches(waypoints, frame: TransportFrame, state, hop, lookahead: int):
+def _walk_branches(waypoints, frame: TransportFrame, state, hop):
     """`walk_path` of ``state`` from ``frame`` by every frame walk's step
-    rule: the first step spans min(path length, `_branch_distance`), the
-    hops grow a kept step by `_kept_factor`, and the walk gives up below
-    2**-48 of the path length."""
+    rule: the first step spans `_branch_distance` at ``frame``, each hop
+    is offered at most _RUN_STEPS step ends, the hops grow a kept step by
+    `_kept_factor`, and the walk gives up below 2**-48 of the path length."""
     length = sum(abs(b - a) for a, b in zip(waypoints, waypoints[1:]))
-    h = min(length, _branch_distance([frame.g], frame.k[None]).item())
-    return walk_path(waypoints, state, hop, h=h, max_step=np.inf, min_step=length * 2.0 ** -48,
-                     lookahead=lookahead, growth=STEP_GROWTH)
+    return walk_path(waypoints, state, hop, h=_branch_distance([frame.g], frame.k[None]).item(),
+                     min_step=length * 2.0 ** -48, lookahead=_RUN_STEPS)
 
 
 def _walk_frame(frame: TransportFrame, waypoints) -> TransportFrame:
@@ -385,8 +386,8 @@ def _walk_frame(frame: TransportFrame, waypoints) -> TransportFrame:
 
     A hop is transport's without the Magnus algebra: it keeps every
     step of `_run_steps`, or halves a first step that fails, and steps
-    by `_walk_branches`' rule.  A hop takes at most as many steps as the
-    path has segments.  Each kept step leaves every slot, corrected to
+    by `_walk_branches`' rule, so a hop takes at most _RUN_STEPS steps,
+    as transport's does.  Each kept step leaves every slot, corrected to
     RESIDUAL_TARGET, in its own Newton basin and on its own sqrt(r)
     branch from point to point.
     """
@@ -398,7 +399,7 @@ def _walk_frame(frame: TransportFrame, waypoints) -> TransportFrame:
         return [(TransportFrame(f.levels, g, k_end, s_end), True, factor)
                 for g, k_end, s_end, factor in zip(ends, k[:, 3], sqrt_r[:, 3], factors)]
 
-    end, reached, _ = _walk_branches(waypoints, frame, frame, hop, len(waypoints) - 1)
+    end, reached, _ = _walk_branches(waypoints, frame, frame, hop)
     if not reached:
         raise TransportError(f"frame walk stalled between {end.g} and {waypoints[-1]}")
     return end
@@ -418,8 +419,8 @@ def advance_frame(frame: TransportFrame, g_target: complex) -> TransportFrame:
 
 
 TAIL_ROW_BOUND = 0.25
-#: Magnus-step absolute tolerance, step budget, and steps laid out in one corrector run
-MAGNUS_ATOL, MAGNUS_MAX_STEPS, _MAGNUS_BATCH = 1e-13, 200000, 8
+#: Magnus-step absolute tolerance and step budget
+MAGNUS_ATOL, MAGNUS_MAX_STEPS = 1e-13, 200000
 
 
 def _commutator(x, y):
@@ -510,8 +511,7 @@ def transport(path: ComplexPath, trunc: TruncationSpec, *,
         return tried
 
     (frame, v, steps, tail), reached, _ = _walk_branches(
-        path.waypoints, start, (start, np.eye(m, dtype=complex), 0, 0.0), hop,
-        _MAGNUS_BATCH)
+        path.waypoints, start, (start, np.eye(m, dtype=complex), 0, 0.0), hop)
     if tail > TAIL_ROW_BOUND:
         warnings.warn(f"level {levels[-1]} coupling row norm {tail:.3g} "
                       "exceeds the truncation bound, enlarge n_levels",

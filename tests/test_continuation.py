@@ -216,9 +216,9 @@ class TestContinuation:
 
 def capped_sheet_value(n, g):
     """k_n(g) by a reference vertical walk that knows no branch points:
-    hops of at most 0.05, grown by STEP_GROWTH after a kept hop and
-    halved after a refused one, each predicted by the tangent, corrected
-    by `newton_correct` and kept by `_accepted`."""
+    hops of at most 0.05, grown by STEP_GROWTH up to that cap after a
+    kept hop and halved after a refused one, each predicted by the
+    tangent, corrected by `newton_correct` and kept by `_accepted`."""
     parity = Parity.of_level(n)
 
     def hop(state, ends):
@@ -226,11 +226,11 @@ def capped_sheet_value(n, g):
         k, scaled, converged = newton_correct(
             parity, g1, k0 + (g1 - g0) * tangent_slope(g0, k0), tol=RESIDUAL_TARGET)
         ok = continuation._accepted(g1, k, scaled, converged)
-        return [((g1, k), ok, STEP_GROWTH if ok else 0.5)]
+        return [((g1, k), ok, min(STEP_GROWTH, 0.05 / abs(g1 - g0)) if ok else 0.5)]
 
     start = complex(g.real)
     (_, k), reached, _ = walk_path((start, g), (start, solve_k_real(n, g.real).k), hop,
-                                   h=0.05, max_step=0.05, min_step=1e-9)
+                                   h=0.05, min_step=1e-9)
     assert reached, (n, g)
     return k
 
@@ -378,8 +378,7 @@ class TestWalkSegment:
             return [(g, *binary(steps[-1] <= 0.3))]
 
         g_b = 0.1 - 0.7j
-        end, reached, refused = walk_path([1.0, g_b], 1.0 + 0j, hop, h=1.0, max_step=1.0,
-                                          min_step=1e-3)
+        end, reached, refused = walk_path([1.0, g_b], 1.0 + 0j, hop, h=1.0, min_step=1e-3)
         assert reached and end == g_b and refused is None  # lands on g_b exactly
         assert steps[:5] == pytest.approx([1.0, 0.5, 0.25, 0.425, 0.2125])
 
@@ -394,32 +393,30 @@ class TestWalkSegment:
         assert g_a + length * direction != g_b
         hops = []
 
-        def hop(state, ends):
+        def hop(state, ends):  # a kept step keeps its length
             hops.append(ends[0])
-            return [(ends[0], *binary(True))]
+            return [(ends[0], True, 1.0)]
 
-        end, reached, _ = walk_path([g_a, g_b], g_a, hop, h=length / 3,
-                                    max_step=length / 3, min_step=1e-9)
+        end, reached, _ = walk_path([g_a, g_b], g_a, hop, h=length / 3, min_step=1e-9)
         assert reached and end == g_b and hops[-1] == g_b and len(hops) == 3
 
     def test_stall_returns_last_accepted_state(self):
         hops = []
 
-        def hop(state, ends):
+        def hop(state, ends):  # kept steps grow to at most 0.2
             g = ends[0]
             hops.append(g)
-            return [(g, *binary(g.imag > -0.5))]
+            ok = g.imag > -0.5
+            return [(g, ok, min(1.7, 0.2 / abs(g - state)) if ok else 0.5)]
 
-        end, reached, refused = walk_path([0.0, -1.0j], 0j, hop, h=0.2, max_step=0.2,
-                                          min_step=1e-6)
+        end, reached, refused = walk_path([0.0, -1.0j], 0j, hop, h=0.2, min_step=1e-6)
         assert not reached and -0.5 < end.imag <= -0.5 + 2e-6
         assert refused == hops[-1] and refused.imag <= -0.5  # the refused try
         # from 0.2, halving 18 times falls below 1e-6
         assert len(hops) < 100
 
     def test_zero_length_segment(self):
-        assert walk_path([1.0, 1.0], "state", None, h=0.1, max_step=0.1,
-                         min_step=1e-9) == ("state", True, None)
+        assert walk_path([1.0, 1.0], "state", None, h=0.1, min_step=1e-9) == ("state", True, None)
 
     def test_step_carries_over_corners(self):
         # doubling steps: the hop clipped at the first corner (0.3) goes
@@ -431,8 +428,7 @@ class TestWalkSegment:
             steps.append(abs(g - state))
             return [(g, True, 2.0)]
 
-        end, reached, _ = walk_path([0.0, 1.0, 1.0 + 4.0j], 0j, hop, h=0.1,
-                                    max_step=10.0, min_step=1e-9)
+        end, reached, _ = walk_path([0.0, 1.0, 1.0 + 4.0j], 0j, hop, h=0.1, min_step=1e-9)
         assert reached and end == 1.0 + 4.0j
         assert steps == pytest.approx([0.1, 0.2, 0.4, 0.3, 0.6, 1.2, 2.2])
 
@@ -448,8 +444,7 @@ class TestWalkSegment:
             hops.append(g)
             return [(g, *binary(g == state))]
 
-        end, reached, refused = walk_path([g_a, g_a + 1.0], g_a, hop, h=0.5,
-                                          max_step=1.0, min_step=1e-12)
+        end, reached, refused = walk_path([g_a, g_a + 1.0], g_a, hop, h=0.5, min_step=1e-12)
         assert not reached and end == g_a and refused == hops[-1] != g_a
         assert len(hops) < 25
 
@@ -465,8 +460,7 @@ class TestWalkSegment:
             offered.append((state, ends[0]))
             return [(ends[0], True, 1e-300 if len(offered) == 1 else 1.7)]
 
-        end, reached, _ = walk_path([1.0, 2.0], 1.0, hop, h=0.5, max_step=1.0,
-                                    min_step=1e-12)
+        end, reached, _ = walk_path([1.0, 2.0], 1.0, hop, h=0.5, min_step=1e-12)
         assert reached and end == 2.0
         assert all(g != state for state, g in offered)
         assert len(offered) < 100
@@ -495,8 +489,8 @@ class TestWalkSegment:
         def walk(n):
             calls.clear()
             loop = circle_path(0.5 - 0.5j, 0.4, n_points=12).waypoints
-            end, reached, _ = walk_path(loop, (loop[0],), hop, h=0.05, max_step=1.0,
-                                        min_step=1e-9, lookahead=n, growth=2.0)
+            end, reached, _ = walk_path(loop, (loop[0],), hop, h=0.05, min_step=1e-9,
+                                        lookahead=n)
             assert reached
             return end, len(calls)
 
@@ -511,8 +505,7 @@ class TestWalkSegment:
             calls.append(list(ends))
             return [(g, True, 0.05 if len(calls) == 1 else 4.0) for g in ends]
 
-        walk_path([0.0, 1.0, 2.0, 3.0], 0.0, hop, h=0.9, max_step=10.0, min_step=1e-9,
-                  lookahead=3, growth=4.0)
+        walk_path([0.0, 1.0, 2.0, 3.0], 0.0, hop, h=0.9, min_step=1e-9, lookahead=3)
         # 0.9 and the corner its grown step reaches; the next end, 0.4
         # into the second segment, is clipped by nothing and not offered
         assert calls[0] == [0.9, 1.0]

@@ -111,8 +111,7 @@ def segment_chain(frame, waypoints):
 
     for g in waypoints[1:]:
         d = abs(g - frame.g)
-        frame, reached, _ = walk_path((frame.g, g), frame, hop, h=d, max_step=d,
-                                      min_step=d * 2.0 ** -48)
+        frame, reached, _ = walk_path((frame.g, g), frame, hop, h=d, min_step=d * 2.0 ** -48)
         assert reached
     return frame
 
@@ -157,8 +156,7 @@ def stepwise_transport(path, trunc, rtol=holonomy.TRANSPORT_RTOL):
     frame0 = entry_frame(trunc, w[0])
     length = sum(abs(b - a) for a, b in zip(w, w[1:]))
     (_, v), reached, _ = walk_path(w, (frame0, np.eye(len(levels), dtype=complex)), hop,
-                                   h=min(length, branch_distance(frame0)),
-                                   max_step=np.inf, min_step=length * 2.0 ** -48)
+                                   h=branch_distance(frame0), min_step=length * 2.0 ** -48)
     assert reached
     return v, len(ends), len(rejected), ends
 
@@ -367,8 +365,9 @@ class TestFrameAdvance:
         for n in range(2, 10):
             trunc = TruncationSpec(Parity.of_level(n), 12 if n % 2 == 0 else 24)
             entry_frame(trunc, find_ep(n, verify_unique=False).g_ep + 1e-3)
-        # a straight walk lays one step per run: its three nodes and its end
-        assert all(len(points) == 4 for points, _ in runs)
+        # a run lays at most _RUN_STEPS steps, each its three nodes and its
+        # end; a refused run is one whose first step is unsafe
+        assert all(len(points) <= 32 for points, _ in runs)
         assert sum(safe < 4 for _, safe in runs) <= 4
 
     def test_entry_frames_match_scalar_continuation(self):
@@ -537,21 +536,27 @@ class TestTransport:
             self, monkeypatch):
         # an unsafe node of a batch's second step: the first step is
         # kept, and the next run tries the second again from its own
-        # start with the same step
+        # start with the same step.  The entry walk's runs, which come
+        # first, are left alone
         loop = bench_loop(2)
         free = transport(loop, EVEN12)
+        entry_runs = counted_runs(monkeypatch)
+        entry_frame(EVEN12, loop.waypoints[0])
+        entry = len(entry_runs)
+        monkeypatch.undo()
         runs = []
         advance = holonomy._advance_run
 
         def refuse_mid_batch(frame, g_points, tol):
             runs.append(list(g_points))
             k, sqrt_r = advance(frame, g_points, tol)
-            first_long = len(g_points) >= 8 and all(len(p) < 8 for p in runs[:-1])
+            first_long = len(runs) > entry and len(g_points) >= 8 \
+                and all(len(p) < 8 for p in runs[entry:-1])
             return (k[:6], sqrt_r[:6]) if first_long else (k, sqrt_r)
 
         monkeypatch.setattr(holonomy, "_advance_run", refuse_mid_batch)
         res = transport(loop, EVEN12)
-        i = next(i for i, p in enumerate(runs) if len(p) >= 8)
+        i = next(i for i, p in enumerate(runs) if i >= entry and len(p) >= 8)
         assert runs[i + 1][3] == runs[i][7]
         assert (res.steps, res.rejected) == (free.steps, 0)
         assert np.max(np.abs(res.matrix - free.matrix)) < 1e-8
@@ -603,7 +608,7 @@ class TestTransport:
         # one run per Magnus step took 48, one step an edge
         res, runs = runs_after_entry(monkeypatch, transport, bench_loop(2), EVEN12)
         assert (res.steps, res.rejected) == (48, 0)
-        assert len(runs) <= -(-48 // holonomy._MAGNUS_BATCH) + 2
+        assert len(runs) <= -(-48 // holonomy._RUN_STEPS) + 2
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_transport_steps_where_the_frame_walk_steps(self, monkeypatch, n):
@@ -683,6 +688,28 @@ class TestRunWork:
             assert evaluations <= sweeps + retries
             r, dr, _, _ = unscaled_residual_terms(parity, g, k)
             assert np.array_equal(k - step, k - r / dr)
+
+    def test_runs_on_a_dense_line_hold_at_most_run_steps(self, monkeypatch):
+        # 200 segments from 1 to 1 - 0.8i at truncation 24, each clipping a
+        # step: a frame walk offered every segment at once made one run of
+        # all 800 points.  Offered _RUN_STEPS ends a hop, the frame walk and
+        # transport run at most 32 points, and the walk ends where it did
+        trunc = TruncationSpec(Parity.EVEN, 24)
+        line = ComplexPath(np.linspace(1.0, 1.0 - 0.8j, 201)).waypoints
+        frame = frame_at(trunc, 1.0)
+        runs = counted_runs(monkeypatch)
+        monkeypatch.setattr(holonomy, "_RUN_STEPS", len(line) - 1)
+        whole = holonomy._walk_frame(frame, line)
+        assert [len(points) for points, _ in runs] == [800]
+        monkeypatch.undo()
+        runs = counted_runs(monkeypatch)
+        end = holonomy._walk_frame(frame, line)
+        walked = len(runs)
+        transport(ComplexPath(line), trunc)
+        assert 0 < walked < len(runs)
+        assert all(len(points) <= 32 for points, _ in runs)
+        assert np.max(np.abs(end.k - whole.k)) <= 1e-12
+        assert np.max(np.abs(end.sqrt_r - whole.sqrt_r)) <= 1e-12
 
 
 class TestMatrixExponential:

@@ -14,11 +14,14 @@ factor after a kept step from `_kept_factor`.  One-root continuation
 has one walker too: `sheet_value`, `continue_along` and
 `conjugation_symmetry_check` reach `walk_path` only through
 `_walk_root`, whose hop is `_scalar_hop`, and no module keeps a fixed
-step cap `MAX_STEP`.  A loop's permutation is read one way: `transport`
-and `frame_monodromy` build it through `_signed_permutation`, the only
-caller of `match_frames`, and no dominance threshold, its error or its
-exit code is defined.  The check reads the sources, which are not
-imported.
+step cap `MAX_STEP`.  Every frame walk runs at one run size: no caller
+hands `_walk_branches` one, no walk passes `walk_path` a step cap or a
+growth, and transport's own batch size is gone.  A loop's permutation
+is read one way: `transport` and `frame_monodromy` build it through
+`_signed_permutation`, the only caller of `match_frames`, and no
+dominance threshold, its error or its exit code is defined.  The check reads the sources, which are not
+imported; a call counts by its bare name or, module-qualified, by the
+attribute it calls.
 """
 
 import ast
@@ -26,10 +29,30 @@ import ast
 from test_private_imports import PACKAGE
 
 
+def call_name(node):
+    """The name a call calls, ``f`` of ``f(...)`` and of ``module.f(...)``,
+    or None for anything that is not such a call."""
+    if isinstance(node, ast.Call):
+        if isinstance(node.func, ast.Name):
+            return node.func.id
+        if isinstance(node.func, ast.Attribute):
+            return node.func.attr
+    return None
+
+
 def names_called(node) -> set:
     """Names called inside an AST node, nested functions included."""
-    return {n.func.id for n in ast.walk(node)
-            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    return {call_name(n) for n in ast.walk(node)} - {None}
+
+
+def name_uses(name: str) -> list:
+    """Every place in the package that defines, imports or reads ``name``."""
+    return [f"{path.name}:{node.lineno}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+            or (isinstance(node, ast.alias) and node.name == name)]
 
 
 def functions(module: str) -> dict:
@@ -106,13 +129,24 @@ def test_one_root_walks_share_one_walker():
 
 
 def test_no_module_keeps_a_fixed_step_cap():
-    uses = [f"{path.name}:{node.lineno}"
-            for path in sorted(PACKAGE.glob("*.py"))
-            for node in ast.walk(ast.parse(path.read_text()))
-            if (isinstance(node, ast.Name) and node.id == "MAX_STEP")
-            or (isinstance(node, ast.Attribute) and node.attr == "MAX_STEP")
-            or (isinstance(node, ast.alias) and node.name == "MAX_STEP")]
-    assert uses == []
+    assert name_uses("MAX_STEP") == []
+
+
+def test_frame_walks_take_one_run_size():
+    walk_branches = functions("holonomy")["_walk_branches"].args
+    assert "lookahead" not in [a.arg for a in walk_branches.args + walk_branches.kwonlyargs]
+    assert name_uses("_MAGNUS_BATCH") == []
+
+
+def test_no_walk_passes_a_step_cap_or_a_growth():
+    walk_path = functions("continuation")["walk_path"].args
+    assert not {a.arg for a in walk_path.args + walk_path.kwonlyargs} & {"max_step", "growth"}
+    passing = [f"{path.name}:{node.lineno}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if call_name(node) == "walk_path"
+               and {kw.arg for kw in node.keywords} & {"max_step", "growth"}]
+    assert passing == []
 
 
 def test_loops_read_their_permutation_one_way():
