@@ -17,12 +17,12 @@ the local behaviour turns into a square root with coefficient
     G2 = -2 (dJ/dg) / (d^2J/dk^2) = -(g^2 + k^2) / g,
 
 equal to 2/pi wherever r = 0.  One walker, `walk_path`, carries a root
-along a path, a sheet row from the one before it, and (in `holonomy`) a
-transport frame and transport's Magnus steps, both of which take
-several of its step ends in one hop.  One-root and sheet-row
-hops accept by one test, `_accepted`, which refuses a root near a
-branch point (|dJ/dk| < 1e-4), so the walk slows down there and stops
-instead of stepping across.
+along a path, the rows of both half-sheets at once from the row depth
+before them, and (in `holonomy`) a transport frame and transport's
+Magnus steps, both of which take several of its step ends in one hop.
+One-root and sheet-row hops accept by one test, `_accepted`, which
+refuses a root near a branch point (|dJ/dk| < 1e-4), so the walk slows
+down there and stops instead of stepping across.
 
 A one-root hop spans at most RHO times the distance d to the walk's
 branch points, the radius of the root's Taylor disc.  For an excited
@@ -521,41 +521,58 @@ class RiemannSheet:
     aborted_columns: dict
 
 
-def _march_half(parity, xs, k_anchor, ordinates, *, tol, k_out, rows):
-    """March all columns from the axis through the given ordinates.
+def _march_rows(parity, xs, axis_k, ims, *, tol, k_out):
+    """March all columns from the axis up and down through the rows ims.
 
-    ordinates are monotone (ascending above the axis, descending below);
-    rows[i] is the row index of ordinates[i] in the output array.  Each
-    row is one `walk_path` along Im g from the row before, in steps of
-    at most the row spacing.  A hop predicts every live column from its
-    tangent and corrects them all to tol in one `newton_correct_array`
-    call; it is accepted if every column passes `_accepted`, and else
-    halves the step for all.  Once the step falls below MIN_STEP, the
-    columns that failed abort at that row and the others walk on.
+    Both halves walk together by a row counter t: the i-th row out from
+    the axis on either side sits at t = i + 1, and a step ends at the
+    same fraction of each half's row gap.  Each row depth is one
+    `walk_path` along t from the one before.  A hop predicts every live
+    column of both halves from its tangent and corrects them all to tol
+    in one `newton_correct_array` call; it is accepted if every column
+    passes `_accepted`, and else halves the step for all.  Once the step
+    in Im g falls below MIN_STEP, the columns that failed abort at their
+    row and the others walk on; a half's columns leave after its last
+    row.  Returns each half's aborted columns (upper half first), each
+    with the ordinate of the row it aborted at.
     """
+    halves = [np.flatnonzero(ims > 0.0), np.flatnonzero(ims < 0.0)[::-1]]
+    depths = np.array([rows.size for rows in halves])
+    n_re, rows = xs.size, np.zeros((2, depths.max()), dtype=int)
+    rows[0, :depths[0]], rows[1, :depths[1]] = halves
+    ys = np.pad(ims[rows], ((0, 0), (1, 0)))  # each half's ordinates from t = 0
+    # column c of the walk is column c % n_re of half c // n_re
+    gaps, x_col = np.abs(np.diff(ys)), np.tile(xs, 2)
+
     def hop(state, ends):
-        # state: (y0, live columns, their k); a refused try is the mask
-        # of the columns that passed
-        (y0, cols, k0), y = state, ends[0]
-        g0, g = xs[cols] + 1j * y0, xs[cols] + 1j * y
+        # state: (t0, live columns, their g and k); a refused try: the passed mask
+        (t0, cols, g0, k0), t = state, ends[0]
+        row, half, s = int(t0), cols // n_re, t - int(t0)
+        # exact at both ends of the row, so a full row lands on its ordinates
+        g = x_col[cols] + 1j * ((1.0 - s) * ys[half, row] + s * ys[half, row + 1])
         k, scaled, converged = newton_correct_array(
             parity, g, k0 + (g - g0) * tangent_slope(g0, k0), tol=tol, max_iter=6)
         with np.errstate(over="ignore", invalid="ignore"):  # a diverged try fails
             ok = _accepted(g, k, scaled, converged)
-        return [((y, cols, k), True, STEP_GROWTH) if ok.all() else (ok, False, 0.5)]
+        return [((t, cols, g, k), True, STEP_GROWTH) if ok.all() else (ok, False, 0.5)]
 
-    cols = np.flatnonzero(~np.isnan(k_anchor.real))
-    state, abort_at = (0.0, cols, k_anchor[cols]), {}
-    for y, row in zip(ordinates, rows):
+    cols = np.flatnonzero(np.tile(~np.isnan(axis_k.real), 2) & np.repeat(depths > 0, n_re))
+    state, abort_at = (0.0, cols, x_col[cols] + 0j, np.tile(axis_k, 2)[cols]), ({}, {})
+    for row in range(depths.max()):
         while state[1].size:
-            gap = abs(y - state[0])
-            state, reached, passed = walk_path((state[0], y), state, hop, h=gap, min_step=MIN_STEP)
+            state, reached, passed = walk_path(
+                (state[0], row + 1.0), state, hop, h=row + 1.0 - state[0],
+                min_step=MIN_STEP / gaps[state[1] // n_re, row].max())
             if reached:
                 break
-            y0, cols, k = state
-            abort_at.update(dict.fromkeys(cols[~passed].tolist(), float(y)))
-            state = (y0, cols[passed], k[passed])
-        k_out[row, state[1]] = state[2]
+            t0, cols, g, k = state
+            for c in cols[~passed].tolist():
+                abort_at[c // n_re][c % n_re] = float(ys[c // n_re, row + 1])
+            state = (t0, cols[passed], g[passed], k[passed])
+        t, cols, g, k = state
+        k_out[rows[cols // n_re, row], cols % n_re] = k
+        stay = row + 1 < depths[cols // n_re]
+        state = (t, cols[stay], g[stay], k[stay])
     return abort_at
 
 
@@ -588,13 +605,15 @@ def build_sheet(n: int, grid: GridSpec, *, tol: float = RESIDUAL_TARGET,
     """Construct one branch's Riemann sheet over a rectangular grid.
 
     Each column is anchored at its real-axis value and continued
-    vertically both ways.  Columns whose continuation runs into a
-    branch point are marked incomplete from that ordinate outward and
-    recorded in aborted_columns.  Cut segments are attached at the
-    label's own branch points in the window (`_partner_points`): its
-    collision point for n > 1, every partner collision for the bound
-    labels n in {0, 1}, their upper-half mirror images, and the
-    real-axis degeneracy of the bound label (cut running upward).
+    vertically both ways, both halves in one march (`_march_rows`).
+    Columns whose continuation runs into a branch point are marked
+    incomplete from that ordinate outward and recorded in
+    aborted_columns, by the upper ordinate if both halves abort.  Cut
+    segments are attached at the label's own branch points in the
+    window (`_partner_points`): its collision point for n > 1, every
+    partner collision for the bound labels n in {0, 1}, their
+    upper-half mirror images, and the real-axis degeneracy of the bound
+    label (cut running upward).
 
     By default the bound labels read their partners from one ladder
     walk.  A caller may inject ep_finder, which maps a level label to
@@ -617,8 +636,7 @@ def build_sheet(n: int, grid: GridSpec, *, tol: float = RESIDUAL_TARGET,
     if np.any(ims == 0.0):
         k_out[np.flatnonzero(ims == 0.0)[0], :] = axis_k
 
-    for rows in (np.flatnonzero(ims > 0.0), np.flatnonzero(ims < 0.0)[::-1]):
-        march = _march_half(parity, xs, axis_k, ims[rows], tol=tol, k_out=k_out, rows=rows)
+    for march in _march_rows(parity, xs, axis_k, ims, tol=tol, k_out=k_out):
         for col, y in march.items():
             aborted.setdefault(col, y)
 

@@ -1,14 +1,14 @@
 """Sheet rows and one-point walks keep a root by one rule, and frames
 move by one step layout.
 
-`continuation._march_half` walks each sheet row with `walk_path` and
-the array corrector; it calls neither the scalar corrector nor the
-scalar hop, so no column of a sheet is moved by a second path.  The
-row hop and `_scalar_hop` both accept through `_accepted`, and the
-dJ/dk quotient that the scalar hop used to test is gone from the
-package.  In `holonomy`, `_run_steps` is the only caller of the frame
-corrector `_advance_run`, and both frame movers, `transport` and
-`_walk_frame`, go through it.  Both also step by one rule: they reach
+`continuation._march_rows` walks the rows of both half-sheets with
+`walk_path` and the array corrector; it calls neither the scalar
+corrector nor the scalar hop, so no column of a sheet is moved by a
+second path.  The row hop and `_scalar_hop` both accept through
+`_accepted`, and the dJ/dk quotient that the scalar hop used to test
+is gone from the package.  In `holonomy`, `_run_steps` is the only
+caller of the frame corrector `_advance_run`, and both frame movers,
+`transport` and `_walk_frame`, go through it.  Both also step by one rule: they reach
 `walk_path` only through `_walk_branches`, and their hops take the
 factor after a kept step from `_kept_factor`.  One-root continuation
 has one walker too: `sheet_value`, `continue_along` and
@@ -79,13 +79,13 @@ def reached_names(function: str, module: str = "continuation") -> set:
 
 
 def test_rows_take_the_array_corrector_only():
-    calls = called_names("_march_half")
+    calls = called_names("_march_rows")
     assert {"walk_path", "newton_correct_array"} <= calls
     assert not calls & {"newton_correct", "_scalar_hop"}
 
 
 def test_row_and_scalar_hops_share_the_acceptance_test():
-    assert "_accepted" in called_names("_march_half")
+    assert "_accepted" in called_names("_march_rows")
     assert "_accepted" in called_names("_scalar_hop")
 
 
@@ -123,9 +123,9 @@ def test_one_root_walks_share_one_walker():
         assert "_walk_root" in reached_names(function)
     walkers = {name for name, node in functions("continuation").items()
                if "walk_path" in names_called(node)}
-    assert walkers == {"_walk_root", "_march_half"}
+    assert walkers == {"_walk_root", "_march_rows"}
     assert "_scalar_hop" in called_names("_walk_root")
-    assert not called_names("_walk_root") & {"newton_correct_array", "_march_half"}
+    assert not called_names("_walk_root") & {"newton_correct_array", "_march_rows"}
 
 
 def test_no_module_keeps_a_fixed_step_cap():
