@@ -288,6 +288,21 @@ class _BranchPoints(NamedTuple):
         return min(d, float(near[meets].min())) if meets.any() else d
 
 
+def family_eps(parity: Parity, depth: float) -> list:
+    """The family's exceptional points from one ladder walk, up through
+    the first one deeper than |Im g| = depth.  A rung the walk fails on
+    raises its ExceptionalPointError: nothing bounds the points below."""
+    eps = []
+    for _, point in ladder_points(parity, parity.bound_level + 2 * (int(depth) // 2 + 3),
+                                  verify_unique=False):
+        if isinstance(point, ExceptionalPointError):
+            raise point
+        eps.append(point)
+        if -point.g_ep.imag > depth:
+            break
+    return eps
+
+
 def _branch_points(n: int, depth: float, *, family: bool = False) -> _BranchPoints:
     """The branch points of label n's standard sheet down to |Im g| = depth.
 
@@ -295,11 +310,8 @@ def _branch_points(n: int, depth: float, *, family: bool = False) -> _BranchPoin
     at least n - 2 deep: a shallower one lists none and is bounded by
     the floor n - 1 + RUNG_DEPTH_MARGIN, so it makes no ladder walk to
     n.  For the base labels, and for any label with ``family``, they are
-    the family's exceptional points from one ladder walk, through the
-    first one deeper than depth, their mirrors and the real branch
-    point; the floor is that of the first rung not listed.  A rung the
-    ladder walk fails on raises its ExceptionalPointError, since no
-    floor then bounds the points below it.
+    the points of `family_eps`, their mirrors and the real branch point;
+    the floor is that of the first rung not listed.
     """
     parity = Parity.of_level(n)
     if n > 1 and not family:
@@ -309,14 +321,7 @@ def _branch_points(n: int, depth: float, *, family: bool = False) -> _BranchPoin
         ep = find_ep(n, verify_unique=False)
         return _BranchPoints(np.array([ep.g_ep, ep.g_ep.conjugate()]),
                              np.array([ep.k_ep, ep.k_ep.conjugate()]), np.inf)
-    eps = []
-    for _, point in ladder_points(parity, parity.bound_level + 2 * (int(depth) // 2 + 3),
-                                  verify_unique=False):
-        if isinstance(point, ExceptionalPointError):
-            raise point
-        eps.append(point)
-        if -point.g_ep.imag > depth:
-            break
+    eps = family_eps(parity, depth)
     g_eps = np.array([p.g_ep for p in eps], dtype=complex)
     k_eps = np.array([p.k_ep for p in eps], dtype=complex)
     return _BranchPoints(np.concatenate([g_eps, g_eps.conj(), [parity.real_branch_point]]),

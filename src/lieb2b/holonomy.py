@@ -65,6 +65,11 @@ identity elsewhere (:func:`m_n_analytic`).  The orientation and index
 convention are anchored by the first even case: around that branch
 point, e_0 -> +e_2 and e_2 -> -e_0, i.e. M[2, 0] = +1, M[0, 2] = -1.
 
+Transport and :func:`frame_monodromy` start from :func:`entry_frame`:
+the frame continued vertically from the real axis, as sheets are,
+reached along a corridor homotopic to that segment that leans clear of
+the exceptional points the segment passes close beside.
+
 A loop's signed permutation is read one way only: its end frame is
 matched to its start frame (:func:`match_frames`), giving the level each
 slot returns to and its sign exactly.  Transport reads it from its own
@@ -74,19 +79,20 @@ The two routes are independent checks of one another.
 
 from __future__ import annotations
 
+import functools
 import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bethe import (RESIDUAL_TARGET, Parity, SolverError, branch_point_function,
-                    check_coupling, newton_correct_with_step, real_axis_k,
-                    rotated_sqrt)
-from .continuation import (STEP_GROWTH, ComplexPath, circle_path,
+from .bethe import (COUPLING_LIMIT, RESIDUAL_TARGET, Parity, SolverError,
+                    branch_point_function, check_coupling, newton_correct_with_step,
+                    real_axis_k, rotated_sqrt)
+from .continuation import (STEP_GROWTH, ComplexPath, circle_path, family_eps,
                            tangent_slope, walk_path)
 from .eigensystem import normalization_pt
-from .exceptional import ExceptionalPoint, find_ep
+from .exceptional import ExceptionalPoint, ExceptionalPointError, find_ep
 
 FOUR_OVER_PI = 4.0 / np.pi
 
@@ -212,10 +218,10 @@ def connection_matrix(levels, d_values, k_values):
     d = np.asarray(d_values, dtype=complex)
     k = np.asarray(k_values, dtype=complex)
     diag = np.arange(k.shape[-1])
-    gaps = np.abs(k[..., :, None] - k[..., None, :])
-    gaps[..., diag, diag] = np.inf
+    gaps, (first, second) = _pair_gaps(k)
     if gaps.size and gaps.min() < GAP_TOL:
-        *_, i, j = idx = np.unravel_index(np.argmin(gaps), gaps.shape)
+        *_, pair = idx = np.unravel_index(np.argmin(gaps), gaps.shape)
+        i, j = first[pair], second[pair]
         raise ConnectionProximityError(
             f"levels {levels[i]} and {levels[j]} are quasi-degenerate "
             f"(|k_{levels[i]} - k_{levels[j]}| = {gaps[idx]:.3e})")
@@ -224,6 +230,17 @@ def connection_matrix(levels, d_values, k_values):
     a = -1j * FOUR_OVER_PI * d[..., :, None] * d[..., None, :] / denom
     a[..., diag, diag] = 0.0
     return a
+
+
+#: the slot pairs i < j of m slots, `np.triu_indices(m, 1)`, kept per m
+_slot_pairs = functools.cache(functools.partial(np.triu_indices, k=1))
+
+
+def _pair_gaps(k):
+    """|k_i - k_j| over the slot pairs i < j of k's last axis, and those
+    pairs (`_slot_pairs`)."""
+    pairs = first, second = _slot_pairs(k.shape[-1])
+    return np.abs(k[..., first] - k[..., second]), pairs
 
 
 def gauge_connection(g: float, trunc: TruncationSpec):
@@ -273,15 +290,37 @@ def frame_at(trunc: TruncationSpec, g: float) -> TransportFrame:
 
 
 def entry_frame(trunc: TruncationSpec, g0: complex) -> TransportFrame:
-    """Standard-sheet frame at g0, continued straight down if off-axis.
-
-    The implied entry cut is the vertical segment from Re(g0); starting
-    points reached through a different corridor need an explicitly
-    continued frame instead.
-    """
+    """Standard-sheet frame at g0: off the axis, the frame continued
+    vertically from the real axis at Re g0 (a ValueError within 1e-9 of
+    the real branch point's Re).  The walk runs straight to g0 from the
+    axis at Re g0 - s |Im g0|, leaning left by `_corridor_slope`: no
+    branch point lies between that corridor and the vertical segment, so
+    both reach the same frame.  A start reached through a different
+    corridor needs an explicitly continued frame."""
     g0 = complex(g0)
-    axis = frame_at(trunc, g0.real)
-    return axis if abs(g0.imag) < 1e-14 else advance_frame(axis, g0)
+    if abs(g0.imag) < 1e-14 or abs(g0.real - trunc.parity.real_branch_point) < 1e-9:
+        return frame_at(trunc, g0.real)  # the axis frame, or its ValueError
+    check_coupling(g0)
+    x0 = max(g0.real - _corridor_slope(trunc.parity, g0) * abs(g0.imag), -COUPLING_LIMIT)
+    if abs(x0 - trunc.parity.real_branch_point) < 1e-9:
+        x0 = g0.real  # `frame_at` refuses x0, not Re g0, so walk vertically
+    return advance_frame(frame_at(trunc, x0), g0)
+
+
+def _corridor_slope(parity: Parity, g0: complex) -> float:
+    """The lean s of `entry_frame`'s corridor to g0: half the least slope
+    (Re g0 - Re p) / (|Im g0| - |Im p|) over the real branch point and the
+    points p of `family_eps` (mirrored for Im g0 > 0) shallower than g0 and
+    not right of it, at most 1/2; 0 if the ladder walk fails."""
+    x, y = g0.real, abs(g0.imag)
+    try:
+        points = [ep.g_ep for ep in family_eps(parity, y)]
+    except ExceptionalPointError:
+        return 0.0
+    slopes = [(x - p.real) / (y + p.imag)
+              for p in points + [complex(parity.real_branch_point)]
+              if p.real <= x and -p.imag < y]
+    return min(0.5, 0.5 * min(slopes, default=1.0))
 
 
 def _advance_run(frame: TransportFrame, g_points, tol: float):
@@ -307,16 +346,14 @@ def _advance_run(frame: TransportFrame, g_points, tol: float):
     p = _leading(ok.all(axis=1))
     g, k = g[:p], k[:p] - step[:p]
     k_before = np.concatenate([frame.k[None], k])[:-1]
-    gaps = np.abs(k_before[:, :, None] - k_before[:, None, :])
-    diag = np.arange(k.shape[1])
-    gaps[:, diag, diag] = np.inf
-    jumped = np.abs(k - k_before) > 0.35 * gaps.min(axis=(1, 2))[:, None]
+    jumped = np.abs(k - k_before) > 0.35 * _pair_gaps(k_before)[0].min(axis=1)[:, None]
     s = np.sqrt(branch_point_function(g, k))
     s_before = np.concatenate([frame.sqrt_r[None], s])[:-1]
-    flip = np.abs(s - s_before) > np.abs(s + s_before)
+    kept, flipped = np.abs(s - s_before), np.abs(s + s_before)
+    flip = kept > flipped
     # unsafe when both signs are about equally far: the branch has
     # rotated too much to track from one point to the next
-    lost = np.abs(np.where(flip, -s, s) - s_before) > 0.6 * (np.abs(s) + np.abs(s_before))
+    lost = np.minimum(kept, flipped) > 0.6 * (np.abs(s) + np.abs(s_before))
     # each point's sign is relative to the one before, so the signs chain
     s = s * np.cumprod(np.where(flip, -1.0, 1.0), axis=0)
     p = _leading(~(jumped | lost).any(axis=1))

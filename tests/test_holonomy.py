@@ -4,18 +4,18 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from lieb2b import bethe, holonomy
-from lieb2b.bethe import (RESIDUAL_TARGET, Parity, bethe_residual, branch_point_function,
+from lieb2b import bethe, continuation, holonomy
+from lieb2b.bethe import (COUPLING_LIMIT, RESIDUAL_TARGET, Parity, bethe_residual, branch_point_function,
                           real_axis_k, rotated_sqrt, solve_k_real,
                           unscaled_residual_terms)
 from lieb2b.continuation import (STEP_GROWTH, ComplexPath, circle_path, continue_to,
-                                 line_path, sheet_value, walk_path)
+                                 family_eps, line_path, sheet_value, walk_path)
 from lieb2b.cycles import ep_chain_path, n_ep_contour
 from lieb2b.eigensystem import overlap_connection_oracle
-from lieb2b.exceptional import circle_reaches_branch_point, find_ep
+from lieb2b.exceptional import ExceptionalPointError, circle_reaches_branch_point, find_ep
 from lieb2b.holonomy import (MIN_LOOP_RADIUS, ConnectionProximityError,
                              TransportError, TransportFrame, TruncationSpec,
                              TruncationWarning, advance_frame, connection_matrix,
@@ -198,6 +198,50 @@ def transport_with_step_ends(monkeypatch, path, trunc):
     return res, ends
 
 
+def entry_with_start(trunc, g0):
+    """`entry_frame(trunc, g0)` off the axis, and the real-axis point its
+    corridor starts from."""
+    starts, walk = [], holonomy.advance_frame
+
+    def recorded(frame, g_target):
+        starts.append(frame.g)
+        return walk(frame, g_target)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(holonomy, "advance_frame", recorded)
+        frame = entry_frame(trunc, g0)
+    (start,) = starts
+    return frame, start
+
+
+def vertical_entry(trunc, g0):
+    """The frame continued straight from the real axis at Re g0 to g0:
+    the standard-sheet frame whatever corridor reaches it."""
+    return advance_frame(frame_at(trunc, g0.real), g0)
+
+
+def inside_triangle(p, a, b, c):
+    """Whether the point p lies in the closed triangle a, b, c."""
+    def side(u, v):
+        return (np.conj(v - u) * (p - u)).imag
+    sides = (side(a, b), side(b, c), side(c, a))
+    return min(sides) >= 0.0 or max(sides) <= 0.0
+
+
+def assert_corridor_is_vertical(trunc, g0):
+    """`entry_frame`'s corridor reaches the vertical walk's frame, and no
+    branch point of the family lies between the two."""
+    frame, x0 = entry_with_start(trunc, g0)
+    want = vertical_entry(trunc, g0)
+    assert np.all(np.abs(frame.k - want.k) <= 1e-10 * np.abs(want.k)), g0
+    assert np.all(np.abs(frame.sqrt_r - want.sqrt_r) <= 1e-10 * np.abs(want.sqrt_r)), g0
+    assert np.all((frame.sqrt_r / want.sqrt_r).real > 0.0), g0
+    assert x0.imag == 0.0 and -COUPLING_LIMIT <= x0.real <= g0.real
+    eps = np.array([ep.g_ep for ep in family_eps(trunc.parity, abs(g0.imag))])
+    for p in [*eps, *eps.conj(), trunc.parity.real_branch_point]:
+        assert not inside_triangle(p, x0, complex(g0.real), g0), (g0, p)
+
+
 def distance_to_segment(p, a, b):
     """Distance from the point p to the segment [a, b] of the plane."""
     t = np.clip(((p - a) * np.conj(b - a)).real / abs(b - a) ** 2, 0.0, 1.0)
@@ -299,6 +343,23 @@ class TestConnectionForms:
                            match=r"levels (2 and 4|4 and 2) are quasi-degenerate"):
             connection_matrix(levels, np.ones_like(k), k)
 
+    def test_proximity_error_names_the_first_closest_pair(self):
+        # the gaps over slot pairs name the pair the full gap matrix's first
+        # least entry names: point 1 ties pairs (0, 3) and (1, 2), point 2
+        # ties them again later
+        levels, tiny = (0, 2, 4, 6), 2.0 ** -31
+        k = np.array([[1.0, 2.0, 3.0, 4.0], [1.0, 3.0, 3.0 + tiny, 1.0 + tiny],
+                      [1.0, 1.0 + tiny, 3.0, 3.0 + tiny]])
+        full = np.abs(k[:, :, None] - k[:, None, :])
+        full[:, range(4), range(4)] = np.inf
+        *_, i, j = idx = np.unravel_index(np.argmin(full), full.shape)
+        assert (levels[i], levels[j]) == (0, 6)
+        with pytest.raises(ConnectionProximityError) as err:
+            connection_matrix(levels, np.ones_like(k), k)
+        assert str(err.value) == (f"levels 0 and 6 are quasi-degenerate "
+                                  f"(|k_0 - k_6| = {full[idx]:.3e})")
+        assert np.array_equal(holonomy._pair_gaps(k)[0].min(axis=-1), full.min(axis=(1, 2)))
+
     def test_complex_coupling_needs_sheet_values(self):
         with pytest.raises(ValueError):
             gauge_connection(1.0 - 0.5j, EVEN12)
@@ -369,6 +430,8 @@ class TestFrameAdvance:
         # end; a refused run is one whose first step is unsafe
         assert all(len(points) <= 32 for points, _ in runs)
         assert sum(safe < 4 for _, safe in runs) <= 4
+        # walked straight down from Re g_ep(n), the eight took 119 runs
+        assert len(runs) <= 76
 
     def test_entry_frames_match_scalar_continuation(self):
         # beside these branch points a root at RESIDUAL_TARGET can still be
@@ -428,12 +491,105 @@ class TestFrameAdvance:
             assert branch_distance(frame) == np.inf
 
     def test_entry_walk_takes_few_runs(self, monkeypatch):
-        # the deepest benchmark entry; one-point hops took 65 runs
+        # the deepest benchmark entry; one-point hops took 65 runs, and
+        # the vertical walk 25
         trunc = TruncationSpec(Parity.ODD, 24)
         g = find_ep(9, verify_unique=False).g_ep + 1e-3
         runs = counted_runs(monkeypatch)
         entry_frame(trunc, g)
-        assert len(runs) <= 40
+        assert len(runs) <= 13
+
+
+class TestEntryCorridor:
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_loop_starts_reach_the_vertical_frame(self, n):
+        # the start of every loop `ep_loop_holonomy` targets M(n) on, up to
+        # half the widest: Re g_ep(n - 2) - Re g_ep(n), or the real branch
+        # point's Re in place of g_ep(n - 2) for n < 4
+        parity = Parity.of_level(n)
+        trunc = TruncationSpec(parity, n // 2 + 2)
+        g_ep = find_ep(n, verify_unique=False).g_ep
+        left = find_ep(n - 2, verify_unique=False).g_ep.real if n >= 4 \
+            else parity.real_branch_point
+        for radius in (MIN_LOOP_RADIUS, 1e-3, 0.5 * (left - g_ep.real)):
+            assert_corridor_is_vertical(trunc, g_ep + radius)
+
+    @settings(max_examples=40, deadline=None)
+    @given(x=st.floats(-4.0, 2.0), y=st.floats(-10.0, 10.0), odd=st.booleans())
+    @example(x=1.5, y=3.0, odd=False)  # above the axis, right of g = 0
+    @example(x=-0.3, y=-2.5, odd=True)  # below, right of g = -2/pi
+    def test_off_axis_starts_reach_the_vertical_frame(self, x, y, odd):
+        parity = Parity.ODD if odd else Parity.EVEN
+        assume(abs(y) >= 1e-3 and abs(x - parity.real_branch_point) >= 1e-6)
+        trunc = TruncationSpec(parity, 8)
+        try:
+            vertical_entry(trunc, complex(x, y))
+        except TransportError:
+            assume(False)  # the vertical walk stalls at a branch point
+        assert_corridor_is_vertical(trunc, complex(x, y))
+
+    @pytest.mark.parametrize("g0", [1.3, 1.3 + 1e-15j, -2.0 - 0j])
+    @pytest.mark.parametrize("parity", list(Parity))
+    def test_on_the_axis_no_walk(self, monkeypatch, parity, g0):
+        trunc = TruncationSpec(parity, 6)
+        runs = counted_runs(monkeypatch)
+        frame, axis = entry_frame(trunc, g0), frame_at(trunc, complex(g0).real)
+        assert runs == [] and frame.g == axis.g
+        assert np.array_equal(frame.k, axis.k) and np.array_equal(frame.sqrt_r, axis.sqrt_r)
+
+    @pytest.mark.parametrize("offset", [0.0, 5e-10, -5e-10])
+    @pytest.mark.parametrize("y", [-1.0, 1.0, -5.0])
+    @pytest.mark.parametrize("parity", list(Parity))
+    def test_above_or_below_the_real_branch_point_is_refused(self, parity, y, offset):
+        trunc = TruncationSpec(parity, 4)
+        with pytest.raises(ValueError, match="real branch point"):
+            entry_frame(trunc, complex(parity.real_branch_point + offset, y))
+
+    @pytest.mark.parametrize("offset", [1.2e-9, 1.9e-9, 3e-9, -1.5e-9])
+    @pytest.mark.parametrize("parity", list(Parity))
+    def test_just_beside_the_real_branch_point_the_walk_starts(self, parity, offset):
+        # a corridor leaning at most half way to the point could start
+        # inside frame_at's 1e-9 guard; the vertical walk starts outside it
+        trunc = TruncationSpec(parity, 4)
+        assert_corridor_is_vertical(trunc, complex(parity.real_branch_point + offset, -1.0))
+
+    @pytest.mark.parametrize("n", [2, 5, 6])
+    def test_straight_below_a_branch_point_the_corridor_is_vertical(self, n):
+        # an exceptional point sits on the vertical segment, so the corridor
+        # may not lean; it stalls where the vertical walk stalls
+        g_ep = find_ep(n, verify_unique=False).g_ep
+        g0 = complex(g_ep.real, g_ep.imag - 0.5)
+        trunc = TruncationSpec(Parity.of_level(n), 6)
+        with pytest.raises(TransportError, match="stalled") as vertical:
+            vertical_entry(trunc, g0)
+        with pytest.raises(TransportError, match="stalled") as corridor:
+            entry_with_start(trunc, g0)
+        assert str(corridor.value) == str(vertical.value)
+        assert holonomy._corridor_slope(trunc.parity, g0) == 0.0
+
+    def test_a_failed_ladder_walk_keeps_the_vertical_corridor(self, monkeypatch):
+        # with a rung the catalog needs missing, nothing says where the
+        # points below it are, so the corridor may not lean
+        walk = continuation.ladder_points
+
+        def failing(parity, n_max, **kwargs):
+            for m, point in walk(parity, n_max, **kwargs):
+                yield m, ExceptionalPointError(f"no rung {m}") if m >= 6 else point
+
+        monkeypatch.setattr(continuation, "ladder_points", failing)
+        g0 = find_ep(4, verify_unique=False).g_ep + 1e-3
+        trunc = TruncationSpec(Parity.EVEN, 6)
+        frame, x0 = entry_with_start(trunc, g0)
+        assert x0 == g0.real
+        want = vertical_entry(trunc, g0)
+        assert np.array_equal(frame.k, want.k) and np.array_equal(frame.sqrt_r, want.sqrt_r)
+
+    @pytest.mark.parametrize("y", [-0.5, 3.0])
+    def test_the_corridor_starts_inside_the_domain(self, y):
+        # nothing to lean clear of: s = 1/2 would start 1/4 or 3/2 past the edge
+        g0 = complex(-COUPLING_LIMIT + 1.0, y)
+        assert holonomy._corridor_slope(Parity.EVEN, g0) == 0.5
+        assert_corridor_is_vertical(TruncationSpec(Parity.EVEN, 4), g0)
 
 
 class TestTransport:
