@@ -466,15 +466,21 @@ def _rtsafe(parity: Parity, bound, g, lo, hi, start, tol: float):
     return np.where(passed, x, np.nan)
 
 
+def is_label(n) -> bool:
+    """Whether n is a branch label: a Python or numpy integer, never a
+    bool; an array of labels has an integer dtype."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
+
+
 def real_axis_k(n, g, *, tol: float = RESIDUAL_TARGET) -> np.ndarray:
-    """k_n(g) on the real coupling axis for n (non-negative integers) and
-    g (real) that broadcast against each other, as a complex array.  Each
-    point is solved alone as the module docstring says, so its result does
-    not depend on the other points of the call; one that does not pass
-    RESIDUAL_ACCEPT within NEWTON_MAX_STEPS is NaN."""
+    """k_n(g) on the real coupling axis for labels n (`is_label`, in
+    0..2**53) and g (real) that broadcast against each other, as a
+    complex array.  Each point is solved alone as the module docstring
+    says, so its result does not depend on the other points of the call;
+    one that does not pass RESIDUAL_ACCEPT within NEWTON_MAX_STEPS is NaN."""
     n, g = np.broadcast_arrays(np.asarray(n), np.asarray(g, dtype=float))
-    if not np.all((n >= 0) & (n % 1 == 0) & (n <= 2 ** 53)):
-        raise ValueError("branch label n must be an integer in 0..2**53")
+    if not (n.dtype.kind in "iu" and np.all((n >= 0) & (n <= 2 ** 53))):
+        raise ValueError("branch label n must be an integer, not a bool, in 0..2**53")
     check_coupling(g)
     shape = n.shape
     n, g = n.ravel().astype(int), g.ravel()
@@ -529,9 +535,9 @@ def asymptotic_quasimomentum(n: int, sign: int) -> int:
     k_n(+inf) = n + 1 for every n; k_n(-inf) = n - 1 for n > 1.  The
     bound branches (n = 0, 1) diverge along the negative imaginary axis
     at -inf, which has no integer label; requesting them raises, as does
-    a label n that is not an integer >= 0.
+    a label n that is not an integer >= 0 (`is_label`).
     """
-    if not (isinstance(n, numbers.Integral) and n >= 0):
+    if not (is_label(n) and n >= 0):
         raise ValueError(f"branch label n must be an integer >= 0, got {n!r}")
     if sign not in (1, -1):
         raise ValueError("sign selects the coupling infinity: +1 or -1")

@@ -22,7 +22,10 @@ before them, and (in `holonomy`) a transport frame and transport's
 Magnus steps, both of which take several of its step ends in one hop.
 One-root and sheet-row hops accept by one test, `_accepted`, which
 refuses a root near a branch point (|dJ/dk| < 1e-4), so the walk slows
-down there and stops instead of stepping across.
+down there and stops instead of stepping across.  One-root continuation
+(`continue_along`, `continue_to`, `sheet_value`) therefore has two
+outcomes: a root at the path's end, or a SolverError that carries the
+last accepted g and k.
 
 A one-root hop spans at most RHO times the distance d to the walk's
 branch points, the radius of the root's Taylor disc.  For an excited
@@ -50,7 +53,6 @@ the bound-state convention Im k < 0 consistent.
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 import numbers
 from dataclasses import dataclass
@@ -114,37 +116,23 @@ def line_path(a, b) -> ComplexPath:
     return ComplexPath([complex(a), complex(b)])
 
 
-def circle_path(center, radius, *, n_points: int = 96, clockwise: bool = True,
-                turns: int = 1) -> ComplexPath:
-    """Closed polygonal loop approximating a circle.
+def circle_path(center, radius, *, n_points: int = 96, clockwise: bool = True) -> ComplexPath:
+    """Closed polygonal loop approximating a circle, once around.
 
     Clockwise is the orientation that encircles an exceptional point the
     way the holonomy conventions of this package expect (winding -1).
-    A loop needs an integer n_points >= 3, an integer turns >= 1 and a
-    finite radius > 0; anything else is a ValueError.
+    A loop needs an integer n_points >= 3 and a finite radius > 0;
+    anything else is a ValueError.
     """
     if not (isinstance(n_points, numbers.Integral) and n_points >= 3):
         raise ValueError(f"a loop needs an integer n_points >= 3, got {n_points!r}")
-    if not (isinstance(turns, numbers.Integral) and turns >= 1):
-        raise ValueError(f"a loop needs an integer turns >= 1, got {turns!r}")
     if not 0.0 < radius < np.inf:
         raise ValueError(f"a loop needs a finite radius > 0, got {radius!r}")
     sign = -1.0 if clockwise else 1.0
-    angles = sign * 2.0 * np.pi * np.arange(n_points * turns + 1) / n_points
+    angles = sign * 2.0 * np.pi * np.arange(n_points + 1) / n_points
     pts = center + radius * np.exp(1j * angles)
-    pts[-1] = pts[0]  # integer turns close exactly; kill rounding drift
+    pts[-1] = pts[0]  # the loop closes exactly; kill rounding drift
     return ComplexPath(list(pts))
-
-
-class TraceStatus(enum.Enum):
-    COMPLETED = "completed"
-    ABORTED_NEAR_BRANCH_POINT = "aborted-near-branch-point"
-
-
-class ContinuationSample(NamedTuple):
-    g: complex
-    k: complex
-    scaled_residual: float
 
 
 def tangent_slope(g, k):
@@ -179,30 +167,6 @@ def _accepted(g, k, scaled, converged):
             & (abs(branch_point_function(g, k)) >= DJ_DK_FLOOR * abs(g * g + k * k)))
 
 
-@dataclass
-class ContinuationTrace:
-    """Result of continuing one branch along a path: the start state and
-    the last accepted sample, the path end unless the walk stalled."""
-
-    start: BetheState
-    end: ContinuationSample
-    status: TraceStatus = TraceStatus.COMPLETED
-    note: str = ""
-
-    @property
-    def final_g(self) -> complex:
-        return self.end.g
-
-    @property
-    def final_k(self) -> complex:
-        return self.end.k
-
-    def final_state(self) -> BetheState:
-        """Endpoint as a BetheState; the label n names the starting
-        branch (continuation around a branch point permutes labels)."""
-        return BetheState(self.start.n, self.final_g, self.final_k, self.start.parity)
-
-
 def walk_path(waypoints, state, hop, *, h: float, min_step: float, lookahead: int = 1):
     """Carry state along the polyline through waypoints.
 
@@ -217,8 +181,8 @@ def walk_path(waypoints, state, hop, *, h: float, min_step: float, lookahead: in
     h), one per leading end it tried: accepted tries, or a refused try
     of the first end.  The walk keeps the tries in order while each end
     is the one its rule gives with the factors reported before it.
-    After an accepted try h is at least a few spacings of doubles at the
-    current point, so the next step cannot end where it starts.  Returns
+    The first step, and each after an accepted try, spans at least a few
+    spacings of doubles at its start, so no step ends where it starts.  Returns
     (end state, True, None), or (last accepted state, False, the refused
     try) once a refused try leaves h below min_step or those spacings.
     """
@@ -241,6 +205,8 @@ def walk_path(waypoints, state, hop, *, h: float, min_step: float, lookahead: in
         return 4.0 * math.ulp(abs(g_a + s * direction))
 
     i, s = 0, 0.0
+    if segments:  # a first step shorter than the spacings would end where it starts
+        h = max(h, spacing(0, 0.0))
     while i < len(segments):
         laid = [step(i, s, h)]
         ends = [laid[0][0]]
@@ -329,8 +295,9 @@ def _branch_points(n: int, depth: float, *, family: bool = False) -> _BranchPoin
                          eps[-1].n + 1 + RUNG_DEPTH_MARGIN)
 
 
-def _scalar_hop(parity: Parity, sample: ContinuationSample, g, branch_points: _BranchPoints):
-    """Predictor-corrector hop of one root to g, for `walk_path`.
+def _scalar_hop(parity: Parity, root, g, branch_points: _BranchPoints):
+    """Predictor-corrector hop of one root, a (g, k) pair, to g, for
+    `walk_path`.
 
     `newton_correct` runs to RESIDUAL_TARGET and `_accepted` decides.  A
     kept hop grows the step by min(STEP_GROWTH, RHO d / step), with d
@@ -338,93 +305,77 @@ def _scalar_hop(parity: Parity, sample: ContinuationSample, g, branch_points: _B
     and a refused hop halves it.  On one point the scalar corrector is
     about four times faster than the sheet rows' array one.
     """
-    k_pred = sample.k + (g - sample.g) * tangent_slope(sample.g, sample.k)
-    k, scaled, converged = newton_correct(parity, g, k_pred, tol=RESIDUAL_TARGET)
-    tried = ContinuationSample(g, k, scaled)
+    g0, k0 = root
+    k, scaled, converged = newton_correct(parity, g, k0 + (g - g0) * tangent_slope(g0, k0),
+                                          tol=RESIDUAL_TARGET)
     if not _accepted(g, k, scaled, converged):
-        return tried, False, 0.5
-    return tried, True, min(STEP_GROWTH, RHO * branch_points.distance(g, k) / abs(g - sample.g))
+        return (g, k), False, 0.5
+    return (g, k), True, min(STEP_GROWTH, RHO * branch_points.distance(g, k) / abs(g - g0))
 
 
-def _walk_root(start: BetheState, waypoints, branch_points: _BranchPoints) -> ContinuationTrace:
+def _walk_root(start: BetheState, waypoints, branch_points: _BranchPoints) -> complex:
     """The one-root walker: `walk_path` of the start's root through
     waypoints by `_scalar_hop`, the first hop spanning RHO d, with d the
     distance from the start to ``branch_points``.
 
-    A walk whose root starts on one of its branch points (d = 0) takes
-    no step and stalls.  A hop keeps a root below RESIDUAL_ACCEPT, so a
-    completed walk ends as a frame walk does: `newton_correct_with_step`
-    corrects its end to RESIDUAL_TARGET, and the end takes the Newton
-    step it returns; the end sample keeps the scaled residual from
-    before that step.
+    It has two outcomes: the root k at the last waypoint, or a
+    SolverError that carries the last accepted g and k.  A root that
+    starts on one of its branch points (d = 0) takes no step, and a walk
+    whose step underflows beside one stops there.  A hop keeps a root
+    below RESIDUAL_ACCEPT, so a walk that arrives ends as a frame walk
+    does: `newton_correct_with_step` corrects its end to RESIDUAL_TARGET,
+    and the end takes the Newton step it returns.
     """
-    parity = start.parity
-    sample = ContinuationSample(complex(start.g), complex(start.k),
-                                float(start.scaled_residual()))
-    trace = ContinuationTrace(start, sample, TraceStatus.ABORTED_NEAR_BRANCH_POINT,
-                              f"starts on a branch point at g={sample.g:.6g}")
-    d = branch_points.distance(sample.g, sample.k)
+    parity, g, k = start.parity, complex(start.g), complex(start.k)
+    d = branch_points.distance(g, k)
     if not d > 0.0:
-        return trace
-    sample, reached, stalled = walk_path(
-        waypoints, sample, lambda s, ends: [_scalar_hop(parity, s, ends[0], branch_points)],
+        raise SolverError(f"continuation starts on a branch point at g={g:.6g}", g=g, k=k)
+    (g, k), reached, stalled = walk_path(
+        waypoints, (g, k), lambda root, ends: [_scalar_hop(parity, root, ends[0], branch_points)],
         h=RHO * d, min_step=MIN_STEP)
-    trace.end = sample
     if not reached:
-        trace.note = (f"step underflow near a branch point at g={stalled.g:.6g} "
-                      f"(|r|={abs(branch_point_function(sample.g, sample.k)):.3g})")
-        return trace
-    trace.status, trace.note = TraceStatus.COMPLETED, ""
-    k, scaled, converged, step = newton_correct_with_step(parity, sample.g, sample.k,
-                                                          tol=RESIDUAL_TARGET)
-    if converged:
-        trace.end = ContinuationSample(sample.g, complex(k - step), float(scaled))
-    return trace
+        raise SolverError(f"continuation stalls: step underflow near a branch point at "
+                          f"g={stalled[0]:.6g} (|r|={abs(branch_point_function(g, k)):.3g})",
+                          g=g, k=k)
+    k_end, _, converged, step = newton_correct_with_step(parity, g, k, tol=RESIDUAL_TARGET)
+    return complex(k_end - step) if converged else k
 
 
-def continue_along(start: BetheState, path: ComplexPath) -> ContinuationTrace:
+def continue_along(start: BetheState, path: ComplexPath) -> BetheState:
     """Continue a quasi-momentum branch along a piecewise-linear path.
 
     The path must begin at the state's coupling.  It may cross a cut
     and change sheets, so the one-root walker steps by the start
     family's whole catalog, down to the path's depth, counting each
-    point only where the root meets it (`_BranchPoints.distance`).  A
-    stalled walk ends the trace with ABORTED_NEAR_BRANCH_POINT and the
-    last good sample, so a caller meaning to encircle a branch point
+    point only where the root meets it (`_BranchPoints.distance`).
+    Returns the state at the path's end, whose label n names the
+    starting branch (continuation around a branch point permutes
+    labels), or raises SolverError with the last accepted g and k where
+    the walk stalls, so a caller meaning to encircle a branch point
     must route around it.
     """
     if abs(complex(path.waypoints[0]) - complex(start.g)) > 1e-12:
         raise ValueError("path must start at the state's coupling")
     depth = max(abs(w.imag) for w in path.waypoints)
-    return _walk_root(start, path.waypoints, _branch_points(start.n, depth, family=True))
+    k = _walk_root(start, path.waypoints, _branch_points(start.n, depth, family=True))
+    return BetheState(start.n, path.waypoints[-1], k, start.parity)
 
 
-def continue_to(start: BetheState, g_target) -> ContinuationTrace:
+def continue_to(start: BetheState, g_target) -> BetheState:
     """Straight-line continuation from the state's coupling to g_target."""
     return continue_along(start, line_path(start.g, g_target))
 
 
-def _vertical(anchor: BetheState, g: complex, branch_points: _BranchPoints) -> complex:
-    """k at g, walked by `_walk_root` straight up or down from the
-    real-axis anchor at Re g; SolverError if the walk stalls."""
-    if g.imag == 0.0:
-        return anchor.k
-    trace = _walk_root(anchor, (complex(anchor.g), g), branch_points)
-    if trace.status is not TraceStatus.COMPLETED:
-        raise SolverError(f"vertical continuation aborted: {trace.note}",
-                          g=trace.final_g, k=trace.final_k)
-    return trace.final_k
-
-
 def sheet_value(n: int, g) -> complex:
     """k_n(g) on the standard sheet: the real-axis root at Re g, walked
-    vertically by the label's own branch points (`_branch_points`)."""
+    by `_walk_root` straight up or down by the label's own branch points
+    (`_branch_points`)."""
     g = complex(g)
     anchor = solve_k_real(n, g.real)
     check_coupling(g)
     if g.imag == 0.0:
         return anchor.k
-    return _vertical(anchor, g, _branch_points(n, abs(g.imag)))
+    return _walk_root(anchor, (complex(anchor.g), g), _branch_points(n, abs(g.imag)))
 
 
 def conjugation_symmetry_check(n: int, g) -> int:
@@ -439,7 +390,8 @@ def conjugation_symmetry_check(n: int, g) -> int:
     anchor = solve_k_real(n, g.real)
     check_coupling(g)
     points = _branch_points(n, abs(g.imag))
-    k_here, k_mirror = (_vertical(anchor, target, points) for target in (g, g.conjugate()))
+    k_here, k_mirror = (_walk_root(anchor, (complex(anchor.g), target), points)
+                        if g.imag else anchor.k for target in (g, g.conjugate()))
     tol = 1e-8 * max(1.0, abs(k_here))
     if abs(k_mirror.conjugate() - k_here) < tol:
         return +1

@@ -105,9 +105,9 @@ def hermitian_cycle(g0: float, trunc: TruncationSpec) -> CycleResult:
         limit = asymptotic_quasimomentum(n, +1)
         partner = n + 2
         if abs(ko - ki) > 10.0 * limit / COUPLING_LIMIT:
-            raise RuntimeError(
+            raise SolverError(
                 f"levels {n} (+proxy) and {partner} (-proxy) do not meet: "
-                f"k = {ko} vs {ki}")
+                f"k = {ko} vs {ki}", g=COUPLING_LIMIT, k=ko)
         permutation[n] = partner
 
     energies_after = {n: energy(kbar, BetheState(n + 2, g0, k, trunc.parity)).energy.real

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bethe import (NEWTON_MAX_STEPS, RESIDUAL_TARGET, Parity, bethe_residual,
-                    branch_point_function, check_coupling, residual_terms,
+                    branch_point_function, check_coupling, is_label, residual_terms,
                     rotated_sqrt, terms_from_trig)
 
 #: reject "exceptional points" that are really the real-axis degeneracies
@@ -234,8 +234,9 @@ def find_ep(n: int, *, verify_unique: bool = True) -> ExceptionalPoint:
     at g = 0, -2/pi) is rejected.  With verify_unique, F must wind exactly
     once around the circle of radius 1 about the root, or this raises.
     """
-    if n <= 1:
-        raise ValueError("exceptional points exist for excited labels n > 1")
+    if not (is_label(n) and n > 1):
+        raise ValueError(f"an exceptional point needs an excited integer label n > 1, "
+                         f"got {n!r}")
     parity = Parity.of_level(n)
     *_, (_, g) = _ladder(parity, n)
     point = _rung_point(parity, n, g, verify_unique)

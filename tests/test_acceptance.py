@@ -79,8 +79,8 @@ def test_criterion_4_square_root_topology(scorecard):
     gaps = []
     for s in sizes:
         target = ep.g_ep + s
-        k0 = continue_to(solve_k_real(0, target.real), target).final_k
-        k2 = continue_to(solve_k_real(2, target.real), target).final_k
+        k0 = continue_to(solve_k_real(0, target.real), target).k
+        k2 = continue_to(solve_k_real(2, target.real), target).k
         gaps.append(abs(k2 - k0))
     alpha = float(np.polyfit(np.log(sizes), np.log(gaps), 1)[0])
     ok = worst < 1e-6 and abs(alpha - 0.5) < 5e-3

@@ -1,18 +1,19 @@
 """Analytic continuation off the real axis and sheet construction."""
 
+import cmath
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lieb2b.bethe import (DEEP_IM_H, RESIDUAL_TARGET, Parity, SolverError,
+from lieb2b.bethe import (DEEP_IM_H, RESIDUAL_ACCEPT, RESIDUAL_TARGET, Parity, SolverError,
                           bethe_residual, residual_k_derivative, residual_scale,
                           scaled_bethe_residual, solve_k_real)
 from lieb2b import continuation
 from lieb2b.continuation import (RUNG_DEPTH_MARGIN, STEP_GROWTH, ComplexPath,
-                                 GridSpec, TraceStatus, circle_path,
+                                 GridSpec, circle_path,
                                  conjugation_symmetry_check, continue_along,
                                  continue_to, build_sheet, line_path,
                                  newton_correct, newton_correct_array,
@@ -57,9 +58,6 @@ class TestPaths:
         (dict(n_points=-3), "n_points >= 3"),  # was an IndexError
         (dict(n_points=2), "n_points >= 3"),  # a diameter, not a loop
         (dict(n_points=2.5), "integer n_points"),  # was a silent 4-point path
-        (dict(turns=-1), "turns >= 1"),  # was an IndexError
-        (dict(turns=0), "turns >= 1"),  # was a one-point path
-        (dict(turns=1.5), "integer turns"),
         (dict(radius=-0.25), "radius > 0"),
         (dict(radius=0.0), "radius > 0"),
         (dict(radius=np.nan), "radius > 0"),
@@ -73,8 +71,8 @@ class TestPaths:
                 circle_path(**args)
 
     def test_circle_path_takes_numpy_integers(self):
-        loop = circle_path(1.0, 0.25, n_points=np.int64(3), turns=np.int64(2))
-        assert len(loop.waypoints) == 7
+        loop = circle_path(1.0, 0.25, n_points=np.int64(3))
+        assert len(loop.waypoints) == 4
 
 
 class TestContinuation:
@@ -99,22 +97,20 @@ class TestContinuation:
     def test_endpoint_independent_of_homotopic_path(self):
         state = solve_k_real(0, 1.0)
         target = 1.0 - 2.0j
-        direct = continue_to(state, target).final_k
+        direct = continue_to(state, target).k
         dogleg = continue_along(
-            state, ComplexPath([1.0, 2.5 - 0.5j, target])).final_k
+            state, ComplexPath([1.0, 2.5 - 0.5j, target])).k
         assert abs(direct - dogleg) < 1e-8
 
     def test_step_halving_does_not_move_endpoint(self):
         state = solve_k_real(0, 1.0)
-        coarse = continue_to(state, 1.0 - 2.0j).final_k
+        coarse = continue_to(state, 1.0 - 2.0j).k
         # 401 waypoints: every hop spans at most one 0.005 piece
-        fine = continue_along(state, ComplexPath(np.linspace(1.0, 1.0 - 2.0j, 401))).final_k
+        fine = continue_along(state, ComplexPath(np.linspace(1.0, 1.0 - 2.0j, 401))).k
         assert abs(coarse - fine) < 1e-9
 
     def test_descent_into_lower_half_plane_binds(self):
-        trace = continue_to(solve_k_real(0, 1.0), 1.0 - 2.0j)
-        assert trace.status is TraceStatus.COMPLETED
-        assert trace.final_k.imag < 0
+        assert continue_to(solve_k_real(0, 1.0), 1.0 - 2.0j).k.imag < 0
 
     def test_conjugation_symmetry_on_standard_sheet(self):
         for n, g in ((0, 1.0 - 1.5j), (2, -0.5 - 1.0j), (3, 1.0 - 2.0j)):
@@ -128,12 +124,11 @@ class TestContinuation:
         # imaginary on the axis, so its mirror image is -k, not k
         assert conjugation_symmetry_check(n, g) == sign
 
-    def test_record_keeps_samples(self):
-        # the trace keeps its end sample, the path end on a completed walk
-        trace = continue_to(solve_k_real(2, 1.0), 1.0 - 1.0j)
-        assert trace.end.g == 1.0 - 1.0j
-        assert trace.end.scaled_residual < 1e-10
-        assert (trace.final_g, trace.final_k) == (trace.end.g, trace.end.k)
+    def test_continuation_returns_the_end_state(self):
+        # the state at the path end, labelled by the start's branch
+        end = continue_to(solve_k_real(2, 1.0), 1.0 - 1.0j)
+        assert (end.n, end.g, end.parity) == (2, 1.0 - 1.0j, Parity.EVEN)
+        assert end.scaled_residual() < 1e-10
 
     def test_deep_bound_continuation_reaches_a_root(self):
         # on the bound branch g^2 + k^2 cancels to exactly 0, the arctan
@@ -143,7 +138,7 @@ class TestContinuation:
             cases = [(0, -400 - 0.5j, sheet_value(0, -400 - 0.5j)),
                      (1, -45 - 0.7j, sheet_value(1, -45 - 0.7j)),
                      (0, -300 - 2j,
-                      continue_to(solve_k_real(0, -300.0), -300 - 2j).final_k)]
+                      continue_to(solve_k_real(0, -300.0), -300 - 2j).k)]
         assert caught == []
         for n, g, k in cases:
             assert scaled_bethe_residual(Parity.of_level(n), g, k) <= 1e-10
@@ -154,12 +149,11 @@ class TestContinuation:
         g = -553.6 - 0.5j
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            trace = continue_to(solve_k_real(0, g.real), g)
+            end = continue_to(solve_k_real(0, g.real), g)
             k = sheet_value(0, g)
             sheet = build_sheet(0, GridSpec(-560, -550, -1, 0.5, 201, 201))
         assert caught == []
-        assert trace.status is TraceStatus.COMPLETED
-        for k_end in (trace.final_k, k):
+        for k_end in (end.k, k):
             assert scaled_bethe_residual(Parity.EVEN, g, k_end) <= 1e-10
         assert not np.isnan(sheet.k).any()
         assert sheet.aborted_columns == {}
@@ -205,11 +199,35 @@ class TestContinuation:
             k = sheet_value(n, g)
         assert scaled_bethe_residual(Parity.of_level(n), g, k) <= 1e-10
 
+    @settings(max_examples=200, deadline=None)
+    @example(n=0, re=0.0, im=-1.0)  # starts on the real branch point
+    @example(n=1, re=-2.0 / np.pi, im=-1.0)
+    @example(n=0, re=5e-324, im=-1.0)  # a first step of RHO d = 0 divided by zero
+    @given(n=st.integers(min_value=0, max_value=9),
+           re=st.floats(min_value=-8.0, max_value=2.0),
+           im=st.floats(min_value=-6.0, max_value=0.0, exclude_max=True))
+    def test_continuation_ends_in_a_root_or_a_solver_error(self, n, re, im):
+        # the two outcomes of a one-root walk; Im g = 0 is left out, as a
+        # path from the anchor to itself is refused as a zero-length segment
+        g = complex(re, im)
+        start = solve_k_real(n, re)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                end = continue_to(start, g)
+            except SolverError as stall:
+                assert cmath.isfinite(stall.g) and cmath.isfinite(stall.k)
+                return
+        assert end.g == g
+        assert end.scaled_residual() <= RESIDUAL_ACCEPT
+
     def test_branch_point_abort_names_the_branch_point(self):
         g_ep = ep_g(2)
-        trace = continue_to(solve_k_real(2, g_ep.real), g_ep)
-        assert trace.status is TraceStatus.ABORTED_NEAR_BRANCH_POINT
-        assert "branch point" in trace.note
+        with pytest.raises(SolverError, match="step underflow near a branch point") as stall:
+            continue_to(solve_k_real(2, g_ep.real), g_ep)
+        # the last accepted root, short of the branch point
+        assert g_ep.real == stall.value.g.real and 0 < abs(stall.value.g - g_ep) < 1e-6
+        assert cmath.isfinite(stall.value.k)
         with pytest.raises(SolverError, match="branch point"):
             sheet_value(2, g_ep)
 
@@ -340,31 +358,25 @@ class TestOneRootStepRule:
         for n in (8, 9):
             g = ep_g(n) + 1e-3
             for m in (Parity.of_level(n).bound_level, n):
-                trace = continue_to(solve_k_real(m, g.real), g)
-                assert trace.status is TraceStatus.COMPLETED
-                assert trace.end.scaled_residual < RESIDUAL_TARGET
-                assert scaled_bethe_residual(Parity.of_level(n), g, trace.final_k) \
-                    < RESIDUAL_TARGET
+                end = continue_to(solve_k_real(m, g.real), g)
+                assert scaled_bethe_residual(Parity.of_level(n), g, end.k) < RESIDUAL_TARGET
 
     def test_continuation_leaves_a_real_branch_point_it_is_not_at(self):
         # label 2 is regular at g = 0, the even family's real branch
         # point; label 0 sits on it (k = 0) and cannot leave
-        trace = continue_to(solve_k_real(2, 0.0), -1.0j)
-        assert trace.status is TraceStatus.COMPLETED
-        assert abs(trace.final_k - sheet_value(2, -1.0j)) <= 1e-12
-        stuck = continue_to(solve_k_real(0, 0.0), -1.0j)
-        assert stuck.status is TraceStatus.ABORTED_NEAR_BRANCH_POINT
-        assert "starts on a branch point" in stuck.note
+        assert abs(continue_to(solve_k_real(2, 0.0), -1.0j).k - sheet_value(2, -1.0j)) <= 1e-12
+        with pytest.raises(SolverError, match="starts on a branch point") as stuck:
+            continue_to(solve_k_real(0, 0.0), -1.0j)
+        assert (stuck.value.g, stuck.value.k) == (0.0, 0.0)
 
     def test_path_through_a_listed_point_where_the_root_is_regular(self, monkeypatch):
         # the even catalog lists g = 0, where only the roots +-0 of the
         # base label meet; label 2 (k = 2 there) crosses it in hops that
         # do not shrink towards it (40 hops of at most 0.05 at a fixed cap)
         hops = counted(monkeypatch, "newton_correct")
-        trace = continue_to(solve_k_real(2, 1.0), -1.0)
-        assert trace.status is TraceStatus.COMPLETED
+        end = continue_to(solve_k_real(2, 1.0), -1.0)
         assert len(hops) <= 10
-        assert abs(trace.final_k - solve_k_real(2, -1.0).k) <= 1e-12
+        assert abs(end.k - solve_k_real(2, -1.0).k) <= 1e-12
 
     def test_a_rung_the_catalog_needs_but_misses_is_an_error(self, monkeypatch):
         # no floor bounds the branch points below a failed rung, so a walk
@@ -677,7 +689,7 @@ class TestMonodromy:
         k2 = sheet_value(2, start_g)
         state = continue_to(solve_k_real(0, e.real + 0.05), start_g)
         loop = circle_path(e, 0.05, n_points=96)
-        once = continue_along(state.final_state(), loop).final_k
+        once = continue_along(state, loop).k
         assert abs(once - k2) < 1e-6
         assert abs(once - k0) > 0.1
 
@@ -685,15 +697,14 @@ class TestMonodromy:
         e = ep_g(2)
         start_g = e + 0.05
         state = continue_to(solve_k_real(0, e.real + 0.05), start_g)
-        k0 = state.final_k
-        loop2 = circle_path(e, 0.05, n_points=96, turns=2)
-        twice = continue_along(state.final_state(), loop2).final_k
-        assert abs(twice - k0) < 1e-6
+        loop = circle_path(e, 0.05, n_points=96)
+        twice = continue_along(state, loop.joined_with(loop)).k
+        assert abs(twice - state.k) < 1e-6
 
     def test_loop_away_from_branch_points_is_trivial(self):
         loop = circle_path(1.0, 0.4, n_points=48)
         state = solve_k_real(2, 1.4)
-        around = continue_along(state, loop).final_k
+        around = continue_along(state, loop).k
         assert abs(around - state.k) < 1e-9
 
 

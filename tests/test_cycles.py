@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lieb2b import bethe, cycles
+from lieb2b import bethe, cli, cycles
 from lieb2b.bethe import Parity, SolverError, energy, solve_k_real
 from lieb2b.continuation import line_path
 from lieb2b.cycles import (PathConstructionError, chained_loop_holonomy,
@@ -47,6 +47,17 @@ class TestHermitianCycle:
         monkeypatch.setattr(bethe, "NEWTON_MAX_STEPS", 1)
         with pytest.raises(SolverError):
             hermitian_cycle(0.7, TruncationSpec(Parity.ODD, 4))
+
+    def test_levels_that_do_not_meet_raise_solver_error(self, monkeypatch, capsys):
+        # k_n(+proxy) pushed off k_{n+2}(-proxy): a typed error, which the
+        # CLI reports with exit code 2 rather than a traceback
+        solve = cycles.real_axis_k
+        monkeypatch.setattr(cycles, "real_axis_k",
+                            lambda n, g: solve(n, g) + np.array([[0.1], [0.0], [0.0]]))
+        with pytest.raises(SolverError, match="do not meet"):
+            hermitian_cycle(1.0, EVEN8)
+        assert cli.main(["cycle", "--contour", "hermitian", "--trunc", "4"]) == 2
+        assert "do not meet" in capsys.readouterr().err
 
 
 class TestContours:

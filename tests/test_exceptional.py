@@ -230,8 +230,8 @@ class TestLocalStructure:
         # continue both colliding branches from the real axis to g_ep + eps
         target = ep.g_ep + eps_off
         for n, k_pred in ((0, k_b), (2, k_e)):
-            trace = continue_to(solve_k_real(n, target.real), target)
-            assert abs(trace.final_k - k_pred) < 2e-4
+            end = continue_to(solve_k_real(n, target.real), target)
+            assert abs(end.k - k_pred) < 2e-4
 
     def test_gap_scaling_exponent(self):
         # fit |k+ - k-| ~ C eps^alpha over four decades
@@ -260,8 +260,8 @@ class TestLocalStructure:
         gaps = []
         for e in sizes:
             target = ep.g_ep + e
-            k0 = continue_to(solve_k_real(0, target.real), target).final_k
-            k2 = continue_to(solve_k_real(2, target.real), target).final_k
+            k0 = continue_to(solve_k_real(0, target.real), target).k
+            k2 = continue_to(solve_k_real(2, target.real), target).k
             gaps.append(abs(k2 - k0))
         alpha = np.polyfit(np.log(sizes), np.log(gaps), 1)[0]
         assert abs(alpha - 0.5) < 5e-3

@@ -379,8 +379,8 @@ class TestFrameAdvance:
                               1.0 - 1.0j)
         assert frame.g == 1.0 - 1.0j
         for n, k in zip(frame.levels, frame.k):
-            trace = continue_to(solve_k_real(n, 1.0), 1.0 - 1.0j)
-            assert abs(k - trace.final_k) <= 1e-10
+            end = continue_to(solve_k_real(n, 1.0), 1.0 - 1.0j)
+            assert abs(k - end.k) <= 1e-10
 
     def test_stall_raises_after_bounded_hops(self, monkeypatch):
         hops = []
@@ -442,7 +442,7 @@ class TestFrameAdvance:
             g = find_ep(n, verify_unique=False).g_ep + 1e-3
             frame = entry_frame(trunc, g)
             for m, k in zip(frame.levels, frame.k):
-                scalar = continue_to(solve_k_real(m, g.real), g).final_k
+                scalar = continue_to(solve_k_real(m, g.real), g).k
                 assert abs(k - scalar) <= 1e-12, (n, m)
 
     @pytest.mark.parametrize("offset", [0.0, 1e-9, -1e-9])

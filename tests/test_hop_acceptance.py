@@ -14,7 +14,8 @@ factor after a kept step from `_kept_factor`.  One-root continuation
 has one walker too: `sheet_value`, `continue_along` and
 `conjugation_symmetry_check` reach `walk_path` only through
 `_walk_root`, whose hop is `_scalar_hop`, and no module keeps a fixed
-step cap `MAX_STEP`.  Every frame walk runs at one run size: no caller
+step cap `MAX_STEP`.  A one-root walk returns a root or raises, so no
+trace, sample or status type and no `_vertical` wrapper is defined.  Every frame walk runs at one run size: no caller
 hands `_walk_branches` one, no walk passes `walk_path` a step cap or a
 growth, and transport's own batch size is gone.  A loop's permutation
 is read one way: `transport` and `frame_monodromy` build it through
@@ -130,6 +131,11 @@ def test_one_root_walks_share_one_walker():
 
 def test_no_module_keeps_a_fixed_step_cap():
     assert name_uses("MAX_STEP") == []
+
+
+def test_one_root_walks_keep_no_trace_or_status():
+    for name in ("TraceStatus", "ContinuationTrace", "ContinuationSample", "_vertical"):
+        assert name_uses(name) == [], name
 
 
 def test_frame_walks_take_one_run_size():

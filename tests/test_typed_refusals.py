@@ -1,7 +1,9 @@
 """Bad arguments to the library's small entry points are refused with a
 ValueError that names the input, before any numerical work, so neither
 a bare TypeError nor a numpy warning nor a silent wrong answer escapes.
-Integer arguments follow `numbers.Integral`, so numpy integers pass.
+Integer arguments follow `numbers.Integral`, so numpy integers pass; a
+branch label is a Python or numpy integer and never a bool, and an array
+of labels has an integer dtype.
 A walk that would start on its own branch point is a SolverError.
 """
 
@@ -12,7 +14,7 @@ import pytest
 
 from lieb2b.bethe import (Parity, SolverError, asymptotic_quasimomentum, real_axis_k,
                           solve_k_real)
-from lieb2b.continuation import conjugation_symmetry_check, sheet_value
+from lieb2b.continuation import GridSpec, build_sheet, conjugation_symmetry_check, sheet_value
 from lieb2b.eigensystem import biorthonormality_defect, overlap_connection_oracle
 from lieb2b.exceptional import circle_reaches_branch_point, find_ep, local_expansion
 
@@ -41,6 +43,19 @@ REFUSED = {
     "sheet value, huge label": (lambda: sheet_value(1e300, 1.0 - 1.0j), "label n"),
     "mirror check, huge label": (lambda: conjugation_symmetry_check(1e300, 1.0 - 1.0j),
                                  "label n"),
+    # True and 2.0 passed the old n % 1 test as labels 1 and 2
+    "real axis, bool label": (lambda: real_axis_k(True, 1.0), "label n"),
+    "real axis, float label": (lambda: real_axis_k(2.0, 1.0), "label n"),
+    "real axis, float labels": (lambda: real_axis_k(np.array([0.0, 2.0]), 1.0), "label n"),
+    "real solve, bool label": (lambda: solve_k_real(True, 1.0), "label n"),
+    "real solve, float label": (lambda: solve_k_real(2.0, 1.0), "label n"),
+    # refused deep in the ladder before, as "the rungs run up to an integer label"
+    "sheet value, float label": (lambda: sheet_value(2.0, 1.0 - 1.0j), "label n"),
+    "sheet, float label": (lambda: build_sheet(2.0, GridSpec(n_re=3, n_im=3)), "label n"),
+    "limit, bool label": (lambda: asymptotic_quasimomentum(True, +1), "label n"),
+    "EP, bool label": (lambda: find_ep(True), "label n"),
+    "EP, float label": (lambda: find_ep(3.0), "label n"),
+    "EP, string label": (lambda: find_ep("3"), "label n"),  # was a TypeError
 }
 
 
@@ -54,6 +69,7 @@ def test_bad_input_is_a_value_error_naming_it(call, names):
 
 def test_numpy_integers_pass():
     assert asymptotic_quasimomentum(np.int64(4), +1) == 5
+    assert real_axis_k(np.array([2, 4], dtype=np.uint8), 0.0).tolist() == [2, 4]
     a = overlap_connection_oracle(np.int64(2), 0.5, nodes=np.int64(64))
     assert a.shape == (2, 2)
 
