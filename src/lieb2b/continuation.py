@@ -362,7 +362,12 @@ def continue_along(start: BetheState, path: ComplexPath) -> BetheState:
 
 
 def continue_to(start: BetheState, g_target) -> BetheState:
-    """Straight-line continuation from the state's coupling to g_target."""
+    """Straight-line continuation from the state's coupling to g_target.
+    At the state's own coupling that is the start state, as `sheet_value`
+    at a real g is its anchor."""
+    if complex(g_target) == complex(start.g):
+        check_coupling(g_target)
+        return start
     return continue_along(start, line_path(start.g, g_target))
 
 

@@ -30,16 +30,22 @@ kept strictly apart:
 Transport solves dV/dt = B V, B = -i * A(g(t)) * g'(t), V(0) = 1 along
 piecewise-linear paths as an ordered exponential, one sixth-order
 Magnus step V <- exp(Omega) V at a time: Omega comes from B at three
-Gauss-Legendre nodes and their commutators, and the fourth-order Omega
-of the same nodes sets the step size (Blanes, Casas & Ros, BIT 40, 434
-(2000)).  A has a zero diagonal, so B and every Omega are traceless and
-det V = 1 to round-off on any path.  Steps are hops of
-:func:`lieb2b.continuation.walk_path`, which lands them on each path
-corner exactly, carries the step size over it, and hands a hop
-several step ends at once where corners clip the steps.  A hop moves
-every slot of the frame to the three nodes and the end of each of its
-steps in one call of :func:`lieb2b.bethe.newton_correct_with_step`,
-each point predicted from the tangent at the hop's start.  It estimates
+Gauss-Legendre nodes and their commutators, and its excess over the
+fourth-order Omega of the same nodes, formed directly rather than as a
+difference of the two, sets the step size (Blanes, Casas & Ros, BIT 40,
+434 (2000)).  exp(Omega) is taken by scaling and squaring (Higham
+2005): a Taylor polynomial of Omega / 2**s, whose 1-norm theta is below
+1/4, of the least degree m <= 12 with theta**(m + 1) / (m + 1)! below
+3e-18, degree 12's bound at 1/4; a step's Omega, of 1-norm about 0.03
+on the benchmark's loops, takes degree 8.  A has a zero diagonal, so B
+and every Omega are traceless and det V = 1 to round-off on any path.
+Steps are hops of :func:`lieb2b.continuation.walk_path`, which lands
+them on each path corner exactly, carries the step size over it, and
+hands a hop up to 16 step ends at once where corners clip the steps.
+A hop moves every slot of the frame to the three nodes and the end of
+each of its steps, at most 64 points, in one call of
+:func:`lieb2b.bethe.newton_correct_with_step`, each point predicted
+from the tangent at the hop's start.  It estimates
 the branch distance at all its step ends at once, evaluates the
 connection at every node in one :func:`connection_matrix` call, and
 forms all its Omegas.  It then takes the steps in order while each
@@ -80,6 +86,7 @@ The two routes are independent checks of one another.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -87,8 +94,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bethe import (COUPLING_LIMIT, RESIDUAL_TARGET, Parity, SolverError,
-                    branch_point_function, check_coupling, newton_correct_with_step,
-                    real_axis_k, rotated_sqrt)
+                    branch_point_function, check_coupling, is_label,
+                    newton_correct_with_step, real_axis_k, rotated_sqrt)
 from .continuation import (STEP_GROWTH, ComplexPath, circle_path, family_eps,
                            tangent_slope, walk_path)
 from .eigensystem import normalization_pt
@@ -103,7 +110,7 @@ GAP_TOL = 1e-6
 #: relative tolerance of a Magnus step, the default of `transport`
 TRANSPORT_RTOL = 1e-10
 #: steps a frame walk's hop takes at most: its corrector run holds four points a step
-_RUN_STEPS = 8
+_RUN_STEPS = 16
 
 
 class TransportError(RuntimeError):
@@ -140,8 +147,9 @@ class TruncationSpec:
         return tuple(self.base + 2 * i for i in range(self.n_levels))
 
     def slot(self, n: int) -> int:
-        """Index of level n inside the truncation; n must be an integer."""
-        if isinstance(n, numbers.Integral):
+        """Index of level n inside the truncation; n must be a label
+        (`is_label`: an integer, never a bool)."""
+        if is_label(n):
             i, rem = divmod(n - self.base, 2)
             if not rem and 0 <= i < self.n_levels:
                 return i
@@ -461,21 +469,86 @@ MAGNUS_ATOL, MAGNUS_MAX_STEPS = 1e-13, 200000
 
 
 def _commutator(x, y):
-    return x @ y - y @ x
+    c = x @ y
+    c -= y @ x
+    return c
+
+
+def _magnus(b):
+    """Each step's sixth-order Magnus Omega, and its excess over the
+    fourth-order Omega of the same nodes, the error matrix: from B times
+    the step at the step's three Gauss nodes, b of shape (n, 3, m, m)."""
+    b1, a1, b3 = b[:, 0], b[:, 1], b[:, 2]
+    a2 = np.subtract(b3, b1)
+    a2 *= np.sqrt(15.0) / 3.0
+    a3 = np.multiply(a1, -2.0)
+    a3 += b3
+    a3 += b1
+    a3 *= 10.0 / 3.0
+    c1 = _commutator(a1, a2)
+    u = np.multiply(a3, 2.0)
+    u += c1
+    c2 = _commutator(a1, u)
+    c2 /= -60.0
+    c2 += a2
+    np.multiply(a1, -20.0, out=u)
+    u -= a3
+    u += c1
+    # Omega6 = a1 + a3 / 12 + [-20 a1 - a3 + c1, a2 + c2] / 240, and
+    # Omega4 = a1 + a3 / 12 - c1 / 12: their difference is taken directly,
+    # not as a difference of the two sums
+    error = _commutator(u, c2)
+    error /= 240.0
+    omega = np.divide(a3, 12.0, out=a3)
+    omega += a1
+    omega += error
+    c1 /= 12.0
+    error += c1
+    return omega, error
+
+
+#: the tail bound of `_expm`'s Taylor polynomials, degree 12's at 1-norm 1/4
+_TAYLOR_TAIL = 3e-18
+#: the 1-norm below which degree m meets the tail bound, for m = 0..11
+_TAYLOR_NORMS = np.array([(_TAYLOR_TAIL * math.factorial(m + 1)) ** (1.0 / (m + 1))
+                          for m in range(12)])
+
+
+def _taylor_degree(theta):
+    """The least Taylor degree m <= 12 whose tail bound theta**(m + 1) /
+    (m + 1)! stays below `_TAYLOR_TAIL` at each 1-norm theta < 1/4."""
+    return np.searchsorted(_TAYLOR_NORMS, theta, side="right")
 
 
 def _expm(x):
-    """exp(x) by scaling and squaring (Higham 2005): a degree-12 Taylor
-    polynomial of x / 2**s, whose 1-norm is below 1/4 (tail < 3e-18).
-    On a stack of matrices each takes its own s."""
-    s = np.maximum(0, np.frexp(4.0 * np.linalg.norm(x, 1, axis=(-2, -1)))[1])
-    y = x / (2.0 ** s)[..., None, None]
-    e = one = np.eye(x.shape[-1], dtype=complex)
-    for j in range(12, 0, -1):
-        e = one + (y @ e) / j
+    """exp(x) by scaling and squaring (Higham 2005): the Taylor polynomial
+    of y = x / 2**s, whose 1-norm is below 1/4, of `_taylor_degree`, by
+    Horner.  On a stack of matrices each takes its own s and degree: a
+    matrix of lower degree joins the Horner steps at its own, and until
+    then it multiplies by 0 and stays exactly 1."""
+    m = x.shape[-1]
+    stack = x.reshape(-1, m, m)
+    norm = np.linalg.norm(stack, 1, axis=(-2, -1))
+    s = np.maximum(0, np.frexp(4.0 * norm)[1])
+    degree = _taylor_degree(norm / 2.0 ** s)
+    y = stack / (2.0 ** s)[:, None, None]
+    joined = np.zeros_like(y)
+    e, buf = np.zeros_like(y), np.empty_like(y)
+    e_diag, buf_diag = (a.reshape(len(a), m * m)[:, ::m + 1] for a in (e, buf))
+    e_diag += 1.0
+    starts = set(degree.tolist())
+    for j in range(degree.max(), 0, -1):
+        if j in starts:
+            joins = degree == j
+            joined[joins] = y[joins]
+        np.matmul(joined, e, out=buf)
+        buf /= j
+        buf_diag += 1.0
+        e, buf, e_diag, buf_diag = buf, e, buf_diag, e_diag
     for i in range(s.max()):
-        e = np.where((i < s)[..., None, None], e @ e, e)
-    return e
+        squared = s > i
+        e[squared] = e[squared] @ e[squared]
+    return e.reshape(x.shape)
 
 
 def _tail_row_norms(d, k):
@@ -516,22 +589,17 @@ def transport(path: ComplexPath, trunc: TruncationSpec, *,
             rejected += 1
             return [(None, False, 0.5)]
         d = signs * k / sqrt_r
-        b = (-1j * dg)[:, None, None, None] * connection_matrix(levels, d[:, :3], k[:, :3])
-        b1, b2, b3 = b[:, 0], b[:, 1], b[:, 2]
-        a1, a2 = b2, np.sqrt(15.0) / 3.0 * (b3 - b1)
-        a3 = 10.0 / 3.0 * (b3 - 2.0 * b2 + b1)
-        c1 = _commutator(a1, a2)
-        c2 = _commutator(a1, 2.0 * a3 + c1) / -60.0
-        omega6 = a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
-        omega4 = a1 + a3 / 12.0 - c1 / 12.0
-        exp6 = _expm(omega6)
+        b = connection_matrix(levels, d[:, :3], k[:, :3])
+        b *= (-1j * dg)[:, None, None, None]
+        omega, error = _magnus(b)
+        exp6 = _expm(omega)
         factors = _kept_factor(ends[:n], k[:, 3], np.abs(dg))
         tails = _tail_row_norms(np.concatenate([frame.d_values()[None], d[:-1, 3]]),
                                 np.concatenate([frame.k[None], k[:-1, 3]]))
         tried = []
         for i in range(n):
             scale = MAGNUS_ATOL + rtol * max(1.0, float(np.max(np.abs(v))))
-            err = float(np.max(np.abs((omega6[i] - omega4[i]) @ v))) / scale
+            err = float(np.max(np.abs(error[i] @ v))) / scale
             if not err <= 1.0:
                 if i == 0:
                     rejected += 1

@@ -130,6 +130,15 @@ class TestContinuation:
         assert (end.n, end.g, end.parity) == (2, 1.0 - 1.0j, Parity.EVEN)
         assert end.scaled_residual() < 1e-10
 
+    def test_continuation_to_its_own_coupling_returns_the_start(self):
+        # as sheet_value at a real g returns its anchor; it was a ValueError,
+        # "consecutive waypoints must be distinct", from line_path
+        start = solve_k_real(2, 1.0)
+        assert continue_to(start, 1.0) is start
+        assert continue_to(start, 1.0 + 0.0j) is start
+        end = continue_to(start, 1.0 - 1.0j)
+        assert continue_to(end, end.g) is end
+
     def test_deep_bound_continuation_reaches_a_root(self):
         # on the bound branch g^2 + k^2 cancels to exactly 0, the arctan
         # pole of dJ/dk; continuation must step on, not divide by zero

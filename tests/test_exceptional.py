@@ -12,7 +12,7 @@ from lieb2b.bethe import Parity, branch_point_function, scaled_bethe_residual
 from lieb2b.continuation import continue_to, solve_k_real
 from lieb2b.exceptional import (ExceptionalPointError, _accept_root,
                                 _newton_on_f, _winding_number, enumerate_eps,
-                                ep_residual, find_ep, local_expansion,
+                                ep_residual, find_ep, ladder_points, local_expansion,
                                 sqrt_coefficient, sqrt_lower_cut)
 
 TWO_OVER_PI = 2.0 / np.pi
@@ -148,6 +148,14 @@ class TestCatalog:
             enumerate_eps(Parity.EVEN, 4.5)
         eps = enumerate_eps(Parity.EVEN, np.int64(4), verify_unique=False)
         assert [ep.n for ep in eps] == [2, 4]
+
+    @pytest.mark.parametrize("n_max", [True, False])
+    def test_top_label_must_not_be_a_bool(self, n_max):
+        # True walked up to label 1, which is no walk at all
+        with pytest.raises(ValueError, match="integer label, not a bool"):
+            list(ladder_points(Parity.EVEN, n_max))
+        with pytest.raises(ValueError, match="integer label, not a bool"):
+            enumerate_eps(Parity.ODD, n_max)
 
     def test_one_walk_serves_every_label(self, monkeypatch):
         newton = exceptional._newton_on_f

@@ -1,6 +1,8 @@
 """Gauge connection and parallel transport: closed forms vs oracle vs loops."""
 
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -134,15 +136,9 @@ def stepwise_transport(path, trunc, rtol=holonomy.TRANSPORT_RTOL):
         run = [TransportFrame(levels, complex(p), ki, si)
                for p, ki, si in zip(points, k, sqrt_r)]
         a_run = connection_matrix(levels, [f.d_values() for f in run], [f.k for f in run])
-        b1, b2, b3 = -1j * dg * a_run[:3]
-        a1, a2 = b2, np.sqrt(15.0) / 3.0 * (b3 - b1)
-        a3 = 10.0 / 3.0 * (b3 - 2.0 * b2 + b1)
-        c1 = holonomy._commutator(a1, a2)
-        c2 = holonomy._commutator(a1, 2.0 * a3 + c1) / -60.0
-        omega6 = a1 + a3 / 12.0 + holonomy._commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
-        omega4 = a1 + a3 / 12.0 - c1 / 12.0
+        (omega6,), (error,) = holonomy._magnus((-1j * dg * a_run[:3])[None])
         scale = holonomy.MAGNUS_ATOL + rtol * max(1.0, float(np.max(np.abs(v))))
-        err = float(np.max(np.abs((omega6 - omega4) @ v))) / scale
+        err = float(np.max(np.abs(error @ v))) / scale
         if not err <= 1.0:
             rejected.append(g)
             return [(None, False, max(0.2, 0.9 * err ** -0.2))]
@@ -740,17 +736,17 @@ class TestTransport:
         assert hol.rejected == 0
         assert abs(np.linalg.det(hol.matrix) - 1.0) <= 1e-12
 
-    # The Magnus error estimate is the difference of two sums that agree
-    # to about 1e-10, so it carries relative rounding near 1e-6.  Where
-    # the estimate sets the step and a batch predicts a step's roots
-    # from an earlier start (the contour's corners), last-bit changes in
-    # those roots move the step factor and the later ends by about 1e-8.
-    # Where corners clip every step (the 48-gon) or no batch spans two
-    # steps (the line), the ends are the same doubles.
+    # Where the Magnus error estimate sets the step and a batch predicts a
+    # step's roots from an earlier start (the contour's corners), last-bit
+    # changes in those roots move the step factor and the later ends by
+    # about 2e-11; taken as the difference of the two Omegas' sums, which
+    # agree to about 1e-10, the estimate moved them by about 2e-8.  Where
+    # corners clip every step (the 48-gon) or no batch spans two steps
+    # (the line), the ends are the same doubles.
     @pytest.mark.parametrize("path, trunc, ends_tol", [
         (bench_loop(2), EVEN12, 0.0),
         (line_path(1.0, 1.0 - 0.8j), TruncationSpec(Parity.EVEN, 6), 0.0),
-        (n_ep_contour(4.0, 3, Parity.EVEN), EVEN12, 1e-7),
+        (n_ep_contour(4.0, 3, Parity.EVEN), EVEN12, 1e-9),
     ], ids=["bench-48-gon", "line", "three-point-contour"])
     def test_batched_steps_equal_the_stepwise_transport(self, monkeypatch, path, trunc,
                                                         ends_tol):
@@ -845,11 +841,40 @@ class TestRunWork:
             r, dr, _, _ = unscaled_residual_terms(parity, g, k)
             assert np.array_equal(k - step, k - r / dr)
 
+    def test_the_benchmark_loops_take_pinned_work(self, monkeypatch):
+        # the benchmark's loops requests, counted in corrector runs and
+        # Magnus steps rather than timed: their entry walks take 144 runs
+        # together (238 before entry corridors leant clear of the EPs), and
+        # each walk around the 48-gon, transport's and frame_monodromy's,
+        # one run per _RUN_STEPS edges
+        runs = counted_runs(monkeypatch)
+        entries, entry = [], holonomy.entry_frame
+
+        def counted_entry(trunc, g0):
+            before = len(runs)
+            frame = entry(trunc, g0)
+            entries.append(len(runs) - before)
+            return frame
+
+        monkeypatch.setattr(holonomy, "entry_frame", counted_entry)
+        loop_walks = []
+        for n in range(2, 10):
+            trunc = TruncationSpec(Parity.of_level(n), 12 if n % 2 == 0 else 24)
+            for walker in (transport, frame_monodromy):
+                before = len(runs)
+                res = walker(bench_loop(n), trunc)
+                loop_walks.append(len(runs) - before - entries[-1])
+                if walker is transport:
+                    assert (res.steps, res.rejected) == (48, 0), n
+        assert len(entries) == 16 and sum(entries) == 144
+        assert loop_walks == [math.ceil(48 / holonomy._RUN_STEPS)] * 16
+
     def test_runs_on_a_dense_line_hold_at_most_run_steps(self, monkeypatch):
         # 200 segments from 1 to 1 - 0.8i at truncation 24, each clipping a
         # step: a frame walk offered every segment at once made one run of
         # all 800 points.  Offered _RUN_STEPS ends a hop, the frame walk and
-        # transport run at most 32 points, and the walk ends where it did
+        # transport run at most four points a step, and the walk ends where
+        # it did
         trunc = TruncationSpec(Parity.EVEN, 24)
         line = ComplexPath(np.linspace(1.0, 1.0 - 0.8j, 201)).waypoints
         frame = frame_at(trunc, 1.0)
@@ -863,9 +888,43 @@ class TestRunWork:
         walked = len(runs)
         transport(ComplexPath(line), trunc)
         assert 0 < walked < len(runs)
-        assert all(len(points) <= 32 for points, _ in runs)
+        assert all(len(points) <= 4 * holonomy._RUN_STEPS for points, _ in runs)
         assert np.max(np.abs(end.k - whole.k)) <= 1e-12
         assert np.max(np.abs(end.sqrt_r - whole.sqrt_r)) <= 1e-12
+
+
+def eig_expm(x):
+    """exp(x) through the eigendecomposition of x."""
+    w, q = np.linalg.eig(x)
+    return q @ np.diag(np.exp(w)) @ np.linalg.inv(q)
+
+
+def textbook_omegas(b):
+    """Omega6 and Omega6 - Omega4 of one step (Blanes, Casas & Ros 2000)
+    from B times the step at its three Gauss nodes, b of shape (3, m, m),
+    in exact rational arithmetic on the real form [[Re, -Im], [Im, Re]]
+    of each complex matrix, rounded to complex at the end."""
+    m = b.shape[-1]
+
+    def exact(x):
+        return np.vectorize(Fraction, otypes=[object])(
+            np.block([[x.real, -x.imag], [x.imag, x.real]]))
+
+    def commutator(x, y):
+        return x.dot(y) - y.dot(x)
+
+    def rounded(x):
+        x = x.astype(float)
+        return x[:m, :m] + 1j * x[m:, :m]
+
+    b1, a1, b3 = (exact(x) for x in b)
+    a2 = Fraction(np.sqrt(15.0) / 3.0) * (b3 - b1)
+    a3 = Fraction(10, 3) * (b3 - 2 * a1 + b1)
+    c1 = commutator(a1, a2)
+    c2 = commutator(a1, 2 * a3 + c1) / -60
+    omega6 = a1 + a3 / 12 + commutator(-20 * a1 - a3 + c1, a2 + c2) / 240
+    omega4 = a1 + a3 / 12 - c1 / 12
+    return rounded(omega6), rounded(omega6 - omega4)
 
 
 class TestMatrixExponential:
@@ -874,18 +933,60 @@ class TestMatrixExponential:
         rng = np.random.default_rng(20261018)
         x = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
         x *= norm / np.linalg.norm(x, 1)
-        w, q = np.linalg.eig(x)
-        ref = q @ np.diag(np.exp(w)) @ np.linalg.inv(q)
+        ref = eig_expm(x)
         assert np.max(np.abs(holonomy._expm(x) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("m", range(len(holonomy._TAYLOR_NORMS)))
+    def test_matches_the_eigendecomposition_beside_each_degree_threshold(self, m):
+        # just below the threshold the polynomial has degree m, just above m + 1
+        rng = np.random.default_rng(20261021)
+        x = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+        for norm in holonomy._TAYLOR_NORMS[m] * np.array([1.0 - 1e-9, 1.0 + 1e-9]):
+            y = x * (norm / np.linalg.norm(x, 1))
+            ref = eig_expm(y)
+            assert np.max(np.abs(holonomy._expm(y) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_degree_is_the_least_that_meets_the_tail_bound(self):
+        def tail(theta, m):
+            return theta ** (m + 1) / math.factorial(m + 1)
+
+        for m, theta in enumerate(holonomy._TAYLOR_NORMS):
+            for norm, want in ((theta * (1.0 - 1e-9), m), (theta * (1.0 + 1e-9), m + 1)):
+                assert holonomy._taylor_degree(norm) == want
+                assert tail(norm, want) < holonomy._TAYLOR_TAIL
+                assert want == 0 or tail(norm, want - 1) >= holonomy._TAYLOR_TAIL
+        # degree 12 covers every scaled norm, and a transport step's Omega,
+        # of 1-norm about 0.033, takes degree 8
+        assert holonomy._taylor_degree(np.nextafter(0.25, 0.0)) == 12
+        assert tail(0.25, 12) < holonomy._TAYLOR_TAIL
+        assert holonomy._taylor_degree(0.033) == 8
+
     def test_stack_equals_each_matrix(self):
-        # each matrix of a stack takes its own scaling, so the stack's
-        # exponentials are the single matrices' bit for bit
+        # each matrix of a stack takes its own scaling and degree, so the
+        # stack's exponentials are the single matrices' bit for bit, also
+        # where the degrees are neither equal nor in order
         rng = np.random.default_rng(20261019)
-        x = rng.normal(size=(6, 8, 8)) + 1j * rng.normal(size=(6, 8, 8))
-        x *= np.array([0.0, 1e-3, 0.2, 1.0, 7.0, 40.0])[:, None, None] \
-            / np.linalg.norm(x, 1, axis=(1, 2))[:, None, None]
+        norms = np.array([0.033, 0.0, 40.0, 1e-3, 0.2, 1.0, 7.0, 1e-9])
+        x = rng.normal(size=(8, 8, 8)) + 1j * rng.normal(size=(8, 8, 8))
+        x *= (norms / np.linalg.norm(x, 1, axis=(1, 2)))[:, None, None]
+        degrees = holonomy._taylor_degree(norms / 2.0 ** np.maximum(0, np.frexp(4.0 * norms)[1]))
+        assert len(set(degrees.tolist())) == 7 and not np.all(np.diff(degrees) <= 0)
         assert np.array_equal(holonomy._expm(x), [holonomy._expm(m) for m in x])
+
+
+class TestMagnusStep:
+    @pytest.mark.parametrize("scale", [1e-3, 0.03, 1.0])
+    def test_matches_the_textbook_omegas(self, scale):
+        # the error matrix is Omega6 - Omega4 to round-off of its own size;
+        # the difference of the two sums in doubles carries the round-off
+        # of Omega itself, relatively |Omega| / |Omega6 - Omega4| larger
+        rng = np.random.default_rng(20261021)
+        b = scale * (rng.normal(size=(2, 3, 4, 4)) + 1j * rng.normal(size=(2, 3, 4, 4)))
+        omega, error = holonomy._magnus(b)
+        for i in range(2):
+            want_omega, want_error = textbook_omegas(b[i])
+            assert np.max(np.abs(omega[i] - want_omega)) <= 1e-15 * np.max(np.abs(want_omega))
+            assert np.max(np.abs(error[i] - want_error)) <= 2e-15 * np.max(np.abs(want_error))
 
 
 class TestEpLoops:
@@ -1166,6 +1267,13 @@ class TestTruncationSpec:
         trunc = TruncationSpec(Parity.EVEN, np.int64(4))
         assert trunc.levels == (0, 2, 4, 6)
         assert trunc.slot(np.int64(4)) == 2
+
+    @pytest.mark.parametrize("trunc", [EVEN12, TruncationSpec(Parity.ODD, 6)])
+    @pytest.mark.parametrize("n", [True, False])
+    def test_slot_of_a_bool_is_refused(self, trunc, n):
+        # True was label 1, slot 0 of an odd truncation, and False label 0
+        with pytest.raises(ValueError, match="is not in this truncation"):
+            trunc.slot(n)
 
     @pytest.mark.parametrize("n", [2.0, 2.5, "2"])
     def test_slot_of_a_non_integer_label_is_refused(self, n):
