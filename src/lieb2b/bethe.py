@@ -539,7 +539,7 @@ def asymptotic_quasimomentum(n: int, sign: int) -> int:
     """
     if not (is_label(n) and n >= 0):
         raise ValueError(f"branch label n must be an integer >= 0, got {n!r}")
-    if sign not in (1, -1):
+    if not (is_label(sign) and sign in (1, -1)):
         raise ValueError("sign selects the coupling infinity: +1 or -1")
     if sign > 0:
         return n + 1

@@ -53,18 +53,18 @@ the bound-state convention Im k < 0 consistent.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .bethe import (RESIDUAL_ACCEPT, RESIDUAL_TARGET, BetheState, Parity,
-                    SolverError, branch_point_function, check_coupling,
+                    SolverError, branch_point_function, check_coupling, is_label,
                     newton_correct, newton_correct_array, newton_correct_with_step,
                     real_axis_k, solve_k_real)
-from .exceptional import ExceptionalPointError, find_ep, ladder_points
+from .exceptional import RUNG_DEPTH_MARGIN, family_eps, find_ep
 
 #: `_accepted`'s branch-point guard; an accepted hop grows the step by STEP_GROWTH
 DJ_DK_FLOOR, STEP_GROWTH = 1e-4, 1.7
@@ -72,8 +72,6 @@ DJ_DK_FLOOR, STEP_GROWTH = 1e-4, 1.7
 MIN_STEP = 1e-9
 #: a one-root hop spans at most RHO times the distance to the walk's branch points
 RHO = 0.5
-#: every rung m of either family's ladder has |Im g_ep(m)| >= m - 1 + RUNG_DEPTH_MARGIN
-RUNG_DEPTH_MARGIN = 0.3
 #: a root k at g meets a listed branch point p, where roots meet at +-k_p,
 #: only if |k -+ k_p|^2 <= MEETING_WIDTH d (1 + d), d = |g - p|: the two
 #: roots that meet there keep |k - k_p|^2 below d (d + 0.7) out to d = 8
@@ -124,7 +122,7 @@ def circle_path(center, radius, *, n_points: int = 96, clockwise: bool = True) -
     A loop needs an integer n_points >= 3 and a finite radius > 0;
     anything else is a ValueError.
     """
-    if not (isinstance(n_points, numbers.Integral) and n_points >= 3):
+    if not (is_label(n_points) and n_points >= 3):
         raise ValueError(f"a loop needs an integer n_points >= 3, got {n_points!r}")
     if not 0.0 < radius < np.inf:
         raise ValueError(f"a loop needs a finite radius > 0, got {radius!r}")
@@ -254,21 +252,6 @@ class _BranchPoints(NamedTuple):
         return min(d, float(near[meets].min())) if meets.any() else d
 
 
-def family_eps(parity: Parity, depth: float) -> list:
-    """The family's exceptional points from one ladder walk, up through
-    the first one deeper than |Im g| = depth.  A rung the walk fails on
-    raises its ExceptionalPointError: nothing bounds the points below."""
-    eps = []
-    for _, point in ladder_points(parity, parity.bound_level + 2 * (int(depth) // 2 + 3),
-                                  verify_unique=False):
-        if isinstance(point, ExceptionalPointError):
-            raise point
-        eps.append(point)
-        if -point.g_ep.imag > depth:
-            break
-    return eps
-
-
 def _branch_points(n: int, depth: float, *, family: bool = False) -> _BranchPoints:
     """The branch points of label n's standard sheet down to |Im g| = depth.
 
@@ -287,7 +270,7 @@ def _branch_points(n: int, depth: float, *, family: bool = False) -> _BranchPoin
         ep = find_ep(n, verify_unique=False)
         return _BranchPoints(np.array([ep.g_ep, ep.g_ep.conjugate()]),
                              np.array([ep.k_ep, ep.k_ep.conjugate()]), np.inf)
-    eps = family_eps(parity, depth)
+    eps = list(family_eps(parity, depth))
     g_eps = np.array([p.g_ep for p in eps], dtype=complex)
     k_eps = np.array([p.k_ep for p in eps], dtype=complex)
     return _BranchPoints(np.concatenate([g_eps, g_eps.conj(), [parity.real_branch_point]]),
@@ -436,7 +419,7 @@ class GridSpec:
             raise ValueError("grid must straddle the real axis")
         check_coupling([complex(self.re_min, self.im_min),
                         complex(self.re_max, self.im_max)])
-        if not all(isinstance(n, numbers.Integral) and n >= 2 for n in (self.n_re, self.n_im)):
+        if not all(is_label(n) and n >= 2 for n in (self.n_re, self.n_im)):
             raise ValueError("need an integer of at least 2 points per direction")
 
     @property
@@ -538,30 +521,6 @@ def _march_rows(parity, xs, axis_k, ims, *, tol, k_out):
     return abort_at
 
 
-def _partner_points(n: int, depth: float, ep_finder):
-    """The branch points whose cuts a sheet of label n reaching |Im g| =
-    depth may carry, in order up the ladder: n's own for n > 1; for the
-    bound labels n in {0, 1}, each partner's whose point (at depth about
-    m - 1) lies within depth, or at most 1.5 below it.
-
-    ep_finder, if given, is asked one label at a time; by default n > 1
-    asks `find_ep` and the bound labels read one ladder walk, which a
-    caller that stops early leaves untaken.  A label whose lookup fails
-    gives the RuntimeError it raised in place of its point.
-    """
-    last = n if n > 1 else int(depth + 2.5)
-    if ep_finder is None and n <= 1:
-        for _, point in ladder_points(Parity.of_level(n), last, verify_unique=False):
-            yield point if isinstance(point, ExceptionalPointError) else point.g_ep
-        return
-    finder = ep_finder or (lambda m: find_ep(m, verify_unique=False).g_ep)
-    for m in range(n + 2, last + 1, 2) if n <= 1 else [n]:
-        try:
-            yield complex(finder(m))
-        except RuntimeError as error:
-            yield error
-
-
 def build_sheet(n: int, grid: GridSpec, *, tol: float = RESIDUAL_TARGET,
                 ep_finder=None) -> RiemannSheet:
     """Construct one branch's Riemann sheet over a rectangular grid.
@@ -572,15 +531,17 @@ def build_sheet(n: int, grid: GridSpec, *, tol: float = RESIDUAL_TARGET,
     incomplete from that ordinate outward and recorded in
     aborted_columns, by the upper ordinate if both halves abort.  Cut
     segments are attached at the label's own branch points in the
-    window (`_partner_points`): its collision point for n > 1, every
-    partner collision for the bound labels n in {0, 1}, their
-    upper-half mirror images, and the real-axis degeneracy of the bound
-    label (cut running upward).
+    window: its collision point for n > 1, every partner collision for
+    the bound labels n in {0, 1}, their upper-half mirror images, and
+    the real-axis degeneracy of the bound label (cut running upward).
 
-    By default the bound labels read their partners from one ladder
-    walk.  A caller may inject ep_finder, which maps a level label to
-    its complex branch point, as a precomputed catalog instead; it is
-    then asked for one label at a time.
+    By default n > 1 asks `find_ep(n)` and the bound labels read their
+    partners from one lazy `family_eps` walk.  A caller may inject
+    ep_finder, which maps a level label to its complex branch point, as
+    a precomputed catalog instead; the bound labels then ask it for
+    n + 2, n + 4, ... in turn.  The partners end at the first point left
+    of re_min or deeper than the window.  A sheet has two outcomes: the
+    sheet with every cut, or the error of the first lookup that fails.
     """
     parity = Parity.of_level(n)
     xs = grid.re_axis
@@ -602,14 +563,18 @@ def build_sheet(n: int, grid: GridSpec, *, tol: float = RESIDUAL_TARGET,
         for col, y in march.items():
             aborted.setdefault(col, y)
 
+    depth = max(-grid.im_min, grid.im_max)
+    if ep_finder is not None:
+        points = map(ep_finder, [n] if n > 1 else itertools.count(n + 2, 2))
+    elif n > 1:
+        points = [find_ep(n, verify_unique=False).g_ep]
+    else:
+        points = (ep.g_ep for ep in family_eps(parity, depth))
     cuts = []
-    for bp in _partner_points(n, max(-grid.im_min, grid.im_max), ep_finder):
-        if isinstance(bp, RuntimeError):
-            # a missing catalog entry costs one cut, not the sheet
-            continue
-        if bp.real < grid.re_min:
-            # Re g_ep falls monotonically up the ladder, so no later
-            # partner reaches the window either
+    for bp in map(complex, points):
+        if bp.real < grid.re_min or abs(bp.imag) > depth:
+            # Re g_ep falls and |Im g_ep| grows monotonically up the
+            # ladder, so no later partner reaches the window either
             break
         for point in (bp, bp.conjugate()):
             inside = (grid.re_min <= point.real <= grid.re_max

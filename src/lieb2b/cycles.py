@@ -29,13 +29,13 @@ product converges to the same closed-form chain monodromy.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bethe import (COUPLING_LIMIT, BetheState, Parity, SolverError,
-                    asymptotic_quasimomentum, check_coupling, energy, real_axis_k)
+                    asymptotic_quasimomentum, check_coupling, energy, is_label,
+                    real_axis_k)
 from .continuation import ComplexPath, circle_path
 from .exceptional import enumerate_eps, find_ep
 from .holonomy import (HolonomyMatrix, TruncationSpec, ep_loop_holonomy,
@@ -147,7 +147,7 @@ def n_ep_contour(g0: float, n_ep: int, parity: Parity) -> ComplexPath:
     """
     g0 = float(g0)
     check_coupling(g0)
-    if not (isinstance(n_ep, numbers.Integral) and n_ep >= 1):
+    if not (is_label(n_ep) and n_ep >= 1):
         raise ValueError(f"the contour must enclose at least one exceptional point ({n_ep!r})")
 
     *enclosed, sentinel = [ep.g_ep for ep in enumerate_eps(

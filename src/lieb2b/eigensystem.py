@@ -45,12 +45,11 @@ the D-function or connection formulas of :mod:`lieb2b.holonomy`.
 
 from __future__ import annotations
 
-import numbers
 from functools import lru_cache
 
 import numpy as np
 
-from .bethe import Parity, SolverError, real_axis_k, rotated_sqrt
+from .bethe import Parity, SolverError, is_label, real_axis_k, rotated_sqrt
 
 TWO_PI = 2.0 * np.pi
 #: pi |Im k| beyond which sin(pi k) leaves the double range
@@ -153,9 +152,9 @@ def overlap_connection_oracle(n_levels: int, g: float, dg: float = 1e-5, *,
     Richardson step; its points g +- dg must lie in the coupling domain.
     n_levels must be an integer >= 2 and nodes an integer >= 1.
     """
-    if not (isinstance(n_levels, numbers.Integral) and n_levels >= 2):
+    if not (is_label(n_levels) and n_levels >= 2):
         raise ValueError(f"the oracle needs an integer n_levels >= 2, got {n_levels!r}")
-    if not (isinstance(nodes, numbers.Integral) and nodes >= 1):
+    if not (is_label(nodes) and nodes >= 1):
         raise ValueError(f"the oracle needs an integer number of nodes >= 1, got {nodes!r}")
     if not 0.0 < dg < np.inf:
         raise ValueError(f"the oracle needs a finite step dg > 0, got {dg!r}")

@@ -34,6 +34,12 @@ extrapolation of the two rungs below it (neighbouring points sit about
 2 apart).  The argument principle certifies a root: F winds exactly
 once around the circle of radius 1 about it.
 
+Catalog.  This module is the only one that walks the ladder.  Every
+query of it (`find_ep`, `ladder_points`, `family_eps`, `enumerate_eps`)
+has two outcomes: the complete result, or the ExceptionalPointError of
+the first rung that fails.  Each rung starts from the two below it, so
+a failed rung fails every one above it too.
+
 Local structure: with eps = g - g_ep, the two colliding branches obey
 
     k_{n_b}(g) = k_ep - sqrt((2/pi) eps) + O(eps),
@@ -60,14 +66,12 @@ from .bethe import (NEWTON_MAX_STEPS, RESIDUAL_TARGET, Parity, bethe_residual,
 
 #: reject "exceptional points" that are really the real-axis degeneracies
 REAL_AXIS_GUARD = 0.05
+#: every rung m of either family's ladder has |Im g_ep(m)| >= m - 1 + RUNG_DEPTH_MARGIN
+RUNG_DEPTH_MARGIN = 0.3
 
 
 class ExceptionalPointError(RuntimeError):
-    """Search for one or more exceptional points failed."""
-
-    def __init__(self, message, failures=None):
-        super().__init__(message)
-        self.failures = failures or {}
+    """Search for an exceptional point failed."""
 
 
 @dataclass(frozen=True)
@@ -187,9 +191,9 @@ def _accept_root(parity: Parity, n: int, g: complex) -> complex:
 def _ladder(parity: Parity, n_max: int):
     """Walk the family's rungs up to n_max once, yielding (n, root of F).
 
-    Each rung starts from the two below it, so once Newton fails on a
-    rung, or `_accept_root` refuses its root, every rung from there up
-    is yielded with that ExceptionalPointError in place of its root.
+    Each rung starts from the two below it, so the walk raises the
+    ExceptionalPointError of the first rung where Newton fails or
+    `_accept_root` refuses the root.
     """
     if not is_label(n_max):
         raise ValueError(f"the rungs run up to an integer label, not a bool, got {n_max!r}")
@@ -197,26 +201,19 @@ def _ladder(parity: Parity, n_max: int):
     for m in range(parity.bound_level + 2, n_max + 1, 2):
         start = -1j * (m - 1) if len(below) < 2 else 2.0 * below[-1] - below[-2]
         g = _newton_on_f(parity, start, RESIDUAL_TARGET)
-        try:
-            if g is None:
-                raise ExceptionalPointError(f"no convergence for n={m} from {start}")
-            below.append(_accept_root(parity, m, g))
-        except ExceptionalPointError as exc:
-            yield from ((n, exc) for n in range(m, n_max + 1, 2))
-            return
+        if g is None:
+            raise ExceptionalPointError(f"no convergence for n={m} from {start}")
+        below.append(_accept_root(parity, m, g))
         yield m, below[-1]
 
 
-def _rung_point(parity: Parity, n: int, g, certify: bool):
-    """The point at rung n's root g, or an ExceptionalPointError: g itself
-    if the walk failed there, and with certify unless F winds exactly
-    once around the unit circle about g."""
-    if isinstance(g, ExceptionalPointError):
-        return g
+def _rung_point(parity: Parity, n: int, g: complex, certify: bool) -> ExceptionalPoint:
+    """The point at rung n's root g; with certify, an ExceptionalPointError
+    unless F winds exactly once around the unit circle about g."""
     if certify:
         winding = _winding_number(parity, lambda t: g + np.exp(2j * np.pi * t))
         if winding != 1:
-            return ExceptionalPointError(
+            raise ExceptionalPointError(
                 f"F winds {winding} times around the unit circle about "
                 f"g={g} for n={n}; expected exactly one root")
     k = complex(_collision_function(parity, g)[3])
@@ -225,48 +222,49 @@ def _rung_point(parity: Parity, n: int, g, certify: bool):
 
 def find_ep(n: int, *, verify_unique: bool = True) -> ExceptionalPoint:
     """Locate the exceptional point that couples branch n (n > 1) to its
-    family's bound-capable branch.
+    family's bound-capable branch, or raise ExceptionalPointError.
 
     Newton on the collision function F walks the family's rungs from
     the bottom up to n (see the module docstring) to a scaled Bethe
-    residual below 1e-12, and a root on the real axis (the degeneracies
-    at g = 0, -2/pi) is rejected.  With verify_unique, F must wind exactly
-    once around the circle of radius 1 about the root, or this raises.
+    residual below 1e-12; a rung with no root, or with a root on the
+    real axis (the degeneracies at g = 0, -2/pi), fails this one and
+    every one above it.  With verify_unique, F must also wind exactly
+    once around the circle of radius 1 about the root.
     """
     if not (is_label(n) and n > 1):
         raise ValueError(f"an exceptional point needs an excited integer label n > 1, "
                          f"got {n!r}")
     parity = Parity.of_level(n)
     *_, (_, g) = _ladder(parity, n)
-    point = _rung_point(parity, n, g, verify_unique)
-    if isinstance(point, ExceptionalPointError):
-        raise point
-    return point
+    return _rung_point(parity, n, g, verify_unique)
 
 
 def ladder_points(parity: Parity, n_max: int, *, verify_unique: bool = True):
     """Walk the family's rungs up to n_max once, yielding (n, point) in
-    order of n: the ExceptionalPoint `find_ep` gives label n, or the
-    ExceptionalPointError it raises there."""
+    order of n, the ExceptionalPoint `find_ep` gives label n; at the
+    first label where `find_ep` raises, the walk raises its error."""
     for n, g in _ladder(parity, n_max):
         yield n, _rung_point(parity, n, g, verify_unique)
 
 
+def family_eps(parity: Parity, depth: float):
+    """The family's exceptional points in ladder order from one walk, up
+    to and including the first one deeper than |Im g| = depth, lazily.
+    A rung the walk fails on raises its ExceptionalPointError: nothing
+    bounds the points below a missing one."""
+    for _, point in ladder_points(parity, parity.bound_level + 2 * (int(depth) // 2 + 3),
+                                  verify_unique=False):
+        yield point
+        if -point.g_ep.imag > depth:
+            return
+
+
 def enumerate_eps(parity: Parity, n_max: int, *,
                   verify_unique: bool = True) -> list[ExceptionalPoint]:
-    """All exceptional points of one family with n <= n_max, sorted by n.
-
-    Per-level failures of `ladder_points` are aggregated; a partial
-    catalog raises with the failing labels attached rather than
-    returning silently short.
-    """
-    points = dict(ladder_points(parity, n_max, verify_unique=verify_unique))
-    failures = {n: str(p) for n, p in points.items() if isinstance(p, ExceptionalPointError)}
-    if failures:
-        raise ExceptionalPointError(
-            f"exceptional-point search failed for labels {sorted(failures)}",
-            failures=failures)
-    return list(points.values())
+    """All exceptional points of one family with n <= n_max, sorted by n,
+    or the ExceptionalPointError of the first label that fails: never a
+    catalog cut short."""
+    return [point for _, point in ladder_points(parity, n_max, verify_unique=verify_unique)]
 
 
 def sqrt_lower_cut(eps) -> complex:

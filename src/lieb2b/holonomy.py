@@ -87,7 +87,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -96,10 +95,9 @@ import numpy as np
 from .bethe import (COUPLING_LIMIT, RESIDUAL_TARGET, Parity, SolverError,
                     branch_point_function, check_coupling, is_label,
                     newton_correct_with_step, real_axis_k, rotated_sqrt)
-from .continuation import (STEP_GROWTH, ComplexPath, circle_path, family_eps,
-                           tangent_slope, walk_path)
+from .continuation import STEP_GROWTH, ComplexPath, circle_path, tangent_slope, walk_path
 from .eigensystem import normalization_pt
-from .exceptional import ExceptionalPoint, ExceptionalPointError, find_ep
+from .exceptional import ExceptionalPoint, ExceptionalPointError, family_eps, find_ep
 
 FOUR_OVER_PI = 4.0 / np.pi
 
@@ -135,12 +133,12 @@ class TruncationSpec:
     def __post_init__(self):
         if not isinstance(self.parity, Parity):
             raise ValueError(f"parity must be a Parity, got {self.parity!r}")
-        if not (isinstance(self.n_levels, numbers.Integral) and self.n_levels >= 2):
+        if not (is_label(self.n_levels) and self.n_levels >= 2):
             raise ValueError(f"n_levels must be an integer >= 2, got {self.n_levels!r}")
 
     @property
     def base(self) -> int:
-        return 0 if self.parity is Parity.EVEN else 1
+        return self.parity.bound_level
 
     @property
     def levels(self) -> tuple:
@@ -726,7 +724,7 @@ def m_chain_analytic(m: int, trunc: TruncationSpec) -> HolonomyMatrix:
     +1 and the top of the chain returns to the base slot with the
     accumulated sign (-1)**m.
     """
-    if not (isinstance(m, numbers.Integral) and 1 <= m <= trunc.n_levels - 1):
+    if not (is_label(m) and 1 <= m <= trunc.n_levels - 1):
         raise ValueError(f"chain length must be an integer that fits inside the "
                          f"truncation, got {m!r}")
     out = np.eye(trunc.n_levels, dtype=complex)

@@ -104,13 +104,13 @@ class TestEps:
         assert record.command == "eps"
         assert record.config_hash == RunConfig().config_hash()
         columns, rows = parse_csv_table(record.payload)
-        assert columns[0] == "n"
+        assert list(columns) == ["n", "g_re", "g_im", "k_re", "k_im",
+                                 "residual_bethe", "residual_r"]
         assert [r[0] for r in rows] == [2, 4, 6, 8]
         for row in rows:
             assert row[1] < 0.0          # Re g in the left half plane
             assert row[2] < 0.0          # lower-half convention
             assert row[5] < 1e-10 and row[6] < 1e-10
-            assert row[7] == "ok"
 
     def test_odd_catalog_respects_bound_threshold(self, capsys):
         code, out, _ = run_cli(capsys, "eps", "--parity", "odd",
@@ -121,7 +121,10 @@ class TestEps:
         for row in rows:
             assert row[1] < -2.0 / np.pi
 
-    def test_failed_rungs_are_rows_with_status_and_exit_2(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("argv", [("eps", "--n-max", 8), ("sheet", "--n", 0, "--points", 3)])
+    def test_a_failed_rung_exits_2_with_nothing_on_stdout(self, capsys, monkeypatch, argv):
+        # the default sheet window reaches |Im g| = 4, so the bound label's
+        # cuts walk up to rung 6, the first point deeper than the window
         accept = exceptional._accept_root
 
         def refuse_6(parity, n, g):
@@ -130,13 +133,9 @@ class TestEps:
             return accept(parity, n, g)
 
         monkeypatch.setattr(exceptional, "_accept_root", refuse_6)
-        code, out, _ = run_cli(capsys, "eps", "--n-max", 8)
-        assert code == 2
-        _, rows = parse_csv_table(parse_record(out).payload)
-        assert [r[0] for r in rows] == [2, 4, 6, 8]
-        assert [r[7] for r in rows] == ["ok", "ok"] + ["failed: ExceptionalPointError"] * 2
-        assert all(np.isfinite(r[1:7]).all() for r in rows[:2])
-        assert all(np.isnan(r[1:7]).all() for r in rows[2:])
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "rung 6 refused" in err
 
     def test_repeat_runs_are_byte_identical(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -11,19 +11,31 @@ from hypothesis import strategies as st
 from lieb2b.bethe import (DEEP_IM_H, RESIDUAL_ACCEPT, RESIDUAL_TARGET, Parity, SolverError,
                           bethe_residual, residual_k_derivative, residual_scale,
                           scaled_bethe_residual, solve_k_real)
-from lieb2b import continuation
-from lieb2b.continuation import (RUNG_DEPTH_MARGIN, STEP_GROWTH, ComplexPath,
+from lieb2b import continuation, exceptional
+from lieb2b.continuation import (STEP_GROWTH, ComplexPath,
                                  GridSpec, circle_path,
                                  conjugation_symmetry_check, continue_along,
                                  continue_to, build_sheet, line_path,
                                  newton_correct, newton_correct_array,
                                  sheet_value, tangent_slope, walk_path)
-from lieb2b.exceptional import ExceptionalPointError, find_ep, ladder_points
+from lieb2b.exceptional import RUNG_DEPTH_MARGIN, ExceptionalPointError, find_ep, ladder_points
 from lieb2b.holonomy import TruncationSpec, entry_frame
 
 
 def ep_g(n):
     return find_ep(n, verify_unique=False).g_ep
+
+
+def refuse_rung(monkeypatch, rung):
+    """Make every ladder walk of `exceptional` fail at the given rung."""
+    accept = exceptional._accept_root
+
+    def refused(parity, n, g):
+        if n == rung:
+            raise ExceptionalPointError(f"no rung {n}")
+        return accept(parity, n, g)
+
+    monkeypatch.setattr(exceptional, "_accept_root", refused)
 
 
 class TestPaths:
@@ -317,7 +329,7 @@ class TestOneRootStepRule:
 
     def test_mirror_check_solves_one_anchor_and_one_point_set(self, monkeypatch):
         anchors = counted(monkeypatch, "solve_k_real")
-        ladders = counted(monkeypatch, "ladder_points")
+        ladders = counted(monkeypatch, "family_eps")
         finds = counted(monkeypatch, "find_ep")
         assert conjugation_symmetry_check(0, -1.0 - 2.0j) == -1
         assert (len(anchors), len(ladders), len(finds)) == (1, 1, 0)
@@ -391,13 +403,7 @@ class TestOneRootStepRule:
         # no floor bounds the branch points below a failed rung, so a walk
         # that needs it raises instead of stepping by a bound it passed
         shallow = sheet_value(0, -1.0 - 2.0j)
-        walk = continuation.ladder_points
-
-        def failing(parity, n_max, **kwargs):
-            for m, point in walk(parity, n_max, **kwargs):
-                yield m, ExceptionalPointError(f"no rung {m}") if m >= 6 else point
-
-        monkeypatch.setattr(continuation, "ladder_points", failing)
+        refuse_rung(monkeypatch, 6)
         assert sheet_value(0, -1.0 - 2.0j) == shallow
         with pytest.raises(ExceptionalPointError, match="no rung 6"):
             sheet_value(0, -1.0 - 10.0j)
@@ -892,31 +898,39 @@ class TestSheets:
         # the default reads one ladder walk and leaves it at the first
         # branch point left of re_min (label 728), not at the depth bound
         # 1e6, which lies some 5e5 rungs up
-        walk, taken = continuation.ladder_points, []
+        walk, taken = continuation.family_eps, []
 
-        def counted_rungs(*args, **kwargs):
-            for m, point in walk(*args, **kwargs):
+        def counted_rungs(*args):
+            for point in walk(*args):
                 taken.append(point)
-                yield m, point
+                yield point
 
-        monkeypatch.setattr(continuation, "ladder_points", counted_rungs)
+        monkeypatch.setattr(continuation, "family_eps", counted_rungs)
         sheet = build_sheet(0, GridSpec(-3.0, 1.0, -1e6, 0.5, 3, 3))
         assert len(taken) == 364
         assert taken[-1].g_ep.real < -3.0 <= taken[-2].g_ep.real
         assert [c.branch_point for c in sheet.cut_segments if c.kind == "exceptional"] \
             == [p.g_ep for p in taken[:-1]]
 
-    def test_partner_catalog_skips_a_label_the_finder_misses(self):
+    @pytest.mark.parametrize("n", [0, 4])
+    def test_a_label_the_finder_misses_is_an_error(self, n):
+        # a missing catalog entry is not a sheet short of one cut
         def finder(m):
             if m == 4:
                 raise RuntimeError("no catalog entry")
             return ep_g(m)
 
-        grid = GridSpec(-3.0, 1.0, -6.0, 0.5, 3, 3)
-        cuts = build_sheet(0, grid, ep_finder=finder).cut_segments
-        full = build_sheet(0, grid, ep_finder=ep_g).cut_segments
-        assert cuts == [c for c in full if c.branch_point != ep_g(4)]
-        assert len(cuts) == len(full) - 1
+        with pytest.raises(RuntimeError, match="no catalog entry"):
+            build_sheet(n, GridSpec(-3.0, 1.0, -6.0, 0.5, 3, 3), ep_finder=finder)
+
+    @pytest.mark.parametrize("n", [0, 6])
+    def test_a_rung_the_cuts_need_but_miss_is_an_error(self, monkeypatch, n):
+        # the window reaches |Im g| = 6: the bound label's walk meets rung
+        # 6 (about 5.4 deep) and label 6 looks its own point up
+        refuse_rung(monkeypatch, 6)
+        build_sheet(2, GridSpec(-3.0, 1.0, -6.0, 0.5, 3, 3))
+        with pytest.raises(ExceptionalPointError, match="no rung 6"):
+            build_sheet(n, GridSpec(-3.0, 1.0, -6.0, 0.5, 3, 3))
 
     @pytest.mark.parametrize("n, grid, exceptional", [
         (n, GridSpec(n_re=5, n_im=5), 4 if n < 2 else 2 if n < 6 else 0) for n in range(8)]
@@ -929,7 +943,7 @@ class TestSheets:
         # asked label by label gives the same cuts; find_ep(m) walks the
         # same ladder to m, so the finder reads m's rung from one walk
         rungs = dict(ladder_points(Parity.of_level(n), 1003, verify_unique=False))
-        ladders = counted(monkeypatch, "ladder_points")
+        ladders = counted(monkeypatch, "family_eps")
         cuts = build_sheet(n, grid).cut_segments
         assert len(ladders) == (n < 2)
         assert cuts == build_sheet(n, grid, ep_finder=lambda m: rungs[m].g_ep).cut_segments

@@ -1,6 +1,7 @@
 """Branch-point search: golden coordinates, local structure, catalog."""
 
 import cmath
+import itertools
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from lieb2b.bethe import Parity, branch_point_function, scaled_bethe_residual
 from lieb2b.continuation import continue_to, solve_k_real
 from lieb2b.exceptional import (ExceptionalPointError, _accept_root,
                                 _newton_on_f, _winding_number, enumerate_eps,
-                                ep_residual, find_ep, ladder_points, local_expansion,
+                                ep_residual, family_eps, find_ep, ladder_points,
+                                local_expansion,
                                 sqrt_coefficient, sqrt_lower_cut)
 
 TWO_OVER_PI = 2.0 / np.pi
@@ -171,7 +173,7 @@ class TestCatalog:
         monkeypatch.undo()
         assert eps == [find_ep(n) for n in range(2, 201, 2)]
 
-    def test_failures_match_per_label_search(self, monkeypatch, golden_eps):
+    def test_the_catalog_raises_the_first_failing_rungs_error(self, monkeypatch, golden_eps):
         # rung 10's root is refused, which fails every rung above it too;
         # rung 4's certificate counts two roots, which fails rung 4 alone
         accept, winding = exceptional._accept_root, exceptional._winding_number
@@ -187,8 +189,6 @@ class TestCatalog:
 
         monkeypatch.setattr(exceptional, "_accept_root", refuse_10)
         monkeypatch.setattr(exceptional, "_winding_number", doubled_at_4)
-        with pytest.raises(ExceptionalPointError) as caught:
-            enumerate_eps(Parity.EVEN, 14)
         per_label = {}
         for n in range(2, 15, 2):
             try:
@@ -196,7 +196,29 @@ class TestCatalog:
             except ExceptionalPointError as exc:
                 per_label[n] = str(exc)
         assert sorted(per_label) == [4, 10, 12, 14]
-        assert caught.value.failures == per_label
+        assert per_label[12] == per_label[14] == per_label[10] == "rung 10 refused"
+        with pytest.raises(ExceptionalPointError) as caught:
+            enumerate_eps(Parity.EVEN, 14)
+        assert str(caught.value) == per_label[4]
+        with pytest.raises(ExceptionalPointError, match="rung 10 refused"):
+            enumerate_eps(Parity.EVEN, 14, verify_unique=False)
+        # a lazy walk yields the rungs below the failed one, then raises
+        walk = ladder_points(Parity.EVEN, 14, verify_unique=False)
+        assert [n for n, _ in itertools.islice(walk, 4)] == [2, 4, 6, 8]
+        with pytest.raises(ExceptionalPointError, match="rung 10 refused"):
+            next(walk)
+        # a walk that ends below the failed rung never meets it
+        assert [p.n for p in family_eps(Parity.EVEN, 7.0)] == [2, 4, 6, 8]
+        with pytest.raises(ExceptionalPointError, match="rung 10 refused"):
+            list(family_eps(Parity.EVEN, 8.0))
+
+    @pytest.mark.parametrize("parity", list(Parity))
+    @pytest.mark.parametrize("depth", [0.0, 0.5, 2.0, 7.5, 40.0, 401.3])
+    def test_family_points_end_at_the_first_one_deeper_than_the_depth(self, parity, depth):
+        eps = list(family_eps(parity, depth))
+        assert [p.n for p in eps] == list(range(parity.bound_level + 2, eps[-1].n + 1, 2))
+        assert all(-p.g_ep.imag <= depth for p in eps[:-1]) and -eps[-1].g_ep.imag > depth
+        assert eps == enumerate_eps(parity, eps[-1].n, verify_unique=False)
 
 
 class TestLocalStructure:

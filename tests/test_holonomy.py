@@ -9,15 +9,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from lieb2b import bethe, continuation, holonomy
+from lieb2b import bethe, exceptional, holonomy
 from lieb2b.bethe import (COUPLING_LIMIT, RESIDUAL_TARGET, Parity, bethe_residual, branch_point_function,
                           real_axis_k, rotated_sqrt, solve_k_real,
                           unscaled_residual_terms)
 from lieb2b.continuation import (STEP_GROWTH, ComplexPath, circle_path, continue_to,
-                                 family_eps, line_path, sheet_value, walk_path)
+                                 line_path, sheet_value, walk_path)
 from lieb2b.cycles import ep_chain_path, n_ep_contour
 from lieb2b.eigensystem import overlap_connection_oracle
-from lieb2b.exceptional import ExceptionalPointError, circle_reaches_branch_point, find_ep
+from lieb2b.exceptional import (ExceptionalPointError, circle_reaches_branch_point,
+                                family_eps, find_ep)
 from lieb2b.holonomy import (MIN_LOOP_RADIUS, ConnectionProximityError,
                              TransportError, TransportFrame, TruncationSpec,
                              TruncationWarning, advance_frame, connection_matrix,
@@ -566,13 +567,14 @@ class TestEntryCorridor:
     def test_a_failed_ladder_walk_keeps_the_vertical_corridor(self, monkeypatch):
         # with a rung the catalog needs missing, nothing says where the
         # points below it are, so the corridor may not lean
-        walk = continuation.ladder_points
+        accept = exceptional._accept_root
 
-        def failing(parity, n_max, **kwargs):
-            for m, point in walk(parity, n_max, **kwargs):
-                yield m, ExceptionalPointError(f"no rung {m}") if m >= 6 else point
+        def refuse_6(parity, n, g):
+            if n == 6:
+                raise ExceptionalPointError("no rung 6")
+            return accept(parity, n, g)
 
-        monkeypatch.setattr(continuation, "ladder_points", failing)
+        monkeypatch.setattr(exceptional, "_accept_root", refuse_6)
         g0 = find_ep(4, verify_unique=False).g_ep + 1e-3
         trunc = TruncationSpec(Parity.EVEN, 6)
         frame, x0 = entry_with_start(trunc, g0)

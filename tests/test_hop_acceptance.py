@@ -20,7 +20,13 @@ hands `_walk_branches` one, no walk passes `walk_path` a step cap or a
 growth, and transport's own batch size is gone.  A loop's permutation
 is read one way: `transport` and `frame_monodromy` build it through
 `_signed_permutation`, the only caller of `match_frames`, and no
-dominance threshold, its error or its exit code is defined.  The check reads the sources, which are not
+dominance threshold, its error or its exit code is defined.  The
+exceptional-point catalog has one home: `family_eps` and
+`RUNG_DEPTH_MARGIN` are defined in `exceptional` alone, which is the
+only module that calls `ladder_points` or `_ladder`; the sheet cuts,
+the one-root walks and the entry corridor ask `family_eps`, and neither
+a second ladder walk `_partner_points` nor a `failures` table of
+errors kept in place exists.  The check reads the sources, which are not
 imported; a call counts by its bare name or, module-qualified, by the
 attribute it calls.
 """
@@ -174,3 +180,31 @@ def test_no_module_defines_a_dominance_threshold():
                or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
                    and node.id in {"DOMINANCE", "EXIT_INCONCLUSIVE"})]
     assert defined == []
+
+
+def definitions(name: str) -> list:
+    """The modules that define ``name`` as a function or assign it."""
+    return [path.stem
+            for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if (isinstance(node, ast.FunctionDef) and node.name == name)
+            or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                and node.id == name)]
+
+
+def test_the_catalog_has_one_home():
+    for name in ("family_eps", "RUNG_DEPTH_MARGIN"):
+        assert definitions(name) == ["exceptional"], name
+    walkers = {f"{path.stem}:{node.lineno}"
+               for path in sorted(PACKAGE.glob("*.py")) if path.stem != "exceptional"
+               for node in ast.walk(ast.parse(path.read_text()))
+               if call_name(node) in {"ladder_points", "_ladder"}}
+    assert walkers == set()
+    assert "family_eps" in called_names("_branch_points")
+    assert "family_eps" in called_names("build_sheet")
+    assert "family_eps" in called_names("_corridor_slope", "holonomy")
+
+
+def test_no_second_ladder_walk_or_failure_table():
+    for name in ("_partner_points", "failures"):
+        assert name_uses(name) == [], name

@@ -1,9 +1,9 @@
 """Bad arguments to the library's small entry points are refused with a
 ValueError that names the input, before any numerical work, so neither
 a bare TypeError nor a numpy warning nor a silent wrong answer escapes.
-Integer arguments follow `numbers.Integral`, so numpy integers pass; a
-branch label is a Python or numpy integer and never a bool, and an array
-of labels has an integer dtype.
+Integer arguments, labels and counts alike, follow `bethe.is_label`: a
+Python or numpy integer and never a bool, so numpy integers pass; an
+array of labels has an integer dtype.  A sign is the integer +1 or -1.
 A walk that would start on its own branch point is a SolverError.
 """
 
@@ -14,9 +14,12 @@ import pytest
 
 from lieb2b.bethe import (Parity, SolverError, asymptotic_quasimomentum, real_axis_k,
                           solve_k_real)
-from lieb2b.continuation import GridSpec, build_sheet, conjugation_symmetry_check, sheet_value
+from lieb2b.continuation import (GridSpec, build_sheet, circle_path,
+                                 conjugation_symmetry_check, sheet_value)
+from lieb2b.cycles import n_ep_contour
 from lieb2b.eigensystem import biorthonormality_defect, overlap_connection_oracle
 from lieb2b.exceptional import circle_reaches_branch_point, find_ep, local_expansion
+from lieb2b.holonomy import TruncationSpec, m_chain_analytic
 
 REFUSED = {
     "oracle, fractional n_levels": (lambda: overlap_connection_oracle(2.5, 0.5), "n_levels"),
@@ -56,6 +59,20 @@ REFUSED = {
     "EP, bool label": (lambda: find_ep(True), "label n"),
     "EP, float label": (lambda: find_ep(3.0), "label n"),
     "EP, string label": (lambda: find_ep("3"), "label n"),  # was a TypeError
+    # counts follow the label rule: True passed as the count 1
+    "chain, bool length": (
+        lambda: m_chain_analytic(True, TruncationSpec(Parity.EVEN, 4)), "chain length"),
+    "contour, bool count": (lambda: n_ep_contour(4.0, True, Parity.EVEN),
+                            "at least one exceptional point"),
+    "oracle, bool nodes": (lambda: overlap_connection_oracle(4, 0.5, nodes=True), "nodes"),
+    "oracle, bool n_levels": (lambda: overlap_connection_oracle(True, 0.5), "n_levels"),
+    "truncation, bool n_levels": (lambda: TruncationSpec(Parity.EVEN, True), "n_levels"),
+    "loop, bool n_points": (lambda: circle_path(0.0, 1.0, n_points=True), "n_points"),
+    "grid, bool n_re": (lambda: GridSpec(n_re=True), "integer"),
+    "grid, bool n_im": (lambda: GridSpec(n_im=True), "integer"),
+    # True passed as the sign +1, 1.0 as well
+    "limit, bool sign": (lambda: asymptotic_quasimomentum(2, True), "sign"),
+    "limit, float sign": (lambda: asymptotic_quasimomentum(2, 1.0), "sign"),
 }
 
 
