@@ -74,7 +74,9 @@ point, e_0 -> +e_2 and e_2 -> -e_0, i.e. M[2, 0] = +1, M[0, 2] = -1.
 Transport and :func:`frame_monodromy` start from :func:`entry_frame`:
 the frame continued vertically from the real axis, as sheets are,
 reached along a corridor homotopic to that segment that leans clear of
-the exceptional points the segment passes close beside.
+the exceptional points the segment passes close beside.  It keeps the
+last frame it returned, with read-only arrays, so a frame-monodromy
+check after transport from the same base point walks the entry once.
 
 A loop's signed permutation is read one way only: its end frame is
 matched to its start frame (:func:`match_frames`), giving the level each
@@ -109,6 +111,10 @@ GAP_TOL = 1e-6
 TRANSPORT_RTOL = 1e-10
 #: steps a frame walk's hop takes at most: its corrector run holds four points a step
 _RUN_STEPS = 16
+#: the most levels a truncation keeps.  A hop's temporaries, stacks of m x m
+#: complex matrices over its 48 nodes, take about 2.5 kB per m**2: at this
+#: bound a 48-gon transport traces a 164 MB peak, within a 256 MB budget
+MAX_LEVELS = 256
 
 
 class TransportError(RuntimeError):
@@ -133,8 +139,9 @@ class TruncationSpec:
     def __post_init__(self):
         if not isinstance(self.parity, Parity):
             raise ValueError(f"parity must be a Parity, got {self.parity!r}")
-        if not (is_label(self.n_levels) and self.n_levels >= 2):
-            raise ValueError(f"n_levels must be an integer >= 2, got {self.n_levels!r}")
+        if not (is_label(self.n_levels) and 2 <= self.n_levels <= MAX_LEVELS):
+            raise ValueError(f"n_levels must be an integer >= 2 and <= {MAX_LEVELS}, "
+                             f"got {self.n_levels!r}")
 
     @property
     def base(self) -> int:
@@ -302,15 +309,31 @@ def entry_frame(trunc: TruncationSpec, g0: complex) -> TransportFrame:
     axis at Re g0 - s |Im g0|, leaning left by `_corridor_slope`: no
     branch point lies between that corridor and the vertical segment, so
     both reach the same frame.  A start reached through a different
-    corridor needs an explicitly continued frame."""
+    corridor needs an explicitly continued frame.
+
+    The last frame returned is kept, keyed on the truncation and the
+    exact bits of g0: a repeat call, such as `frame_monodromy` after
+    `transport` from the same base point, returns it without walking.
+    One frame is kept, never an error, and its k and sqrt_r are
+    read-only."""
     g0 = complex(g0)
+    return _entry_frame(trunc, g0.real.hex(), g0.imag.hex())
+
+
+@functools.lru_cache(maxsize=1)
+def _entry_frame(trunc: TruncationSpec, re: str, im: str) -> TransportFrame:
+    """`entry_frame` at the g0 whose parts have the hex forms re and im."""
+    g0 = complex(float.fromhex(re), float.fromhex(im))
     if abs(g0.imag) < 1e-14 or abs(g0.real - trunc.parity.real_branch_point) < 1e-9:
-        return frame_at(trunc, g0.real)  # the axis frame, or its ValueError
-    check_coupling(g0)
-    x0 = max(g0.real - _corridor_slope(trunc.parity, g0) * abs(g0.imag), -COUPLING_LIMIT)
-    if abs(x0 - trunc.parity.real_branch_point) < 1e-9:
-        x0 = g0.real  # `frame_at` refuses x0, not Re g0, so walk vertically
-    return advance_frame(frame_at(trunc, x0), g0)
+        frame = frame_at(trunc, g0.real)  # the axis frame, or its ValueError
+    else:
+        check_coupling(g0)
+        x0 = max(g0.real - _corridor_slope(trunc.parity, g0) * abs(g0.imag), -COUPLING_LIMIT)
+        if abs(x0 - trunc.parity.real_branch_point) < 1e-9:
+            x0 = g0.real  # `frame_at` refuses x0, not Re g0, so walk vertically
+        frame = advance_frame(frame_at(trunc, x0), g0)
+    frame.k.flags.writeable = frame.sqrt_r.flags.writeable = False
+    return frame
 
 
 def _corridor_slope(parity: Parity, g0: complex) -> float:
@@ -560,8 +583,9 @@ def transport(path: ComplexPath, trunc: TruncationSpec, *,
               rtol: float = TRANSPORT_RTOL) -> HolonomyMatrix:
     """Integrate parallel transport of the truncated family along ``path``.
 
-    The walk starts from :func:`entry_frame` at the path start and steps
-    by `_walk_branches`' rule, its growth capped by the error estimate.
+    The walk starts from :func:`entry_frame` at the path start, the
+    kept frame if the last entry asked for was this one, and steps by
+    `_walk_branches`' rule, its growth capped by the error estimate.
     The result's matrix is V at the path end with V(0) = 1; a closed
     path's ``monodromy`` matches the end frame to the start frame, where
     a slot that left the truncation is a TransportError.  A warning is
@@ -637,33 +661,32 @@ def match_frames(frame: TransportFrame, reference: TransportFrame):
         raise ValueError("frames were built for different truncations")
     if abs(frame.g - reference.g) > 1e-10:
         raise ValueError("frames sit at different couplings")
-    m = len(frame.levels)
-    perm = np.full(m, -1)
-    factors = np.zeros(m, dtype=complex)
-    for i in range(m):
-        # k and -k describe the same standard level; a slot that wound
-        # the real branch point returns with both k and sqrt(r) negated,
-        # which leaves its eigenfunction, so match up to that flip
-        k_i, s_i = frame.k[i], frame.sqrt_r[i]
-        dist_p = np.abs(reference.k - k_i)
-        dist_m = np.abs(reference.k + k_i)
-        jp, jm = int(np.argmin(dist_p)), int(np.argmin(dist_m))
-        if dist_m[jm] < dist_p[jp]:
-            j, d = jm, dist_m[jm]
-            k_i, s_i = -k_i, -s_i
-        else:
-            j, d = jp, dist_p[jp]
-        if d > 1e-8:
+    # k and -k describe the same standard level; a slot that wound the
+    # real branch point returns with both k and sqrt(r) negated, which
+    # leaves its eigenfunction, so match each slot up to that flip
+    levels = np.array(frame.levels)
+    dist_p = np.abs(reference.k - frame.k[:, None])
+    dist_m = np.abs(reference.k + frame.k[:, None])
+    near_p, near_m = dist_p.min(axis=1), dist_m.min(axis=1)
+    flip = near_m < near_p
+    perm = np.where(flip, dist_m.argmin(axis=1), dist_p.argmin(axis=1))
+    dist = np.where(flip, near_m, near_p)
+    c = d_sign(levels) / d_sign(levels[perm]) * reference.sqrt_r[perm] \
+        / np.where(flip, -frame.sqrt_r, frame.sqrt_r)
+    far = ~(dist <= 1e-8)
+    repeated = np.ones(len(levels), dtype=bool)
+    repeated[np.unique(perm, return_index=True)[1]] = False
+    mismatched = ~((np.abs(np.abs(c) - 1.0) <= 1e-6) & (np.abs(c.imag) <= 1e-6))
+    failed = far | repeated | mismatched
+    if failed.any():
+        i = int(failed.argmax())  # the first failing slot, its first failed test
+        if far[i]:
             raise TransportError(
                 f"slot {i} landed at k = {frame.k[i]}, no standard level nearby")
-        if j in perm[:i]:
+        if repeated[i]:
             raise TransportError("two slots matched the same level")
-        perm[i] = j
-        c = (d_sign(frame.levels[i]) / d_sign(reference.levels[j])) \
-            * reference.sqrt_r[j] / s_i
-        if abs(abs(c) - 1.0) > 1e-6 or abs(c.imag) > 1e-6:
-            raise TransportError(f"normalization mismatch factor {c} on slot {i}")
-        factors[i] = round(c.real)
+        raise TransportError(f"normalization mismatch factor {c[i]} on slot {i}")
+    factors = np.round(c.real).astype(complex)
     return perm, factors
 
 
@@ -685,8 +708,9 @@ def _is_loop(path: ComplexPath) -> bool:
 def frame_monodromy(path: ComplexPath, trunc: TruncationSpec) -> HolonomyMatrix:
     """Discrete monodromy of a closed loop, no differential equation.
 
-    The :func:`entry_frame` at the base point is continued around the
-    loop in one frame walk; each slot is then matched back to the
+    The :func:`entry_frame` at the base point, the kept frame right after
+    a transport from it, is continued around the loop in one frame walk,
+    which leaves it unchanged; each slot is then matched back to the
     standard levels there and the residual normalization signs are read
     off.  For a loop around a single branch point this produces the
     elementary monodromy exactly, up to root-finding precision, and

@@ -3,10 +3,18 @@ import pathlib
 
 import pytest
 
+from lieb2b import holonomy
 from lieb2b.bethe import Parity
 from lieb2b.exceptional import ExceptionalPoint
 
 DATA = pathlib.Path(__file__).parent / "data"
+
+
+@pytest.fixture(autouse=True)
+def fresh_entry_frame():
+    """Each test starts with no remembered entry frame, so the walks a
+    test counts do not depend on the tests run before it."""
+    holonomy._entry_frame.cache_clear()
 
 
 @pytest.fixture(scope="session")

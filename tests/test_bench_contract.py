@@ -4,9 +4,9 @@ A benchmark run counts a request whose ``check`` returns a reason as
 ``outputs_incorrect``.  This serves the first request of seed 1 of each
 gated workload in-process, the first seed-1 ``sheets`` request on the
 survey window, and every seed-1 request of ``loops``, one label each,
-through the functions of bench/workloads.py that the benchmark worker
-calls, so a library change that would fail such a check fails here
-first.
+in two rounds, through the functions of bench/workloads.py that the
+benchmark worker calls, so a library change that would fail such a
+check fails here first.
 """
 
 import importlib.util
@@ -45,7 +45,18 @@ def test_first_survey_sheet_request_passes_its_check(workloads):
 
 
 def test_every_seed_one_loops_request_passes_its_check(workloads):
-    # a frame-walk change can break one label's loop and leave another's
+    # a frame-walk change can break one label's loop and leave another's;
+    # served twice in a row, as the worker's rounds serve the set, a
+    # remembered entry frame that went stale or was written to fails
+    # the second round, which must repeat the first bit for bit
     workload = workloads.WORKLOADS["loops"]
-    for request in workload.request_set(1):
-        assert workload.check(request, workload.serve(request)) is None, request
+    rounds = []
+    for _ in range(2):
+        results = []
+        for request in workload.request_set(1):
+            result = workload.serve(request)
+            assert workload.check(request, result) is None, request
+            loop, frames, _ = result
+            results.append((loop.holonomy.matrix.tobytes(), frames.matrix.tobytes()))
+        rounds.append(results)
+    assert rounds[1] == rounds[0]

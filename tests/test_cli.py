@@ -290,6 +290,24 @@ class TestHolonomy:
         assert f"level {level} is not in this truncation" in err
 
 
+    @pytest.mark.parametrize("argv", [
+        ("holonomy", "--n", 2, "--trunc", holonomy.MAX_LEVELS + 1),
+        # both ran out of memory, in np.triu_indices and in the oracle
+        ("holonomy", "--n", 2, "--trunc", 100000),
+        ("oracle-check", "--trunc", 1000000),
+    ])
+    def test_oversized_truncation_exits_2_before_any_work(self, capsys, monkeypatch, argv):
+        def refused(*args, **kwargs):
+            raise AssertionError("work began for an oversized truncation")
+
+        for module, name in ((holonomy, "transport"), (cli, "gauge_connection"),
+                             (cli, "overlap_connection_oracle")):
+            monkeypatch.setattr(module, name, refused)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"n_levels must be an integer >= 2 and <= {holonomy.MAX_LEVELS}" in err
+
+
 class TestCycle:
     def test_hermitian_document_round_trips(self, capsys):
         code, out, _ = run_cli(capsys, "cycle", "--contour", "hermitian",

@@ -28,6 +28,7 @@ from lieb2b.holonomy import (MIN_LOOP_RADIUS, ConnectionProximityError,
                              transport)
 
 EVEN12 = TruncationSpec(Parity.EVEN, 12)
+EVEN6 = TruncationSpec(Parity.EVEN, 6)
 
 
 def bench_loop(n):
@@ -88,14 +89,50 @@ def counted_runs(monkeypatch):
 
 
 def runs_after_entry(monkeypatch, walker, path, trunc):
-    """``walker(path, trunc)``'s result and the `_advance_run` calls it
-    made after its entry frame, whose walk takes the same runs alone."""
+    """``walker(path, trunc)``'s result and its `_advance_run` calls, all
+    after its entry frame: the frame is walked first, and the walker
+    reads it back from `entry_frame` without a run."""
+    frame = entry_frame(trunc, path.waypoints[0])
     runs = counted_runs(monkeypatch)
-    entry_frame(trunc, path.waypoints[0])
-    entry = len(runs)
-    runs.clear()
     res = walker(path, trunc)
-    return res, runs[entry:]
+    assert entry_frame(trunc, path.waypoints[0]) is frame  # still the remembered one
+    return res, runs
+
+
+def slotwise_match(frame, reference):
+    """`match_frames` one slot at a time, as it was written before its
+    array form: each slot's distance, then whether an earlier slot took
+    its level, then its normalization."""
+    m = len(frame.levels)
+    perm, factors = np.full(m, -1), np.zeros(m, dtype=complex)
+    for i in range(m):
+        k_i, s_i = frame.k[i], frame.sqrt_r[i]
+        dist_p, dist_m = np.abs(reference.k - k_i), np.abs(reference.k + k_i)
+        jp, jm = int(np.argmin(dist_p)), int(np.argmin(dist_m))
+        if dist_m[jm] < dist_p[jp]:
+            j, d, s_i = jm, dist_m[jm], -s_i
+        else:
+            j, d = jp, dist_p[jp]
+        if d > 1e-8:
+            raise TransportError(f"slot {i} landed at k = {frame.k[i]}, no standard level nearby")
+        if j in perm[:i]:
+            raise TransportError("two slots matched the same level")
+        perm[i] = j
+        c = (d_sign(frame.levels[i]) / d_sign(reference.levels[j])) * reference.sqrt_r[j] / s_i
+        if abs(abs(c) - 1.0) > 1e-6 or abs(c.imag) > 1e-6:
+            raise TransportError(f"normalization mismatch factor {c} on slot {i}")
+        factors[i] = round(c.real)
+    return perm, factors
+
+
+def match_outcome(match, frame, reference):
+    """``match(frame, reference)`` as (perm, factors) lists, or its
+    TransportError's message."""
+    try:
+        perm, factors = match(frame, reference)
+    except TransportError as exc:
+        return str(exc)
+    return perm.tolist(), factors.tolist()
 
 
 def refuse_run(frame, g_points, tol):
@@ -590,6 +627,88 @@ class TestEntryCorridor:
         assert_corridor_is_vertical(TruncationSpec(Parity.EVEN, 4), g0)
 
 
+def frame_bits(frame):
+    """A frame's coupling, levels and arrays as bytes, for bit-for-bit equality."""
+    g = complex(frame.g)
+    return frame.levels, g.real.hex(), g.imag.hex(), frame.k.tobytes(), frame.sqrt_r.tobytes()
+
+
+def counted_axis_frames(monkeypatch):
+    """Record the coupling of every `frame_at` call `entry_frame` makes:
+    one for each frame it builds, walked or not."""
+    built, at = [], holonomy.frame_at
+
+    def recorded(trunc, g):
+        built.append(g)
+        return at(trunc, g)
+
+    monkeypatch.setattr(holonomy, "frame_at", recorded)
+    return built
+
+
+class TestRememberedEntryFrame:
+    def test_a_repeat_returns_the_walked_frame_without_a_walk(self, monkeypatch):
+        g0 = bench_loop(2).waypoints[0]
+        runs = counted_runs(monkeypatch)
+        frame = entry_frame(EVEN12, g0)
+        walked = len(runs)
+        assert walked > 0
+        assert entry_frame(EVEN12, g0) is frame and len(runs) == walked
+        holonomy._entry_frame.cache_clear()
+        fresh = entry_frame(EVEN12, g0)
+        assert fresh is not frame and len(runs) == 2 * walked
+        assert frame_bits(fresh) == frame_bits(frame)
+
+    def test_one_frame_is_kept(self, monkeypatch):
+        # A, B, A: the second A is walked again, to the same frame
+        runs = counted_runs(monkeypatch)
+        walks, frames = [], []
+        for g0 in (1.0 - 0.5j, 1.5 - 0.5j, 1.0 - 0.5j):
+            before = len(runs)
+            frames.append(entry_frame(EVEN12, g0))
+            walks.append(len(runs) - before)
+        assert all(walks) and walks[0] == walks[2]
+        assert frames[2] is not frames[0] and frame_bits(frames[2]) == frame_bits(frames[0])
+
+    @pytest.mark.parametrize("trunc, g0, other, g1", [
+        (EVEN12, 1.0 - 0.5j, TruncationSpec(Parity.EVEN, 8), 1.0 - 0.5j),
+        (TruncationSpec(Parity.ODD, 6), complex(0.0, -0.5),
+         TruncationSpec(Parity.ODD, 6), complex(-0.0, -0.5)),
+        (EVEN12, complex(1.0, 0.0), EVEN12, complex(1.0, -0.0)),  # two axis frames
+    ], ids=["truncation", "signed-zero-re", "signed-zero-im"])
+    def test_another_truncation_or_signed_zero_is_built_again(self, monkeypatch, trunc, g0,
+                                                              other, g1):
+        built = counted_axis_frames(monkeypatch)
+        first = entry_frame(trunc, g0)
+        second = entry_frame(other, g1)
+        assert len(built) == 2 and second is not first
+        assert entry_frame(other, g1) is second and len(built) == 2
+
+    @pytest.mark.parametrize("g0", [1.0 - 0.5j, 1.3])  # a walked frame and an axis frame
+    def test_its_arrays_refuse_writes(self, g0):
+        frame = entry_frame(EVEN12, g0)
+        for values in (frame.k, frame.sqrt_r):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.0
+        assert entry_frame(EVEN12, g0) is frame
+
+    @pytest.mark.parametrize("g0, trunc, error, match", [
+        (complex(Parity.EVEN.real_branch_point + 5e-10, -1.0), TruncationSpec(Parity.EVEN, 4),
+         ValueError, "real branch point"),
+        # straight below g_ep(2) the walk stalls at the branch point
+        (find_ep(2, verify_unique=False).g_ep - 0.5j, TruncationSpec(Parity.EVEN, 6),
+         TransportError, "stalled"),
+    ], ids=["beside-the-real-branch-point", "below-an-exceptional-point"])
+    def test_an_error_is_never_kept(self, monkeypatch, g0, trunc, error, match):
+        kept = entry_frame(trunc, 1.0 - 0.5j)
+        built = counted_axis_frames(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(error, match=match):
+                entry_frame(trunc, g0)
+        assert len(built) == 2
+        assert entry_frame(trunc, 1.0 - 0.5j) is kept
+
+
 class TestTransport:
     def test_real_axis_transport_is_orthogonal(self):
         v = transport(line_path(0.5, 2.5), TruncationSpec(Parity.EVEN, 8)).matrix
@@ -690,13 +809,13 @@ class TestTransport:
             self, monkeypatch):
         # an unsafe node of a batch's second step: the first step is
         # kept, and the next run tries the second again from its own
-        # start with the same step.  The entry walk's runs, which come
-        # first, are left alone
+        # start with the same step.  The free transport leaves its entry
+        # frame remembered, so every run of the second is a loop run
         loop = bench_loop(2)
         free = transport(loop, EVEN12)
         entry_runs = counted_runs(monkeypatch)
         entry_frame(EVEN12, loop.waypoints[0])
-        entry = len(entry_runs)
+        assert entry_runs == []
         monkeypatch.undo()
         runs = []
         advance = holonomy._advance_run
@@ -704,13 +823,12 @@ class TestTransport:
         def refuse_mid_batch(frame, g_points, tol):
             runs.append(list(g_points))
             k, sqrt_r = advance(frame, g_points, tol)
-            first_long = len(runs) > entry and len(g_points) >= 8 \
-                and all(len(p) < 8 for p in runs[entry:-1])
+            first_long = len(g_points) >= 8 and all(len(p) < 8 for p in runs[:-1])
             return (k[:6], sqrt_r[:6]) if first_long else (k, sqrt_r)
 
         monkeypatch.setattr(holonomy, "_advance_run", refuse_mid_batch)
         res = transport(loop, EVEN12)
-        i = next(i for i, p in enumerate(runs) if i >= entry and len(p) >= 8)
+        i = next(i for i, p in enumerate(runs) if len(p) >= 8)
         assert runs[i + 1][3] == runs[i][7]
         assert (res.steps, res.rejected) == (free.steps, 0)
         assert np.max(np.abs(res.matrix - free.matrix)) < 1e-8
@@ -830,10 +948,11 @@ class TestRunWork:
         transport(loop, EVEN12)
         frame_monodromy(loop, EVEN12)
         monkeypatch.undo()
-        # two entry walks, a transport walk and a frame walk, each with
-        # one estimate at its start and at most one in each hop
+        # one entry walk (frame_monodromy reads the remembered frame), a
+        # transport walk and a frame walk, each with one estimate at its
+        # start and at most one in each hop
         assert all(n <= 1 for n, _ in hops) and all(n == 1 for n, kept in hops if kept)
-        assert len(estimates) == 4 + sum(n for n, _ in hops)
+        assert len(estimates) == 3 + sum(n for n, _ in hops)
         assert max(estimates) > 1  # some hop keeps several steps
         for parity, g, k0, tol, (k, scaled, ok, step), evaluations in calls:
             ref_k, ref_scaled, ref_ok, sweeps, retries = reference_correct(parity, g, k0, tol)
@@ -845,10 +964,11 @@ class TestRunWork:
 
     def test_the_benchmark_loops_take_pinned_work(self, monkeypatch):
         # the benchmark's loops requests, counted in corrector runs and
-        # Magnus steps rather than timed: their entry walks take 144 runs
-        # together (238 before entry corridors leant clear of the EPs), and
-        # each walk around the 48-gon, transport's and frame_monodromy's,
-        # one run per _RUN_STEPS edges
+        # Magnus steps rather than timed: their eight entry walks take 72
+        # runs together (144 when frame_monodromy walked its entry again,
+        # 238 before entry corridors leant clear of the EPs), and each walk
+        # around the 48-gon, transport's and frame_monodromy's, one run per
+        # _RUN_STEPS edges: 120 runs a round
         runs = counted_runs(monkeypatch)
         entries, entry = [], holonomy.entry_frame
 
@@ -868,8 +988,10 @@ class TestRunWork:
                 loop_walks.append(len(runs) - before - entries[-1])
                 if walker is transport:
                     assert (res.steps, res.rejected) == (48, 0), n
-        assert len(entries) == 16 and sum(entries) == 144
+        assert len(entries) == 16 and sum(entries) == 72
+        assert entries[1::2] == [0] * 8  # frame_monodromy's entry is remembered
         assert loop_walks == [math.ceil(48 / holonomy._RUN_STEPS)] * 16
+        assert len(runs) == 120
 
     def test_runs_on_a_dense_line_hold_at_most_run_steps(self, monkeypatch):
         # 200 segments from 1 to 1 - 0.8i at truncation 24, each clipping a
@@ -1223,6 +1345,54 @@ class TestFrameMonodromy:
         with pytest.raises(ValueError, match="built for different truncations"):
             match_frames(frame, frame_at(TruncationSpec(Parity.EVEN, 5), 1.0))
 
+    def test_two_slots_on_one_level_are_refused(self):
+        # slot 3 carries level 2's k and sqrt(r), which slot 1 holds
+        ref = frame_at(EVEN6, 1.2)
+        k, s = ref.k.copy(), ref.sqrt_r.copy()
+        k[3], s[3] = k[1], s[1]
+        with pytest.raises(TransportError, match="two slots matched the same level"):
+            match_frames(TransportFrame(ref.levels, ref.g, k, s), ref)
+
+    def test_a_normalization_off_by_i_is_refused(self):
+        ref = frame_at(EVEN6, 1.2)
+        s = ref.sqrt_r * np.array([1, 1, 1j, 1, 1j, 1])
+        with pytest.raises(TransportError, match=r"normalization mismatch factor .* on slot 2$"):
+            match_frames(TransportFrame(ref.levels, ref.g, ref.k, s), ref)
+
+    @pytest.mark.parametrize("far, off, message", [
+        (3, 1, "normalization mismatch factor .* on slot 1"),  # an earlier slot first
+        (1, 3, "slot 1 landed at k = .*, no standard level nearby"),
+        (2, 2, "slot 2 landed at k = .*, no standard level nearby"),  # distance first
+    ])
+    def test_the_first_failing_slot_is_reported(self, far, off, message):
+        ref = frame_at(EVEN6, 1.2)
+        k, s = ref.k.copy(), ref.sqrt_r.copy()
+        k[far] += 0.3
+        s[off] *= 1j
+        with pytest.raises(TransportError, match=message):
+            match_frames(TransportFrame(ref.levels, ref.g, k, s), ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(order=st.permutations(range(6)),
+           flips=st.lists(st.booleans(), min_size=6, max_size=6),
+           scales=st.lists(st.sampled_from([1.0, -1.0, 1j, 2.0, 1.0 + 1e-7]), min_size=6,
+                           max_size=6),
+           shifts=st.lists(st.sampled_from([0.0, 1e-9, 1e-7, 0.3]), min_size=6, max_size=6),
+           copied=st.none() | st.tuples(st.integers(0, 5), st.integers(0, 5)))
+    def test_array_match_equals_the_slot_loop(self, order, flips, scales, shifts, copied):
+        # permuted, sign-flipped, rescaled and shifted slots, one perhaps a
+        # copy of another: the same perm and factors, or the same error
+        ref = frame_at(EVEN6, 1.2)
+        k = ref.k[order] + np.array(shifts)
+        s = ref.sqrt_r[order] * np.array(scales)
+        sign = np.where(flips, -1.0, 1.0)
+        k, s = k * sign, s * sign
+        if copied is not None:
+            k[copied[1]], s[copied[1]] = k[copied[0]], s[copied[0]]
+        frame = TransportFrame(ref.levels, ref.g, k, s)
+        assert match_outcome(match_frames, frame, ref) == \
+            match_outcome(slotwise_match, frame, ref)
+
 
 class TestChainClosedForm:
     @pytest.mark.parametrize("parity", [Parity.EVEN, Parity.ODD])
@@ -1258,6 +1428,12 @@ class TestTruncationSpec:
         # 3.5 was a TypeError at .levels
         with pytest.raises(ValueError, match="n_levels must be an integer >= 2"):
             TruncationSpec(Parity.EVEN, n_levels)
+
+    def test_size_is_bounded(self):
+        assert TruncationSpec(Parity.ODD, holonomy.MAX_LEVELS).n_levels == holonomy.MAX_LEVELS
+        for n_levels in (holonomy.MAX_LEVELS + 1, 100000):
+            with pytest.raises(ValueError, match=f"<= {holonomy.MAX_LEVELS}, got {n_levels}"):
+                TruncationSpec(Parity.EVEN, n_levels)
 
     @pytest.mark.parametrize("parity", [float("nan"), 0, 1, "EVEN", None])
     def test_parity_must_be_a_parity(self, parity):
