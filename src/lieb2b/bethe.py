@@ -62,8 +62,10 @@ array form costs about four times the scalar one (35 against 9 us at a
 root), so each caller's input size picks its corrector.
 `newton_correct_with_step` also returns the next Newton step r/dr.
 
-`branch_point_function` r(g, k) vanishes where two branches collide;
-`rotated_sqrt` is the one window every standard-sheet sqrt(r) takes.
+`branch_point_function` r(g, k) vanishes where two branches collide,
+and `root_gamma`, the inverse radius of a root's Newton basin, grows
+like 1/|r| there; `rotated_sqrt` is the one window every standard-sheet
+sqrt(r) takes.
 """
 
 from __future__ import annotations
@@ -156,16 +158,37 @@ def bethe_residual(parity: Parity, g, k):
     Even parity: k sin(pi k/2) - g cos(pi k/2).
     Odd parity:  k cos(pi k/2) + g sin(pi k/2).
     Accepts scalars or arrays; entire in both arguments, no poles.
+    The residual of `unscaled_residual_terms`.
     """
-    h = 0.5 * np.pi * k
-    if parity is Parity.EVEN:
-        return k * np.sin(h) - g * np.cos(h)
-    return k * np.cos(h) + g * np.sin(h)
+    return unscaled_residual_terms(parity, g, k)[0]
 
 
 def branch_point_function(g, k):
     """r(g, k) = k^2 + g^2 + 2 g/pi; zero exactly where dJ/dk = 0."""
     return k * k + g * g + 2.0 * g / np.pi
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def root_gamma(g, k):
+    """Smale's gamma of the residual F at a root k at fixed g:
+    max(|F_kk / 2 F_k|, |F_kkk / 6 F_k|^(1/2)).  Newton's method from a
+    point within about 0.18 / gamma of the root converges to it (Blum,
+    Cucker, Shub & Smale, Complexity and Real Computation, 1998, ch. 8).
+
+    At a root k sin(h) = g cos(h) (even; odd with sin, cos -> cos, -sin),
+    and sin and cos cancel from both quotients for either parity:
+
+        F_kk / F_k = 2 k / r,    F_kkk / F_k = -(pi^2 / 2) (3/2 - q / r),
+
+    with q = g^2 + k^2 and r = q + 2 g / pi (`branch_point_function`).
+    So gamma takes no trig and stays finite on the deep bound branch,
+    where sin and cos overflow.  It is inf where r = 0 and NaN where
+    k = r = 0; elementwise, without a numpy warning.
+    """
+    q = g * g + k * k
+    r = q + TWO_OVER_PI * g
+    return np.sqrt(np.maximum(np.abs(np.divide(k, r)) ** 2,
+                              (np.pi ** 2 / 12.0) * np.abs(1.5 - np.divide(q, r))))
 
 
 def rotated_sqrt(w):
@@ -179,15 +202,13 @@ def rotated_sqrt(w):
 
 
 def residual_k_derivative(parity: Parity, g, k):
-    """d/dk of `bethe_residual` at fixed g."""
-    h = 0.5 * np.pi * k
-    if parity is Parity.EVEN:
-        return np.sin(h) * (1.0 + 0.5 * np.pi * g) + h * np.cos(h)
-    return np.cos(h) * (1.0 + 0.5 * np.pi * g) - h * np.sin(h)
+    """d/dk of `bethe_residual` at fixed g, of `unscaled_residual_terms`."""
+    return unscaled_residual_terms(parity, g, k)[1]
 
 
 def residual_scale(parity: Parity, g, k):
-    """Evaluation-error magnitude of the residual, floored at 1.
+    """Evaluation-error magnitude of the residual, floored at 1, of
+    `unscaled_residual_terms`.
 
     Sum of the term magnitudes plus the argument sensitivity
     |h| * |d(terms)/dh|, which is the scale of unavoidable floating
@@ -197,14 +218,7 @@ def residual_scale(parity: Parity, g, k):
     very large couplings (where cos or sin sits near a zero and the
     argument reduction error is amplified by g).
     """
-    h = 0.5 * np.pi * k
-    sh, ch = np.abs(np.sin(h)), np.abs(np.cos(h))
-    ak, ag, ah = np.abs(k), np.abs(g), np.abs(h)
-    if parity is Parity.EVEN:
-        s = ak * sh + ag * ch + ah * (ak * ch + ag * sh)
-    else:
-        s = ak * ch + ag * sh + ah * (ak * sh + ag * ch)
-    return np.maximum(s, 1.0)
+    return unscaled_residual_terms(parity, g, k)[2]
 
 
 #: |Im(pi k/2)| beyond which `residual_terms` rescales sin and cos; the
@@ -230,9 +244,10 @@ def terms_from_trig(parity, g, k, h, sin_h, cos_h, floor):
 def unscaled_residual_terms(parity: Parity, g, k):
     """(r, dr, scale, 0.0): `residual_terms` without its depth test.
 
-    Bit-identical to `bethe_residual`, `residual_k_derivative` and
-    `residual_scale`.  For callers that know every |Im(pi k/2)| is
-    well inside DEEP_IM_H; past about 709 the terms overflow.
+    r, dr and scale are `bethe_residual`, `residual_k_derivative` and
+    `residual_scale`, which read them from here.  For callers that know
+    every |Im(pi k/2)| is well inside DEEP_IM_H; past about 709 the
+    terms overflow.
     """
     h = 0.5 * np.pi * k
     return terms_from_trig(parity, g, k, h, np.sin(h), np.cos(h), 1.0) + (0.0,)

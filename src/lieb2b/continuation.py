@@ -10,9 +10,9 @@ Each hop uses a first-order predictor (`tangent_slope`)
 
 followed by damped Newton correction at the new coupling, by the
 correctors of `lieb2b.bethe` (the only module that evaluates the
-residual kernel).  r -> 0 is
-exactly dJ/dk = 0, i.e. a branch point where two branches collide and
-the local behaviour turns into a square root with coefficient
+residual kernel).  r -> 0 is exactly dJ/dk = 0, i.e. a branch point
+where two branches collide and the local behaviour turns into a square
+root with coefficient
 
     G2 = -2 (dJ/dg) / (d^2J/dk^2) = -(g^2 + k^2) / g,
 
@@ -20,25 +20,26 @@ equal to 2/pi wherever r = 0.  One walker, `walk_path`, carries a root
 along a path, the rows of both half-sheets at once from the row depth
 before them, and (in `holonomy`) a transport frame and transport's
 Magnus steps, both of which take several of its step ends in one hop.
-One-root and sheet-row hops accept by one test, `_accepted`, which
-refuses a root near a branch point (|dJ/dk| < 1e-4), so the walk slows
-down there and stops instead of stepping across.  One-root continuation
-(`continue_along`, `continue_to`, `sheet_value`) therefore has two
-outcomes: a root at the path's end, or a SolverError that carries the
-last accepted g and k.
 
-A one-root hop spans at most RHO times the distance d to the walk's
-branch points, the radius of the root's Taylor disc.  For an excited
-label n > 1 on the standard sheet those are g_ep(n) and its mirror
-only, since each exceptional point joins one excited label to its
-family's base label; so a vertical walk to any depth takes O(log depth)
-hops.  The base labels n <= 1 may meet every exceptional point of their
-family and the real branch point, and a walk along an arbitrary path,
-which may change sheets at a cut, may meet any of them; both step by
-that whole family catalog, counting a point only while the root is
-close enough to the value where roots meet there (MEETING_WIDTH).  Such
-a walk is logarithmic in depth too unless it runs close beside a
-column of points it meets, about one per unit of depth.
+One-root and sheet-row hops keep a root by one test, `_accepted`: its
+scaled residual passes, |dJ/dk| is at least 1e-4, and the corrector
+moved it from its predicted point by at most CORRECTOR_REACH / gamma,
+with gamma Smale's gamma of the residual at the root (`root_gamma`):
+that close, the predicted point lies deep inside the root's Newton
+basin, so the corrector did not jump to another root.  They step by one
+rule, `_basin_factor`: a kept hop grows the step by min(STEP_GROWTH,
+PREDICTOR_REACH / (gamma |dk/dg| step)), the least over a row's live
+columns, so the predictor moves a root by at most PREDICTOR_REACH /
+gamma; a refused hop halves it.  A one-root walk's first step is
+PREDICTOR_REACH / (gamma |dk/dg|) at its start (`_basin_reach`).  No
+list of exceptional points enters: gamma grows like 1/|r| where two
+roots meet, so a walk slows down there and stops instead of stepping
+across.  Far from them gamma tends to pi / (2 sqrt 6) and dk/dg falls
+like 1/|g|^2, so a vertical walk takes O(log depth) hops, except close
+beside a column of the points its root meets.  One-root continuation
+(`continue_along`, `continue_to`, `sheet_value`) has two outcomes: a
+root at the path's end, or a SolverError that carries the last
+accepted g and k.
 
 Riemann sheets follow the vertical-transport convention: the value at
 g = x + i*y is continued from the real-axis value at x straight up or
@@ -56,27 +57,27 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .bethe import (RESIDUAL_ACCEPT, RESIDUAL_TARGET, BetheState, Parity,
                     SolverError, branch_point_function, check_coupling, is_label,
                     newton_correct, newton_correct_array, newton_correct_with_step,
-                    real_axis_k, solve_k_real)
-from .exceptional import RUNG_DEPTH_MARGIN, family_eps, find_ep
+                    real_axis_k, root_gamma, solve_k_real)
+from .exceptional import family_eps, find_ep
 
-#: `_accepted`'s branch-point guard; an accepted hop grows the step by STEP_GROWTH
+#: `_accepted`'s branch-point guard; an accepted hop grows the step by at most STEP_GROWTH
 DJ_DK_FLOOR, STEP_GROWTH = 1e-4, 1.7
 #: the smallest step of one-root walks and of sheet rows
 MIN_STEP = 1e-9
-#: a one-root hop spans at most RHO times the distance to the walk's branch points
-RHO = 0.5
-#: a root k at g meets a listed branch point p, where roots meet at +-k_p,
-#: only if |k -+ k_p|^2 <= MEETING_WIDTH d (1 + d), d = |g - p|: the two
-#: roots that meet there keep |k - k_p|^2 below d (d + 0.7) out to d = 8
-#: (rungs 2 to 100, sixteen directions), (2/pi) d to first order
-MEETING_WIDTH = 2.0
+#: the most cells a grid holds: `lieb2b sheet`'s traced peak is about 370 B a
+#: cell (14.9 MB at 201 x 201, 58.8 MB at 401 x 401), so a grid stays within 256 MB
+MAX_CELLS = 500_000
+#: a hop's predictor moves a root by at most PREDICTOR_REACH / gamma, and
+#: `_accepted` keeps a corrected root at most CORRECTOR_REACH / gamma from
+#: its predicted point (gamma = `root_gamma` at the root)
+PREDICTOR_REACH, CORRECTOR_REACH = 0.2, 0.05
 
 
 @dataclass
@@ -154,15 +155,33 @@ def tangent_slope(g, k):
     return slope if cmath.isfinite(slope) else 0j
 
 
-def _accepted(g, k, scaled, converged):
-    """Whether a corrected root is kept, elementwise: converged or below
-    a scaled residual of RESIDUAL_ACCEPT, and |dJ/dk| = |r / (g^2 + k^2)|
+def _accepted(g, k, k_pred, gamma, scaled, converged):
+    """Whether a corrected root k, predicted at k_pred, is kept,
+    elementwise: converged or below a scaled residual of RESIDUAL_ACCEPT,
+    within CORRECTOR_REACH / gamma of k_pred, so deep inside the Newton
+    basin of k (gamma = `root_gamma` at k), and |dJ/dk| = |r / (g^2 + k^2)|
     at least DJ_DK_FLOOR, away from a branch point.  Taken without
     division, the bound passes the deep bound branch k ~ -i|g|, where
     g^2 + k^2 cancels to 0 (the arctan pole, dJ/dk infinite); NaN fails.
     """
     return ((converged | (scaled < RESIDUAL_ACCEPT))
+            & (gamma * abs(k - k_pred) <= CORRECTOR_REACH)
             & (abs(branch_point_function(g, k)) >= DJ_DK_FLOOR * abs(g * g + k * k)))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _basin_reach(dg, slope, gamma) -> float:
+    """PREDICTOR_REACH / (gamma |slope dg|), the least over an array: how
+    many moves dg in g the tangent of a root (its slope, its gamma) takes
+    to move it PREDICTOR_REACH / gamma; inf where the tangent is flat."""
+    spread = float((gamma * np.abs(slope * dg)).max())
+    return PREDICTOR_REACH / spread if spread != 0.0 else np.inf
+
+
+def _basin_factor(dg, slope, gamma) -> float:
+    """The factor of every kept continuation hop, a move dg in g:
+    min(STEP_GROWTH, `_basin_reach`)."""
+    return min(STEP_GROWTH, _basin_reach(dg, slope, gamma))
 
 
 def walk_path(waypoints, state, hop, *, h: float, min_step: float, lookahead: int = 1):
@@ -229,93 +248,47 @@ def walk_path(waypoints, state, hop, *, h: float, min_step: float, lookahead: in
     return state, True, None
 
 
-class _BranchPoints(NamedTuple):
-    """Branch points a one-root walk steps by: ``points`` lists some of
-    them and ``roots`` the value where two roots meet at each, and every
-    other one lies at |Im g| >= ``floor``."""
+def _scalar_hop(parity: Parity, root, g):
+    """Predictor-corrector hop of one root, a (g, k, dk/dg) triple, to g,
+    for `walk_path`.
 
-    points: np.ndarray
-    roots: np.ndarray
-    floor: float
-
-    def distance(self, g: complex, k: complex) -> float:
-        """A lower bound on the distance from g to the nearest branch
-        point of the root k: the floor's, or a listed point's where k
-        meets it (MEETING_WIDTH).  A point where k is regular, which k
-        may pass as close as it likes, does not count."""
-        d = self.floor - abs(g.imag)
-        if not self.points.size:
-            return d
-        near = np.abs(self.points - g)
-        off = np.minimum(np.abs(k - self.roots), np.abs(k + self.roots))
-        meets = off * off <= MEETING_WIDTH * near * (1.0 + near)
-        return min(d, float(near[meets].min())) if meets.any() else d
-
-
-def _branch_points(n: int, depth: float, *, family: bool = False) -> _BranchPoints:
-    """The branch points of label n's standard sheet down to |Im g| = depth.
-
-    For n > 1 they are g_ep(n) and its mirror, looked up only for a walk
-    at least n - 2 deep: a shallower one lists none and is bounded by
-    the floor n - 1 + RUNG_DEPTH_MARGIN, so it makes no ladder walk to
-    n.  For the base labels, and for any label with ``family``, they are
-    the points of `family_eps`, their mirrors and the real branch point;
-    the floor is that of the first rung not listed.
+    `newton_correct` runs to RESIDUAL_TARGET and `_accepted` decides;
+    a kept hop scales the step by `_basin_factor`, a refused one halves
+    it.  One `root_gamma` serves both.  On one point the scalar
+    corrector is about four times faster than the sheet rows' array one.
     """
-    parity = Parity.of_level(n)
-    if n > 1 and not family:
-        if depth < n - 2:
-            return _BranchPoints(np.empty(0, dtype=complex), np.empty(0, dtype=complex),
-                                 n - 1 + RUNG_DEPTH_MARGIN)
-        ep = find_ep(n, verify_unique=False)
-        return _BranchPoints(np.array([ep.g_ep, ep.g_ep.conjugate()]),
-                             np.array([ep.k_ep, ep.k_ep.conjugate()]), np.inf)
-    eps = list(family_eps(parity, depth))
-    g_eps = np.array([p.g_ep for p in eps], dtype=complex)
-    k_eps = np.array([p.k_ep for p in eps], dtype=complex)
-    return _BranchPoints(np.concatenate([g_eps, g_eps.conj(), [parity.real_branch_point]]),
-                         np.concatenate([k_eps, k_eps.conj(), [0.0]]),
-                         eps[-1].n + 1 + RUNG_DEPTH_MARGIN)
+    g0, k0, slope0 = root
+    k_pred = k0 + (g - g0) * slope0
+    k, scaled, converged = newton_correct(parity, g, k_pred, tol=RESIDUAL_TARGET)
+    gamma = root_gamma(g, k)
+    if not _accepted(g, k, k_pred, gamma, scaled, converged):
+        return (g, k, None), False, 0.5
+    slope = tangent_slope(g, k)
+    return (g, k, slope), True, _basin_factor(g - g0, slope, gamma)
 
 
-def _scalar_hop(parity: Parity, root, g, branch_points: _BranchPoints):
-    """Predictor-corrector hop of one root, a (g, k) pair, to g, for
-    `walk_path`.
-
-    `newton_correct` runs to RESIDUAL_TARGET and `_accepted` decides.  A
-    kept hop grows the step by min(STEP_GROWTH, RHO d / step), with d
-    the distance from g to the kept root's points in ``branch_points``,
-    and a refused hop halves it.  On one point the scalar corrector is
-    about four times faster than the sheet rows' array one.
-    """
-    g0, k0 = root
-    k, scaled, converged = newton_correct(parity, g, k0 + (g - g0) * tangent_slope(g0, k0),
-                                          tol=RESIDUAL_TARGET)
-    if not _accepted(g, k, scaled, converged):
-        return (g, k), False, 0.5
-    return (g, k), True, min(STEP_GROWTH, RHO * branch_points.distance(g, k) / abs(g - g0))
-
-
-def _walk_root(start: BetheState, waypoints, branch_points: _BranchPoints) -> complex:
+def _walk_root(start: BetheState, waypoints) -> complex:
     """The one-root walker: `walk_path` of the start's root through
-    waypoints by `_scalar_hop`, the first hop spanning RHO d, with d the
-    distance from the start to ``branch_points``.
+    waypoints by `_scalar_hop`, the first hop spanning `_basin_reach` at
+    the start.
 
     It has two outcomes: the root k at the last waypoint, or a
-    SolverError that carries the last accepted g and k.  A root that
-    starts on one of its branch points (d = 0) takes no step, and a walk
-    whose step underflows beside one stops there.  A hop keeps a root
-    below RESIDUAL_ACCEPT, so a walk that arrives ends as a frame walk
-    does: `newton_correct_with_step` corrects its end to RESIDUAL_TARGET,
-    and the end takes the Newton step it returns.
+    SolverError that carries the last accepted g and k.  A start on or
+    beside a branch point takes no step: one that a hop would not keep
+    where it stands (`_accepted` with no move), or whose reach is 0.  A
+    walk whose step underflows beside one stops there.  A hop keeps a
+    root below RESIDUAL_ACCEPT, so a walk that arrives ends as a frame
+    walk does: `newton_correct_with_step` corrects its end to
+    RESIDUAL_TARGET, and the end takes the Newton step it returns.
     """
     parity, g, k = start.parity, complex(start.g), complex(start.k)
-    d = branch_points.distance(g, k)
-    if not d > 0.0:
+    gamma, slope = root_gamma(g, k), tangent_slope(g, k)
+    h = _basin_reach(1.0, slope, gamma)
+    if not (h > 0.0 and _accepted(g, k, k, gamma, 0.0, True)):
         raise SolverError(f"continuation starts on a branch point at g={g:.6g}", g=g, k=k)
-    (g, k), reached, stalled = walk_path(
-        waypoints, (g, k), lambda root, ends: [_scalar_hop(parity, root, ends[0], branch_points)],
-        h=RHO * d, min_step=MIN_STEP)
+    (g, k, _), reached, stalled = walk_path(
+        waypoints, (g, k, slope), lambda root, ends: [_scalar_hop(parity, root, ends[0])],
+        h=h, min_step=MIN_STEP)
     if not reached:
         raise SolverError(f"continuation stalls: step underflow near a branch point at "
                           f"g={stalled[0]:.6g} (|r|={abs(branch_point_function(g, k)):.3g})",
@@ -328,19 +301,16 @@ def continue_along(start: BetheState, path: ComplexPath) -> BetheState:
     """Continue a quasi-momentum branch along a piecewise-linear path.
 
     The path must begin at the state's coupling.  It may cross a cut
-    and change sheets, so the one-root walker steps by the start
-    family's whole catalog, down to the path's depth, counting each
-    point only where the root meets it (`_BranchPoints.distance`).
-    Returns the state at the path's end, whose label n names the
-    starting branch (continuation around a branch point permutes
-    labels), or raises SolverError with the last accepted g and k where
-    the walk stalls, so a caller meaning to encircle a branch point
-    must route around it.
+    and change sheets; each hop's basin test is local, so the walk needs
+    no list of branch points.  Returns the state at the path's end,
+    whose label n names the starting branch (continuation around a
+    branch point permutes labels), or raises SolverError with the last
+    accepted g and k where the walk stalls, so a caller meaning to
+    encircle a branch point must route around it.
     """
     if abs(complex(path.waypoints[0]) - complex(start.g)) > 1e-12:
         raise ValueError("path must start at the state's coupling")
-    depth = max(abs(w.imag) for w in path.waypoints)
-    k = _walk_root(start, path.waypoints, _branch_points(start.n, depth, family=True))
+    k = _walk_root(start, path.waypoints)
     return BetheState(start.n, path.waypoints[-1], k, start.parity)
 
 
@@ -356,29 +326,27 @@ def continue_to(start: BetheState, g_target) -> BetheState:
 
 def sheet_value(n: int, g) -> complex:
     """k_n(g) on the standard sheet: the real-axis root at Re g, walked
-    by `_walk_root` straight up or down by the label's own branch points
-    (`_branch_points`)."""
+    by `_walk_root` straight up or down."""
     g = complex(g)
     anchor = solve_k_real(n, g.real)
     check_coupling(g)
     if g.imag == 0.0:
         return anchor.k
-    return _walk_root(anchor, (complex(anchor.g), g), _branch_points(n, abs(g.imag)))
+    return _walk_root(anchor, (complex(anchor.g), g))
 
 
 def conjugation_symmetry_check(n: int, g) -> int:
     """Sign s in conj(k_n(conj(g))) = s * k_n(g) on the standard sheet.
 
-    Both values are walked from one real-axis anchor by one set of
-    branch points, as in `sheet_value`.  Returns +1 or -1; raises
+    Both values are walked from one real-axis anchor, as in
+    `sheet_value`.  Returns +1 or -1; raises
     SolverError if either value is unreachable by vertical continuation
     or if neither sign matches to 1e-8.
     """
     g = complex(g)
     anchor = solve_k_real(n, g.real)
     check_coupling(g)
-    points = _branch_points(n, abs(g.imag))
-    k_here, k_mirror = (_walk_root(anchor, (complex(anchor.g), target), points)
+    k_here, k_mirror = (_walk_root(anchor, (complex(anchor.g), target))
                         if g.imag else anchor.k for target in (g, g.conjugate()))
     tol = 1e-8 * max(1.0, abs(k_here))
     if abs(k_mirror.conjugate() - k_here) < tol:
@@ -401,8 +369,9 @@ class GridSpec:
     """Rectangular grid in the complex coupling plane.
 
     The window must straddle the real axis, which anchors the vertical
-    continuation, and lie in the coupling domain; 201 x 201 on
-    [-8, 2] x [-5, 5] reproduces the default survey window.
+    continuation, and lie in the coupling domain, and the grid may hold
+    at most MAX_CELLS cells; 201 x 201 on [-8, 2] x [-5, 5] reproduces
+    the default survey window.
     """
 
     re_min: float = -8.0
@@ -421,6 +390,9 @@ class GridSpec:
                         complex(self.re_max, self.im_max)])
         if not all(is_label(n) and n >= 2 for n in (self.n_re, self.n_im)):
             raise ValueError("need an integer of at least 2 points per direction")
+        if self.n_re * self.n_im > MAX_CELLS:
+            raise ValueError(f"a grid holds at most {MAX_CELLS} cells, "
+                             f"got {self.n_re} x {self.n_im}")
 
     @property
     def re_axis(self) -> np.ndarray:
@@ -490,19 +462,25 @@ def _march_rows(parity, xs, axis_k, ims, *, tol, k_out):
     gaps, x_col = np.abs(np.diff(ys)), np.tile(xs, 2)
 
     def hop(state, ends):
-        # state: (t0, live columns, their g and k); a refused try: the passed mask
-        (t0, cols, g0, k0), t = state, ends[0]
+        # state: (t0, live columns, their g, k and dk/dg); a refused try: the passed mask
+        (t0, cols, g0, k0, slope0), t = state, ends[0]
         row, half, s = int(t0), cols // n_re, t - int(t0)
         # exact at both ends of the row, so a full row lands on its ordinates
         g = x_col[cols] + 1j * ((1.0 - s) * ys[half, row] + s * ys[half, row + 1])
-        k, scaled, converged = newton_correct_array(
-            parity, g, k0 + (g - g0) * tangent_slope(g0, k0), tol=tol, max_iter=6)
+        dg = g - g0
+        k_pred = k0 + dg * slope0
+        k, scaled, converged = newton_correct_array(parity, g, k_pred, tol=tol, max_iter=6)
+        gamma = root_gamma(g, k)
         with np.errstate(over="ignore", invalid="ignore"):  # a diverged try fails
-            ok = _accepted(g, k, scaled, converged)
-        return [((t, cols, g, k), True, STEP_GROWTH) if ok.all() else (ok, False, 0.5)]
+            ok = _accepted(g, k, k_pred, gamma, scaled, converged)
+        if not ok.all():
+            return [(ok, False, 0.5)]
+        slope = tangent_slope(g, k)
+        return [((t, cols, g, k, slope), True, _basin_factor(dg, slope, gamma))]
 
     cols = np.flatnonzero(np.tile(~np.isnan(axis_k.real), 2) & np.repeat(depths > 0, n_re))
-    state, abort_at = (0.0, cols, x_col[cols] + 0j, np.tile(axis_k, 2)[cols]), ({}, {})
+    g, k = x_col[cols] + 0j, np.tile(axis_k, 2)[cols]
+    state, abort_at = (0.0, cols, g, k, tangent_slope(g, k)), ({}, {})
     for row in range(depths.max()):
         while state[1].size:
             state, reached, passed = walk_path(
@@ -510,14 +488,14 @@ def _march_rows(parity, xs, axis_k, ims, *, tol, k_out):
                 min_step=MIN_STEP / gaps[state[1] // n_re, row].max())
             if reached:
                 break
-            t0, cols, g, k = state
+            t0, cols, g, k, slope = state
             for c in cols[~passed].tolist():
                 abort_at[c // n_re][c % n_re] = float(ys[c // n_re, row + 1])
-            state = (t0, cols[passed], g[passed], k[passed])
-        t, cols, g, k = state
+            state = (t0, cols[passed], g[passed], k[passed], slope[passed])
+        t, cols, g, k, slope = state
         k_out[rows[cols // n_re, row], cols % n_re] = k
         stay = row + 1 < depths[cols // n_re]
-        state = (t, cols[stay], g[stay], k[stay])
+        state = (t, cols[stay], g[stay], k[stay], slope[stay])
     return abort_at
 
 

@@ -66,8 +66,6 @@ from .bethe import (NEWTON_MAX_STEPS, RESIDUAL_TARGET, Parity, bethe_residual,
 
 #: reject "exceptional points" that are really the real-axis degeneracies
 REAL_AXIS_GUARD = 0.05
-#: every rung m of either family's ladder has |Im g_ep(m)| >= m - 1 + RUNG_DEPTH_MARGIN
-RUNG_DEPTH_MARGIN = 0.3
 
 
 class ExceptionalPointError(RuntimeError):

@@ -82,7 +82,12 @@ A loop's signed permutation is read one way only: its end frame is
 matched to its start frame (:func:`match_frames`), giving the level each
 slot returns to and its sign exactly.  Transport reads it from its own
 frames; :func:`frame_monodromy` walks the frame alone, without the ODE.
-The two routes are independent checks of one another.
+The two routes share the entry frame, every frame step's corrector and
+step rule, and the matching, so a fault there moves both alike.  What
+comparing them checks is the rest: that transport's V, the ordered
+exponential of the connection, lands on the signed permutation the
+frames give, and that the frames give the same one at transport's step
+sizes as at the frame walk's own.
 """
 
 from __future__ import annotations
@@ -713,8 +718,11 @@ def frame_monodromy(path: ComplexPath, trunc: TruncationSpec) -> HolonomyMatrix:
     which leaves it unchanged; each slot is then matched back to the
     standard levels there and the residual normalization signs are read
     off.  For a loop around a single branch point this produces the
-    elementary monodromy exactly, up to root-finding precision, and
-    provides an independent check on :func:`transport`'s ``monodromy``.
+    elementary monodromy exactly, up to root-finding precision.  It
+    shares the entry frame, the frame steps and the matching with
+    :func:`transport`, so it checks transport's matrix and the
+    permutation at transport's step sizes, not the frame steps
+    themselves.
     """
     if not _is_loop(path):
         raise ValueError("frame monodromy needs a closed loop")

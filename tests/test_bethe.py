@@ -1,5 +1,6 @@
 """Real-axis quasi-momentum solver: anchors, asymptotics, bound branches."""
 
+import cmath
 import pathlib
 import warnings
 
@@ -14,8 +15,9 @@ from lieb2b.bethe import (DEEP_IM_H, RESIDUAL_ACCEPT, TWO_OVER_PI, BetheState,
                           bethe_residual, energy, newton_correct,
                           newton_correct_array, newton_polish, real_axis_k,
                           residual_k_derivative, residual_scale,
-                          residual_terms, scaled_bethe_residual, solve_k_real)
-from lieb2b.continuation import GridSpec, build_sheet
+                          residual_terms, root_gamma, scaled_bethe_residual,
+                          solve_k_real)
+from lieb2b.continuation import GridSpec, build_sheet, sheet_value
 
 
 def test_free_limit_is_exact():
@@ -336,3 +338,47 @@ class TestResidualTerms:
             _, scaled_a, ok_a = newton_correct_array(Parity.ODD, [g], [k0], tol=1e-12)
         assert not ok and np.isnan(scaled)
         assert not ok_a[0] and np.isnan(scaled_a[0])
+
+
+def _derivative_gamma(parity, g, k):
+    """max(|F_kk / 2 F_k|, |F_kkk / 6 F_k|^(1/2)) from the residual's
+    derivatives, with sin and cos of h = pi k/2 both taken times
+    exp(-|Im h|), which leaves the quotients and keeps them finite."""
+    h = 0.5 * np.pi * k
+    damp = np.exp(-2.0 * abs(h.imag))
+    cosh_r, sinh_r = 0.5 * (1.0 + damp), 0.5 * np.copysign(1.0 - damp, h.imag)
+    sin_h = cmath.sin(h.real) * cosh_r + 1j * cmath.cos(h.real) * sinh_r
+    cos_h = cmath.cos(h.real) * cosh_r - 1j * cmath.sin(h.real) * sinh_r
+    s, c = (sin_h, cos_h) if parity is Parity.EVEN else (cos_h, -sin_h)
+    a, p = 0.5 * np.pi, 1.0 + 0.5 * np.pi * g
+    f_k = s * p + h * c
+    f_kk = a * (c * (p + 1.0) - h * s)
+    f_kkk = -a * a * (s * (p + 2.0) + h * c)
+    return max(abs(f_kk / (2.0 * f_k)), abs(f_kkk / (6.0 * f_k)) ** 0.5)
+
+
+class TestRootGamma:
+    @pytest.mark.parametrize("n, g", [
+        (0, -1.0 - 2.0j), (1, -3.0 - 0.5j), (2, 0.5 - 1.0j), (7, -1.5 - 8.0j),
+        (3, 2.0 - 4.0j), (5, -6.0 - 0.01j), (12, -4.0 - 15.0j), (2, 1.5),
+        # the deep bound branch, where sin and cos of h overflow
+        (0, -600.0 - 0.5j), (1, -2000.0 - 0.3j), (0, -1e5 - 1.0j)])
+    def test_matches_the_derivatives_at_a_root(self, n, g):
+        parity = Parity.of_level(n)
+        k = complex(sheet_value(n, g))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gamma = root_gamma(g, k)
+        assert gamma == pytest.approx(_derivative_gamma(parity, g, k), rel=1e-9)
+
+    def test_elementwise_and_quiet_at_a_branch_point(self, golden_eps):
+        # it grows like 1/|r| into g_ep(2) and is NaN where k = r = 0,
+        # with no numpy warning
+        ep = golden_eps[2]
+        g = np.array([ep.g_ep, 0.0, 1.0 - 1.0j])
+        k = np.array([ep.k_ep, 0.0, sheet_value(0, 1.0 - 1.0j)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gamma = root_gamma(g, k)
+        assert gamma[0] > 1e9 and np.isnan(gamma[1])
+        assert gamma[2] == root_gamma(complex(g[2]), complex(k[2]))

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lieb2b import bethe, cli, exceptional, holonomy, serialize
+from lieb2b import bethe, cli, continuation, exceptional, holonomy, serialize
 from lieb2b.bethe import solve_k_real
 from lieb2b.config import ConfigError, RunConfig, parse_config
 from lieb2b.continuation import CutSegment, GridSpec, build_sheet
@@ -187,6 +187,17 @@ class TestSheet:
                                        sheet.k.real, sheet.k.imag)
         for got, want in zip(table, expected):
             assert np.array_equal(got.view(np.int64), np.ascontiguousarray(want).view(np.int64))
+
+    @pytest.mark.parametrize("points", [708, 100000])
+    def test_oversized_grid_exits_2_before_any_work(self, capsys, monkeypatch, points):
+        # 100000 points a side ended in a numpy _ArrayMemoryError, exit 1
+        def refused(*args, **kwargs):
+            raise AssertionError("work began for an oversized grid")
+
+        monkeypatch.setattr(cli, "build_sheet", refused)
+        code, out, err = run_cli(capsys, "sheet", "--n", 2, "--points", points)
+        assert (code, out) == (2, "")
+        assert f"a grid holds at most {continuation.MAX_CELLS} cells" in err
 
 
 class TestHolonomy:

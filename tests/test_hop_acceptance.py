@@ -5,8 +5,11 @@ move by one step layout.
 `walk_path` and the array corrector; it calls neither the scalar
 corrector nor the scalar hop, so no column of a sheet is moved by a
 second path.  The row hop and `_scalar_hop` both accept through
-`_accepted`, and the dJ/dk quotient that the scalar hop used to test
-is gone from the package.  In `holonomy`, `_run_steps` is the only
+`_accepted`, take a kept hop's factor from `_basin_factor`, and
+evaluate `root_gamma` once for both; no continuation walk asks the
+exceptional-point catalog (`family_eps`, `find_ep`) for its steps, and
+the catalog step rule's names are defined nowhere.  The dJ/dk quotient
+that the scalar hop used to test is gone from the package.  In `holonomy`, `_run_steps` is the only
 caller of the frame corrector `_advance_run`, and both frame movers,
 `transport` and `_walk_frame`, go through it.  Both also step by one rule: they reach
 `walk_path` only through `_walk_branches`, and their hops take the
@@ -21,10 +24,10 @@ growth, and transport's own batch size is gone.  A loop's permutation
 is read one way: `transport` and `frame_monodromy` build it through
 `_signed_permutation`, the only caller of `match_frames`, and no
 dominance threshold, its error or its exit code is defined.  The
-exceptional-point catalog has one home: `family_eps` and
-`RUNG_DEPTH_MARGIN` are defined in `exceptional` alone, which is the
-only module that calls `ladder_points` or `_ladder`; the sheet cuts,
-the one-root walks and the entry corridor ask `family_eps`, and neither
+exceptional-point catalog has one home: `family_eps` is defined in
+`exceptional` alone, which is the only module that calls
+`ladder_points` or `_ladder`; the sheet cuts and the entry corridor
+ask `family_eps`, and neither
 a second ladder walk `_partner_points` nor a `failures` table of
 errors kept in place exists.  The check reads the sources, which are not
 imported; a call counts by its bare name or, module-qualified, by the
@@ -94,6 +97,29 @@ def test_rows_take_the_array_corrector_only():
 def test_row_and_scalar_hops_share_the_acceptance_test():
     assert "_accepted" in called_names("_march_rows")
     assert "_accepted" in called_names("_scalar_hop")
+
+
+def test_row_and_scalar_hops_share_the_step_rule():
+    # each hop evaluates gamma once, for its acceptance test and its factor
+    for function in ("_march_rows", "_scalar_hop"):
+        calls = [call_name(n) for n in ast.walk(functions("continuation")[function])]
+        assert "_basin_factor" in calls and calls.count("root_gamma") == 1, function
+    assert "_basin_reach" in called_names("_walk_root")
+    factors = {name for name, node in functions("continuation").items()
+               if "_basin_reach" in names_called(node)}
+    assert factors == {"_basin_factor", "_walk_root"}
+
+
+def test_no_continuation_walk_asks_the_catalog():
+    for function in ("sheet_value", "continue_along", "continue_to",
+                     "conjugation_symmetry_check", "_march_rows"):
+        assert not reached_names(function) & {"family_eps", "find_ep"}, function
+
+
+def test_the_catalog_step_rule_is_gone():
+    for name in ("_BranchPoints", "_branch_points", "MEETING_WIDTH", "RHO",
+                 "RUNG_DEPTH_MARGIN"):
+        assert name_uses(name) == [], name
 
 
 def test_no_dj_dk_quotient_in_the_package():
@@ -193,14 +219,12 @@ def definitions(name: str) -> list:
 
 
 def test_the_catalog_has_one_home():
-    for name in ("family_eps", "RUNG_DEPTH_MARGIN"):
-        assert definitions(name) == ["exceptional"], name
+    assert definitions("family_eps") == ["exceptional"]
     walkers = {f"{path.stem}:{node.lineno}"
                for path in sorted(PACKAGE.glob("*.py")) if path.stem != "exceptional"
                for node in ast.walk(ast.parse(path.read_text()))
                if call_name(node) in {"ladder_points", "_ladder"}}
     assert walkers == set()
-    assert "family_eps" in called_names("_branch_points")
     assert "family_eps" in called_names("build_sheet")
     assert "family_eps" in called_names("_corridor_slope", "holonomy")
 
