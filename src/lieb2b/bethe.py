@@ -63,9 +63,12 @@ root), so each caller's input size picks its corrector.
 `newton_correct_with_step` also returns the next Newton step r/dr.
 
 `branch_point_function` r(g, k) vanishes where two branches collide,
-and `root_gamma`, the inverse radius of a root's Newton basin, grows
-like 1/|r| there; `rotated_sqrt` is the one window every standard-sheet
-sqrt(r) takes.
+and is the one place r is written.  `root_geometry` is the one place
+its derivatives at a root are formed: r, the branch's tangent dk/dg and
+gamma, the inverse radius of the root's Newton basin, which grows like
+1/|r| there.  Every walk judges its distance from a branch point by
+them.  `rotated_sqrt` is the one window every standard-sheet sqrt(r)
+takes.
 """
 
 from __future__ import annotations
@@ -85,6 +88,11 @@ RESIDUAL_ACCEPT = 1e-10
 NEWTON_MAX_STEPS = 50
 #: bound on |Re g| and |Im g| of every coupling the library accepts
 COUPLING_LIMIT = 1e6
+#: the most levels a truncation or the oracle keeps.  A transport hop's
+#: temporaries, stacks of m x m complex matrices over its 48 nodes, take
+#: about 2.5 kB per m**2: at this bound a 48-gon transport traces a 164 MB
+#: peak, within a 256 MB budget
+MAX_LEVELS = 256
 
 
 class SolverError(RuntimeError):
@@ -164,13 +172,20 @@ def bethe_residual(parity: Parity, g, k):
 
 
 def branch_point_function(g, k):
-    """r(g, k) = k^2 + g^2 + 2 g/pi; zero exactly where dJ/dk = 0."""
-    return k * k + g * g + 2.0 * g / np.pi
+    """r(g, k) = k^2 + g^2 + 2 g/pi; zero exactly where dJ/dk = 0.
+
+    Rounded as (g^2 + k^2) + (2/pi) g, so r is exactly 0 at both real
+    branch points, g = 0 and g = -2/pi with k = 0.
+    """
+    return (g * g + k * k) + TWO_OVER_PI * g
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def root_gamma(g, k):
-    """Smale's gamma of the residual F at a root k at fixed g:
+def root_geometry(g, k):
+    """(r, dk/dg, gamma) of a root k at fixed g, elementwise and without
+    a numpy warning: r of `branch_point_function`, the branch's tangent
+    dk/dg = -dJ/dg / dJ/dk = 2 k / (pi r), 0 where it is not finite, and
+    Smale's gamma of the residual F,
     max(|F_kk / 2 F_k|, |F_kkk / 6 F_k|^(1/2)).  Newton's method from a
     point within about 0.18 / gamma of the root converges to it (Blum,
     Cucker, Shub & Smale, Complexity and Real Computation, 1998, ch. 8).
@@ -178,17 +193,18 @@ def root_gamma(g, k):
     At a root k sin(h) = g cos(h) (even; odd with sin, cos -> cos, -sin),
     and sin and cos cancel from both quotients for either parity:
 
-        F_kk / F_k = 2 k / r,    F_kkk / F_k = -(pi^2 / 2) (3/2 - q / r),
+        F_kk / F_k = 2 k / r,
+        F_kkk / F_k = -(pi^2 / 2) (1/2 + (2/pi) g / r).
 
-    with q = g^2 + k^2 and r = q + 2 g / pi (`branch_point_function`).
     So gamma takes no trig and stays finite on the deep bound branch,
     where sin and cos overflow.  It is inf where r = 0 and NaN where
-    k = r = 0; elementwise, without a numpy warning.
+    k = r = 0.
     """
-    q = g * g + k * k
-    r = q + TWO_OVER_PI * g
-    return np.sqrt(np.maximum(np.abs(np.divide(k, r)) ** 2,
-                              (np.pi ** 2 / 12.0) * np.abs(1.5 - np.divide(q, r))))
+    r = branch_point_function(g, k)
+    slope = np.divide(2.0 * k, np.pi * r)
+    gamma = np.sqrt(np.maximum(np.abs(np.divide(k, r)) ** 2, (np.pi ** 2 / 12.0)
+                               * np.abs(0.5 + np.divide(TWO_OVER_PI * g, r))))
+    return r, np.where(np.isfinite(slope), slope, 0.0)[()], gamma
 
 
 def rotated_sqrt(w):

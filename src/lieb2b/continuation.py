@@ -3,7 +3,7 @@ Analytic continuation of quasi-momentum branches over complex coupling.
 
 A branch k_n(g) continues off the real axis as the root of the
 pole-free Bethe residual that stays connected to its real-axis value.
-Each hop uses a first-order predictor (`tangent_slope`)
+Each hop uses a first-order predictor, the tangent of `root_geometry`
 
     k -> k + dg * G(g, k),    G = -dJ/dg / dJ/dk = 2 k / (pi r),
     r(g, k) = k^2 + g^2 + 2 g / pi,
@@ -22,19 +22,22 @@ before them, and (in `holonomy`) a transport frame and transport's
 Magnus steps, both of which take several of its step ends in one hop.
 
 One-root and sheet-row hops keep a root by one test, `_accepted`: its
-scaled residual passes, |dJ/dk| is at least 1e-4, and the corrector
-moved it from its predicted point by at most CORRECTOR_REACH / gamma,
-with gamma Smale's gamma of the residual at the root (`root_gamma`):
-that close, the predicted point lies deep inside the root's Newton
-basin, so the corrector did not jump to another root.  They step by one
+scaled residual passes, and the corrector moved it from its predicted
+point by at most CORRECTOR_REACH / gamma, with gamma Smale's gamma of
+the residual at the root: that close, the predicted point lies deep
+inside the root's Newton basin, so the corrector did not jump to
+another root.  Each hop evaluates `root_geometry` once at its roots, for
+the test, its step factor and the next hop's tangent.  They step by one
 rule, `_basin_factor`: a kept hop grows the step by min(STEP_GROWTH,
 PREDICTOR_REACH / (gamma |dk/dg| step)), the least over a row's live
 columns, so the predictor moves a root by at most PREDICTOR_REACH /
 gamma; a refused hop halves it.  A one-root walk's first step is
 PREDICTOR_REACH / (gamma |dk/dg|) at its start (`_basin_reach`).  No
-list of exceptional points enters: gamma grows like 1/|r| where two
-roots meet, so a walk slows down there and stops instead of stepping
-across.  Far from them gamma tends to pi / (2 sqrt 6) and dk/dg falls
+list of exceptional points and no guard on r enters: gamma grows like
+1/|r| where two roots meet, so a walk slows down there and stops
+instead of stepping across, and a walk starts anywhere gamma is
+finite, on the real axis as close beside a real branch point as it
+likes.  Far from them gamma tends to pi / (2 sqrt 6) and dk/dg falls
 like 1/|g|^2, so a vertical walk takes O(log depth) hops, except close
 beside a column of the points its root meets.  One-root continuation
 (`continue_along`, `continue_to`, `sheet_value`) has two outcomes: a
@@ -53,7 +56,6 @@ the bound-state convention Im k < 0 consistent.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -64,11 +66,11 @@ import numpy as np
 from .bethe import (RESIDUAL_ACCEPT, RESIDUAL_TARGET, BetheState, Parity,
                     SolverError, branch_point_function, check_coupling, is_label,
                     newton_correct, newton_correct_array, newton_correct_with_step,
-                    real_axis_k, root_gamma, solve_k_real)
+                    real_axis_k, root_geometry, solve_k_real)
 from .exceptional import family_eps, find_ep
 
-#: `_accepted`'s branch-point guard; an accepted hop grows the step by at most STEP_GROWTH
-DJ_DK_FLOOR, STEP_GROWTH = 1e-4, 1.7
+#: an accepted hop grows the step by at most STEP_GROWTH
+STEP_GROWTH = 1.7
 #: the smallest step of one-root walks and of sheet rows
 MIN_STEP = 1e-9
 #: the most cells a grid holds: `lieb2b sheet`'s traced peak is about 370 B a
@@ -76,7 +78,7 @@ MIN_STEP = 1e-9
 MAX_CELLS = 500_000
 #: a hop's predictor moves a root by at most PREDICTOR_REACH / gamma, and
 #: `_accepted` keeps a corrected root at most CORRECTOR_REACH / gamma from
-#: its predicted point (gamma = `root_gamma` at the root)
+#: its predicted point (gamma of `root_geometry` at the root)
 PREDICTOR_REACH, CORRECTOR_REACH = 0.2, 0.05
 
 
@@ -134,39 +136,15 @@ def circle_path(center, radius, *, n_points: int = 96, clockwise: bool = True) -
     return ComplexPath(list(pts))
 
 
-def tangent_slope(g, k):
-    """First-order predictor slope dk/dg = 2 k / (pi r) along a branch.
-
-    0 where r vanishes (a branch point) or the slope is not finite, so
-    the predictor falls back to the current k.  Scalars are computed in
-    Python complex arithmetic; if either argument is an array, both are
-    evaluated elementwise in numpy.
-    """
-    if isinstance(g, np.ndarray) or isinstance(k, np.ndarray):
-        g, k = np.asarray(g), np.asarray(k)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = 2.0 * k / (np.pi * branch_point_function(g, k))
-        return np.where(np.isfinite(slope), slope, 0.0)
-    g, k = complex(g), complex(k)
-    try:
-        slope = 2.0 * k / (np.pi * branch_point_function(g, k))
-    except ZeroDivisionError:
-        return 0j
-    return slope if cmath.isfinite(slope) else 0j
-
-
-def _accepted(g, k, k_pred, gamma, scaled, converged):
+def _accepted(k, k_pred, gamma, scaled, converged):
     """Whether a corrected root k, predicted at k_pred, is kept,
     elementwise: converged or below a scaled residual of RESIDUAL_ACCEPT,
-    within CORRECTOR_REACH / gamma of k_pred, so deep inside the Newton
-    basin of k (gamma = `root_gamma` at k), and |dJ/dk| = |r / (g^2 + k^2)|
-    at least DJ_DK_FLOOR, away from a branch point.  Taken without
-    division, the bound passes the deep bound branch k ~ -i|g|, where
-    g^2 + k^2 cancels to 0 (the arctan pole, dJ/dk infinite); NaN fails.
+    and within CORRECTOR_REACH / gamma of k_pred, so deep inside the
+    Newton basin of k (gamma of `root_geometry` at k).  gamma is inf at
+    a branch point, where r = 0, and NaN fails, so no root there is kept.
     """
     return ((converged | (scaled < RESIDUAL_ACCEPT))
-            & (gamma * abs(k - k_pred) <= CORRECTOR_REACH)
-            & (abs(branch_point_function(g, k)) >= DJ_DK_FLOOR * abs(g * g + k * k)))
+            & (gamma * abs(k - k_pred) <= CORRECTOR_REACH))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -254,16 +232,16 @@ def _scalar_hop(parity: Parity, root, g):
 
     `newton_correct` runs to RESIDUAL_TARGET and `_accepted` decides;
     a kept hop scales the step by `_basin_factor`, a refused one halves
-    it.  One `root_gamma` serves both.  On one point the scalar
-    corrector is about four times faster than the sheet rows' array one.
+    it.  One `root_geometry` serves both and the next hop's predictor.
+    On one point the scalar corrector is about four times faster than
+    the sheet rows' array one.
     """
     g0, k0, slope0 = root
     k_pred = k0 + (g - g0) * slope0
     k, scaled, converged = newton_correct(parity, g, k_pred, tol=RESIDUAL_TARGET)
-    gamma = root_gamma(g, k)
-    if not _accepted(g, k, k_pred, gamma, scaled, converged):
+    _, slope, gamma = root_geometry(g, k)
+    if not _accepted(k, k_pred, gamma, scaled, converged):
         return (g, k, None), False, 0.5
-    slope = tangent_slope(g, k)
     return (g, k, slope), True, _basin_factor(g - g0, slope, gamma)
 
 
@@ -273,18 +251,18 @@ def _walk_root(start: BetheState, waypoints) -> complex:
     the start.
 
     It has two outcomes: the root k at the last waypoint, or a
-    SolverError that carries the last accepted g and k.  A start on or
-    beside a branch point takes no step: one that a hop would not keep
-    where it stands (`_accepted` with no move), or whose reach is 0.  A
-    walk whose step underflows beside one stops there.  A hop keeps a
-    root below RESIDUAL_ACCEPT, so a walk that arrives ends as a frame
-    walk does: `newton_correct_with_step` corrects its end to
-    RESIDUAL_TARGET, and the end takes the Newton step it returns.
+    SolverError that carries the last accepted g and k.  A start on a
+    branch point takes no step: there gamma is not finite, so its reach
+    is not positive.  A walk whose step underflows beside one stops
+    there.  A hop keeps a root below RESIDUAL_ACCEPT, so a walk that
+    arrives ends as a frame walk does: `newton_correct_with_step`
+    corrects its end to RESIDUAL_TARGET, and the end takes the Newton
+    step it returns.
     """
     parity, g, k = start.parity, complex(start.g), complex(start.k)
-    gamma, slope = root_gamma(g, k), tangent_slope(g, k)
+    _, slope, gamma = root_geometry(g, k)
     h = _basin_reach(1.0, slope, gamma)
-    if not (h > 0.0 and _accepted(g, k, k, gamma, 0.0, True)):
+    if not h > 0.0:
         raise SolverError(f"continuation starts on a branch point at g={g:.6g}", g=g, k=k)
     (g, k, _), reached, stalled = walk_path(
         waypoints, (g, k, slope), lambda root, ends: [_scalar_hop(parity, root, ends[0])],
@@ -470,17 +448,16 @@ def _march_rows(parity, xs, axis_k, ims, *, tol, k_out):
         dg = g - g0
         k_pred = k0 + dg * slope0
         k, scaled, converged = newton_correct_array(parity, g, k_pred, tol=tol, max_iter=6)
-        gamma = root_gamma(g, k)
+        _, slope, gamma = root_geometry(g, k)
         with np.errstate(over="ignore", invalid="ignore"):  # a diverged try fails
-            ok = _accepted(g, k, k_pred, gamma, scaled, converged)
+            ok = _accepted(k, k_pred, gamma, scaled, converged)
         if not ok.all():
             return [(ok, False, 0.5)]
-        slope = tangent_slope(g, k)
         return [((t, cols, g, k, slope), True, _basin_factor(dg, slope, gamma))]
 
     cols = np.flatnonzero(np.tile(~np.isnan(axis_k.real), 2) & np.repeat(depths > 0, n_re))
     g, k = x_col[cols] + 0j, np.tile(axis_k, 2)[cols]
-    state, abort_at = (0.0, cols, g, k, tangent_slope(g, k)), ({}, {})
+    state, abort_at = (0.0, cols, g, k, root_geometry(g, k)[1]), ({}, {})
     for row in range(depths.max()):
         while state[1].size:
             state, reached, passed = walk_path(
@@ -517,9 +494,11 @@ def build_sheet(n: int, grid: GridSpec, *, tol: float = RESIDUAL_TARGET,
     partners from one lazy `family_eps` walk.  A caller may inject
     ep_finder, which maps a level label to its complex branch point, as
     a precomputed catalog instead; the bound labels then ask it for
-    n + 2, n + 4, ... in turn.  The partners end at the first point left
-    of re_min or deeper than the window.  A sheet has two outcomes: the
-    sheet with every cut, or the error of the first lookup that fails.
+    n + 2, n + 4, ... in turn.  n > 1 asks neither where n - 1 reaches
+    the window's depth: g_ep(n) lies deeper than n - 1, below the
+    window.  The partners end at the first point left of re_min or
+    deeper than the window.  A sheet has two outcomes: the sheet with
+    every cut, or the error of the first lookup that fails.
     """
     parity = Parity.of_level(n)
     xs = grid.re_axis
@@ -542,7 +521,9 @@ def build_sheet(n: int, grid: GridSpec, *, tol: float = RESIDUAL_TARGET,
             aborted.setdefault(col, y)
 
     depth = max(-grid.im_min, grid.im_max)
-    if ep_finder is not None:
+    if n > 1 and n - 1 >= depth:
+        points = []  # g_ep(n) lies deeper than n - 1, so below the window
+    elif ep_finder is not None:
         points = map(ep_finder, [n] if n > 1 else itertools.count(n + 2, 2))
     elif n > 1:
         points = [find_ep(n, verify_unique=False).g_ep]

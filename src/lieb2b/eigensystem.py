@@ -49,7 +49,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bethe import Parity, SolverError, is_label, real_axis_k, rotated_sqrt
+from .bethe import MAX_LEVELS, Parity, SolverError, is_label, real_axis_k, rotated_sqrt
 
 TWO_PI = 2.0 * np.pi
 #: pi |Im k| beyond which sin(pi k) leaves the double range
@@ -150,10 +150,12 @@ def overlap_connection_oracle(n_levels: int, g: float, dg: float = 1e-5, *,
     Entry (i, j) is i * <psi_L_i | d psi_j / d g> on the levels n_b,
     n_b + 2, ..., by a central difference of finite step dg > 0 with one
     Richardson step; its points g +- dg must lie in the coupling domain.
-    n_levels must be an integer >= 2 and nodes an integer >= 1.
+    n_levels must be an integer from 2 to MAX_LEVELS, refused before any
+    allocation, and nodes an integer >= 1.
     """
-    if not (is_label(n_levels) and n_levels >= 2):
-        raise ValueError(f"the oracle needs an integer n_levels >= 2, got {n_levels!r}")
+    if not (is_label(n_levels) and 2 <= n_levels <= MAX_LEVELS):
+        raise ValueError(f"the oracle needs an integer 2 <= n_levels <= {MAX_LEVELS}, "
+                         f"got {n_levels!r}")
     if not (is_label(nodes) and nodes >= 1):
         raise ValueError(f"the oracle needs an integer number of nodes >= 1, got {nodes!r}")
     if not 0.0 < dg < np.inf:

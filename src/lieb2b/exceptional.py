@@ -60,9 +60,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bethe import (NEWTON_MAX_STEPS, RESIDUAL_TARGET, Parity, bethe_residual,
-                    branch_point_function, check_coupling, is_label, residual_terms,
-                    rotated_sqrt, terms_from_trig)
+from .bethe import (COUPLING_LIMIT, NEWTON_MAX_STEPS, RESIDUAL_TARGET, Parity,
+                    bethe_residual, branch_point_function, check_coupling, is_label,
+                    residual_terms, rotated_sqrt, terms_from_trig)
 
 #: reject "exceptional points" that are really the real-axis degeneracies
 REAL_AXIS_GUARD = 0.05
@@ -227,11 +227,13 @@ def find_ep(n: int, *, verify_unique: bool = True) -> ExceptionalPoint:
     residual below 1e-12; a rung with no root, or with a root on the
     real axis (the degeneracies at g = 0, -2/pi), fails this one and
     every one above it.  With verify_unique, F must also wind exactly
-    once around the circle of radius 1 about the root.
+    once around the circle of radius 1 about the root.  A label above
+    COUPLING_LIMIT is a ValueError: |Im g_ep(n)| > n - 1, so its point
+    lies outside the coupling domain.
     """
-    if not (is_label(n) and n > 1):
-        raise ValueError(f"an exceptional point needs an excited integer label n > 1, "
-                         f"got {n!r}")
+    if not (is_label(n) and 1 < n <= COUPLING_LIMIT):
+        raise ValueError(f"an exceptional point needs an excited integer label n, "
+                         f"1 < n <= {COUPLING_LIMIT:.0f}, got {n!r}")
     parity = Parity.of_level(n)
     *_, (_, g) = _ladder(parity, n)
     return _rung_point(parity, n, g, verify_unique)
@@ -261,7 +263,11 @@ def enumerate_eps(parity: Parity, n_max: int, *,
                   verify_unique: bool = True) -> list[ExceptionalPoint]:
     """All exceptional points of one family with n <= n_max, sorted by n,
     or the ExceptionalPointError of the first label that fails: never a
-    catalog cut short."""
+    catalog cut short.  An n_max above COUPLING_LIMIT is a ValueError, as
+    for `find_ep`, before any rung is walked."""
+    if is_label(n_max) and n_max > COUPLING_LIMIT:
+        raise ValueError(f"labels above {COUPLING_LIMIT:.0f} have their exceptional "
+                         f"points outside the coupling domain, got n_max = {n_max}")
     return [point for _, point in ladder_points(parity, n_max, verify_unique=verify_unique)]
 
 

@@ -57,9 +57,10 @@ it again from its own start.  The frame walks of :func:`advance_frame`
 and :func:`frame_monodromy` are these hops without the Magnus algebra,
 and every walk, transport's too, steps no farther than a local estimate
 of the distance to the nearest branch point, which the frame reads off
-r and its slope: k_n(g) is analytic in the disc that reaches that
-point.  The returned matrix is V at the path end, nothing folded in:
-columns expand the transported slots over the starting slots, and
+r and its slope, both from :func:`lieb2b.bethe.root_geometry`, as the
+tangent of every predictor is: k_n(g) is analytic in the disc that
+reaches that point.  The returned matrix is V at the path end, nothing
+folded in: columns expand the transported slots over the starting slots, and
 transports over concatenated paths compose by left multiplication.  For
 a small clockwise loop around the branch point joining level n to its
 bound-capable partner n_b this converges, as the radius shrinks, to the
@@ -99,10 +100,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bethe import (COUPLING_LIMIT, RESIDUAL_TARGET, Parity, SolverError,
-                    branch_point_function, check_coupling, is_label,
-                    newton_correct_with_step, real_axis_k, rotated_sqrt)
-from .continuation import STEP_GROWTH, ComplexPath, circle_path, tangent_slope, walk_path
+from .bethe import (COUPLING_LIMIT, MAX_LEVELS, RESIDUAL_TARGET, TWO_OVER_PI, Parity,
+                    SolverError, branch_point_function, check_coupling, is_label,
+                    newton_correct_with_step, real_axis_k, root_geometry, rotated_sqrt)
+from .continuation import STEP_GROWTH, ComplexPath, circle_path, walk_path
 from .eigensystem import normalization_pt
 from .exceptional import ExceptionalPoint, ExceptionalPointError, family_eps, find_ep
 
@@ -116,10 +117,6 @@ GAP_TOL = 1e-6
 TRANSPORT_RTOL = 1e-10
 #: steps a frame walk's hop takes at most: its corrector run holds four points a step
 _RUN_STEPS = 16
-#: the most levels a truncation keeps.  A hop's temporaries, stacks of m x m
-#: complex matrices over its 48 nodes, take about 2.5 kB per m**2: at this
-#: bound a 48-gon transport traces a 164 MB peak, within a 256 MB budget
-MAX_LEVELS = 256
 
 
 class TransportError(RuntimeError):
@@ -364,18 +361,18 @@ def _advance_run(frame: TransportFrame, g_points, tol: float):
 
     A truncation is one parity family, so a single array corrector call
     covers the run: g of shape (S, 1) against k of shape (S, m), each
-    point predicted from the tangent at ``frame``.  Each point then takes
-    the Newton step r/dr the corrector returns, which tightens the far
-    points without a tighter tol, and is checked against the one before
-    it (``frame`` for the first): it is unsafe when a slot fails to
-    converge, moves by more than 0.35 of the previous level spacing (it
-    may have jumped basins), or when the continued sqrt(r), signed by
-    continuity, is about equally far from both signs of its previous
-    value.
+    point predicted from the tangent at ``frame`` (`root_geometry`).
+    Each point then takes the Newton step r/dr the corrector returns,
+    which tightens the far points without a tighter tol, and is checked
+    against the one before it (``frame`` for the first): it is unsafe
+    when a slot fails to converge, moves by more than 0.35 of the
+    previous level spacing (it may have jumped basins), or when the
+    continued sqrt(r), signed by continuity, is about equally far from
+    both signs of its previous value.
     """
     parity = Parity.of_level(frame.levels[0])
     g = np.asarray(g_points, dtype=complex)[:, None]
-    k_pred = frame.k + (g - frame.g) * tangent_slope(frame.g, frame.k)
+    k_pred = frame.k + (g - frame.g) * root_geometry(frame.g, frame.k)[1]
     k, _, ok, step = newton_correct_with_step(parity, g, k_pred, tol=tol)
     p = _leading(ok.all(axis=1))
     g, k = g[:p], k[:p] - step[:p]
@@ -420,18 +417,15 @@ def _branch_distance(g, k):
     """Local estimate of the distance from each coupling g to the nearest
     branch point of the slots in its row of k.  Near a square-root branch
     point r behaves like (g - g_ep)**(1/2), so |r / (2 dr/dg)| tends to
-    |g - g_ep|; with dr/dg = 2 k k' + 2 g + 2/pi and k' = 2 k / (pi r),
-    `tangent_slope`'s, that is |r|**2 / |8 k**2 / pi + 4 (g + 1/pi) r|.
+    |g - g_ep|, with dr/dg = 2 k dk/dg + 2 g + 2/pi (`root_geometry`).
     Returns each row's least ratio over the slots whose ratio is finite,
     or inf where that is not positive: a slot at r = 0 has ratio 0."""
-    # a coupling's own terms in scalar arithmetic, as `branch_point_function`
-    # takes them at one coupling: numpy's vectorised arithmetic rounds otherwise
-    g_terms = np.array([(x * x, 2.0 * x / np.pi, 4.0 * (x + 1.0 / np.pi)) for x in g])
-    r = k * k + g_terms[:, :1] + g_terms[:, 1:2]
+    g = np.asarray(g, dtype=complex)[:, None]
+    r, slope, _ = root_geometry(g, k)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.abs(r) ** 2 / np.abs(8.0 / np.pi * k ** 2 + g_terms[:, 2:] * r)
+        ratio = np.abs(r / (4.0 * (k * slope + g) + 2.0 * TWO_OVER_PI))
     d = np.fmin.reduce(ratio, axis=1, initial=np.inf)  # fmin skips NaN
-    return np.where(r.all(axis=1) & (d > 0.0), d, np.inf)
+    return np.where(d > 0.0, d, np.inf)
 
 
 def _kept_factor(g, k, steps) -> list:

@@ -15,7 +15,7 @@ from lieb2b.bethe import (DEEP_IM_H, RESIDUAL_ACCEPT, TWO_OVER_PI, BetheState,
                           bethe_residual, energy, newton_correct,
                           newton_correct_array, newton_polish, real_axis_k,
                           residual_k_derivative, residual_scale,
-                          residual_terms, root_gamma, scaled_bethe_residual,
+                          residual_terms, root_geometry, scaled_bethe_residual,
                           solve_k_real)
 from lieb2b.continuation import GridSpec, build_sheet, sheet_value
 
@@ -357,7 +357,29 @@ def _derivative_gamma(parity, g, k):
     return max(abs(f_kk / (2.0 * f_k)), abs(f_kkk / (6.0 * f_k)) ** 0.5)
 
 
+def random_points():
+    """400 couplings and momenta: 200 in a box about the axis, and 200
+    more scaled by 1e-100 to 1e100, where the squares neither overflow
+    nor turn subnormal."""
+    rng = np.random.default_rng(3)
+    g = rng.uniform(-50, 50, 200) + 1j * rng.uniform(-50, 50, 200)
+    k = rng.uniform(-20, 20, 200) + 1j * rng.uniform(-60, 5, 200)
+    g = np.concatenate([g, g * 10.0 ** rng.uniform(-100, 100, 200)])
+    k = np.concatenate([k, k * 10.0 ** rng.uniform(-100, 100, 200)])
+    return g, k
+
+
+def one_formula(g, k):
+    """(r, dk/dg, gamma) as `root_geometry` forms them, written out."""
+    r = (g * g + k * k) + TWO_OVER_PI * g
+    gamma = np.sqrt(np.maximum(np.abs(np.divide(k, r)) ** 2, (np.pi ** 2 / 12.0)
+                               * np.abs(0.5 + np.divide(TWO_OVER_PI * g, r))))
+    return r, np.divide(2.0 * k, np.pi * r), gamma
+
+
 class TestRootGamma:
+    """gamma, the third value of `root_geometry`."""
+
     @pytest.mark.parametrize("n, g", [
         (0, -1.0 - 2.0j), (1, -3.0 - 0.5j), (2, 0.5 - 1.0j), (7, -1.5 - 8.0j),
         (3, 2.0 - 4.0j), (5, -6.0 - 0.01j), (12, -4.0 - 15.0j), (2, 1.5),
@@ -368,7 +390,7 @@ class TestRootGamma:
         k = complex(sheet_value(n, g))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            gamma = root_gamma(g, k)
+            gamma = root_geometry(g, k)[2]
         assert gamma == pytest.approx(_derivative_gamma(parity, g, k), rel=1e-9)
 
     def test_elementwise_and_quiet_at_a_branch_point(self, golden_eps):
@@ -379,6 +401,27 @@ class TestRootGamma:
         k = np.array([ep.k_ep, 0.0, sheet_value(0, 1.0 - 1.0j)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            gamma = root_gamma(g, k)
+            gamma = root_geometry(g, k)[2]
         assert gamma[0] > 1e9 and np.isnan(gamma[1])
-        assert gamma[2] == root_gamma(complex(g[2]), complex(k[2]))
+        assert gamma[2] == root_geometry(complex(g[2]), complex(k[2]))[2]
+
+    def test_equals_the_one_formula(self):
+        # gamma is taken from r, g and k alone, bit for bit: scalars in
+        # Python complex arithmetic and numpy's division, arrays in numpy
+        g, k = random_points()
+        assert np.array_equal(root_geometry(g, k)[2], one_formula(g, k)[2])
+        for gi, ki in zip(g.tolist(), k.tolist()):
+            assert root_geometry(gi, ki)[2] == one_formula(gi, ki)[2]
+
+    def test_inf_where_r_vanishes_and_nan_where_k_does_too(self):
+        # r is exactly 0 at both real branch points, where k = 0, and at
+        # g = -1/pi, k = 1/pi, where g^2 + k^2 and (2/pi) g cancel exactly;
+        # the tangent is 0 at all three
+        g = np.array([0.0, -TWO_OVER_PI, -0.5 * TWO_OVER_PI], dtype=complex)
+        k = np.array([0.0, 0.0, 0.5 * TWO_OVER_PI], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r, slope, gamma = root_geometry(g, k)
+            assert root_geometry(-TWO_OVER_PI, 0.0)[0] == 0.0
+        assert r.tolist() == slope.tolist() == [0.0, 0.0, 0.0]
+        assert np.isnan(gamma[:2]).all() and gamma[2] == np.inf

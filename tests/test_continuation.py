@@ -10,16 +10,17 @@ from hypothesis import strategies as st
 
 from lieb2b.bethe import (DEEP_IM_H, RESIDUAL_ACCEPT, RESIDUAL_TARGET, Parity, SolverError,
                           bethe_residual, residual_k_derivative, residual_scale,
-                          scaled_bethe_residual, solve_k_real)
+                          root_geometry, scaled_bethe_residual, solve_k_real)
 from lieb2b import continuation, exceptional
 from lieb2b.continuation import (STEP_GROWTH, ComplexPath,
                                  GridSpec, circle_path,
                                  conjugation_symmetry_check, continue_along,
                                  continue_to, build_sheet, line_path,
                                  newton_correct, newton_correct_array,
-                                 sheet_value, tangent_slope, walk_path)
+                                 sheet_value, walk_path)
 from lieb2b.exceptional import ExceptionalPointError, find_ep, ladder_points
 from lieb2b.holonomy import TruncationSpec, entry_frame
+from test_bethe import one_formula, random_points
 
 
 def ep_g(n):
@@ -264,7 +265,7 @@ def capped_sheet_value(n, g):
     def hop(state, ends):
         (g0, k0), g1 = state, ends[0]
         k, scaled, converged = newton_correct(
-            parity, g1, k0 + (g1 - g0) * tangent_slope(g0, k0), tol=RESIDUAL_TARGET)
+            parity, g1, k0 + (g1 - g0) * root_geometry(g0, k0)[1], tol=RESIDUAL_TARGET)
         ok = ((converged or scaled < RESIDUAL_ACCEPT)
               and abs(k * k + g1 * g1 + 2.0 * g1 / np.pi) >= 1e-4 * abs(g1 * g1 + k * k))
         return [((g1, k), ok, min(STEP_GROWTH, 0.05 / abs(g1 - g0)) if ok else 0.5)]
@@ -363,18 +364,22 @@ class TestOneRootStepRule:
         assert conjugation_symmetry_check(2, -1.0 - 2.0j) in (+1, -1)
         assert (len(anchors), len(ladders), len(finds)) == (2, 0, 0)
 
-    @pytest.mark.xfail(strict=True, raises=SolverError,
-                       reason="ROADMAP Known defects: a one-root walk anchored "
-                       "inside the branch-point guard cannot start")
-    def test_walk_anchored_inside_the_guard_leaves_it(self):
-        # the label-1 anchor 1e-5 right of the real branch point -2/pi lies
-        # inside _accepted's guard, so the walk refuses to start; the
-        # column is regular below the axis, and its value lies close to
-        # that of the column 2e-5 further right
-        g = complex(-2.0 / np.pi + 1e-5, -1.0)
-        k = sheet_value(1, g)
-        assert scaled_bethe_residual(Parity.ODD, g, k) <= 1e-10
-        assert abs(k - sheet_value(1, g + 2e-5)) <= 1e-4
+    @pytest.mark.parametrize("parity", list(Parity))
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    @pytest.mark.parametrize("y", [-1.0, 1.0])
+    @pytest.mark.parametrize("delta", [1e-9, 1e-7, 1e-5, 1e-3])
+    def test_walk_anchored_beside_a_real_branch_point_leaves_it(self, parity, side, y, delta):
+        # the base label's anchor delta beside its family's real branch
+        # point lies where r is about delta: gamma is large there but
+        # finite, so the walk starts, and the column is regular off the
+        # axis (k moves by about 0.36 delta from delta to 2 delta for the
+        # even family, 0.71 delta for the odd one); a guard on
+        # |r / (g^2 + k^2)| >= 1e-4 refused every odd anchor with delta <= 1e-5
+        x = parity.real_branch_point + side * delta
+        k = sheet_value(parity.bound_level, complex(x, y))
+        assert scaled_bethe_residual(parity, complex(x, y), k) <= 1e-10
+        k2 = sheet_value(parity.bound_level, complex(x + side * delta, y))
+        assert abs(k - k2) <= 2.0 * delta
 
     def test_shallow_walk_at_a_large_label_walks_no_ladder(self, monkeypatch):
         # a hop's basin test is local: no walk, shallow or past its own
@@ -601,31 +606,26 @@ class TestWalkSegment:
 
 
 class TestTangentSlope:
-    def test_equals_unscaled_formula(self):
-        # the power-of-two scaling is exact: scalars match the formula in
-        # Python complex arithmetic, arrays in numpy, bit for bit
-        rng = np.random.default_rng(3)
-        g = rng.uniform(-50, 50, 200) + 1j * rng.uniform(-50, 50, 200)
-        k = rng.uniform(-20, 20, 200) + 1j * rng.uniform(-60, 5, 200)
-        # and magnitudes from 1e-100 to 1e100, where the squares neither
-        # overflow nor turn subnormal
-        g = np.concatenate([g, g * 10.0 ** rng.uniform(-100, 100, 200)])
-        k = np.concatenate([k, k * 10.0 ** rng.uniform(-100, 100, 200)])
-        def formula(g, k):
-            return 2.0 * k / (np.pi * (k * k + g * g + 2.0 * g / np.pi))
+    """dk/dg, the second value of `root_geometry`, and r, the first."""
 
-        assert np.array_equal(tangent_slope(g, k), formula(g, k))
+    def test_equals_unscaled_formula(self):
+        # scalars match the formula in Python complex arithmetic and
+        # numpy's division, arrays in numpy, bit for bit
+        g, k = random_points()
+        r, slope, _ = root_geometry(g, k)
+        want_r, want_slope, _ = one_formula(g, k)
+        assert np.array_equal(r, want_r) and np.array_equal(slope, want_slope)
         for gi, ki in zip(g.tolist(), k.tolist()):
-            assert tangent_slope(gi, ki) == formula(gi, ki)
+            assert root_geometry(gi, ki)[:2] == one_formula(gi, ki)[:2]
 
     def test_zero_at_a_branch_point(self):
-        assert tangent_slope(0.0, 0.0) == 0j
-        assert tangent_slope(-2.0 / np.pi, 0.0) == 0j
-        assert np.array_equal(tangent_slope(np.array([0.0, 1.0]), np.array([0.0, 1.0])),
+        assert root_geometry(0.0, 0.0)[1] == 0j
+        assert root_geometry(-2.0 / np.pi, 0.0)[1] == 0j
+        assert np.array_equal(root_geometry(np.array([0.0, 1.0]), np.array([0.0, 1.0]))[1],
                               np.array([0.0, 2.0 / (np.pi * (2.0 + 2.0 / np.pi))]))
 
     def test_finite_at_g_zero(self):
-        assert tangent_slope(0.0, 2.0) == pytest.approx(1.0 / np.pi)
+        assert root_geometry(0.0, 2.0)[1] == pytest.approx(1.0 / np.pi)
 
 
 class TestArrayCorrector:
@@ -980,6 +980,26 @@ class TestSheets:
         assert taken[-1].g_ep.real < -3.0 <= taken[-2].g_ep.real
         assert [c.branch_point for c in sheet.cut_segments if c.kind == "exceptional"] \
             == [p.g_ep for p in taken[:-1]]
+
+    @pytest.mark.parametrize("n, grid", [
+        (6, GridSpec(n_re=5, n_im=5)), (7, GridSpec(n_re=5, n_im=5)),
+        (2, GridSpec(-600.0, -590.0, -1.0, 0.5, 5, 5)),
+        (10 ** 5, GridSpec(n_re=3, n_im=3))])
+    def test_a_point_below_the_window_is_not_looked_up(self, monkeypatch, n, grid):
+        # |Im g_ep(n)| > n - 1 (test_every_rung_lies_below_the_depth_floor),
+        # so where n - 1 reaches the window's depth the lookup adds no cut,
+        # and the sheet is the one a lookup would have given
+        depth = max(-grid.im_min, grid.im_max)
+        if n < 100:
+            assert abs(ep_g(n).imag) > depth
+        def refused(m, **kwargs):
+            raise AssertionError(f"label {m} was looked up")
+
+        injected = build_sheet(n, grid, ep_finder=refused)
+        monkeypatch.setattr(continuation, "find_ep", refused)
+        default = build_sheet(n, grid)
+        assert injected.cut_segments == default.cut_segments == []
+        assert np.array_equal(injected.k, default.k, equal_nan=True)
 
     @pytest.mark.parametrize("n", [0, 4])
     def test_a_label_the_finder_misses_is_an_error(self, n):

@@ -6,10 +6,17 @@ move by one step layout.
 corrector nor the scalar hop, so no column of a sheet is moved by a
 second path.  The row hop and `_scalar_hop` both accept through
 `_accepted`, take a kept hop's factor from `_basin_factor`, and
-evaluate `root_gamma` once for both; no continuation walk asks the
-exceptional-point catalog (`family_eps`, `find_ep`) for its steps, and
-the catalog step rule's names are defined nowhere.  The dJ/dk quotient
-that the scalar hop used to test is gone from the package.  In `holonomy`, `_run_steps` is the only
+evaluate `root_geometry` once for both and for the next predictor; no
+continuation walk asks the exceptional-point catalog (`family_eps`,
+`find_ep`) for its steps, and the catalog step rule's names are defined
+nowhere.  The dJ/dk quotient that the scalar hop used to test, and its
+guard `DJ_DK_FLOOR`, are gone from the package.  One root geometry
+serves every hop: `bethe.branch_point_function` is the only function
+that writes r = k^2 + g^2 + 2 g/pi, `bethe.root_geometry` the only one
+that forms its tangent dk/dg and gamma from it, and every hop, the
+one-root walk's start, the frame corrector's predictor and the frames'
+branch distance call it once; `root_gamma` and `tangent_slope` are
+defined nowhere.  In `holonomy`, `_run_steps` is the only
 caller of the frame corrector `_advance_run`, and both frame movers,
 `transport` and `_walk_frame`, go through it.  Both also step by one rule: they reach
 `walk_path` only through `_walk_branches`, and their hops take the
@@ -99,11 +106,17 @@ def test_row_and_scalar_hops_share_the_acceptance_test():
     assert "_accepted" in called_names("_scalar_hop")
 
 
+def calls_of(function: str, module: str = "continuation") -> list:
+    """Every call inside `<module>.<function>`, by name, repeats kept."""
+    return [call_name(n) for n in ast.walk(functions(module)[function])]
+
+
 def test_row_and_scalar_hops_share_the_step_rule():
-    # each hop evaluates gamma once, for its acceptance test and its factor
-    for function in ("_march_rows", "_scalar_hop"):
-        calls = [call_name(n) for n in ast.walk(functions("continuation")[function])]
-        assert "_basin_factor" in calls and calls.count("root_gamma") == 1, function
+    # each hop evaluates its geometry once, for its acceptance test, its
+    # factor and the next hop's predictor
+    for function in ("hop", "_scalar_hop"):
+        calls = calls_of(function)
+        assert "_basin_factor" in calls and calls.count("root_geometry") == 1, function
     assert "_basin_reach" in called_names("_walk_root")
     factors = {name for name, node in functions("continuation").items()
                if "_basin_reach" in names_called(node)}
@@ -124,6 +137,49 @@ def test_the_catalog_step_rule_is_gone():
 
 def test_no_dj_dk_quotient_in_the_package():
     assert [p.name for p in sorted(PACKAGE.glob("*.py")) if "dj_dk" in p.read_text()] == []
+
+
+def test_gamma_and_the_tangent_have_one_home():
+    for name in ("root_gamma", "tangent_slope", "DJ_DK_FLOOR"):
+        assert name_uses(name) == [], name
+    assert definitions("root_geometry") == ["bethe"]
+
+
+def test_every_hop_forms_its_geometry_once():
+    # the row hop, the one-root hop and walk start, the frame predictor
+    # and the frames' branch distance; the row march's first slopes are
+    # its second call
+    for module, function in (("continuation", "hop"), ("continuation", "_scalar_hop"),
+                             ("continuation", "_walk_root"), ("holonomy", "_advance_run"),
+                             ("holonomy", "_branch_distance")):
+        assert calls_of(function, module).count("root_geometry") == 1, function
+    assert calls_of("_march_rows").count("root_geometry") == 2
+
+
+def squares_and_pi(node) -> bool:
+    """Whether a function squares g or k (``g * g``, ``k ** 2``) and also
+    takes a factor of pi (``np.pi`` or ``TWO_OVER_PI``): the parts of r."""
+    def named(n):
+        return isinstance(n, ast.Name) and n.id in {"g", "k"}
+
+    square = pi = False
+    for n in ast.walk(node):
+        if isinstance(n, ast.BinOp) and named(n.left) and (
+                (isinstance(n.op, ast.Mult) and named(n.right) and n.left.id == n.right.id)
+                or (isinstance(n.op, ast.Pow) and isinstance(n.right, ast.Constant)
+                    and n.right.value == 2)):
+            square = True
+        pi |= (isinstance(n, ast.Attribute) and n.attr == "pi") or (
+            isinstance(n, ast.Name) and n.id == "TWO_OVER_PI")
+    return square and pi
+
+
+def test_r_is_written_once():
+    writers = {f"{path.stem}.{node.name}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef) and squares_and_pi(node)}
+    assert writers == {"bethe.branch_point_function"}
 
 
 def test_only_the_step_layout_calls_the_frame_corrector():

@@ -5,6 +5,9 @@ Integer arguments, labels and counts alike, follow `bethe.is_label`: a
 Python or numpy integer and never a bool, so numpy integers pass; an
 array of labels has an integer dtype.  A sign is the integer +1 or -1.
 A walk that would start on its own branch point is a SolverError.
+Sizes past what the library serves are refused before any work: an
+exceptional-point label above COUPLING_LIMIT, whose point lies outside
+the coupling domain, and an oracle of more than MAX_LEVELS levels.
 """
 
 import warnings
@@ -12,13 +15,15 @@ import warnings
 import numpy as np
 import pytest
 
-from lieb2b.bethe import (Parity, SolverError, asymptotic_quasimomentum, real_axis_k,
-                          solve_k_real)
+from lieb2b import bethe, cli, eigensystem, exceptional, holonomy
+from lieb2b.bethe import (COUPLING_LIMIT, MAX_LEVELS, Parity, SolverError,
+                          asymptotic_quasimomentum, real_axis_k, solve_k_real)
 from lieb2b.continuation import (GridSpec, build_sheet, circle_path,
                                  conjugation_symmetry_check, sheet_value)
 from lieb2b.cycles import n_ep_contour
 from lieb2b.eigensystem import biorthonormality_defect, overlap_connection_oracle
-from lieb2b.exceptional import circle_reaches_branch_point, find_ep, local_expansion
+from lieb2b.exceptional import (circle_reaches_branch_point, enumerate_eps, find_ep,
+                                local_expansion)
 from lieb2b.holonomy import TruncationSpec, m_chain_analytic
 
 REFUSED = {
@@ -105,3 +110,46 @@ def test_walk_from_its_own_branch_point_is_a_solver_error(n, g):
     for call in (sheet_value, conjugation_symmetry_check):
         with pytest.raises(SolverError, match="starts on a branch point"):
             call(n, g)
+
+
+def refuse_work(monkeypatch, module, name):
+    """Make module.<name> fail the test if it is called."""
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{name} ran for an input it should refuse")
+
+    monkeypatch.setattr(module, name, refused)
+
+
+# |Im g_ep(n)| > n - 1 + 0.31 (`test_every_rung_lies_below_the_depth_floor`),
+# so the point of a label above COUPLING_LIMIT lies outside the domain
+BEYOND_THE_DOMAIN = {
+    "EP": lambda: find_ep(10 ** 6 + 7),
+    "EP, unverified": lambda: find_ep(10 ** 6 + 1, verify_unique=False),
+    "catalog": lambda: enumerate_eps(Parity.ODD, 10 ** 6 + 7, verify_unique=False),
+    "contour": lambda: n_ep_contour(1.0, 10 ** 6 + 7, Parity.EVEN),
+}
+
+
+@pytest.mark.parametrize("call", BEYOND_THE_DOMAIN.values(), ids=BEYOND_THE_DOMAIN.keys())
+def test_a_label_beyond_the_domain_is_refused_before_any_rung(monkeypatch, call):
+    refuse_work(monkeypatch, exceptional, "_ladder")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"{COUPLING_LIMIT:.0f}"):
+            call()
+
+
+def test_the_cli_catalog_beyond_the_domain_exits_2(monkeypatch, capsys):
+    refuse_work(monkeypatch, exceptional, "_ladder")
+    code = cli.main(["eps", "--n-max", "1000007"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "outside the coupling domain" in captured.err
+
+
+def test_the_oracle_refuses_more_than_max_levels_before_any_work(monkeypatch):
+    assert holonomy.MAX_LEVELS is bethe.MAX_LEVELS
+    refuse_work(monkeypatch, eigensystem, "_difference_quotient")
+    for n_levels in (MAX_LEVELS + 1, 10 ** 6 + 7):
+        with pytest.raises(ValueError, match=f"n_levels <= {MAX_LEVELS}, got {n_levels}"):
+            overlap_connection_oracle(n_levels, 0.5)
